@@ -8,7 +8,7 @@ constraints, and ships an OFDM radar demonstration pipeline.
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateLinkError, EstimationFailureError,
+from .errors import (EstimationFailureError,
                      InfeasibleCoverageError, InfeasiblePowerError,
                      InvalidInputError, NoPathError, RisDeployError,
                      SceneFormatError, UnobservablePathError,
@@ -16,7 +16,7 @@ from .errors import (DegenerateLinkError, EstimationFailureError,
 
 __all__ = [
     "RisDeployError", "InvalidInputError", "SceneFormatError",
-    "InfeasibleCoverageError", "NoPathError", "DegenerateLinkError",
+    "InfeasibleCoverageError", "NoPathError",
     "UnobservablePathError", "UnreachableTargetsError", "InfeasiblePowerError",
     "UnsupportedDelayError", "EstimationFailureError", "__version__",
 ]

@@ -1,45 +1,12 @@
-"""Uniform planar array geometry, steering vectors and panel orientation.
+"""Panel orientation: rotations, orientation bounds and the panel normal.
 
-Angle convention: ``theta`` is the polar angle measured from the local +z
-axis, ``psi`` the azimuth in the local xy-plane measured from +x toward +y.
-Panels (BS UPA, RIS) lie in their local yz-plane with the normal along +x,
-so the boresight angle of a direction is ``arccos`` of its local x
-component.
+Panels (RIS) lie in their local yz-plane with the normal along +x, so the
+boresight angle of a direction is ``arccos`` of its local x component.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class UpaGeometry:
-    """Rectangular array of count_y x count_z elements in the yz-plane."""
-
-    count_y: int
-    count_z: int
-    spacing: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.count_y < 1 or self.count_z < 1:
-            raise InvalidInputError("element counts must be >= 1")
-        if self.spacing <= 0 or self.wavelength <= 0:
-            raise InvalidInputError("spacing and wavelength must be > 0")
-
-    @classmethod
-    def half_wavelength(cls, count_y: int, count_z: int, wavelength: float) -> "UpaGeometry":
-        return cls(count_y, count_z, wavelength / 2.0, wavelength)
-
-    @property
-    def size(self) -> int:
-        return self.count_y * self.count_z
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -57,40 +24,6 @@ class OrientationBounds:
     psi_low: float
     psi_high: float
 
-    def contains(self, o: Orientation) -> bool:
-        return (
-            self.theta_low <= o.theta_r <= self.theta_high
-            and self.psi_low <= o.psi_r <= self.psi_high
-        )
-
-    def clamp(self, o: Orientation) -> Orientation:
-        return Orientation(
-            float(np.clip(o.theta_r, self.theta_low, self.theta_high)),
-            float(np.clip(o.psi_r, self.psi_low, self.psi_high)),
-        )
-
-
-@dataclass(frozen=True)
-class DirectionAngles:
-    """Polar/azimuth direction pair in a panel's local frame."""
-
-    theta: float
-    psi: float
-
-
-def steering_vector(geom: UpaGeometry, direction: DirectionAngles) -> np.ndarray:
-    """UPA steering vector, Kronecker product of the y- and z-axis factors.
-
-    Element (m_y, m_z) carries phase
-    ``kappa * D * ((m_y-1) sin(theta) sin(psi) + (m_z-1) cos(theta))``.
-    """
-    kd = geom.wavenumber * geom.spacing
-    my = np.arange(geom.count_y)
-    mz = np.arange(geom.count_z)
-    ay = np.exp(1j * kd * my * np.sin(direction.theta) * np.sin(direction.psi))
-    az = np.exp(1j * kd * mz * np.cos(direction.theta))
-    return np.kron(ay, az)
-
 
 def rotation_matrix(o: Orientation) -> np.ndarray:
     """Rotation R_z(psi_r) @ R_y(theta_r) taking the local frame to global."""
@@ -101,56 +34,11 @@ def rotation_matrix(o: Orientation) -> np.ndarray:
     return rz @ ry
 
 
-def local_direction(o: Orientation, unit_path: np.ndarray):
-    """Convert a global unit path vector into the panel's local frame.
+def panel_normal(theta_r, psi_r) -> np.ndarray:
+    """Global panel normal (local +x) for orientation angles, elementwise.
 
-    Returns ``(DirectionAngles, boresight_angle)`` where the boresight angle
-    is measured from the panel normal (local +x). Azimuth uses the
-    quadrant-aware two-argument arctangent.
+    Equals the first column of ``rotation_matrix``; the result has the
+    broadcast shape of the angles plus a trailing axis of length 3.
     """
-    u = np.asarray(unit_path, dtype=float)
-    norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidInputError(f"path vector must be unit-norm, got |u| = {norm}")
-    e = rotation_matrix(o).T @ u
-    theta = float(np.arccos(np.clip(e[2], -1.0, 1.0)))
-    psi = float(np.arctan2(e[1], e[0]))
-    boresight = float(np.arccos(np.clip(e[0], -1.0, 1.0)))
-    return DirectionAngles(theta, psi), boresight
-
-
-def boresight_cosines(o: Orientation, unit_paths: np.ndarray) -> np.ndarray:
-    """Local x components (cos of boresight angle) for many unit vectors.
-
-    ``unit_paths`` has shape (..., 3); vectorized equivalent of calling
-    local_direction per row and taking cos of the boresight angle.
-    """
-    u = np.asarray(unit_paths, dtype=float)
-    x_axis = rotation_matrix(o)[:, 0]
-    return u @ x_axis
-
-
-@dataclass(frozen=True)
-class IsotropicPattern:
-    gain_dbi: float = 0.0
-
-
-@dataclass(frozen=True)
-class CosinePattern:
-    exponent: float = 1.0
-    peak_dbi: float = 0.0
-
-
-def element_gain(pattern, direction: DirectionAngles) -> float:
-    """Linear power gain of a single element toward a local direction.
-
-    The cosine pattern peaks on the panel normal (+x) and is clipped to
-    zero behind the panel.
-    """
-    if isinstance(pattern, IsotropicPattern):
-        return float(10.0 ** (pattern.gain_dbi / 10.0))
-    if isinstance(pattern, CosinePattern):
-        bore_cos = np.sin(direction.theta) * np.cos(direction.psi)
-        peak = 10.0 ** (pattern.peak_dbi / 10.0)
-        return float(peak * max(bore_cos, 0.0) ** pattern.exponent)
-    raise InvalidInputError(f"unknown gain pattern {pattern!r}")
+    return np.stack([np.cos(psi_r) * np.cos(theta_r), np.sin(psi_r) * np.cos(theta_r),
+                     -np.sin(theta_r)], axis=-1)

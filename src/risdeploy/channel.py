@@ -1,16 +1,13 @@
-"""Complex channel assemblies, effective RIS gains and link SNRs.
+"""Link budget and the per-cell RIS gain shared by sizing and closure.
 
 Channel amplitudes use the square root of linear power gains so that
 ``|h|^2`` reproduces the standard link budget Pr/Pt = Gt*Gr*(lambda/4 pi d)^2.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import DirectionAngles, Orientation, UpaGeometry, element_gain, local_direction, steering_vector
 from .errors import InvalidInputError
 from .units import db2lin, dbm2watt
 
@@ -44,123 +41,21 @@ class LinkBudget:
         return float(db2lin(self.snr_threshold_db))
 
 
-@dataclass(frozen=True)
-class CascadeChannel:
-    """BS -> RIS -> receiver product channel pieces."""
-
-    bs_to_ris: np.ndarray  # (M_n, M_b)
-    ris_to_rx: np.ndarray  # (M_n,)
-    ris_phases: np.ndarray  # (M_n,) unit-modulus complex
-
-    def effective(self) -> np.ndarray:
-        "Collapsed 1 x M_b channel h * diag(phi) * H."
-        return (self.ris_to_rx * self.ris_phases) @ self.bs_to_ris
-
-
-@dataclass(frozen=True)
-class EffectiveRisGain:
-    value: float
-    efficiency: float
-    incidence: float
-    reflection: float
-    area: float
-
-
 # Panel field of view: directions further off boresight contribute nothing.
 # Near grazing the effective aperture collapses and practical unit-cell
 # patterns have rolled off, so the panel cannot serve such directions.
 PANEL_FOV_RAD = np.deg2rad(80.0)
 
 
-def effective_ris_gain(efficiency: float, incidence: float, reflection: float,
-                       area_m2: float, lam: float) -> EffectiveRisGain:
-    """Aperture-model RIS power gain: eta*cos(in)*cos(out)*A^2*(4 pi/lambda^2)^2.
-
-    Zero at or beyond the panel field of view on either side.
-    """
-    ci = np.cos(incidence) if incidence < PANEL_FOV_RAD else 0.0
-    cr = np.cos(reflection) if reflection < PANEL_FOV_RAD else 0.0
-    value = efficiency * max(ci, 0.0) * max(cr, 0.0) * area_m2**2 * (4.0 * np.pi / lam**2) ** 2
-    return EffectiveRisGain(float(value), efficiency, incidence, reflection, area_m2)
-
-
-def unit_cell_amplitude_gain(boresight_angle: float, cell_area: float, lam: float) -> float:
+def unit_cell_amplitude_gain(boresight_angle, cell_area: float, lam: float):
     """Amplitude gain of one RIS cell toward a direction off its normal.
 
     From the effective aperture ``A_u cos(angle)``: power gain
     4 pi A_u cos / lambda^2. Two traversals of the panel multiply two of
-    these, recovering the aperture gain model for the full panel. Zero at or
-    beyond the panel field of view.
+    these, so M coherent cells at efficiency eta give the aperture gain
+    eta * cos(in) * cos(out) * (M A_u)^2 * (4 pi / lambda^2)^2. Zero at or
+    beyond the panel field of view. Elementwise over array angles.
     """
-    if not boresight_angle < PANEL_FOV_RAD:
-        return 0.0
-    c = np.cos(boresight_angle)
-    return float(np.sqrt(4.0 * np.pi * cell_area * c / lam**2))
-
-
-def direct_channel(paths, bs_geom: UpaGeometry, bs_orientation: Orientation,
-                   tx_pattern, rx_pattern=None) -> np.ndarray:
-    """Multipath BS -> single-antenna-UE channel row vector (M_b,).
-
-    Sums per-path contributions sqrt(G_rx)*alpha*exp(j phi)*a^T*sqrt(G_tx),
-    with the DoD expressed in the BS panel's local frame. An empty path list
-    yields the all-zero vector (blocked link).
-    """
-    h = np.zeros(bs_geom.size, dtype=complex)
-    for path in paths:
-        dir_local, _ = local_direction(bs_orientation, path.depart_dir)
-        g_tx = element_gain(tx_pattern, dir_local)
-        g_rx = 1.0 if rx_pattern is None else element_gain(rx_pattern, _arrival_direction(path))
-        a = steering_vector(bs_geom, dir_local)
-        h = h + np.sqrt(g_rx * g_tx) * path.attenuation * np.exp(1j * path.phase) * a
-    return h
-
-
-def _arrival_direction(path) -> DirectionAngles:
-    d = path.arrive_dir
-    theta = float(np.arccos(np.clip(d[2], -1.0, 1.0)))
-    psi = float(np.arctan2(d[1], d[0]))
-    return DirectionAngles(theta, psi)
-
-
-def snr_direct(h: np.ndarray, w: np.ndarray, power_linear: float, noise_power_linear: float) -> float:
-    """P * |h w|^2 / sigma^2 for a direct link."""
-    h = np.asarray(h).ravel()
-    w = np.asarray(w).ravel()
-    if h.shape != w.shape:
-        raise InvalidInputError(f"dimension mismatch: h {h.shape} vs w {w.shape}")
-    if noise_power_linear <= 0:
-        raise InvalidInputError("noise power must be > 0")
-    return float(power_linear * abs(np.dot(h, w)) ** 2 / noise_power_linear)
-
-
-def snr_cascaded(cascade: CascadeChannel, w_bs: np.ndarray, power_linear: float,
-                 noise_power_linear: float) -> float:
-    """P * |h diag(phi) H w|^2 / sigma^2 through one RIS."""
-    phases = np.asarray(cascade.ris_phases)
-    if np.any(np.abs(np.abs(phases) - 1.0) > 1e-9):
-        raise InvalidInputError("RIS phase entries must be unit-modulus")
-    w = np.asarray(w_bs).ravel()
-    if cascade.bs_to_ris.shape[1] != w.shape[0]:
-        raise InvalidInputError("beamformer length does not match BS array size")
-    if noise_power_linear <= 0:
-        raise InvalidInputError("noise power must be > 0")
-    return float(power_linear * abs(np.dot(cascade.effective(), w)) ** 2 / noise_power_linear)
-
-
-def write_snr_map_csv(path, centers: np.ndarray, snr_db: np.ndarray):
-    "SNR map as CSV rows (cell_index, x, y, snr_db)."
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", "x", "y", "snr_db"])
-        for i, (c, s) in enumerate(zip(centers, snr_db)):
-            writer.writerow([i, repr(float(c[0])), repr(float(c[1])), repr(float(s))])
-
-
-def write_snr_map_json(path, centers: np.ndarray, snr_db: np.ndarray):
-    data = [
-        {"cell_index": i, "x": float(c[0]), "y": float(c[1]), "snr_db": float(s)}
-        for i, (c, s) in enumerate(zip(centers, snr_db))
-    ]
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
+    angle = np.asarray(boresight_angle, dtype=float)
+    c = np.where(angle < PANEL_FOV_RAD, np.cos(angle), 0.0)
+    return np.sqrt(4.0 * np.pi * cell_area * c / lam**2)

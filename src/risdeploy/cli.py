@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +270,7 @@ def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
         ctx = build_context(cfg, mode)
         log.info("scene: %d buildings, %d UE cells (%d uncovered universe), "
                  "%d UAV cells, %d RIS regions", len(ctx.scene.buildings),
-                 len(ctx.ue_grid), sum(len(r.covered_cells) for r in ctx.regions),
+                 len(ctx.ue_grid), len(set().union(*(r.covered_cells for r in ctx.regions))),
                  len(ctx.uav_grid), len(ctx.regions))
         result = optimize(ctx, cfg)
         log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
@@ -309,7 +308,7 @@ def _fail(out_dir: Path, log, exc: RisDeployError) -> int:
     return EXIT_ERROR
 
 
-def compare_modes(cfg: dict, modes: list, out_dir: Path, threads: int = 1) -> int:
+def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
     "One comparison row per mode: sizes, coverage %, sensing feasibility."
     if len(modes) < 2:
         print(json.dumps({"error": "InvalidInputError",
@@ -340,11 +339,7 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path, threads: int = 1) -> in
             return {"mode": mode, "status": "failed",
                     "error": type(exc).__name__, "message": str(exc)}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, modes))
-    else:
-        rows = [one(m) for m in modes]
+    rows = [one(m) for m in modes]
     with open(out_dir / "comparison.json", "w") as fh:
         json.dump(rows, fh, indent=2)
     cols = ["mode", "status", "sizes_m", "total_area_m2", "coverage_pct",
@@ -379,13 +374,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--threads", type=int, default=1)
     p_cmp = sub.add_parser("compare", help="run several modes, emit a table")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--modes", nargs="+", required=True, choices=MODES)
     p_cmp.add_argument("--seed", type=int)
-    p_cmp.add_argument("--threads", type=int, default=1)
     p_val = sub.add_parser("validate-scene", help="check a scene JSON file")
     p_val.add_argument("scene")
     args = parser.parse_args(argv)
@@ -402,7 +395,7 @@ def main(argv=None) -> int:
         if args.mode:
             cfg["mode"] = args.mode
         return run_pipeline(cfg, Path(args.out))
-    return compare_modes(cfg, args.modes, Path(args.out), threads=args.threads)
+    return compare_modes(cfg, args.modes, Path(args.out))
 
 
 if __name__ == "__main__":

@@ -29,14 +29,6 @@ class NoPathError(RisDeployError):
     """A link has no propagation path at all."""
 
 
-class DegenerateLinkError(RisDeployError):
-    """A beamforming link matrix is identically zero."""
-
-    def __init__(self, link_index: int):
-        self.link_index = link_index
-        super().__init__(f"link {link_index} is a zero matrix")
-
-
 class UnobservablePathError(RisDeployError):
     """Sensing path coefficient is zero; the FIM is singular."""
 

@@ -4,16 +4,18 @@ The optimizer sizes panels through the scaled reference model; this module
 re-evaluates the returned deployment with the full machinery — per-cell RIS
 geometry, dual-beam phase profiles focused with exact per-cell distances,
 L-bit quantization — and reports the SNR/CRB margins and the gap between the
-scaling model and the synthesized gains.
+scaling model and the synthesized gains. Each cell uses the sizing model's
+per-cell gain, field of view included.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Orientation
+from .arrays import panel_normal
+from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
-from .optimizer import OptimizerContext, OptimizationResult, _panel_axis
+from .optimizer import OptimizerContext, OptimizationResult
 from .propagation import fspl_amplitude
 from .ris_bf import quantize_phases, ris_cell_positions
 from .sensing import CrbPair, SensingPath, fim
@@ -25,31 +27,25 @@ class ClosureReport:
     snr_db: list  # per RIS: (covered cells,) worst over UAV cells
     crb_range: np.ndarray  # (N, M_u)
     crb_velocity: np.ndarray  # (N, M_u)
-    snr_margin_db: float  # min over cells of SNR - threshold
+    snr_margin_db: float  # min over served cells of SNR - threshold
     crb_range_margin_db: float  # min over cells of threshold/CRB, in dB
     crb_velocity_margin_db: float
-    gain_gap_db: np.ndarray  # per RIS mean |synthesized - predicted| SNR gap
+    gain_gap_db: np.ndarray  # per RIS mean |synthesized - predicted| served-cell SNR gap
 
 
 def _panel(ctx: OptimizerContext, result: OptimizationResult, n: int):
     size = result.sizes[n]
     cells = ris_cell_positions(size.cells_per_side, ctx.cell_spacing,
                                result.positions[n], result.orientations[n])
-    axis = _panel_axis(result.orientations[n])
-    return cells, axis
+    o = result.orientations[n]
+    return cells, panel_normal(o.theta_r, o.psi_r)
 
 
-def _leg(cells: np.ndarray, point, axis: np.ndarray, ctx: OptimizerContext):
-    "Per-cell distance, boresight cosine and FSPL amplitude toward a point."
+def _leg(cells: np.ndarray, point, axis: np.ndarray):
+    "Per-cell distance and boresight cosine toward a point."
     diff = np.asarray(point, dtype=float) - cells
     dist = np.linalg.norm(diff, axis=1)
-    cos = np.clip(np.einsum("ij,j->i", diff, axis) / dist, 0.0, None)
-    return dist, cos, ctx.wavelength / (4.0 * np.pi * dist)
-
-
-def _cell_gain(cos: np.ndarray, ctx: OptimizerContext) -> np.ndarray:
-    "Per-cell amplitude gain sqrt(4 pi A_u cos / lambda^2)."
-    return np.sqrt(4.0 * np.pi * ctx.cell_area * cos / ctx.wavelength**2)
+    return dist, np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
 
 
 def _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
@@ -68,7 +64,9 @@ def _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
 def _cascade_sum(ctx, phases, d_a, cos_a, d_b_leg, cos_b_leg):
     "Complex panel sum of one RIS traversal between two endpoints."
     kappa = 2.0 * np.pi / ctx.wavelength
-    amp = (np.sqrt(ctx.efficiency) * _cell_gain(cos_a, ctx) * _cell_gain(cos_b_leg, ctx)
+    amp = (np.sqrt(ctx.efficiency)
+           * unit_cell_amplitude_gain(np.arccos(cos_a), ctx.cell_area, ctx.wavelength)
+           * unit_cell_amplitude_gain(np.arccos(cos_b_leg), ctx.cell_area, ctx.wavelength)
            * (ctx.wavelength / (4.0 * np.pi * d_a))
            * (ctx.wavelength / (4.0 * np.pi * d_b_leg)))
     return complex(np.sum(amp * np.exp(1j * phases) * np.exp(-1j * kappa * (d_a + d_b_leg))))
@@ -80,15 +78,15 @@ def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult, n: int,
     being sensed (the dual-beam split for that UAV cell applies)."""
     cells, axis = _panel(ctx, result, n)
     ue = ctx.ue_grid.centers[cell_index]
-    d_b, cos_b, _ = _leg(cells, ctx.scene.bs_position, axis, ctx)
-    d_k, cos_k, _ = _leg(cells, ue, axis, ctx)
+    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
+    d_k, cos_k = _leg(cells, ue, axis)
     comm_only = ctx.mode == "comm-only"
     if comm_only:
         phases = _dual_beam_profile(ctx, cells, d_b, d_k, None, 1.0)
         omega = result.omega_per_uav[0, n + 1]
     else:
         uav = ctx.uav_grid.centers[uav_index]
-        d_u, _, _ = _leg(cells, uav, axis, ctx)
+        d_u, _ = _leg(cells, uav, axis)
         beta = float(result.beta_per_uav[uav_index, n])
         phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)
         omega = result.omega_per_uav[uav_index, n + 1]
@@ -109,9 +107,9 @@ def explicit_sensing_crb(ctx: OptimizerContext, result: OptimizationResult, n: i
         ue_cell = region.covered_cells[0]
     ue = ctx.ue_grid.centers[ue_cell]
     uav = ctx.uav_grid.centers[uav_index]
-    d_b, cos_b, _ = _leg(cells, ctx.scene.bs_position, axis, ctx)
-    d_k, _, _ = _leg(cells, ue, axis, ctx)
-    d_u, cos_u, _ = _leg(cells, uav, axis, ctx)
+    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
+    d_k, _ = _leg(cells, ue, axis)
+    d_u, cos_u = _leg(cells, uav, axis)
     beta = float(result.beta_per_uav[uav_index, n])
     omega = float(result.omega_per_uav[uav_index, n + 1])
     phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)
@@ -133,7 +131,10 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult,
     For each RIS and covered UE cell, the reported SNR is the worst over UAV
     cells (each UAV cell fixes the beta split in force while it is sensed).
     The gain gap compares the synthesized SNR against the scaling-model
-    prediction beta * omega * (M_n / M_ref)^2 * gamma_ref.
+    prediction beta * omega * (M_n / M_ref)^2 * gamma_ref. The SNR margin,
+    the gain gap and the comm beam of the CRB check cover the cells the
+    sizing model serves (gamma_ref > 0); the others stay in snr_db, at
+    -inf when the panel sees them beyond its field of view.
     """
     comm_only = ctx.mode == "comm-only"
     m_u = 1 if comm_only else len(ctx.uav_grid.centers)
@@ -147,23 +148,25 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult,
     gamma_ref = None if step1_result is None else step1_result.gamma_ref
     for n, region in enumerate(ctx.regions):
         worst = np.full(len(region.covered_cells), np.inf)
+        gamma = np.ones(len(worst)) if gamma_ref is None else gamma_ref[n]
+        served = gamma > 0.0
         gap_samples = []
         for i, cell in enumerate(region.covered_cells):
             for u in range(m_u):
                 snr = explicit_ue_snr(ctx, result, n, cell, u)
                 worst[i] = min(worst[i], snr)
-                if gamma_ref is not None:
+                if gamma_ref is not None and served[i]:
                     beta = 1.0 if comm_only else float(result.beta_per_uav[u, n])
                     omega = float(result.omega_per_uav[u, n + 1])
                     scale = (result.sizes[n].cell_count / ctx.m_ref) ** 2
                     pred = beta * omega * scale * gamma_ref[n][i]
                     gap_samples.append(lin2db(snr) - lin2db(pred))
-        snr_db.append(lin2db(worst))
-        snr_margin = min(snr_margin, float(np.min(lin2db(worst)) - thr_db))
+        with np.errstate(divide="ignore"):
+            snr_db.append(lin2db(worst))
+        snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
         gaps[n] = float(np.mean(np.abs(gap_samples))) if gap_samples else np.nan
         if not comm_only:
-            worst_cell = (region.covered_cells[int(np.argmin(gamma_ref[n]))]
-                          if gamma_ref is not None else region.covered_cells[0])
+            worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
             for u in range(m_u):
                 pair = explicit_sensing_crb(ctx, result, n, u, ue_cell=worst_cell)
                 crb_r[n, u] = pair.range_crb
@@ -203,9 +206,9 @@ def demo_sensing_paths(ctx: OptimizerContext, result: OptimizationResult, uav_po
         cells, axis = _panel(ctx, result, n)
         region = ctx.regions[n]
         ue = ctx.ue_grid.centers[region.covered_cells[0]]
-        d_b, cos_b, _ = _leg(cells, bs, axis, ctx)
-        d_k, _, _ = _leg(cells, ue, axis, ctx)
-        d_u, cos_u, _ = _leg(cells, uav, axis, ctx)
+        d_b, cos_b = _leg(cells, bs, axis)
+        d_k, _ = _leg(cells, ue, axis)
+        d_u, cos_u = _leg(cells, uav, axis)
         beta = float(result.beta_per_uav[uav_index, n])
         omega = float(result.omega_per_uav[uav_index, n + 1])
         phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)

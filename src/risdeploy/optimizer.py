@@ -14,9 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arrays import Orientation, OrientationBounds
-from .channel import (PANEL_FOV_RAD, LinkBudget, effective_ris_gain,
-                      unit_cell_amplitude_gain)
+from .arrays import Orientation, OrientationBounds, panel_normal
+from .channel import PANEL_FOV_RAD, LinkBudget, unit_cell_amplitude_gain
 from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError,
                      UnobservablePathError, UnreachableTargetsError)
 from .propagation import PropagationConfig, dominant_path_between, fspl_amplitude
@@ -119,9 +118,7 @@ def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     thetas = np.arange(theta_low, theta_high + step / 2, step)
     psis = np.arange(psi_low, psi_high + step / 2, step)
     tg, pg = np.meshgrid(thetas, psis, indexing="ij")
-    axes = np.stack([np.cos(pg) * np.cos(tg), np.sin(pg) * np.cos(tg), -np.sin(tg)],
-                    axis=-1)
-    return thetas, psis, axes.reshape(-1, 3), tg.ravel(), pg.ravel()
+    return thetas, psis, panel_normal(tg, pg).reshape(-1, 3), tg.ravel(), pg.ravel()
 
 
 _COS_FOV = float(np.cos(PANEL_FOV_RAD))
@@ -144,7 +141,7 @@ def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
 
 def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
                        bounds: OrientationBounds, step: float = np.deg2rad(1.0)) -> Orientation:
-    """Orientation maximizing the average boresight-cosine product.
+    """Orientation maximizing the worst-target boresight-cosine product.
 
     Grid search at `step` resolution over the bounds, then a 20x finer pass
     in a +-1.5 step window around the coarse optimum. Back-side directions
@@ -224,10 +221,6 @@ class OptimizerContext:
         return self.ref_cells_per_side**2
 
     @property
-    def ref_area(self) -> float:
-        return self.cell_area * self.m_ref
-
-    @property
     def bs_amp_gain(self) -> float:
         "Amplitude gain of the matched-beamformed BS array."
         return float(np.sqrt(self.bs_array_size * db2lin(self.bs_gain_dbi)))
@@ -253,29 +246,22 @@ def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation
                        region) -> np.ndarray:
     """Reference per-UE-cell SNR of the M_ref panel at unit beta and omega.
 
-    gamma_k = (P_t / sigma^2) q_L G_bs |a_b a_k|^2 G_eff(A_ref), with a_* the
-    dominant-path amplitudes of the two legs and G_eff the aperture gain of
-    the reference panel toward the two legs' departure directions.
+    gamma_k = (P_t / sigma^2) q_L G_bs |a_b a_k|^2 eta (M_ref g_b g_k)^2, with
+    a_* the dominant-path amplitudes of the two legs and g_* the per-cell
+    amplitude gains toward the two legs' departure directions.
     """
     p = np.asarray(position, dtype=float)
     path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
-    cos_b = float(np.dot(path_b.depart_dir, _panel_axis(orientation)))
-    out = np.zeros(len(region.covered_cells))
+    paths_k = [dominant_path_between(ctx.scene, ctx.prop, p, ctx.ue_grid.centers[cell])
+               for cell in region.covered_cells]
+    axis = panel_normal(orientation.theta_r, orientation.psi_r)
+    cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
+    g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
+                                 ctx.wavelength)
+    att_k = np.array([path.attenuation for path in paths_k])
     base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
             * ctx.bs_amp_gain**2 * path_b.attenuation**2)
-    for i, cell in enumerate(region.covered_cells):
-        path_k = dominant_path_between(ctx.scene, ctx.prop, p, ctx.ue_grid.centers[cell])
-        cos_k = float(np.dot(path_k.depart_dir, _panel_axis(orientation)))
-        gain = effective_ris_gain(ctx.efficiency, np.arccos(np.clip(cos_b, -1, 1)),
-                                  np.arccos(np.clip(cos_k, -1, 1)), ctx.ref_area,
-                                  ctx.wavelength)
-        out[i] = base * path_k.attenuation**2 * gain.value
-    return out
-
-
-def _panel_axis(o: Orientation) -> np.ndarray:
-    t, s = o.theta_r, o.psi_r
-    return np.array([np.cos(s) * np.cos(t), np.sin(s) * np.cos(t), -np.sin(t)])
+    return base * att_k**2 * ctx.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
 
 
 def _ris_path_amplitude(ctx: OptimizerContext, position, orientation, uav_center) -> float:
@@ -285,7 +271,7 @@ def _ris_path_amplitude(ctx: OptimizerContext, position, orientation, uav_center
     d_b = float(np.linalg.norm(p - bs))
     d_u = float(np.linalg.norm(uav_center - p))
     d_bu = float(np.linalg.norm(uav_center - bs))
-    axis = _panel_axis(orientation)
+    axis = panel_normal(orientation.theta_r, orientation.psi_r)
     cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
     cos_u = float(np.clip(np.dot((uav_center - p) / d_u, axis), 0.0, None))
     lam = ctx.wavelength
@@ -474,16 +460,6 @@ class SimplexState:
     def positions(self, vertex: int, regions) -> list:
         return [regions[n].point_at(self.coords[vertex, 2 * n], self.coords[vertex, 2 * n + 1])
                 for n in range(len(regions))]
-
-    def max_spread(self, regions) -> float:
-        "Largest pairwise 3-D distance among vertices, per RIS, maximized."
-        worst = 0.0
-        pts = np.array([self.positions(v, regions) for v in range(self.coords.shape[0])])
-        for n in range(len(regions)):
-            p = pts[:, n, :]
-            diff = p[:, None, :] - p[None, :, :]
-            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
-        return worst
 
 
 @dataclass(frozen=True)

@@ -1,74 +1,22 @@
-"""RIS phase profile synthesis: dual-beam steering, distance compensation
-and L-bit quantization."""
-
-import csv
-from dataclasses import dataclass
+"""RIS panel layout and L-bit phase quantization."""
 
 import numpy as np
 
-from .arrays import DirectionAngles, Orientation, UpaGeometry, rotation_matrix, steering_vector
+from .arrays import Orientation, rotation_matrix
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class RisPhaseProfile:
-    ideal_phases: np.ndarray
-    quantized_phases: np.ndarray | None
-    bits: int | None
-
-
-@dataclass(frozen=True)
-class WeightFactorPair:
-    beta_comm: float
-    beta_sense: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta_comm <= 1.0 and 0.0 <= self.beta_sense <= 1.0):
-            raise InvalidInputError("beta factors must lie in [0, 1]")
-        if abs(self.beta_comm + self.beta_sense - 1.0) > 1e-9:
-            raise InvalidInputError("beta_comm + beta_sense must equal 1")
-
-
 def ris_cell_positions(count_side: int, spacing: float, center, orientation: Orientation) -> np.ndarray:
-    """Global positions of a square RIS's unit cells, shape (M, 2..3).
+    """Global positions of a square RIS's unit cells, shape (M, 3).
 
-    Cells live on a centered grid in the panel's local yz-plane; index order
-    matches the Kronecker layout of steering_vector (y-major, z-minor).
+    Cells live on a centered grid in the panel's local yz-plane, in y-major,
+    z-minor order.
     """
     idx_y = np.arange(count_side) - (count_side - 1) / 2.0
     idx_z = np.arange(count_side) - (count_side - 1) / 2.0
     yy, zz = np.meshgrid(idx_y, idx_z, indexing="ij")
     local = np.stack([np.zeros(count_side**2), yy.ravel() * spacing, zz.ravel() * spacing])
     return np.asarray(center, dtype=float) + (rotation_matrix(orientation) @ local).T
-
-
-def distance_phases(ris_cells: np.ndarray, bs_position, lam: float) -> np.ndarray:
-    """Per-cell phases compensating the spherical BS wavefront.
-
-    Entry m is kappa * (|cell_m - bs| - |cell_0 - bs|), referenced to the
-    first cell.
-    """
-    cells = np.asarray(ris_cells, dtype=float).reshape(-1, 3)
-    d = np.linalg.norm(cells - np.asarray(bs_position, dtype=float), axis=1)
-    return (2.0 * np.pi / lam) * (d - d[0])
-
-
-def dual_beam_phases(geom: UpaGeometry, dir_ue: DirectionAngles, dir_uav: DirectionAngles,
-                     weights: WeightFactorPair, dist_phases: np.ndarray) -> RisPhaseProfile:
-    """Ideal phases of a weighted two-beam profile.
-
-    Element-wise angle of sqrt(beta_ue)*conj(a(ue)) + sqrt(beta_uav)*conj(a(uav)),
-    plus the BS distance-compensation phases.
-    """
-    dist_phases = np.asarray(dist_phases, dtype=float)
-    if dist_phases.shape != (geom.size,):
-        raise InvalidInputError("distance phase vector length must equal the cell count")
-    combo = (
-        np.sqrt(weights.beta_comm) * np.conj(steering_vector(geom, dir_ue))
-        + np.sqrt(weights.beta_sense) * np.conj(steering_vector(geom, dir_uav))
-    )
-    ideal = (np.angle(combo) + dist_phases) % (2.0 * np.pi)
-    return RisPhaseProfile(ideal_phases=ideal, quantized_phases=None, bits=None)
 
 
 def quantize_phases(ideal: np.ndarray, bits: int) -> np.ndarray:
@@ -96,11 +44,3 @@ def quantization_efficiency(bits: int) -> float:
         raise InvalidInputError("bits must be >= 1")
     return float(np.sinc(2.0**-bits) ** 2)
 
-
-def write_phase_profile_csv(path, profile: RisPhaseProfile):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", "ideal_rad", "quantized_rad"])
-        quant = profile.quantized_phases
-        for i, phase in enumerate(profile.ideal_phases):
-            writer.writerow([i, repr(float(phase)), "" if quant is None else repr(float(quant[i]))])

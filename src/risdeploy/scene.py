@@ -354,28 +354,6 @@ def select_ris_regions(
     return chosen
 
 
-def validate_link_access(scene: Scene, region: DeployableRegion, uav_grid: GridSet,
-                         pl_max_db: float, prop_cfg, ue_grid: GridSet) -> bool:
-    """Check the three link-access rules from the region's reference point.
-
-    (i) LoS to the BS, (ii) LoS to every UAV grid center, (iii) at least one
-    propagation path with loss <= pl_max to every covered UE cell center.
-    """
-    from . import propagation
-
-    point = region.reference_point()
-    if not line_of_sight(scene, point, scene.bs_position):
-        return False
-    for center in uav_grid.centers:
-        if not line_of_sight(scene, point, center):
-            return False
-    for cell in region.covered_cells:
-        paths = propagation.enumerate_paths(scene, prop_cfg, point, ue_grid.centers[cell])
-        if not paths or propagation.path_loss_db(paths[0]) > pl_max_db:
-            return False
-    return True
-
-
 def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                       uav_grid: GridSet, prop_cfg, margin: float = 0.5,
                       min_height: float = 2.0) -> list:

@@ -162,27 +162,6 @@ class CrbPair:
     fim: np.ndarray  # 2x2
 
 
-def sensing_coefficient(path_index: int, channel_matrix: np.ndarray, w_uav: np.ndarray,
-                        w_ris: np.ndarray | None = None, rcs: float = 1.0) -> complex:
-    """Effective channel coefficient of one sensing path.
-
-    Direct path (index 0): rcs * w_u^T H w_u. RIS path: the sum of the two
-    reciprocal traversal orders, rcs * (w_u^T H w_n + w_n^T H^T w_u).
-    """
-    h = np.asarray(channel_matrix, dtype=complex)
-    wu = np.asarray(w_uav, dtype=complex).ravel()
-    if h.shape != (wu.shape[0], wu.shape[0]) and path_index == 0:
-        raise InvalidInputError("direct sensing channel must be square M_b x M_b")
-    if path_index == 0:
-        return complex(rcs * wu @ h @ wu)
-    if w_ris is None:
-        raise InvalidInputError("RIS-assisted path requires w_ris")
-    wn = np.asarray(w_ris, dtype=complex).ravel()
-    if h.shape != (wu.shape[0], wn.shape[0]):
-        raise InvalidInputError(f"channel shape {h.shape} does not match beamformers")
-    return complex(rcs * (wu @ h @ wn + wn @ h.T @ wu))
-
-
 def fim(ofdm: OfdmParams, path: SensingPath, noise_psd_linear: float,
         moments: WaveformMoments) -> CrbPair:
     """Analytic 2x2 range/velocity FIM and its CRBs.
@@ -206,14 +185,3 @@ def fim(ofdm: OfdmParams, path: SensingPath, noise_psd_linear: float,
     inv = np.array([[jvv, -jvd], [-jvd, jdd]]) / det
     return CrbPair(range_crb=float(inv[0, 0]), velocity_crb=float(inv[1, 1]), fim=f)
 
-
-def reference_crb_scale(ref: CrbPair, beta_sense: float, omega: float, size_scale: float) -> CrbPair:
-    """Scale reference CRBs by the equivalent-gain factor (1-beta_k)*omega*alpha^2."""
-    if not (0.0 < beta_sense <= 1.0) or not (0.0 < omega <= 1.0) or size_scale <= 0.0:
-        raise InvalidInputError("beta_sense, omega in (0, 1] and size_scale > 0 required")
-    denom = beta_sense * omega * size_scale**2
-    return CrbPair(
-        range_crb=ref.range_crb / denom,
-        velocity_crb=ref.velocity_crb / denom,
-        fim=ref.fim * denom,
-    )

@@ -21,11 +21,6 @@ def dbm2watt(x):
     return 10.0 ** ((np.asarray(x, dtype=float) - 30.0) / 10.0)
 
 
-def watt2dbm(x):
-    "dBm from watts."
-    return 10.0 * np.log10(x) + 30.0
-
-
 def wavelength(carrier_freq_hz: float) -> float:
     "Carrier wavelength in meters."
     return SPEED_OF_LIGHT / carrier_freq_hz

@@ -2,46 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from risdeploy.arrays import (CosinePattern, DirectionAngles, IsotropicPattern,
-                              Orientation, OrientationBounds, UpaGeometry,
-                              boresight_cosines, element_gain, local_direction,
-                              rotation_matrix, steering_vector)
-from risdeploy.errors import InvalidInputError
+from risdeploy.arrays import (Orientation, OrientationBounds, panel_normal,
+                              rotation_matrix)
+from risdeploy.optimizer import orientation_search
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
-
-
-def test_geometry_validation():
-    with pytest.raises(InvalidInputError):
-        UpaGeometry(0, 4, 0.005, 0.01)
-    with pytest.raises(InvalidInputError):
-        UpaGeometry(4, 4, -0.005, 0.01)
-    g = UpaGeometry.half_wavelength(4, 2, 0.01)
-    assert g.size == 8
-    assert g.spacing == 0.005
-    assert g.wavenumber == pytest.approx(2.0 * np.pi / 0.01)
-
-
-def test_steering_vector_oracle():
-    "Element (m_y, m_z) carries kd (m_y sin(t) sin(p) + m_z cos(t))."
-    geom = UpaGeometry(3, 2, 0.005, 0.012)
-    d = DirectionAngles(theta=0.7, psi=-1.1)
-    a = steering_vector(geom, d)
-    kd = geom.wavenumber * geom.spacing
-    expected = np.empty(6, dtype=complex)
-    for my in range(3):
-        for mz in range(2):
-            phase = kd * (my * np.sin(d.theta) * np.sin(d.psi) + mz * np.cos(d.theta))
-            expected[my * 2 + mz] = np.exp(1j * phase)
-    np.testing.assert_allclose(a, expected, rtol=1e-12)
-
-
-@given(angles, angles)
-def test_steering_vector_unit_modulus(theta, psi):
-    geom = UpaGeometry(4, 4, 0.005, 0.01)
-    a = steering_vector(geom, DirectionAngles(theta, psi))
-    np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
-    assert a[0] == 1.0 + 0.0j
 
 
 @given(angles, angles)
@@ -61,37 +26,31 @@ def test_rotation_matrix_identity_and_axis():
     np.testing.assert_allclose(r[:, 0], [np.cos(np.pi / 6), 0.0, -np.sin(np.pi / 6)], atol=1e-12)
 
 
-def test_local_direction_boresight():
-    o = Orientation(0.2, 1.3)
-    axis = rotation_matrix(o)[:, 0]
-    d, bore = local_direction(o, axis)
-    assert bore == pytest.approx(0.0, abs=1e-7)
-    assert np.cos(bore) == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        local_direction(o, np.array([1.0, 1.0, 0.0]))
+@given(angles, angles)
+def test_panel_normal_is_rotated_x_axis(theta, psi):
+    np.testing.assert_allclose(panel_normal(theta, psi),
+                               rotation_matrix(Orientation(theta, psi))[:, 0], atol=1e-12)
 
 
-@given(angles, angles, angles, angles)
-def test_boresight_cosines_match_local_direction(theta, psi, t2, p2):
-    o = Orientation(theta, psi)
-    u = np.array([np.cos(p2) * np.cos(t2), np.sin(p2) * np.cos(t2), np.sin(t2)])
-    _, bore = local_direction(o, u)
-    np.testing.assert_allclose(boresight_cosines(o, u[None, :])[0], np.cos(bore), atol=1e-9)
+def test_panel_normal_elementwise():
+    tg, pg = np.meshgrid([-0.5, 0.0, 0.7], [0.1, 2.0], indexing="ij")
+    axes = panel_normal(tg, pg)
+    assert axes.shape == (3, 2, 3)
+    for i in range(3):
+        for j in range(2):
+            np.testing.assert_array_equal(axes[i, j], panel_normal(tg[i, j], pg[i, j]))
 
 
 def test_orientation_bounds():
-    b = OrientationBounds(-0.5, 0.5, 0.0, 1.0)
-    assert b.contains(Orientation(0.0, 0.5))
-    assert not b.contains(Orientation(0.6, 0.5))
-    c = b.clamp(Orientation(0.9, -0.2))
-    assert c == Orientation(0.5, 0.0)
-
-
-def test_element_gain():
-    d = DirectionAngles(np.pi / 2, 0.0)  # panel normal (+x)
-    assert element_gain(IsotropicPattern(3.0), d) == pytest.approx(10 ** 0.3)
-    assert element_gain(CosinePattern(1.0), d) == pytest.approx(1.0)
-    behind = DirectionAngles(np.pi / 2, np.pi)
-    assert element_gain(CosinePattern(2.0), behind) == 0.0
-    with pytest.raises(InvalidInputError):
-        element_gain(object(), d)
+    # BS and UE mirrored about +x: the unconstrained optimum is boresight on
+    # +x (psi_r = 0), which these bounds exclude, so the search stops at the
+    # nearest edge and never leaves the bounds
+    ris = np.zeros(3)
+    bs = np.array([100.0, 30.0, 0.0])
+    ue = np.array([[100.0, -30.0, 0.0]])
+    b = OrientationBounds(-0.5, 0.5, 0.2, 1.0)
+    o = orientation_search(ris, bs, ue, None, b)
+    assert b.theta_low <= o.theta_r <= b.theta_high
+    assert b.psi_low <= o.psi_r <= b.psi_high
+    assert o.psi_r == pytest.approx(0.2, abs=1e-9)
+    assert abs(o.theta_r) < np.deg2rad(0.2)

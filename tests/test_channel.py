@@ -1,15 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from risdeploy.arrays import CosinePattern, Orientation, UpaGeometry
-from risdeploy.channel import (CascadeChannel, LinkBudget, PANEL_FOV_RAD,
-                               direct_channel, effective_ris_gain, snr_cascaded,
-                               snr_direct, unit_cell_amplitude_gain)
+from risdeploy.channel import LinkBudget, PANEL_FOV_RAD, unit_cell_amplitude_gain
 from risdeploy.errors import InvalidInputError
-from risdeploy.propagation import PathRecord
-from risdeploy.units import db2lin, wavelength
+from risdeploy.optimizer import orientation_search, reference_comm_snr
+from risdeploy.propagation import dominant_path_between
+from risdeploy.units import wavelength
 
 LAM = wavelength(28e9)
 
@@ -24,23 +22,18 @@ def test_link_budget_properties():
         LinkBudget(43.0, -165.0, 0.0, 20.0)
 
 
-def test_effective_ris_gain_aperture_model():
-    area = 0.5**2
-    g = effective_ris_gain(0.8, 0.3, 0.6, area, LAM)
-    expected = 0.8 * np.cos(0.3) * np.cos(0.6) * area**2 * (4 * np.pi / LAM**2) ** 2
-    assert g.value == pytest.approx(expected, rel=1e-12)
-    # quadratic in area (so quartic in the side length)
-    g2 = effective_ris_gain(0.8, 0.3, 0.6, 2 * area, LAM)
-    assert g2.value == pytest.approx(4 * g.value)
-
-
 def test_gain_zero_outside_field_of_view():
     eps = 1e-6
-    assert effective_ris_gain(1.0, PANEL_FOV_RAD + eps, 0.0, 1.0, LAM).value == 0.0
-    assert effective_ris_gain(1.0, 0.0, PANEL_FOV_RAD + eps, 1.0, LAM).value == 0.0
-    assert effective_ris_gain(1.0, PANEL_FOV_RAD - 1e-3, 0.0, 1.0, LAM).value > 0.0
     assert unit_cell_amplitude_gain(PANEL_FOV_RAD + eps, 1e-5, LAM) == 0.0
+    assert unit_cell_amplitude_gain(PANEL_FOV_RAD - 1e-3, 1e-5, LAM) > 0.0
     assert unit_cell_amplitude_gain(np.pi / 2, 1e-5, LAM) == 0.0
+    # elementwise over arrays, each entry as the scalar call gives it
+    angles = np.array([[0.0, 0.4, PANEL_FOV_RAD - 1e-3], [PANEL_FOV_RAD, 2.0, np.pi]])
+    gains = unit_cell_amplitude_gain(angles, 1e-5, LAM)
+    assert gains.shape == angles.shape
+    np.testing.assert_array_equal(
+        gains, [[unit_cell_amplitude_gain(a, 1e-5, LAM) for a in row] for row in angles])
+    assert np.all(gains[1] == 0.0) and np.all(gains[0] > 0.0)
 
 
 def test_unit_cell_gain_squares_to_power_gain():
@@ -51,84 +44,67 @@ def test_unit_cell_gain_squares_to_power_gain():
 
 def test_unit_cells_compose_to_panel_gain():
     # M identical cells added coherently with two traversals reproduce the
-    # aperture-model panel gain with area A = M * A_u.
+    # aperture-model panel gain eta cos(in) cos(out) A^2 (4 pi / lambda^2)^2
+    # with area A = M * A_u.
     m = 100
     cell = (LAM / 2) ** 2
     inc, ref = 0.3, 0.5
     amp = unit_cell_amplitude_gain(inc, cell, LAM) * unit_cell_amplitude_gain(ref, cell, LAM)
     coherent_power = (m * amp) ** 2
-    panel = effective_ris_gain(1.0, inc, ref, m * cell, LAM)
-    assert coherent_power == pytest.approx(panel.value, rel=1e-12)
+    panel = np.cos(inc) * np.cos(ref) * (m * cell) ** 2 * (4 * np.pi / LAM**2) ** 2
+    assert coherent_power == pytest.approx(panel, rel=1e-12)
 
 
-def _los_path(direction, attenuation=1e-5, phase=0.3):
-    d = np.asarray(direction, float)
-    d = d / np.linalg.norm(d)
-    return PathRecord("los", attenuation, phase, 100.0, d, -d)
+def _reference_panel(ctx, n=0):
+    "Region n's reference point and the orientation the planner picks there."
+    region = ctx.regions[n]
+    pos = region.reference_point()
+    orient = orientation_search(pos, ctx.scene.bs_position,
+                                ctx.ue_grid.centers[region.covered_cells],
+                                ctx.uav_grid.centers, ctx.region_bounds(region),
+                                ctx.orientation_step)
+    return region, pos, orient
 
 
-def test_direct_channel_single_path():
-    geom = UpaGeometry(2, 2, LAM / 2, LAM)
-    orient = Orientation(0.0, 0.0)  # panel normal +x
-    pattern = CosinePattern(2.0, 3.0)
-    path = _los_path([1.0, 0.0, 0.0])
-    h = direct_channel([path], geom, orient, pattern)
-    # boresight: steering vector is all ones, gain is the pattern peak
-    expected = np.sqrt(db2lin(3.0)) * path.attenuation * np.exp(1j * path.phase)
-    np.testing.assert_allclose(h, expected * np.ones(4), rtol=1e-12)
-    assert direct_channel([], geom, orient, pattern).tolist() == [0.0] * 4
+def test_effective_ris_gain_aperture_model(ctx_full):
+    # the reference SNR carries the aperture gain of the M_ref panel:
+    # eta cos(in) cos(out) A_ref^2 (4 pi / lambda^2)^2 with A_ref = M_ref A_u
+    ctx = ctx_full
+    region, pos, orient = _reference_panel(ctx)
+    gamma = reference_comm_snr(ctx, pos, orient, region)
+    axis = np.array([np.cos(orient.psi_r) * np.cos(orient.theta_r),
+                     np.sin(orient.psi_r) * np.cos(orient.theta_r),
+                     -np.sin(orient.theta_r)])
+    path_b = dominant_path_between(ctx.scene, ctx.prop, pos, ctx.scene.bs_position)
+    cos_b = float(np.dot(path_b.depart_dir, axis))
+    lam = ctx.wavelength
+    ref_area = ctx.cell_area * ctx.ref_cells_per_side**2
+    expected = []
+    for cell in region.covered_cells:
+        path_k = dominant_path_between(ctx.scene, ctx.prop, pos, ctx.ue_grid.centers[cell])
+        cos_k = float(np.dot(path_k.depart_dir, axis))
+        in_view = min(cos_b, cos_k) > np.cos(PANEL_FOV_RAD)
+        gain = (ctx.efficiency * cos_b * cos_k * ref_area**2 * (4 * np.pi / lam**2) ** 2
+                if in_view else 0.0)
+        expected.append(ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
+                        * ctx.bs_amp_gain**2 * path_b.attenuation**2
+                        * path_k.attenuation**2 * gain)
+    np.testing.assert_allclose(gamma, expected, rtol=1e-12)
+    assert np.all(gamma > 0.0)
+    # quadratic in area (so quartic in the side length)
+    bigger = dataclasses.replace(ctx, ref_cells_per_side=2 * ctx.ref_cells_per_side)
+    np.testing.assert_allclose(reference_comm_snr(bigger, pos, orient, region), 16 * gamma,
+                               rtol=1e-12)
 
 
-def test_direct_channel_superposition():
-    geom = UpaGeometry(3, 2, LAM / 2, LAM)
-    orient = Orientation(0.1, 0.2)
-    pattern = CosinePattern(2.0, 3.0)
-    p1 = _los_path([1.0, 0.2, 0.1], 2e-5, 0.4)
-    p2 = _los_path([0.9, -0.3, 0.0], 8e-6, 2.0)
-    h12 = direct_channel([p1, p2], geom, orient, pattern)
-    np.testing.assert_allclose(
-        h12,
-        direct_channel([p1], geom, orient, pattern) + direct_channel([p2], geom, orient, pattern),
-        rtol=1e-12,
-    )
-
-
-def test_snr_direct_matched_filter():
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=8) + 1j * rng.normal(size=8)
-    w = h.conj() / np.linalg.norm(h)
-    snr = snr_direct(h, w, 2.0, 0.5)
-    assert snr == pytest.approx(4.0 * np.linalg.norm(h) ** 2)
-    with pytest.raises(InvalidInputError):
-        snr_direct(h, w[:4], 2.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        snr_direct(h, w, 2.0, 0.0)
-
-
-def test_snr_cascaded_matches_manual_product():
-    rng = np.random.default_rng(7)
-    m_n, m_b = 16, 4
-    big_h = rng.normal(size=(m_n, m_b)) + 1j * rng.normal(size=(m_n, m_b))
-    h_rx = rng.normal(size=m_n) + 1j * rng.normal(size=m_n)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, m_n))
-    w = rng.normal(size=m_b) + 1j * rng.normal(size=m_b)
-    w = w / np.linalg.norm(w)
-    cas = CascadeChannel(big_h, h_rx, phases)
-    manual = abs(h_rx @ np.diag(phases) @ big_h @ w) ** 2 * 3.0 / 0.25
-    assert snr_cascaded(cas, w, 3.0, 0.25) == pytest.approx(manual, rel=1e-12)
-
-
-def test_snr_cascaded_validates_phases():
-    cas = CascadeChannel(np.ones((2, 2), complex), np.ones(2, complex),
-                         np.array([1.0, 0.5 + 0.0j]))
-    with pytest.raises(InvalidInputError):
-        snr_cascaded(cas, np.ones(2) / np.sqrt(2), 1.0, 1.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(inc=st.floats(0.0, 1.3), ref=st.floats(0.0, 1.3),
-       area=st.floats(1e-3, 10.0), eta=st.floats(0.0, 1.0))
-def test_effective_gain_nonnegative_and_monotone_in_eta(inc, ref, area, eta):
-    g = effective_ris_gain(eta, inc, ref, area, LAM)
-    assert g.value >= 0.0
-    assert effective_ris_gain(1.0, inc, ref, area, LAM).value >= g.value
+def test_effective_gain_nonnegative_and_monotone_in_eta(ctx_full):
+    angles = np.linspace(0.0, np.pi, 181)
+    assert np.all(unit_cell_amplitude_gain(angles, (LAM / 2) ** 2, LAM) >= 0.0)
+    for n in range(len(ctx_full.regions)):
+        region, pos, orient = _reference_panel(ctx_full, n)
+        curve = [reference_comm_snr(dataclasses.replace(ctx_full, efficiency=eta),
+                                    pos, orient, region)
+                 for eta in (0.0, 0.1, 0.3, 0.6, 1.0)]
+        assert np.all(curve[0] == 0.0)
+        assert all(np.all(b >= a) for a, b in zip(curve, curve[1:]))
+        assert all(np.all(g >= 0.0) for g in curve)

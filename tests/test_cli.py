@@ -161,3 +161,30 @@ def test_pipeline_infeasible_coverage(tmp_path):
     with open(tmp_path / "out" / "error.json") as fh:
         err = json.load(fh)
     assert err["error"] == "InfeasibleCoverageError"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
+    # grazing cells the sizing model does not serve must not turn the closure
+    # margins or gaps into Infinity/NaN
+    cfg = dict(demo_cfg, max_iterations=1)
+    code = cli.run_pipeline(cfg, tmp_path, mode="passive-orientation")
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+    with open(tmp_path / "deployment.json") as fh:
+        dep = json.load(fh, parse_constant=_reject_constant)
+    _validate(dep, "deployment")
+    assert dep["mode"] == "passive-orientation"
+
+
+def test_run_log_counts_distinct_uncovered_cells(demo_cfg, tmp_path):
+    cfg = dict(demo_cfg, pl_max_db=100.0, max_iterations=1)
+    code = cli.run_pipeline(cfg, tmp_path, mode="comm-only")
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+    with open(tmp_path / "deployment.json") as fh:
+        covered = [c["covered_cells"] for c in json.load(fh)["coverage"]]
+    distinct = len(set().union(*covered))
+    assert sum(map(len, covered)) > distinct  # the chosen regions overlap
+    assert f"({distinct} uncovered universe)" in (tmp_path / "run.log").read_text()

@@ -1,26 +1,19 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risdeploy.arrays import (DirectionAngles, Orientation, UpaGeometry,
-                              rotation_matrix, steering_vector)
+from risdeploy.arrays import Orientation, rotation_matrix
 from risdeploy.errors import InvalidInputError
-from risdeploy.ris_bf import (WeightFactorPair, distance_phases,
-                              dual_beam_phases, quantization_efficiency,
-                              quantize_phases, ris_cell_positions)
+from risdeploy.evaluation import _dual_beam_profile
+from risdeploy.ris_bf import (quantization_efficiency, quantize_phases,
+                              ris_cell_positions)
 from risdeploy.units import wavelength
 
 LAM = wavelength(28e9)
 SPC = LAM / 2
-
-
-def test_weight_factor_pair_validation():
-    WeightFactorPair(0.3, 0.7)
-    with pytest.raises(InvalidInputError):
-        WeightFactorPair(0.3, 0.6)
-    with pytest.raises(InvalidInputError):
-        WeightFactorPair(-0.1, 1.1)
 
 
 def test_ris_cell_positions_layout():
@@ -45,62 +38,6 @@ def test_ris_cell_positions_rotation():
     # rotated cells live in the plane orthogonal to the panel normal
     normal = rotation_matrix(orient)[:, 0]
     assert np.max(np.abs(cells @ normal)) < 1e-12
-
-
-def test_distance_phases_reference_and_farfield_limit():
-    bs = np.array([100.0, 0.0, 0.0])
-    cells = ris_cell_positions(8, SPC, np.zeros(3), Orientation(0.0, 0.0))
-    ph = distance_phases(cells, bs, LAM)
-    assert ph[0] == 0.0
-    # phases equal kappa * (d_m - d_0) exactly
-    d = np.linalg.norm(cells - bs, axis=1)
-    np.testing.assert_allclose(ph, 2 * np.pi / LAM * (d - d[0]), rtol=1e-12)
-    # far-field limit: compensation phases approach a plane wave across the panel
-    bs_far = np.array([1e6, 0.0, 0.0])
-    ph_far = distance_phases(cells, bs_far, LAM)
-    rel = cells - cells[0]
-    u = (cells[0] - bs_far) / np.linalg.norm(cells[0] - bs_far)
-    plane = 2 * np.pi / LAM * (rel @ u)
-    np.testing.assert_allclose(ph_far, plane, atol=1e-4)
-
-
-def test_dual_beam_single_beam_limit():
-    geom = UpaGeometry(4, 4, SPC, LAM)
-    d_ue = DirectionAngles(1.2, 0.3)
-    d_uav = DirectionAngles(0.4, -0.8)
-    prof = dual_beam_phases(geom, d_ue, d_uav, WeightFactorPair(1.0, 0.0), np.zeros(16))
-    expected = (-np.angle(steering_vector(geom, d_ue)) + 0) % (2 * np.pi)
-    np.testing.assert_allclose(prof.ideal_phases % (2 * np.pi), expected % (2 * np.pi), atol=1e-12)
-    assert prof.quantized_phases is None and prof.bits is None
-
-
-def test_dual_beam_length_check():
-    geom = UpaGeometry(4, 4, SPC, LAM)
-    with pytest.raises(InvalidInputError):
-        dual_beam_phases(geom, DirectionAngles(1.0, 0.0), DirectionAngles(0.5, 0.0),
-                         WeightFactorPair(0.5, 0.5), np.zeros(5))
-
-
-def test_dual_beam_splits_coherent_power():
-    geom = UpaGeometry(16, 16, SPC, LAM)
-    m = geom.size
-    d_ue = DirectionAngles(np.pi / 2, 0.4)
-    d_uav = DirectionAngles(0.9, -0.9)
-
-    def gains(beta):
-        prof = dual_beam_phases(geom, d_ue, d_uav, WeightFactorPair(beta, 1 - beta),
-                                np.zeros(m))
-        phi = np.exp(1j * prof.ideal_phases)
-        return (abs(np.dot(steering_vector(geom, d_ue), phi)) ** 2,
-                abs(np.dot(steering_vector(geom, d_uav), phi)) ** 2)
-
-    # equal weights give a symmetric split with substantial gain on both beams
-    g_ue, g_uav = gains(0.5)
-    assert g_ue == pytest.approx(g_uav, rel=1e-9)
-    assert 0.3 * m**2 < g_ue < 0.5 * m**2
-    # shifting weight toward the UE beam moves power toward it monotonically
-    curve = [gains(b) for b in (0.5, 0.6, 0.7, 0.8, 0.9)]
-    assert all(b[0] > a[0] and b[1] < a[1] for a, b in zip(curve, curve[1:]))
 
 
 def test_quantize_phases_oracle():
@@ -129,3 +66,46 @@ def test_quantization_efficiency_values():
     # monotone in bits
     vals = [quantization_efficiency(b) for b in range(1, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# Focused dual-beam profile of the closure: a 16 x 16 panel at the origin with
+# its normal along +x, fed from the BS and serving one UE and one UAV point.
+BS = np.array([50.0, 20.0, 5.0])
+UE = np.array([40.0, -20.0, -3.0])
+UAV = np.array([30.0, 0.0, 25.0])
+
+
+def _focus_distances():
+    cells = ris_cell_positions(16, SPC, np.zeros(3), Orientation(0.0, 0.0))
+    return cells, *(np.linalg.norm(cells - p, axis=1) for p in (BS, UE, UAV))
+
+
+def test_dual_beam_single_beam_limit():
+    ctx = types.SimpleNamespace(wavelength=LAM, bits=2)
+    cells, d_b, d_ue, d_uav = _focus_distances()
+    comm = quantize_phases(np.mod(2 * np.pi / LAM * (d_b + d_ue), 2 * np.pi), 2)
+    np.testing.assert_allclose(_dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, 1.0),
+                               comm, atol=1e-12)
+    np.testing.assert_allclose(_dual_beam_profile(ctx, cells, d_b, d_ue, None, 0.4),
+                               comm, atol=1e-12)
+
+
+def test_dual_beam_splits_coherent_power():
+    ctx = types.SimpleNamespace(wavelength=LAM, bits=8)
+    cells, d_b, d_ue, d_uav = _focus_distances()
+    m = len(cells)
+    kappa = 2 * np.pi / LAM
+
+    def gains(beta):
+        phi = _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta)
+        return tuple(abs(np.sum(np.exp(1j * (phi - kappa * (d_b + d))))) ** 2
+                     for d in (d_ue, d_uav))
+
+    # equal weights give a near-symmetric split with substantial gain on both beams
+    g_ue, g_uav = gains(0.5)
+    assert g_ue == pytest.approx(g_uav, rel=0.01)
+    assert 0.3 * m**2 < g_ue < 0.5 * m**2
+    # shifting weight toward the UE beam moves power toward it monotonically
+    curve = [gains(b) for b in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]
+    assert all(b[0] > a[0] and b[1] < a[1] for a, b in zip(curve, curve[1:]))
+    assert curve[-1][0] == pytest.approx(m**2, rel=1e-3)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from risdeploy.errors import InvalidInputError, UnobservablePathError
-from risdeploy.sensing import (CrbPair, OfdmParams, OfdmWaveform, SensingPath,
-                               fim, qpsk_symbols, reference_crb_scale,
-                               sensing_coefficient)
+from risdeploy.optimizer import orientation_search, reference_sensing_crbs
+from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath,
+                               fim, qpsk_symbols)
 from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
 from _oracles import fd_fim
@@ -70,26 +72,6 @@ def test_sensing_path_coordinates():
     assert p.velocity == pytest.approx(wavelength(28e9) * 500.0)
 
 
-def test_sensing_coefficient_direct_and_ris():
-    rng = np.random.default_rng(9)
-    mb, mn = 4, 6
-    h_direct = rng.normal(size=(mb, mb)) + 1j * rng.normal(size=(mb, mb))
-    wu = rng.normal(size=mb) + 1j * rng.normal(size=mb)
-    assert sensing_coefficient(0, h_direct, wu, rcs=0.2) == pytest.approx(
-        0.2 * wu @ h_direct @ wu)
-    h_ris = rng.normal(size=(mb, mn)) + 1j * rng.normal(size=(mb, mn))
-    wn = rng.normal(size=mn) + 1j * rng.normal(size=mn)
-    expected = 0.2 * (wu @ h_ris @ wn + wn @ h_ris.T @ wu)
-    assert sensing_coefficient(1, h_ris, wu, wn, rcs=0.2) == pytest.approx(expected)
-    # reciprocity of the two traversal orders makes the coefficient symmetric
-    assert sensing_coefficient(1, h_ris, wu, wn) == pytest.approx(
-        sensing_coefficient(1, h_ris, wu, wn))
-    with pytest.raises(InvalidInputError):
-        sensing_coefficient(1, h_ris, wu)
-    with pytest.raises(InvalidInputError):
-        sensing_coefficient(0, h_ris, wu)
-
-
 def test_fim_matches_finite_difference_oracle():
     wave = OfdmWaveform(SMALL, seed=5)
     dt = 1.0 / SMALL.bandwidth_hz
@@ -122,13 +104,23 @@ def test_fim_zero_coeff_unobservable():
         fim(SMALL, path, 1e-19, wave.moments(0.0))
 
 
-def test_reference_crb_scale():
-    ref = CrbPair(range_crb=4e-4, velocity_crb=1e-2, fim=np.eye(2))
-    out = reference_crb_scale(ref, beta_sense=0.5, omega=0.2, size_scale=2.0)
-    assert out.range_crb == pytest.approx(4e-4 / 0.4)
-    assert out.velocity_crb == pytest.approx(1e-2 / 0.4)
-    np.testing.assert_allclose(out.fim, np.eye(2) * 0.4)
-    with pytest.raises(InvalidInputError):
-        reference_crb_scale(ref, 0.0, 0.2, 1.0)
-    with pytest.raises(InvalidInputError):
-        reference_crb_scale(ref, 0.5, 0.2, -1.0)
+def test_reference_crb_scale(ctx_full):
+    # the reference CRBs fall with the square of the panel amplitude: four
+    # times the cells (double the side) gives 1/16, half the efficiency 2x
+    region = ctx_full.regions[0]
+    pos = region.reference_point()
+    orient = orientation_search(pos, ctx_full.scene.bs_position,
+                                ctx_full.ue_grid.centers[region.covered_cells],
+                                ctx_full.uav_grid.centers, ctx_full.region_bounds(region),
+                                ctx_full.orientation_step)
+    ref = reference_sensing_crbs(ctx_full, pos, orient)
+    assert len(ref) == len(ctx_full.uav_grid.centers)
+    bigger = dataclasses.replace(ctx_full, ref_cells_per_side=2 * ctx_full.ref_cells_per_side)
+    lossier = dataclasses.replace(ctx_full, efficiency=ctx_full.efficiency / 2)
+    for base, big, lossy in zip(ref, reference_sensing_crbs(bigger, pos, orient),
+                                reference_sensing_crbs(lossier, pos, orient)):
+        assert base.range_crb > 0 and base.velocity_crb > 0
+        assert big.range_crb == pytest.approx(base.range_crb / 16, rel=1e-9)
+        assert big.velocity_crb == pytest.approx(base.velocity_crb / 16, rel=1e-9)
+        assert lossy.range_crb == pytest.approx(2 * base.range_crb, rel=1e-9)
+        np.testing.assert_allclose(lossy.fim, base.fim / 2, rtol=1e-9)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from risdeploy.units import (SPEED_OF_LIGHT, db2lin, dbm2watt, lin2db,
-                             watt2dbm, wavelength)
+                             wavelength)
 
 
 def test_speed_of_light_exact():
@@ -35,4 +35,4 @@ def test_db_roundtrip(x):
 
 @given(st.floats(min_value=-100.0, max_value=60.0))
 def test_dbm_roundtrip(x):
-    assert watt2dbm(dbm2watt(x)) == pytest.approx(x, abs=1e-9)
+    assert lin2db(dbm2watt(x)) + 30.0 == pytest.approx(x, abs=1e-9)
