@@ -85,9 +85,13 @@ def load_config(path) -> dict:
         raise SceneFormatError(",".join(sorted(unknown)), "unknown config fields")
     cfg.update(user)
     for key in list(cfg):
-        env = os.environ.get(ENV_PREFIX + key.upper())
+        name = ENV_PREFIX + key.upper()
+        env = os.environ.get(name)
         if env is not None:
-            cfg[key] = json.loads(env)
+            try:
+                cfg[key] = json.loads(env)
+            except json.JSONDecodeError as exc:
+                raise SceneFormatError(name, f"invalid JSON: {exc}") from exc
     if "scene" not in cfg:
         raise SceneFormatError("scene", "missing required field")
     if cfg["mode"] not in MODES:
@@ -275,7 +279,7 @@ def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
         result = optimize(ctx, cfg)
         log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
                  ctx.mode, result.objective, result.converged, result.iterations)
-        report = evaluation.closure_report(ctx, result, result.step1)
+        report = evaluation.closure_report(ctx, result)
         log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
                  report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
         if ctx.mode != "comm-only":
@@ -320,7 +324,7 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
         try:
             ctx = build_context(cfg, mode)
             result = optimize(ctx, cfg)
-            report = evaluation.closure_report(ctx, result, result.step1)
+            report = evaluation.closure_report(ctx, result)
             total = sum(len(r.covered_cells) for r in ctx.regions)
             served = sum(int(np.sum(s >= lin2db(ctx.thresholds.snr_threshold) - 3.0))
                          for s in report.snr_db)

@@ -15,11 +15,11 @@ import numpy as np
 from .arrays import panel_normal
 from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
-from .optimizer import OptimizerContext, OptimizationResult
+from .optimizer import OptimizationResult, OptimizerContext, sensing_path
 from .propagation import fspl_amplitude
 from .ris_bf import quantize_phases, ris_cell_positions
 from .sensing import CrbPair, SensingPath, fim
-from .units import SPEED_OF_LIGHT, lin2db
+from .units import lin2db
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,26 @@ class ClosureReport:
     gain_gap_db: np.ndarray  # per RIS mean |synthesized - predicted| served-cell SNR gap
 
 
-def _panel(ctx: OptimizerContext, result: OptimizationResult, n: int):
-    size = result.sizes[n]
-    cells = ris_cell_positions(size.cells_per_side, ctx.cell_spacing,
-                               result.positions[n], result.orientations[n])
+@dataclass(frozen=True)
+class Panel:
+    """One sized RIS as the closure synthesizes it, built once per RIS."""
+
+    index: int  # RIS n
+    cells: np.ndarray  # (M, 3) unit-cell positions
+    axis: np.ndarray  # panel normal
+    d_b: np.ndarray  # (M,) cell distances to the BS
+    amp_b: np.ndarray  # (M,) BS leg: sqrt(eta), cell gain and free-space amplitude
+
+
+def build_panel(ctx: OptimizerContext, result: OptimizationResult, n: int) -> Panel:
+    "Cells, normal and BS leg of the sized RIS n."
     o = result.orientations[n]
-    return cells, panel_normal(o.theta_r, o.psi_r)
+    cells = ris_cell_positions(result.sizes[n].cells_per_side, ctx.cell_spacing,
+                               result.positions[n], o)
+    axis = panel_normal(o.theta_r, o.psi_r)
+    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
+    return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
+                 amp_b=np.sqrt(ctx.efficiency) * _leg_amplitude(ctx, d_b, cos_b))
 
 
 def _leg(cells: np.ndarray, point, axis: np.ndarray):
@@ -48,7 +62,7 @@ def _leg(cells: np.ndarray, point, axis: np.ndarray):
     return dist, np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
 
 
-def _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
+def _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
     "Quantized focused dual-beam phases over the panel cells."
     kappa = 2.0 * np.pi / ctx.wavelength
     comm = np.exp(1j * kappa * (d_b + d_ue))
@@ -61,71 +75,70 @@ def _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
     return quantize_phases(ideal, ctx.bits)
 
 
-def _cascade_sum(ctx, phases, d_a, cos_a, d_b_leg, cos_b_leg):
-    "Complex panel sum of one RIS traversal between two endpoints."
+def _leg_amplitude(ctx, dist, cos):
+    "Per-cell gain times free-space amplitude of one leg."
+    return (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
+            * fspl_amplitude(dist, ctx.wavelength))
+
+
+def _traversal(ctx, panel: Panel, dist, cos) -> np.ndarray:
+    """Per-cell complex weight of the BS -> panel -> point traversal; the
+    panel sum weights it with the cell phases."""
     kappa = 2.0 * np.pi / ctx.wavelength
-    amp = (np.sqrt(ctx.efficiency)
-           * unit_cell_amplitude_gain(np.arccos(cos_a), ctx.cell_area, ctx.wavelength)
-           * unit_cell_amplitude_gain(np.arccos(cos_b_leg), ctx.cell_area, ctx.wavelength)
-           * (ctx.wavelength / (4.0 * np.pi * d_a))
-           * (ctx.wavelength / (4.0 * np.pi * d_b_leg)))
-    return complex(np.sum(amp * np.exp(1j * phases) * np.exp(-1j * kappa * (d_a + d_b_leg))))
+    return (panel.amp_b * _leg_amplitude(ctx, dist, cos)
+            * np.exp(-1j * kappa * (panel.d_b + dist)))
 
 
-def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult, n: int,
-                    cell_index: int, uav_index: int) -> float:
-    """Synthesized SNR at one UE cell through RIS n while cell uav_index is
-    being sensed (the dual-beam split for that UAV cell applies)."""
-    cells, axis = _panel(ctx, result, n)
-    ue = ctx.ue_grid.centers[cell_index]
-    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
-    d_k, cos_k = _leg(cells, ue, axis)
+def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
+                    panel: Panel) -> np.ndarray:
+    """Synthesized SNR table of one RIS: a row per covered UE cell, a column
+    per UAV cell, whose dual-beam split applies while it is sensed (one
+    column in comm-only mode)."""
+    n = panel.index
     comm_only = ctx.mode == "comm-only"
-    if comm_only:
-        phases = _dual_beam_profile(ctx, cells, d_b, d_k, None, 1.0)
-        omega = result.omega_per_uav[0, n + 1]
-    else:
-        uav = ctx.uav_grid.centers[uav_index]
-        d_u, _ = _leg(cells, uav, axis)
-        beta = float(result.beta_per_uav[uav_index, n])
-        phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)
-        omega = result.omega_per_uav[uav_index, n + 1]
-    h = _cascade_sum(ctx, phases, d_b, cos_b, d_k, cos_k)
-    p_rx = ctx.link.tx_power_w * omega * ctx.bs_amp_gain**2 * abs(h) ** 2
-    return float(p_rx / ctx.link.noise_power_w)
+    uavs = [None] if comm_only else ctx.uav_grid.centers
+    cells = ctx.regions[n].covered_cells
+    table = np.zeros((len(cells), len(uavs)))
+    for i, cell in enumerate(cells):
+        d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
+        weights = _traversal(ctx, panel, d_k, cos_k)
+        for u, uav in enumerate(uavs):
+            d_u = None if uav is None else _leg(panel.cells, uav, panel.axis)[0]
+            phases = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
+                                        float(result.beta_per_uav[u, n]))
+            h = np.sum(weights * np.exp(1j * phases))
+            p_rx = (ctx.link.tx_power_w * result.omega_per_uav[u, n + 1]
+                    * ctx.bs_amp_gain**2 * abs(h) ** 2)
+            table[i, u] = p_rx / ctx.link.noise_power_w
+    return table
 
 
-def explicit_sensing_crb(ctx: OptimizerContext, result: OptimizationResult, n: int,
-                         uav_index: int, ue_cell: int | None = None) -> CrbPair:
-    """Synthesized CRB for UAV cell uav_index through the sized RIS n, with
-    the comm beam pointed at ue_cell (default: the RIS's first covered cell)."""
+def _ris_sensing_path(ctx, result, panel: Panel, uav, uav_index: int, ue_cell: int,
+                      velocity) -> SensingPath:
+    """Round trip through the sized panel toward a UAV while cell uav_index
+    is sensed, with the comm beam on ue_cell."""
+    n = panel.index
+    d_k, _ = _leg(panel.cells, ctx.ue_grid.centers[ue_cell], panel.axis)
+    d_u, cos_u = _leg(panel.cells, uav, panel.axis)
+    phases = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
+                                float(result.beta_per_uav[uav_index, n]))
+    h = complex(np.sum(_traversal(ctx, panel, d_u, cos_u) * np.exp(1j * phases)))
+    return sensing_path(ctx, n + 1, uav, float(result.omega_per_uav[uav_index, n + 1]),
+                        ris=result.positions[n], cascade=h, velocity=velocity)
+
+
+def explicit_sensing_crb(ctx: OptimizerContext, result: OptimizationResult, panel: Panel,
+                         uav_index: int, ue_cell: int) -> CrbPair:
+    """Synthesized CRB for UAV cell uav_index through the sized panel, with
+    the comm beam pointed at ue_cell."""
     if ctx.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
-    cells, axis = _panel(ctx, result, n)
-    region = ctx.regions[n]
-    if ue_cell is None:
-        ue_cell = region.covered_cells[0]
-    ue = ctx.ue_grid.centers[ue_cell]
-    uav = ctx.uav_grid.centers[uav_index]
-    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
-    d_k, _ = _leg(cells, ue, axis)
-    d_u, cos_u = _leg(cells, uav, axis)
-    beta = float(result.beta_per_uav[uav_index, n])
-    omega = float(result.omega_per_uav[uav_index, n + 1])
-    phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)
-    h = _cascade_sum(ctx, phases, d_b, cos_b, d_u, cos_u)
-    d_bu = float(np.linalg.norm(np.asarray(uav) - ctx.scene.bs_position))
-    coeff = (2.0 * np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2
-             * h * ctx.rcs_amp * fspl_amplitude(d_bu, ctx.wavelength))
-    d_round = (float(np.linalg.norm(np.asarray(uav) - result.positions[n]))
-               + float(np.linalg.norm(result.positions[n] - ctx.scene.bs_position)) + d_bu)
-    path = SensingPath(index=n + 1, delay=d_round / SPEED_OF_LIGHT, doppler=0.0,
-                       coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
+    path = _ris_sensing_path(ctx, result, panel, ctx.uav_grid.centers[uav_index],
+                             uav_index, ue_cell, None)
     return fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
 
 
-def closure_report(ctx: OptimizerContext, result: OptimizationResult,
-                   step1_result=None) -> ClosureReport:
+def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> ClosureReport:
     """Re-evaluate the deployment through the explicit channel stack.
 
     For each RIS and covered UE cell, the reported SNR is the worst over UAV
@@ -145,30 +158,22 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult,
     crb_v = np.full((n_ris, m_u), np.nan)
     thr_db = lin2db(ctx.thresholds.snr_threshold)
     snr_margin = np.inf
-    gamma_ref = None if step1_result is None else step1_result.gamma_ref
     for n, region in enumerate(ctx.regions):
-        worst = np.full(len(region.covered_cells), np.inf)
-        gamma = np.ones(len(worst)) if gamma_ref is None else gamma_ref[n]
+        panel = build_panel(ctx, result, n)
+        table = explicit_ue_snr(ctx, result, panel)
+        gamma = result.step1.gamma_ref[n]
         served = gamma > 0.0
-        gap_samples = []
-        for i, cell in enumerate(region.covered_cells):
-            for u in range(m_u):
-                snr = explicit_ue_snr(ctx, result, n, cell, u)
-                worst[i] = min(worst[i], snr)
-                if gamma_ref is not None and served[i]:
-                    beta = 1.0 if comm_only else float(result.beta_per_uav[u, n])
-                    omega = float(result.omega_per_uav[u, n + 1])
-                    scale = (result.sizes[n].cell_count / ctx.m_ref) ** 2
-                    pred = beta * omega * scale * gamma_ref[n][i]
-                    gap_samples.append(lin2db(snr) - lin2db(pred))
         with np.errstate(divide="ignore"):
-            snr_db.append(lin2db(worst))
+            snr_db.append(lin2db(np.min(table, axis=1)))
         snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
-        gaps[n] = float(np.mean(np.abs(gap_samples))) if gap_samples else np.nan
+        scale = (result.sizes[n].cell_count / ctx.m_ref) ** 2
+        pred = (result.beta_per_uav[:, n] * result.omega_per_uav[:, n + 1]
+                * scale * gamma[served, None])
+        gaps[n] = float(np.mean(np.abs(lin2db(table[served]) - lin2db(pred))))
         if not comm_only:
             worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
             for u in range(m_u):
-                pair = explicit_sensing_crb(ctx, result, n, u, ue_cell=worst_cell)
+                pair = explicit_sensing_crb(ctx, result, panel, u, worst_cell)
                 crb_r[n, u] = pair.range_crb
                 crb_v[n, u] = pair.velocity_crb
     if comm_only:
@@ -183,43 +188,15 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult,
 
 def demo_sensing_paths(ctx: OptimizerContext, result: OptimizationResult, uav_position,
                        uav_velocity) -> list:
-    """Delay/Doppler/coefficient per modeled path for one UAV state.
-
-    Doppler is the geometric range-rate of each round trip: the direct path
-    sees both legs to the BS, a RIS path one leg to the RIS and one to the BS.
-    """
-    bs = ctx.scene.bs_position
+    """Delay/Doppler/coefficient per modeled path for one UAV state: the
+    direct round trip, then one through each sized RIS with its comm beam on
+    the RIS's first covered cell and the split of the nearest UAV cell."""
     uav = np.asarray(uav_position, dtype=float)
     vel = np.asarray(uav_velocity, dtype=float)
-    lam = ctx.wavelength
-    paths = []
-    d_bu = float(np.linalg.norm(uav - bs))
-    u_bs = (uav - bs) / d_bu
     omega0 = float(result.omega_per_uav[0, 0])
-    coeff0 = (np.sqrt(ctx.link.tx_power_w * max(omega0, 1e-12)) * ctx.bs_amp_gain**2
-              * fspl_amplitude(d_bu, lam) ** 2 * ctx.rcs_amp)
-    paths.append(SensingPath(index=0, delay=2.0 * d_bu / SPEED_OF_LIGHT,
-                             doppler=-2.0 * float(np.dot(vel, u_bs)) / lam,
-                             coeff=coeff0, carrier_hz=ctx.ofdm.carrier_hz))
+    paths = [sensing_path(ctx, 0, uav, max(omega0, 1e-12), velocity=vel)]
     uav_index = int(np.argmin(np.linalg.norm(ctx.uav_grid.centers - uav, axis=1)))
-    for n in range(len(ctx.regions)):
-        cells, axis = _panel(ctx, result, n)
-        region = ctx.regions[n]
-        ue = ctx.ue_grid.centers[region.covered_cells[0]]
-        d_b, cos_b = _leg(cells, bs, axis)
-        d_k, _ = _leg(cells, ue, axis)
-        d_u, cos_u = _leg(cells, uav, axis)
-        beta = float(result.beta_per_uav[uav_index, n])
-        omega = float(result.omega_per_uav[uav_index, n + 1])
-        phases = _dual_beam_profile(ctx, cells, d_b, d_k, d_u, beta)
-        h = _cascade_sum(ctx, phases, d_b, cos_b, d_u, cos_u)
-        d_rn = float(np.linalg.norm(uav - result.positions[n]))
-        u_ris = (uav - result.positions[n]) / d_rn
-        coeff = (2.0 * np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2 * h
-                 * ctx.rcs_amp * fspl_amplitude(d_bu, lam))
-        length = d_rn + d_bu + float(np.linalg.norm(result.positions[n] - bs))
-        doppler = -float(np.dot(vel, u_ris) + np.dot(vel, u_bs)) / lam
-        paths.append(SensingPath(index=n + 1, delay=length / SPEED_OF_LIGHT,
-                                 doppler=doppler, coeff=coeff,
-                                 carrier_hz=ctx.ofdm.carrier_hz))
+    for n, region in enumerate(ctx.regions):
+        paths.append(_ris_sensing_path(ctx, result, build_panel(ctx, result, n), uav,
+                                       uav_index, region.covered_cells[0], vel))
     return paths

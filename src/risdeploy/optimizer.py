@@ -82,6 +82,13 @@ def kkt_power_allocation(c, cov_areas, omega0: float) -> np.ndarray:
     return w / np.sum(w) * (1.0 - omega0)
 
 
+# Search and headroom constants no config sets.
+ORIENTATION_STEP = np.deg2rad(1.0)  # coarse orientation grid resolution
+THETA_LIMIT = np.deg2rad(60.0)  # largest panel tilt off the horizontal
+PSI_HALFWIDTH = np.deg2rad(85.0)  # azimuth window around the face normal
+OMEGA0_MARGIN_DB = 6.0  # direct-beam headroom over the bare CRB need
+
+
 @dataclass(frozen=True)
 class RisSize:
     area: float  # m^2
@@ -100,10 +107,13 @@ def ris_size(c_max: float, omega: float, cell_area: float, m_ref: int,
         raise InvalidInputError("c_max, cell_area, m_ref, spacing must be positive")
     if omega <= 0:
         raise InfeasiblePowerError("zero power share leaves the panel unbounded")
-    area = np.sqrt(c_max) * cell_area * m_ref / np.sqrt(omega)
+    return _square_panel(np.sqrt(c_max) * cell_area * m_ref / np.sqrt(omega), spacing)
+
+
+def _square_panel(area: float, spacing: float) -> RisSize:
+    "Square panel of the given area on the cell grid."
     side = float(np.sqrt(area))
-    return RisSize(area=float(area), side=side,
-                   cells_per_side=int(np.ceil(side / spacing)))
+    return RisSize(area=float(area), side=side, cells_per_side=int(np.ceil(side / spacing)))
 
 
 def _axis_grid(bounds: OrientationBounds, step: float):
@@ -140,12 +150,12 @@ def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
 
 
 def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
-                       bounds: OrientationBounds, step: float = np.deg2rad(1.0)) -> Orientation:
+                       bounds: OrientationBounds) -> Orientation:
     """Orientation maximizing the worst-target boresight-cosine product.
 
-    Grid search at `step` resolution over the bounds, then a 20x finer pass
-    in a +-1.5 step window around the coarse optimum. Back-side directions
-    contribute zero.
+    Grid search at ORIENTATION_STEP resolution over the bounds, then a 20x
+    finer pass in a +-1.5 step window around the coarse optimum. Back-side
+    directions contribute zero.
     """
     p = np.asarray(ris_pos, dtype=float)
 
@@ -159,16 +169,16 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     u_bs = unit_rows(bs_pos)[0]
     u_ue = unit_rows(ue_centers)
     u_uav = unit_rows(uav_centers) if uav_centers is not None and len(uav_centers) else None
-    _, _, axes, tg, pg = _axis_grid(bounds, step)
+    _, _, axes, tg, pg = _axis_grid(bounds, ORIENTATION_STEP)
     score = _orientation_score(axes, u_bs, u_ue, u_uav)
     best = int(np.argmax(score))
     if score[best] <= 0.0:
         raise UnreachableTargetsError("no orientation sees the BS and any target")
-    window = 1.5 * step
+    window = 1.5 * ORIENTATION_STEP
     fine = OrientationBounds(
         max(bounds.theta_low, tg[best] - window), min(bounds.theta_high, tg[best] + window),
         max(bounds.psi_low, pg[best] - window), min(bounds.psi_high, pg[best] + window))
-    _, _, axes_f, tg_f, pg_f = _axis_grid(fine, step / 20.0)
+    _, _, axes_f, tg_f, pg_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
     score_f = _orientation_score(axes_f, u_bs, u_ue, u_uav)
     best_f = int(np.argmax(score_f))
     return Orientation(float(tg_f[best_f]), float(pg_f[best_f]))
@@ -187,22 +197,18 @@ class OptimizerContext:
     thresholds: QosThresholds
     ofdm: OfdmParams
     moments: WaveformMoments
-    bs_array_size: int = 16
-    bs_gain_dbi: float = 3.0
-    efficiency: float = 0.3
-    bits: int = 2
-    ref_cells_per_side: int = 20
-    rcs: float = 0.04
-    mode: str = "full-isac"
-    beta_grid: tuple = tuple(np.round(np.arange(0.1, 0.95, 0.1), 3))
-    orientation_step: float = np.deg2rad(1.0)
-    theta_limit: float = np.deg2rad(60.0)
-    psi_halfwidth: float = np.deg2rad(85.0)
-    d_min: float = 0.3
-    max_iterations: int = 500
-    size_margin_db: float = 1.0  # sizing headroom so synthesis meets QoS
-    size_cap: float = 20.0  # largest mountable panel side, meters
-    omega0_margin_db: float = 6.0  # direct-beam headroom over the bare CRB need
+    bs_array_size: int
+    bs_gain_dbi: float
+    efficiency: float
+    bits: int
+    ref_cells_per_side: int
+    rcs: float
+    mode: str
+    beta_grid: tuple
+    d_min: float
+    max_iterations: int
+    size_margin_db: float  # sizing headroom so synthesis meets QoS
+    size_cap: float  # largest mountable panel side, meters
 
     @property
     def wavelength(self) -> float:
@@ -238,8 +244,8 @@ class OptimizerContext:
         "C4 orientation bounds: near the face normal, limited tilt."
         normal = region.normal()
         psi0 = float(np.arctan2(normal[1], normal[0]))
-        return OrientationBounds(-self.theta_limit, self.theta_limit,
-                                 psi0 - self.psi_halfwidth, psi0 + self.psi_halfwidth)
+        return OrientationBounds(-THETA_LIMIT, THETA_LIMIT,
+                                 psi0 - PSI_HALFWIDTH, psi0 + PSI_HALFWIDTH)
 
 
 def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation,
@@ -264,49 +270,64 @@ def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation
     return base * att_k**2 * ctx.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
 
 
-def _ris_path_amplitude(ctx: OptimizerContext, position, orientation, uav_center) -> float:
-    "One-way round-trip amplitude of the BS->RIS->UAV->BS reference path."
-    p = np.asarray(position, dtype=float)
+def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
+                 cascade=None, velocity=None) -> SensingPath:
+    """Round trip of the BS beam at power share omega through a UAV.
+
+    Without a RIS position this is the direct BS->UAV->BS path. With one it
+    is the BS->RIS->UAV->BS path, whose panel traversal (BS leg, cells, UAV
+    leg) has the complex amplitude `cascade`: the reference model in sizing,
+    the synthesized panel sum in the closure. The reverse trip
+    BS->UAV->RIS->BS has the same delay and adds coherently, hence the 2.
+    Doppler is the range rate of the two legs that end at the UAV; zero
+    without a velocity.
+    """
     bs = ctx.scene.bs_position
-    d_b = float(np.linalg.norm(p - bs))
-    d_u = float(np.linalg.norm(uav_center - p))
-    d_bu = float(np.linalg.norm(uav_center - bs))
-    axis = panel_normal(orientation.theta_r, orientation.psi_r)
-    cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
-    cos_u = float(np.clip(np.dot((uav_center - p) / d_u, axis), 0.0, None))
+    uav = np.asarray(uav, dtype=float)
+    far = bs if ris is None else np.asarray(ris, dtype=float)  # other end of the UAV's leg
+    d_bu = float(np.linalg.norm(uav - bs))
+    d_far = float(np.linalg.norm(uav - far))
+    lam = ctx.wavelength
+    scale = np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2
+    if ris is None:
+        coeff = scale * fspl_amplitude(d_bu, lam) ** 2 * ctx.rcs_amp
+    else:
+        coeff = 2.0 * scale * cascade * ctx.rcs_amp * fspl_amplitude(d_bu, lam)
+    length = d_far + d_bu + float(np.linalg.norm(far - bs))
+    rate = 0.0 if velocity is None else float(
+        np.dot(velocity, (uav - far) / d_far) + np.dot(velocity, (uav - bs) / d_bu))
+    return SensingPath(index=index, delay=length / SPEED_OF_LIGHT, doppler=-rate / lam,
+                       coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
+
+
+def _reference_cascade(ctx: OptimizerContext, position, axis, uav_center) -> float:
+    "Traversal amplitude of the M_ref reference panel from the BS to a UAV."
+    bs = ctx.scene.bs_position
+    d_b = float(np.linalg.norm(position - bs))
+    d_u = float(np.linalg.norm(uav_center - position))
+    cos_b = float(np.clip(np.dot((bs - position) / d_b, axis), 0.0, None))
+    cos_u = float(np.clip(np.dot((uav_center - position) / d_u, axis), 0.0, None))
     lam = ctx.wavelength
     g_cells = (ctx.m_ref * np.sqrt(ctx.efficiency * ctx.quant_eff)
                * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
                * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
-    return (ctx.bs_amp_gain**2 * fspl_amplitude(d_b, lam) * g_cells
-            * fspl_amplitude(d_u, lam) * ctx.rcs_amp * fspl_amplitude(d_bu, lam))
+    return fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
 
 
 def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> list:
     """Reference CRB pair per UAV cell at unit beta, omega and size scale."""
-    out = []
-    for center in ctx.uav_grid.centers:
-        amp = _ris_path_amplitude(ctx, position, orientation, center)
-        coeff = 2.0 * np.sqrt(ctx.link.tx_power_w) * amp
-        d_round = float(np.linalg.norm(center - np.asarray(position))
-                        + np.linalg.norm(center - ctx.scene.bs_position)
-                        + np.linalg.norm(np.asarray(position) - ctx.scene.bs_position))
-        path = SensingPath(index=1, delay=d_round / SPEED_OF_LIGHT, doppler=0.0,
-                           coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
-        out.append(fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments))
-    return out
+    p = np.asarray(position, dtype=float)
+    axis = panel_normal(orientation.theta_r, orientation.psi_r)
+    return [fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p,
+                                       cascade=_reference_cascade(ctx, p, axis, center)),
+                ctx.link.noise_psd_w_hz, ctx.moments)
+            for center in ctx.uav_grid.centers]
 
 
 def direct_sensing_crb(ctx: OptimizerContext, uav_center) -> CrbPair:
     "Reference CRB of the direct BS->UAV->BS path at full power."
-    bs = ctx.scene.bs_position
-    d = float(np.linalg.norm(np.asarray(uav_center) - bs))
-    lam = ctx.wavelength
-    amp = ctx.bs_amp_gain**2 * fspl_amplitude(d, lam) ** 2 * ctx.rcs_amp
-    coeff = np.sqrt(ctx.link.tx_power_w) * amp
-    path = SensingPath(index=0, delay=2.0 * d / SPEED_OF_LIGHT, doppler=0.0,
-                       coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
-    return fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
+    return fim(ctx.ofdm, sensing_path(ctx, 0, uav_center, 1.0), ctx.link.noise_psd_w_hz,
+               ctx.moments)
 
 
 def direct_power_share(ctx: OptimizerContext) -> float:
@@ -324,7 +345,7 @@ def direct_power_share(ctx: OptimizerContext) -> float:
             f"direct sensing alone needs omega0 = {worst:.3f} >= 1")
     if worst == 0.0:
         return 0.0
-    return float(min(worst * db2lin(ctx.omega0_margin_db), 0.5 * (1.0 + worst)))
+    return float(min(worst * db2lin(OMEGA0_MARGIN_DB), 0.5 * (1.0 + worst)))
 
 
 @dataclass(frozen=True)
@@ -378,11 +399,11 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
         else:
             orient = orientation_search(positions[n], context.scene.bs_position,
                                         context.ue_grid.centers[region.covered_cells],
-                                        uav_centers, bounds, context.orientation_step)
+                                        uav_centers, bounds)
         orientations.append(orient)
         try:
             gamma = reference_comm_snr(context, positions[n], orient, region)
-        except Exception as exc:
+        except NoPathError as exc:
             raise UnreachableTargetsError(
                 f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
         if np.max(gamma) <= 0.0:
@@ -426,9 +447,7 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
         size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
                         context.cell_area, context.m_ref, context.cell_spacing)
         if size.side > context.size_cap:
-            side = context.size_cap
-            size = RisSize(area=side**2, side=side,
-                           cells_per_side=int(np.ceil(side / context.cell_spacing)))
+            size = _square_panel(context.size_cap**2, context.cell_spacing)
             capped.append(True)
         else:
             capped.append(False)
@@ -484,7 +503,7 @@ class OptimizationResult:
     iterations: int
     mode: str
     patch_coords: np.ndarray
-    step1: Step1Result = None
+    step1: Step1Result
 
 
 def _project(coords: np.ndarray, regions) -> np.ndarray:

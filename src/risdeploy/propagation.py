@@ -78,6 +78,14 @@ def _los_clear(scene: Scene, a, b, pullback: float = 1e-6) -> bool:
     return line_of_sight(scene, a + pullback * d, b - pullback * d)
 
 
+def _los_path(a, b, lam) -> PathRecord:
+    "The direct path between two points that see each other."
+    d = float(np.linalg.norm(b - a))
+    return PathRecord(kind="los", attenuation=fspl_amplitude(d, lam),
+                      phase=_wrap_phase(d, lam), length=d,
+                      depart_dir=_unit(b - a), arrive_dir=_unit(a - b))
+
+
 def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp):
     """Image-method reflection against one plane; None when invalid.
 
@@ -144,15 +152,7 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
     loss_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
     paths = []
     if line_of_sight(scene, a, b):
-        d = float(np.linalg.norm(b - a))
-        paths.append(PathRecord(
-            kind="los",
-            attenuation=fspl_amplitude(d, lam),
-            phase=_wrap_phase(d, lam),
-            length=d,
-            depart_dir=_unit(b - a),
-            arrive_dir=_unit(a - b),
-        ))
+        paths.append(_los_path(a, b, lam))
     for building in scene.buildings:
         for face in range(building.num_faces):
             origin, on_face = _face_checker(building, face)
@@ -191,14 +191,5 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
     if np.allclose(a, b):
         raise InvalidInputError("degenerate link: a == b")
     if line_of_sight(scene, a, b):
-        lam = cfg.wavelength
-        d = float(np.linalg.norm(b - a))
-        return PathRecord(
-            kind="los",
-            attenuation=fspl_amplitude(d, lam),
-            phase=_wrap_phase(d, lam),
-            length=d,
-            depart_dir=_unit(b - a),
-            arrive_dir=_unit(a - b),
-        )
+        return _los_path(a, b, cfg.wavelength)
     return dominant_path(enumerate_paths(scene, cfg, a, b))

@@ -189,7 +189,7 @@ def test_a5_placement_convergence(ctx_full, nm_result):
 
 
 def test_a6_deployment_closure(ctx_full, nm_result):
-    report = closure_report(ctx_full, nm_result, nm_result.step1)
+    report = closure_report(ctx_full, nm_result)
     ok = (report.snr_margin_db >= -3.0
           and report.crb_range_margin_db >= -3.0
           and report.crb_velocity_margin_db >= -3.0)

@@ -61,8 +61,7 @@ def _reference_panel(ctx, n=0):
     pos = region.reference_point()
     orient = orientation_search(pos, ctx.scene.bs_position,
                                 ctx.ue_grid.centers[region.covered_cells],
-                                ctx.uav_grid.centers, ctx.region_bounds(region),
-                                ctx.orientation_step)
+                                ctx.uav_grid.centers, ctx.region_bounds(region))
     return region, pos, orient
 
 

@@ -45,6 +45,17 @@ def test_load_config_env_override(tmp_path, monkeypatch):
     assert cfg["pl_max_db"] == 111.5
 
 
+def test_env_override_invalid_json_is_bad_input(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"scene": "s.json"}))
+    monkeypatch.setenv("RISDEPLOY_SEED", "abc")
+    code = cli.main(["run", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "SceneFormatError"
+    assert "RISDEPLOY_SEED" in err["message"]
+
+
 def test_load_config_rejects_unknown_and_bad_mode(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps({"scene": "s.json", "toggle": 1}))
     with pytest.raises(SceneFormatError):
@@ -188,3 +199,13 @@ def test_run_log_counts_distinct_uncovered_cells(demo_cfg, tmp_path):
     distinct = len(set().union(*covered))
     assert sum(map(len, covered)) > distinct  # the chosen regions overlap
     assert f"({distinct} uncovered universe)" in (tmp_path / "run.log").read_text()
+
+
+def test_zero_bits_fails_typed_naming_bits(demo_cfg, tmp_path):
+    # a bad phase resolution is an input error, not an unreachable placement
+    cfg = dict(demo_cfg, bits=0, subcarriers=64, symbols=16)
+    cli.run_pipeline(cfg, tmp_path, mode="comm-only")
+    with open(tmp_path / "error.json") as fh:
+        err = json.load(fh)
+    assert err["error"] == "InvalidInputError"
+    assert "bits" in err["message"]

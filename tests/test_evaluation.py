@@ -3,45 +3,51 @@ import dataclasses
 import numpy as np
 import pytest
 
+from risdeploy import evaluation
 from risdeploy.errors import InvalidInputError
-from risdeploy.evaluation import (closure_report, demo_sensing_paths,
+from risdeploy.evaluation import (build_panel, closure_report, demo_sensing_paths,
                                   explicit_sensing_crb, explicit_ue_snr)
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
 
+def _bigger(result):
+    "The same deployment with 20 more cells per panel side."
+    return dataclasses.replace(
+        result, sizes=[dataclasses.replace(s, cells_per_side=s.cells_per_side + 20)
+                       for s in result.sizes])
+
+
 def test_explicit_snr_positive_and_size_monotone(ctx_full, nm_result):
-    region = ctx_full.regions[0]
-    snr = explicit_ue_snr(ctx_full, nm_result, 0, region.covered_cells[0], 0)
-    assert snr > 0
+    table = explicit_ue_snr(ctx_full, nm_result, build_panel(ctx_full, nm_result, 0))
+    assert table.shape == (len(ctx_full.regions[0].covered_cells),
+                           len(ctx_full.uav_grid.centers))
+    assert table[0, 0] > 0
     # a larger panel (same geometry) collects more power toward its comm beam
-    bigger = dataclasses.replace(
-        nm_result,
-        sizes=[dataclasses.replace(s, cells_per_side=s.cells_per_side + 20)
-               for s in nm_result.sizes])
-    snr_big = explicit_ue_snr(ctx_full, bigger, 0, region.covered_cells[0], 0)
-    assert snr_big > snr
+    bigger = _bigger(nm_result)
+    table_big = explicit_ue_snr(ctx_full, bigger, build_panel(ctx_full, bigger, 0))
+    assert table_big[0, 0] > table[0, 0]
 
 
 def test_explicit_crb_requires_sensing_mode(ctx_full, nm_result):
     comm = dataclasses.replace(ctx_full, mode="comm-only")
+    panel = build_panel(comm, nm_result, 0)
     with pytest.raises(InvalidInputError):
-        explicit_sensing_crb(comm, nm_result, 0, 0)
+        explicit_sensing_crb(comm, nm_result, panel, 0, ctx_full.regions[0].covered_cells[0])
 
 
 def test_explicit_crb_improves_with_size(ctx_full, nm_result):
-    crb = explicit_sensing_crb(ctx_full, nm_result, 0, 0)
+    cell = ctx_full.regions[0].covered_cells[0]
+    crb = explicit_sensing_crb(ctx_full, nm_result, build_panel(ctx_full, nm_result, 0), 0,
+                               cell)
     assert crb.range_crb > 0 and crb.velocity_crb > 0
-    bigger = dataclasses.replace(
-        nm_result,
-        sizes=[dataclasses.replace(s, cells_per_side=s.cells_per_side + 20)
-               for s in nm_result.sizes])
-    crb_big = explicit_sensing_crb(ctx_full, bigger, 0, 0)
+    bigger = _bigger(nm_result)
+    crb_big = explicit_sensing_crb(ctx_full, bigger, build_panel(ctx_full, bigger, 0), 0, cell)
     assert crb_big.range_crb < crb.range_crb
     assert crb_big.velocity_crb < crb.velocity_crb
 
 
 def test_closure_report_shapes_and_margins(ctx_full, nm_result):
-    report = closure_report(ctx_full, nm_result, nm_result.step1)
+    report = closure_report(ctx_full, nm_result)
     n = len(ctx_full.regions)
     m_u = len(ctx_full.uav_grid.centers)
     assert len(report.snr_db) == n
@@ -65,10 +71,29 @@ def test_closure_report_comm_only(demo_cfg):
 
     ctx = cli.build_context(demo_cfg, "comm-only")
     result = cli.optimize(ctx, demo_cfg)
-    report = closure_report(ctx, result, result.step1)
+    report = closure_report(ctx, result)
     assert report.snr_margin_db > 0.0
     assert np.isnan(report.crb_range_margin_db)
     assert np.all(np.isnan(report.crb_range))
+
+
+def test_closure_builds_each_panel_once(ctx_full, nm_result, monkeypatch):
+    # one panel build and one SNR table per RIS, not one per (cell, UAV) pair
+    calls = {"ris_cell_positions": 0, "explicit_ue_snr": 0}
+
+    def counted(name):
+        original = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counted(name))
+    closure_report(ctx_full, nm_result)
+    n_ris = len(ctx_full.regions)
+    assert calls == {"ris_cell_positions": n_ris, "explicit_ue_snr": n_ris}
 
 
 def test_demo_sensing_paths_geometry(ctx_full, nm_result):

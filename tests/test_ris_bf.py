@@ -82,11 +82,11 @@ def _focus_distances():
 
 def test_dual_beam_single_beam_limit():
     ctx = types.SimpleNamespace(wavelength=LAM, bits=2)
-    cells, d_b, d_ue, d_uav = _focus_distances()
+    _, d_b, d_ue, d_uav = _focus_distances()
     comm = quantize_phases(np.mod(2 * np.pi / LAM * (d_b + d_ue), 2 * np.pi), 2)
-    np.testing.assert_allclose(_dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, 1.0),
+    np.testing.assert_allclose(_dual_beam_profile(ctx, d_b, d_ue, d_uav, 1.0),
                                comm, atol=1e-12)
-    np.testing.assert_allclose(_dual_beam_profile(ctx, cells, d_b, d_ue, None, 0.4),
+    np.testing.assert_allclose(_dual_beam_profile(ctx, d_b, d_ue, None, 0.4),
                                comm, atol=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_dual_beam_splits_coherent_power():
     kappa = 2 * np.pi / LAM
 
     def gains(beta):
-        phi = _dual_beam_profile(ctx, cells, d_b, d_ue, d_uav, beta)
+        phi = _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta)
         return tuple(abs(np.sum(np.exp(1j * (phi - kappa * (d_b + d))))) ** 2
                      for d in (d_ue, d_uav))
 

@@ -111,8 +111,7 @@ def test_reference_crb_scale(ctx_full):
     pos = region.reference_point()
     orient = orientation_search(pos, ctx_full.scene.bs_position,
                                 ctx_full.ue_grid.centers[region.covered_cells],
-                                ctx_full.uav_grid.centers, ctx_full.region_bounds(region),
-                                ctx_full.orientation_step)
+                                ctx_full.uav_grid.centers, ctx_full.region_bounds(region))
     ref = reference_sensing_crbs(ctx_full, pos, orient)
     assert len(ref) == len(ctx_full.uav_grid.centers)
     bigger = dataclasses.replace(ctx_full, ref_cells_per_side=2 * ctx_full.ref_cells_per_side)
