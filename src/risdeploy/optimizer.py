@@ -9,7 +9,7 @@ Nelder-Mead simplex over 2-D mounting-patch coordinates, one (u, v) pair per
 RIS, with out-of-patch proposals projected back.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -128,7 +128,8 @@ def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     thetas = np.arange(theta_low, theta_high + step / 2, step)
     psis = np.arange(psi_low, psi_high + step / 2, step)
     tg, pg = np.meshgrid(thetas, psis, indexing="ij")
-    return thetas, psis, panel_normal(tg, pg).reshape(-1, 3), tg.ravel(), pg.ravel()
+    axes = np.ascontiguousarray(panel_normal(tg, pg).reshape(-1, 3).T)  # (3, n_axes)
+    return thetas, psis, axes, tg.ravel(), pg.ravel()
 
 
 _COS_FOV = float(np.cos(PANEL_FOV_RAD))
@@ -137,15 +138,18 @@ _COS_FOV = float(np.cos(PANEL_FOV_RAD))
 def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
     """Worst-target cosine product; positive only when the BS, every UE cell
     and every UAV cell sit inside the panel field of view. The sizing is
-    driven by the worst cell, so the worst-case product is the surrogate."""
+    driven by the worst cell, so the worst-case product is the surrogate.
+
+    `axes` is (3, n_axes), so each target's cosines form one contiguous row
+    and the minima over targets run along whole rows."""
     n_ue = len(u_ue)
     targets = np.vstack([u_bs[None, :], u_ue] if u_uav is None or not len(u_uav)
                         else [u_bs[None, :], u_ue, u_uav])
-    cos = axes @ targets.T  # (n_axes, 1 + n_ue [+ n_uav])
+    cos = targets @ axes  # (1 + n_ue [+ n_uav], n_axes)
     cos *= cos > _COS_FOV  # outside the panel field of view counts as zero
-    score = cos[:, 0] * np.min(cos[:, 1:n_ue + 1], axis=1)
+    score = cos[0] * np.min(cos[1:n_ue + 1], axis=0)
     if targets.shape[0] > n_ue + 1:
-        score *= np.min(cos[:, n_ue + 1:], axis=1)
+        score *= np.min(cos[n_ue + 1:], axis=0)
     return score
 
 
@@ -639,23 +643,39 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
                       seed: int = 0) -> OptimizationResult:
     """Comparison baseline: place each RIS at the patch point minimizing the
     summed free-space path loss to the BS and its covered UE cells, then run
-    the step-1 evaluation once at those positions."""
+    the step-1 evaluation once at those positions.
+
+    Free space ignores blockage, so the cheapest sample can have no path to a
+    cell. Each RIS takes the cheapest of its samples at which step 1 can
+    evaluate that RIS alone; step 1 checks each RIS on its own, so the joint
+    evaluation then succeeds.
+    """
     rng = np.random.default_rng(seed)
+    omega0 = direct_power_share(context)
     coords = np.zeros(2 * len(context.regions))
     for n, region in enumerate(context.regions):
         cells = context.ue_grid.centers[region.covered_cells]
-        best_uv, best_cost = None, np.inf
+        uvs, costs = [], []
         for _ in range(samples):
             u, v = region.sample(rng)
             p = region.point_at(u, v)
             cost = np.linalg.norm(p - context.scene.bs_position) ** 2
-            cost = cost + float(np.mean(np.linalg.norm(cells - p, axis=1) ** 2))
-            if cost < best_cost:
-                best_uv, best_cost = (u, v), cost
-        coords[2 * n], coords[2 * n + 1] = best_uv
+            costs.append(cost + float(np.mean(np.linalg.norm(cells - p, axis=1) ** 2)))
+            uvs.append((u, v))
+        alone = replace(context, regions=[region])
+        for k in np.argsort(costs, kind="stable"):
+            try:
+                step1_evaluate([region.point_at(*uvs[k])], alone, omega0)
+            except (UnreachableTargetsError, NoPathError):
+                continue
+            coords[2 * n], coords[2 * n + 1] = uvs[k]
+            break
+        else:
+            raise UnreachableTargetsError(
+                f"RIS {n}: no evaluable point among {samples} samples")
     positions = [context.regions[n].point_at(coords[2 * n], coords[2 * n + 1])
                  for n in range(len(context.regions))]
-    res = step1_evaluate(positions, context)
+    res = step1_evaluate(positions, context, omega0)
     return OptimizationResult(positions=res.positions, orientations=res.orientations,
                               sizes=res.sizes, beta_per_uav=res.beta_per_uav,
                               omega_per_uav=res.omega_per_uav, objective=res.objective,

@@ -122,11 +122,7 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
 
 
 def _face_checker(building: Building, face: int):
-    p1, p2 = building.face_vertices(face)
-    edge3 = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
-    length = np.linalg.norm(edge3)
-    u_hat = edge3 / length
-    origin = np.array([p1[0], p1[1], 0.0])
+    origin, u_hat, length = building.face_frame(face)
 
     def on_face(point):
         rel = point - origin
@@ -134,6 +130,11 @@ def _face_checker(building: Building, face: int):
         return 1e-9 < u < length - 1e-9 and 1e-9 < point[2] < building.height - 1e-9
 
     return origin, on_face
+
+
+def _coincident(a, b) -> bool:
+    "np.allclose(a, b) at its default tolerances, without its generic overhead."
+    return bool(np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)))
 
 
 def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
@@ -146,7 +147,7 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.allclose(a, b):
+    if _coincident(a, b):
         raise InvalidInputError("degenerate link: a == b")
     lam = cfg.wavelength
     loss_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
@@ -188,7 +189,7 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.allclose(a, b):
+    if _coincident(a, b):
         raise InvalidInputError("degenerate link: a == b")
     if line_of_sight(scene, a, b):
         return _los_path(a, b, cfg.wavelength)

@@ -62,6 +62,8 @@ class Building:
         self._check_simple(fp)
         object.__setattr__(self, "_normals", tuple(
             self._compute_normal(f) for f in range(len(fp))))
+        object.__setattr__(self, "_frames", tuple(
+            self._compute_frame(f) for f in range(len(fp))))
 
     @staticmethod
     def _check_simple(fp):
@@ -91,6 +93,16 @@ class Building:
     def face_normal(self, face: int) -> np.ndarray:
         "Outward unit normal of a vertical face, in the xy-plane."
         return self._normals[face]
+
+    def face_frame(self, face: int):
+        "Origin, along-edge unit vector and length of a vertical face's base edge."
+        return self._frames[face]
+
+    def _compute_frame(self, face: int):
+        p1, p2 = self.face_vertices(face)
+        edge = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
+        length = np.linalg.norm(edge)
+        return np.array([p1[0], p1[1], 0.0]), edge / length, length
 
     def _compute_normal(self, face: int) -> np.ndarray:
         p1, p2 = self.face_vertices(face)
@@ -139,6 +151,9 @@ class Rect:
         return self.ymax - self.ymin
 
 
+_BOX_PAD = 1e-6  # m; far above the exact test's 1e-9 and 1e-12 tolerances
+
+
 @dataclass(frozen=True)
 class Scene:
     buildings: tuple
@@ -154,6 +169,12 @@ class Scene:
         object.__setattr__(self, "ue_areas", tuple(self.ue_areas))
         if not self.bounds.contains(self.bs_position):
             raise SceneFormatError("bs", "BS position outside scene bounds")
+        # Axis-aligned box of each prism (footprint bounds x [0, height]),
+        # widened so that rounding never drops a prism the exact test hits.
+        lo = [[*b.footprint.min(axis=0), 0.0] for b in self.buildings]
+        hi = [[*b.footprint.max(axis=0), b.height] for b in self.buildings]
+        object.__setattr__(self, "_box_lo", np.array(lo).reshape(-1, 3) - _BOX_PAD)
+        object.__setattr__(self, "_box_hi", np.array(hi).reshape(-1, 3) + _BOX_PAD)
 
 
 @dataclass(frozen=True)
@@ -182,10 +203,30 @@ def line_of_sight(scene: Scene, a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if np.linalg.norm(b - a) < 1e-9:
         raise InvalidInputError("degenerate segment: a == b")
-    for building in scene.buildings:
-        if _segment_hits_prism(a, b, building):
+    for i in _boxes_entered(scene._box_lo, scene._box_hi, a, b):
+        if _segment_hits_prism(a, b, scene.buildings[i]):
             return False
     return True
+
+
+def _boxes_entered(lo, hi, a, b) -> np.ndarray:
+    """Indices of the boxes (rows of lo, hi) that the closed segment a-b meets.
+
+    Slab test (Williams et al. 2005, "An efficient and robust ray-box
+    intersection algorithm"): per axis, the parameter interval inside the
+    slab is [(lo - a) / d, (hi - a) / d] in either order; the segment meets
+    the box when the intersection of the three intervals and [0, 1] is not
+    empty. On an axis the segment does not move along, 1 / d is infinite, so
+    the interval is everything or nothing; fmin and fmax drop the NaN of a
+    segment lying exactly in a slab's bounding plane.
+    """
+    d = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - a) / d
+        t2 = (hi - a) / d
+    t_in = np.max(np.fmin(t1, t2), axis=1)
+    t_out = np.min(np.fmax(t1, t2), axis=1)
+    return np.flatnonzero((t_in <= t_out) & (t_in <= 1.0) & (t_out >= 0.0))
 
 
 def _segment_hits_prism(a, b, building: Building, eps: float = 1e-9) -> bool:
@@ -290,10 +331,7 @@ class DeployableRegion:
     def patch_frame(self, patch: FacePatch):
         "Origin, along-edge unit vector and outward normal of a patch's face."
         building = self._scene.buildings[patch.building_index]
-        p1, p2 = building.face_vertices(patch.face_index)
-        edge = p2 - p1
-        u_hat = np.array([edge[0], edge[1], 0.0]) / np.linalg.norm(edge)
-        origin = np.array([p1[0], p1[1], 0.0])
+        origin, u_hat, _ = building.face_frame(patch.face_index)
         return origin, u_hat, building.face_normal(patch.face_index)
 
     def point_at(self, u: float, v: float, patch_index: int = 0, standoff: float = 1e-3) -> np.ndarray:
@@ -370,8 +408,7 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
     out = []
     for b_idx, building in enumerate(scene.buildings):
         for f_idx in range(building.num_faces):
-            p1, p2 = building.face_vertices(f_idx)
-            length = float(np.linalg.norm(p2 - p1))
+            length = float(building.face_frame(f_idx)[2])
             if length < 2 * margin + 0.5 or building.height <= min_height + 0.5:
                 continue
             patch = FacePatch(b_idx, f_idx, margin, length - margin,

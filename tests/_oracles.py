@@ -6,11 +6,13 @@ and forms the FIM from central finite differences on the same 1/B Riemann
 grid the analytic code integrates over. Delay perturbations are applied per
 symbol as an exact subcarrier phase ramp, which is the delayed version of the
 same piecewise trigonometric-polynomial signal whose derivative the analytic
-moments use.
+moments use. The orientation-score reference lays the cosines out one row
+per axis, the transpose of the optimizer's layout.
 """
 
 import numpy as np
 
+from risdeploy.channel import PANEL_FOV_RAD
 from risdeploy.units import SPEED_OF_LIGHT
 
 
@@ -64,3 +66,19 @@ def fd_fim(wave, path, noise_psd, h_tau=6e-12, h_dop=100.0):
     # delay/Doppler -> range/velocity: tau = 2 d / c, nu = 2 v / lambda
     jac = np.diag([2.0 / SPEED_OF_LIGHT, 2.0 / p.wavelength])
     return jac @ j_tau_nu @ jac
+
+
+def orientation_score_rows(axes, u_bs, u_ue, u_uav):
+    """Worst-target cosine product, shape (n_axes,), from (n_axes, 3) axes.
+
+    The cosines form one short row per axis and the minima over targets run
+    along those rows.
+    """
+    targets = [u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav])
+    cos = axes @ np.vstack(targets).T
+    cos *= cos > np.cos(PANEL_FOV_RAD)
+    n_ue = len(u_ue)
+    score = cos[:, 0] * np.min(cos[:, 1:n_ue + 1], axis=1)
+    if u_uav is not None:
+        score *= np.min(cos[:, n_ue + 1:], axis=1)
+    return score

@@ -4,22 +4,31 @@
 run time, so a renamed or removed function only shows up as a failed traced
 benchmark run. This test reads ``TARGETS`` from the file with ``ast`` and
 resolves every entry in the installed package, methods by their dotted name.
+``bench/run.py`` fails a traced run when a name in its ``REQUIRED`` lists is
+never called, so each of those names must be a traced target.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+RUN = BENCH / "run.py"
+
+
+def _assigned(path, name):
+    "Literal value of a module-level assignment in a file, read without importing it."
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} defines no {name}")
 
 
 def _targets():
-    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no TARGETS")
+    return _assigned(TRACER, "TARGETS")
 
 
 def test_every_traced_target_resolves_to_a_callable():
@@ -33,3 +42,12 @@ def test_every_traced_target_resolves_to_a_callable():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert not missing, f"traced targets not found in risdeploy: {missing}"
+
+
+def test_every_required_name_is_traced():
+    traced = {f"{module}.{attr}" for module, attr in _targets()}
+    for name in ("REQUIRED", "REQUIRED_RUN", "REQUIRED_COMPARE"):
+        required = _assigned(RUN, name)
+        assert required, name
+        missing = [r for r in required if r not in traced]
+        assert not missing, f"{name} in bench/run.py names untraced functions: {missing}"

@@ -13,6 +13,8 @@ from risdeploy.optimizer import (QosThresholds, constraint_constants,
                                  pathloss_baseline, ris_size, step1_evaluate)
 from risdeploy.sensing import CrbPair
 
+from _oracles import orientation_score_rows
+
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
 
@@ -202,6 +204,59 @@ def test_pathloss_baseline_runs(ctx_full):
         u, v = base.patch_coords[2 * n], base.patch_coords[2 * n + 1]
         cu, cv = region.clamp(u, v)
         assert (u, v) == (cu, cv)
+
+
+def _cheapest_free_space_coords(ctx, samples, seed):
+    "Per RIS, the patch point of least free-space cost among the samples."
+    rng = np.random.default_rng(seed)
+    coords = []
+    for region in ctx.regions:
+        cells = ctx.ue_grid.centers[region.covered_cells]
+        uvs = [region.sample(rng) for _ in range(samples)]
+        costs = [np.linalg.norm(region.point_at(*uv) - ctx.scene.bs_position) ** 2
+                 + float(np.mean(np.linalg.norm(cells - region.point_at(*uv), axis=1) ** 2))
+                 for uv in uvs]
+        coords.extend(uvs[int(np.argmin(costs))])
+    return np.array(coords)
+
+
+def test_pathloss_baseline_keeps_an_evaluable_cheapest_point(ctx_full):
+    base = pathloss_baseline(ctx_full, seed=0)
+    np.testing.assert_array_equal(base.patch_coords,
+                                  _cheapest_free_space_coords(ctx_full, 64, 0))
+
+
+def test_pathloss_baseline_skips_points_without_a_path(ctx_full):
+    # at seed 12 the cheapest free-space point of RIS 1 has no path to a cell
+    with pytest.raises(UnreachableTargetsError):
+        step1_evaluate([r.point_at(*uv) for r, uv in zip(
+            ctx_full.regions, _cheapest_free_space_coords(ctx_full, 64, 12).reshape(-1, 2))],
+            ctx_full)
+    base = pathloss_baseline(ctx_full, seed=12)
+    assert base.objective > 0
+    assert len(base.positions) == len(ctx_full.regions)
+
+
+@pytest.mark.parametrize("with_uav", [True, False])
+def test_orientation_score_matches_row_major_reference(ctx_full, with_uav):
+    region = ctx_full.regions[0]
+    p = region.reference_point()
+
+    def unit_rows(points):
+        d = np.asarray(points, dtype=float).reshape(-1, 3) - p
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    u_bs = unit_rows(ctx_full.scene.bs_position)[0]
+    u_ue = unit_rows(ctx_full.ue_grid.centers[region.covered_cells])
+    u_uav = unit_rows(ctx_full.uav_grid.centers) if with_uav else None
+    _, _, axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
+                                            optimizer.ORIENTATION_STEP)
+    score = optimizer._orientation_score(axes, u_bs, u_ue, u_uav)
+    ref = orientation_score_rows(np.ascontiguousarray(axes.T), u_bs, u_ue, u_uav)
+    assert axes.shape == (3, len(ref))
+    assert int(np.argmax(score)) == int(np.argmax(ref))
+    assert np.max(ref) > 0
+    np.testing.assert_allclose(score, ref, rtol=0, atol=1e-15)
 
 
 def test_passive_orientation_uses_face_normal(ctx_full):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from risdeploy.errors import NoPathError
-from risdeploy.propagation import (PathRecord, PropagationConfig,
+from risdeploy.errors import InvalidInputError, NoPathError
+from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
                                    dominant_path, dominant_path_between,
                                    enumerate_paths, fspl_amplitude)
 from risdeploy.scene import Bounds, Building, Scene
@@ -121,3 +121,20 @@ def test_path_record_immutable():
     p = PathRecord("los", 1e-6, 0.0, 10.0, np.ones(3) / np.sqrt(3), np.ones(3) / np.sqrt(3))
     with pytest.raises(AttributeError):
         p.length = 5.0
+
+
+def test_coincident_agrees_with_allclose():
+    rng = np.random.default_rng(3)
+    for scale in (0.0, 1.0, 150.0):
+        b = rng.uniform(-1.0, 1.0, 3) * scale
+        tol = 1e-8 + 1e-5 * np.abs(b)
+        for axis in range(3):
+            for factor in (0.0, 0.5, 0.999, 1.0, 1.001, 3.0):
+                for sign in (1.0, -1.0):
+                    a = b.copy()
+                    a[axis] += sign * factor * tol[axis]
+                    assert _coincident(a, b) == np.allclose(a, b)
+    far = np.array([50.0, 0.0, 10.0])
+    for fn in (enumerate_paths, dominant_path_between):
+        with pytest.raises(InvalidInputError):
+            fn(open_scene(), CFG, far, far + 1e-9)

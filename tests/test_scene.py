@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from risdeploy import scene as scene_mod
 from risdeploy.errors import (InfeasibleCoverageError, InvalidInputError,
                               SceneFormatError)
 from risdeploy.scene import (Bounds, Building, DeployableRegion, Rect, Scene,
-                             build_grids, line_of_sight, point_in_polygon,
-                             scene_from_dict, select_ris_regions)
+                             _segment_hits_prism, build_grids, line_of_sight,
+                             point_in_polygon, scene_from_dict, select_ris_regions)
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 
@@ -76,6 +79,73 @@ def test_vertical_segment_inside_prism():
     scn = simple_scene([b])
     assert not line_of_sight(scn, [5.0, 0.0, 1.0], [5.0, 0.0, 9.0])
     assert line_of_sight(scn, [5.0, 2.0, 1.0], [5.0, 2.0, 9.0])
+
+
+# Coordinates on a half-metre grid put segment endpoints on walls, edges and
+# roofs and make segments run exactly along faces; free floats cover the rest.
+_GRID = st.integers(-4, 24).map(lambda k: k / 2.0)
+_COORD = st.one_of(_GRID, st.floats(-2.0, 12.0, allow_nan=False))
+
+
+@st.composite
+def _footprints(draw):
+    "Box or L-shaped footprint with vertices on the half-metre grid."
+    x0, xm, x1 = sorted(draw(st.lists(st.integers(0, 20), min_size=3, max_size=3,
+                                      unique=True)))
+    y0, ym, y1 = sorted(draw(st.lists(st.integers(0, 20), min_size=3, max_size=3,
+                                      unique=True)))
+    x0, xm, x1, y0, ym, y1 = (k / 2.0 for k in (x0, xm, x1, y0, ym, y1))
+    if draw(st.booleans()):
+        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    return np.array([[x0, y0], [x1, y0], [x1, ym], [xm, ym], [xm, y1], [x0, y1]])
+
+
+@st.composite
+def _scene_and_segment(draw):
+    buildings = [Building(fp, draw(st.integers(1, 16)) / 2.0)
+                 for fp in draw(st.lists(_footprints(), max_size=4))]
+    a = np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+    b = np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+    kind = draw(st.sampled_from(["free", "vertical", "horizontal", "axis"]))
+    if kind == "vertical":
+        b[:2] = a[:2]
+    elif kind == "horizontal":
+        b[2] = a[2]
+    elif kind == "axis":
+        keep = draw(st.integers(0, 2))
+        b = np.where(np.arange(3) == keep, b, a)
+    return simple_scene(buildings), a, b
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scene_and_segment())
+def test_culled_line_of_sight_matches_every_prism(case):
+    scn, a, b = case
+    assume(np.linalg.norm(b - a) >= 1e-9)
+    expected = not any(_segment_hits_prism(a, b, blg) for blg in scn.buildings)
+    assert line_of_sight(scn, a, b) == expected
+
+
+def _tested_prisms(monkeypatch, scn, a, b):
+    "Indices of the buildings line_of_sight hands to the exact prism test."
+    tested = []
+
+    def counting(a, b, building):
+        tested.append(next(i for i, blg in enumerate(scn.buildings) if blg is building))
+        return _segment_hits_prism(a, b, building)
+
+    monkeypatch.setattr(scene_mod, "_segment_hits_prism", counting)
+    return line_of_sight(scn, a, b), tested
+
+
+def test_line_of_sight_tests_only_prisms_whose_box_it_enters(ctx_full, monkeypatch):
+    scn = ctx_full.scene
+    for uav in ctx_full.uav_grid.centers:
+        clear, tested = _tested_prisms(monkeypatch, scn, scn.bs_position, uav)
+        assert clear and tested == []
+    # building 0 spans x 30-80, y 60-70, 16 m high; cross it along y at 8 m
+    clear, tested = _tested_prisms(monkeypatch, scn, [55.0, 55.0, 8.0], [55.0, 75.0, 8.0])
+    assert not clear and tested == [0]
 
 
 def test_build_grids_counts_and_centers():
