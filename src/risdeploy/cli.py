@@ -7,6 +7,7 @@ timestamps confined to run.log.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import evaluation, optimizer, radar, scene as scene_mod
 from .channel import LinkBudget
-from .errors import (InfeasibleCoverageError, InfeasiblePowerError,
+from .errors import (InfeasibleCoverageError, InfeasiblePowerError, InvalidInputError,
                      RisDeployError, SceneFormatError)
 from .propagation import PropagationConfig
 from .sensing import OfdmParams, OfdmWaveform
@@ -96,6 +97,14 @@ def load_config(path) -> dict:
         raise SceneFormatError("scene", "missing required field")
     if cfg["mode"] not in MODES:
         raise SceneFormatError("mode", f"must be one of {MODES}")
+    seed = cfg["seed"]  # numpy's generators take non-negative integers only
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SceneFormatError("seed", f"must be a non-negative integer, got {seed!r}")
+    beta_grid = cfg["beta_grid"]  # JSON numbers inside (0, 1) are floats
+    if (not isinstance(beta_grid, list) or not beta_grid
+            or not all(isinstance(b, float) and 0.0 < b < 1.0 for b in beta_grid)):
+        raise SceneFormatError("beta_grid",
+                               f"must be a non-empty list of values in (0, 1), got {beta_grid!r}")
     scene_path = Path(cfg["scene"])
     if not scene_path.is_absolute():
         cfg["scene"] = str((Path(path).parent / scene_path).resolve())
@@ -104,7 +113,10 @@ def load_config(path) -> dict:
 
 def build_context(cfg: dict, mode: str | None = None) -> optimizer.OptimizerContext:
     """Scene preprocessing: grids, coverage universe, greedy region selection,
-    and the immutable optimizer context."""
+    the probing waveform and its moments, and the immutable optimizer context.
+
+    Nothing here depends on the mode except the context's `mode` field, so one
+    context serves every mode through `dataclasses.replace`."""
     mode = mode or cfg["mode"]
     scn = scene_mod.load_scene(cfg["scene"])
     ofdm = OfdmParams(cfg["carrier_hz"], cfg["bandwidth_hz"],
@@ -128,10 +140,11 @@ def build_context(cfg: dict, mode: str | None = None) -> optimizer.OptimizerCont
         region.ris_index = i
     thresholds = optimizer.QosThresholds(link.snr_threshold_linear,
                                          cfg["range_crb_max"], cfg["velocity_crb_max"])
-    moments = OfdmWaveform(ofdm, seed=int(cfg["seed"])).moments()
+    waveform = OfdmWaveform(ofdm, seed=int(cfg["seed"]))
     return optimizer.OptimizerContext(
         scene=scn, regions=regions, ue_grid=ue_grid, uav_grid=uav_grid, link=link,
-        prop=prop, thresholds=thresholds, ofdm=ofdm, moments=moments,
+        prop=prop, thresholds=thresholds, ofdm=ofdm, waveform=waveform,
+        moments=waveform.moments(),
         bs_array_size=int(np.prod(cfg["bs_array"])), bs_gain_dbi=cfg["bs_gain_dbi"],
         efficiency=cfg["efficiency"], bits=int(cfg["bits"]),
         ref_cells_per_side=int(cfg["ref_cells_per_side"]), rcs=cfg["rcs"], mode=mode,
@@ -206,16 +219,17 @@ def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
     mid = len(rv.velocity_axis) // 2
     lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
+    velocities = [repr(v) for v in rv.velocity_axis[lo:hi].tolist()]
+    lines = []
+    for r, powers in zip(rv.range_axis[:keep_r].tolist(), rv.power_db[:keep_r, lo:hi].tolist()):
+        # the rows csv.writer would write: repr of each float, \r\n terminated
+        lines.extend(f"{r!r},{v},{p!r}\r\n" for v, p in zip(velocities, powers))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["# range_resolution_m", rv.resolution[0]])
         writer.writerow(["# velocity_resolution_mps", rv.resolution[1]])
         writer.writerow(["range_m", "velocity_mps", "power_db"])
-        for i in range(keep_r):
-            for j in range(lo, hi):
-                writer.writerow([repr(float(rv.range_axis[i])),
-                                 repr(float(rv.velocity_axis[j])),
-                                 repr(float(rv.power_db[i, j]))])
+        fh.write("".join(lines))
 
 
 def radar_stage(ctx, result, cfg, out_dir: Path, log):
@@ -223,11 +237,11 @@ def radar_stage(ctx, result, cfg, out_dir: Path, log):
     uav = np.asarray(ctx.uav_grid.centers[0], dtype=float)
     vel = np.asarray(cfg["uav_velocity"], dtype=float)
     paths = evaluation.demo_sensing_paths(ctx, result, uav, vel)
-    waveform = OfdmWaveform(ctx.ofdm, seed=int(cfg["seed"]))
     noise = ctx.link.noise_psd_w_hz if cfg["radar_noise"] else 0.0
-    received = radar.synthesize_returns(waveform, paths, noise_psd=noise,
+    received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
                                         seed=int(cfg["seed"]) + 1)
-    rv = radar.range_velocity_map(received, waveform.grid, ctx.ofdm)
+    rv = radar.range_velocity_map(received, ctx.waveform.grid, ctx.ofdm)
+    del received  # one frame less alive while the CFAR works
     expected_ranges = [p.range for p in paths]
     report = radar.detect_paths(rv, expected=len(paths),
                                 threshold_db=cfg["detection_threshold_db"])
@@ -269,17 +283,21 @@ def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     log.addHandler(handler)
     log.setLevel(logging.INFO)
+    ctx = None
     try:
         t0 = time.time()
-        ctx = build_context(cfg, mode)
+        with _stage(log, "context"):
+            ctx = build_context(cfg, mode)
         log.info("scene: %d buildings, %d UE cells (%d uncovered universe), "
                  "%d UAV cells, %d RIS regions", len(ctx.scene.buildings),
                  len(ctx.ue_grid), len(set().union(*(r.covered_cells for r in ctx.regions))),
                  len(ctx.uav_grid), len(ctx.regions))
-        result = optimize(ctx, cfg)
+        with _stage(log, "optimize"):
+            result = optimize(ctx, cfg)
         log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
                  ctx.mode, result.objective, result.converged, result.iterations)
-        report = evaluation.closure_report(ctx, result)
+        with _stage(log, "closure"):
+            report = evaluation.closure_report(ctx, result)
         log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
                  report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
         if ctx.mode != "comm-only":
@@ -290,22 +308,36 @@ def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
         write_convergence_csv(out_dir / "convergence.csv", result.trace)
         write_snr_maps(out_dir, ctx, report)
         if ctx.mode != "comm-only":
-            radar_stage(ctx, result, cfg, out_dir, log)
+            with _stage(log, "radar"):
+                radar_stage(ctx, result, cfg, out_dir, log)
         log.info("done in %.1f s", time.time() - t0)
         return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     except RisDeployError as exc:
-        return _fail(out_dir, log, exc)
+        return _fail(out_dir, log, exc, ctx is None)
     finally:
         log.removeHandler(handler)
         handler.close()
 
 
-def _fail(out_dir: Path, log, exc: RisDeployError) -> int:
+@contextlib.contextmanager
+def _stage(log, name: str):
+    "Log the wall time of one pipeline stage to run.log."
+    t0 = time.perf_counter()
+    yield
+    log.info("stage %s: %.3f s", name, time.perf_counter() - t0)
+
+
+def _bad_input(exc: RisDeployError, in_build: bool) -> bool:
+    "Bad config or scene: a format error, or a value that building the context rejects."
+    return isinstance(exc, SceneFormatError) or (in_build and isinstance(exc, InvalidInputError))
+
+
+def _fail(out_dir: Path, log, exc: RisDeployError, in_build: bool) -> int:
     kind = type(exc).__name__
     log.error("%s: %s", kind, exc)
     with open(out_dir / "error.json", "w") as fh:
         json.dump({"error": kind, "message": str(exc)}, fh, indent=2)
-    if isinstance(exc, (SceneFormatError,)):
+    if _bad_input(exc, in_build):
         return EXIT_BAD_INPUT
     if isinstance(exc, (InfeasibleCoverageError, InfeasiblePowerError)):
         return EXIT_INFEASIBLE
@@ -320,9 +352,13 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
         return EXIT_BAD_INPUT
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(mode):
+    def failed(mode, exc):
+        return {"mode": mode, "status": "failed",
+                "error": type(exc).__name__, "message": str(exc)}
+
+    def one(ctx):
+        mode = ctx.mode
         try:
-            ctx = build_context(cfg, mode)
             result = optimize(ctx, cfg)
             report = evaluation.closure_report(ctx, result)
             total = sum(len(r.covered_cells) for r in ctx.regions)
@@ -340,10 +376,16 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
                 "objective": result.objective,
             }
         except RisDeployError as exc:
-            return {"mode": mode, "status": "failed",
-                    "error": type(exc).__name__, "message": str(exc)}
+            return failed(mode, exc)
 
-    rows = [one(m) for m in modes]
+    try:
+        base = build_context(cfg)
+    except RisDeployError as exc:
+        rows = [failed(m, exc) for m in modes]
+        code = EXIT_BAD_INPUT if _bad_input(exc, True) else EXIT_ERROR
+    else:
+        rows = [one(dataclasses.replace(base, mode=m)) for m in modes]
+        code = EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
     with open(out_dir / "comparison.json", "w") as fh:
         json.dump(rows, fh, indent=2)
     cols = ["mode", "status", "sizes_m", "total_area_m2", "coverage_pct",
@@ -353,7 +395,7 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
         writer.writerow(cols)
         for row in rows:
             writer.writerow([row.get(c, "") for c in cols])
-    return EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
+    return code
 
 
 def validate_scene(path) -> int:
@@ -368,6 +410,14 @@ def validate_scene(path) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    "argparse type of --seed; a rejected value exits 2 with a usage message."
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="risdeploy",
                                      description="RIS deployment planner for "
@@ -377,12 +427,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--mode", choices=MODES)
-    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--seed", type=_non_negative_int)
     p_cmp = sub.add_parser("compare", help="run several modes, emit a table")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--modes", nargs="+", required=True, choices=MODES)
-    p_cmp.add_argument("--seed", type=int)
+    p_cmp.add_argument("--seed", type=_non_negative_int)
     p_val = sub.add_parser("validate-scene", help="check a scene JSON file")
     p_val.add_argument("scene")
     args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError,
                      UnobservablePathError, UnreachableTargetsError)
 from .propagation import PropagationConfig, dominant_path_between, fspl_amplitude
 from .ris_bf import quantization_efficiency
-from .sensing import CrbPair, OfdmParams, SensingPath, WaveformMoments, fim
+from .sensing import CrbPair, OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim
 from .units import SPEED_OF_LIGHT, db2lin
 
 
@@ -200,7 +200,8 @@ class OptimizerContext:
     prop: PropagationConfig
     thresholds: QosThresholds
     ofdm: OfdmParams
-    moments: WaveformMoments
+    waveform: OfdmWaveform  # the probing frame of the run, seeded by `seed`
+    moments: WaveformMoments  # of `waveform` at zero delay
     bs_array_size: int
     bs_gain_dbi: float
     efficiency: float

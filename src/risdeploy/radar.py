@@ -15,6 +15,10 @@ from .errors import EstimationFailureError, InvalidInputError, UnsupportedDelayE
 from .sensing import OfdmParams, OfdmWaveform
 from .units import db2lin, lin2db
 
+# Block sizes of the frame passes; each block temporary holds a few MB, not a frame.
+ROW_BLOCK = 256  # subcarrier rows per block: echo synthesis, noise, Doppler FFT
+COLUMN_BLOCK = 256  # symbol columns per block: equalisation and range IFFT
+
 
 @dataclass(frozen=True)
 class RangeVelocityMap:
@@ -55,16 +59,23 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
                 f"path delay {path.delay:.3e} s outside [0, T_sym={tsym:.3e})")
     nc, nm = params.subcarriers, params.symbols
     m_idx = np.arange(nm)
+    phases = [(path.coeff, np.exp(-1j * 2.0 * np.pi * waveform.freqs * path.delay),
+               np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)) for path in paths]
     y = np.zeros((nc, nm), dtype=complex)
-    for path in paths:
-        delay_phase = np.exp(-1j * 2.0 * np.pi * waveform.freqs * path.delay)
-        doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
-        y += path.coeff * np.outer(delay_phase, doppler_phase)
-    y *= waveform.grid
+    for r0 in range(0, nc, ROW_BLOCK):
+        rows = y[r0:r0 + ROW_BLOCK]
+        for coeff, delay_phase, doppler_phase in phases:
+            rows += coeff * np.outer(delay_phase[r0:r0 + ROW_BLOCK], doppler_phase)
+        rows *= waveform.grid[r0:r0 + ROW_BLOCK]
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
-        y += sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        # every real part first, then every imaginary part: the same generator
+        # stream as one whole-frame draw for each
+        for part in (y.real, y.imag):
+            for r0 in range(0, nc, ROW_BLOCK):
+                block = part[r0:r0 + ROW_BLOCK]
+                block += sigma * rng.standard_normal(block.shape)
     return y
 
 
@@ -78,11 +89,15 @@ def range_velocity_map(received: np.ndarray, transmitted: np.ndarray,
         raise InvalidInputError(f"frames must have shape ({nc}, {nm})")
     if np.any(np.abs(transmitted) < 1e-15):
         raise InvalidInputError("transmitted grid contains zero symbols")
-    g = received / transmitted
-    profile = np.fft.ifft(g, axis=0)  # delay peaks at bin tau * B
-    rv = np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
-    power = np.abs(rv) ** 2
-    power_db = lin2db(np.maximum(power, 1e-300))
+    profile = np.empty((nc, nm), dtype=complex)  # delay peaks at bin tau * B
+    for c0 in range(0, nm, COLUMN_BLOCK):
+        cols = slice(c0, c0 + COLUMN_BLOCK)
+        profile[:, cols] = np.fft.ifft(received[:, cols] / transmitted[:, cols], axis=0)
+    power_db = np.empty((nc, nm))
+    for r0 in range(0, nc, ROW_BLOCK):
+        rows = slice(r0, r0 + ROW_BLOCK)
+        rv = np.fft.fftshift(np.fft.fft(profile[rows], axis=1), axes=1)
+        power_db[rows] = lin2db(np.maximum(np.abs(rv) ** 2, 1e-300))
     range_axis = np.arange(nc) * ofdm.range_resolution
     velocity_axis = (np.arange(nm) - nm // 2) * ofdm.velocity_resolution
     return RangeVelocityMap(power_db=power_db, range_axis=range_axis,
@@ -104,12 +119,18 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     power = db2lin(rv.power_db)
     outer = 2 * (guard + training) + 1
     inner = 2 * guard + 1
-    sum_outer = ndimage.uniform_filter(power, size=outer, mode="wrap") * outer**2
-    sum_inner = ndimage.uniform_filter(power, size=inner, mode="wrap") * inner**2
-    noise = (sum_outer - sum_inner) / (outer**2 - inner**2)
-    hits = power > db2lin(threshold_db) * np.maximum(noise, 0.0)
-    local_max = power >= ndimage.maximum_filter(power, size=3, mode="wrap")
-    peaks = np.argwhere(hits & local_max)
+    noise = ndimage.uniform_filter(power, size=outer, mode="wrap")
+    noise *= outer**2
+    inner_sum = ndimage.uniform_filter(power, size=inner, mode="wrap")
+    inner_sum *= inner**2
+    noise -= inner_sum
+    noise /= outer**2 - inner**2
+    np.maximum(noise, 0.0, out=noise)
+    noise *= db2lin(threshold_db)
+    hits = power > noise
+    local_max = ndimage.maximum_filter(power, size=3, mode="wrap", output=inner_sum)
+    hits &= power >= local_max
+    peaks = np.argwhere(hits)
     detections = [
         PathDetection(range_est=float(rv.range_axis[i]),
                       velocity_est=float(rv.velocity_axis[j]),

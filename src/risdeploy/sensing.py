@@ -12,6 +12,11 @@ import numpy as np
 from .errors import InvalidInputError, UnobservablePathError
 from .units import SPEED_OF_LIGHT, wavelength
 
+MOMENT_BLOCK = 64  # symbols per batched IFFT in OfdmWaveform.moments
+
+# exp(j(pi/4 + k pi/2)) for the QPSK symbol index k = 0..3
+_QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
+
 
 @dataclass(frozen=True)
 class OfdmParams:
@@ -58,8 +63,7 @@ class WaveformMoments:
 def qpsk_symbols(subcarriers: int, symbols: int, seed: int) -> np.ndarray:
     "Seeded unit-modulus QPSK grid of shape (subcarriers, symbols)."
     rng = np.random.default_rng(seed)
-    quad = rng.integers(0, 4, size=(subcarriers, symbols))
-    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
+    return _QPSK[rng.integers(0, 4, size=(subcarriers, symbols))]
 
 
 class OfdmWaveform:
@@ -77,13 +81,14 @@ class OfdmWaveform:
         self.freqs = (np.arange(nc) - nc // 2) * params.bandwidth_hz / nc
         self._scale = 1.0 / np.sqrt(nc)
 
-    def _symbol_samples(self, m: int):
-        "Samples of s and s_dot over symbol m on the 1/B grid."
+    def _symbol_samples(self, m0: int, m1: int):
+        "Samples of s and s_dot over symbols m0..m1-1 on the 1/B grid, one row per symbol."
         nc = self.params.subcarriers
-        spec = np.roll(self.grid[:, m], -(nc // 2))
-        spec_dot = np.roll(1j * 2.0 * np.pi * self.freqs * self.grid[:, m], -(nc // 2))
-        s = np.fft.ifft(spec) * nc * self._scale
-        s_dot = np.fft.ifft(spec_dot) * nc * self._scale
+        sym = self.grid[:, m0:m1].T
+        spec = np.roll(sym, -(nc // 2), axis=1)
+        spec_dot = np.roll(1j * 2.0 * np.pi * self.freqs * sym, -(nc // 2), axis=1)
+        s = np.fft.ifft(spec, axis=1) * nc * self._scale
+        s_dot = np.fft.ifft(spec_dot, axis=1) * nc * self._scale
         return s, s_dot
 
     def sample(self, t, tau: float = 0.0):
@@ -116,23 +121,29 @@ class OfdmWaveform:
         if abs(tau * bw - shift) > 1e-6:
             raise InvalidInputError("tau must be a multiple of the 1/B sample spacing")
         nc, nm = self.params.subcarriers, self.params.symbols
-        total = nc * nm
         dt = 1.0 / bw
         i1 = 0.0
         i2 = 0.0 + 0.0j
         i3 = 0.0
-        limit = total - shift  # samples of s that fit the frame after the delay
-        for m in range(nm):
-            base = m * nc
-            if base >= limit:
-                break
-            s, s_dot = self._symbol_samples(m)
-            n_keep = min(nc, limit - base)
-            s, s_dot = s[:n_keep], s_dot[:n_keep]
-            t = (base + shift + np.arange(n_keep)) * dt
-            i1 += float(np.sum(np.abs(s_dot) ** 2)) * dt
-            i2 += complex(np.sum(t * s_dot * np.conj(s))) * dt
-            i3 += float(np.sum(t**2 * np.abs(s) ** 2)) * dt
+        limit = nc * nm - shift  # samples of s that fit the frame after the delay
+        # (first symbol, end symbol, samples kept per symbol); only the last
+        # symbol can be cut by the delay, and it is summed over its kept samples
+        n_full = min(nm, max(limit, 0) // nc)
+        spans = [(m0, min(m0 + MOMENT_BLOCK, n_full), nc)
+                 for m0 in range(0, n_full, MOMENT_BLOCK)]
+        if n_full < nm and limit > n_full * nc:
+            spans.append((n_full, n_full + 1, limit - n_full * nc))
+        for m0, m1, n_keep in spans:
+            s, s_dot = self._symbol_samples(m0, m1)
+            s, s_dot = s[:, :n_keep], s_dot[:, :n_keep]
+            t = (np.arange(m0, m1)[:, None] * nc + shift + np.arange(n_keep)) * dt
+            # one 1-D sum per symbol, accumulated in symbol order (a sum over
+            # axis 1 of the block adds in another order)
+            for e1, e2, e3 in zip(np.abs(s_dot) ** 2, t * s_dot * np.conj(s),
+                                  t**2 * np.abs(s) ** 2):
+                i1 += float(np.sum(e1)) * dt
+                i2 += complex(np.sum(e2)) * dt
+                i3 += float(np.sum(e3)) * dt
         return WaveformMoments(deriv_energy=i1, time_cross=i2, time_energy=i3)
 
 

@@ -7,13 +7,15 @@ grid the analytic code integrates over. Delay perturbations are applied per
 symbol as an exact subcarrier phase ramp, which is the delayed version of the
 same piecewise trigonometric-polynomial signal whose derivative the analytic
 moments use. The orientation-score reference lays the cosines out one row
-per axis, the transpose of the optimizer's layout.
+per axis, the transpose of the optimizer's layout. The waveform and radar
+references keep the whole-frame, one-symbol-at-a-time arithmetic that the
+blocked code in `sensing` and `radar` must reproduce bit for bit.
 """
 
 import numpy as np
 
 from risdeploy.channel import PANEL_FOV_RAD
-from risdeploy.units import SPEED_OF_LIGHT
+from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
 
 
 def _delayed_symbol(wave, m, offset):
@@ -82,3 +84,103 @@ def orientation_score_rows(axes, u_bs, u_ue, u_uav):
     if u_uav is not None:
         score *= np.min(cos[:, n_ue + 1:], axis=1)
     return score
+
+
+def same_bits(a, b) -> bool:
+    "Equal shapes and bit-for-bit equal float64/complex128 values."
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def qpsk_symbols_exp(subcarriers, symbols, seed):
+    "Seeded QPSK grid of shape (subcarriers, symbols), one exp per symbol."
+    quad = np.random.default_rng(seed).integers(0, 4, size=(subcarriers, symbols))
+    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
+
+
+def moments_per_symbol(wave, tau=0.0):
+    """(deriv_energy, time_cross, time_energy) of s(t - tau), one IFFT pair per symbol.
+
+    The per-symbol sums are accumulated in symbol order.
+    """
+    p = wave.params
+    nc, nm = p.subcarriers, p.symbols
+    dt = 1.0 / p.bandwidth_hz
+    shift = int(round(tau * p.bandwidth_hz))
+    i1, i2, i3 = 0.0, 0.0 + 0.0j, 0.0
+    limit = nc * nm - shift
+    for m in range(nm):
+        base = m * nc
+        if base >= limit:
+            break
+        spec = np.roll(wave.grid[:, m], -(nc // 2))
+        spec_dot = np.roll(1j * 2.0 * np.pi * wave.freqs * wave.grid[:, m], -(nc // 2))
+        n_keep = min(nc, limit - base)
+        s = (np.fft.ifft(spec) * nc * wave._scale)[:n_keep]
+        s_dot = (np.fft.ifft(spec_dot) * nc * wave._scale)[:n_keep]
+        t = (base + shift + np.arange(n_keep)) * dt
+        i1 += float(np.sum(np.abs(s_dot) ** 2)) * dt
+        i2 += complex(np.sum(t * s_dot * np.conj(s))) * dt
+        i3 += float(np.sum(t**2 * np.abs(s) ** 2)) * dt
+    return i1, i2, i3
+
+
+def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1):
+    "Received frame (Nc, M) built from whole-frame outer products and one noise draw."
+    p = wave.params
+    tsym = p.symbol_duration
+    m_idx = np.arange(p.symbols)
+    y = np.zeros((p.subcarriers, p.symbols), dtype=complex)
+    for path in paths:
+        delay_phase = np.exp(-1j * 2.0 * np.pi * wave.freqs * path.delay)
+        doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
+        y += path.coeff * np.outer(delay_phase, doppler_phase)
+    y *= wave.grid
+    if noise_psd > 0.0:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(noise_psd * p.bandwidth_hz / 2.0)
+        y += sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    return y
+
+
+def range_velocity_power_db(received, transmitted):
+    "Range-velocity power map in dB from whole-frame equalisation and FFTs."
+    profile = np.fft.ifft(received / transmitted, axis=0)
+    rv = np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
+    return lin2db(np.maximum(np.abs(rv) ** 2, 1e-300))
+
+
+def cfar_peaks(power_db, threshold_db, guard=2, training=8):
+    "(row, column) of the CA-CFAR hits that are 3x3 local maxima, from whole-map temporaries."
+    from scipy import ndimage
+
+    power = db2lin(power_db)
+    outer = 2 * (guard + training) + 1
+    inner = 2 * guard + 1
+    sum_outer = ndimage.uniform_filter(power, size=outer, mode="wrap") * outer**2
+    sum_inner = ndimage.uniform_filter(power, size=inner, mode="wrap") * inner**2
+    noise = (sum_outer - sum_inner) / (outer**2 - inner**2)
+    hits = power > db2lin(threshold_db) * np.maximum(noise, 0.0)
+    local_max = power >= ndimage.maximum_filter(power, size=3, mode="wrap")
+    return np.argwhere(hits & local_max)
+
+
+def rv_map_csv_text(rv, max_range, vel_window=32):
+    "Text of the cropped range-velocity map CSV, one csv.writer row per cell."
+    import csv
+    import io
+
+    keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
+    mid = len(rv.velocity_axis) // 2
+    lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["# range_resolution_m", rv.resolution[0]])
+    writer.writerow(["# velocity_resolution_mps", rv.resolution[1]])
+    writer.writerow(["range_m", "velocity_mps", "power_db"])
+    for i in range(keep_r):
+        for j in range(lo, hi):
+            writer.writerow([repr(float(rv.range_axis[i])), repr(float(rv.velocity_axis[j])),
+                             repr(float(rv.power_db[i, j]))])
+    return buf.getvalue()

@@ -4,11 +4,12 @@ The full-ISAC Nelder-Mead run is expensive (seconds), so it is computed once
 per session and shared by the optimizer, evaluation and acceptance tests.
 """
 
+from collections import Counter
 from importlib import resources
 
 import pytest
 
-from risdeploy import cli
+from risdeploy import cli, sensing
 
 VERDICTS = []
 
@@ -44,22 +45,51 @@ def nm_result(ctx_full, demo_cfg):
     return cli.optimize(ctx_full, demo_cfg)
 
 
+def _counted(command, *args):
+    "Run a cli command; return its exit code and its calls to build_context and qpsk_symbols."
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((cli, "build_context"), (sensing, "qpsk_symbols")):
+            mp.setattr(module, name, counting(name, getattr(module, name)))
+        code = command(*args)
+    return code, calls
+
+
 @pytest.fixture(scope="session")
-def run_dir(demo_cfg, tmp_path_factory):
-    "Artifacts of one full-isac pipeline run."
+def pipeline_run(demo_cfg, tmp_path_factory):
+    "Artifact directory of one full-isac pipeline run, and the run's call counts."
     out = tmp_path_factory.mktemp("run")
-    code = cli.run_pipeline(dict(demo_cfg), out, mode="full-isac")
+    code, calls = _counted(cli.run_pipeline, dict(demo_cfg), out, "full-isac")
     assert code == cli.EXIT_OK
-    return out
+    return out, calls
 
 
 @pytest.fixture(scope="session")
-def compare_rows(demo_cfg, tmp_path_factory):
-    "Comparison table across all four modes (one optimization per mode)."
+def run_dir(pipeline_run):
+    "Artifacts of one full-isac pipeline run."
+    return pipeline_run[0]
+
+
+@pytest.fixture(scope="session")
+def compare_run(demo_cfg, tmp_path_factory):
+    "Comparison table across all four modes (one optimization per mode), and call counts."
     import json
 
     out = tmp_path_factory.mktemp("compare")
-    code = cli.compare_modes(dict(demo_cfg), list(cli.MODES), out)
+    code, calls = _counted(cli.compare_modes, dict(demo_cfg), list(cli.MODES), out)
     assert code == cli.EXIT_OK
     with open(out / "comparison.json") as fh:
-        return json.load(fh)
+        return json.load(fh), calls
+
+
+@pytest.fixture(scope="session")
+def compare_rows(compare_run):
+    "Comparison table across all four modes."
+    return compare_run[0]

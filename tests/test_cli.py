@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -130,6 +132,82 @@ def test_compare_modes_artifacts(compare_rows):
     _validate(compare_rows, "comparison")
     comm = next(r for r in compare_rows if r["mode"] == "comm-only")
     assert comm["sensing"] == "not available"
+
+
+def test_compare_builds_one_context_and_one_frame(compare_run):
+    _, calls = compare_run
+    assert calls == {"build_context": 1, "qpsk_symbols": 1}
+
+
+def test_run_draws_one_frame(pipeline_run):
+    # the radar stage reuses the context's frame
+    _, calls = pipeline_run
+    assert calls == {"build_context": 1, "qpsk_symbols": 1}
+
+
+def test_run_log_has_stage_timings(run_dir):
+    log = (run_dir / "run.log").read_text()
+    for stage in ("context", "optimize", "closure", "radar"):
+        assert re.search(rf"INFO stage {stage}: \d+\.\d{{3}} s$", log, re.MULTILINE), stage
+
+
+def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
+    # tracing starts before build_context, so the context's probing frame counts
+    frame_bytes = 16 * demo_cfg["subcarriers"] * demo_cfg["symbols"]  # one complex frame
+    peaks = []
+    radar_stage = cli.radar_stage
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        radar_stage(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(cli, "radar_stage", traced)
+    tracemalloc.start()
+    try:  # one iteration: the radar stage is the same at any plan
+        code = cli.run_pipeline(dict(demo_cfg, max_iterations=1), tmp_path, mode="full-isac")
+    finally:
+        tracemalloc.stop()
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+    assert len(peaks) == 1
+    assert peaks[0] <= 4.5 * frame_bytes, peaks[0] / frame_bytes
+
+
+@pytest.mark.parametrize("name, value", [("SEED", '"x"'), ("SEED", "true"), ("SEED", "-1"),
+                                         ("BETA_GRID", "[]"), ("BETA_GRID", "0.5"),
+                                         ("BETA_GRID", "[0.5, 1.0]")])
+def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("RISDEPLOY_" + name, value)
+    code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path)])
+    assert code == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "SceneFormatError"
+    assert err["message"].startswith(name.lower() + ":")
+
+
+@pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0")])
+def test_value_the_context_rejects_is_bad_input(name, value, monkeypatch, tmp_path):
+    monkeypatch.setenv("RISDEPLOY_" + name, value)
+    code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_BAD_INPUT
+    with open(tmp_path / "run" / "error.json") as fh:
+        assert json.load(fh)["error"] == "InvalidInputError"
+    code = cli.main(["compare", "--config", demo_config_path(), "--out", str(tmp_path / "cmp"),
+                     "--modes", *cli.MODES])
+    assert code == cli.EXIT_BAD_INPUT
+    with open(tmp_path / "cmp" / "comparison.json") as fh:
+        rows = json.load(fh)
+    assert [r["mode"] for r in rows] == list(cli.MODES)
+    assert {(r["status"], r["error"]) for r in rows} == {("failed", "InvalidInputError")}
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--modes", *cli.MODES]])
+def test_negative_seed_flag_is_bad_input(command, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--config", demo_config_path(), "--out", str(tmp_path),
+                  "--seed", "-1"])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_compare_needs_two_modes(demo_cfg, tmp_path, capsys):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from risdeploy import radar
 from risdeploy.errors import (EstimationFailureError, InvalidInputError,
                               UnsupportedDelayError)
 from risdeploy.radar import (associate_paths, detect_paths, ls_position,
                              range_velocity_map, synthesize_returns)
 from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath
 from risdeploy.units import SPEED_OF_LIGHT
+
+from _oracles import (cfar_peaks, range_velocity_power_db, rv_map_csv_text, same_bits,
+                      synthesize_returns_full)
 
 PARAMS = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=256, symbols=64)
 
@@ -109,6 +113,56 @@ def test_associate_paths():
     tagged = associate_paths(dets, [20 * rv.resolution[0], 60 * rv.resolution[0]])
     by_range = sorted(tagged, key=lambda d: d.range_est)
     assert [d.path_index_hypothesis for d in by_range] == [0, 1]
+
+
+# a frame that is no multiple of the default or the small block sizes
+ODD = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=100, symbols=37)
+
+
+def _odd_paths():
+    "Three paths inside the 100-sample symbol: on and off the bin grid."
+    return [SensingPath(i, delay, doppler, coeff, ODD.carrier_hz) for i, (delay, doppler, coeff)
+            in enumerate([(12e-9, 1.1e4, 2e-6 * np.exp(0.4j)), (40.5e-9, -3.3e4, 1e-6 + 5e-7j),
+                          (77e-9, 0.0, -8e-7j)])]
+
+
+@pytest.mark.parametrize("rows, cols", [(radar.ROW_BLOCK, radar.COLUMN_BLOCK), (16, 8)])
+def test_blocked_frame_passes_match_whole_frame_reference(rows, cols, monkeypatch):
+    monkeypatch.setattr(radar, "ROW_BLOCK", rows)
+    monkeypatch.setattr(radar, "COLUMN_BLOCK", cols)
+    wave = OfdmWaveform(ODD, seed=4)
+    for noise in (0.0, 1e-19):
+        y = synthesize_returns(wave, _odd_paths(), noise_psd=noise, seed=9)
+        assert same_bits(y, synthesize_returns_full(wave, _odd_paths(), noise_psd=noise,
+                                                    seed=9))
+        rv = range_velocity_map(y, wave.grid, ODD)
+        assert same_bits(rv.power_db, range_velocity_power_db(y, wave.grid))
+
+
+def test_cfar_matches_whole_map_reference():
+    wave = OfdmWaveform(ODD, seed=4)
+    y = synthesize_returns(wave, _odd_paths(), noise_psd=1e-19, seed=9)
+    rv = range_velocity_map(y, wave.grid, ODD)
+    for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
+        peaks = cfar_peaks(rv.power_db, threshold_db)
+        report = detect_paths(rv, expected=len(peaks) + 1, threshold_db=threshold_db)
+        got = sorted((d.range_est, d.velocity_est, d.power_db) for d in report.detections)
+        assert got == sorted((rv.range_axis[i], rv.velocity_axis[j], rv.power_db[i, j])
+                             for i, j in peaks)
+    assert len(peaks) > len(_odd_paths())
+
+
+def test_rv_map_csv_matches_csv_writer(tmp_path):
+    from risdeploy.cli import write_rv_map_csv
+
+    wave = OfdmWaveform(ODD, seed=4)
+    y = synthesize_returns(wave, _odd_paths(), noise_psd=1e-19, seed=9)
+    rv = range_velocity_map(y, wave.grid, ODD)
+    rv.power_db[0, 18] = -np.inf  # an empty cell prints as -inf
+    for max_range, window in ((5.0, 32), (1e3, 4)):
+        write_rv_map_csv(tmp_path / "rv.csv", rv, max_range, window)
+        with open(tmp_path / "rv.csv", newline="") as fh:
+            assert fh.read() == rv_map_csv_text(rv, max_range, window)
 
 
 def _geometry():

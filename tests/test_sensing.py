@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from risdeploy import sensing
 from risdeploy.errors import InvalidInputError, UnobservablePathError
 from risdeploy.optimizer import orientation_search, reference_sensing_crbs
 from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath,
                                fim, qpsk_symbols)
 from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
-from _oracles import fd_fim
+from _oracles import fd_fim, moments_per_symbol, qpsk_symbols_exp, same_bits
 
 SMALL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=64, symbols=16)
 
@@ -34,12 +35,17 @@ def test_qpsk_grid_properties():
     assert not np.array_equal(g, qpsk_symbols(32, 8, seed=4))
 
 
+def test_qpsk_symbols_match_exp_formula():
+    for nc, m, seed in ((100, 37, 0), (2560, 64, 1)):
+        assert same_bits(qpsk_symbols(nc, m, seed), qpsk_symbols_exp(nc, m, seed))
+
+
 def test_waveform_sample_matches_symbol_samples():
     wave = OfdmWaveform(SMALL, seed=1)
     dt = 1.0 / SMALL.bandwidth_hz
     t = np.arange(SMALL.subcarriers) * dt  # symbol 0 grid
     s_direct, sdot_direct = wave.sample(t)
-    s_fft, sdot_fft = wave._symbol_samples(0)
+    s_fft, sdot_fft = (a[0] for a in wave._symbol_samples(0, 1))
     np.testing.assert_allclose(s_direct, s_fft, atol=1e-10)
     np.testing.assert_allclose(sdot_direct, sdot_fft, atol=1e-2 * np.max(np.abs(sdot_fft)) * 1e-8)
     # unit average power over the frame
@@ -64,6 +70,21 @@ def test_moments_match_direct_riemann_sum():
     np.testing.assert_allclose(mom.time_energy, np.sum(t**2 * np.abs(s) ** 2) * dt, rtol=1e-9)
     with pytest.raises(InvalidInputError):
         wave.moments(0.3 * dt)
+
+
+@pytest.mark.parametrize("block", [sensing.MOMENT_BLOCK, 8])
+@pytest.mark.parametrize("nc, m, shift", [(100, 37, 0), (100, 37, 5 * 100 + 37),
+                                          (64, 150, 0), (64, 150, 20 * 64 + 5)])
+def test_moments_match_per_symbol_reference(block, nc, m, shift, monkeypatch):
+    # the shifted cases cut the frame inside a block of symbols
+    monkeypatch.setattr(sensing, "MOMENT_BLOCK", block)
+    params = OfdmParams(28e9, 1e9, nc, m)
+    wave = OfdmWaveform(params, seed=3)
+    tau = shift / params.bandwidth_hz
+    mom = wave.moments(tau)
+    i1, i2, i3 = moments_per_symbol(wave, tau)
+    assert same_bits(np.array([mom.deriv_energy, mom.time_energy]), np.array([i1, i3]))
+    assert same_bits(np.array(mom.time_cross), np.array(i2))
 
 
 def test_sensing_path_coordinates():
