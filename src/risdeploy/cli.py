@@ -15,6 +15,8 @@ import logging
 import os
 import sys
 import time
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,103 +37,154 @@ EXIT_NOT_CONVERGED = 4
 
 MODES = ("full-isac", "comm-only", "pathloss-baseline", "passive-orientation")
 
-DEFAULT_CONFIG = {
-    "carrier_hz": 28e9,
-    "bandwidth_hz": 1e9,
-    "subcarriers": 2560,
-    "symbols": 2048,
-    "tx_power_dbm": 43.0,
-    "noise_psd_dbm_hz": -165.0,
-    "snr_threshold_db": 20.0,
-    "range_crb_max": 4e-4,
-    "velocity_crb_max": 1e-2,
-    "d_min": 0.3,
-    "max_iterations": 500,
-    "m_s": None,
-    "beta_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    "bits": 2,
-    "efficiency": 0.3,
-    "ref_cells_per_side": 20,
-    "rcs": 0.04,
-    "ue_height": 1.5,
-    "uav_height": 50.0,
-    "ue_cell_size": 5.0,
-    "uav_cell_size": 10.0,
-    "pl_max_db": 120.0,
-    "reflection_loss_db": 10.0,
-    "bs_array": [4, 4],
-    "bs_gain_dbi": 3.0,
-    "mode": "full-isac",
-    "seed": 0,
-    "size_margin_db": 1.0,
-    "size_cap": 20.0,
-    "uav_velocity": [4.0, 2.0, 0.0],
-    "radar_noise": True,
-    "detection_threshold_db": 12.0,
-}
-
 ENV_PREFIX = "RISDEPLOY_"
 
 
-def load_config(path) -> dict:
-    "Config JSON over defaults, then RISDEPLOY_* environment overrides."
-    cfg = dict(DEFAULT_CONFIG)
+@dataclass(frozen=True)
+class Config:
+    """The parameters of one run: one field per property of
+    config.schema.json, with its default and, as the annotation, its JSON type.
+
+    Construction checks each value's type: a number is an int or a float,
+    never a bool; an integral float such as 2.0 stands for an integer and is
+    stored as an int; a list becomes a tuple of its checked items. It also
+    checks the `mode` enum and the ranges of `seed` and `beta_grid`. A
+    violation raises SceneFormatError naming the field. The other ranges are
+    checked where the values are used, while the context is built.
+    """
+
+    scene: str
+    carrier_hz: float = 28e9
+    bandwidth_hz: float = 1e9
+    subcarriers: int = 2560
+    symbols: int = 2048
+    tx_power_dbm: float = 43.0
+    noise_psd_dbm_hz: float = -165.0
+    snr_threshold_db: float = 20.0
+    range_crb_max: float = 4e-4
+    velocity_crb_max: float = 1e-2
+    d_min: float = 0.3
+    max_iterations: int = 500
+    m_s: int | None = None
+    beta_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    bits: int = 2
+    efficiency: float = 0.3
+    ref_cells_per_side: int = 20
+    rcs: float = 0.04
+    ue_height: float = 1.5
+    uav_height: float = 50.0
+    ue_cell_size: float = 5.0
+    uav_cell_size: float = 10.0
+    pl_max_db: float = 120.0
+    reflection_loss_db: float = 10.0
+    bs_array: tuple[int, int] = (4, 4)
+    bs_gain_dbi: float = 3.0
+    mode: str = "full-isac"
+    seed: int = 0
+    size_margin_db: float = 1.0
+    size_cap: float = 20.0
+    uav_velocity: tuple[float, float, float] = (4.0, 2.0, 0.0)
+    radar_noise: bool = True
+    detection_threshold_db: float = 12.0
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            typed = _json_typed(f.type, value)
+            if typed is _WRONG:
+                raise SceneFormatError(f.name, f"must be {_json_type_name(f.type)}, "
+                                               f"got {json.dumps(value, default=repr)}")
+            object.__setattr__(self, f.name, typed)
+        if self.mode not in MODES:
+            raise SceneFormatError("mode", f"must be one of {MODES}")
+        if self.seed < 0:  # numpy's generators take non-negative integers only
+            raise SceneFormatError("seed", f"must be a non-negative integer, got {self.seed}")
+        if not self.beta_grid or not all(0.0 < b < 1.0 for b in self.beta_grid):
+            raise SceneFormatError("beta_grid", "must be a non-empty list of values in (0, 1), "
+                                                f"got {json.dumps(self.beta_grid)}")
+
+
+_WRONG = object()  # a value that is not of its field's JSON type
+_TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+
+
+def _json_typed(kind, value):
+    "`value` as the JSON type `kind` (a Config annotation), or _WRONG."
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:  # an array: `n` typed items, or any number of one type
+        if not isinstance(value, (list, tuple)):
+            return _WRONG
+        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        items = tuple(_json_typed(k, v) for k, v in zip(kinds, value))
+        return items if len(kinds) == len(value) and _WRONG not in items else _WRONG
+    if args:  # X | None
+        return None if value is None else _json_typed(args[0], value)
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return value if kind is bool else _WRONG
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value if isinstance(value, (int, float) if kind is float else kind) else _WRONG
+
+
+def _json_type_name(kind) -> str:
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"a list of {count}{_TYPE_NAMES[args[0]]}s"
+    if args:
+        return f"{_json_type_name(args[0])} or null"
+    name = _TYPE_NAMES[kind]
+    return ("an " if name[0] in "aeiou" else "a ") + name
+
+
+def load_config(path) -> Config:
+    "Config JSON over the defaults, then RISDEPLOY_* environment overrides."
     with open(path) as fh:
         try:
-            user = json.load(fh)
+            values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SceneFormatError("<config>", f"invalid JSON: {exc}") from exc
-    unknown = set(user) - set(cfg) - {"scene"}
+    if not isinstance(values, dict):
+        raise SceneFormatError("<config>", "must be a JSON object")
+    names = [f.name for f in dataclasses.fields(Config)]
+    unknown = set(values) - set(names)
     if unknown:
         raise SceneFormatError(",".join(sorted(unknown)), "unknown config fields")
-    cfg.update(user)
-    for key in list(cfg):
+    for key in names:
         name = ENV_PREFIX + key.upper()
         env = os.environ.get(name)
         if env is not None:
             try:
-                cfg[key] = json.loads(env)
+                values[key] = json.loads(env)
             except json.JSONDecodeError as exc:
                 raise SceneFormatError(name, f"invalid JSON: {exc}") from exc
-    if "scene" not in cfg:
+    if "scene" not in values:
         raise SceneFormatError("scene", "missing required field")
-    if cfg["mode"] not in MODES:
-        raise SceneFormatError("mode", f"must be one of {MODES}")
-    seed = cfg["seed"]  # numpy's generators take non-negative integers only
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise SceneFormatError("seed", f"must be a non-negative integer, got {seed!r}")
-    beta_grid = cfg["beta_grid"]  # JSON numbers inside (0, 1) are floats
-    if (not isinstance(beta_grid, list) or not beta_grid
-            or not all(isinstance(b, float) and 0.0 < b < 1.0 for b in beta_grid)):
-        raise SceneFormatError("beta_grid",
-                               f"must be a non-empty list of values in (0, 1), got {beta_grid!r}")
-    scene_path = Path(cfg["scene"])
-    if not scene_path.is_absolute():
-        cfg["scene"] = str((Path(path).parent / scene_path).resolve())
-    return cfg
+    cfg = Config(**values)
+    scene_path = Path(cfg.scene)
+    if scene_path.is_absolute():
+        return cfg
+    return dataclasses.replace(cfg, scene=str((Path(path).parent / scene_path).resolve()))
 
 
-def build_context(cfg: dict, mode: str | None = None) -> optimizer.OptimizerContext:
+def build_context(cfg: Config) -> optimizer.OptimizerContext:
     """Scene preprocessing: grids, coverage universe, greedy region selection,
     the probing waveform and its moments, and the immutable optimizer context.
 
-    Nothing here depends on the mode except the context's `mode` field, so one
-    context serves every mode through `dataclasses.replace`."""
-    mode = mode or cfg["mode"]
-    scn = scene_mod.load_scene(cfg["scene"])
-    ofdm = OfdmParams(cfg["carrier_hz"], cfg["bandwidth_hz"],
-                      int(cfg["subcarriers"]), int(cfg["symbols"]))
-    link = LinkBudget(cfg["tx_power_dbm"], cfg["noise_psd_dbm_hz"],
-                      cfg["bandwidth_hz"], cfg["snr_threshold_db"])
-    prop = PropagationConfig(carrier_freq=cfg["carrier_hz"],
-                             reflection_loss_db=cfg["reflection_loss_db"],
-                             pl_max_db=cfg["pl_max_db"])
-    ue_grids = [scene_mod.build_grids(scn, cfg["ue_cell_size"], cfg["ue_height"], area)
+    Nothing here depends on the mode, so one context serves every mode
+    through `dataclasses.replace` of its config."""
+    scn = scene_mod.load_scene(cfg.scene)
+    ofdm = OfdmParams(cfg.carrier_hz, cfg.bandwidth_hz, cfg.subcarriers, cfg.symbols)
+    link = LinkBudget(cfg.tx_power_dbm, cfg.noise_psd_dbm_hz, cfg.bandwidth_hz,
+                      cfg.snr_threshold_db)
+    prop = PropagationConfig(carrier_freq=cfg.carrier_hz,
+                             reflection_loss_db=cfg.reflection_loss_db,
+                             pl_max_db=cfg.pl_max_db)
+    ue_grids = [scene_mod.build_grids(scn, cfg.ue_cell_size, cfg.ue_height, area)
                 for area in scn.ue_areas]
     centers = np.vstack([g.centers for g in ue_grids])
-    ue_grid = scene_mod.GridSet(centers, ue_grids[0].extent, cfg["ue_height"])
-    uav_grid = scene_mod.build_grids(scn, cfg["uav_cell_size"], cfg["uav_height"],
-                                     scn.uav_area)
+    ue_grid = scene_mod.GridSet(centers, ue_grids[0].extent, cfg.ue_height)
+    uav_grid = scene_mod.build_grids(scn, cfg.uav_cell_size, cfg.uav_height, scn.uav_area)
     uncovered = [i for i, c in enumerate(ue_grid.centers)
                  if not scene_mod.line_of_sight(scn, scn.bs_position, c)]
     candidates = scene_mod.candidate_regions(scn, ue_grid, uncovered, uav_grid, prop)
@@ -139,31 +192,27 @@ def build_context(cfg: dict, mode: str | None = None) -> optimizer.OptimizerCont
     for i, region in enumerate(regions):
         region.ris_index = i
     thresholds = optimizer.QosThresholds(link.snr_threshold_linear,
-                                         cfg["range_crb_max"], cfg["velocity_crb_max"])
-    waveform = OfdmWaveform(ofdm, seed=int(cfg["seed"]))
+                                         cfg.range_crb_max, cfg.velocity_crb_max)
+    waveform = OfdmWaveform(ofdm, seed=cfg.seed)
     return optimizer.OptimizerContext(
         scene=scn, regions=regions, ue_grid=ue_grid, uav_grid=uav_grid, link=link,
         prop=prop, thresholds=thresholds, ofdm=ofdm, waveform=waveform,
-        moments=waveform.moments(),
-        bs_array_size=int(np.prod(cfg["bs_array"])), bs_gain_dbi=cfg["bs_gain_dbi"],
-        efficiency=cfg["efficiency"], bits=int(cfg["bits"]),
-        ref_cells_per_side=int(cfg["ref_cells_per_side"]), rcs=cfg["rcs"], mode=mode,
-        beta_grid=tuple(cfg["beta_grid"]), d_min=cfg["d_min"],
-        max_iterations=int(cfg["max_iterations"]), size_margin_db=cfg["size_margin_db"],
-        size_cap=cfg["size_cap"])
+        moments=waveform.moments(), cfg=cfg)
 
 
-def optimize(ctx: optimizer.OptimizerContext, cfg: dict) -> optimizer.OptimizationResult:
-    if ctx.mode == "pathloss-baseline":
-        return optimizer.pathloss_baseline(ctx, seed=int(cfg["seed"]))
-    n_vertices = None if cfg["m_s"] is None else int(cfg["m_s"]) + 1
-    simplex = optimizer.initial_simplex(ctx, seed=int(cfg["seed"]), n_vertices=n_vertices)
+def optimize(ctx: optimizer.OptimizerContext) -> optimizer.OptimizationResult:
+    cfg = ctx.cfg
+    if cfg.mode == "pathloss-baseline":
+        return optimizer.pathloss_baseline(ctx, seed=cfg.seed)
+    n_vertices = None if cfg.m_s is None else cfg.m_s + 1
+    simplex = optimizer.initial_simplex(ctx, seed=cfg.seed, n_vertices=n_vertices)
     return optimizer.nelder_mead_run(simplex, ctx)
 
 
 def deployment_dict(ctx, result, report) -> dict:
+    mode = ctx.cfg.mode
     out = {
-        "mode": result.mode,
+        "mode": mode,
         "objective": result.objective,
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
@@ -179,7 +228,7 @@ def deployment_dict(ctx, result, report) -> dict:
         "snr_margin_db": report.snr_margin_db,
         "gain_gap_db": [float(g) for g in report.gain_gap_db],
     }
-    if result.mode != "comm-only":
+    if mode != "comm-only":
         out["beta_per_uav"] = result.beta_per_uav.tolist()
         out["crb_range"] = report.crb_range.tolist()
         out["crb_velocity"] = report.crb_velocity.tolist()
@@ -200,17 +249,13 @@ def write_convergence_csv(path, trace):
 
 
 def write_snr_maps(out_dir: Path, ctx, report):
-    paths = []
     for n, region in enumerate(ctx.regions):
-        path = out_dir / f"snr_map_{n}.csv"
-        with open(path, "w", newline="") as fh:
+        with open(out_dir / f"snr_map_{n}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell_index", "x", "y", "snr_db"])
             for cell, snr in zip(region.covered_cells, report.snr_db[n]):
                 x, y = ctx.ue_grid.centers[cell][:2]
                 writer.writerow([cell, repr(float(x)), repr(float(y)), repr(float(snr))])
-        paths.append(path)
-    return paths
 
 
 def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
@@ -232,19 +277,20 @@ def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
         fh.write("".join(lines))
 
 
-def radar_stage(ctx, result, cfg, out_dir: Path, log):
+def radar_stage(ctx, result, out_dir: Path, log):
     "Exemplary UAV: synthesize returns, map, CFAR, LS position."
+    cfg = ctx.cfg
     uav = np.asarray(ctx.uav_grid.centers[0], dtype=float)
-    vel = np.asarray(cfg["uav_velocity"], dtype=float)
+    vel = np.asarray(cfg.uav_velocity, dtype=float)
     paths = evaluation.demo_sensing_paths(ctx, result, uav, vel)
-    noise = ctx.link.noise_psd_w_hz if cfg["radar_noise"] else 0.0
+    noise = ctx.link.noise_psd_w_hz if cfg.radar_noise else 0.0
     received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
-                                        seed=int(cfg["seed"]) + 1)
+                                        seed=cfg.seed + 1)
     rv = radar.range_velocity_map(received, ctx.waveform.grid, ctx.ofdm)
     del received  # one frame less alive while the CFAR works
     expected_ranges = [p.range for p in paths]
     report = radar.detect_paths(rv, expected=len(paths),
-                                threshold_db=cfg["detection_threshold_db"])
+                                threshold_db=cfg.detection_threshold_db)
     detections = radar.associate_paths(report.detections, expected_ranges)
     write_rv_map_csv(out_dir / "rv_map.csv", rv, max(expected_ranges))
     with open(out_dir / "detections.json", "w") as fh:
@@ -276,7 +322,7 @@ def radar_stage(ctx, result, cfg, out_dir: Path, log):
         json.dump(positions_out, fh, indent=2)
 
 
-def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
+def run_pipeline(cfg: Config, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log = logging.getLogger("risdeploy")
     handler = logging.FileHandler(out_dir / "run.log", mode="w")
@@ -287,29 +333,29 @@ def run_pipeline(cfg: dict, out_dir: Path, mode: str | None = None) -> int:
     try:
         t0 = time.time()
         with _stage(log, "context"):
-            ctx = build_context(cfg, mode)
+            ctx = build_context(cfg)
         log.info("scene: %d buildings, %d UE cells (%d uncovered universe), "
                  "%d UAV cells, %d RIS regions", len(ctx.scene.buildings),
                  len(ctx.ue_grid), len(set().union(*(r.covered_cells for r in ctx.regions))),
                  len(ctx.uav_grid), len(ctx.regions))
         with _stage(log, "optimize"):
-            result = optimize(ctx, cfg)
+            result = optimize(ctx)
         log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
-                 ctx.mode, result.objective, result.converged, result.iterations)
+                 cfg.mode, result.objective, result.converged, result.iterations)
         with _stage(log, "closure"):
             report = evaluation.closure_report(ctx, result)
         log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
                  report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
-        if ctx.mode != "comm-only":
+        if cfg.mode != "comm-only":
             log.info("closure: CRB margins %.2f dB (range), %.2f dB (velocity)",
                      report.crb_range_margin_db, report.crb_velocity_margin_db)
         with open(out_dir / "deployment.json", "w") as fh:
             json.dump(deployment_dict(ctx, result, report), fh, indent=2)
         write_convergence_csv(out_dir / "convergence.csv", result.trace)
         write_snr_maps(out_dir, ctx, report)
-        if ctx.mode != "comm-only":
+        if cfg.mode != "comm-only":
             with _stage(log, "radar"):
-                radar_stage(ctx, result, cfg, out_dir, log)
+                radar_stage(ctx, result, out_dir, log)
         log.info("done in %.1f s", time.time() - t0)
         return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     except RisDeployError as exc:
@@ -344,7 +390,7 @@ def _fail(out_dir: Path, log, exc: RisDeployError, in_build: bool) -> int:
     return EXIT_ERROR
 
 
-def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
+def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
     "One comparison row per mode: sizes, coverage %, sensing feasibility."
     if len(modes) < 2:
         print(json.dumps({"error": "InvalidInputError",
@@ -357,9 +403,9 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
                 "error": type(exc).__name__, "message": str(exc)}
 
     def one(ctx):
-        mode = ctx.mode
+        mode = ctx.cfg.mode
         try:
-            result = optimize(ctx, cfg)
+            result = optimize(ctx)
             report = evaluation.closure_report(ctx, result)
             total = sum(len(r.covered_cells) for r in ctx.regions)
             served = sum(int(np.sum(s >= lin2db(ctx.thresholds.snr_threshold) - 3.0))
@@ -384,7 +430,8 @@ def compare_modes(cfg: dict, modes: list, out_dir: Path) -> int:
         rows = [failed(m, exc) for m in modes]
         code = EXIT_BAD_INPUT if _bad_input(exc, True) else EXIT_ERROR
     else:
-        rows = [one(dataclasses.replace(base, mode=m)) for m in modes]
+        rows = [one(dataclasses.replace(base, cfg=dataclasses.replace(cfg, mode=m)))
+                for m in modes]
         code = EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
     with open(out_dir / "comparison.json", "w") as fh:
         json.dump(rows, fh, indent=2)
@@ -444,10 +491,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_BAD_INPUT
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.command == "run":
         if args.mode:
-            cfg["mode"] = args.mode
+            cfg = dataclasses.replace(cfg, mode=args.mode)
         return run_pipeline(cfg, Path(args.out))
     return compare_modes(cfg, args.modes, Path(args.out))
 

@@ -52,7 +52,7 @@ def build_panel(ctx: OptimizerContext, result: OptimizationResult, n: int) -> Pa
     axis = panel_normal(o.theta_r, o.psi_r)
     d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
     return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
-                 amp_b=np.sqrt(ctx.efficiency) * _leg_amplitude(ctx, d_b, cos_b))
+                 amp_b=np.sqrt(ctx.cfg.efficiency) * _leg_amplitude(ctx, d_b, cos_b))
 
 
 def _leg(cells: np.ndarray, point, axis: np.ndarray):
@@ -72,7 +72,7 @@ def _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
         sense = np.exp(1j * kappa * (d_b + d_uav))
         ideal = np.mod(np.angle(np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense),
                        2.0 * np.pi)
-    return quantize_phases(ideal, ctx.bits)
+    return quantize_phases(ideal, ctx.cfg.bits)
 
 
 def _leg_amplitude(ctx, dist, cos):
@@ -95,7 +95,7 @@ def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
     per UAV cell, whose dual-beam split applies while it is sensed (one
     column in comm-only mode)."""
     n = panel.index
-    comm_only = ctx.mode == "comm-only"
+    comm_only = ctx.cfg.mode == "comm-only"
     uavs = [None] if comm_only else ctx.uav_grid.centers
     cells = ctx.regions[n].covered_cells
     table = np.zeros((len(cells), len(uavs)))
@@ -131,7 +131,7 @@ def explicit_sensing_crb(ctx: OptimizerContext, result: OptimizationResult, pane
                          uav_index: int, ue_cell: int) -> CrbPair:
     """Synthesized CRB for UAV cell uav_index through the sized panel, with
     the comm beam pointed at ue_cell."""
-    if ctx.mode == "comm-only":
+    if ctx.cfg.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
     path = _ris_sensing_path(ctx, result, panel, ctx.uav_grid.centers[uav_index],
                              uav_index, ue_cell, None)
@@ -149,7 +149,7 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
     sizing model serves (gamma_ref > 0); the others stay in snr_db, at
     -inf when the panel sees them beyond its field of view.
     """
-    comm_only = ctx.mode == "comm-only"
+    comm_only = ctx.cfg.mode == "comm-only"
     m_u = 1 if comm_only else len(ctx.uav_grid.centers)
     n_ris = len(ctx.regions)
     snr_db = []

@@ -9,6 +9,7 @@ Nelder-Mead simplex over 2-D mounting-patch coordinates, one (u, v) pair per
 RIS, with out-of-patch proposals projected back.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -190,7 +191,8 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
 
 @dataclass(frozen=True)
 class OptimizerContext:
-    """Immutable inputs shared by every placement evaluation."""
+    """Immutable inputs shared by every placement evaluation: the run's
+    config and the objects built from it."""
 
     scene: object
     regions: list  # N DeployableRegion
@@ -202,18 +204,7 @@ class OptimizerContext:
     ofdm: OfdmParams
     waveform: OfdmWaveform  # the probing frame of the run, seeded by `seed`
     moments: WaveformMoments  # of `waveform` at zero delay
-    bs_array_size: int
-    bs_gain_dbi: float
-    efficiency: float
-    bits: int
-    ref_cells_per_side: int
-    rcs: float
-    mode: str
-    beta_grid: tuple
-    d_min: float
-    max_iterations: int
-    size_margin_db: float  # sizing headroom so synthesis meets QoS
-    size_cap: float  # largest mountable panel side, meters
+    cfg: object  # the run's cli.Config
 
     @property
     def wavelength(self) -> float:
@@ -229,21 +220,21 @@ class OptimizerContext:
 
     @property
     def m_ref(self) -> int:
-        return self.ref_cells_per_side**2
+        return self.cfg.ref_cells_per_side**2
 
     @property
     def bs_amp_gain(self) -> float:
         "Amplitude gain of the matched-beamformed BS array."
-        return float(np.sqrt(self.bs_array_size * db2lin(self.bs_gain_dbi)))
+        return float(np.sqrt(math.prod(self.cfg.bs_array) * db2lin(self.cfg.bs_gain_dbi)))
 
     @property
     def rcs_amp(self) -> float:
         "Scatter amplitude inserted between the two FSPL legs of a bounce."
-        return float(np.sqrt(4.0 * np.pi * self.rcs) / self.wavelength)
+        return float(np.sqrt(4.0 * np.pi * self.cfg.rcs) / self.wavelength)
 
     @property
     def quant_eff(self) -> float:
-        return quantization_efficiency(self.bits)
+        return quantization_efficiency(self.cfg.bits)
 
     def region_bounds(self, region) -> OrientationBounds:
         "C4 orientation bounds: near the face normal, limited tilt."
@@ -272,7 +263,7 @@ def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation
     att_k = np.array([path.attenuation for path in paths_k])
     base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
             * ctx.bs_amp_gain**2 * path_b.attenuation**2)
-    return base * att_k**2 * ctx.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
+    return base * att_k**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
 
 
 def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
@@ -313,7 +304,7 @@ def _reference_cascade(ctx: OptimizerContext, position, axis, uav_center) -> flo
     cos_b = float(np.clip(np.dot((bs - position) / d_b, axis), 0.0, None))
     cos_u = float(np.clip(np.dot((uav_center - position) / d_u, axis), 0.0, None))
     lam = ctx.wavelength
-    g_cells = (ctx.m_ref * np.sqrt(ctx.efficiency * ctx.quant_eff)
+    g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
                * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
                * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
     return fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
@@ -338,7 +329,7 @@ def direct_sensing_crb(ctx: OptimizerContext, uav_center) -> CrbPair:
 def direct_power_share(ctx: OptimizerContext) -> float:
     """Smallest omega0 for which the direct beam meets both CRB caps at every
     UAV cell; zero in communication-only mode."""
-    if ctx.mode == "comm-only":
+    if ctx.cfg.mode == "comm-only":
         return 0.0
     worst = 0.0
     for center in ctx.uav_grid.centers:
@@ -363,13 +354,12 @@ class Step1Result:
     omega_per_uav: np.ndarray  # (M_u, N+1), column 0 = omega0
     c_per_uav: np.ndarray  # (M_u, N) chosen c_n
     gamma_ref: list  # N arrays of per-UE-cell reference SNR
-    capped: list = None  # N bools: size clipped at the mounting cap
 
 
 def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
     "Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell."
     best = None
-    for beta in ctx.beta_grid:
+    for beta in ctx.cfg.beta_grid:
         cc = constraint_constants(gamma_worst, crb, ctx.thresholds, float(beta))
         if best is None or cc.c_max < best[1]:
             best = (float(beta), cc.c_max)
@@ -390,7 +380,8 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
         raise InvalidInputError("one position per deployable region required")
     if omega0 is None:
         omega0 = direct_power_share(context)
-    comm_only = context.mode == "comm-only"
+    mode = context.cfg.mode
+    comm_only = mode == "comm-only"
     cov_areas = np.array([r.coverage_area for r in context.regions])
     orientations = []
     gamma_refs = []
@@ -398,7 +389,7 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
     for n, region in enumerate(context.regions):
         bounds = context.region_bounds(region)
         uav_centers = None if comm_only else context.uav_grid.centers
-        if context.mode == "passive-orientation":
+        if mode == "passive-orientation":
             normal = region.normal()
             orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
         else:
@@ -414,7 +405,7 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
         if np.max(gamma) <= 0.0:
             raise UnreachableTargetsError(
                 f"RIS {n} at {np.round(positions[n], 2)} reaches no UE cell")
-        if np.min(gamma) <= 0.0 and context.mode != "passive-orientation":
+        if np.min(gamma) <= 0.0 and mode != "passive-orientation":
             raise UnreachableTargetsError(
                 f"RIS {n} at {np.round(positions[n], 2)} has a zero-SNR UE cell")
         gamma_refs.append(gamma)
@@ -444,25 +435,21 @@ def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = 
         omegas[u, 0] = omega0
         omegas[u, 1:] = omega
     sizes = []
-    capped = []
     objective = 0.0
-    margin = db2lin(context.size_margin_db)
+    margin = db2lin(context.cfg.size_margin_db)
+    size_cap = context.cfg.size_cap
     for n in range(n_ris):
         u_star = int(np.argmax(c_table[:, n] / omegas[:, n + 1]))
         size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
                         context.cell_area, context.m_ref, context.cell_spacing)
-        if size.side > context.size_cap:
-            size = _square_panel(context.size_cap**2, context.cell_spacing)
-            capped.append(True)
-        else:
-            capped.append(False)
+        if size.side > size_cap:
+            size = _square_panel(size_cap**2, context.cell_spacing)
         sizes.append(size)
         objective += size.area / cov_areas[n]
     return Step1Result(objective=float(objective),
                        positions=[np.asarray(p, dtype=float) for p in positions],
                        orientations=orientations, sizes=sizes, beta_per_uav=betas,
-                       omega_per_uav=omegas, c_per_uav=c_table, gamma_ref=gamma_refs,
-                       capped=capped)
+                       omega_per_uav=omegas, c_per_uav=c_table, gamma_ref=gamma_refs)
 
 
 @dataclass
@@ -473,7 +460,6 @@ class SimplexState:
     objectives: np.ndarray  # (M_s + 1,)
     results: list  # Step1Result per vertex
     iteration: int = 0
-    d_min: float = 0.3
 
     def order(self):
         idx = np.argsort(self.objectives, kind="stable")
@@ -506,7 +492,6 @@ class OptimizationResult:
     trace: list
     converged: bool
     iterations: int
-    mode: str
     patch_coords: np.ndarray
     step1: Step1Result
 
@@ -540,15 +525,14 @@ def initial_simplex(context: OptimizerContext, seed: int = 0,
                     [context.regions[n].point_at(coords[v, 2 * n], coords[v, 2 * n + 1])
                      for n in range(n_ris)], context, omega0)
                 break
-            except (UnreachableTargetsError, NoPathError):
+            except UnreachableTargetsError:
                 continue
         if res is None:
             raise UnreachableTargetsError(
                 "could not sample an evaluable initial simplex vertex")
         objectives[v] = res.objective
         results.append(res)
-    return SimplexState(coords=coords, objectives=objectives, results=results,
-                        d_min=context.d_min)
+    return SimplexState(coords=coords, objectives=objectives, results=results)
 
 
 def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> OptimizationResult:
@@ -567,7 +551,7 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                for n in range(len(regions))]
         try:
             res = step1_evaluate(pts, context, omega0)
-        except (UnreachableTargetsError, NoPathError):
+        except UnreachableTargetsError:
             return np.inf, None
         return res.objective, res
 
@@ -575,14 +559,14 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
     state.order()
     trace = []
     converged = False
-    for it in range(1, context.max_iterations + 1):
+    for it in range(1, context.cfg.max_iterations + 1):
         state.iteration = it
         spreads = _per_ris_spreads(state, regions)
         trace.append(TraceRecord(iteration=it, best_objective=float(state.objectives[0]),
                                  mean_spread=float(np.mean(spreads)),
                                  std_spread=float(np.std(spreads)),
                                  max_spread=float(np.max(spreads))))
-        if np.max(spreads) <= state.d_min:
+        if np.max(spreads) <= context.cfg.d_min:
             converged = True
             break
         centroid = np.mean(state.coords[:-1], axis=0)
@@ -620,8 +604,7 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                               omega_per_uav=best.omega_per_uav,
                               objective=float(state.objectives[0]), trace=trace,
                               converged=converged, iterations=state.iteration,
-                              mode=context.mode, patch_coords=state.coords[0].copy(),
-                              step1=best)
+                              patch_coords=state.coords[0].copy(), step1=best)
 
 
 def _per_ris_spreads(state: SimplexState, regions) -> np.ndarray:
@@ -667,7 +650,7 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
         for k in np.argsort(costs, kind="stable"):
             try:
                 step1_evaluate([region.point_at(*uvs[k])], alone, omega0)
-            except (UnreachableTargetsError, NoPathError):
+            except UnreachableTargetsError:
                 continue
             coords[2 * n], coords[2 * n + 1] = uvs[k]
             break
@@ -681,4 +664,4 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
                               sizes=res.sizes, beta_per_uav=res.beta_per_uav,
                               omega_per_uav=res.omega_per_uav, objective=res.objective,
                               trace=[], converged=True, iterations=0,
-                              mode=context.mode, patch_coords=coords, step1=res)
+                              patch_coords=coords, step1=res)

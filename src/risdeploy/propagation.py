@@ -1,16 +1,13 @@
 """Deterministic path enumeration: LoS and first-order specular reflections.
 
 Stand-in for a full ray launcher. Reflections are computed with the image
-method against every vertical building face plus (optionally) the ground
-plane z = 0, each bounce costing a fixed configurable loss. Diffraction and
-dielectric materials are out of scope.
+method against every vertical building face plus the ground plane z = 0,
+each bounce costing a fixed configurable loss. Diffraction and dielectric
+materials are out of scope.
 
 Conventions: attenuation is a linear amplitude factor (free-space amplitude
-``lambda / (4 pi d)`` over the total unfolded length times the bounce loss),
-and phase is ``-kappa * length`` wrapped to [0, 2 pi). ``depart_dir`` points
-from the first endpoint along the outgoing ray; ``arrive_dir`` points from
-the second endpoint back along the incoming ray, so reciprocity swaps the
-two.
+``lambda / (4 pi d)`` over the total unfolded length times the bounce loss).
+``depart_dir`` points from the first endpoint along the outgoing ray.
 """
 
 from dataclasses import dataclass
@@ -26,19 +23,15 @@ from .units import wavelength
 class PathRecord:
     kind: str  # "los" or "reflection"
     attenuation: float  # linear amplitude
-    phase: float  # radians in [0, 2*pi)
     length: float  # meters
     depart_dir: np.ndarray  # unit 3-vector at endpoint a
-    arrive_dir: np.ndarray  # unit 3-vector at endpoint b
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
     carrier_freq: float
     reflection_loss_db: float = 10.0
-    max_paths: int = 10
     pl_max_db: float = 160.0
-    ground_reflection: bool = True
 
     def __post_init__(self):
         if self.carrier_freq <= 0:
@@ -61,11 +54,6 @@ def path_loss_db(path: PathRecord) -> float:
     return float(-20.0 * np.log10(path.attenuation))
 
 
-def _wrap_phase(length: float, lam: float) -> float:
-    kappa = 2.0 * np.pi / lam
-    return float((-kappa * length) % (2.0 * np.pi))
-
-
 def _unit(v):
     return v / np.linalg.norm(v)
 
@@ -81,9 +69,8 @@ def _los_clear(scene: Scene, a, b, pullback: float = 1e-6) -> bool:
 def _los_path(a, b, lam) -> PathRecord:
     "The direct path between two points that see each other."
     d = float(np.linalg.norm(b - a))
-    return PathRecord(kind="los", attenuation=fspl_amplitude(d, lam),
-                      phase=_wrap_phase(d, lam), length=d,
-                      depart_dir=_unit(b - a), arrive_dir=_unit(a - b))
+    return PathRecord(kind="los", attenuation=fspl_amplitude(d, lam), length=d,
+                      depart_dir=_unit(b - a))
 
 
 def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp):
@@ -111,14 +98,8 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
     if not (_los_clear(scene, a, spec) and _los_clear(scene, spec, b)):
         return None
     length = float(np.linalg.norm(image_a - b))
-    return PathRecord(
-        kind="reflection",
-        attenuation=fspl_amplitude(length, lam) * loss_amp,
-        phase=_wrap_phase(length, lam),
-        length=length,
-        depart_dir=_unit(spec - a),
-        arrive_dir=_unit(spec - b),
-    )
+    return PathRecord(kind="reflection", attenuation=fspl_amplitude(length, lam) * loss_amp,
+                      length=length, depart_dir=_unit(spec - a))
 
 
 def _face_checker(building: Building, face: int):
@@ -141,9 +122,9 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
     """All modeled paths between two points, strongest first.
 
     Includes the LoS path when unobstructed and one specular reflection per
-    visible building face (and the ground when enabled). The list is sorted
-    by attenuation descending (ties: shorter first), truncated at
-    ``max_paths`` and at ``pl_max_db`` total path loss.
+    visible building face and the ground. The list drops paths over
+    ``pl_max_db`` total path loss and is sorted by attenuation descending
+    (ties: shorter first).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -161,17 +142,13 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
             rec = _reflection_path(scene, a, b, origin, normal, on_face, lam, loss_amp)
             if rec is not None:
                 paths.append(rec)
-    if cfg.ground_reflection:
-        rec = _reflection_path(
-            scene, a, b,
-            np.zeros(3), np.array([0.0, 0.0, 1.0]),
-            lambda p: True, lam, loss_amp,
-        )
-        if rec is not None:
-            paths.append(rec)
+    rec = _reflection_path(scene, a, b, np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                           lambda p: True, lam, loss_amp)
+    if rec is not None:
+        paths.append(rec)
     paths = [p for p in paths if path_loss_db(p) <= cfg.pl_max_db]
     paths.sort(key=lambda p: (-p.attenuation, p.length))
-    return paths[: cfg.max_paths]
+    return paths
 
 
 def dominant_path(paths) -> PathRecord:

@@ -161,7 +161,6 @@ class Scene:
     bounds: Bounds
     ue_areas: tuple = ()
     uav_area: Rect | None = None
-    bs_orientation_psi: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "buildings", tuple(self.buildings))
@@ -218,10 +217,11 @@ def _boxes_entered(lo, hi, a, b) -> np.ndarray:
     the box when the intersection of the three intervals and [0, 1] is not
     empty. On an axis the segment does not move along, 1 / d is infinite, so
     the interval is everything or nothing; fmin and fmax drop the NaN of a
-    segment lying exactly in a slab's bounding plane.
+    segment lying exactly in a slab's bounding plane. A subnormal component
+    of d overflows the same way, to an interval of the same meaning.
     """
     d = b - a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (lo - a) / d
         t2 = (hi - a) / d
     t_in = np.max(np.fmin(t1, t2), axis=1)
@@ -323,43 +323,36 @@ class DeployableRegion:
 
     ris_index: int
     building_index: int
-    patches: list
+    patch: FacePatch
     covered_cells: list
     coverage_area: float
     _scene: Scene = field(repr=False, default=None)
 
-    def patch_frame(self, patch: FacePatch):
-        "Origin, along-edge unit vector and outward normal of a patch's face."
-        building = self._scene.buildings[patch.building_index]
-        origin, u_hat, _ = building.face_frame(patch.face_index)
-        return origin, u_hat, building.face_normal(patch.face_index)
+    def patch_frame(self):
+        "Origin, along-edge unit vector and outward normal of the patch's face."
+        building = self._scene.buildings[self.patch.building_index]
+        origin, u_hat, _ = building.face_frame(self.patch.face_index)
+        return origin, u_hat, building.face_normal(self.patch.face_index)
 
-    def point_at(self, u: float, v: float, patch_index: int = 0, standoff: float = 1e-3) -> np.ndarray:
+    def point_at(self, u: float, v: float, standoff: float = 1e-3) -> np.ndarray:
         "3D mounting point at patch coordinates (u, v), nudged off the wall."
-        patch = self.patches[patch_index]
-        origin, u_hat, normal = self.patch_frame(patch)
+        origin, u_hat, normal = self.patch_frame()
         return origin + u * u_hat + np.array([0.0, 0.0, v]) + standoff * normal
 
-    def clamp(self, u: float, v: float, patch_index: int = 0):
-        patch = self.patches[patch_index]
-        return (
-            float(np.clip(u, patch.u_min, patch.u_max)),
-            float(np.clip(v, patch.v_min, patch.v_max)),
-        )
+    def clamp(self, u: float, v: float):
+        p = self.patch
+        return float(np.clip(u, p.u_min, p.u_max)), float(np.clip(v, p.v_min, p.v_max))
 
-    def sample(self, rng: np.random.Generator, patch_index: int = 0):
-        patch = self.patches[patch_index]
-        return (
-            float(rng.uniform(patch.u_min, patch.u_max)),
-            float(rng.uniform(patch.v_min, patch.v_max)),
-        )
+    def sample(self, rng: np.random.Generator):
+        p = self.patch
+        return float(rng.uniform(p.u_min, p.u_max)), float(rng.uniform(p.v_min, p.v_max))
 
     def reference_point(self) -> np.ndarray:
-        patch = self.patches[0]
+        patch = self.patch
         return self.point_at((patch.u_min + patch.u_max) / 2, (patch.v_min + patch.v_max) / 2)
 
-    def normal(self, patch_index: int = 0) -> np.ndarray:
-        return self.patch_frame(self.patches[patch_index])[2]
+    def normal(self) -> np.ndarray:
+        return self.patch_frame()[2]
 
 
 def select_ris_regions(
@@ -414,7 +407,7 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
             patch = FacePatch(b_idx, f_idx, margin, length - margin,
                               min_height, building.height - margin)
             region = DeployableRegion(
-                ris_index=-1, building_index=b_idx, patches=[patch],
+                ris_index=-1, building_index=b_idx, patch=patch,
                 covered_cells=[], coverage_area=0.0, _scene=scene,
             )
             point = region.reference_point()
@@ -422,11 +415,10 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                 continue
             if not all(line_of_sight(scene, point, c) for c in uav_grid.centers):
                 continue
-            covered = []
-            for cell in uncovered:
-                paths = propagation.enumerate_paths(scene, prop_cfg, point, ue_grid.centers[cell])
-                if paths and propagation.path_loss_db(paths[0]) <= prop_cfg.pl_max_db:
-                    covered.append(cell)
+            # enumerate_paths keeps only the paths within pl_max_db
+            covered = [cell for cell in uncovered
+                       if propagation.enumerate_paths(scene, prop_cfg, point,
+                                                      ue_grid.centers[cell])]
             if not covered:
                 continue
             region.covered_cells = covered
@@ -470,5 +462,4 @@ def scene_from_dict(raw: dict) -> Scene:
         bounds=bounds,
         ue_areas=ue_areas,
         uav_area=uav_area,
-        bs_orientation_psi=float(raw.get("bs_orientation_psi", 0.0)),
     )

@@ -5,6 +5,7 @@ per session and shared by the optimizer, evaluation and acceptance tests.
 """
 
 from collections import Counter
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -37,12 +38,12 @@ def demo_cfg():
 
 @pytest.fixture(scope="session")
 def ctx_full(demo_cfg):
-    return cli.build_context(demo_cfg, "full-isac")
+    return cli.build_context(replace(demo_cfg, mode="full-isac"))
 
 
 @pytest.fixture(scope="session")
-def nm_result(ctx_full, demo_cfg):
-    return cli.optimize(ctx_full, demo_cfg)
+def nm_result(ctx_full):
+    return cli.optimize(ctx_full)
 
 
 def _counted(command, *args):
@@ -66,7 +67,7 @@ def _counted(command, *args):
 def pipeline_run(demo_cfg, tmp_path_factory):
     "Artifact directory of one full-isac pipeline run, and the run's call counts."
     out = tmp_path_factory.mktemp("run")
-    code, calls = _counted(cli.run_pipeline, dict(demo_cfg), out, "full-isac")
+    code, calls = _counted(cli.run_pipeline, replace(demo_cfg, mode="full-isac"), out)
     assert code == cli.EXIT_OK
     return out, calls
 
@@ -83,7 +84,7 @@ def compare_run(demo_cfg, tmp_path_factory):
     import json
 
     out = tmp_path_factory.mktemp("compare")
-    code, calls = _counted(cli.compare_modes, dict(demo_cfg), list(cli.MODES), out)
+    code, calls = _counted(cli.compare_modes, demo_cfg, list(cli.MODES), out)
     assert code == cli.EXIT_OK
     with open(out / "comparison.json") as fh:
         return json.load(fh), calls

@@ -215,7 +215,7 @@ def test_a7_mode_directions(compare_rows, ctx_full, nm_result):
     # coarse phase control (1 bit) needs at least as much panel as 2 bits
     positions = [r.reference_point() for r in ctx_full.regions]
     sizes_l2 = [s.side for s in step1_evaluate(positions, ctx_full).sizes]
-    ctx_l1 = dataclasses.replace(ctx_full, bits=1)
+    ctx_l1 = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, bits=1))
     sizes_l1 = [s.side for s in step1_evaluate(positions, ctx_l1).sizes]
     l1_bigger = all(a >= b for a, b in zip(sizes_l1, sizes_l2))
     ok = all([comm_smaller, comm_no_sensing, base_bigger, passive_short, l1_bigger])
@@ -290,7 +290,7 @@ def test_a8_radar_pipeline():
 
 
 def _mock_region(cells):
-    return DeployableRegion(ris_index=-1, building_index=0, patches=[],
+    return DeployableRegion(ris_index=-1, building_index=0, patch=None,
                             covered_cells=sorted(cells),
                             coverage_area=float(len(cells)))
 

@@ -77,13 +77,13 @@ def test_effective_ris_gain_aperture_model(ctx_full):
     path_b = dominant_path_between(ctx.scene, ctx.prop, pos, ctx.scene.bs_position)
     cos_b = float(np.dot(path_b.depart_dir, axis))
     lam = ctx.wavelength
-    ref_area = ctx.cell_area * ctx.ref_cells_per_side**2
+    ref_area = ctx.cell_area * ctx.cfg.ref_cells_per_side**2
     expected = []
     for cell in region.covered_cells:
         path_k = dominant_path_between(ctx.scene, ctx.prop, pos, ctx.ue_grid.centers[cell])
         cos_k = float(np.dot(path_k.depart_dir, axis))
         in_view = min(cos_b, cos_k) > np.cos(PANEL_FOV_RAD)
-        gain = (ctx.efficiency * cos_b * cos_k * ref_area**2 * (4 * np.pi / lam**2) ** 2
+        gain = (ctx.cfg.efficiency * cos_b * cos_k * ref_area**2 * (4 * np.pi / lam**2) ** 2
                 if in_view else 0.0)
         expected.append(ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
                         * ctx.bs_amp_gain**2 * path_b.attenuation**2
@@ -91,7 +91,8 @@ def test_effective_ris_gain_aperture_model(ctx_full):
     np.testing.assert_allclose(gamma, expected, rtol=1e-12)
     assert np.all(gamma > 0.0)
     # quadratic in area (so quartic in the side length)
-    bigger = dataclasses.replace(ctx, ref_cells_per_side=2 * ctx.ref_cells_per_side)
+    bigger = dataclasses.replace(ctx, cfg=dataclasses.replace(
+        ctx.cfg, ref_cells_per_side=2 * ctx.cfg.ref_cells_per_side))
     np.testing.assert_allclose(reference_comm_snr(bigger, pos, orient, region), 16 * gamma,
                                rtol=1e-12)
 
@@ -101,8 +102,9 @@ def test_effective_gain_nonnegative_and_monotone_in_eta(ctx_full):
     assert np.all(unit_cell_amplitude_gain(angles, (LAM / 2) ** 2, LAM) >= 0.0)
     for n in range(len(ctx_full.regions)):
         region, pos, orient = _reference_panel(ctx_full, n)
-        curve = [reference_comm_snr(dataclasses.replace(ctx_full, efficiency=eta),
-                                    pos, orient, region)
+        curve = [reference_comm_snr(dataclasses.replace(
+                     ctx_full, cfg=dataclasses.replace(ctx_full.cfg, efficiency=eta)),
+                     pos, orient, region)
                  for eta in (0.0, 0.1, 0.3, 0.6, 1.0)]
         assert np.all(curve[0] == 0.0)
         assert all(np.all(b >= a) for a, b in zip(curve, curve[1:]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -26,16 +27,21 @@ def _validate(instance, name):
                         format_checker=jsonschema.FormatChecker())
 
 
+def _as_json(cfg: cli.Config) -> dict:
+    "A config as the JSON object it was read from (tuples become lists)."
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
 def test_load_config_defaults_and_overrides(tmp_path):
     scene = {"buildings": [], "bs": [1, 1, 1],
              "bounds": {"lo": [0, 0, 0], "hi": [10, 10, 10]}}
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     (tmp_path / "cfg.json").write_text(json.dumps({"scene": "scene.json", "bits": 3}))
     cfg = cli.load_config(tmp_path / "cfg.json")
-    assert cfg["bits"] == 3
-    assert cfg["carrier_hz"] == 28e9  # default retained
-    assert Path(cfg["scene"]).is_absolute()  # relative path resolved
-    _validate({k: v for k, v in cfg.items()}, "config")
+    assert cfg.bits == 3
+    assert cfg.carrier_hz == 28e9  # default retained
+    assert Path(cfg.scene).is_absolute()  # relative path resolved
+    _validate(_as_json(cfg), "config")
 
 
 def test_load_config_env_override(tmp_path, monkeypatch):
@@ -43,8 +49,8 @@ def test_load_config_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("RISDEPLOY_SEED", "42")
     monkeypatch.setenv("RISDEPLOY_PL_MAX_DB", "111.5")
     cfg = cli.load_config(tmp_path / "cfg.json")
-    assert cfg["seed"] == 42
-    assert cfg["pl_max_db"] == 111.5
+    assert cfg.seed == 42
+    assert cfg.pl_max_db == 111.5
 
 
 def test_env_override_invalid_json_is_bad_input(tmp_path, monkeypatch, capsys):
@@ -71,11 +77,14 @@ def test_load_config_rejects_unknown_and_bad_mode(tmp_path):
     (tmp_path / "garbage.json").write_text("{not json")
     with pytest.raises(SceneFormatError):
         cli.load_config(tmp_path / "garbage.json")
+    (tmp_path / "list.json").write_text("[1]")
+    with pytest.raises(SceneFormatError):
+        cli.load_config(tmp_path / "list.json")
 
 
 def test_demo_config_valid_against_schema(demo_cfg):
-    _validate(demo_cfg, "config")
-    with open(demo_cfg["scene"]) as fh:
+    _validate(_as_json(demo_cfg), "config")
+    with open(demo_cfg.scene) as fh:
         _validate(json.load(fh), "scene")
 
 
@@ -117,7 +126,7 @@ def test_run_pipeline_artifacts(run_dir, ctx_full):
 
 
 def test_run_pipeline_deterministic_deployment(run_dir, demo_cfg, tmp_path):
-    code = cli.run_pipeline(dict(demo_cfg), tmp_path / "again", mode="full-isac")
+    code = cli.run_pipeline(dataclasses.replace(demo_cfg, mode="full-isac"), tmp_path / "again")
     assert code == cli.EXIT_OK
     with open(run_dir / "deployment.json") as fh:
         first = json.load(fh)
@@ -153,7 +162,7 @@ def test_run_log_has_stage_timings(run_dir):
 
 def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
     # tracing starts before build_context, so the context's probing frame counts
-    frame_bytes = 16 * demo_cfg["subcarriers"] * demo_cfg["symbols"]  # one complex frame
+    frame_bytes = 16 * demo_cfg.subcarriers * demo_cfg.symbols  # one complex frame
     peaks = []
     radar_stage = cli.radar_stage
 
@@ -165,7 +174,8 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
     monkeypatch.setattr(cli, "radar_stage", traced)
     tracemalloc.start()
     try:  # one iteration: the radar stage is the same at any plan
-        code = cli.run_pipeline(dict(demo_cfg, max_iterations=1), tmp_path, mode="full-isac")
+        code = cli.run_pipeline(
+            dataclasses.replace(demo_cfg, max_iterations=1, mode="full-isac"), tmp_path)
     finally:
         tracemalloc.stop()
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
@@ -175,14 +185,59 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
 
 @pytest.mark.parametrize("name, value", [("SEED", '"x"'), ("SEED", "true"), ("SEED", "-1"),
                                          ("BETA_GRID", "[]"), ("BETA_GRID", "0.5"),
-                                         ("BETA_GRID", "[0.5, 1.0]")])
+                                         ("BETA_GRID", "[0.5, 1.0]"), ("SCENE", "5"),
+                                         ("EFFICIENCY", '"x"'), ("UAV_VELOCITY", "[1,2]"),
+                                         ("UE_HEIGHT", "null"), ("BITS", "2.7"),
+                                         ("REF_CELLS_PER_SIDE", "20.5"), ("BITS", '"2"'),
+                                         ("BS_ARRAY", "4"), ("RADAR_NOISE", '"no"'),
+                                         ("DETECTION_THRESHOLD_DB", '"12"')])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
-    code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path)])
-    assert code == cli.EXIT_BAD_INPUT
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"] == "SceneFormatError"
-    assert err["message"].startswith(name.lower() + ":")
+    # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
+    monkeypatch.setenv("RISDEPLOY_MODE", '"comm-only"')
+    for command in (["run"], ["compare", "--modes", *cli.MODES]):
+        code = cli.main([*command, "--config", demo_config_path(), "--out", str(tmp_path)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "SceneFormatError"
+        assert err["message"].startswith(name.lower() + ":")
+
+
+def _without_bounds(schema):
+    "The schema with its numeric bounds removed, at every depth."
+    if isinstance(schema, dict):
+        return {k: _without_bounds(v) for k, v in schema.items()
+                if k not in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")}
+    return schema
+
+
+def test_config_agrees_with_schema(tmp_path):
+    schema = _schema("config")
+    fields = {f.name: f for f in dataclasses.fields(cli.Config)}
+    assert list(schema["properties"]) == list(fields)
+    assert schema["required"] == ["scene"]
+    assert all(f.default is not dataclasses.MISSING for name, f in fields.items()
+               if name != "scene")
+    _validate(_as_json(cli.Config(scene="s.json")), "config")
+    with open(demo_config_path()) as fh:
+        _validate(json.load(fh), "config")
+    # the types agree; of the ranges, the config checks only those of seed and beta_grid
+    mismatches = []
+    for name, prop in schema["properties"].items():
+        prop = prop if name in ("seed", "beta_grid") else _without_bounds(prop)
+        for probe in ("x", True, None, [], 1.5, 2):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scene": "s.json", name: probe}))
+            try:
+                cli.load_config(path)
+                loaded = True
+            except SceneFormatError as exc:
+                assert exc.field == name
+                loaded = False
+            valid = jsonschema.Draft202012Validator(prop).is_valid(probe)
+            if loaded != valid:
+                mismatches.append((name, probe, loaded, valid))
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0")])
@@ -211,11 +266,11 @@ def test_negative_seed_flag_is_bad_input(command, capsys, tmp_path):
 
 
 def test_compare_needs_two_modes(demo_cfg, tmp_path, capsys):
-    assert cli.compare_modes(dict(demo_cfg), ["full-isac"], tmp_path) == cli.EXIT_BAD_INPUT
+    assert cli.compare_modes(demo_cfg, ["full-isac"], tmp_path) == cli.EXIT_BAD_INPUT
 
 
 def test_main_validate_scene(capsys, demo_cfg, tmp_path):
-    assert cli.main(["validate-scene", demo_cfg["scene"]]) == cli.EXIT_OK
+    assert cli.main(["validate-scene", demo_cfg.scene]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "ok" and out["buildings"] >= 1
     bad = tmp_path / "bad_scene.json"
@@ -242,9 +297,8 @@ def test_pipeline_infeasible_coverage(tmp_path):
         "uav_area": [20.0, 20.0, 30.0, 30.0],
     }
     (tmp_path / "scene.json").write_text(json.dumps(scene))
-    cfg = dict(cli.DEFAULT_CONFIG)
-    cfg["scene"] = str(tmp_path / "scene.json")
-    cfg["pl_max_db"] = 62.0  # everything out of budget: no candidate regions
+    # everything out of budget: no candidate regions
+    cfg = cli.Config(scene=str(tmp_path / "scene.json"), pl_max_db=62.0)
     code = cli.run_pipeline(cfg, tmp_path / "out")
     assert code == cli.EXIT_INFEASIBLE
     with open(tmp_path / "out" / "error.json") as fh:
@@ -259,8 +313,8 @@ def _reject_constant(token):
 def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
     # grazing cells the sizing model does not serve must not turn the closure
     # margins or gaps into Infinity/NaN
-    cfg = dict(demo_cfg, max_iterations=1)
-    code = cli.run_pipeline(cfg, tmp_path, mode="passive-orientation")
+    cfg = dataclasses.replace(demo_cfg, max_iterations=1, mode="passive-orientation")
+    code = cli.run_pipeline(cfg, tmp_path)
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
     with open(tmp_path / "deployment.json") as fh:
         dep = json.load(fh, parse_constant=_reject_constant)
@@ -269,8 +323,8 @@ def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
 
 
 def test_run_log_counts_distinct_uncovered_cells(demo_cfg, tmp_path):
-    cfg = dict(demo_cfg, pl_max_db=100.0, max_iterations=1)
-    code = cli.run_pipeline(cfg, tmp_path, mode="comm-only")
+    cfg = dataclasses.replace(demo_cfg, pl_max_db=100.0, max_iterations=1, mode="comm-only")
+    code = cli.run_pipeline(cfg, tmp_path)
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
     with open(tmp_path / "deployment.json") as fh:
         covered = [c["covered_cells"] for c in json.load(fh)["coverage"]]
@@ -281,8 +335,8 @@ def test_run_log_counts_distinct_uncovered_cells(demo_cfg, tmp_path):
 
 def test_zero_bits_fails_typed_naming_bits(demo_cfg, tmp_path):
     # a bad phase resolution is an input error, not an unreachable placement
-    cfg = dict(demo_cfg, bits=0, subcarriers=64, symbols=16)
-    cli.run_pipeline(cfg, tmp_path, mode="comm-only")
+    cfg = dataclasses.replace(demo_cfg, bits=0, subcarriers=64, symbols=16, mode="comm-only")
+    cli.run_pipeline(cfg, tmp_path)
     with open(tmp_path / "error.json") as fh:
         err = json.load(fh)
     assert err["error"] == "InvalidInputError"

@@ -29,7 +29,7 @@ def test_explicit_snr_positive_and_size_monotone(ctx_full, nm_result):
 
 
 def test_explicit_crb_requires_sensing_mode(ctx_full, nm_result):
-    comm = dataclasses.replace(ctx_full, mode="comm-only")
+    comm = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="comm-only"))
     panel = build_panel(comm, nm_result, 0)
     with pytest.raises(InvalidInputError):
         explicit_sensing_crb(comm, nm_result, panel, 0, ctx_full.regions[0].covered_cells[0])
@@ -69,8 +69,8 @@ def test_closure_report_shapes_and_margins(ctx_full, nm_result):
 def test_closure_report_comm_only(demo_cfg):
     from risdeploy import cli
 
-    ctx = cli.build_context(demo_cfg, "comm-only")
-    result = cli.optimize(ctx, demo_cfg)
+    ctx = cli.build_context(dataclasses.replace(demo_cfg, mode="comm-only"))
+    result = cli.optimize(ctx)
     report = closure_report(ctx, result)
     assert report.snr_margin_db > 0.0
     assert np.isnan(report.crb_range_margin_db)

@@ -123,7 +123,7 @@ def test_orientation_search_unreachable():
 def test_direct_power_share(ctx_full, monkeypatch):
     omega0 = direct_power_share(ctx_full)
     assert 0.0 < omega0 < 1.0
-    comm = dataclasses.replace(ctx_full, mode="comm-only")
+    comm = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="comm-only"))
     assert direct_power_share(comm) == 0.0
     # the margin keeps the direct beam strictly above its bare requirement
     monkeypatch.setattr(optimizer, "OMEGA0_MARGIN_DB", 0.0)
@@ -140,7 +140,7 @@ def test_step1_evaluate_structure(ctx_full):
     assert res.beta_per_uav.shape == (m_u, n)
     assert res.omega_per_uav.shape == (m_u, n + 1)
     np.testing.assert_allclose(res.omega_per_uav.sum(axis=1), 1.0, rtol=1e-12)
-    assert np.all(np.isin(res.beta_per_uav, ctx_full.beta_grid))
+    assert np.all(np.isin(res.beta_per_uav, ctx_full.cfg.beta_grid))
     assert all(s.area > 0 and s.cells_per_side >= 1 for s in res.sizes)
     # every row satisfies KKT stationarity for its own c-values
     areas = np.array([r.coverage_area for r in ctx_full.regions])
@@ -188,10 +188,10 @@ def test_initial_simplex_deterministic(ctx_full):
 
 def test_nelder_mead_run_properties(nm_result, ctx_full):
     assert nm_result.converged
-    assert nm_result.iterations <= ctx_full.max_iterations
+    assert nm_result.iterations <= ctx_full.cfg.max_iterations
     best = [t.best_objective for t in nm_result.trace]
     assert all(b <= a + 1e-12 for a, b in zip(best, best[1:]))
-    assert nm_result.trace[-1].max_spread <= ctx_full.d_min
+    assert nm_result.trace[-1].max_spread <= ctx_full.cfg.d_min
     assert nm_result.objective == pytest.approx(best[-1])
     assert len(nm_result.positions) == len(ctx_full.regions)
 
@@ -260,7 +260,8 @@ def test_orientation_score_matches_row_major_reference(ctx_full, with_uav):
 
 
 def test_passive_orientation_uses_face_normal(ctx_full):
-    passive = dataclasses.replace(ctx_full, mode="passive-orientation")
+    passive = dataclasses.replace(
+        ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="passive-orientation"))
     positions = [r.reference_point() for r in passive.regions]
     res = step1_evaluate(positions, passive)
     for region, orient in zip(passive.regions, res.orientations):

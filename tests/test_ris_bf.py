@@ -81,7 +81,7 @@ def _focus_distances():
 
 
 def test_dual_beam_single_beam_limit():
-    ctx = types.SimpleNamespace(wavelength=LAM, bits=2)
+    ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=2))
     _, d_b, d_ue, d_uav = _focus_distances()
     comm = quantize_phases(np.mod(2 * np.pi / LAM * (d_b + d_ue), 2 * np.pi), 2)
     np.testing.assert_allclose(_dual_beam_profile(ctx, d_b, d_ue, d_uav, 1.0),
@@ -91,7 +91,7 @@ def test_dual_beam_single_beam_limit():
 
 
 def test_dual_beam_splits_coherent_power():
-    ctx = types.SimpleNamespace(wavelength=LAM, bits=8)
+    ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=8))
     cells, d_b, d_ue, d_uav = _focus_distances()
     m = len(cells)
     kappa = 2 * np.pi / LAM

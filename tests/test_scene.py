@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -126,6 +128,16 @@ def test_culled_line_of_sight_matches_every_prism(case):
     assert line_of_sight(scn, a, b) == expected
 
 
+def test_subnormal_direction_culls_without_warning():
+    # d_y = 5e-324 overflows the slab division (lo - a) / d_y to inf
+    scn = simple_scene([Building.box(0, 10, 0, 10, 5)])
+    a, b = np.array([-5.0, 0.0, 2.0]), np.array([15.0, 5e-324, 2.0])
+    expected = not _segment_hits_prism(a, b, scn.buildings[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert line_of_sight(scn, a, b) == expected
+
+
 def _tested_prisms(monkeypatch, scn, a, b):
     "Indices of the buildings line_of_sight hands to the exact prism test."
     tested = []
@@ -173,7 +185,7 @@ def test_build_grids_excludes_buildings_and_validates():
 
 
 def _mock_region(cells):
-    return DeployableRegion(ris_index=-1, building_index=0, patches=[],
+    return DeployableRegion(ris_index=-1, building_index=0, patch=None,
                             covered_cells=list(cells), coverage_area=float(len(cells)))
 
 
@@ -207,7 +219,7 @@ def test_scene_from_dict_errors():
 
 def test_region_patch_geometry(ctx_full):
     region = ctx_full.regions[0]
-    patch = region.patches[0]
+    patch = region.patch
     p = region.point_at(patch.u_min, patch.v_min)
     q = region.point_at(patch.u_min + 1.0, patch.v_min)
     assert np.linalg.norm(q - p) == pytest.approx(1.0, abs=1e-9)

@@ -135,8 +135,11 @@ def test_reference_crb_scale(ctx_full):
                                 ctx_full.uav_grid.centers, ctx_full.region_bounds(region))
     ref = reference_sensing_crbs(ctx_full, pos, orient)
     assert len(ref) == len(ctx_full.uav_grid.centers)
-    bigger = dataclasses.replace(ctx_full, ref_cells_per_side=2 * ctx_full.ref_cells_per_side)
-    lossier = dataclasses.replace(ctx_full, efficiency=ctx_full.efficiency / 2)
+    cfg = ctx_full.cfg
+    bigger = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
+        cfg, ref_cells_per_side=2 * cfg.ref_cells_per_side))
+    lossier = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
+        cfg, efficiency=cfg.efficiency / 2))
     for base, big, lossy in zip(ref, reference_sensing_crbs(bigger, pos, orient),
                                 reference_sensing_crbs(lossier, pos, orient)):
         assert base.range_crb > 0 and base.velocity_crb > 0
