@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import sys
 import time
 import typing
@@ -48,9 +49,10 @@ class Config:
     Construction checks each value's type: a number is an int or a float,
     never a bool; an integral float such as 2.0 stands for an integer and is
     stored as an int; a list becomes a tuple of its checked items. It also
-    checks the `mode` enum and the ranges of `seed` and `beta_grid`. A
-    violation raises SceneFormatError naming the field. The other ranges are
-    checked where the values are used, while the context is built.
+    checks the `mode` enum and the ranges of `seed`, `beta_grid`, `m_s` and
+    `efficiency`. A violation raises SceneFormatError naming the field. The
+    other ranges are checked where the values are used, while the context is
+    built.
     """
 
     scene: str
@@ -102,6 +104,10 @@ class Config:
         if not self.beta_grid or not all(0.0 < b < 1.0 for b in self.beta_grid):
             raise SceneFormatError("beta_grid", "must be a non-empty list of values in (0, 1), "
                                                 f"got {json.dumps(self.beta_grid)}")
+        if self.m_s is not None and self.m_s < 2:  # a simplex needs m_s + 1 >= 3 vertices
+            raise SceneFormatError("m_s", f"must be an integer >= 2 or null, got {self.m_s}")
+        if not 0.0 < self.efficiency <= 1.0:
+            raise SceneFormatError("efficiency", f"must be in (0, 1], got {self.efficiency}")
 
 
 _WRONG = object()  # a value that is not of its field's JSON type
@@ -286,7 +292,7 @@ def radar_stage(ctx, result, out_dir: Path, log):
     noise = ctx.link.noise_psd_w_hz if cfg.radar_noise else 0.0
     received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
                                         seed=cfg.seed + 1)
-    rv = radar.range_velocity_map(received, ctx.waveform.grid, ctx.ofdm)
+    rv = radar.range_velocity_map(received, ctx.waveform)
     del received  # one frame less alive while the CFAR works
     expected_ranges = [p.range for p in paths]
     report = radar.detect_paths(rv, expected=len(paths),
@@ -367,10 +373,12 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
 
 @contextlib.contextmanager
 def _stage(log, name: str):
-    "Log the wall time of one pipeline stage to run.log."
+    "Log the wall time of one pipeline stage and the process's peak RSS after it to run.log."
     t0 = time.perf_counter()
     yield
     log.info("stage %s: %.3f s", name, time.perf_counter() - t0)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    log.info("stage %s peak_rss: %.1f MB", name, peak_kib / 1024.0)
 
 
 def _bad_input(exc: RisDeployError, in_build: bool) -> bool:

@@ -9,15 +9,14 @@ from per-path ranges by Gauss-Newton least squares at a known flight height.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EstimationFailureError, InvalidInputError, UnsupportedDelayError
-from .sensing import OfdmParams, OfdmWaveform
+from .sensing import OfdmWaveform
 from .units import db2lin, lin2db
 
 # Block sizes of the frame passes; each block temporary holds a few MB, not a frame.
-ROW_BLOCK = 256  # subcarrier rows per block: echo synthesis, noise, Doppler FFT
-COLUMN_BLOCK = 256  # symbol columns per block: equalisation and range IFFT
+ROW_BLOCK = 32  # rows per block: echo synthesis, noise, Doppler FFT, CFAR threshold
+COLUMN_BLOCK = 32  # columns per block: equalisation, range IFFT, CFAR range means
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
         rows = y[r0:r0 + ROW_BLOCK]
         for coeff, delay_phase, doppler_phase in phases:
             rows += coeff * np.outer(delay_phase[r0:r0 + ROW_BLOCK], doppler_phase)
-        rows *= waveform.grid[r0:r0 + ROW_BLOCK]
+        rows *= waveform.symbols(rows=slice(r0, r0 + ROW_BLOCK))
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
@@ -79,20 +78,21 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
     return y
 
 
-def range_velocity_map(received: np.ndarray, transmitted: np.ndarray,
-                       ofdm: OfdmParams) -> RangeVelocityMap:
-    """Equalize by the known symbols, IFFT over subcarriers, FFT over symbols."""
-    received = np.asarray(received)
-    transmitted = np.asarray(transmitted)
+def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVelocityMap:
+    """Equalize by the known symbols, IFFT over subcarriers, FFT over symbols.
+
+    The delay profile is formed in the buffer of `received`, which is
+    overwritten when it is a complex128 array.
+    """
+    ofdm = waveform.params
+    received = np.asarray(received, dtype=complex)
     nc, nm = ofdm.subcarriers, ofdm.symbols
-    if received.shape != (nc, nm) or transmitted.shape != (nc, nm):
+    if received.shape != (nc, nm):
         raise InvalidInputError(f"frames must have shape ({nc}, {nm})")
-    if np.any(np.abs(transmitted) < 1e-15):
-        raise InvalidInputError("transmitted grid contains zero symbols")
-    profile = np.empty((nc, nm), dtype=complex)  # delay peaks at bin tau * B
+    profile = received  # delay peaks at bin tau * B
     for c0 in range(0, nm, COLUMN_BLOCK):
         cols = slice(c0, c0 + COLUMN_BLOCK)
-        profile[:, cols] = np.fft.ifft(received[:, cols] / transmitted[:, cols], axis=0)
+        profile[:, cols] = np.fft.ifft(received[:, cols] / waveform.symbols(cols=cols), axis=0)
     power_db = np.empty((nc, nm))
     for r0 in range(0, nc, ROW_BLOCK):
         rows = slice(r0, r0 + ROW_BLOCK)
@@ -105,37 +105,78 @@ def range_velocity_map(received: np.ndarray, transmitted: np.ndarray,
                             resolution=(ofdm.range_resolution, ofdm.velocity_resolution))
 
 
+def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
+    """Mean of `size` consecutive samples along the last axis, centered, with
+    wrap-around ends.
+
+    Bit for bit `scipy.ndimage.uniform_filter1d(lines, size, mode="wrap")`: the
+    first window is summed in order, then each step adds `new - old`, and every
+    running sum is divided by `size`.
+    """
+    length = lines.shape[-1]
+    ahead = size // 2
+    ext = np.take(lines, np.arange(-ahead, length + size - 1 - ahead), axis=-1, mode="wrap")
+    ext[..., size:] = ext[..., size:] - ext[..., :length - 1]
+    np.cumsum(ext, axis=-1, out=ext)
+    sums = ext[..., size - 1:]
+    sums /= size
+    return sums
+
+
 def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0,
                  guard: int = 2, training: int = 8) -> DetectionReport:
     """Cell-averaging CFAR with a square training ring and peak grouping.
 
     A cell is declared when its power exceeds the training-ring mean by
-    threshold_db and it is a local maximum in its 3x3 neighborhood. Returns the
-    `expected` strongest detections; a shortfall is flagged as a warning, not
-    an error. Estimates stay on the bin grid (no super-resolution).
+    threshold_db and it is a local maximum in its 3x3 neighborhood (both with
+    wrap-around edges). Returns the `expected` strongest detections; a
+    shortfall is flagged as a warning, not an error. Estimates stay on the bin
+    grid (no super-resolution).
+
+    The ring mean is the difference of two box means, each a running mean over
+    ranges and then over velocities (the arithmetic of
+    `scipy.ndimage.uniform_filter`). The range pass runs on column blocks, the
+    velocity pass and the threshold on row blocks.
     """
     if expected < 1:
         raise InvalidInputError("expected must be >= 1")
-    power = db2lin(rv.power_db)
     outer = 2 * (guard + training) + 1
     inner = 2 * guard + 1
-    noise = ndimage.uniform_filter(power, size=outer, mode="wrap")
-    noise *= outer**2
-    inner_sum = ndimage.uniform_filter(power, size=inner, mode="wrap")
-    inner_sum *= inner**2
-    noise -= inner_sum
-    noise /= outer**2 - inner**2
-    np.maximum(noise, 0.0, out=noise)
-    noise *= db2lin(threshold_db)
-    hits = power > noise
-    local_max = ndimage.maximum_filter(power, size=3, mode="wrap", output=inner_sum)
-    hits &= power >= local_max
-    peaks = np.argwhere(hits)
+    power_db = rv.power_db
+    n_rows, n_cols = power_db.shape
+    outer_mean = np.empty((n_rows, n_cols))
+    inner_mean = np.empty((n_rows, n_cols))
+    for c0 in range(0, n_cols, COLUMN_BLOCK):
+        cols = slice(c0, c0 + COLUMN_BLOCK)
+        lines = db2lin(power_db[:, cols].T)
+        outer_mean[:, cols] = _running_mean(lines, outer).T
+        inner_mean[:, cols] = _running_mean(lines, inner).T
+    scale = db2lin(threshold_db)
+    peaks = []
+    for r0 in range(0, n_rows, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n_rows)
+        noise = _running_mean(outer_mean[r0:r1], outer)
+        noise *= outer**2
+        inner_sum = _running_mean(inner_mean[r0:r1], inner)
+        inner_sum *= inner**2
+        noise -= inner_sum
+        noise /= outer**2 - inner**2
+        np.maximum(noise, 0.0, out=noise)
+        noise *= scale
+        # the block's power with one wrapped row above and below it
+        power = db2lin(np.take(power_db, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap"))
+        hits = power[1:-1] > noise
+        across = np.maximum(power, np.roll(power, 1, axis=1))
+        np.maximum(across, np.roll(power, -1, axis=1), out=across)
+        local_max = np.maximum(across[:-2], across[1:-1])
+        np.maximum(local_max, across[2:], out=local_max)
+        hits &= power[1:-1] >= local_max
+        peaks.append(np.argwhere(hits) + [r0, 0])
     detections = [
         PathDetection(range_est=float(rv.range_axis[i]),
                       velocity_est=float(rv.velocity_axis[j]),
-                      power_db=float(rv.power_db[i, j]))
-        for i, j in peaks
+                      power_db=float(power_db[i, j]))
+        for i, j in np.concatenate(peaks)
     ]
     detections.sort(key=lambda d: -d.power_db)
     detections = detections[:expected]

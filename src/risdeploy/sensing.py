@@ -13,6 +13,7 @@ from .errors import InvalidInputError, UnobservablePathError
 from .units import SPEED_OF_LIGHT, wavelength
 
 MOMENT_BLOCK = 64  # symbols per batched IFFT in OfdmWaveform.moments
+DRAW_BLOCK = 64  # subcarrier rows per integer draw in qpsk_symbols
 
 # exp(j(pi/4 + k pi/2)) for the QPSK symbol index k = 0..3
 _QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
@@ -61,9 +62,18 @@ class WaveformMoments:
 
 
 def qpsk_symbols(subcarriers: int, symbols: int, seed: int) -> np.ndarray:
-    "Seeded unit-modulus QPSK grid of shape (subcarriers, symbols)."
+    """Seeded QPSK symbol indices k = 0..3 (symbol _QPSK[k]), uint8 of shape
+    (subcarriers, symbols).
+
+    The rows are drawn in blocks from one generator, which gives the same
+    stream as one whole-frame draw without its int64 temporary.
+    """
     rng = np.random.default_rng(seed)
-    return _QPSK[rng.integers(0, 4, size=(subcarriers, symbols))]
+    index = np.empty((subcarriers, symbols), dtype=np.uint8)
+    for r0 in range(0, subcarriers, DRAW_BLOCK):
+        block = index[r0:r0 + DRAW_BLOCK]
+        block[...] = rng.integers(0, 4, size=block.shape)
+    return index
 
 
 class OfdmWaveform:
@@ -71,19 +81,26 @@ class OfdmWaveform:
 
     The unit-average-power signal is s(t) = (1/sqrt(Nc)) * sum_p S[p, m]
     exp(j 2 pi f_p (t - m T_sym)) within symbol m, with f_p = (p - Nc//2) B/Nc.
+    The frame is kept as its symbol indices; `symbols` expands a block of them.
     """
 
     def __init__(self, params: OfdmParams, seed: int = 0):
         self.params = params
-        self.grid = qpsk_symbols(params.subcarriers, params.symbols, seed)
+        self.seed = seed
+        self.index = qpsk_symbols(params.subcarriers, params.symbols, seed)
         nc = params.subcarriers
         self.freqs = (np.arange(nc) - nc // 2) * params.bandwidth_hz / nc
         self._scale = 1.0 / np.sqrt(nc)
 
+    def symbols(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        "The complex symbols S[rows, cols] of the frame."
+        return _QPSK.take(self.index[rows, cols])
+
     def _symbol_samples(self, m0: int, m1: int):
         "Samples of s and s_dot over symbols m0..m1-1 on the 1/B grid, one row per symbol."
         nc = self.params.subcarriers
-        sym = self.grid[:, m0:m1].T
+        # one contiguous row per symbol: the IFFTs along rows run faster than on a transpose
+        sym = _QPSK.take(np.ascontiguousarray(self.index[:, m0:m1].T))
         spec = np.roll(sym, -(nc // 2), axis=1)
         spec_dot = np.roll(1j * 2.0 * np.pi * self.freqs * sym, -(nc // 2), axis=1)
         s = np.fft.ifft(spec, axis=1) * nc * self._scale
@@ -103,7 +120,7 @@ class OfdmWaveform:
         m_safe = np.clip(m, 0, self.params.symbols - 1)
         local = tp - m_safe * tsym
         phases = np.exp(1j * 2.0 * np.pi * np.outer(self.freqs, local))  # (Nc, Nt)
-        sym = self.grid[:, m_safe]
+        sym = self.symbols(cols=m_safe)
         s = self._scale * np.sum(sym * phases, axis=0)
         s_dot = self._scale * np.sum(sym * (1j * 2.0 * np.pi * self.freqs)[:, None] * phases, axis=0)
         s[~valid] = 0.0

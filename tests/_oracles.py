@@ -9,7 +9,8 @@ same piecewise trigonometric-polynomial signal whose derivative the analytic
 moments use. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
-blocked code in `sensing` and `radar` must reproduce bit for bit.
+blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
+the complex QPSK grid from the waveform's seed, not from its index grid.
 """
 
 import numpy as np
@@ -18,10 +19,15 @@ from risdeploy.channel import PANEL_FOV_RAD
 from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
 
 
-def _delayed_symbol(wave, m, offset):
+def qpsk_grid(wave):
+    "The complex QPSK grid (Nc, M) of `wave`, drawn again from its seed."
+    return qpsk_symbols_exp(wave.params.subcarriers, wave.params.symbols, wave.seed)
+
+
+def _delayed_symbol(grid, wave, m, offset):
     "Samples of symbol m's trig polynomial delayed by `offset` seconds."
     nc = wave.params.subcarriers
-    spec = wave.grid[:, m] * np.exp(-1j * 2.0 * np.pi * wave.freqs * offset)
+    spec = grid[:, m] * np.exp(-1j * 2.0 * np.pi * wave.freqs * offset)
     return np.fft.ifft(np.roll(spec, -(nc // 2))) * nc * wave._scale
 
 
@@ -41,6 +47,7 @@ def fd_fim(wave, path, noise_psd, h_tau=6e-12, h_dop=100.0):
     assert abs(path.delay * bw - shift) < 1e-6, "oracle expects an on-grid delay"
     total = nc * nm
     limit = total - shift
+    grid = qpsk_grid(wave)
 
     d_tau = []
     d_dop = []
@@ -50,9 +57,9 @@ def fd_fim(wave, path, noise_psd, h_tau=6e-12, h_dop=100.0):
             break
         n_keep = min(nc, limit - base)
         t = (base + shift + np.arange(n_keep)) * dt
-        s0 = _delayed_symbol(wave, m, 0.0)[:n_keep]
-        s_p = _delayed_symbol(wave, m, +h_tau)[:n_keep]
-        s_m = _delayed_symbol(wave, m, -h_tau)[:n_keep]
+        s0 = _delayed_symbol(grid, wave, m, 0.0)[:n_keep]
+        s_p = _delayed_symbol(grid, wave, m, +h_tau)[:n_keep]
+        s_m = _delayed_symbol(grid, wave, m, -h_tau)[:n_keep]
         carrier = np.exp(1j * 2.0 * np.pi * path.doppler * t)
         # d mu / d tau by central difference on the delayed signal
         d_tau.append(path.coeff * (s_p - s_m) / (2.0 * h_tau) * carrier)
@@ -110,12 +117,13 @@ def moments_per_symbol(wave, tau=0.0):
     shift = int(round(tau * p.bandwidth_hz))
     i1, i2, i3 = 0.0, 0.0 + 0.0j, 0.0
     limit = nc * nm - shift
+    grid = qpsk_grid(wave)
     for m in range(nm):
         base = m * nc
         if base >= limit:
             break
-        spec = np.roll(wave.grid[:, m], -(nc // 2))
-        spec_dot = np.roll(1j * 2.0 * np.pi * wave.freqs * wave.grid[:, m], -(nc // 2))
+        spec = np.roll(grid[:, m], -(nc // 2))
+        spec_dot = np.roll(1j * 2.0 * np.pi * wave.freqs * grid[:, m], -(nc // 2))
         n_keep = min(nc, limit - base)
         s = (np.fft.ifft(spec) * nc * wave._scale)[:n_keep]
         s_dot = (np.fft.ifft(spec_dot) * nc * wave._scale)[:n_keep]
@@ -136,7 +144,7 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1):
         delay_phase = np.exp(-1j * 2.0 * np.pi * wave.freqs * path.delay)
         doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
         y += path.coeff * np.outer(delay_phase, doppler_phase)
-    y *= wave.grid
+    y *= qpsk_grid(wave)
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * p.bandwidth_hz / 2.0)

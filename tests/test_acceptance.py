@@ -243,7 +243,7 @@ def test_a8_radar_pipeline():
 
     # noiseless single on-grid target lands on the exact bin
     y = synthesize_returns(wave, [mk(25, 6, 1e-6 + 0j)])
-    rv = range_velocity_map(y, wave.grid, params)
+    rv = range_velocity_map(y, wave)
     i, j = np.unravel_index(np.argmax(rv.power_db), rv.power_db.shape)
     exact = (i == 25) and (rv.velocity_axis[j] == pytest.approx(6 * vr))
 
@@ -251,7 +251,7 @@ def test_a8_radar_pipeline():
     bins = [(20, 5), (60, -10), (110, 14)]
     paths = [mk(r, v, c) for (r, v), c in zip(bins, (2e-6, 1.2e-6, 0.8e-6))]
     y3 = synthesize_returns(wave, paths, noise_psd=1e-19, seed=7)
-    report = detect_paths(range_velocity_map(y3, wave.grid, params),
+    report = detect_paths(range_velocity_map(y3, wave),
                           expected=3, threshold_db=12.0)
     got = sorted(d.range_est for d in report.detections)
     three_ok = (len(report.detections) == 3

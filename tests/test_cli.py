@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -158,6 +160,22 @@ def test_run_log_has_stage_timings(run_dir):
     log = (run_dir / "run.log").read_text()
     for stage in ("context", "optimize", "closure", "radar"):
         assert re.search(rf"INFO stage {stage}: \d+\.\d{{3}} s$", log, re.MULTILINE), stage
+    mb = []  # each timing line is followed by the peak RSS so far
+    for stage in ("context", "optimize", "closure", "radar"):
+        found = re.search(rf"INFO stage {stage}: \d+\.\d{{3}} s\n"
+                          rf"\S+ \S+ INFO stage {stage} peak_rss: (\d+\.\d) MB$", log, re.MULTILINE)
+        assert found, stage
+        mb.append(float(found[1]))
+    assert mb == sorted(mb) and mb[0] > 0.0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, risdeploy.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"
 
 
 def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
@@ -190,7 +208,9 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
                                          ("UE_HEIGHT", "null"), ("BITS", "2.7"),
                                          ("REF_CELLS_PER_SIDE", "20.5"), ("BITS", '"2"'),
                                          ("BS_ARRAY", "4"), ("RADAR_NOISE", '"no"'),
-                                         ("DETECTION_THRESHOLD_DB", '"12"')])
+                                         ("DETECTION_THRESHOLD_DB", '"12"'), ("M_S", "-1"),
+                                         ("M_S", "0"), ("EFFICIENCY", "5"),
+                                         ("EFFICIENCY", "0")])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
@@ -221,10 +241,11 @@ def test_config_agrees_with_schema(tmp_path):
     _validate(_as_json(cli.Config(scene="s.json")), "config")
     with open(demo_config_path()) as fh:
         _validate(json.load(fh), "config")
-    # the types agree; of the ranges, the config checks only those of seed and beta_grid
+    # the types agree; of the ranges, the config checks those of seed, beta_grid, m_s
+    # and efficiency
     mismatches = []
     for name, prop in schema["properties"].items():
-        prop = prop if name in ("seed", "beta_grid") else _without_bounds(prop)
+        prop = prop if name in ("seed", "beta_grid", "m_s", "efficiency") else _without_bounds(prop)
         for probe in ("x", True, None, [], 1.5, 2):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"scene": "s.json", name: probe}))

@@ -29,15 +29,18 @@ def test_ofdm_params_derived_quantities():
 
 def test_qpsk_grid_properties():
     g = qpsk_symbols(32, 8, seed=3)
-    assert g.shape == (32, 8)
-    np.testing.assert_allclose(np.abs(g), 1.0, rtol=1e-12)
+    assert g.shape == (32, 8) and g.dtype == np.uint8
+    assert set(np.unique(g)) <= {0, 1, 2, 3}
+    np.testing.assert_allclose(np.abs(sensing._QPSK[g]), 1.0, rtol=1e-12)
     np.testing.assert_array_equal(g, qpsk_symbols(32, 8, seed=3))
     assert not np.array_equal(g, qpsk_symbols(32, 8, seed=4))
 
 
 def test_qpsk_symbols_match_exp_formula():
-    for nc, m, seed in ((100, 37, 0), (2560, 64, 1)):
-        assert same_bits(qpsk_symbols(nc, m, seed), qpsk_symbols_exp(nc, m, seed))
+    # 2560 rows span several draw blocks: the same stream as one whole-frame draw
+    for nc, m, seed in ((100, 37, 0), (2560, 64, 1), (37, 29, 123456)):
+        assert same_bits(sensing._QPSK[qpsk_symbols(nc, m, seed)],
+                         qpsk_symbols_exp(nc, m, seed))
 
 
 def test_waveform_sample_matches_symbol_samples():
