@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import operator
 import os
 import resource
 import sys
@@ -49,10 +50,10 @@ class Config:
     Construction checks each value's type: a number is an int or a float,
     never a bool; an integral float such as 2.0 stands for an integer and is
     stored as an int; a list becomes a tuple of its checked items. It also
-    checks the `mode` enum and the ranges of `seed`, `beta_grid`, `m_s` and
-    `efficiency`. A violation raises SceneFormatError naming the field. The
-    other ranges are checked where the values are used, while the context is
-    built.
+    checks the `mode` enum, that `beta_grid` is not empty, and the numeric
+    bounds of the schema (`_RANGES`). A violation raises SceneFormatError
+    naming the field. The bounds of `ue_cell_size` and `symbols` are the
+    exception: the context build checks them and raises InvalidInputError.
     """
 
     scene: str
@@ -99,15 +100,42 @@ class Config:
             object.__setattr__(self, f.name, typed)
         if self.mode not in MODES:
             raise SceneFormatError("mode", f"must be one of {MODES}")
-        if self.seed < 0:  # numpy's generators take non-negative integers only
-            raise SceneFormatError("seed", f"must be a non-negative integer, got {self.seed}")
-        if not self.beta_grid or not all(0.0 < b < 1.0 for b in self.beta_grid):
-            raise SceneFormatError("beta_grid", "must be a non-empty list of values in (0, 1), "
-                                                f"got {json.dumps(self.beta_grid)}")
-        if self.m_s is not None and self.m_s < 2:  # a simplex needs m_s + 1 >= 3 vertices
-            raise SceneFormatError("m_s", f"must be an integer >= 2 or null, got {self.m_s}")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise SceneFormatError("efficiency", f"must be in (0, 1], got {self.efficiency}")
+        if not self.beta_grid:
+            raise SceneFormatError("beta_grid", "must be a non-empty list")
+        for name, bounds in _RANGES.items():
+            value = getattr(self, name)
+            if value is None:  # m_s: null takes the default simplex
+                continue
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(_BOUNDS[key][0](x, bound) for key, bound in bounds.items() for x in items):
+                limits = " and ".join(f"{_BOUNDS[key][1]} {bound}" for key, bound in bounds.items())
+                each = " each" if isinstance(value, tuple) else ""
+                raise SceneFormatError(name, f"must be {limits}{each}, got {json.dumps(value)}")
+
+
+# The numeric bounds that config.schema.json states, on the value or on each
+# item of a list. The context build checks those of ue_cell_size and symbols.
+_RANGES = {
+    "carrier_hz": {"exclusiveMinimum": 0},
+    "bandwidth_hz": {"exclusiveMinimum": 0},
+    "subcarriers": {"minimum": 1},
+    "range_crb_max": {"exclusiveMinimum": 0},
+    "velocity_crb_max": {"exclusiveMinimum": 0},
+    "d_min": {"exclusiveMinimum": 0},
+    "max_iterations": {"minimum": 1},
+    "m_s": {"minimum": 2},  # a simplex needs m_s + 1 >= 3 vertices
+    "beta_grid": {"exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "bits": {"minimum": 1},
+    "efficiency": {"exclusiveMinimum": 0, "maximum": 1},
+    "ref_cells_per_side": {"minimum": 1},
+    "rcs": {"exclusiveMinimum": 0},
+    "uav_cell_size": {"exclusiveMinimum": 0},
+    "bs_array": {"minimum": 1},
+    "seed": {"minimum": 0},  # numpy's generators take non-negative integers only
+    "size_cap": {"exclusiveMinimum": 0},
+}
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
 
 
 _WRONG = object()  # a value that is not of its field's JSON type
@@ -350,6 +378,9 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
                  cfg.mode, result.objective, result.converged, result.iterations)
         with _stage(log, "closure"):
             report = evaluation.closure_report(ctx, result)
+        for n, record in enumerate(report.synthesis):
+            log.info("closure RIS %d: %d panel cells, %d cells x %d UAV columns "
+                     "synthesised in %.3f s", n, *record)
         log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
                  report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
         if cfg.mode != "comm-only":

@@ -8,6 +8,7 @@ scaling model and the synthesized gains. Each cell uses the sizing model's
 per-cell gain, field of view included.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
 from .optimizer import OptimizationResult, OptimizerContext, sensing_path
 from .propagation import fspl_amplitude
-from .ris_bf import quantize_phases, ris_cell_positions
+from .ris_bf import codeword_index, codeword_phasors, ris_cell_positions
 from .sensing import CrbPair, SensingPath, fim
 from .units import lin2db
 
@@ -31,6 +32,7 @@ class ClosureReport:
     crb_range_margin_db: float  # min over cells of threshold/CRB, in dB
     crb_velocity_margin_db: float
     gain_gap_db: np.ndarray  # per RIS mean |synthesized - predicted| served-cell SNR gap
+    synthesis: list  # per RIS: (panel cells, covered cells, UAV columns, seconds of its checks)
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,20 @@ def _leg(cells: np.ndarray, point, axis: np.ndarray):
     return dist, np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
 
 
-def _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
-    "Quantized focused dual-beam phases over the panel cells."
+def _beam(ctx, d_b, dist) -> np.ndarray:
+    "Per-cell phasor that focuses the panel from the BS onto a point at distances dist."
     kappa = 2.0 * np.pi / ctx.wavelength
-    comm = np.exp(1j * kappa * (d_b + d_ue))
+    return np.exp(1j * kappa * (d_b + dist))
+
+
+def _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
+    "Codeword indices of the quantized focused dual-beam phases over the panel cells."
+    comm = _beam(ctx, d_b, d_ue)
     if d_uav is None or beta >= 1.0:
-        ideal = np.mod(np.angle(comm), 2.0 * np.pi)
-    else:
-        sense = np.exp(1j * kappa * (d_b + d_uav))
-        ideal = np.mod(np.angle(np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense),
-                       2.0 * np.pi)
-    return quantize_phases(ideal, ctx.cfg.bits)
+        return codeword_index(np.angle(comm), ctx.cfg.bits)
+    sense = _beam(ctx, d_b, d_uav)
+    return codeword_index(np.angle(np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense),
+                          ctx.cfg.bits)
 
 
 def _leg_amplitude(ctx, dist, cos):
@@ -93,23 +98,52 @@ def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
                     panel: Panel) -> np.ndarray:
     """Synthesized SNR table of one RIS: a row per covered UE cell, a column
     per UAV cell, whose dual-beam split applies while it is sensed (one
-    column in comm-only mode)."""
+    column in comm-only mode).
+
+    The phases are those of _dual_beam_profile, with the work hoisted out of
+    the (cell, UAV) pairs: each UAV cell's weighted sense beam is built once,
+    each UE cell's leg, traversal weights and comm beam once per cell, and a
+    pair only adds the two beams, quantizes their phase and sums the panel.
+    Memory holds one sense beam per UAV cell and a fixed number of other
+    panel vectors, whatever the number of cells."""
     n = panel.index
-    comm_only = ctx.cfg.mode == "comm-only"
-    uavs = [None] if comm_only else ctx.uav_grid.centers
+    bits = ctx.cfg.bits
+    phasors = codeword_phasors(bits)
+    uavs = [None] if ctx.cfg.mode == "comm-only" else ctx.uav_grid.centers
+    power = [ctx.link.tx_power_w * result.omega_per_uav[u, n + 1] * ctx.bs_amp_gain**2
+             for u in range(len(uavs))]
+    single = []  # columns with the comm beam alone
+    groups = {}  # split beta -> the columns that add both beams at it
+    sense = {}  # column -> its weighted sense beam
+    for u, uav in enumerate(uavs):
+        beta = float(result.beta_per_uav[u, n])
+        if uav is None or beta >= 1.0:
+            single.append(u)
+            continue
+        groups.setdefault(beta, []).append(u)
+        d_u = _leg(panel.cells, uav, panel.axis)[0]
+        sense[u] = np.sqrt(1.0 - beta) * _beam(ctx, panel.d_b, d_u)
     cells = ctx.regions[n].covered_cells
     table = np.zeros((len(cells), len(uavs)))
+    weighted, beam = np.empty((2, len(panel.cells)), dtype=complex)
+
+    def cascade(weights, phases):
+        "Panel sum of the traversal weights times the quantized phasors of one beam."
+        terms = phasors.take(codeword_index(np.angle(phases), bits))
+        return np.sum(np.multiply(weights, terms, out=terms))
+
     for i, cell in enumerate(cells):
         d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
         weights = _traversal(ctx, panel, d_k, cos_k)
-        for u, uav in enumerate(uavs):
-            d_u = None if uav is None else _leg(panel.cells, uav, panel.axis)[0]
-            phases = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
-                                        float(result.beta_per_uav[u, n]))
-            h = np.sum(weights * np.exp(1j * phases))
-            p_rx = (ctx.link.tx_power_w * result.omega_per_uav[u, n + 1]
-                    * ctx.bs_amp_gain**2 * abs(h) ** 2)
-            table[i, u] = p_rx / ctx.link.noise_power_w
+        comm = _beam(ctx, panel.d_b, d_k)
+        h = dict.fromkeys(single, cascade(weights, comm)) if single else {}
+        for beta, columns in groups.items():
+            np.multiply(np.sqrt(beta), comm, out=weighted)
+            for u in columns:
+                h[u] = cascade(weights, np.add(weighted, sense[u], out=beam))
+        for u, h_u in h.items():
+            table[i, u] = power[u] * abs(h_u) ** 2 / ctx.link.noise_power_w
+        del d_k, cos_k, weights, comm  # freed before the next cell's are built
     return table
 
 
@@ -120,9 +154,10 @@ def _ris_sensing_path(ctx, result, panel: Panel, uav, uav_index: int, ue_cell: i
     n = panel.index
     d_k, _ = _leg(panel.cells, ctx.ue_grid.centers[ue_cell], panel.axis)
     d_u, cos_u = _leg(panel.cells, uav, panel.axis)
-    phases = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
-                                float(result.beta_per_uav[uav_index, n]))
-    h = complex(np.sum(_traversal(ctx, panel, d_u, cos_u) * np.exp(1j * phases)))
+    index = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
+                               float(result.beta_per_uav[uav_index, n]))
+    h = complex(np.sum(_traversal(ctx, panel, d_u, cos_u)
+                       * codeword_phasors(ctx.cfg.bits)[index]))
     return sensing_path(ctx, n + 1, uav, float(result.omega_per_uav[uav_index, n + 1]),
                         ris=result.positions[n], cascade=h, velocity=velocity)
 
@@ -158,7 +193,9 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
     crb_v = np.full((n_ris, m_u), np.nan)
     thr_db = lin2db(ctx.thresholds.snr_threshold)
     snr_margin = np.inf
+    synthesis = []
     for n, region in enumerate(ctx.regions):
+        t0 = time.perf_counter()
         panel = build_panel(ctx, result, n)
         table = explicit_ue_snr(ctx, result, panel)
         gamma = result.step1.gamma_ref[n]
@@ -176,6 +213,7 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
                 pair = explicit_sensing_crb(ctx, result, panel, u, worst_cell)
                 crb_r[n, u] = pair.range_crb
                 crb_v[n, u] = pair.velocity_crb
+        synthesis.append((len(panel.cells), *table.shape, time.perf_counter() - t0))
     if comm_only:
         rng_margin = vel_margin = np.nan
     else:
@@ -183,7 +221,8 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
         vel_margin = float(np.min(lin2db(ctx.thresholds.velocity_crb_max / crb_v)))
     return ClosureReport(snr_db=snr_db, crb_range=crb_r, crb_velocity=crb_v,
                          snr_margin_db=float(snr_margin), crb_range_margin_db=rng_margin,
-                         crb_velocity_margin_db=vel_margin, gain_gap_db=gaps)
+                         crb_velocity_margin_db=vel_margin, gain_gap_db=gaps,
+                         synthesis=synthesis)
 
 
 def demo_sensing_paths(ctx: OptimizerContext, result: OptimizationResult, uav_position,

@@ -10,7 +10,10 @@ moments use. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
 blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
-the complex QPSK grid from the waveform's seed, not from its index grid.
+the complex QPSK grid from the waveform's seed, not from its index grid. The
+closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
+time, each from its own legs, float `np.mod` phases and `exp` of the
+quantized phases.
 """
 
 import numpy as np
@@ -192,3 +195,50 @@ def rv_map_csv_text(rv, max_range, vel_window=32):
             writer.writerow([repr(float(rv.range_axis[i])), repr(float(rv.velocity_axis[j])),
                              repr(float(rv.power_db[i, j]))])
     return buf.getvalue()
+
+
+def quantize_phases_mod(ideal, bits):
+    """Nearest L-bit codeword 2 pi l / 2^L to each phase, as a phase, from
+    float np.mod; exact midpoints resolve to the lower codeword."""
+    n = 2**bits
+    step = 2.0 * np.pi / n
+    x = np.asarray(ideal, dtype=float) % (2.0 * np.pi)
+    lower = np.floor(x / step)
+    frac = x / step - lower
+    idx = np.where(frac > 0.5, lower + 1, lower) % n
+    return idx * step
+
+
+def dual_beam_phases_mod(ctx, d_b, d_ue, d_uav, beta):
+    "Quantized focused dual-beam phases over the panel cells, through np.mod."
+    kappa = 2.0 * np.pi / ctx.wavelength
+    comm = np.exp(1j * kappa * (d_b + d_ue))
+    if d_uav is None or beta >= 1.0:
+        ideal = np.mod(np.angle(comm), 2.0 * np.pi)
+    else:
+        sense = np.exp(1j * kappa * (d_b + d_uav))
+        ideal = np.mod(np.angle(np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense),
+                       2.0 * np.pi)
+    return quantize_phases_mod(ideal, ctx.cfg.bits)
+
+
+def explicit_ue_snr_pairs(ctx, result, panel):
+    "SNR table (covered cells, UAV columns) of one panel, one pair at a time."
+    from risdeploy.evaluation import _leg, _traversal
+
+    n = panel.index
+    uavs = [None] if ctx.cfg.mode == "comm-only" else ctx.uav_grid.centers
+    cells = ctx.regions[n].covered_cells
+    table = np.zeros((len(cells), len(uavs)))
+    for i, cell in enumerate(cells):
+        d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
+        weights = _traversal(ctx, panel, d_k, cos_k)
+        for u, uav in enumerate(uavs):
+            d_u = None if uav is None else _leg(panel.cells, uav, panel.axis)[0]
+            phases = dual_beam_phases_mod(ctx, panel.d_b, d_k, d_u,
+                                          float(result.beta_per_uav[u, n]))
+            h = np.sum(weights * np.exp(1j * phases))
+            p_rx = (ctx.link.tx_power_w * result.omega_per_uav[u, n + 1]
+                    * ctx.bs_amp_gain**2 * abs(h) ** 2)
+            table[i, u] = p_rx / ctx.link.noise_power_w
+    return table

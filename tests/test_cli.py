@@ -167,6 +167,16 @@ def test_run_log_has_stage_timings(run_dir):
         assert found, stage
         mb.append(float(found[1]))
     assert mb == sorted(mb) and mb[0] > 0.0
+    # after the closure stage, one line per RIS with the size of its synthesis
+    with open(run_dir / "deployment.json") as fh:
+        dep = json.load(fh)
+    closure = log[log.index("INFO stage closure peak_rss"):]
+    lines = re.findall(r"INFO closure RIS (\d+): (\d+) panel cells, (\d+) cells x (\d+) UAV "
+                       r"columns synthesised in \d+\.\d{3} s$", closure, re.MULTILINE)
+    n_uav = len(dep["omega_per_uav"])
+    assert [tuple(map(int, line)) for line in lines] == [
+        (n, size["cells_per_side"] ** 2, len(cov["covered_cells"]), n_uav)
+        for n, (size, cov) in enumerate(zip(dep["sizes"], dep["coverage"]))]
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -210,7 +220,10 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
                                          ("BS_ARRAY", "4"), ("RADAR_NOISE", '"no"'),
                                          ("DETECTION_THRESHOLD_DB", '"12"'), ("M_S", "-1"),
                                          ("M_S", "0"), ("EFFICIENCY", "5"),
-                                         ("EFFICIENCY", "0")])
+                                         ("EFFICIENCY", "0"), ("BITS", "0"),
+                                         ("REF_CELLS_PER_SIDE", "0"), ("D_MIN", "-1"),
+                                         ("MAX_ITERATIONS", "0"), ("RCS", "-1"),
+                                         ("SIZE_CAP", "-1")])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
@@ -223,11 +236,14 @@ def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_pat
         assert err["message"].startswith(name.lower() + ":")
 
 
+_BOUND_KEYS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+_CONTEXT_CHECKED = ("ue_cell_size", "symbols")  # bounds the context build checks
+
+
 def _without_bounds(schema):
     "The schema with its numeric bounds removed, at every depth."
     if isinstance(schema, dict):
-        return {k: _without_bounds(v) for k, v in schema.items()
-                if k not in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")}
+        return {k: _without_bounds(v) for k, v in schema.items() if k not in _BOUND_KEYS}
     return schema
 
 
@@ -241,12 +257,16 @@ def test_config_agrees_with_schema(tmp_path):
     _validate(_as_json(cli.Config(scene="s.json")), "config")
     with open(demo_config_path()) as fh:
         _validate(json.load(fh), "config")
-    # the types agree; of the ranges, the config checks those of seed, beta_grid, m_s
-    # and efficiency
+    # the config's table of ranges is the schema's, on the value or on each item
+    for name, prop in schema["properties"].items():
+        stated = {k: v for k, v in prop.get("items", prop).items() if k in _BOUND_KEYS}
+        expected = {} if name in _CONTEXT_CHECKED else stated
+        assert cli._RANGES.get(name, {}) == expected, name
+    # the types agree, and so do the ranges outside those the context build checks
     mismatches = []
     for name, prop in schema["properties"].items():
-        prop = prop if name in ("seed", "beta_grid", "m_s", "efficiency") else _without_bounds(prop)
-        for probe in ("x", True, None, [], 1.5, 2):
+        prop = _without_bounds(prop) if name in _CONTEXT_CHECKED else prop
+        for probe in ("x", True, None, [], 1.5, 2, 0, -1, [0.5], [0]):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"scene": "s.json", name: probe}))
             try:
@@ -354,11 +374,8 @@ def test_run_log_counts_distinct_uncovered_cells(demo_cfg, tmp_path):
     assert f"({distinct} uncovered universe)" in (tmp_path / "run.log").read_text()
 
 
-def test_zero_bits_fails_typed_naming_bits(demo_cfg, tmp_path):
-    # a bad phase resolution is an input error, not an unreachable placement
-    cfg = dataclasses.replace(demo_cfg, bits=0, subcarriers=64, symbols=16, mode="comm-only")
-    cli.run_pipeline(cfg, tmp_path)
-    with open(tmp_path / "error.json") as fh:
-        err = json.load(fh)
-    assert err["error"] == "InvalidInputError"
-    assert "bits" in err["message"]
+def test_zero_bits_fails_typed_naming_bits(demo_cfg):
+    # a bad phase resolution is an input error, raised where the config is made
+    with pytest.raises(SceneFormatError) as exc:
+        dataclasses.replace(demo_cfg, bits=0, mode="comm-only")
+    assert exc.value.field == "bits"

@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from risdeploy import evaluation
+from risdeploy import cli, evaluation
 from risdeploy.errors import InvalidInputError
 from risdeploy.evaluation import (build_panel, closure_report, demo_sensing_paths,
                                   explicit_sensing_crb, explicit_ue_snr)
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
+
+from _oracles import explicit_ue_snr_pairs, same_bits
 
 
 def _bigger(result):
@@ -26,6 +29,57 @@ def test_explicit_snr_positive_and_size_monotone(ctx_full, nm_result):
     bigger = _bigger(nm_result)
     table_big = explicit_ue_snr(ctx_full, bigger, build_panel(ctx_full, bigger, 0))
     assert table_big[0, 0] > table[0, 0]
+
+
+def _assert_tables_match_pairs(ctx, result):
+    for n in range(len(ctx.regions)):
+        panel = build_panel(ctx, result, n)
+        assert same_bits(explicit_ue_snr(ctx, result, panel),
+                         explicit_ue_snr_pairs(ctx, result, panel)), n
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_snr_table_is_the_pairwise_synthesis(ctx_full, nm_result, mode):
+    # bit for bit the table built one (cell, UAV) pair at a time through np.mod
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
+    result = nm_result if mode == "full-isac" else cli.optimize(ctx)
+    _assert_tables_match_pairs(ctx, result)
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_snr_table_is_the_pairwise_synthesis_at_other_bits(ctx_full, nm_result, bits):
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, bits=bits))
+    _assert_tables_match_pairs(ctx, nm_result)
+
+
+def test_snr_table_is_the_pairwise_synthesis_with_a_comm_only_column(ctx_full, nm_result):
+    # beta = 1 on one UAV column: that column takes the comm beam alone
+    beta = nm_result.beta_per_uav.copy()
+    beta[1, :] = 1.0
+    result = dataclasses.replace(nm_result, beta_per_uav=beta)
+    _assert_tables_match_pairs(ctx_full, result)
+
+
+def test_snr_table_memory_is_bounded_in_panel_cells(ctx_full, nm_result):
+    # one sense beam per UAV column and a fixed number of panel vectors
+    # besides, whatever the number of covered cells
+    panel = build_panel(ctx_full, nm_result, 0)
+    vector = 16 * len(panel.cells)  # bytes of one complex panel vector
+    n_uav = len(ctx_full.uav_grid.centers)
+    region = ctx_full.regions[0]
+    cells = 2 * list(region.covered_cells)
+    doubled = dataclasses.replace(ctx_full, regions=[
+        dataclasses.replace(region, covered_cells=cells), *ctx_full.regions[1:]])
+    peaks = []
+    for ctx in (ctx_full, doubled):
+        tracemalloc.start()
+        try:
+            explicit_ue_snr(ctx, nm_result, panel)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= (n_uav + 10) * vector, peaks[0] / vector
+    assert peaks[1] <= peaks[0] + vector / 2, (peaks[1] - peaks[0]) / vector
 
 
 def test_explicit_crb_requires_sensing_mode(ctx_full, nm_result):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from risdeploy.arrays import Orientation, rotation_matrix
 from risdeploy.errors import InvalidInputError
 from risdeploy.evaluation import _dual_beam_profile
-from risdeploy.ris_bf import (quantization_efficiency, quantize_phases,
+from risdeploy.ris_bf import (codeword_index, codeword_phasors, quantization_efficiency,
                               ris_cell_positions)
 from risdeploy.units import wavelength
+
+from _oracles import quantize_phases_mod, same_bits
 
 LAM = wavelength(28e9)
 SPC = LAM / 2
@@ -41,22 +43,51 @@ def test_ris_cell_positions_rotation():
 
 
 def test_quantize_phases_oracle():
-    # L = 2: codebook {0, pi/2, pi, 3pi/2}; exact midpoints round down
-    ideal = np.array([0.0, 1.0, np.pi / 4, 2 * np.pi - 0.1, 3.2])
-    np.testing.assert_allclose(quantize_phases(ideal, 2),
-                               [0.0, np.pi / 2, 0.0, 0.0, np.pi])
+    # L = 2: codebook {0, pi/2, pi, 3pi/2}; exact midpoints round down; angles
+    # below 0 count from 2 pi, and the codeword at 2 pi is codeword 0
+    ideal = np.array([0.0, 1.0, np.pi / 4, -0.1, 3.2 - 2 * np.pi, -np.pi / 4, np.pi,
+                      -np.pi])
+    np.testing.assert_array_equal(codeword_index(ideal, 2), [0, 1, 0, 0, 2, 3, 2, 2])
+    assert codeword_index(ideal, 2).dtype == np.intp
     with pytest.raises(InvalidInputError):
-        quantize_phases(ideal, 0)
+        codeword_index(ideal, 0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(0.0, 4 * np.pi), st.integers(1, 6))
+@given(st.floats(-np.pi, np.pi), st.integers(1, 6))
 def test_quantize_phase_error_bound(phase, bits):
-    q = quantize_phases(np.array([phase]), bits)[0]
+    k = codeword_index(np.array([phase]), bits)[0]
+    assert 0 <= k < 2**bits
     step = 2 * np.pi / 2**bits
-    err = abs((phase - q + np.pi) % (2 * np.pi) - np.pi)
+    err = abs((phase - k * step + np.pi) % (2 * np.pi) - np.pi)
     assert err <= step / 2 + 1e-9
-    assert q in set(np.arange(2**bits) * step) | {0.0}
+
+
+def _hard_angles(bits):
+    """Angles in [-pi, pi] where the codeword rule can tip: signed zeros, +-pi,
+    tiny negatives and both neighbours of every codeword midpoint."""
+    step = 2 * np.pi / 2**bits
+    mids = (np.arange(2**bits) + 0.5) * step
+    mids = np.concatenate([mids, mids - 2 * np.pi])
+    mids = mids[np.abs(mids) <= np.pi]
+    near = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+    # a tiny negative angle plus 2 pi rounds to exactly 2 pi
+    edges = [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0),
+             -1e-17, -5e-324, 5e-324, -1e-300, -np.finfo(float).eps]
+    return np.clip(np.concatenate([near, edges]), -np.pi, np.pi)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_codeword_index_is_the_np_mod_rule(bits):
+    angles = np.concatenate([
+        _hard_angles(bits),
+        np.angle([1, 1j] @ np.random.default_rng(bits).standard_normal((2, 10**6)))])
+    step = 2 * np.pi / 2**bits
+    old = quantize_phases_mod(np.mod(angles, 2 * np.pi), bits)
+    index = codeword_index(angles, bits)
+    assert same_bits(index * step, old)
+    # the phasor table holds the exp of the old rule's phases
+    assert same_bits(codeword_phasors(bits)[index], np.exp(1j * old))
 
 
 def test_quantization_efficiency_values():
@@ -83,11 +114,10 @@ def _focus_distances():
 def test_dual_beam_single_beam_limit():
     ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=2))
     _, d_b, d_ue, d_uav = _focus_distances()
-    comm = quantize_phases(np.mod(2 * np.pi / LAM * (d_b + d_ue), 2 * np.pi), 2)
-    np.testing.assert_allclose(_dual_beam_profile(ctx, d_b, d_ue, d_uav, 1.0),
-                               comm, atol=1e-12)
-    np.testing.assert_allclose(_dual_beam_profile(ctx, d_b, d_ue, None, 0.4),
-                               comm, atol=1e-12)
+    step = 2 * np.pi / 4
+    comm = quantize_phases_mod(2 * np.pi / LAM * (d_b + d_ue), 2) / step
+    np.testing.assert_array_equal(_dual_beam_profile(ctx, d_b, d_ue, d_uav, 1.0), comm)
+    np.testing.assert_array_equal(_dual_beam_profile(ctx, d_b, d_ue, None, 0.4), comm)
 
 
 def test_dual_beam_splits_coherent_power():
@@ -97,7 +127,7 @@ def test_dual_beam_splits_coherent_power():
     kappa = 2 * np.pi / LAM
 
     def gains(beta):
-        phi = _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta)
+        phi = _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta) * (2 * np.pi / 2**8)
         return tuple(abs(np.sum(np.exp(1j * (phi - kappa * (d_b + d))))) ** 2
                      for d in (d_ue, d_uav))
 
