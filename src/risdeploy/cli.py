@@ -245,25 +245,26 @@ def optimize(ctx: optimizer.OptimizerContext) -> optimizer.OptimizationResult:
 
 def deployment_dict(ctx, result, report) -> dict:
     mode = ctx.cfg.mode
+    plan = result.step1
     out = {
         "mode": mode,
-        "objective": result.objective,
+        "objective": plan.objective,
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
-        "positions": [list(map(float, p)) for p in result.positions],
+        "positions": [list(map(float, p)) for p in plan.positions],
         "orientations": [{"theta_r": o.theta_r, "psi_r": o.psi_r}
-                         for o in result.orientations],
+                         for o in plan.orientations],
         "sizes": [{"area_m2": s.area, "side_m": s.side,
-                   "cells_per_side": s.cells_per_side} for s in result.sizes],
+                   "cells_per_side": s.cells_per_side} for s in plan.sizes],
         "coverage": [{"ris_index": r.ris_index, "building": r.building_index,
                       "covered_cells": list(map(int, r.covered_cells)),
                       "coverage_area_m2": r.coverage_area} for r in ctx.regions],
-        "omega_per_uav": result.omega_per_uav.tolist(),
+        "omega_per_uav": plan.omega_per_uav.tolist(),
         "snr_margin_db": report.snr_margin_db,
         "gain_gap_db": [float(g) for g in report.gain_gap_db],
     }
     if mode != "comm-only":
-        out["beta_per_uav"] = result.beta_per_uav.tolist()
+        out["beta_per_uav"] = plan.beta_per_uav.tolist()
         out["crb_range"] = report.crb_range.tolist()
         out["crb_velocity"] = report.crb_velocity.tolist()
         out["crb_range_margin_db"] = report.crb_range_margin_db
@@ -311,12 +312,12 @@ def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
         fh.write("".join(lines))
 
 
-def radar_stage(ctx, result, out_dir: Path, log):
-    "Exemplary UAV: synthesize returns, map, CFAR, LS position."
+def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
+    "Exemplary UAV through the sized plan: synthesize returns, map, CFAR, LS position."
     cfg = ctx.cfg
     uav = np.asarray(ctx.uav_grid.centers[0], dtype=float)
     vel = np.asarray(cfg.uav_velocity, dtype=float)
-    paths = evaluation.demo_sensing_paths(ctx, result, uav, vel)
+    paths = evaluation.demo_sensing_paths(ctx, plan, uav, vel)
     noise = ctx.link.noise_psd_w_hz if cfg.radar_noise else 0.0
     received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
                                         seed=cfg.seed + 1)
@@ -337,7 +338,7 @@ def radar_stage(ctx, result, out_dir: Path, log):
     if all(i in by_path for i in range(len(paths))):
         ranges = [by_path[0]] + [by_path[i + 1] for i in range(len(ctx.regions))]
         try:
-            est, residual = radar.ls_position(ctx.scene.bs_position, result.positions,
+            est, residual = radar.ls_position(ctx.scene.bs_position, plan.positions,
                                               ranges, uav_height=float(uav[2]))
             positions_out.update({
                 "estimate": est.tolist(), "residual_m": residual,
@@ -374,10 +375,12 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
                  len(ctx.uav_grid), len(ctx.regions))
         with _stage(log, "optimize"):
             result = optimize(ctx)
+        log.info("optimizer: %d placements evaluated, %d unreachable",
+                 result.evaluations, result.unreachable)
         log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
-                 cfg.mode, result.objective, result.converged, result.iterations)
+                 cfg.mode, result.step1.objective, result.converged, result.iterations)
         with _stage(log, "closure"):
-            report = evaluation.closure_report(ctx, result)
+            report = evaluation.closure_report(ctx, result.step1)
         for n, record in enumerate(report.synthesis):
             log.info("closure RIS %d: %d panel cells, %d cells x %d UAV columns "
                      "synthesised in %.3f s", n, *record)
@@ -392,7 +395,7 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
         write_snr_maps(out_dir, ctx, report)
         if cfg.mode != "comm-only":
             with _stage(log, "radar"):
-                radar_stage(ctx, result, out_dir, log)
+                radar_stage(ctx, result.step1, out_dir, log)
         log.info("done in %.1f s", time.time() - t0)
         return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     except RisDeployError as exc:
@@ -444,8 +447,8 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
     def one(ctx):
         mode = ctx.cfg.mode
         try:
-            result = optimize(ctx)
-            report = evaluation.closure_report(ctx, result)
+            plan = optimize(ctx).step1
+            report = evaluation.closure_report(ctx, plan)
             total = sum(len(r.covered_cells) for r in ctx.regions)
             served = sum(int(np.sum(s >= lin2db(ctx.thresholds.snr_threshold) - 3.0))
                          for s in report.snr_db)
@@ -454,11 +457,11 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
                           and report.crb_velocity_margin_db >= -3.0)
             return {
                 "mode": mode, "status": "ok",
-                "sizes_m": [round(s.side, 4) for s in result.sizes],
-                "total_area_m2": round(sum(s.area for s in result.sizes), 6),
+                "sizes_m": [round(s.side, 4) for s in plan.sizes],
+                "total_area_m2": round(sum(s.area for s in plan.sizes), 6),
                 "coverage_pct": round(100.0 * served / total, 2),
                 "sensing": "satisfied" if sensing_ok else "not available",
-                "objective": result.objective,
+                "objective": plan.objective,
             }
         except RisDeployError as exc:
             return failed(mode, exc)

@@ -1,4 +1,4 @@
-"""Deployment closure checks: explicit channel synthesis for a sized result.
+"""Deployment closure checks: explicit channel synthesis for a sized plan.
 
 The optimizer sizes panels through the scaled reference model; this module
 re-evaluates the returned deployment with the full machinery — per-cell RIS
@@ -16,7 +16,7 @@ import numpy as np
 from .arrays import panel_normal
 from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
-from .optimizer import OptimizationResult, OptimizerContext, sensing_path
+from .optimizer import OptimizerContext, Step1Result, sensing_path
 from .propagation import fspl_amplitude
 from .ris_bf import codeword_index, codeword_phasors, ris_cell_positions
 from .sensing import CrbPair, SensingPath, fim
@@ -46,11 +46,11 @@ class Panel:
     amp_b: np.ndarray  # (M,) BS leg: sqrt(eta), cell gain and free-space amplitude
 
 
-def build_panel(ctx: OptimizerContext, result: OptimizationResult, n: int) -> Panel:
+def build_panel(ctx: OptimizerContext, plan: Step1Result, n: int) -> Panel:
     "Cells, normal and BS leg of the sized RIS n."
-    o = result.orientations[n]
-    cells = ris_cell_positions(result.sizes[n].cells_per_side, ctx.cell_spacing,
-                               result.positions[n], o)
+    o = plan.orientations[n]
+    cells = ris_cell_positions(plan.sizes[n].cells_per_side, ctx.cell_spacing,
+                               plan.positions[n], o)
     axis = panel_normal(o.theta_r, o.psi_r)
     d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
     return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
@@ -94,8 +94,7 @@ def _traversal(ctx, panel: Panel, dist, cos) -> np.ndarray:
             * np.exp(-1j * kappa * (panel.d_b + dist)))
 
 
-def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
-                    panel: Panel) -> np.ndarray:
+def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> np.ndarray:
     """Synthesized SNR table of one RIS: a row per covered UE cell, a column
     per UAV cell, whose dual-beam split applies while it is sensed (one
     column in comm-only mode).
@@ -110,13 +109,13 @@ def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
     bits = ctx.cfg.bits
     phasors = codeword_phasors(bits)
     uavs = [None] if ctx.cfg.mode == "comm-only" else ctx.uav_grid.centers
-    power = [ctx.link.tx_power_w * result.omega_per_uav[u, n + 1] * ctx.bs_amp_gain**2
+    power = [ctx.link.tx_power_w * plan.omega_per_uav[u, n + 1] * ctx.bs_amp_gain**2
              for u in range(len(uavs))]
     single = []  # columns with the comm beam alone
     groups = {}  # split beta -> the columns that add both beams at it
     sense = {}  # column -> its weighted sense beam
     for u, uav in enumerate(uavs):
-        beta = float(result.beta_per_uav[u, n])
+        beta = float(plan.beta_per_uav[u, n])
         if uav is None or beta >= 1.0:
             single.append(u)
             continue
@@ -147,7 +146,7 @@ def explicit_ue_snr(ctx: OptimizerContext, result: OptimizationResult,
     return table
 
 
-def _ris_sensing_path(ctx, result, panel: Panel, uav, uav_index: int, ue_cell: int,
+def _ris_sensing_path(ctx, plan: Step1Result, panel: Panel, uav, uav_index: int, ue_cell: int,
                       velocity) -> SensingPath:
     """Round trip through the sized panel toward a UAV while cell uav_index
     is sensed, with the comm beam on ue_cell."""
@@ -155,26 +154,26 @@ def _ris_sensing_path(ctx, result, panel: Panel, uav, uav_index: int, ue_cell: i
     d_k, _ = _leg(panel.cells, ctx.ue_grid.centers[ue_cell], panel.axis)
     d_u, cos_u = _leg(panel.cells, uav, panel.axis)
     index = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
-                               float(result.beta_per_uav[uav_index, n]))
+                               float(plan.beta_per_uav[uav_index, n]))
     h = complex(np.sum(_traversal(ctx, panel, d_u, cos_u)
                        * codeword_phasors(ctx.cfg.bits)[index]))
-    return sensing_path(ctx, n + 1, uav, float(result.omega_per_uav[uav_index, n + 1]),
-                        ris=result.positions[n], cascade=h, velocity=velocity)
+    return sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[uav_index, n + 1]),
+                        ris=plan.positions[n], cascade=h, velocity=velocity)
 
 
-def explicit_sensing_crb(ctx: OptimizerContext, result: OptimizationResult, panel: Panel,
+def explicit_sensing_crb(ctx: OptimizerContext, plan: Step1Result, panel: Panel,
                          uav_index: int, ue_cell: int) -> CrbPair:
     """Synthesized CRB for UAV cell uav_index through the sized panel, with
     the comm beam pointed at ue_cell."""
     if ctx.cfg.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
-    path = _ris_sensing_path(ctx, result, panel, ctx.uav_grid.centers[uav_index],
+    path = _ris_sensing_path(ctx, plan, panel, ctx.uav_grid.centers[uav_index],
                              uav_index, ue_cell, None)
     return fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
 
 
-def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> ClosureReport:
-    """Re-evaluate the deployment through the explicit channel stack.
+def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
+    """Re-evaluate the sized plan through the explicit channel stack.
 
     For each RIS and covered UE cell, the reported SNR is the worst over UAV
     cells (each UAV cell fixes the beta split in force while it is sensed).
@@ -185,7 +184,7 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
     -inf when the panel sees them beyond its field of view.
     """
     comm_only = ctx.cfg.mode == "comm-only"
-    m_u = 1 if comm_only else len(ctx.uav_grid.centers)
+    m_u = plan.beta_per_uav.shape[0]
     n_ris = len(ctx.regions)
     snr_db = []
     gaps = np.zeros(n_ris)
@@ -196,21 +195,21 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
     synthesis = []
     for n, region in enumerate(ctx.regions):
         t0 = time.perf_counter()
-        panel = build_panel(ctx, result, n)
-        table = explicit_ue_snr(ctx, result, panel)
-        gamma = result.step1.gamma_ref[n]
+        panel = build_panel(ctx, plan, n)
+        table = explicit_ue_snr(ctx, plan, panel)
+        gamma = plan.gamma_ref[n]
         served = gamma > 0.0
         with np.errstate(divide="ignore"):
             snr_db.append(lin2db(np.min(table, axis=1)))
         snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
-        scale = (result.sizes[n].cell_count / ctx.m_ref) ** 2
-        pred = (result.beta_per_uav[:, n] * result.omega_per_uav[:, n + 1]
+        scale = (plan.sizes[n].cell_count / ctx.m_ref) ** 2
+        pred = (plan.beta_per_uav[:, n] * plan.omega_per_uav[:, n + 1]
                 * scale * gamma[served, None])
         gaps[n] = float(np.mean(np.abs(lin2db(table[served]) - lin2db(pred))))
         if not comm_only:
             worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
             for u in range(m_u):
-                pair = explicit_sensing_crb(ctx, result, panel, u, worst_cell)
+                pair = explicit_sensing_crb(ctx, plan, panel, u, worst_cell)
                 crb_r[n, u] = pair.range_crb
                 crb_v[n, u] = pair.velocity_crb
         synthesis.append((len(panel.cells), *table.shape, time.perf_counter() - t0))
@@ -225,17 +224,17 @@ def closure_report(ctx: OptimizerContext, result: OptimizationResult) -> Closure
                          synthesis=synthesis)
 
 
-def demo_sensing_paths(ctx: OptimizerContext, result: OptimizationResult, uav_position,
+def demo_sensing_paths(ctx: OptimizerContext, plan: Step1Result, uav_position,
                        uav_velocity) -> list:
     """Delay/Doppler/coefficient per modeled path for one UAV state: the
     direct round trip, then one through each sized RIS with its comm beam on
     the RIS's first covered cell and the split of the nearest UAV cell."""
     uav = np.asarray(uav_position, dtype=float)
     vel = np.asarray(uav_velocity, dtype=float)
-    omega0 = float(result.omega_per_uav[0, 0])
+    omega0 = float(plan.omega_per_uav[0, 0])
     paths = [sensing_path(ctx, 0, uav, max(omega0, 1e-12), velocity=vel)]
     uav_index = int(np.argmin(np.linalg.norm(ctx.uav_grid.centers - uav, axis=1)))
     for n, region in enumerate(ctx.regions):
-        paths.append(_ris_sensing_path(ctx, result, build_panel(ctx, result, n), uav,
+        paths.append(_ris_sensing_path(ctx, plan, build_panel(ctx, plan, n), uav,
                                        uav_index, region.covered_cells[0], vel))
     return paths

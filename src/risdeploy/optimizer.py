@@ -10,7 +10,7 @@ RIS, with out-of-patch proposals projected back.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -356,6 +356,53 @@ class Step1Result:
     gamma_ref: list  # N arrays of per-UE-cell reference SNR
 
 
+@dataclass(frozen=True)
+class RisReference:
+    "What step 1 needs of one RIS at a fixed position, which depends on that RIS alone."
+
+    position: np.ndarray  # 3-vector
+    orientation: Orientation
+    gamma_ref: np.ndarray  # per-UE-cell reference SNR
+    gamma_worst: float  # worst reference SNR over the served cells (gamma_ref > 0)
+    crbs: list | None  # reference CrbPair per UAV cell; None in comm-only mode
+
+
+def ris_reference(ctx: OptimizerContext, n: int, position) -> RisReference:
+    """Orientation (the face normal in passive-orientation mode), reference
+    SNR and reference CRBs of RIS n at a fixed position. UnreachableTargetsError
+    when that RIS cannot serve its targets from there."""
+    region = ctx.regions[n]
+    mode = ctx.cfg.mode
+    comm_only = mode == "comm-only"
+    p = np.asarray(position, dtype=float)
+
+    def unreachable(why: str) -> UnreachableTargetsError:
+        return UnreachableTargetsError(f"RIS {n} at {np.round(p, 2)}{why}")
+
+    if mode == "passive-orientation":
+        normal = region.normal()
+        orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
+    else:
+        orient = orientation_search(p, ctx.scene.bs_position,
+                                    ctx.ue_grid.centers[region.covered_cells],
+                                    None if comm_only else ctx.uav_grid.centers,
+                                    ctx.region_bounds(region))
+    try:
+        gamma = reference_comm_snr(ctx, p, orient, region)
+    except NoPathError as exc:
+        raise unreachable(f": {exc}") from exc
+    if np.max(gamma) <= 0.0:
+        raise unreachable(" reaches no UE cell")
+    if np.min(gamma) <= 0.0 and mode != "passive-orientation":
+        raise unreachable(" has a zero-SNR UE cell")
+    try:
+        crbs = None if comm_only else reference_sensing_crbs(ctx, p, orient)
+    except UnobservablePathError as exc:
+        raise unreachable(f": {exc}") from exc
+    return RisReference(position=p, orientation=orient, gamma_ref=gamma,
+                        gamma_worst=float(np.min(gamma[gamma > 0.0])), crbs=crbs)
+
+
 def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
     "Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell."
     best = None
@@ -366,90 +413,61 @@ def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
     return best
 
 
-def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = None) -> Step1Result:
-    """Inner evaluation of Algorithm step 1 at fixed RIS positions.
-
-    Orientation search per RIS, then per UAV cell the best beta split and the
-    KKT power allocation; panel sizes take the worst (largest) UAV cell. The
-    per-cell beta minimization is exact for the decoupled objective because E
-    is monotone in the sum of the per-RIS KKT weights, each of which depends
-    only on that RIS's own c_n.
-    """
-    n_ris = len(context.regions)
-    if len(positions) != n_ris:
-        raise InvalidInputError("one position per deployable region required")
-    if omega0 is None:
-        omega0 = direct_power_share(context)
-    mode = context.cfg.mode
-    comm_only = mode == "comm-only"
-    cov_areas = np.array([r.coverage_area for r in context.regions])
-    orientations = []
-    gamma_refs = []
-    crb_refs = []
-    for n, region in enumerate(context.regions):
-        bounds = context.region_bounds(region)
-        uav_centers = None if comm_only else context.uav_grid.centers
-        if mode == "passive-orientation":
-            normal = region.normal()
-            orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
-        else:
-            orient = orientation_search(positions[n], context.scene.bs_position,
-                                        context.ue_grid.centers[region.covered_cells],
-                                        uav_centers, bounds)
-        orientations.append(orient)
-        try:
-            gamma = reference_comm_snr(context, positions[n], orient, region)
-        except NoPathError as exc:
-            raise UnreachableTargetsError(
-                f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
-        if np.max(gamma) <= 0.0:
-            raise UnreachableTargetsError(
-                f"RIS {n} at {np.round(positions[n], 2)} reaches no UE cell")
-        if np.min(gamma) <= 0.0 and mode != "passive-orientation":
-            raise UnreachableTargetsError(
-                f"RIS {n} at {np.round(positions[n], 2)} has a zero-SNR UE cell")
-        gamma_refs.append(gamma)
-        if comm_only:
-            crb_refs.append(None)
-        else:
-            try:
-                crb_refs.append(reference_sensing_crbs(context, positions[n], orient))
-            except UnobservablePathError as exc:
-                raise UnreachableTargetsError(
-                    f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
-    m_u = 1 if comm_only else len(context.uav_grid.centers)
+def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
+    """Closed-form rest of step 1 from the per-RIS references: per UAV cell
+    the best beta split of each RIS and the KKT power allocation across RISs;
+    panel sizes take the worst (largest) UAV cell. The per-cell beta
+    minimization is exact for the decoupled objective because E is monotone
+    in the sum of the per-RIS KKT weights, each of which depends only on that
+    RIS's own c_n."""
+    n_ris = len(refs)
+    comm_only = ctx.cfg.mode == "comm-only"
+    cov_areas = np.array([r.coverage_area for r in ctx.regions])
+    m_u = 1 if comm_only else len(ctx.uav_grid.centers)
     betas = np.zeros((m_u, n_ris))
     omegas = np.zeros((m_u, n_ris + 1))
     c_table = np.zeros((m_u, n_ris))
     for u in range(m_u):
-        for n in range(n_ris):
-            gamma = gamma_refs[n]
-            gamma_worst = float(np.min(gamma[gamma > 0.0]))
+        for n, ref in enumerate(refs):
             if comm_only:
-                beta, c_n = 1.0, context.thresholds.snr_threshold / gamma_worst
+                beta, c_n = 1.0, ctx.thresholds.snr_threshold / ref.gamma_worst
             else:
-                beta, c_n = _best_beta(context, gamma_worst, crb_refs[n][u])
+                beta, c_n = _best_beta(ctx, ref.gamma_worst, ref.crbs[u])
             betas[u, n] = beta
             c_table[u, n] = c_n
-        omega = kkt_power_allocation(c_table[u], cov_areas, omega0)
         omegas[u, 0] = omega0
-        omegas[u, 1:] = omega
+        omegas[u, 1:] = kkt_power_allocation(c_table[u], cov_areas, omega0)
     sizes = []
     objective = 0.0
-    margin = db2lin(context.cfg.size_margin_db)
-    size_cap = context.cfg.size_cap
+    margin = db2lin(ctx.cfg.size_margin_db)
     for n in range(n_ris):
         u_star = int(np.argmax(c_table[:, n] / omegas[:, n + 1]))
         size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
-                        context.cell_area, context.m_ref, context.cell_spacing)
-        if size.side > size_cap:
-            size = _square_panel(size_cap**2, context.cell_spacing)
+                        ctx.cell_area, ctx.m_ref, ctx.cell_spacing)
+        if size.side > ctx.cfg.size_cap:
+            size = _square_panel(ctx.cfg.size_cap**2, ctx.cell_spacing)
         sizes.append(size)
         objective += size.area / cov_areas[n]
-    return Step1Result(objective=float(objective),
-                       positions=[np.asarray(p, dtype=float) for p in positions],
-                       orientations=orientations, sizes=sizes, beta_per_uav=betas,
-                       omega_per_uav=omegas, c_per_uav=c_table, gamma_ref=gamma_refs)
+    return Step1Result(objective=float(objective), positions=[r.position for r in refs],
+                       orientations=[r.orientation for r in refs], sizes=sizes,
+                       beta_per_uav=betas, omega_per_uav=omegas, c_per_uav=c_table,
+                       gamma_ref=[r.gamma_ref for r in refs])
+
+
+def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = None) -> Step1Result:
+    "Algorithm step 1 at fixed RIS positions: a reference per RIS, then the sizing."
+    if len(positions) != len(context.regions):
+        raise InvalidInputError("one position per deployable region required")
+    if omega0 is None:
+        omega0 = direct_power_share(context)
+    return size_plan(context, [ris_reference(context, n, p) for n, p in enumerate(positions)],
+                     omega0)
+
+
+def patch_points(coords, regions) -> list:
+    "Mounting points of the per-RIS patch (u, v) pairs laid out in coords."
+    return [region.point_at(coords[2 * n], coords[2 * n + 1])
+            for n, region in enumerate(regions)]
 
 
 @dataclass
@@ -460,6 +478,8 @@ class SimplexState:
     objectives: np.ndarray  # (M_s + 1,)
     results: list  # Step1Result per vertex
     iteration: int = 0
+    evaluations: int = 0  # step-1 evaluations so far, resampled vertices included
+    unreachable: int = 0  # of them, the ones that raised UnreachableTargetsError
 
     def order(self):
         idx = np.argsort(self.objectives, kind="stable")
@@ -467,9 +487,15 @@ class SimplexState:
         self.objectives = self.objectives[idx]
         self.results = [self.results[i] for i in idx]
 
-    def positions(self, vertex: int, regions) -> list:
-        return [regions[n].point_at(self.coords[vertex, 2 * n], self.coords[vertex, 2 * n + 1])
-                for n in range(len(regions))]
+    def evaluate(self, coords, context: OptimizerContext, omega0: float):
+        "Objective and Step1Result at patch coordinates; inf and None where unreachable."
+        self.evaluations += 1
+        try:
+            res = step1_evaluate(patch_points(coords, context.regions), context, omega0)
+        except UnreachableTargetsError:
+            self.unreachable += 1
+            return np.inf, None
+        return res.objective, res
 
 
 @dataclass(frozen=True)
@@ -483,17 +509,13 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    positions: list
-    orientations: list
-    sizes: list
-    beta_per_uav: np.ndarray
-    omega_per_uav: np.ndarray
-    objective: float
+    step1: Step1Result  # the plan at the best placement
     trace: list
     converged: bool
     iterations: int
     patch_coords: np.ndarray
-    step1: Step1Result
+    evaluations: int  # step-1 evaluations; the path-loss baseline adds its per-RIS checks
+    unreachable: int  # of them, the ones that raised UnreachableTargetsError
 
 
 def _project(coords: np.ndarray, regions) -> np.ndarray:
@@ -511,28 +533,21 @@ def initial_simplex(context: OptimizerContext, seed: int = 0,
     if n_vertices is None:
         n_vertices = 2 * n_ris + 1
     rng = np.random.default_rng(seed)
-    coords = np.zeros((n_vertices, 2 * n_ris))
-    results = []
-    objectives = np.zeros(n_vertices)
+    state = SimplexState(coords=np.zeros((n_vertices, 2 * n_ris)),
+                         objectives=np.zeros(n_vertices), results=[])
     omega0 = direct_power_share(context)
     for v in range(n_vertices):
-        res = None
         for _ in range(50):  # resample until the vertex is evaluable
             for n, region in enumerate(context.regions):
-                coords[v, 2 * n], coords[v, 2 * n + 1] = region.sample(rng)
-            try:
-                res = step1_evaluate(
-                    [context.regions[n].point_at(coords[v, 2 * n], coords[v, 2 * n + 1])
-                     for n in range(n_ris)], context, omega0)
+                state.coords[v, 2 * n], state.coords[v, 2 * n + 1] = region.sample(rng)
+            state.objectives[v], res = state.evaluate(state.coords[v], context, omega0)
+            if res is not None:
                 break
-            except UnreachableTargetsError:
-                continue
-        if res is None:
+        else:
             raise UnreachableTargetsError(
                 "could not sample an evaluable initial simplex vertex")
-        objectives[v] = res.objective
-        results.append(res)
-    return SimplexState(coords=coords, objectives=objectives, results=results)
+        state.results.append(res)
+    return state
 
 
 def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> OptimizationResult:
@@ -545,16 +560,6 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
     """
     regions = context.regions
     omega0 = direct_power_share(context)
-
-    def evaluate(coords):
-        pts = [regions[n].point_at(coords[2 * n], coords[2 * n + 1])
-               for n in range(len(regions))]
-        try:
-            res = step1_evaluate(pts, context, omega0)
-        except UnreachableTargetsError:
-            return np.inf, None
-        return res.objective, res
-
     state = initial
     state.order()
     trace = []
@@ -572,10 +577,10 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
         centroid = np.mean(state.coords[:-1], axis=0)
         worst = state.coords[-1]
         refl = _project(centroid + 1.0 * (centroid - worst), regions)
-        f_refl, r_refl = evaluate(refl)
+        f_refl, r_refl = state.evaluate(refl, context, omega0)
         if f_refl < state.objectives[0]:
             exp = _project(centroid + 2.0 * (centroid - worst), regions)
-            f_exp, r_exp = evaluate(exp)
+            f_exp, r_exp = state.evaluate(exp, context, omega0)
             if f_exp < f_refl:
                 _replace_worst(state, exp, f_exp, r_exp)
             else:
@@ -587,28 +592,23 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                 contract = _project(centroid + 0.5 * (refl - centroid), regions)
             else:
                 contract = _project(centroid + 0.5 * (worst - centroid), regions)
-            f_con, r_con = evaluate(contract)
+            f_con, r_con = state.evaluate(contract, context, omega0)
             if f_con < min(state.objectives[-1], f_refl):
                 _replace_worst(state, contract, f_con, r_con)
             else:  # shrink toward the best vertex
                 for v in range(1, state.coords.shape[0]):
                     state.coords[v] = _project(
                         state.coords[0] + 0.5 * (state.coords[v] - state.coords[0]), regions)
-                    f_v, r_v = evaluate(state.coords[v])
-                    state.objectives[v] = f_v
-                    state.results[v] = r_v
+                    state.objectives[v], state.results[v] = state.evaluate(
+                        state.coords[v], context, omega0)
         state.order()
-    best = state.results[0]
-    return OptimizationResult(positions=best.positions, orientations=best.orientations,
-                              sizes=best.sizes, beta_per_uav=best.beta_per_uav,
-                              omega_per_uav=best.omega_per_uav,
-                              objective=float(state.objectives[0]), trace=trace,
-                              converged=converged, iterations=state.iteration,
-                              patch_coords=state.coords[0].copy(), step1=best)
+    return OptimizationResult(step1=state.results[0], trace=trace, converged=converged,
+                              iterations=state.iteration, patch_coords=state.coords[0].copy(),
+                              evaluations=state.evaluations, unreachable=state.unreachable)
 
 
 def _per_ris_spreads(state: SimplexState, regions) -> np.ndarray:
-    pts = np.array([state.positions(v, regions) for v in range(state.coords.shape[0])])
+    pts = np.array([patch_points(coords, regions) for coords in state.coords])
     spreads = []
     for n in range(len(regions)):
         p = pts[:, n, :]
@@ -630,13 +630,14 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
     the step-1 evaluation once at those positions.
 
     Free space ignores blockage, so the cheapest sample can have no path to a
-    cell. Each RIS takes the cheapest of its samples at which step 1 can
-    evaluate that RIS alone; step 1 checks each RIS on its own, so the joint
-    evaluation then succeeds.
+    cell. Each RIS takes the cheapest of its samples whose per-RIS reference
+    (ris_reference) can be formed; only the references can make step 1
+    unreachable, so the joint evaluation then succeeds.
     """
     rng = np.random.default_rng(seed)
     omega0 = direct_power_share(context)
     coords = np.zeros(2 * len(context.regions))
+    checks = unreachable = 0
     for n, region in enumerate(context.regions):
         cells = context.ue_grid.centers[region.covered_cells]
         uvs, costs = [], []
@@ -646,22 +647,19 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
             cost = np.linalg.norm(p - context.scene.bs_position) ** 2
             costs.append(cost + float(np.mean(np.linalg.norm(cells - p, axis=1) ** 2)))
             uvs.append((u, v))
-        alone = replace(context, regions=[region])
         for k in np.argsort(costs, kind="stable"):
+            checks += 1
             try:
-                step1_evaluate([region.point_at(*uvs[k])], alone, omega0)
+                ris_reference(context, n, region.point_at(*uvs[k]))
             except UnreachableTargetsError:
+                unreachable += 1
                 continue
             coords[2 * n], coords[2 * n + 1] = uvs[k]
             break
         else:
             raise UnreachableTargetsError(
                 f"RIS {n}: no evaluable point among {samples} samples")
-    positions = [context.regions[n].point_at(coords[2 * n], coords[2 * n + 1])
-                 for n in range(len(context.regions))]
-    res = step1_evaluate(positions, context, omega0)
-    return OptimizationResult(positions=res.positions, orientations=res.orientations,
-                              sizes=res.sizes, beta_per_uav=res.beta_per_uav,
-                              omega_per_uav=res.omega_per_uav, objective=res.objective,
-                              trace=[], converged=True, iterations=0,
-                              patch_coords=coords, step1=res)
+    res = step1_evaluate(patch_points(coords, context.regions), context, omega0)
+    return OptimizationResult(step1=res, trace=[], converged=True, iterations=0,
+                              patch_coords=coords, evaluations=checks + 1,
+                              unreachable=unreachable)

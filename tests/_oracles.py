@@ -13,12 +13,20 @@ blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
 the complex QPSK grid from the waveform's seed, not from its index grid. The
 closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
 time, each from its own legs, float `np.mod` phases and `exp` of the
-quantized phases.
+quantized phases. The step-1 reference is the joint loop that forms every
+RIS's reference and sizes the plan in one pass, recomputing the worst served
+SNR for each (UAV cell, RIS) pair.
 """
 
 import numpy as np
 
+from risdeploy.arrays import Orientation
 from risdeploy.channel import PANEL_FOV_RAD
+from risdeploy.errors import (InvalidInputError, NoPathError, UnobservablePathError,
+                              UnreachableTargetsError)
+from risdeploy.optimizer import (Step1Result, _best_beta, _square_panel, direct_power_share,
+                                 kkt_power_allocation, orientation_search, reference_comm_snr,
+                                 reference_sensing_crbs, ris_size)
 from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
 
 
@@ -242,3 +250,82 @@ def explicit_ue_snr_pairs(ctx, result, panel):
                     * ctx.bs_amp_gain**2 * abs(h) ** 2)
             table[i, u] = p_rx / ctx.link.noise_power_w
     return table
+
+
+def step1_evaluate_joint(positions, context, omega0=None):
+    "Step 1 as one joint loop over the RISs, then the sizing over (UAV cell, RIS) pairs."
+    n_ris = len(context.regions)
+    if len(positions) != n_ris:
+        raise InvalidInputError("one position per deployable region required")
+    if omega0 is None:
+        omega0 = direct_power_share(context)
+    mode = context.cfg.mode
+    comm_only = mode == "comm-only"
+    cov_areas = np.array([r.coverage_area for r in context.regions])
+    orientations = []
+    gamma_refs = []
+    crb_refs = []
+    for n, region in enumerate(context.regions):
+        bounds = context.region_bounds(region)
+        uav_centers = None if comm_only else context.uav_grid.centers
+        if mode == "passive-orientation":
+            normal = region.normal()
+            orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
+        else:
+            orient = orientation_search(positions[n], context.scene.bs_position,
+                                        context.ue_grid.centers[region.covered_cells],
+                                        uav_centers, bounds)
+        orientations.append(orient)
+        try:
+            gamma = reference_comm_snr(context, positions[n], orient, region)
+        except NoPathError as exc:
+            raise UnreachableTargetsError(
+                f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
+        if np.max(gamma) <= 0.0:
+            raise UnreachableTargetsError(
+                f"RIS {n} at {np.round(positions[n], 2)} reaches no UE cell")
+        if np.min(gamma) <= 0.0 and mode != "passive-orientation":
+            raise UnreachableTargetsError(
+                f"RIS {n} at {np.round(positions[n], 2)} has a zero-SNR UE cell")
+        gamma_refs.append(gamma)
+        if comm_only:
+            crb_refs.append(None)
+        else:
+            try:
+                crb_refs.append(reference_sensing_crbs(context, positions[n], orient))
+            except UnobservablePathError as exc:
+                raise UnreachableTargetsError(
+                    f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
+    m_u = 1 if comm_only else len(context.uav_grid.centers)
+    betas = np.zeros((m_u, n_ris))
+    omegas = np.zeros((m_u, n_ris + 1))
+    c_table = np.zeros((m_u, n_ris))
+    for u in range(m_u):
+        for n in range(n_ris):
+            gamma = gamma_refs[n]
+            gamma_worst = float(np.min(gamma[gamma > 0.0]))
+            if comm_only:
+                beta, c_n = 1.0, context.thresholds.snr_threshold / gamma_worst
+            else:
+                beta, c_n = _best_beta(context, gamma_worst, crb_refs[n][u])
+            betas[u, n] = beta
+            c_table[u, n] = c_n
+        omega = kkt_power_allocation(c_table[u], cov_areas, omega0)
+        omegas[u, 0] = omega0
+        omegas[u, 1:] = omega
+    sizes = []
+    objective = 0.0
+    margin = db2lin(context.cfg.size_margin_db)
+    size_cap = context.cfg.size_cap
+    for n in range(n_ris):
+        u_star = int(np.argmax(c_table[:, n] / omegas[:, n + 1]))
+        size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
+                        context.cell_area, context.m_ref, context.cell_spacing)
+        if size.side > size_cap:
+            size = _square_panel(size_cap**2, context.cell_spacing)
+        sizes.append(size)
+        objective += size.area / cov_areas[n]
+    return Step1Result(objective=float(objective),
+                       positions=[np.asarray(p, dtype=float) for p in positions],
+                       orientations=orientations, sizes=sizes, beta_per_uav=betas,
+                       omega_per_uav=omegas, c_per_uav=c_table, gamma_ref=gamma_refs)

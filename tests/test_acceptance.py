@@ -175,13 +175,13 @@ def test_a5_placement_convergence(ctx_full, nm_result):
         except UnreachableTargetsError:
             continue
         best_random = min(best_random, obj)
-    within = nm_result.objective <= best_random * 1.02
+    within = nm_result.step1.objective <= best_random * 1.02
     ok = (nm_result.converged and nm_result.iterations <= 500 and monotone
           and nm_result.trace[-1].max_spread <= 0.3 and within)
     _verdict("A5 placement convergence", ok,
              f"converged={nm_result.converged} in {nm_result.iterations} iters "
              f"(max spread {nm_result.trace[-1].max_spread:.3f} m <= 0.3), "
-             f"monotone={monotone}, objective {nm_result.objective:.6g} vs "
+             f"monotone={monotone}, objective {nm_result.step1.objective:.6g} vs "
              f"10000-sample random best {best_random:.6g} (within 2%: {within})")
 
 
@@ -189,7 +189,7 @@ def test_a5_placement_convergence(ctx_full, nm_result):
 
 
 def test_a6_deployment_closure(ctx_full, nm_result):
-    report = closure_report(ctx_full, nm_result)
+    report = closure_report(ctx_full, nm_result.step1)
     ok = (report.snr_margin_db >= -3.0
           and report.crb_range_margin_db >= -3.0
           and report.crb_velocity_margin_db >= -3.0)

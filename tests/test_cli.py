@@ -12,8 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from risdeploy import cli
-from risdeploy.errors import SceneFormatError
+from risdeploy import cli, optimizer
+from risdeploy.errors import SceneFormatError, UnreachableTargetsError
 
 from conftest import demo_config_path
 
@@ -167,6 +167,11 @@ def test_run_log_has_stage_timings(run_dir):
         assert found, stage
         mb.append(float(found[1]))
     assert mb == sorted(mb) and mb[0] > 0.0
+    # after the optimize stage, the optimizer's evaluation and failure counts
+    counts = re.search(r"INFO stage optimize peak_rss: \d+\.\d MB\n\S+ \S+ INFO optimizer: "
+                       r"(\d+) placements evaluated, (\d+) unreachable$", log, re.MULTILINE)
+    assert counts, "optimizer counts"
+    assert 0 <= int(counts[2]) < int(counts[1])
     # after the closure stage, one line per RIS with the size of its synthesis
     with open(run_dir / "deployment.json") as fh:
         dep = json.load(fh)
@@ -177,6 +182,27 @@ def test_run_log_has_stage_timings(run_dir):
     assert [tuple(map(int, line)) for line in lines] == [
         (n, size["cells_per_side"] ** 2, len(cov["covered_cells"]), n_uav)
         for n, (size, cov) in enumerate(zip(dep["sizes"], dep["coverage"]))]
+
+
+def test_optimizer_counts_are_the_step1_calls(ctx_full, monkeypatch):
+    # the counts run.log reports are the step-1 evaluations the search made
+    # (resampled initial vertices included) and the ones that raised
+    calls = {"evaluated": 0, "unreachable": 0}
+    step1_evaluate = optimizer.step1_evaluate
+
+    def counting(*args, **kwargs):
+        calls["evaluated"] += 1
+        try:
+            return step1_evaluate(*args, **kwargs)
+        except UnreachableTargetsError:
+            calls["unreachable"] += 1
+            raise
+
+    monkeypatch.setattr(optimizer, "step1_evaluate", counting)
+    result = cli.optimize(ctx_full)
+    assert (result.evaluations, result.unreachable) == (calls["evaluated"],
+                                                        calls["unreachable"])
+    assert calls["unreachable"] > 0
 
 
 def test_importing_the_cli_loads_no_scipy():

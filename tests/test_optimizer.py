@@ -13,7 +13,7 @@ from risdeploy.optimizer import (QosThresholds, constraint_constants,
                                  pathloss_baseline, ris_size, step1_evaluate)
 from risdeploy.sensing import CrbPair
 
-from _oracles import orientation_score_rows
+from _oracles import orientation_score_rows, same_bits, step1_evaluate_joint
 
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
@@ -170,6 +170,44 @@ def test_step1_beta_choice_is_per_cell_optimal(ctx_full):
             assert res.c_per_uav[u, n] == pytest.approx(c_n)
 
 
+def _step1_outcome(evaluate, positions, ctx):
+    "The Step1Result, or the message of the UnreachableTargetsError raised."
+    try:
+        return evaluate(positions, ctx)
+    except UnreachableTargetsError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", ["full-isac", "comm-only", "passive-orientation"])
+def test_step1_evaluate_is_the_joint_loop(ctx_full, mode):
+    # per-RIS references plus the closed-form sizing give the joint loop's
+    # plan bit for bit, and raise where it raises, with its message
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for _ in range(20):
+        positions = [r.point_at(*r.sample(rng)) for r in ctx.regions]
+        want = _step1_outcome(step1_evaluate_joint, positions, ctx)
+        got = _step1_outcome(step1_evaluate, positions, ctx)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            raised += 1
+            continue
+        assert same_bits(got.objective, want.objective)
+        for field in ("beta_per_uav", "omega_per_uav", "c_per_uav"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        for a, b in zip(got.sizes, want.sizes, strict=True):
+            assert same_bits([a.area, a.side], [b.area, b.side])
+            assert a.cells_per_side == b.cells_per_side
+        for a, b in zip(got.orientations, want.orientations, strict=True):
+            assert same_bits([a.theta_r, a.psi_r], [b.theta_r, b.psi_r])
+        for a, b in zip(got.gamma_ref, want.gamma_ref, strict=True):
+            assert same_bits(a, b)
+        for a, b in zip(got.positions, want.positions, strict=True):
+            assert same_bits(a, b)
+    assert 0 < raised < 20
+
+
 def test_size_grows_when_power_shrinks(ctx_full):
     positions = [r.reference_point() for r in ctx_full.regions]
     base = step1_evaluate(positions, ctx_full, omega0=0.1)
@@ -192,13 +230,13 @@ def test_nelder_mead_run_properties(nm_result, ctx_full):
     best = [t.best_objective for t in nm_result.trace]
     assert all(b <= a + 1e-12 for a, b in zip(best, best[1:]))
     assert nm_result.trace[-1].max_spread <= ctx_full.cfg.d_min
-    assert nm_result.objective == pytest.approx(best[-1])
-    assert len(nm_result.positions) == len(ctx_full.regions)
+    assert nm_result.step1.objective == pytest.approx(best[-1])
+    assert len(nm_result.step1.positions) == len(ctx_full.regions)
 
 
 def test_pathloss_baseline_runs(ctx_full):
     base = pathloss_baseline(ctx_full, samples=16, seed=0)
-    assert base.objective > 0
+    assert base.step1.objective > 0
     assert base.converged and base.iterations == 0
     for n, region in enumerate(ctx_full.regions):
         u, v = base.patch_coords[2 * n], base.patch_coords[2 * n + 1]
@@ -233,8 +271,34 @@ def test_pathloss_baseline_skips_points_without_a_path(ctx_full):
             ctx_full.regions, _cheapest_free_space_coords(ctx_full, 64, 12).reshape(-1, 2))],
             ctx_full)
     base = pathloss_baseline(ctx_full, seed=12)
-    assert base.objective > 0
-    assert len(base.positions) == len(ctx_full.regions)
+    assert base.step1.objective > 0
+    assert len(base.step1.positions) == len(ctx_full.regions)
+
+
+def test_pathloss_baseline_evaluates_step1_once(ctx_full, monkeypatch):
+    # each sample is checked by its per-RIS reference; step 1 runs once, at
+    # the chosen points, and the counts cover the checks and that evaluation
+    calls = {"step1_evaluate": 0, "ris_reference": 0, "raised": 0}
+
+    def counted(name):
+        original = getattr(optimizer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            try:
+                return original(*args, **kwargs)
+            except UnreachableTargetsError:
+                calls["raised"] += 1
+                raise
+        return wrapper
+
+    for name in ("step1_evaluate", "ris_reference"):
+        monkeypatch.setattr(optimizer, name, counted(name))
+    base = pathloss_baseline(ctx_full, seed=12)
+    assert calls["step1_evaluate"] == 1
+    checks = calls["ris_reference"] - len(ctx_full.regions)  # the rest are step 1's
+    assert base.evaluations == checks + 1
+    assert base.unreachable == calls["raised"] == 1  # seed 12 skips one sample
 
 
 @pytest.mark.parametrize("with_uav", [True, False])
