@@ -22,6 +22,8 @@ class LinkBudget:
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
             raise InvalidInputError("bandwidth must be > 0")
+        if self.snr_threshold_linear <= 0:  # a finite dB value can underflow
+            raise InvalidInputError("SNR threshold must be positive")
 
     @property
     def tx_power_w(self) -> float:

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import operator
 import os
 import resource
@@ -47,13 +48,15 @@ class Config:
     """The parameters of one run: one field per property of
     config.schema.json, with its default and, as the annotation, its JSON type.
 
-    Construction checks each value's type: a number is an int or a float,
-    never a bool; an integral float such as 2.0 stands for an integer and is
-    stored as an int; a list becomes a tuple of its checked items. It also
-    checks the `mode` enum, that `beta_grid` is not empty, and the numeric
-    bounds of the schema (`_RANGES`). A violation raises SceneFormatError
-    naming the field. The bounds of `ue_cell_size` and `symbols` are the
-    exception: the context build checks them and raises InvalidInputError.
+    Construction checks each value's type: a number is an int or a finite
+    float, never a bool (Python's JSON parser reads NaN, Infinity and
+    -Infinity, and 1e400 as infinity); an integral float such as 2.0 stands
+    for an integer and is stored as an int; a list becomes a tuple of its
+    checked items. It also checks the `mode` enum, that `beta_grid` is not
+    empty, and the numeric bounds of the schema (`_RANGES`). A violation
+    raises SceneFormatError naming the field. The bounds of `ue_cell_size`
+    and `symbols` are the exception: the context build checks them and
+    raises InvalidInputError.
     """
 
     scene: str
@@ -139,7 +142,7 @@ _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"
 
 
 _WRONG = object()  # a value that is not of its field's JSON type
-_TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_TYPE_NAMES = {float: "finite number", int: "integer", bool: "boolean", str: "string"}
 
 
 def _json_typed(kind, value):
@@ -155,6 +158,8 @@ def _json_typed(kind, value):
         return None if value is None else _json_typed(args[0], value)
     if isinstance(value, bool):  # JSON true and false are not numbers
         return value if kind is bool else _WRONG
+    if isinstance(value, float) and not math.isfinite(value):
+        return _WRONG
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
     return value if isinstance(value, (int, float) if kind is float else kind) else _WRONG
@@ -217,21 +222,16 @@ def build_context(cfg: Config) -> optimizer.OptimizerContext:
     ue_grids = [scene_mod.build_grids(scn, cfg.ue_cell_size, cfg.ue_height, area)
                 for area in scn.ue_areas]
     centers = np.vstack([g.centers for g in ue_grids])
-    ue_grid = scene_mod.GridSet(centers, ue_grids[0].extent, cfg.ue_height)
+    ue_grid = scene_mod.GridSet(centers, ue_grids[0].extent)
     uav_grid = scene_mod.build_grids(scn, cfg.uav_cell_size, cfg.uav_height, scn.uav_area)
     uncovered = [i for i, c in enumerate(ue_grid.centers)
                  if not scene_mod.line_of_sight(scn, scn.bs_position, c)]
     candidates = scene_mod.candidate_regions(scn, ue_grid, uncovered, uav_grid, prop)
     regions = scene_mod.select_ris_regions(uncovered, candidates)
-    for i, region in enumerate(regions):
-        region.ris_index = i
-    thresholds = optimizer.QosThresholds(link.snr_threshold_linear,
-                                         cfg.range_crb_max, cfg.velocity_crb_max)
     waveform = OfdmWaveform(ofdm, seed=cfg.seed)
     return optimizer.OptimizerContext(
         scene=scn, regions=regions, ue_grid=ue_grid, uav_grid=uav_grid, link=link,
-        prop=prop, thresholds=thresholds, ofdm=ofdm, waveform=waveform,
-        moments=waveform.moments(), cfg=cfg)
+        prop=prop, ofdm=ofdm, waveform=waveform, moments=waveform.moments(), cfg=cfg)
 
 
 def optimize(ctx: optimizer.OptimizerContext) -> optimizer.OptimizationResult:
@@ -256,9 +256,9 @@ def deployment_dict(ctx, result, report) -> dict:
                          for o in plan.orientations],
         "sizes": [{"area_m2": s.area, "side_m": s.side,
                    "cells_per_side": s.cells_per_side} for s in plan.sizes],
-        "coverage": [{"ris_index": r.ris_index, "building": r.building_index,
+        "coverage": [{"ris_index": n, "building": r.patch.building_index,
                       "covered_cells": list(map(int, r.covered_cells)),
-                      "coverage_area_m2": r.coverage_area} for r in ctx.regions],
+                      "coverage_area_m2": r.coverage_area} for n, r in enumerate(ctx.regions)],
         "omega_per_uav": plan.omega_per_uav.tolist(),
         "snr_margin_db": report.snr_margin_db,
         "gain_gap_db": [float(g) for g in report.gain_gap_db],
@@ -450,7 +450,7 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
             plan = optimize(ctx).step1
             report = evaluation.closure_report(ctx, plan)
             total = sum(len(r.covered_cells) for r in ctx.regions)
-            served = sum(int(np.sum(s >= lin2db(ctx.thresholds.snr_threshold) - 3.0))
+            served = sum(int(np.sum(s >= lin2db(ctx.link.snr_threshold_linear) - 3.0))
                          for s in report.snr_db)
             sensing_ok = (mode != "comm-only"
                           and report.crb_range_margin_db >= -3.0

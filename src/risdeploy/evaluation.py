@@ -70,14 +70,17 @@ def _beam(ctx, d_b, dist) -> np.ndarray:
     return np.exp(1j * kappa * (d_b + dist))
 
 
-def _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta: float) -> np.ndarray:
-    "Codeword indices of the quantized focused dual-beam phases over the panel cells."
-    comm = _beam(ctx, d_b, d_ue)
-    if d_uav is None or beta >= 1.0:
-        return codeword_index(np.angle(comm), ctx.cfg.bits)
-    sense = _beam(ctx, d_b, d_uav)
-    return codeword_index(np.angle(np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense),
-                          ctx.cfg.bits)
+def _sense_beam(ctx, d_b, d_uav, beta: float) -> np.ndarray:
+    """The sense beam of the dual-beam split, weighted by sqrt(1 - beta); the
+    panel's beam adds it to the comm beam weighted by sqrt(beta)."""
+    return np.sqrt(1.0 - beta) * _beam(ctx, d_b, d_uav)
+
+
+def _panel_sum(weights, beam, phasors, bits: int) -> complex:
+    """Panel sum of the traversal weights times the phasors of the beam's
+    phases quantized to `bits` (`phasors` = codeword_phasors(bits))."""
+    terms = phasors.take(codeword_index(np.angle(beam), bits))
+    return np.sum(np.multiply(weights, terms, out=terms))
 
 
 def _leg_amplitude(ctx, dist, cos):
@@ -99,10 +102,10 @@ def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> n
     per UAV cell, whose dual-beam split applies while it is sensed (one
     column in comm-only mode).
 
-    The phases are those of _dual_beam_profile, with the work hoisted out of
-    the (cell, UAV) pairs: each UAV cell's weighted sense beam is built once,
-    each UE cell's leg, traversal weights and comm beam once per cell, and a
-    pair only adds the two beams, quantizes their phase and sums the panel.
+    The work is hoisted out of the (cell, UAV) pairs: each UAV cell's
+    weighted sense beam is built once, each UE cell's leg, traversal weights
+    and comm beam once per cell, and a pair only adds the two beams and takes
+    their _panel_sum.
     Memory holds one sense beam per UAV cell and a fixed number of other
     panel vectors, whatever the number of cells."""
     n = panel.index
@@ -120,26 +123,19 @@ def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> n
             single.append(u)
             continue
         groups.setdefault(beta, []).append(u)
-        d_u = _leg(panel.cells, uav, panel.axis)[0]
-        sense[u] = np.sqrt(1.0 - beta) * _beam(ctx, panel.d_b, d_u)
+        sense[u] = _sense_beam(ctx, panel.d_b, _leg(panel.cells, uav, panel.axis)[0], beta)
     cells = ctx.regions[n].covered_cells
     table = np.zeros((len(cells), len(uavs)))
     weighted, beam = np.empty((2, len(panel.cells)), dtype=complex)
-
-    def cascade(weights, phases):
-        "Panel sum of the traversal weights times the quantized phasors of one beam."
-        terms = phasors.take(codeword_index(np.angle(phases), bits))
-        return np.sum(np.multiply(weights, terms, out=terms))
-
     for i, cell in enumerate(cells):
         d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
         weights = _traversal(ctx, panel, d_k, cos_k)
         comm = _beam(ctx, panel.d_b, d_k)
-        h = dict.fromkeys(single, cascade(weights, comm)) if single else {}
+        h = dict.fromkeys(single, _panel_sum(weights, comm, phasors, bits)) if single else {}
         for beta, columns in groups.items():
             np.multiply(np.sqrt(beta), comm, out=weighted)
             for u in columns:
-                h[u] = cascade(weights, np.add(weighted, sense[u], out=beam))
+                h[u] = _panel_sum(weights, np.add(weighted, sense[u], out=beam), phasors, bits)
         for u, h_u in h.items():
             table[i, u] = power[u] * abs(h_u) ** 2 / ctx.link.noise_power_w
         del d_k, cos_k, weights, comm  # freed before the next cell's are built
@@ -151,12 +147,13 @@ def _ris_sensing_path(ctx, plan: Step1Result, panel: Panel, uav, uav_index: int,
     """Round trip through the sized panel toward a UAV while cell uav_index
     is sensed, with the comm beam on ue_cell."""
     n = panel.index
+    beta = float(plan.beta_per_uav[uav_index, n])
     d_k, _ = _leg(panel.cells, ctx.ue_grid.centers[ue_cell], panel.axis)
     d_u, cos_u = _leg(panel.cells, uav, panel.axis)
-    index = _dual_beam_profile(ctx, panel.d_b, d_k, d_u,
-                               float(plan.beta_per_uav[uav_index, n]))
-    h = complex(np.sum(_traversal(ctx, panel, d_u, cos_u)
-                       * codeword_phasors(ctx.cfg.bits)[index]))
+    beam = np.sqrt(beta) * _beam(ctx, panel.d_b, d_k) + _sense_beam(ctx, panel.d_b, d_u, beta)
+    bits = ctx.cfg.bits
+    h = complex(_panel_sum(_traversal(ctx, panel, d_u, cos_u), beam,
+                           codeword_phasors(bits), bits))
     return sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[uav_index, n + 1]),
                         ris=plan.positions[n], cascade=h, velocity=velocity)
 
@@ -190,7 +187,7 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
     gaps = np.zeros(n_ris)
     crb_r = np.full((n_ris, m_u), np.nan)
     crb_v = np.full((n_ris, m_u), np.nan)
-    thr_db = lin2db(ctx.thresholds.snr_threshold)
+    thr_db = lin2db(ctx.link.snr_threshold_linear)
     snr_margin = np.inf
     synthesis = []
     for n, region in enumerate(ctx.regions):
@@ -216,8 +213,8 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
     if comm_only:
         rng_margin = vel_margin = np.nan
     else:
-        rng_margin = float(np.min(lin2db(ctx.thresholds.range_crb_max / crb_r)))
-        vel_margin = float(np.min(lin2db(ctx.thresholds.velocity_crb_max / crb_v)))
+        rng_margin = float(np.min(lin2db(ctx.cfg.range_crb_max / crb_r)))
+        vel_margin = float(np.min(lin2db(ctx.cfg.velocity_crb_max / crb_v)))
     return ClosureReport(snr_db=snr_db, crb_range=crb_r, crb_velocity=crb_v,
                          snr_margin_db=float(snr_margin), crb_range_margin_db=rng_margin,
                          crb_velocity_margin_db=vel_margin, gain_gap_db=gaps,

@@ -26,17 +26,6 @@ from .units import SPEED_OF_LIGHT, db2lin
 
 
 @dataclass(frozen=True)
-class QosThresholds:
-    snr_threshold: float  # linear
-    range_crb_max: float  # m^2
-    velocity_crb_max: float  # (m/s)^2
-
-    def __post_init__(self):
-        if min(self.snr_threshold, self.range_crb_max, self.velocity_crb_max) <= 0:
-            raise InvalidInputError("QoS thresholds must be positive")
-
-
-@dataclass(frozen=True)
 class ConstraintConstants:
     c1: float
     c2: float
@@ -47,21 +36,22 @@ class ConstraintConstants:
         return max(self.c1, self.c2, self.c3)
 
 
-def constraint_constants(gamma_ref_worst: float, crb_ref: CrbPair,
-                         thresholds: QosThresholds, beta: float) -> ConstraintConstants:
+def constraint_constants(gamma_ref_worst: float, crb_ref: CrbPair, ctx: "OptimizerContext",
+                         beta: float) -> ConstraintConstants:
     """Per-RIS normalized constraint constants for a candidate beta split.
 
-    c1 compares the SNR threshold to the worst reference SNR over the RIS's
-    UE cells; c2/c3 compare the reference range/velocity CRBs to their caps.
+    c1 compares the SNR threshold of `ctx.link` to the worst reference SNR
+    over the RIS's UE cells; c2/c3 compare the reference range/velocity CRBs
+    to the caps of `ctx.cfg`.
     """
     if not (0.0 < beta < 1.0):
         raise InvalidInputError("beta must be strictly inside (0, 1)")
     if gamma_ref_worst <= 0:
         raise InvalidInputError("reference SNR must be positive")
     return ConstraintConstants(
-        c1=thresholds.snr_threshold / (beta * gamma_ref_worst),
-        c2=crb_ref.range_crb / ((1.0 - beta) * thresholds.range_crb_max),
-        c3=crb_ref.velocity_crb / ((1.0 - beta) * thresholds.velocity_crb_max),
+        c1=ctx.link.snr_threshold_linear / (beta * gamma_ref_worst),
+        c2=crb_ref.range_crb / ((1.0 - beta) * ctx.cfg.range_crb_max),
+        c3=crb_ref.velocity_crb / ((1.0 - beta) * ctx.cfg.velocity_crb_max),
     )
 
 
@@ -200,7 +190,6 @@ class OptimizerContext:
     uav_grid: object
     link: LinkBudget
     prop: PropagationConfig
-    thresholds: QosThresholds
     ofdm: OfdmParams
     waveform: OfdmWaveform  # the probing frame of the run, seeded by `seed`
     moments: WaveformMoments  # of `waveform` at zero delay
@@ -334,8 +323,8 @@ def direct_power_share(ctx: OptimizerContext) -> float:
     worst = 0.0
     for center in ctx.uav_grid.centers:
         ref = direct_sensing_crb(ctx, center)
-        worst = max(worst, ref.range_crb / ctx.thresholds.range_crb_max,
-                    ref.velocity_crb / ctx.thresholds.velocity_crb_max)
+        worst = max(worst, ref.range_crb / ctx.cfg.range_crb_max,
+                    ref.velocity_crb / ctx.cfg.velocity_crb_max)
     if worst >= 1.0:
         raise InfeasiblePowerError(
             f"direct sensing alone needs omega0 = {worst:.3f} >= 1")
@@ -407,7 +396,7 @@ def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
     "Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell."
     best = None
     for beta in ctx.cfg.beta_grid:
-        cc = constraint_constants(gamma_worst, crb, ctx.thresholds, float(beta))
+        cc = constraint_constants(gamma_worst, crb, ctx, float(beta))
         if best is None or cc.c_max < best[1]:
             best = (float(beta), cc.c_max)
     return best
@@ -430,7 +419,7 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
     for u in range(m_u):
         for n, ref in enumerate(refs):
             if comm_only:
-                beta, c_n = 1.0, ctx.thresholds.snr_threshold / ref.gamma_worst
+                beta, c_n = 1.0, ctx.link.snr_threshold_linear / ref.gamma_worst
             else:
                 beta, c_n = _best_beta(ctx, ref.gamma_worst, ref.crbs[u])
             betas[u, n] = beta
@@ -477,6 +466,7 @@ class SimplexState:
     coords: np.ndarray  # (M_s + 1, 2N) patch (u, v) pairs
     objectives: np.ndarray  # (M_s + 1,)
     results: list  # Step1Result per vertex
+    omega0: float  # direct-beam power share, the same at every placement
     iteration: int = 0
     evaluations: int = 0  # step-1 evaluations so far, resampled vertices included
     unreachable: int = 0  # of them, the ones that raised UnreachableTargetsError
@@ -487,11 +477,11 @@ class SimplexState:
         self.objectives = self.objectives[idx]
         self.results = [self.results[i] for i in idx]
 
-    def evaluate(self, coords, context: OptimizerContext, omega0: float):
+    def evaluate(self, coords, context: OptimizerContext):
         "Objective and Step1Result at patch coordinates; inf and None where unreachable."
         self.evaluations += 1
         try:
-            res = step1_evaluate(patch_points(coords, context.regions), context, omega0)
+            res = step1_evaluate(patch_points(coords, context.regions), context, self.omega0)
         except UnreachableTargetsError:
             self.unreachable += 1
             return np.inf, None
@@ -514,7 +504,7 @@ class OptimizationResult:
     converged: bool
     iterations: int
     patch_coords: np.ndarray
-    evaluations: int  # step-1 evaluations; the path-loss baseline adds its per-RIS checks
+    evaluations: int  # step-1 evaluations; for the path-loss baseline, its per-RIS checks
     unreachable: int  # of them, the ones that raised UnreachableTargetsError
 
 
@@ -534,13 +524,13 @@ def initial_simplex(context: OptimizerContext, seed: int = 0,
         n_vertices = 2 * n_ris + 1
     rng = np.random.default_rng(seed)
     state = SimplexState(coords=np.zeros((n_vertices, 2 * n_ris)),
-                         objectives=np.zeros(n_vertices), results=[])
-    omega0 = direct_power_share(context)
+                         objectives=np.zeros(n_vertices), results=[],
+                         omega0=direct_power_share(context))
     for v in range(n_vertices):
         for _ in range(50):  # resample until the vertex is evaluable
             for n, region in enumerate(context.regions):
                 state.coords[v, 2 * n], state.coords[v, 2 * n + 1] = region.sample(rng)
-            state.objectives[v], res = state.evaluate(state.coords[v], context, omega0)
+            state.objectives[v], res = state.evaluate(state.coords[v], context)
             if res is not None:
                 break
         else:
@@ -559,7 +549,6 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
     iteration cap (flagged non-converged).
     """
     regions = context.regions
-    omega0 = direct_power_share(context)
     state = initial
     state.order()
     trace = []
@@ -577,10 +566,10 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
         centroid = np.mean(state.coords[:-1], axis=0)
         worst = state.coords[-1]
         refl = _project(centroid + 1.0 * (centroid - worst), regions)
-        f_refl, r_refl = state.evaluate(refl, context, omega0)
+        f_refl, r_refl = state.evaluate(refl, context)
         if f_refl < state.objectives[0]:
             exp = _project(centroid + 2.0 * (centroid - worst), regions)
-            f_exp, r_exp = state.evaluate(exp, context, omega0)
+            f_exp, r_exp = state.evaluate(exp, context)
             if f_exp < f_refl:
                 _replace_worst(state, exp, f_exp, r_exp)
             else:
@@ -592,7 +581,7 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                 contract = _project(centroid + 0.5 * (refl - centroid), regions)
             else:
                 contract = _project(centroid + 0.5 * (worst - centroid), regions)
-            f_con, r_con = state.evaluate(contract, context, omega0)
+            f_con, r_con = state.evaluate(contract, context)
             if f_con < min(state.objectives[-1], f_refl):
                 _replace_worst(state, contract, f_con, r_con)
             else:  # shrink toward the best vertex
@@ -600,7 +589,7 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                     state.coords[v] = _project(
                         state.coords[0] + 0.5 * (state.coords[v] - state.coords[0]), regions)
                     state.objectives[v], state.results[v] = state.evaluate(
-                        state.coords[v], context, omega0)
+                        state.coords[v], context)
         state.order()
     return OptimizationResult(step1=state.results[0], trace=trace, converged=converged,
                               iterations=state.iteration, patch_coords=state.coords[0].copy(),
@@ -626,17 +615,18 @@ def _replace_worst(state: SimplexState, coords, objective, result):
 def pathloss_baseline(context: OptimizerContext, samples: int = 64,
                       seed: int = 0) -> OptimizationResult:
     """Comparison baseline: place each RIS at the patch point minimizing the
-    summed free-space path loss to the BS and its covered UE cells, then run
-    the step-1 evaluation once at those positions.
+    summed free-space path loss to the BS and its covered UE cells, then size
+    the plan once at those positions.
 
     Free space ignores blockage, so the cheapest sample can have no path to a
     cell. Each RIS takes the cheapest of its samples whose per-RIS reference
-    (ris_reference) can be formed; only the references can make step 1
-    unreachable, so the joint evaluation then succeeds.
+    (ris_reference) can be formed, and the sizing uses the references these
+    checks accepted.
     """
     rng = np.random.default_rng(seed)
     omega0 = direct_power_share(context)
     coords = np.zeros(2 * len(context.regions))
+    refs = []
     checks = unreachable = 0
     for n, region in enumerate(context.regions):
         cells = context.ue_grid.centers[region.covered_cells]
@@ -650,7 +640,7 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
         for k in np.argsort(costs, kind="stable"):
             checks += 1
             try:
-                ris_reference(context, n, region.point_at(*uvs[k]))
+                refs.append(ris_reference(context, n, region.point_at(*uvs[k])))
             except UnreachableTargetsError:
                 unreachable += 1
                 continue
@@ -659,7 +649,6 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
         else:
             raise UnreachableTargetsError(
                 f"RIS {n}: no evaluable point among {samples} samples")
-    res = step1_evaluate(patch_points(coords, context.regions), context, omega0)
-    return OptimizationResult(step1=res, trace=[], converged=True, iterations=0,
-                              patch_coords=coords, evaluations=checks + 1,
-                              unreachable=unreachable)
+    return OptimizationResult(step1=size_plan(context, refs, omega0), trace=[],
+                              converged=True, iterations=0, patch_coords=coords,
+                              evaluations=checks, unreachable=unreachable)

@@ -151,15 +151,9 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
     return paths
 
 
-def dominant_path(paths) -> PathRecord:
-    """Maximum-amplitude path; ties broken by shortest length."""
-    if not paths:
-        raise NoPathError("no propagation path on this link")
-    return min(paths, key=lambda p: (-p.attenuation, p.length))
-
-
 def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
-    """Dominant path of a link, with a LoS fast path.
+    """Dominant path of a link: the first of enumerate_paths, with a LoS
+    fast path. NoPathError when the link has no path.
 
     A LoS path, when present, always dominates: every reflection is both
     longer and attenuated by the bounce loss.
@@ -170,4 +164,7 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
         raise InvalidInputError("degenerate link: a == b")
     if line_of_sight(scene, a, b):
         return _los_path(a, b, cfg.wavelength)
-    return dominant_path(enumerate_paths(scene, cfg, a, b))
+    paths = enumerate_paths(scene, cfg, a, b)
+    if not paths:
+        raise NoPathError("no propagation path on this link")
+    return paths[0]

@@ -182,7 +182,6 @@ class GridSet:
 
     centers: np.ndarray  # (M, 3)
     extent: np.ndarray  # (2,) cell width/depth in meters
-    height: float
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float).reshape(-1, 3))
@@ -295,7 +294,7 @@ def build_grids(scene: Scene, cell_size, height: float, area: Rect | None = None
             if any(point_in_polygon((cx, cy), blg.footprint) for blg in scene.buildings):
                 continue
             centers.append((cx, cy, height))
-    return GridSet(np.array(centers).reshape(-1, 3), cell, height)
+    return GridSet(np.array(centers).reshape(-1, 3), cell)
 
 
 @dataclass(frozen=True)
@@ -313,16 +312,11 @@ class FacePatch:
     v_min: float
     v_max: float
 
-    def area(self) -> float:
-        return (self.u_max - self.u_min) * (self.v_max - self.v_min)
-
 
 @dataclass
 class DeployableRegion:
     """Feasible mounting surface for one RIS plus the UE cells it serves."""
 
-    ris_index: int
-    building_index: int
     patch: FacePatch
     covered_cells: list
     coverage_area: float
@@ -406,10 +400,8 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                 continue
             patch = FacePatch(b_idx, f_idx, margin, length - margin,
                               min_height, building.height - margin)
-            region = DeployableRegion(
-                ris_index=-1, building_index=b_idx, patch=patch,
-                covered_cells=[], coverage_area=0.0, _scene=scene,
-            )
+            region = DeployableRegion(patch=patch, covered_cells=[], coverage_area=0.0,
+                                      _scene=scene)
             point = region.reference_point()
             if not line_of_sight(scene, point, scene.bs_position):
                 continue

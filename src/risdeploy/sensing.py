@@ -86,7 +86,6 @@ class OfdmWaveform:
 
     def __init__(self, params: OfdmParams, seed: int = 0):
         self.params = params
-        self.seed = seed
         self.index = qpsk_symbols(params.subcarriers, params.symbols, seed)
         nc = params.subcarriers
         self.freqs = (np.arange(nc) - nc // 2) * params.bandwidth_hz / nc

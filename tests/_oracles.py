@@ -10,7 +10,8 @@ moments use. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
 blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
-the complex QPSK grid from the waveform's seed, not from its index grid. The
+the complex QPSK grid again from the seed the waveform was built with (their
+`wave_seed`), not from its index grid. The
 closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
 time, each from its own legs, float `np.mod` phases and `exp` of the
 quantized phases. The step-1 reference is the joint loop that forms every
@@ -30,9 +31,9 @@ from risdeploy.optimizer import (Step1Result, _best_beta, _square_panel, direct_
 from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
 
 
-def qpsk_grid(wave):
-    "The complex QPSK grid (Nc, M) of `wave`, drawn again from its seed."
-    return qpsk_symbols_exp(wave.params.subcarriers, wave.params.symbols, wave.seed)
+def qpsk_grid(wave, seed):
+    "The complex QPSK grid (Nc, M) of `wave`, drawn again from the seed it was built with."
+    return qpsk_symbols_exp(wave.params.subcarriers, wave.params.symbols, seed)
 
 
 def _delayed_symbol(grid, wave, m, offset):
@@ -42,7 +43,7 @@ def _delayed_symbol(grid, wave, m, offset):
     return np.fft.ifft(np.roll(spec, -(nc // 2))) * nc * wave._scale
 
 
-def fd_fim(wave, path, noise_psd, h_tau=6e-12, h_dop=100.0):
+def fd_fim(wave, path, noise_psd, *, wave_seed, h_tau=6e-12, h_dop=100.0):
     """2x2 range/velocity FIM from central differences, shape (2, 2).
 
     The signal model is mu(t) = coeff * s(t - tau) * exp(j 2 pi doppler t)
@@ -58,7 +59,7 @@ def fd_fim(wave, path, noise_psd, h_tau=6e-12, h_dop=100.0):
     assert abs(path.delay * bw - shift) < 1e-6, "oracle expects an on-grid delay"
     total = nc * nm
     limit = total - shift
-    grid = qpsk_grid(wave)
+    grid = qpsk_grid(wave, wave_seed)
 
     d_tau = []
     d_dop = []
@@ -117,7 +118,7 @@ def qpsk_symbols_exp(subcarriers, symbols, seed):
     return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
 
 
-def moments_per_symbol(wave, tau=0.0):
+def moments_per_symbol(wave, tau=0.0, *, wave_seed):
     """(deriv_energy, time_cross, time_energy) of s(t - tau), one IFFT pair per symbol.
 
     The per-symbol sums are accumulated in symbol order.
@@ -128,7 +129,7 @@ def moments_per_symbol(wave, tau=0.0):
     shift = int(round(tau * p.bandwidth_hz))
     i1, i2, i3 = 0.0, 0.0 + 0.0j, 0.0
     limit = nc * nm - shift
-    grid = qpsk_grid(wave)
+    grid = qpsk_grid(wave, wave_seed)
     for m in range(nm):
         base = m * nc
         if base >= limit:
@@ -145,7 +146,7 @@ def moments_per_symbol(wave, tau=0.0):
     return i1, i2, i3
 
 
-def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1):
+def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed):
     "Received frame (Nc, M) built from whole-frame outer products and one noise draw."
     p = wave.params
     tsym = p.symbol_duration
@@ -155,7 +156,7 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1):
         delay_phase = np.exp(-1j * 2.0 * np.pi * wave.freqs * path.delay)
         doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
         y += path.coeff * np.outer(delay_phase, doppler_phase)
-    y *= qpsk_grid(wave)
+    y *= qpsk_grid(wave, wave_seed)
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * p.bandwidth_hz / 2.0)
@@ -305,7 +306,7 @@ def step1_evaluate_joint(positions, context, omega0=None):
             gamma = gamma_refs[n]
             gamma_worst = float(np.min(gamma[gamma > 0.0]))
             if comm_only:
-                beta, c_n = 1.0, context.thresholds.snr_threshold / gamma_worst
+                beta, c_n = 1.0, context.link.snr_threshold_linear / gamma_worst
             else:
                 beta, c_n = _best_beta(context, gamma_worst, crb_refs[n][u])
             betas[u, n] = beta

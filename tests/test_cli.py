@@ -11,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risdeploy import cli, optimizer
 from risdeploy.errors import SceneFormatError, UnreachableTargetsError
@@ -249,7 +251,10 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
                                          ("EFFICIENCY", "0"), ("BITS", "0"),
                                          ("REF_CELLS_PER_SIDE", "0"), ("D_MIN", "-1"),
                                          ("MAX_ITERATIONS", "0"), ("RCS", "-1"),
-                                         ("SIZE_CAP", "-1")])
+                                         ("SIZE_CAP", "-1"), ("TX_POWER_DBM", "NaN"),
+                                         ("UE_HEIGHT", "NaN"), ("CARRIER_HZ", "Infinity"),
+                                         ("UAV_VELOCITY", "[NaN,0,0]"),
+                                         ("NOISE_PSD_DBM_HZ", "-1e400")])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
@@ -260,6 +265,25 @@ def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_pat
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "SceneFormatError"
         assert err["message"].startswith(name.lower() + ":")
+
+
+# what Python's JSON parser can return for a scalar, NaN and the infinities included
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                          st.text(max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from([f.name for f in dataclasses.fields(cli.Config)]),
+       value=st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)))
+def test_config_takes_a_json_value_or_names_its_field(name, value):
+    # any JSON value of any field builds a Config or is rejected as that field's
+    try:
+        cfg = cli.Config(**{"scene": "s.json", name: value})
+    except SceneFormatError as exc:
+        assert exc.field == name
+    else:  # which holds finite numbers only
+        json.dumps(dataclasses.asdict(cfg), allow_nan=False)
 
 
 _BOUND_KEYS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
@@ -307,7 +331,8 @@ def test_config_agrees_with_schema(tmp_path):
     assert mismatches == []
 
 
-@pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0")])
+@pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0"),
+                                         ("SNR_THRESHOLD_DB", "-4000")])
 def test_value_the_context_rejects_is_bad_input(name, value, monkeypatch, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path / "run")])

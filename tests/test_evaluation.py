@@ -117,7 +117,7 @@ def test_closure_report_shapes_and_margins(ctx_full, nm_result):
     # reported margin is consistent with the per-cell SNR table
     worst = min(float(np.min(s)) for s in report.snr_db)
     assert report.snr_margin_db == pytest.approx(
-        worst - lin2db(ctx_full.thresholds.snr_threshold))
+        worst - lin2db(ctx_full.link.snr_threshold_linear))
 
 
 def test_closure_report_comm_only(demo_cfg):

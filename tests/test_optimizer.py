@@ -1,13 +1,15 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from risdeploy import optimizer
+from risdeploy import cli, optimizer
 from risdeploy.arrays import Orientation, OrientationBounds
-from risdeploy.errors import (InfeasiblePowerError, InvalidInputError,
+from risdeploy.channel import LinkBudget
+from risdeploy.errors import (InfeasiblePowerError, InvalidInputError, SceneFormatError,
                               UnreachableTargetsError)
-from risdeploy.optimizer import (QosThresholds, constraint_constants,
+from risdeploy.optimizer import (constraint_constants,
                                  direct_power_share, initial_simplex,
                                  kkt_power_allocation, orientation_search,
                                  pathloss_baseline, ris_size, step1_evaluate)
@@ -19,19 +21,21 @@ WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
 
 def test_constraint_constants_formula():
-    thr = QosThresholds(snr_threshold=100.0, range_crb_max=4e-4, velocity_crb_max=1e-2)
+    ctx = types.SimpleNamespace(cfg=cli.Config(scene="s.json", range_crb_max=4e-4,
+                                               velocity_crb_max=1e-2),
+                                link=LinkBudget(43.0, -165.0, 1e9, snr_threshold_db=20.0))
     crb = CrbPair(range_crb=8e-5, velocity_crb=3e-3, fim=np.eye(2))
-    cc = constraint_constants(5e4, crb, thr, beta=0.4)
+    cc = constraint_constants(5e4, crb, ctx, beta=0.4)
     assert cc.c1 == pytest.approx(100.0 / (0.4 * 5e4))
     assert cc.c2 == pytest.approx(8e-5 / (0.6 * 4e-4))
     assert cc.c3 == pytest.approx(3e-3 / (0.6 * 1e-2))
     assert cc.c_max == max(cc.c1, cc.c2, cc.c3)
     with pytest.raises(InvalidInputError):
-        constraint_constants(5e4, crb, thr, beta=1.0)
+        constraint_constants(5e4, crb, ctx, beta=1.0)
     with pytest.raises(InvalidInputError):
-        constraint_constants(0.0, crb, thr, beta=0.5)
-    with pytest.raises(InvalidInputError):
-        QosThresholds(0.0, 1.0, 1.0)
+        constraint_constants(0.0, crb, ctx, beta=0.5)
+    with pytest.raises(SceneFormatError):
+        cli.Config(scene="s.json", range_crb_max=0.0)
 
 
 def test_kkt_allocation_stationarity_and_budget():
@@ -276,9 +280,10 @@ def test_pathloss_baseline_skips_points_without_a_path(ctx_full):
 
 
 def test_pathloss_baseline_evaluates_step1_once(ctx_full, monkeypatch):
-    # each sample is checked by its per-RIS reference; step 1 runs once, at
-    # the chosen points, and the counts cover the checks and that evaluation
-    calls = {"step1_evaluate": 0, "ris_reference": 0, "raised": 0}
+    # each sample is checked by its per-RIS reference, and the plan is sized
+    # once from the references the checks accepted; step1_evaluate, which
+    # would form them again, does not run, and the count is the checks'
+    calls = {"step1_evaluate": 0, "ris_reference": 0, "size_plan": 0, "raised": 0}
 
     def counted(name):
         original = getattr(optimizer, name)
@@ -292,13 +297,31 @@ def test_pathloss_baseline_evaluates_step1_once(ctx_full, monkeypatch):
                 raise
         return wrapper
 
-    for name in ("step1_evaluate", "ris_reference"):
+    for name in ("step1_evaluate", "ris_reference", "size_plan"):
         monkeypatch.setattr(optimizer, name, counted(name))
     base = pathloss_baseline(ctx_full, seed=12)
-    assert calls["step1_evaluate"] == 1
-    checks = calls["ris_reference"] - len(ctx_full.regions)  # the rest are step 1's
-    assert base.evaluations == checks + 1
+    assert (calls["step1_evaluate"], calls["size_plan"]) == (0, 1)
+    assert base.evaluations == calls["ris_reference"] == len(ctx_full.regions) + 1
     assert base.unreachable == calls["raised"] == 1  # seed 12 skips one sample
+
+
+def test_one_search_computes_the_direct_power_share_once(ctx_full, monkeypatch):
+    # the share is the same at every placement: the simplex holds it for the
+    # initial vertices and every iteration
+    calls = []
+    share = optimizer.direct_power_share
+
+    def counted(ctx):
+        calls.append(ctx)
+        return share(ctx)
+
+    monkeypatch.setattr(optimizer, "direct_power_share", counted)
+    short = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg,
+                                                                  max_iterations=3))
+    result = cli.optimize(short)
+    assert result.iterations == 3 and result.evaluations > len(result.trace)
+    assert len(calls) == 1
+    assert np.all(result.step1.omega_per_uav[:, 0] == share(ctx_full))
 
 
 @pytest.mark.parametrize("with_uav", [True, False])

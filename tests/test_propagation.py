@@ -3,8 +3,7 @@ import pytest
 
 from risdeploy.errors import InvalidInputError, NoPathError
 from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
-                                   dominant_path, dominant_path_between,
-                                   enumerate_paths, fspl_amplitude)
+                                   dominant_path_between, enumerate_paths, fspl_amplitude)
 from risdeploy.scene import Bounds, Building, Scene
 from risdeploy.units import lin2db, wavelength
 
@@ -91,8 +90,9 @@ def test_pl_max_cutoff():
     # LoS at 100 m is ~101.4 dB; set the cap below that
     tight = PropagationConfig(carrier_freq=28e9, pl_max_db=95.0)
     assert enumerate_paths(scn, tight, a, b) == []
+    blocked = open_scene([Building.box(45.0, 55.0, -5.0, 5.0, 30.0)])
     with pytest.raises(NoPathError):
-        dominant_path([])
+        dominant_path_between(blocked, tight, a, b)
 
 
 def test_blocked_los_falls_back_to_reflection():

@@ -136,9 +136,9 @@ def test_blocked_frame_passes_match_whole_frame_reference(rows, cols, monkeypatc
     for noise in (0.0, 1e-19):
         y = synthesize_returns(wave, _odd_paths(), noise_psd=noise, seed=9)
         assert same_bits(y, synthesize_returns_full(wave, _odd_paths(), noise_psd=noise,
-                                                    seed=9))
+                                                    seed=9, wave_seed=4))
         rv = range_velocity_map(y.copy(), wave)
-        assert same_bits(rv.power_db, range_velocity_power_db(y, qpsk_grid(wave)))
+        assert same_bits(rv.power_db, range_velocity_power_db(y, qpsk_grid(wave, 4)))
 
 
 # a frame smaller than the 21-cell outer window of the default CFAR

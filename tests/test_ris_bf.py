@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from risdeploy.arrays import Orientation, rotation_matrix
 from risdeploy.errors import InvalidInputError
-from risdeploy.evaluation import _dual_beam_profile
+from risdeploy.evaluation import _beam, _panel_sum, _sense_beam
 from risdeploy.ris_bf import (codeword_index, codeword_phasors, quantization_efficiency,
                               ris_cell_positions)
 from risdeploy.units import wavelength
@@ -113,11 +113,13 @@ def _focus_distances():
 
 def test_dual_beam_single_beam_limit():
     ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=2))
-    _, d_b, d_ue, d_uav = _focus_distances()
-    step = 2 * np.pi / 4
-    comm = quantize_phases_mod(2 * np.pi / LAM * (d_b + d_ue), 2) / step
-    np.testing.assert_array_equal(_dual_beam_profile(ctx, d_b, d_ue, d_uav, 1.0), comm)
-    np.testing.assert_array_equal(_dual_beam_profile(ctx, d_b, d_ue, None, 0.4), comm)
+    cells, d_b, d_ue, d_uav = _focus_distances()
+    rng = np.random.default_rng(2)
+    weights = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+    comm = np.exp(1j * quantize_phases_mod(2 * np.pi / LAM * (d_b + d_ue), 2))
+    beam = _beam(ctx, d_b, d_ue) + _sense_beam(ctx, d_b, d_uav, 1.0)
+    h = _panel_sum(weights, beam, codeword_phasors(2), 2)
+    np.testing.assert_allclose(h, np.sum(weights * comm), rtol=1e-12)
 
 
 def test_dual_beam_splits_coherent_power():
@@ -127,8 +129,9 @@ def test_dual_beam_splits_coherent_power():
     kappa = 2 * np.pi / LAM
 
     def gains(beta):
-        phi = _dual_beam_profile(ctx, d_b, d_ue, d_uav, beta) * (2 * np.pi / 2**8)
-        return tuple(abs(np.sum(np.exp(1j * (phi - kappa * (d_b + d))))) ** 2
+        beam = np.sqrt(beta) * _beam(ctx, d_b, d_ue) + _sense_beam(ctx, d_b, d_uav, beta)
+        return tuple(abs(_panel_sum(np.exp(-1j * kappa * (d_b + d)), beam,
+                                    codeword_phasors(8), 8)) ** 2
                      for d in (d_ue, d_uav))
 
     # equal weights give a near-symmetric split with substantial gain on both beams

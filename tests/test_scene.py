@@ -185,8 +185,8 @@ def test_build_grids_excludes_buildings_and_validates():
 
 
 def _mock_region(cells):
-    return DeployableRegion(ris_index=-1, building_index=0, patch=None,
-                            covered_cells=list(cells), coverage_area=float(len(cells)))
+    return DeployableRegion(patch=None, covered_cells=list(cells),
+                            coverage_area=float(len(cells)))
 
 
 def test_select_ris_regions_greedy():
