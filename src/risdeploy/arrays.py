@@ -5,6 +5,7 @@ boresight angle of a direction is ``arccos`` of its local x component.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +16,11 @@ class Orientation:
 
     theta_r: float
     psi_r: float
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        "Global panel normal, formed once per orientation (do not modify it)."
+        return panel_normal(self.theta_r, self.psi_r)
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,10 @@ def panel_normal(theta_r, psi_r) -> np.ndarray:
     """Global panel normal (local +x) for orientation angles, elementwise.
 
     Equals the first column of ``rotation_matrix``; the result has the
-    broadcast shape of the angles plus a trailing axis of length 3.
+    broadcast shape of the angles plus a trailing axis of length 3, so a
+    column of thetas and a row of psis give the whole grid from one cosine
+    and sine per angle.
     """
-    return np.stack([np.cos(psi_r) * np.cos(theta_r), np.sin(psi_r) * np.cos(theta_r),
-                     -np.sin(theta_r)], axis=-1)
+    return np.stack(np.broadcast_arrays(np.cos(psi_r) * np.cos(theta_r),
+                                        np.sin(psi_r) * np.cos(theta_r), -np.sin(theta_r)),
+                    axis=-1)

@@ -5,6 +5,7 @@ Channel amplitudes use the square root of linear power gains so that
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,23 +23,30 @@ class LinkBudget:
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
             raise InvalidInputError("bandwidth must be > 0")
-        if self.snr_threshold_linear <= 0:  # a finite dB value can underflow
-            raise InvalidInputError("SNR threshold must be positive")
+        # a finite dB value can overflow to inf or underflow to 0 in linear units
+        with np.errstate(over="ignore", under="ignore"):
+            linear = [("tx_power_dbm", self.tx_power_w), ("noise_psd_dbm_hz", self.noise_psd_w_hz),
+                      ("noise_psd_dbm_hz", self.noise_power_w),
+                      ("snr_threshold_db", self.snr_threshold_linear)]
+        for name, value in linear:
+            if not 0.0 < value < np.inf:
+                raise InvalidInputError(
+                    f"{name} = {getattr(self, name)!r} has no finite positive linear value")
 
-    @property
+    @cached_property
     def tx_power_w(self) -> float:
         return float(dbm2watt(self.tx_power_dbm))
 
-    @property
+    @cached_property
     def noise_power_w(self) -> float:
         "Full-band noise power: PSD integrated over the bandwidth."
         return float(dbm2watt(self.noise_psd_dbm_hz) * self.bandwidth_hz)
 
-    @property
+    @cached_property
     def noise_psd_w_hz(self) -> float:
         return float(dbm2watt(self.noise_psd_dbm_hz))
 
-    @property
+    @cached_property
     def snr_threshold_linear(self) -> float:
         return float(db2lin(self.snr_threshold_db))
 

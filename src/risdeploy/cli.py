@@ -299,11 +299,12 @@ def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
     mid = len(rv.velocity_axis) // 2
     lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
-    velocities = [repr(v) for v in rv.velocity_axis[lo:hi].tolist()]
+    velocities = [f",{v!r}," for v in rv.velocity_axis[lo:hi].tolist()]
     lines = []
     for r, powers in zip(rv.range_axis[:keep_r].tolist(), rv.power_db[:keep_r, lo:hi].tolist()):
         # the rows csv.writer would write: repr of each float, \r\n terminated
-        lines.extend(f"{r!r},{v},{p!r}\r\n" for v, p in zip(velocities, powers))
+        head = repr(r)
+        lines.extend(f"{head}{v}{p!r}\r\n" for v, p in zip(velocities, powers))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["# range_resolution_m", rv.resolution[0]])

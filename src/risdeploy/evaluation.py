@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import panel_normal
 from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
 from .optimizer import OptimizerContext, Step1Result, sensing_path
@@ -51,7 +50,7 @@ def build_panel(ctx: OptimizerContext, plan: Step1Result, n: int) -> Panel:
     o = plan.orientations[n]
     cells = ris_cell_positions(plan.sizes[n].cells_per_side, ctx.cell_spacing,
                                plan.positions[n], o)
-    axis = panel_normal(o.theta_r, o.psi_r)
+    axis = o.normal
     d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
     return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
                  amp_b=np.sqrt(ctx.cfg.efficiency) * _leg_amplitude(ctx, d_b, cos_b))

@@ -11,7 +11,7 @@ RIS, with out-of-patch proposals projected back.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .arrays import Orientation, OrientationBounds, panel_normal
 from .channel import PANEL_FOV_RAD, LinkBudget, unit_cell_amplitude_gain
 from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError,
                      UnobservablePathError, UnreachableTargetsError)
-from .propagation import PropagationConfig, dominant_path_between, fspl_amplitude
+from .propagation import (PropagationConfig, dominant_path_between, dominant_paths_from,
+                          fspl_amplitude)
 from .ris_bf import quantization_efficiency
 from .sensing import CrbPair, OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim
 from .units import SPEED_OF_LIGHT, db2lin
@@ -27,24 +28,26 @@ from .units import SPEED_OF_LIGHT, db2lin
 
 @dataclass(frozen=True)
 class ConstraintConstants:
-    c1: float
-    c2: float
-    c3: float
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    c3: float | np.ndarray
 
     @property
-    def c_max(self) -> float:
-        return max(self.c1, self.c2, self.c3)
+    def c_max(self) -> float | np.ndarray:
+        return np.maximum(np.maximum(self.c1, self.c2), self.c3)
 
 
 def constraint_constants(gamma_ref_worst: float, crb_ref: CrbPair, ctx: "OptimizerContext",
-                         beta: float) -> ConstraintConstants:
-    """Per-RIS normalized constraint constants for a candidate beta split.
+                         beta) -> ConstraintConstants:
+    """Per-RIS normalized constraint constants for a beta split, or for each
+    split of an array of them (then c1-c3 are arrays over it).
 
     c1 compares the SNR threshold of `ctx.link` to the worst reference SNR
     over the RIS's UE cells; c2/c3 compare the reference range/velocity CRBs
     to the caps of `ctx.cfg`.
     """
-    if not (0.0 < beta < 1.0):
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((0.0 < beta) & (beta < 1.0)):
         raise InvalidInputError("beta must be strictly inside (0, 1)")
     if gamma_ref_worst <= 0:
         raise InvalidInputError("reference SNR must be positive")
@@ -118,9 +121,8 @@ def _axis_grid(bounds: OrientationBounds, step: float):
 def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     thetas = np.arange(theta_low, theta_high + step / 2, step)
     psis = np.arange(psi_low, psi_high + step / 2, step)
-    tg, pg = np.meshgrid(thetas, psis, indexing="ij")
-    axes = np.ascontiguousarray(panel_normal(tg, pg).reshape(-1, 3).T)  # (3, n_axes)
-    return thetas, psis, axes, tg.ravel(), pg.ravel()
+    axes = np.ascontiguousarray(panel_normal(thetas[:, None], psis).reshape(-1, 3).T)  # (3, n_axes)
+    return thetas, psis, axes, np.repeat(thetas, len(psis)), np.tile(psis, len(thetas))
 
 
 _COS_FOV = float(np.cos(PANEL_FOV_RAD))
@@ -132,15 +134,22 @@ def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
     driven by the worst cell, so the worst-case product is the surrogate.
 
     `axes` is (3, n_axes), so each target's cosines form one contiguous row
-    and the minima over targets run along whole rows."""
+    and the minima over targets run along whole rows. A row minimum is inside
+    the field of view exactly when the whole row is, so the field-of-view
+    test runs on three rows: the BS row and the two minima. Where all three
+    pass, the product is that of the cosines themselves; elsewhere it is 0."""
     n_ue = len(u_ue)
     targets = np.vstack([u_bs[None, :], u_ue] if u_uav is None or not len(u_uav)
                         else [u_bs[None, :], u_ue, u_uav])
     cos = targets @ axes  # (1 + n_ue [+ n_uav], n_axes)
-    cos *= cos > _COS_FOV  # outside the panel field of view counts as zero
-    score = cos[0] * np.min(cos[1:n_ue + 1], axis=0)
+    worst = np.min(cos[1:n_ue + 1], axis=0)
+    seen = (cos[0] > _COS_FOV) & (worst > _COS_FOV)
+    score = cos[0] * worst
     if targets.shape[0] > n_ue + 1:
-        score *= np.min(cos[n_ue + 1:], axis=0)
+        worst = np.min(cos[n_ue + 1:], axis=0)
+        seen &= worst > _COS_FOV
+        score *= worst
+    score *= seen
     return score
 
 
@@ -211,17 +220,17 @@ class OptimizerContext:
     def m_ref(self) -> int:
         return self.cfg.ref_cells_per_side**2
 
-    @property
+    @cached_property
     def bs_amp_gain(self) -> float:
         "Amplitude gain of the matched-beamformed BS array."
         return float(np.sqrt(math.prod(self.cfg.bs_array) * db2lin(self.cfg.bs_gain_dbi)))
 
-    @property
+    @cached_property
     def rcs_amp(self) -> float:
         "Scatter amplitude inserted between the two FSPL legs of a bounce."
         return float(np.sqrt(4.0 * np.pi * self.cfg.rcs) / self.wavelength)
 
-    @property
+    @cached_property
     def quant_eff(self) -> float:
         return quantization_efficiency(self.cfg.bits)
 
@@ -243,9 +252,9 @@ def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation
     """
     p = np.asarray(position, dtype=float)
     path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
-    paths_k = [dominant_path_between(ctx.scene, ctx.prop, p, ctx.ue_grid.centers[cell])
-               for cell in region.covered_cells]
-    axis = panel_normal(orientation.theta_r, orientation.psi_r)
+    paths_k = dominant_paths_from(ctx.scene, ctx.prop, p,
+                                  ctx.ue_grid.centers[region.covered_cells])
+    axis = orientation.normal
     cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
     g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
                                  ctx.wavelength)
@@ -285,13 +294,17 @@ def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
                        coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
 
 
-def _reference_cascade(ctx: OptimizerContext, position, axis, uav_center) -> float:
-    "Traversal amplitude of the M_ref reference panel from the BS to a UAV."
+def _reference_cascades(ctx: OptimizerContext, position, axis, uav_centers) -> np.ndarray:
+    """Traversal amplitude of the M_ref reference panel from the BS to each
+    UAV cell. The distance and cosine of each UAV leg are formed one leg at a
+    time, since a batched norm or dot product can round differently; the
+    gains and amplitudes are elementwise over the cells."""
     bs = ctx.scene.bs_position
     d_b = float(np.linalg.norm(position - bs))
-    d_u = float(np.linalg.norm(uav_center - position))
     cos_b = float(np.clip(np.dot((bs - position) / d_b, axis), 0.0, None))
-    cos_u = float(np.clip(np.dot((uav_center - position) / d_u, axis), 0.0, None))
+    d_u = np.array([float(np.linalg.norm(center - position)) for center in uav_centers])
+    cos_u = np.clip([np.dot((center - position) / d, axis)
+                     for center, d in zip(uav_centers, d_u)], 0.0, None)
     lam = ctx.wavelength
     g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
                * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
@@ -302,11 +315,11 @@ def _reference_cascade(ctx: OptimizerContext, position, axis, uav_center) -> flo
 def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> list:
     """Reference CRB pair per UAV cell at unit beta, omega and size scale."""
     p = np.asarray(position, dtype=float)
-    axis = panel_normal(orientation.theta_r, orientation.psi_r)
-    return [fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p,
-                                       cascade=_reference_cascade(ctx, p, axis, center)),
+    centers = ctx.uav_grid.centers
+    cascades = _reference_cascades(ctx, p, orientation.normal, centers)
+    return [fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p, cascade=cascade),
                 ctx.link.noise_psd_w_hz, ctx.moments)
-            for center in ctx.uav_grid.centers]
+            for center, cascade in zip(centers, cascades)]
 
 
 def direct_sensing_crb(ctx: OptimizerContext, uav_center) -> CrbPair:
@@ -393,13 +406,12 @@ def ris_reference(ctx: OptimizerContext, n: int, position) -> RisReference:
 
 
 def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
-    "Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell."
-    best = None
-    for beta in ctx.cfg.beta_grid:
-        cc = constraint_constants(gamma_worst, crb, ctx, float(beta))
-        if best is None or cc.c_max < best[1]:
-            best = (float(beta), cc.c_max)
-    return best
+    """Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell,
+    the first one on a tie, and that c_n."""
+    grid = np.asarray(ctx.cfg.beta_grid, dtype=float)
+    c_max = constraint_constants(gamma_worst, crb, ctx, grid).c_max
+    best = int(np.argmin(c_max))
+    return float(grid[best]), float(c_max[best])
 
 
 def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NoPathError
-from .scene import Building, Scene, line_of_sight
+from .scene import Building, Scene, line_of_sight, segments_clear
 from .units import wavelength
 
 
@@ -73,11 +73,14 @@ def _los_path(a, b, lam) -> PathRecord:
                       depart_dir=_unit(b - a))
 
 
-def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp):
-    """Image-method reflection against one plane; None when invalid.
+def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp,
+                     pl_max_db):
+    """Image-method reflection against one plane; None when invalid or over
+    the path-loss budget.
 
     `on_face` checks that the specular point lies inside the reflecting
-    rectangle/half-plane.
+    rectangle/half-plane. The budget is tested before the two visibility
+    tests, which a path over it does not need.
     """
     n = plane_normal
     ha = float(np.dot(a - plane_point, n))
@@ -95,11 +98,14 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
     spec = image_a + t * seg
     if not on_face(spec):
         return None
+    length = float(np.linalg.norm(image_a - b))
+    rec = PathRecord(kind="reflection", attenuation=fspl_amplitude(length, lam) * loss_amp,
+                     length=length, depart_dir=_unit(spec - a))
+    if path_loss_db(rec) > pl_max_db:
+        return None
     if not (_los_clear(scene, a, spec) and _los_clear(scene, spec, b)):
         return None
-    length = float(np.linalg.norm(image_a - b))
-    return PathRecord(kind="reflection", attenuation=fspl_amplitude(length, lam) * loss_amp,
-                      length=length, depart_dir=_unit(spec - a))
+    return rec
 
 
 def _face_checker(building: Building, face: int):
@@ -113,9 +119,10 @@ def _face_checker(building: Building, face: int):
     return origin, on_face
 
 
-def _coincident(a, b) -> bool:
-    "np.allclose(a, b) at its default tolerances, without its generic overhead."
-    return bool(np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)))
+def _coincident(a, b):
+    """np.allclose(a, b) at its default tolerances, without its generic
+    overhead; one answer per row when b holds several points."""
+    return np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b), axis=-1)
 
 
 def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
@@ -139,11 +146,12 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
         for face in range(building.num_faces):
             origin, on_face = _face_checker(building, face)
             normal = building.face_normal(face)
-            rec = _reflection_path(scene, a, b, origin, normal, on_face, lam, loss_amp)
+            rec = _reflection_path(scene, a, b, origin, normal, on_face, lam, loss_amp,
+                                   cfg.pl_max_db)
             if rec is not None:
                 paths.append(rec)
     rec = _reflection_path(scene, a, b, np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                           lambda p: True, lam, loss_amp)
+                           lambda p: True, lam, loss_amp, cfg.pl_max_db)
     if rec is not None:
         paths.append(rec)
     paths = [p for p in paths if path_loss_db(p) <= cfg.pl_max_db]
@@ -168,3 +176,43 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
     if not paths:
         raise NoPathError("no propagation path on this link")
     return paths[0]
+
+
+def _clear_legs(scene: Scene, a, ends) -> np.ndarray:
+    """Line of sight from a to each row of `ends` in one batched test; False
+    where the ends coincide, which the per-leg functions reject."""
+    near = _coincident(a, ends)
+    clear = np.zeros(len(ends), dtype=bool)
+    clear[~near] = segments_clear(scene, a, ends[~near])
+    return clear
+
+
+def dominant_paths_from(scene: Scene, cfg: PropagationConfig, a, ends) -> list:
+    """dominant_path_between(scene, cfg, a, b) for each row b of `ends`, in order.
+
+    One batched line-of-sight test covers every leg. A clear leg is its LoS
+    path; the others go through dominant_path_between, so the first leg
+    without a path raises its error.
+    """
+    a = np.asarray(a, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    lam = cfg.wavelength
+    return [_los_path(a, b, lam) if seen else dominant_path_between(scene, cfg, a, b)
+            for b, seen in zip(ends, _clear_legs(scene, a, ends))]
+
+
+def reachable_from(scene: Scene, cfg: PropagationConfig, a, ends) -> np.ndarray:
+    """Whether enumerate_paths(scene, cfg, a, b) is non-empty for each row b
+    of `ends`: a path within pl_max_db.
+
+    One batched line-of-sight test covers every leg. A clear leg is reachable
+    exactly when its LoS path is within pl_max_db, because every reflection
+    is longer and also pays the bounce loss; only the other legs go through
+    enumerate_paths.
+    """
+    a = np.asarray(a, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    lam = cfg.wavelength
+    return np.array([path_loss_db(_los_path(a, b, lam)) <= cfg.pl_max_db if seen
+                     else bool(enumerate_paths(scene, cfg, a, b))
+                     for b, seen in zip(ends, _clear_legs(scene, a, ends))], dtype=bool)

@@ -197,18 +197,31 @@ class GridSet:
 
 def line_of_sight(scene: Scene, a, b) -> bool:
     """True iff the open segment (a, b) intersects no building prism."""
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.linalg.norm(b - a) < 1e-9:
+    return bool(segments_clear(scene, a, b[None, :])[0])
+
+
+def segments_clear(scene: Scene, a, ends) -> np.ndarray:
+    """Line of sight of the K open segments from a to the rows of `ends`, shape (K,).
+
+    One slab test culls the (segment, prism) pairs for all K segments; only
+    the pairs whose bounding box a segment enters go through the exact prism
+    test.
+    """
+    a = np.asarray(a, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    if np.any(np.linalg.norm(ends - a, axis=1) < 1e-9):
         raise InvalidInputError("degenerate segment: a == b")
-    for i in _boxes_entered(scene._box_lo, scene._box_hi, a, b):
-        if _segment_hits_prism(a, b, scene.buildings[i]):
-            return False
-    return True
+    clear = np.ones(len(ends), dtype=bool)
+    for k, i in zip(*np.nonzero(_boxes_entered(scene._box_lo, scene._box_hi, a, ends))):
+        if clear[k] and _segment_hits_prism(a, ends[k], scene.buildings[i]):
+            clear[k] = False
+    return clear
 
 
-def _boxes_entered(lo, hi, a, b) -> np.ndarray:
-    """Indices of the boxes (rows of lo, hi) that the closed segment a-b meets.
+def _boxes_entered(lo, hi, a, ends) -> np.ndarray:
+    """Which boxes (rows of lo, hi) each closed segment from a to a row of
+    `ends` meets, shape (K, boxes).
 
     Slab test (Williams et al. 2005, "An efficient and robust ray-box
     intersection algorithm"): per axis, the parameter interval inside the
@@ -219,13 +232,13 @@ def _boxes_entered(lo, hi, a, b) -> np.ndarray:
     segment lying exactly in a slab's bounding plane. A subnormal component
     of d overflows the same way, to an interval of the same meaning.
     """
-    d = b - a
+    d = (ends - a)[:, None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (lo - a) / d
         t2 = (hi - a) / d
-    t_in = np.max(np.fmin(t1, t2), axis=1)
-    t_out = np.min(np.fmax(t1, t2), axis=1)
-    return np.flatnonzero((t_in <= t_out) & (t_in <= 1.0) & (t_out >= 0.0))
+    t_in = np.max(np.fmin(t1, t2), axis=2)
+    t_out = np.min(np.fmax(t1, t2), axis=2)
+    return (t_in <= t_out) & (t_in <= 1.0) & (t_out >= 0.0)
 
 
 def _segment_hits_prism(a, b, building: Building, eps: float = 1e-9) -> bool:
@@ -392,6 +405,7 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
     from . import propagation
 
     uncovered = list(uncovered)
+    cells = ue_grid.centers[uncovered]
     out = []
     for b_idx, building in enumerate(scene.buildings):
         for f_idx in range(building.num_faces):
@@ -405,12 +419,10 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
             point = region.reference_point()
             if not line_of_sight(scene, point, scene.bs_position):
                 continue
-            if not all(line_of_sight(scene, point, c) for c in uav_grid.centers):
+            if not np.all(segments_clear(scene, point, uav_grid.centers)):
                 continue
-            # enumerate_paths keeps only the paths within pl_max_db
-            covered = [cell for cell in uncovered
-                       if propagation.enumerate_paths(scene, prop_cfg, point,
-                                                      ue_grid.centers[cell])]
+            covered = [cell for cell, ok in zip(
+                uncovered, propagation.reachable_from(scene, prop_cfg, point, cells)) if ok]
             if not covered:
                 continue
             region.covered_cells = covered

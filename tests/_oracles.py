@@ -16,18 +16,23 @@ closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
 time, each from its own legs, float `np.mod` phases and `exp` of the
 quantized phases. The step-1 reference is the joint loop that forms every
 RIS's reference and sizes the plan in one pass, recomputing the worst served
-SNR for each (UAV cell, RIS) pair.
+SNR for each (UAV cell, RIS) pair. It forms each UE leg's dominant path with
+its own `dominant_path_between` call and each UAV cell's reference cascade and
+CRB one cell at a time. The masked orientation score applies the field-of-view
+mask to every cosine before the minima over targets.
 """
 
 import numpy as np
 
-from risdeploy.arrays import Orientation
-from risdeploy.channel import PANEL_FOV_RAD
+from risdeploy.arrays import Orientation, panel_normal
+from risdeploy.channel import PANEL_FOV_RAD, unit_cell_amplitude_gain
 from risdeploy.errors import (InvalidInputError, NoPathError, UnobservablePathError,
                               UnreachableTargetsError)
 from risdeploy.optimizer import (Step1Result, _best_beta, _square_panel, direct_power_share,
-                                 kkt_power_allocation, orientation_search, reference_comm_snr,
-                                 reference_sensing_crbs, ris_size)
+                                 kkt_power_allocation, orientation_search, ris_size,
+                                 sensing_path)
+from risdeploy.propagation import dominant_path_between, fspl_amplitude
+from risdeploy.sensing import fim
 from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
 
 
@@ -102,6 +107,19 @@ def orientation_score_rows(axes, u_bs, u_ue, u_uav):
     score = cos[:, 0] * np.min(cos[:, 1:n_ue + 1], axis=1)
     if u_uav is not None:
         score *= np.min(cos[:, n_ue + 1:], axis=1)
+    return score
+
+
+def orientation_score_masked(axes, u_bs, u_ue, u_uav):
+    """Worst-target cosine product, shape (n_axes,), from (3, n_axes) axes,
+    with every cosine outside the field of view set to zero first."""
+    n_ue = len(u_ue)
+    targets = np.vstack([u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav]))
+    cos = targets @ axes
+    cos *= cos > np.cos(PANEL_FOV_RAD)
+    score = cos[0] * np.min(cos[1:n_ue + 1], axis=0)
+    if u_uav is not None:
+        score *= np.min(cos[n_ue + 1:], axis=0)
     return score
 
 
@@ -253,6 +271,43 @@ def explicit_ue_snr_pairs(ctx, result, panel):
     return table
 
 
+def reference_comm_snr_per_leg(ctx, position, orientation, region):
+    "Reference per-UE-cell SNR with one dominant_path_between call per leg."
+    p = np.asarray(position, dtype=float)
+    path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
+    paths_k = [dominant_path_between(ctx.scene, ctx.prop, p, ctx.ue_grid.centers[cell])
+               for cell in region.covered_cells]
+    axis = panel_normal(orientation.theta_r, orientation.psi_r)
+    cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
+    g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
+                                 ctx.wavelength)
+    att_k = np.array([path.attenuation for path in paths_k])
+    base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
+            * ctx.bs_amp_gain**2 * path_b.attenuation**2)
+    return base * att_k**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
+
+
+def reference_sensing_crbs_per_cell(ctx, position, orientation):
+    "Reference CRB pair per UAV cell, each cell's cascade formed on its own."
+    p = np.asarray(position, dtype=float)
+    axis = panel_normal(orientation.theta_r, orientation.psi_r)
+    bs = ctx.scene.bs_position
+    lam = ctx.wavelength
+    crbs = []
+    for center in ctx.uav_grid.centers:
+        d_b = float(np.linalg.norm(p - bs))
+        d_u = float(np.linalg.norm(center - p))
+        cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
+        cos_u = float(np.clip(np.dot((center - p) / d_u, axis), 0.0, None))
+        g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
+                   * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
+                   * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
+        cascade = fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
+        crbs.append(fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p, cascade=cascade),
+                        ctx.link.noise_psd_w_hz, ctx.moments))
+    return crbs
+
+
 def step1_evaluate_joint(positions, context, omega0=None):
     "Step 1 as one joint loop over the RISs, then the sizing over (UAV cell, RIS) pairs."
     n_ris = len(context.regions)
@@ -278,7 +333,7 @@ def step1_evaluate_joint(positions, context, omega0=None):
                                         uav_centers, bounds)
         orientations.append(orient)
         try:
-            gamma = reference_comm_snr(context, positions[n], orient, region)
+            gamma = reference_comm_snr_per_leg(context, positions[n], orient, region)
         except NoPathError as exc:
             raise UnreachableTargetsError(
                 f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
@@ -293,7 +348,8 @@ def step1_evaluate_joint(positions, context, omega0=None):
             crb_refs.append(None)
         else:
             try:
-                crb_refs.append(reference_sensing_crbs(context, positions[n], orient))
+                crb_refs.append(reference_sensing_crbs_per_cell(context, positions[n],
+                                                                orient))
             except UnobservablePathError as exc:
                 raise UnreachableTargetsError(
                     f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc

@@ -332,7 +332,9 @@ def test_config_agrees_with_schema(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0"),
-                                         ("SNR_THRESHOLD_DB", "-4000")])
+                                         ("SNR_THRESHOLD_DB", "-4000"),
+                                         ("SNR_THRESHOLD_DB", "1e5"), ("TX_POWER_DBM", "1e5"),
+                                         ("NOISE_PSD_DBM_HZ", "1e5")])
 def test_value_the_context_rejects_is_bad_input(name, value, monkeypatch, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path / "run")])

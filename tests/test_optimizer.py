@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from risdeploy import cli, optimizer
+from risdeploy import cli, optimizer, propagation
 from risdeploy.arrays import Orientation, OrientationBounds
 from risdeploy.channel import LinkBudget
 from risdeploy.errors import (InfeasiblePowerError, InvalidInputError, SceneFormatError,
@@ -13,9 +13,11 @@ from risdeploy.optimizer import (constraint_constants,
                                  direct_power_share, initial_simplex,
                                  kkt_power_allocation, orientation_search,
                                  pathloss_baseline, ris_size, step1_evaluate)
+from risdeploy.scene import Building, line_of_sight
 from risdeploy.sensing import CrbPair
 
-from _oracles import orientation_score_rows, same_bits, step1_evaluate_joint
+from _oracles import (orientation_score_masked, orientation_score_rows,
+                      reference_sensing_crbs_per_cell, same_bits, step1_evaluate_joint)
 
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
@@ -212,6 +214,65 @@ def test_step1_evaluate_is_the_joint_loop(ctx_full, mode):
     assert 0 < raised < 20
 
 
+def test_step1_evaluate_is_the_joint_loop_with_blocked_legs(ctx_full, monkeypatch):
+    # a wall in front of RIS 0's face blocks some of its UE legs, which then
+    # take a reflection (pl_max_db raised to 110 dB) or have no path; the
+    # blocked legs go through dominant_path_between one at a time, and the
+    # plan and the messages stay the per-leg joint loop's
+    wall = Building.box(45.0, 70.0, 91.0, 92.0, 10.0)
+    ctx = dataclasses.replace(
+        ctx_full, scene=dataclasses.replace(ctx_full.scene,
+                                            buildings=ctx_full.scene.buildings + (wall,)),
+        prop=dataclasses.replace(ctx_full.prop, pl_max_db=110.0))
+    fallback = []
+    per_leg = propagation.dominant_path_between
+
+    def counted(*args):
+        fallback.append(args[2:])
+        return per_leg(*args)
+
+    monkeypatch.setattr(propagation, "dominant_path_between", counted)
+    rng = np.random.default_rng(2024)
+    planned_with_fallback = raised = 0
+    for _ in range(20):
+        positions = [r.point_at(*r.sample(rng)) for r in ctx.regions]
+        want = _step1_outcome(step1_evaluate_joint, positions, ctx)
+        before = len(fallback)
+        got = _step1_outcome(step1_evaluate, positions, ctx)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            raised += 1
+            continue
+        planned_with_fallback += len(fallback) > before
+        assert same_bits(got.objective, want.objective)
+        for field in ("beta_per_uav", "omega_per_uav", "c_per_uav"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        for a, b in zip(got.gamma_ref, want.gamma_ref, strict=True):
+            assert same_bits(a, b)
+    assert all(not line_of_sight(ctx.scene, a, b) for a, b in fallback)  # blocked legs only
+    assert 0 < raised < 20 and planned_with_fallback > 0
+
+
+def test_reference_crbs_are_the_per_cell_loop(ctx_full):
+    # on the demo the SNR constant c1 binds at every chosen beta, so the plan
+    # alone would not show a change in the reference CRBs: compare them
+    rng = np.random.default_rng(5)
+    compared = 0
+    for _ in range(10):
+        for region in ctx_full.regions:
+            p = region.point_at(*region.sample(rng))
+            normal = region.normal()
+            theta, dpsi = rng.uniform(-0.5, 0.5, 2)
+            orient = Orientation(float(theta), float(np.arctan2(normal[1], normal[0]) + dpsi))
+            got = optimizer.reference_sensing_crbs(ctx_full, p, orient)
+            want = reference_sensing_crbs_per_cell(ctx_full, p, orient)
+            for a, b in zip(got, want, strict=True):
+                assert same_bits([a.range_crb, a.velocity_crb], [b.range_crb, b.velocity_crb])
+                assert same_bits(a.fim, b.fim)
+                compared += 1
+    assert compared == 20 * len(ctx_full.uav_grid.centers)
+
+
 def test_size_grows_when_power_shrinks(ctx_full):
     positions = [r.reference_point() for r in ctx_full.regions]
     base = step1_evaluate(positions, ctx_full, omega0=0.1)
@@ -344,6 +405,35 @@ def test_orientation_score_matches_row_major_reference(ctx_full, with_uav):
     assert int(np.argmax(score)) == int(np.argmax(ref))
     assert np.max(ref) > 0
     np.testing.assert_allclose(score, ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("with_uav", [True, False])
+def test_three_row_mask_keeps_the_masked_score(ctx_full, with_uav):
+    # the field-of-view test on the BS row and the two minima gives the
+    # masked score's argmax and, where it is positive, its bits; elsewhere 0
+    def unit_rows(points, p):
+        d = np.asarray(points, dtype=float).reshape(-1, 3) - p
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    rng = np.random.default_rng(11)
+    positive = 0
+    for region in ctx_full.regions:
+        _, _, axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
+                                                optimizer.ORIENTATION_STEP)
+        for _ in range(15):
+            p = region.point_at(*region.sample(rng))
+            u_bs = unit_rows(ctx_full.scene.bs_position, p)[0]
+            u_ue = unit_rows(ctx_full.ue_grid.centers[region.covered_cells], p)
+            u_uav = unit_rows(ctx_full.uav_grid.centers, p) if with_uav else None
+            score = optimizer._orientation_score(axes, u_bs, u_ue, u_uav)
+            ref = orientation_score_masked(axes, u_bs, u_ue, u_uav)
+            assert int(np.argmax(score)) == int(np.argmax(ref))
+            seen = ref > 0
+            assert np.array_equal(score > 0, seen)
+            assert same_bits(score[seen], ref[seen])
+            assert np.all(score[~seen] == 0.0)
+            positive += bool(seen.any())
+    assert positive > 0
 
 
 def test_passive_orientation_uses_face_normal(ctx_full):

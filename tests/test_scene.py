@@ -10,7 +10,8 @@ from risdeploy.errors import (InfeasibleCoverageError, InvalidInputError,
                               SceneFormatError)
 from risdeploy.scene import (Bounds, Building, DeployableRegion, Rect, Scene,
                              _segment_hits_prism, build_grids, line_of_sight,
-                             point_in_polygon, scene_from_dict, select_ris_regions)
+                             point_in_polygon, scene_from_dict, segments_clear,
+                             select_ris_regions)
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 
@@ -126,6 +127,45 @@ def test_culled_line_of_sight_matches_every_prism(case):
     assume(np.linalg.norm(b - a) >= 1e-9)
     expected = not any(_segment_hits_prism(a, b, blg) for blg in scn.buildings)
     assert line_of_sight(scn, a, b) == expected
+
+
+@st.composite
+def _scene_and_fan(draw):
+    "Up to four prisms and 1-6 segments from one start point that lies on a coordinate plane."
+    buildings = [Building(fp, draw(st.integers(1, 16)) / 2.0)
+                 for fp in draw(st.lists(_footprints(), max_size=4))]
+    a = np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+    plane = draw(st.integers(0, 2))
+    a[plane] = 0.0  # so that an end can differ from a by a subnormal along this axis
+    ends = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+        kind = draw(st.sampled_from(["free", "vertical", "axis", "subnormal"]))
+        if kind == "vertical":
+            b[:2] = a[:2]
+        elif kind == "axis":
+            keep = draw(st.integers(0, 2))
+            b = np.where(np.arange(3) == keep, b, a)
+        elif kind == "subnormal":
+            b[plane] = draw(st.sampled_from([5e-324, -5e-324, 1e-310]))
+        if np.linalg.norm(b - a) >= 1e-9:
+            ends.append(b)
+    assume(ends)
+    return simple_scene(buildings), a, np.array(ends)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scene_and_fan())
+def test_batched_segments_match_line_of_sight(case):
+    # one slab test for segments that share a start point decides each one
+    # as the one-segment test and the exact test against every prism do
+    scn, a, ends = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clear = segments_clear(scn, a, ends)
+    assert clear.tolist() == [line_of_sight(scn, a, b) for b in ends]
+    assert clear.tolist() == [not any(_segment_hits_prism(a, b, blg) for blg in scn.buildings)
+                              for b in ends]
 
 
 def test_subnormal_direction_culls_without_warning():
