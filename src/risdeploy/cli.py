@@ -295,13 +295,15 @@ def write_snr_maps(out_dir: Path, ctx, report):
 
 def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
                      vel_window: int = 32):
-    "Crop the map to the ranges of interest and a velocity window, then dump."
+    """Crop the map to the ranges of interest and a velocity window, then dump
+    the crop's power in float64 dB."""
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
     mid = len(rv.velocity_axis) // 2
     lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
     velocities = [f",{v!r}," for v in rv.velocity_axis[lo:hi].tolist()]
+    crop_db = radar.power_db(rv.power[:keep_r, lo:hi]).tolist()
     lines = []
-    for r, powers in zip(rv.range_axis[:keep_r].tolist(), rv.power_db[:keep_r, lo:hi].tolist()):
+    for r, powers in zip(rv.range_axis[:keep_r].tolist(), crop_db):
         # the rows csv.writer would write: repr of each float, \r\n terminated
         head = repr(r)
         lines.extend(f"{head}{v}{p!r}\r\n" for v, p in zip(velocities, powers))
@@ -333,7 +335,7 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
         json.dump({"expected_ranges_m": expected_ranges,
                    "warning": report.warning,
                    "detections": [dataclasses.asdict(d) for d in detections]},
-                  fh, indent=2)
+                  fh, indent=2, allow_nan=False)
     positions_out = {"true_position": uav.tolist()}
     by_path = {d.path_index_hypothesis: d.range_est for d in detections}
     if all(i in by_path for i in range(len(paths))):
@@ -355,7 +357,7 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
         positions_out["error"] = "not all paths detected"
         log.warning("radar stage: %s", positions_out["error"])
     with open(out_dir / "positions.json", "w") as fh:
-        json.dump(positions_out, fh, indent=2)
+        json.dump(positions_out, fh, indent=2, allow_nan=False)
 
 
 def run_pipeline(cfg: Config, out_dir: Path) -> int:

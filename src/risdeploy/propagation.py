@@ -125,13 +125,14 @@ def _coincident(a, b):
     return np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b), axis=-1)
 
 
-def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
+def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> list:
     """All modeled paths between two points, strongest first.
 
     Includes the LoS path when unobstructed and one specular reflection per
     visible building face and the ground. The list drops paths over
     ``pl_max_db`` total path loss and is sorted by attenuation descending
-    (ties: shorter first).
+    (ties: shorter first). A caller that has already tested the direct leg
+    passes its answer as `los`, which then replaces the line-of-sight test.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -140,7 +141,9 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b) -> list:
     lam = cfg.wavelength
     loss_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
     paths = []
-    if line_of_sight(scene, a, b):
+    if los is None:
+        los = line_of_sight(scene, a, b)
+    if los:
         paths.append(_los_path(a, b, lam))
     for building in scene.buildings:
         for face in range(building.num_faces):
@@ -172,7 +175,12 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
         raise InvalidInputError("degenerate link: a == b")
     if line_of_sight(scene, a, b):
         return _los_path(a, b, cfg.wavelength)
-    paths = enumerate_paths(scene, cfg, a, b)
+    return _blocked_dominant_path(scene, cfg, a, b)
+
+
+def _blocked_dominant_path(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
+    "The strongest reflection of a leg known to be blocked; NoPathError when none."
+    paths = enumerate_paths(scene, cfg, a, b, los=False)
     if not paths:
         raise NoPathError("no propagation path on this link")
     return paths[0]
@@ -191,13 +199,13 @@ def dominant_paths_from(scene: Scene, cfg: PropagationConfig, a, ends) -> list:
     """dominant_path_between(scene, cfg, a, b) for each row b of `ends`, in order.
 
     One batched line-of-sight test covers every leg. A clear leg is its LoS
-    path; the others go through dominant_path_between, so the first leg
-    without a path raises its error.
+    path; the others go through enumerate_paths one at a time, so the first
+    leg without a path raises dominant_path_between's error.
     """
     a = np.asarray(a, dtype=float)
     ends = np.asarray(ends, dtype=float)
     lam = cfg.wavelength
-    return [_los_path(a, b, lam) if seen else dominant_path_between(scene, cfg, a, b)
+    return [_los_path(a, b, lam) if seen else _blocked_dominant_path(scene, cfg, a, b)
             for b, seen in zip(ends, _clear_legs(scene, a, ends))]
 
 
@@ -214,5 +222,5 @@ def reachable_from(scene: Scene, cfg: PropagationConfig, a, ends) -> np.ndarray:
     ends = np.asarray(ends, dtype=float)
     lam = cfg.wavelength
     return np.array([path_loss_db(_los_path(a, b, lam)) <= cfg.pl_max_db if seen
-                     else bool(enumerate_paths(scene, cfg, a, b))
+                     else bool(enumerate_paths(scene, cfg, a, b, los=False))
                      for b, seen in zip(ends, _clear_legs(scene, a, ends))], dtype=bool)

@@ -4,6 +4,11 @@ Synthesizes echo frames over the subcarrier/symbol grid, forms the
 range-velocity map by symbol-wise equalization and 2-D FFT processing,
 detects peaks with a cell-averaging CFAR, and recovers the target position
 from per-path ranges by Gauss-Newton least squares at a known flight height.
+
+The frame passes run in single precision: the echo frame is complex64 and
+the map holds float32 linear power. Sums that set a value (the echo of each
+row block, the noise, the CFAR's running means) are formed in float64 and
+rounded once; dB is formed in float64 only for the values written out.
 """
 
 from dataclasses import dataclass
@@ -11,17 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailureError, InvalidInputError, UnsupportedDelayError
-from .sensing import OfdmWaveform
+from .sensing import _QPSK, OfdmWaveform
 from .units import db2lin, lin2db
 
 # Block sizes of the frame passes; each block temporary holds a few MB, not a frame.
 ROW_BLOCK = 32  # rows per block: echo synthesis, noise, Doppler FFT, CFAR threshold
 COLUMN_BLOCK = 32  # columns per block: equalisation, range IFFT, CFAR range means
 
+# conj(S) for the QPSK symbol index k: equalises a received symbol by its phasor
+_EQUALISER = np.conj(_QPSK).astype(np.complex64)
+
 
 @dataclass(frozen=True)
 class RangeVelocityMap:
-    power_db: np.ndarray  # (Nc, M)
+    power: np.ndarray  # (Nc, M) float32 |rv|^2, linear
     range_axis: np.ndarray  # (Nc,) meters
     velocity_axis: np.ndarray  # (M,) m/s
     resolution: tuple  # (range m, velocity m/s)
@@ -43,10 +51,12 @@ class DetectionReport:
 
 def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0.0,
                        seed: int = 1) -> np.ndarray:
-    """Received frequency-domain frame Y of shape (Nc, M).
+    """Received frequency-domain frame Y of shape (Nc, M), complex64.
 
     Y[p, m] = sum_n a_n exp(-j 2 pi f_p tau_n) exp(j 2 pi fD_n m T_sym) S[p, m]
     plus (optionally) white noise of power noise_psd * B per resource element.
+    Each row block is summed in complex128 and rounded once; each noise sample
+    is drawn in float64 and rounded as it is added.
     """
     params = waveform.params
     if not paths:
@@ -60,12 +70,14 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
     m_idx = np.arange(nm)
     phases = [(path.coeff, np.exp(-1j * 2.0 * np.pi * waveform.freqs * path.delay),
                np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)) for path in paths]
-    y = np.zeros((nc, nm), dtype=complex)
+    y = np.empty((nc, nm), dtype=np.complex64)
     for r0 in range(0, nc, ROW_BLOCK):
-        rows = y[r0:r0 + ROW_BLOCK]
+        rows = slice(r0, r0 + ROW_BLOCK)
+        block = np.zeros(y[rows].shape, dtype=complex)
         for coeff, delay_phase, doppler_phase in phases:
-            rows += coeff * np.outer(delay_phase[r0:r0 + ROW_BLOCK], doppler_phase)
-        rows *= waveform.symbols(rows=slice(r0, r0 + ROW_BLOCK))
+            block += coeff * np.outer(delay_phase[rows], doppler_phase)
+        block *= waveform.symbols(rows=rows)
+        y[rows] = block
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
@@ -81,28 +93,35 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
 def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVelocityMap:
     """Equalize by the known symbols, IFFT over subcarriers, FFT over symbols.
 
-    The delay profile is formed in the buffer of `received`, which is
-    overwritten when it is a complex128 array.
+    Runs in single precision (NumPy's FFT keeps complex64 input in complex64)
+    and maps float32 linear power |rv|^2. The delay profile is formed in the
+    buffer of `received`, which is overwritten when it is a complex64 array.
     """
     ofdm = waveform.params
-    received = np.asarray(received, dtype=complex)
+    received = np.asarray(received, dtype=np.complex64)
     nc, nm = ofdm.subcarriers, ofdm.symbols
     if received.shape != (nc, nm):
         raise InvalidInputError(f"frames must have shape ({nc}, {nm})")
     profile = received  # delay peaks at bin tau * B
     for c0 in range(0, nm, COLUMN_BLOCK):
         cols = slice(c0, c0 + COLUMN_BLOCK)
-        profile[:, cols] = np.fft.ifft(received[:, cols] / waveform.symbols(cols=cols), axis=0)
-    power_db = np.empty((nc, nm))
+        equalised = received[:, cols] * _EQUALISER.take(waveform.index[:, cols])
+        profile[:, cols] = np.fft.ifft(equalised, axis=0)
+    power = np.empty((nc, nm), dtype=np.float32)
     for r0 in range(0, nc, ROW_BLOCK):
         rows = slice(r0, r0 + ROW_BLOCK)
         rv = np.fft.fftshift(np.fft.fft(profile[rows], axis=1), axes=1)
-        power_db[rows] = lin2db(np.maximum(np.abs(rv) ** 2, 1e-300))
+        power[rows] = np.abs(rv) ** 2
     range_axis = np.arange(nc) * ofdm.range_resolution
     velocity_axis = (np.arange(nm) - nm // 2) * ofdm.velocity_resolution
-    return RangeVelocityMap(power_db=power_db, range_axis=range_axis,
+    return RangeVelocityMap(power=power, range_axis=range_axis,
                             velocity_axis=velocity_axis,
                             resolution=(ofdm.range_resolution, ofdm.velocity_resolution))
+
+
+def power_db(power) -> np.ndarray:
+    "Map power in float64 dB; an empty cell reads -3000 dB (a 1e-300 floor), not -inf."
+    return lin2db(np.maximum(np.asarray(power, dtype=float), 1e-300))
 
 
 def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
@@ -135,48 +154,50 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
 
     The ring mean is the difference of two box means, each a running mean over
     ranges and then over velocities (the arithmetic of
-    `scipy.ndimage.uniform_filter`). The range pass runs on column blocks, the
-    velocity pass and the threshold on row blocks.
+    `scipy.ndimage.uniform_filter` on the float32 map). The range pass runs on
+    column blocks and stores float32, the velocity pass and the threshold run
+    on row blocks; each running mean is taken in float64. Linear power is
+    compared throughout, and dB is formed only for the detections.
     """
     if expected < 1:
         raise InvalidInputError("expected must be >= 1")
     outer = 2 * (guard + training) + 1
     inner = 2 * guard + 1
-    power_db = rv.power_db
-    n_rows, n_cols = power_db.shape
-    outer_mean = np.empty((n_rows, n_cols))
-    inner_mean = np.empty((n_rows, n_cols))
+    power = rv.power
+    n_rows, n_cols = power.shape
+    outer_mean = np.empty((n_rows, n_cols), dtype=np.float32)
+    inner_mean = np.empty((n_rows, n_cols), dtype=np.float32)
     for c0 in range(0, n_cols, COLUMN_BLOCK):
         cols = slice(c0, c0 + COLUMN_BLOCK)
-        lines = db2lin(power_db[:, cols].T)
+        lines = power[:, cols].T.astype(float)
         outer_mean[:, cols] = _running_mean(lines, outer).T
         inner_mean[:, cols] = _running_mean(lines, inner).T
     scale = db2lin(threshold_db)
     peaks = []
     for r0 in range(0, n_rows, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n_rows)
-        noise = _running_mean(outer_mean[r0:r1], outer)
+        noise = _running_mean(outer_mean[r0:r1].astype(float), outer)
         noise *= outer**2
-        inner_sum = _running_mean(inner_mean[r0:r1], inner)
+        inner_sum = _running_mean(inner_mean[r0:r1].astype(float), inner)
         inner_sum *= inner**2
         noise -= inner_sum
         noise /= outer**2 - inner**2
         np.maximum(noise, 0.0, out=noise)
         noise *= scale
         # the block's power with one wrapped row above and below it
-        power = db2lin(np.take(power_db, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap"))
-        hits = power[1:-1] > noise
-        across = np.maximum(power, np.roll(power, 1, axis=1))
-        np.maximum(across, np.roll(power, -1, axis=1), out=across)
+        block = np.take(power, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap")
+        hits = block[1:-1] > noise
+        across = np.maximum(block, np.roll(block, 1, axis=1))
+        np.maximum(across, np.roll(block, -1, axis=1), out=across)
         local_max = np.maximum(across[:-2], across[1:-1])
         np.maximum(local_max, across[2:], out=local_max)
-        hits &= power[1:-1] >= local_max
+        hits &= block[1:-1] >= local_max
         peaks.append(np.argwhere(hits) + [r0, 0])
+    i, j = np.concatenate(peaks).T
     detections = [
-        PathDetection(range_est=float(rv.range_axis[i]),
-                      velocity_est=float(rv.velocity_axis[j]),
-                      power_db=float(power_db[i, j]))
-        for i, j in np.concatenate(peaks)
+        PathDetection(range_est=r, velocity_est=v, power_db=p)
+        for r, v, p in zip(rv.range_axis[i].tolist(), rv.velocity_axis[j].tolist(),
+                           power_db(power[i, j]).tolist())
     ]
     detections.sort(key=lambda d: -d.power_db)
     detections = detections[:expected]

@@ -106,26 +106,6 @@ class OfdmWaveform:
         s_dot = np.fft.ifft(spec_dot, axis=1) * nc * self._scale
         return s, s_dot
 
-    def sample(self, t, tau: float = 0.0):
-        """Direct evaluation of (s(t - tau), s_dot(t - tau)) at arbitrary times.
-
-        O(len(t) * Nc); intended for small frames and oracles.
-        """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tp = t - tau
-        tsym = self.params.symbol_duration
-        m = np.floor(tp / tsym).astype(int)
-        valid = (tp >= 0.0) & (tp < self.params.frame_duration - 1e-15)
-        m_safe = np.clip(m, 0, self.params.symbols - 1)
-        local = tp - m_safe * tsym
-        phases = np.exp(1j * 2.0 * np.pi * np.outer(self.freqs, local))  # (Nc, Nt)
-        sym = self.symbols(cols=m_safe)
-        s = self._scale * np.sum(sym * phases, axis=0)
-        s_dot = self._scale * np.sum(sym * (1j * 2.0 * np.pi * self.freqs)[:, None] * phases, axis=0)
-        s[~valid] = 0.0
-        s_dot[~valid] = 0.0
-        return s, s_dot
-
     def moments(self, tau: float = 0.0) -> WaveformMoments:
         """Riemann-sum frame moments of s(t - tau) at 1/B spacing.
 

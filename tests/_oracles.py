@@ -11,7 +11,11 @@ per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
 blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
 the complex QPSK grid again from the seed the waveform was built with (their
-`wave_seed`), not from its index grid. The
+`wave_seed`), not from its index grid. The radar references take the
+precision of their input: on complex64 frames and float32 maps they round
+where the radar rounds, and on complex128 frames they give the float64
+pipeline the single-precision radar is held to. `waveform_sample` evaluates
+the waveform directly at arbitrary times, one sum over subcarriers. The
 closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
 time, each from its own legs, float `np.mod` phases and `exp` of the
 quantized phases. The step-1 reference is the joint loop that forms every
@@ -33,12 +37,34 @@ from risdeploy.optimizer import (Step1Result, _best_beta, _square_panel, direct_
                                  sensing_path)
 from risdeploy.propagation import dominant_path_between, fspl_amplitude
 from risdeploy.sensing import fim
-from risdeploy.units import SPEED_OF_LIGHT, db2lin, lin2db
+from risdeploy.units import SPEED_OF_LIGHT, db2lin
 
 
 def qpsk_grid(wave, seed):
     "The complex QPSK grid (Nc, M) of `wave`, drawn again from the seed it was built with."
     return qpsk_symbols_exp(wave.params.subcarriers, wave.params.symbols, seed)
+
+
+def waveform_sample(wave, t, tau=0.0):
+    """Direct evaluation of (s(t - tau), s_dot(t - tau)) of `wave` at arbitrary times.
+
+    O(len(t) * Nc); for small frames.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    tp = t - tau
+    params = wave.params
+    tsym = params.symbol_duration
+    m = np.floor(tp / tsym).astype(int)
+    valid = (tp >= 0.0) & (tp < params.frame_duration - 1e-15)
+    m_safe = np.clip(m, 0, params.symbols - 1)
+    local = tp - m_safe * tsym
+    phases = np.exp(1j * 2.0 * np.pi * np.outer(wave.freqs, local))  # (Nc, Nt)
+    sym = wave.symbols(cols=m_safe)
+    s = wave._scale * np.sum(sym * phases, axis=0)
+    s_dot = wave._scale * np.sum(sym * (1j * 2.0 * np.pi * wave.freqs)[:, None] * phases, axis=0)
+    s[~valid] = 0.0
+    s_dot[~valid] = 0.0
+    return s, s_dot
 
 
 def _delayed_symbol(grid, wave, m, offset):
@@ -124,10 +150,9 @@ def orientation_score_masked(axes, u_bs, u_ue, u_uav):
 
 
 def same_bits(a, b) -> bool:
-    "Equal shapes and bit-for-bit equal float64/complex128 values."
+    "Equal shapes and dtypes and bit-for-bit equal values."
     a, b = np.atleast_1d(a), np.atleast_1d(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def qpsk_symbols_exp(subcarriers, symbols, seed):
@@ -164,8 +189,10 @@ def moments_per_symbol(wave, tau=0.0, *, wave_seed):
     return i1, i2, i3
 
 
-def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed):
-    "Received frame (Nc, M) built from whole-frame outer products and one noise draw."
+def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed,
+                            dtype=np.complex64):
+    """Received frame (Nc, M) built from whole-frame outer products in complex128,
+    rounded to `dtype`, plus one whole-frame noise draw for each part."""
     p = wave.params
     tsym = p.symbol_duration
     m_idx = np.arange(p.symbols)
@@ -174,30 +201,39 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed):
         delay_phase = np.exp(-1j * 2.0 * np.pi * wave.freqs * path.delay)
         doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
         y += path.coeff * np.outer(delay_phase, doppler_phase)
-    y *= qpsk_grid(wave, wave_seed)
+    y = (y * qpsk_grid(wave, wave_seed)).astype(dtype)
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * p.bandwidth_hz / 2.0)
-        y += sigma * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        y.real += sigma * rng.standard_normal(y.shape)
+        y.imag += sigma * rng.standard_normal(y.shape)
     return y
 
 
-def range_velocity_power_db(received, transmitted):
-    "Range-velocity power map in dB from whole-frame equalisation and FFTs."
-    profile = np.fft.ifft(received / transmitted, axis=0)
+def range_velocity_power(received, transmitted):
+    """Range-velocity map |rv|^2 from whole-frame equalisation and FFTs, in the
+    precision of `received` (complex64 gives a float32 map)."""
+    equaliser = np.conj(transmitted).astype(received.dtype)
+    profile = np.fft.ifft(received * equaliser, axis=0)
     rv = np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
-    return lin2db(np.maximum(np.abs(rv) ** 2, 1e-300))
+    return np.abs(rv) ** 2
 
 
-def cfar_peaks(power_db, threshold_db, guard=2, training=8):
-    "(row, column) of the CA-CFAR hits that are 3x3 local maxima, from whole-map temporaries."
+def cfar_peaks(power, threshold_db, guard=2, training=8):
+    """(row, column) of the CA-CFAR hits that are 3x3 local maxima, from whole-map
+    temporaries. Each box mean keeps its range pass in the map's precision and
+    takes its velocity pass in float64."""
     from scipy import ndimage
 
-    power = db2lin(power_db)
+    def box_sum(size):
+        ranges = ndimage.uniform_filter1d(power, size, axis=0, mode="wrap")
+        return ndimage.uniform_filter1d(ranges, size, axis=1, mode="wrap",
+                                        output=np.float64) * size**2
+
     outer = 2 * (guard + training) + 1
     inner = 2 * guard + 1
-    sum_outer = ndimage.uniform_filter(power, size=outer, mode="wrap") * outer**2
-    sum_inner = ndimage.uniform_filter(power, size=inner, mode="wrap") * inner**2
+    sum_outer = box_sum(outer)
+    sum_inner = box_sum(inner)
     noise = (sum_outer - sum_inner) / (outer**2 - inner**2)
     hits = power > db2lin(threshold_db) * np.maximum(noise, 0.0)
     local_max = power >= ndimage.maximum_filter(power, size=3, mode="wrap")
@@ -209,6 +245,8 @@ def rv_map_csv_text(rv, max_range, vel_window=32):
     import csv
     import io
 
+    from risdeploy.radar import power_db
+
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
     mid = len(rv.velocity_axis) // 2
     lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
@@ -217,10 +255,11 @@ def rv_map_csv_text(rv, max_range, vel_window=32):
     writer.writerow(["# range_resolution_m", rv.resolution[0]])
     writer.writerow(["# velocity_resolution_mps", rv.resolution[1]])
     writer.writerow(["range_m", "velocity_mps", "power_db"])
+    map_db = power_db(rv.power)
     for i in range(keep_r):
         for j in range(lo, hi):
             writer.writerow([repr(float(rv.range_axis[i])), repr(float(rv.velocity_axis[j])),
-                             repr(float(rv.power_db[i, j]))])
+                             repr(float(map_db[i, j]))])
     return buf.getvalue()
 
 

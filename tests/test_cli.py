@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import os
 import re
 import subprocess
@@ -29,6 +30,15 @@ def _schema(name):
 def _validate(instance, name):
     jsonschema.validate(instance, _schema(name),
                         format_checker=jsonschema.FormatChecker())
+
+
+def _load_strict(path: Path):
+    "Parse a JSON artifact that must hold no NaN or Infinity."
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def _as_json(cfg: cli.Config) -> dict:
@@ -116,10 +126,8 @@ def test_run_pipeline_artifacts(run_dir, ctx_full):
     assert dep["mode"] == "full-isac"
     assert dep["converged"] is True
     assert len(dep["positions"]) == len(ctx_full.regions)
-    with open(run_dir / "detections.json") as fh:
-        _validate(json.load(fh), "detections")
-    with open(run_dir / "positions.json") as fh:
-        pos = json.load(fh)
+    _validate(_load_strict(run_dir / "detections.json"), "detections")
+    pos = _load_strict(run_dir / "positions.json")
     _validate(pos, "positions")
     assert "estimate" in pos
     assert pos["error_m"] < 1.0
@@ -216,9 +224,10 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
-    # tracing starts before build_context, so the context's probing frame counts
-    frame_bytes = 16 * demo_cfg.subcarriers * demo_cfg.symbols  # one complex frame
+def test_radar_stage_holds_at_most_two_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
+    # tracing starts before build_context, so the context's probing frame counts;
+    # the echo frame, the float32 map and the CFAR's two float32 box means
+    frame_bytes = 8 * demo_cfg.subcarriers * demo_cfg.symbols  # one complex64 frame
     peaks = []
     radar_stage = cli.radar_stage
 
@@ -236,7 +245,18 @@ def test_radar_stage_holds_at_most_four_and_a_half_frames(demo_cfg, tmp_path, mo
         tracemalloc.stop()
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
     assert len(peaks) == 1
-    assert peaks[0] <= 4.5 * frame_bytes, peaks[0] / frame_bytes
+    assert peaks[0] <= 2.5 * frame_bytes, peaks[0] / frame_bytes
+
+
+def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, monkeypatch):
+    # a residual is finite by construction; were it not, the stage would fail
+    # instead of writing NaN into positions.json
+    solve = cli.radar.ls_position
+    monkeypatch.setattr(cli.radar, "ls_position",
+                        lambda *a, **kw: (solve(*a, **kw)[0], float("nan")))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.radar_stage(ctx_full, nm_result.step1, tmp_path, logging.getLogger("test"))
+    _load_strict(tmp_path / "detections.json")
 
 
 @pytest.mark.parametrize("name, value", [("SEED", '"x"'), ("SEED", "true"), ("SEED", "-1"),

@@ -217,21 +217,21 @@ def test_step1_evaluate_is_the_joint_loop(ctx_full, mode):
 def test_step1_evaluate_is_the_joint_loop_with_blocked_legs(ctx_full, monkeypatch):
     # a wall in front of RIS 0's face blocks some of its UE legs, which then
     # take a reflection (pl_max_db raised to 110 dB) or have no path; the
-    # blocked legs go through dominant_path_between one at a time, and the
-    # plan and the messages stay the per-leg joint loop's
+    # blocked legs go through enumerate_paths one at a time, and the plan and
+    # the messages stay the per-leg joint loop's
     wall = Building.box(45.0, 70.0, 91.0, 92.0, 10.0)
     ctx = dataclasses.replace(
         ctx_full, scene=dataclasses.replace(ctx_full.scene,
                                             buildings=ctx_full.scene.buildings + (wall,)),
         prop=dataclasses.replace(ctx_full.prop, pl_max_db=110.0))
     fallback = []
-    per_leg = propagation.dominant_path_between
+    per_leg = propagation.enumerate_paths
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         fallback.append(args[2:])
-        return per_leg(*args)
+        return per_leg(*args, **kwargs)
 
-    monkeypatch.setattr(propagation, "dominant_path_between", counted)
+    monkeypatch.setattr(propagation, "enumerate_paths", counted)
     rng = np.random.default_rng(2024)
     planned_with_fallback = raised = 0
     for _ in range(20):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from risdeploy import propagation
 from risdeploy.errors import InvalidInputError, NoPathError
 from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
-                                   dominant_path_between, enumerate_paths, fspl_amplitude)
-from risdeploy.scene import Bounds, Building, Scene
+                                   dominant_path_between, dominant_paths_from, enumerate_paths,
+                                   fspl_amplitude)
+from risdeploy.scene import Bounds, Building, Scene, line_of_sight
 from risdeploy.units import lin2db, wavelength
 
 CFG = PropagationConfig(carrier_freq=28e9)
@@ -136,3 +138,39 @@ def test_coincident_agrees_with_allclose():
     for fn in (enumerate_paths, dominant_path_between):
         with pytest.raises(InvalidInputError):
             fn(open_scene(), CFG, far, far + 1e-9)
+
+
+def _fields(paths):
+    return [(p.kind, p.attenuation, p.length, tuple(p.depart_dir)) for p in paths]
+
+
+def test_enumerate_paths_takes_a_known_los_answer(monkeypatch):
+    # the known answer replaces the direct leg's test and nothing else: the
+    # reflections still test their own legs
+    scn = open_scene([Building.box(45.0, 55.0, -5.0, 5.0, 30.0),
+                      Building.box(-50.0, 150.0, 40.0, 50.0, 30.0)])
+    a = np.array([0.0, 0.0, 10.0])
+    ends = np.array([[100.0, 0.0, 10.0], [30.0, 20.0, 10.0]])
+    assert [line_of_sight(scn, a, b) for b in ends] == [False, True]
+    tests = []
+
+    def counted(*args):
+        tests.append(args)
+        return line_of_sight(*args)
+
+    monkeypatch.setattr(propagation, "line_of_sight", counted)
+    reflection_tests = []
+    for b in ends:
+        del tests[:]
+        want = _fields(enumerate_paths(scn, CFG, a, b))
+        tested = len(tests)
+        del tests[:]
+        assert _fields(enumerate_paths(scn, CFG, a, b, los=line_of_sight(scn, a, b))) == want
+        assert len(tests) == tested - 1
+        reflection_tests.append(tested - 1)
+    # the batched legs: the batch tests each direct leg, and the blocked leg
+    # pays only for its reflections
+    want = _fields([dominant_path_between(scn, CFG, a, b) for b in ends])
+    del tests[:]
+    assert _fields(dominant_paths_from(scn, CFG, a, ends)) == want
+    assert len(tests) == reflection_tests[0] > 0

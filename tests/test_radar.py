@@ -7,12 +7,12 @@ from scipy import ndimage
 from risdeploy import radar
 from risdeploy.errors import (EstimationFailureError, InvalidInputError,
                               UnsupportedDelayError)
-from risdeploy.radar import (associate_paths, detect_paths, ls_position,
+from risdeploy.radar import (associate_paths, detect_paths, ls_position, power_db,
                              range_velocity_map, synthesize_returns)
 from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath
-from risdeploy.units import SPEED_OF_LIGHT
+from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
-from _oracles import (cfar_peaks, qpsk_grid, range_velocity_power_db, rv_map_csv_text,
+from _oracles import (cfar_peaks, qpsk_grid, range_velocity_power, rv_map_csv_text,
                       same_bits, synthesize_returns_full)
 
 PARAMS = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=256, symbols=64)
@@ -46,11 +46,11 @@ def test_single_path_peaks_at_true_bin():
     r, v = _on_grid(20, 5)
     y = synthesize_returns(wave, [_path(r, v)])
     rv = range_velocity_map(y, wave)
-    i, j = np.unravel_index(np.argmax(rv.power_db), rv.power_db.shape)
+    i, j = np.unravel_index(np.argmax(rv.power), rv.power.shape)
     assert rv.range_axis[i] == pytest.approx(r)
     assert rv.velocity_axis[j] == pytest.approx(v)
     # an on-grid path is perfectly concentrated: the peak holds all the power
-    power = 10 ** (rv.power_db / 10)
+    power = rv.power.astype(float)
     assert power[i, j] / power.sum() > 0.999999
 
 
@@ -61,7 +61,7 @@ def test_peak_power_matches_coherent_processing_gain():
     r, v = _on_grid(12, -7)
     y = synthesize_returns(wave, [_path(r, v, coeff)])
     rv = range_velocity_map(y, wave)
-    peak_db = rv.power_db.max()
+    peak_db = lin2db(float(rv.power.max()))
     expected_db = 20 * np.log10(abs(coeff) * 256 / 256 * 64)  # ifft carries 1/Nc
     assert peak_db == pytest.approx(expected_db, abs=1e-6)
 
@@ -135,10 +135,12 @@ def test_blocked_frame_passes_match_whole_frame_reference(rows, cols, monkeypatc
     wave = OfdmWaveform(ODD, seed=4)
     for noise in (0.0, 1e-19):
         y = synthesize_returns(wave, _odd_paths(), noise_psd=noise, seed=9)
+        assert y.dtype == np.complex64
         assert same_bits(y, synthesize_returns_full(wave, _odd_paths(), noise_psd=noise,
                                                     seed=9, wave_seed=4))
         rv = range_velocity_map(y.copy(), wave)
-        assert same_bits(rv.power_db, range_velocity_power_db(y, qpsk_grid(wave, 4)))
+        assert rv.power.dtype == np.float32
+        assert same_bits(rv.power, range_velocity_power(y, qpsk_grid(wave, 4)))
 
 
 # a frame smaller than the 21-cell outer window of the default CFAR
@@ -157,13 +159,52 @@ def test_cfar_matches_whole_map_reference(params, paths, rows, cols, guard, trai
     monkeypatch.setattr(radar, "COLUMN_BLOCK", cols)
     wave = OfdmWaveform(params, seed=4)
     rv = range_velocity_map(synthesize_returns(wave, paths, noise_psd=1e-19, seed=9), wave)
+    map_db = power_db(rv.power)
     for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
-        peaks = cfar_peaks(rv.power_db, threshold_db, guard, training)
+        peaks = cfar_peaks(rv.power, threshold_db, guard, training)
         report = detect_paths(rv, expected=len(peaks) + 1, threshold_db=threshold_db,
                               guard=guard, training=training)
         got = sorted((d.range_est, d.velocity_est, d.power_db) for d in report.detections)
-        assert got == sorted((rv.range_axis[i], rv.velocity_axis[j], rv.power_db[i, j])
+        assert got == sorted((rv.range_axis[i], rv.velocity_axis[j], map_db[i, j])
                              for i, j in peaks)
+    assert len(peaks) > len(paths)
+
+
+def _noisy_frames():
+    "(params, paths) of the precision tests: the odd frame, and 256x64 frames."
+    yield ODD, _odd_paths()
+    rng = np.random.default_rng(11)
+    for _ in range(2):  # three paths on random bins, one of them off the grid
+        bins = rng.integers([5, -25], [120, 25], size=(3, 2)).astype(float)
+        bins[2] += 0.5
+        coeffs = (2e-6, 1.2e-6, 0.8e-6) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+        yield PARAMS, [_path(*_on_grid(r, v), coeff=c, index=k)
+                       for k, ((r, v), c) in enumerate(zip(bins, coeffs))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("params, paths", list(_noisy_frames()), ids=["100x37", "256x64-a", "256x64-b"])
+def test_single_precision_finds_the_float64_detections(params, paths, seed):
+    # the float32 radar against the float64 whole-frame pipeline on the same
+    # noise realisation: the same CFAR hits, and each detection's power_db is
+    # the float64 dB of its float32 cell, within 1e-3 dB of the float64 map
+    wave = OfdmWaveform(params, seed=seed)
+    rv = range_velocity_map(synthesize_returns(wave, paths, noise_psd=1e-19, seed=seed + 10),
+                            wave)
+    reference = range_velocity_power(
+        synthesize_returns_full(wave, paths, noise_psd=1e-19, seed=seed + 10, wave_seed=seed,
+                                dtype=complex), qpsk_grid(wave, seed))
+    assert reference.dtype == np.float64
+    map_db = power_db(rv.power)
+    for threshold_db in (12.0, 6.0):  # 6 dB also declares noise peaks
+        peaks = cfar_peaks(reference, threshold_db)
+        report = detect_paths(rv, expected=len(peaks) + 1, threshold_db=threshold_db)
+        bins = {(rv.range_axis[i], rv.velocity_axis[j]): (i, j) for i, j in peaks}
+        assert sorted((d.range_est, d.velocity_est) for d in report.detections) == sorted(bins)
+        for d in report.detections:
+            cell = bins[d.range_est, d.velocity_est]
+            assert np.isfinite(d.power_db) and d.power_db == map_db[cell]
+            assert abs(d.power_db - lin2db(reference[cell])) <= 1e-3
     assert len(peaks) > len(paths)
 
 
@@ -176,7 +217,7 @@ def test_running_mean_matches_uniform_filter1d(size, length):
 
 
 FULL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=2560, symbols=2048)
-FLOAT_FRAME = 8 * FULL.subcarriers * FULL.symbols  # bytes of one float64 frame
+FLOAT_FRAME = 8 * FULL.subcarriers * FULL.symbols  # bytes of one float64 (or complex64) frame
 
 
 def _frames_allocated(fn):
@@ -191,18 +232,21 @@ def _frames_allocated(fn):
 
 
 def test_radar_passes_stay_within_their_memory_bounds():
-    # the waveform keeps symbol indices, the delay profile takes the echo's
-    # buffer and the CFAR holds two box-mean frames besides its block temporaries
+    # the waveform keeps symbol indices; the echo is one complex64 frame, the
+    # delay profile takes its buffer and the map is float32 (half a frame);
+    # the CFAR holds two float32 box-mean frames besides its block temporaries
     wave, frames = _frames_allocated(lambda: OfdmWaveform(FULL, seed=1))
     assert frames <= 0.5, frames
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
              SensingPath(1, 5e-7, -8e2, 5e-7j, FULL.carrier_hz)]
-    y = synthesize_returns(wave, paths, noise_psd=1e-20, seed=2)
+    y, frames = _frames_allocated(
+        lambda: synthesize_returns(wave, paths, noise_psd=1e-20, seed=2))
+    assert frames <= 1.2, frames
     rv, frames = _frames_allocated(lambda: range_velocity_map(y, wave))
-    assert frames <= 2.0, frames
+    assert frames <= 1.0, frames
     del y
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=2))
-    assert frames <= 2.6, frames
+    assert frames <= 1.3, frames
     assert len(report.detections) == 2
 
 
@@ -212,11 +256,13 @@ def test_rv_map_csv_matches_csv_writer(tmp_path):
     wave = OfdmWaveform(ODD, seed=4)
     y = synthesize_returns(wave, _odd_paths(), noise_psd=1e-19, seed=9)
     rv = range_velocity_map(y, wave)
-    rv.power_db[0, 18] = -np.inf  # an empty cell prints as -inf
+    rv.power[0, 18] = 0.0  # an empty cell prints as -3000 dB, with no warning
     for max_range, window in ((5.0, 32), (1e3, 4)):
         write_rv_map_csv(tmp_path / "rv.csv", rv, max_range, window)
         with open(tmp_path / "rv.csv", newline="") as fh:
-            assert fh.read() == rv_map_csv_text(rv, max_range, window)
+            text = fh.read()
+        assert text == rv_map_csv_text(rv, max_range, window)
+    assert ",-3000.0\r\n" in text
 
 
 def _geometry():
