@@ -12,19 +12,16 @@ import csv
 import dataclasses
 import json
 import logging
-import math
-import operator
 import os
 import resource
 import sys
 import time
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, optimizer, radar, scene as scene_mod
+from . import evaluation, optimizer, radar, schema, scene as scene_mod
 from .channel import LinkBudget
 from .errors import (InfeasibleCoverageError, InfeasiblePowerError, InvalidInputError,
                      RisDeployError, SceneFormatError)
@@ -38,7 +35,8 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_CONVERGED = 4
 
-MODES = ("full-isac", "comm-only", "pathloss-baseline", "passive-orientation")
+CONFIG_SCHEMA = schema.load("config")
+MODES = tuple(CONFIG_SCHEMA["properties"]["mode"]["enum"])
 
 ENV_PREFIX = "RISDEPLOY_"
 
@@ -46,17 +44,12 @@ ENV_PREFIX = "RISDEPLOY_"
 @dataclass(frozen=True)
 class Config:
     """The parameters of one run: one field per property of
-    config.schema.json, with its default and, as the annotation, its JSON type.
+    config.schema.json, with its default.
 
-    Construction checks each value's type: a number is an int or a finite
-    float, never a bool (Python's JSON parser reads NaN, Infinity and
-    -Infinity, and 1e400 as infinity); an integral float such as 2.0 stands
-    for an integer and is stored as an int; a list becomes a tuple of its
-    checked items. It also checks the `mode` enum, that `beta_grid` is not
-    empty, and the numeric bounds of the schema (`_RANGES`). A violation
-    raises SceneFormatError naming the field. The bounds of `ue_cell_size`
-    and `symbols` are the exception: the context build checks them and
-    raises InvalidInputError.
+    Construction conforms each value to its schema property
+    (`schema.conform`): a list becomes a tuple and an integral float for an
+    integer field an int, and a violation raises SceneFormatError naming the
+    field.
     """
 
     scene: str
@@ -95,85 +88,9 @@ class Config:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            typed = _json_typed(f.type, value)
-            if typed is _WRONG:
-                raise SceneFormatError(f.name, f"must be {_json_type_name(f.type)}, "
-                                               f"got {json.dumps(value, default=repr)}")
-            object.__setattr__(self, f.name, typed)
-        if self.mode not in MODES:
-            raise SceneFormatError("mode", f"must be one of {MODES}")
-        if not self.beta_grid:
-            raise SceneFormatError("beta_grid", "must be a non-empty list")
-        for name, bounds in _RANGES.items():
-            value = getattr(self, name)
-            if value is None:  # m_s: null takes the default simplex
-                continue
-            items = value if isinstance(value, tuple) else (value,)
-            if not all(_BOUNDS[key][0](x, bound) for key, bound in bounds.items() for x in items):
-                limits = " and ".join(f"{_BOUNDS[key][1]} {bound}" for key, bound in bounds.items())
-                each = " each" if isinstance(value, tuple) else ""
-                raise SceneFormatError(name, f"must be {limits}{each}, got {json.dumps(value)}")
-
-
-# The numeric bounds that config.schema.json states, on the value or on each
-# item of a list. The context build checks those of ue_cell_size and symbols.
-_RANGES = {
-    "carrier_hz": {"exclusiveMinimum": 0},
-    "bandwidth_hz": {"exclusiveMinimum": 0},
-    "subcarriers": {"minimum": 1},
-    "range_crb_max": {"exclusiveMinimum": 0},
-    "velocity_crb_max": {"exclusiveMinimum": 0},
-    "d_min": {"exclusiveMinimum": 0},
-    "max_iterations": {"minimum": 1},
-    "m_s": {"minimum": 2},  # a simplex needs m_s + 1 >= 3 vertices
-    "beta_grid": {"exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    "bits": {"minimum": 1},
-    "efficiency": {"exclusiveMinimum": 0, "maximum": 1},
-    "ref_cells_per_side": {"minimum": 1},
-    "rcs": {"exclusiveMinimum": 0},
-    "uav_cell_size": {"exclusiveMinimum": 0},
-    "bs_array": {"minimum": 1},
-    "seed": {"minimum": 0},  # numpy's generators take non-negative integers only
-    "size_cap": {"exclusiveMinimum": 0},
-}
-_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
-           "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
-
-
-_WRONG = object()  # a value that is not of its field's JSON type
-_TYPE_NAMES = {float: "finite number", int: "integer", bool: "boolean", str: "string"}
-
-
-def _json_typed(kind, value):
-    "`value` as the JSON type `kind` (a Config annotation), or _WRONG."
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:  # an array: `n` typed items, or any number of one type
-        if not isinstance(value, (list, tuple)):
-            return _WRONG
-        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else args
-        items = tuple(_json_typed(k, v) for k, v in zip(kinds, value))
-        return items if len(kinds) == len(value) and _WRONG not in items else _WRONG
-    if args:  # X | None
-        return None if value is None else _json_typed(args[0], value)
-    if isinstance(value, bool):  # JSON true and false are not numbers
-        return value if kind is bool else _WRONG
-    if isinstance(value, float) and not math.isfinite(value):
-        return _WRONG
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value if isinstance(value, (int, float) if kind is float else kind) else _WRONG
-
-
-def _json_type_name(kind) -> str:
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        count = "" if args[-1] is Ellipsis else f"{len(args)} "
-        return f"a list of {count}{_TYPE_NAMES[args[0]]}s"
-    if args:
-        return f"{_json_type_name(args[0])} or null"
-    name = _TYPE_NAMES[kind]
-    return ("an " if name[0] in "aeiou" else "a ") + name
+            value = schema.conform(getattr(self, f.name), CONFIG_SCHEMA["properties"][f.name],
+                                   f.name)
+            object.__setattr__(self, f.name, value)
 
 
 def load_config(path) -> Config:
@@ -181,25 +98,17 @@ def load_config(path) -> Config:
     with open(path) as fh:
         try:
             values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError("<config>", f"invalid JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise SceneFormatError("<config>", "must be a JSON object")
-    names = [f.name for f in dataclasses.fields(Config)]
-    unknown = set(values) - set(names)
-    if unknown:
-        raise SceneFormatError(",".join(sorted(unknown)), "unknown config fields")
-    for key in names:
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SceneFormatError("<root>", f"invalid JSON: {exc}") from exc
+    for key in CONFIG_SCHEMA["properties"]:
         name = ENV_PREFIX + key.upper()
         env = os.environ.get(name)
-        if env is not None:
+        if env is not None and isinstance(values, dict):
             try:
                 values[key] = json.loads(env)
             except json.JSONDecodeError as exc:
                 raise SceneFormatError(name, f"invalid JSON: {exc}") from exc
-    if "scene" not in values:
-        raise SceneFormatError("scene", "missing required field")
-    cfg = Config(**values)
+    cfg = Config(**schema.conform(values, CONFIG_SCHEMA))
     scene_path = Path(cfg.scene)
     if scene_path.is_absolute():
         return cfg
@@ -393,7 +302,7 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
             log.info("closure: CRB margins %.2f dB (range), %.2f dB (velocity)",
                      report.crb_range_margin_db, report.crb_velocity_margin_db)
         with open(out_dir / "deployment.json", "w") as fh:
-            json.dump(deployment_dict(ctx, result, report), fh, indent=2)
+            json.dump(deployment_dict(ctx, result, report), fh, indent=2, allow_nan=False)
         write_convergence_csv(out_dir / "convergence.csv", result.trace)
         write_snr_maps(out_dir, ctx, report)
         if cfg.mode != "comm-only":
@@ -427,7 +336,7 @@ def _fail(out_dir: Path, log, exc: RisDeployError, in_build: bool) -> int:
     kind = type(exc).__name__
     log.error("%s: %s", kind, exc)
     with open(out_dir / "error.json", "w") as fh:
-        json.dump({"error": kind, "message": str(exc)}, fh, indent=2)
+        json.dump({"error": kind, "message": str(exc)}, fh, indent=2, allow_nan=False)
     if _bad_input(exc, in_build):
         return EXIT_BAD_INPUT
     if isinstance(exc, (InfeasibleCoverageError, InfeasiblePowerError)):
@@ -479,7 +388,7 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
                 for m in modes]
         code = EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
     with open(out_dir / "comparison.json", "w") as fh:
-        json.dump(rows, fh, indent=2)
+        json.dump(rows, fh, indent=2, allow_nan=False)
     cols = ["mode", "status", "sizes_m", "total_area_m2", "coverage_pct",
             "sensing", "objective"]
     with open(out_dir / "comparison.csv", "w", newline="") as fh:

@@ -515,7 +515,6 @@ class OptimizationResult:
     trace: list
     converged: bool
     iterations: int
-    patch_coords: np.ndarray
     evaluations: int  # step-1 evaluations; for the path-loss baseline, its per-RIS checks
     unreachable: int  # of them, the ones that raised UnreachableTargetsError
 
@@ -604,8 +603,8 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
                         state.coords[v], context)
         state.order()
     return OptimizationResult(step1=state.results[0], trace=trace, converged=converged,
-                              iterations=state.iteration, patch_coords=state.coords[0].copy(),
-                              evaluations=state.evaluations, unreachable=state.unreachable)
+                              iterations=state.iteration, evaluations=state.evaluations,
+                              unreachable=state.unreachable)
 
 
 def _per_ris_spreads(state: SimplexState, regions) -> np.ndarray:
@@ -637,7 +636,6 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
     """
     rng = np.random.default_rng(seed)
     omega0 = direct_power_share(context)
-    coords = np.zeros(2 * len(context.regions))
     refs = []
     checks = unreachable = 0
     for n, region in enumerate(context.regions):
@@ -655,12 +653,11 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
                 refs.append(ris_reference(context, n, region.point_at(*uvs[k])))
             except UnreachableTargetsError:
                 unreachable += 1
-                continue
-            coords[2 * n], coords[2 * n + 1] = uvs[k]
-            break
+            else:
+                break
         else:
             raise UnreachableTargetsError(
                 f"RIS {n}: no evaluable point among {samples} samples")
     return OptimizationResult(step1=size_plan(context, refs, omega0), trace=[],
-                              converged=True, iterations=0, patch_coords=coords,
-                              evaluations=checks, unreachable=unreachable)
+                              converged=True, iterations=0, evaluations=checks,
+                              unreachable=unreachable)

@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import schema
 from .errors import InfeasibleCoverageError, InvalidInputError, SceneFormatError
 
 
@@ -433,37 +434,23 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
 
 def load_scene(path) -> Scene:
     """Load a scene from the documented JSON schema."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError("<root>", f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SceneFormatError("scene", f"cannot read: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SceneFormatError("<root>", f"invalid JSON: {exc}") from exc
     return scene_from_dict(raw)
 
 
 def scene_from_dict(raw: dict) -> Scene:
-    for key in ("buildings", "bs", "bounds"):
-        if key not in raw:
-            raise SceneFormatError(key, "missing required field")
-    buildings = []
-    for i, b in enumerate(raw["buildings"]):
-        if "footprint" not in b or "height" not in b:
-            raise SceneFormatError(f"buildings[{i}]", "needs footprint and height")
-        buildings.append(Building(np.array(b["footprint"], dtype=float), float(b["height"])))
-    bs = np.asarray(raw["bs"], dtype=float)
-    if bs.shape != (3,):
-        raise SceneFormatError("bs", "must be [x, y, z]")
-    bnd = raw["bounds"]
-    try:
-        bounds = Bounds(np.asarray(bnd["lo"], dtype=float), np.asarray(bnd["hi"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise SceneFormatError("bounds", "must have lo: [x,y,z] and hi: [x,y,z]") from exc
-    ue_areas = tuple(Rect(*a) for a in raw.get("ue_areas", []))
-    uav_area = Rect(*raw["uav_area"]) if "uav_area" in raw else None
+    "A scene from its JSON object, checked against scene.schema.json first."
+    raw = schema.conform(raw, schema.load("scene"))
     return Scene(
-        buildings=tuple(buildings),
-        bs_position=bs,
-        bounds=bounds,
-        ue_areas=ue_areas,
-        uav_area=uav_area,
+        buildings=tuple(Building(b["footprint"], float(b["height"])) for b in raw["buildings"]),
+        bs_position=raw["bs"],
+        bounds=Bounds(raw["bounds"]["lo"], raw["bounds"]["hi"]),
+        ue_areas=tuple(Rect(*a) for a in raw.get("ue_areas", ())),
+        uav_area=Rect(*raw["uav_area"]) if "uav_area" in raw else None,
     )

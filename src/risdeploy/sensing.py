@@ -106,32 +106,17 @@ class OfdmWaveform:
         s_dot = np.fft.ifft(spec_dot, axis=1) * nc * self._scale
         return s, s_dot
 
-    def moments(self, tau: float = 0.0) -> WaveformMoments:
-        """Riemann-sum frame moments of s(t - tau) at 1/B spacing.
-
-        tau must land on the sample grid (delay quantized to 1/B).
-        """
-        bw = self.params.bandwidth_hz
-        shift = int(round(tau * bw))
-        if abs(tau * bw - shift) > 1e-6:
-            raise InvalidInputError("tau must be a multiple of the 1/B sample spacing")
+    def moments(self) -> WaveformMoments:
+        "Riemann-sum frame moments of s(t) at 1/B spacing."
         nc, nm = self.params.subcarriers, self.params.symbols
-        dt = 1.0 / bw
+        dt = 1.0 / self.params.bandwidth_hz
         i1 = 0.0
         i2 = 0.0 + 0.0j
         i3 = 0.0
-        limit = nc * nm - shift  # samples of s that fit the frame after the delay
-        # (first symbol, end symbol, samples kept per symbol); only the last
-        # symbol can be cut by the delay, and it is summed over its kept samples
-        n_full = min(nm, max(limit, 0) // nc)
-        spans = [(m0, min(m0 + MOMENT_BLOCK, n_full), nc)
-                 for m0 in range(0, n_full, MOMENT_BLOCK)]
-        if n_full < nm and limit > n_full * nc:
-            spans.append((n_full, n_full + 1, limit - n_full * nc))
-        for m0, m1, n_keep in spans:
+        for m0 in range(0, nm, MOMENT_BLOCK):
+            m1 = min(m0 + MOMENT_BLOCK, nm)
             s, s_dot = self._symbol_samples(m0, m1)
-            s, s_dot = s[:, :n_keep], s_dot[:, :n_keep]
-            t = (np.arange(m0, m1)[:, None] * nc + shift + np.arange(n_keep)) * dt
+            t = (np.arange(m0, m1)[:, None] * nc + np.arange(nc)) * dt
             # one 1-D sum per symbol, accumulated in symbol order (a sum over
             # axis 1 of the block adds in another order)
             for e1, e2, e3 in zip(np.abs(s_dot) ** 2, t * s_dot * np.conj(s),

@@ -4,6 +4,7 @@ The full-ISAC Nelder-Mead run is expensive (seconds), so it is computed once
 per session and shared by the optimizer, evaluation and acceptance tests.
 """
 
+import json
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
@@ -29,6 +30,15 @@ def pytest_terminal_summary(terminalreporter):
 
 def demo_config_path() -> str:
     return str(resources.files("risdeploy").joinpath("data/demo_config.json"))
+
+
+def load_strict(path):
+    "Parse a JSON artifact that must hold no NaN or Infinity."
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")
@@ -81,13 +91,10 @@ def run_dir(pipeline_run):
 @pytest.fixture(scope="session")
 def compare_run(demo_cfg, tmp_path_factory):
     "Comparison table across all four modes (one optimization per mode), and call counts."
-    import json
-
     out = tmp_path_factory.mktemp("compare")
     code, calls = _counted(cli.compare_modes, demo_cfg, list(cli.MODES), out)
     assert code == cli.EXIT_OK
-    with open(out / "comparison.json") as fh:
-        return json.load(fh), calls
+    return load_strict(out / "comparison.json"), calls
 
 
 @pytest.fixture(scope="session")

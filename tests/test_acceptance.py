@@ -24,14 +24,14 @@ from risdeploy.radar import (detect_paths, ls_position, range_velocity_map,
                              synthesize_returns)
 from risdeploy.ris_bf import ris_cell_positions
 from risdeploy.scene import DeployableRegion, select_ris_regions
-from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath, fim
+from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim
 from risdeploy.arrays import Orientation
 from risdeploy.channel import unit_cell_amplitude_gain
 from risdeploy.errors import UnreachableTargetsError
 from risdeploy.units import SPEED_OF_LIGHT, lin2db, wavelength
 
 import conftest
-from _oracles import fd_fim
+from _oracles import fd_fim, moments_per_symbol
 
 
 def _verdict(name: str, ok: bool, detail: str):
@@ -110,12 +110,13 @@ def test_a3_fisher_information():
         coeff = (rng.uniform(1e-8, 1e-6)
                  * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         path = SensingPath(0, delay, doppler, coeff, params.carrier_hz)
-        analytic = fim(params, path, 3.16e-20, wave.moments(delay)).fim
+        delayed = WaveformMoments(*moments_per_symbol(wave, delay, wave_seed=7))
+        analytic = fim(params, path, 3.16e-20, delayed).fim
         numeric = fd_fim(wave, path, 3.16e-20, wave_seed=7)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / np.abs(numeric))))
     # CRB scaling: 10-point |coeff| sweep, log-log slope must be -2
     amps = np.logspace(-8, -6, 10)
-    mom = wave.moments(0.0)
+    mom = wave.moments()
     crbs = [fim(params, SensingPath(0, 0.0, 1e3, a + 0j, 28e9), 1e-19, mom).range_crb
             for a in amps]
     slope = np.polyfit(np.log(amps), np.log(crbs), 1)[0]

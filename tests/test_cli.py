@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from risdeploy import cli, optimizer
 from risdeploy.errors import SceneFormatError, UnreachableTargetsError
 
-from conftest import demo_config_path
+from conftest import demo_config_path, load_strict
 
 
 def _schema(name):
@@ -30,15 +30,6 @@ def _schema(name):
 def _validate(instance, name):
     jsonschema.validate(instance, _schema(name),
                         format_checker=jsonschema.FormatChecker())
-
-
-def _load_strict(path: Path):
-    "Parse a JSON artifact that must hold no NaN or Infinity."
-    def reject(constant):
-        raise ValueError(f"{path.name} holds {constant}")
-
-    with open(path) as fh:
-        return json.load(fh, parse_constant=reject)
 
 
 def _as_json(cfg: cli.Config) -> dict:
@@ -120,14 +111,13 @@ def test_run_pipeline_artifacts(run_dir, ctx_full):
     names = {p.name for p in run_dir.iterdir()}
     assert expected <= names
     assert any(n.startswith("snr_map_") for n in names)
-    with open(run_dir / "deployment.json") as fh:
-        dep = json.load(fh)
+    dep = load_strict(run_dir / "deployment.json")
     _validate(dep, "deployment")
     assert dep["mode"] == "full-isac"
     assert dep["converged"] is True
     assert len(dep["positions"]) == len(ctx_full.regions)
-    _validate(_load_strict(run_dir / "detections.json"), "detections")
-    pos = _load_strict(run_dir / "positions.json")
+    _validate(load_strict(run_dir / "detections.json"), "detections")
+    pos = load_strict(run_dir / "positions.json")
     _validate(pos, "positions")
     assert "estimate" in pos
     assert pos["error_m"] < 1.0
@@ -256,7 +246,7 @@ def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, mon
                         lambda *a, **kw: (solve(*a, **kw)[0], float("nan")))
     with pytest.raises(ValueError, match="JSON compliant"):
         cli.radar_stage(ctx_full, nm_result.step1, tmp_path, logging.getLogger("test"))
-    _load_strict(tmp_path / "detections.json")
+    load_strict(tmp_path / "detections.json")
 
 
 @pytest.mark.parametrize("name, value", [("SEED", '"x"'), ("SEED", "true"), ("SEED", "-1"),
@@ -274,7 +264,8 @@ def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, mon
                                          ("SIZE_CAP", "-1"), ("TX_POWER_DBM", "NaN"),
                                          ("UE_HEIGHT", "NaN"), ("CARRIER_HZ", "Infinity"),
                                          ("UAV_VELOCITY", "[NaN,0,0]"),
-                                         ("NOISE_PSD_DBM_HZ", "-1e400")])
+                                         ("NOISE_PSD_DBM_HZ", "-1e400"),
+                                         ("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0")])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
@@ -306,17 +297,6 @@ def test_config_takes_a_json_value_or_names_its_field(name, value):
         json.dumps(dataclasses.asdict(cfg), allow_nan=False)
 
 
-_BOUND_KEYS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
-_CONTEXT_CHECKED = ("ue_cell_size", "symbols")  # bounds the context build checks
-
-
-def _without_bounds(schema):
-    "The schema with its numeric bounds removed, at every depth."
-    if isinstance(schema, dict):
-        return {k: _without_bounds(v) for k, v in schema.items() if k not in _BOUND_KEYS}
-    return schema
-
-
 def test_config_agrees_with_schema(tmp_path):
     schema = _schema("config")
     fields = {f.name: f for f in dataclasses.fields(cli.Config)}
@@ -327,15 +307,9 @@ def test_config_agrees_with_schema(tmp_path):
     _validate(_as_json(cli.Config(scene="s.json")), "config")
     with open(demo_config_path()) as fh:
         _validate(json.load(fh), "config")
-    # the config's table of ranges is the schema's, on the value or on each item
-    for name, prop in schema["properties"].items():
-        stated = {k: v for k, v in prop.get("items", prop).items() if k in _BOUND_KEYS}
-        expected = {} if name in _CONTEXT_CHECKED else stated
-        assert cli._RANGES.get(name, {}) == expected, name
-    # the types agree, and so do the ranges outside those the context build checks
+    # the config accepts a value exactly when jsonschema does, types and bounds alike
     mismatches = []
     for name, prop in schema["properties"].items():
-        prop = _without_bounds(prop) if name in _CONTEXT_CHECKED else prop
         for probe in ("x", True, None, [], 1.5, 2, 0, -1, [0.5], [0]):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"scene": "s.json", name: probe}))
@@ -351,21 +325,18 @@ def test_config_agrees_with_schema(tmp_path):
     assert mismatches == []
 
 
-@pytest.mark.parametrize("name, value", [("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0"),
-                                         ("SNR_THRESHOLD_DB", "-4000"),
+@pytest.mark.parametrize("name, value", [("SNR_THRESHOLD_DB", "-4000"),
                                          ("SNR_THRESHOLD_DB", "1e5"), ("TX_POWER_DBM", "1e5"),
                                          ("NOISE_PSD_DBM_HZ", "1e5")])
 def test_value_the_context_rejects_is_bad_input(name, value, monkeypatch, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     code = cli.main(["run", "--config", demo_config_path(), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_BAD_INPUT
-    with open(tmp_path / "run" / "error.json") as fh:
-        assert json.load(fh)["error"] == "InvalidInputError"
+    assert load_strict(tmp_path / "run" / "error.json")["error"] == "InvalidInputError"
     code = cli.main(["compare", "--config", demo_config_path(), "--out", str(tmp_path / "cmp"),
                      "--modes", *cli.MODES])
     assert code == cli.EXIT_BAD_INPUT
-    with open(tmp_path / "cmp" / "comparison.json") as fh:
-        rows = json.load(fh)
+    rows = load_strict(tmp_path / "cmp" / "comparison.json")
     assert [r["mode"] for r in rows] == list(cli.MODES)
     assert {(r["status"], r["error"]) for r in rows} == {("failed", "InvalidInputError")}
 
@@ -394,6 +365,48 @@ def test_main_validate_scene(capsys, demo_cfg, tmp_path):
     assert err["error"] == "SceneFormatError"
 
 
+def test_missing_scene_file_is_bad_input_to_validate_scene(capsys, tmp_path):
+    assert cli.main(["validate-scene", str(tmp_path / "nope.json")]) == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().out)
+    assert (err["error"], err["field"]) == ("SceneFormatError", "scene")
+
+
+def _config_for_scene(tmp_path, scene) -> str:
+    "A config file over the demo values for `scene` (a dict written next to it, or a path)."
+    if isinstance(scene, dict):
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        scene = "scene.json"
+    with open(demo_config_path()) as fh:
+        values = {**json.load(fh), "scene": scene}
+    (tmp_path / "cfg.json").write_text(json.dumps(values))
+    return str(tmp_path / "cfg.json")
+
+
+_NULL_HEIGHT = {"buildings": [{"footprint": [[0, 0], [10, 0], [10, 10]], "height": None}],
+                "bs": [50, 50, 10], "bounds": {"lo": [0, 0, 0], "hi": [100, 100, 50]}}
+
+
+@pytest.mark.parametrize("scene, field", [("nope.json", "scene"),
+                                          (_NULL_HEIGHT, "buildings.height")],
+                         ids=["missing", "null-height"])
+def test_bad_scene_is_bad_input_to_run(scene, field, tmp_path):
+    code = cli.main(["run", "--config", _config_for_scene(tmp_path, scene),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_BAD_INPUT
+    err = load_strict(tmp_path / "out" / "error.json")
+    assert err["error"] == "SceneFormatError" and err["message"].startswith(field + ":")
+
+
+def test_missing_scene_file_is_bad_input_to_compare(tmp_path):
+    code = cli.main(["compare", "--config", _config_for_scene(tmp_path, "nope.json"),
+                     "--out", str(tmp_path / "cmp"), "--modes", *cli.MODES])
+    assert code == cli.EXIT_BAD_INPUT
+    rows = load_strict(tmp_path / "cmp" / "comparison.json")
+    _validate(rows, "comparison")
+    assert [r["mode"] for r in rows] == list(cli.MODES)
+    assert {(r["status"], r["error"]) for r in rows} == {("failed", "SceneFormatError")}
+
+
 def test_main_bad_config_path(capsys, tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])
@@ -415,13 +428,8 @@ def test_pipeline_infeasible_coverage(tmp_path):
     cfg = cli.Config(scene=str(tmp_path / "scene.json"), pl_max_db=62.0)
     code = cli.run_pipeline(cfg, tmp_path / "out")
     assert code == cli.EXIT_INFEASIBLE
-    with open(tmp_path / "out" / "error.json") as fh:
-        err = json.load(fh)
+    err = load_strict(tmp_path / "out" / "error.json")
     assert err["error"] == "InfeasibleCoverageError"
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-finite JSON number {token}")
 
 
 def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
@@ -430,8 +438,7 @@ def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
     cfg = dataclasses.replace(demo_cfg, max_iterations=1, mode="passive-orientation")
     code = cli.run_pipeline(cfg, tmp_path)
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
-    with open(tmp_path / "deployment.json") as fh:
-        dep = json.load(fh, parse_constant=_reject_constant)
+    dep = load_strict(tmp_path / "deployment.json")
     _validate(dep, "deployment")
     assert dep["mode"] == "passive-orientation"
 

@@ -303,10 +303,12 @@ def test_pathloss_baseline_runs(ctx_full):
     base = pathloss_baseline(ctx_full, samples=16, seed=0)
     assert base.step1.objective > 0
     assert base.converged and base.iterations == 0
-    for n, region in enumerate(ctx_full.regions):
-        u, v = base.patch_coords[2 * n], base.patch_coords[2 * n + 1]
-        cu, cv = region.clamp(u, v)
-        assert (u, v) == (cu, cv)
+    for region, position in zip(ctx_full.regions, base.step1.positions):
+        origin, u_hat, _ = region.patch_frame()  # the position in patch coordinates
+        u, v = float((position - origin) @ u_hat), float(position[2])
+        patch = region.patch
+        assert patch.u_min - 1e-9 <= u <= patch.u_max + 1e-9
+        assert patch.v_min - 1e-9 <= v <= patch.v_max + 1e-9
 
 
 def _cheapest_free_space_coords(ctx, samples, seed):
@@ -325,8 +327,9 @@ def _cheapest_free_space_coords(ctx, samples, seed):
 
 def test_pathloss_baseline_keeps_an_evaluable_cheapest_point(ctx_full):
     base = pathloss_baseline(ctx_full, seed=0)
-    np.testing.assert_array_equal(base.patch_coords,
-                                  _cheapest_free_space_coords(ctx_full, 64, 0))
+    coords = _cheapest_free_space_coords(ctx_full, 64, 0).reshape(-1, 2)
+    np.testing.assert_array_equal(base.step1.positions,
+                                  [r.point_at(*uv) for r, uv in zip(ctx_full.regions, coords)])
 
 
 def test_pathloss_baseline_skips_points_without_a_path(ctx_full):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -255,6 +256,41 @@ def test_scene_from_dict_errors():
         scene_from_dict({"buildings": [], "bs": [0, 0], "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
     with pytest.raises(SceneFormatError):  # BS outside bounds
         scene_from_dict({"buildings": [], "bs": [5, 0, 0], "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
+
+
+_SCENE = {"buildings": [{"footprint": [[0, 0], [10, 0], [10, 10], [0, 10]], "height": 5}],
+          "bs": [50, 50, 10], "bounds": {"lo": [0, 0, 0], "hi": [100, 100, 50]},
+          "ue_areas": [[20, 20, 40, 40]], "uav_area": [60, 60, 80, 80]}
+
+
+def _with_height(height):
+    return [{**_SCENE["buildings"][0], "height": height}]
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("buildings", _with_height(None), "buildings.height"),
+    ("buildings", _with_height(float("nan")), "buildings.height"),
+    ("buildings", _with_height("5"), "buildings.height"),
+    ("bs", ["a", 0, 0], "bs"),
+    ("ue_areas", [[1, 2, 3]], "ue_areas"),
+    ("uav_area", [60, "x", 80, 80], "uav_area"),
+    ("buildings", "x", "buildings"),
+    (None, [], "<root>"),
+], ids=["height-null", "height-nan", "height-string", "bs-string", "ue-area-3",
+        "uav-area-string", "buildings-string", "root-list"])
+def test_malformed_scene_names_its_field(key, value, field, tmp_path):
+    # written as JSON (NaN included) and loaded as a scene file is
+    raw = value if key is None else {**_SCENE, key: value}
+    (tmp_path / "scene.json").write_text(json.dumps(raw))
+    with pytest.raises(SceneFormatError) as exc:
+        scene_mod.load_scene(tmp_path / "scene.json")
+    assert exc.value.field == field
+
+
+def test_scene_keeps_unknown_keys_and_builds_from_the_schema():
+    scn = scene_from_dict({**_SCENE, "bs_orientation_psi": 1.5, "note": "kept"})
+    assert len(scn.buildings) == 1 and scn.buildings[0].height == 5.0
+    assert scn.uav_area == Rect(60, 60, 80, 80) and scn.ue_areas == (Rect(20, 20, 40, 40),)
 
 
 def test_region_patch_geometry(ctx_full):

@@ -6,7 +6,7 @@ import pytest
 from risdeploy import sensing
 from risdeploy.errors import InvalidInputError, UnobservablePathError
 from risdeploy.optimizer import orientation_search, reference_sensing_crbs
-from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath,
+from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath, WaveformMoments,
                                fim, qpsk_symbols)
 from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
@@ -64,29 +64,25 @@ def test_waveform_sample_matches_symbol_samples():
 def test_moments_match_direct_riemann_sum():
     wave = OfdmWaveform(SMALL, seed=2)
     dt = 1.0 / SMALL.bandwidth_hz
-    tau = 10 * dt
-    mom = wave.moments(tau)
+    mom = wave.moments()
     total = SMALL.subcarriers * SMALL.symbols
     t = np.arange(total) * dt
-    s, s_dot = waveform_sample(wave, t, tau=tau)
+    s, s_dot = waveform_sample(wave, t)
     np.testing.assert_allclose(mom.deriv_energy, np.sum(np.abs(s_dot) ** 2) * dt, rtol=1e-9)
     np.testing.assert_allclose(mom.time_cross, np.sum(t * s_dot * np.conj(s)) * dt, rtol=1e-9)
     np.testing.assert_allclose(mom.time_energy, np.sum(t**2 * np.abs(s) ** 2) * dt, rtol=1e-9)
-    with pytest.raises(InvalidInputError):
-        wave.moments(0.3 * dt)
 
 
+# ids read nc-m-delay, the delay in samples: moments() sums the undelayed frame
 @pytest.mark.parametrize("block", [sensing.MOMENT_BLOCK, 8])
-@pytest.mark.parametrize("nc, m, shift", [(100, 37, 0), (100, 37, 5 * 100 + 37),
-                                          (64, 150, 0), (64, 150, 20 * 64 + 5)])
-def test_moments_match_per_symbol_reference(block, nc, m, shift, monkeypatch):
-    # the shifted cases cut the frame inside a block of symbols
+@pytest.mark.parametrize("nc, m", [(100, 37), (64, 150)], ids=["100-37-0", "64-150-0"])
+def test_moments_match_per_symbol_reference(block, nc, m, monkeypatch):
+    # 37 and 150 symbols end inside a block of 64 and of 8
     monkeypatch.setattr(sensing, "MOMENT_BLOCK", block)
     params = OfdmParams(28e9, 1e9, nc, m)
     wave = OfdmWaveform(params, seed=3)
-    tau = shift / params.bandwidth_hz
-    mom = wave.moments(tau)
-    i1, i2, i3 = moments_per_symbol(wave, tau, wave_seed=3)
+    mom = wave.moments()
+    i1, i2, i3 = moments_per_symbol(wave, wave_seed=3)
     assert same_bits(np.array([mom.deriv_energy, mom.time_energy]), np.array([i1, i3]))
     assert same_bits(np.array(mom.time_cross), np.array(i2))
 
@@ -103,7 +99,8 @@ def test_fim_matches_finite_difference_oracle():
     noise_psd = 3.16e-20
     path = SensingPath(0, delay=12 * dt, doppler=8.0e3,
                        coeff=2e-7 * np.exp(1j * 0.7), carrier_hz=28e9)
-    analytic = fim(SMALL, path, noise_psd, wave.moments(path.delay))
+    delayed = WaveformMoments(*moments_per_symbol(wave, path.delay, wave_seed=5))
+    analytic = fim(SMALL, path, noise_psd, delayed)
     numeric = fd_fim(wave, path, noise_psd, wave_seed=5)
     np.testing.assert_allclose(analytic.fim, numeric, rtol=1e-3)
     inv = np.linalg.inv(numeric)
@@ -113,7 +110,7 @@ def test_fim_matches_finite_difference_oracle():
 
 def test_fim_crb_scales_inverse_square_with_coeff():
     wave = OfdmWaveform(SMALL, seed=5)
-    mom = wave.moments(0.0)
+    mom = wave.moments()
     base = SensingPath(0, 0.0, 1.0e3, 1e-7 + 0j, 28e9)
     strong = SensingPath(0, 0.0, 1.0e3, 3e-7 + 0j, 28e9)
     crb1 = fim(SMALL, base, 1e-19, mom)
@@ -126,7 +123,7 @@ def test_fim_zero_coeff_unobservable():
     wave = OfdmWaveform(SMALL, seed=0)
     path = SensingPath(0, 0.0, 0.0, 0.0j, 28e9)
     with pytest.raises(UnobservablePathError):
-        fim(SMALL, path, 1e-19, wave.moments(0.0))
+        fim(SMALL, path, 1e-19, wave.moments())
 
 
 def test_reference_crb_scale(ctx_full):
