@@ -95,11 +95,13 @@ class Config:
 
 def load_config(path) -> Config:
     "Config JSON over the defaults, then RISDEPLOY_* environment overrides."
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             values = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise SceneFormatError("<root>", f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SceneFormatError("config", f"cannot read: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SceneFormatError("<root>", f"invalid JSON: {exc}") from exc
     for key in CONFIG_SCHEMA["properties"]:
         name = ENV_PREFIX + key.upper()
         env = os.environ.get(name)
@@ -133,6 +135,9 @@ def build_context(cfg: Config) -> optimizer.OptimizerContext:
     centers = np.vstack([g.centers for g in ue_grids])
     ue_grid = scene_mod.GridSet(centers, ue_grids[0].extent)
     uav_grid = scene_mod.build_grids(scn, cfg.uav_cell_size, cfg.uav_height, scn.uav_area)
+    for name, grid in (("UE", ue_grid), ("UAV", uav_grid)):
+        if not len(grid):
+            raise InvalidInputError(f"no {name} cell centre lies outside the buildings")
     uncovered = [i for i, c in enumerate(ue_grid.centers)
                  if not scene_mod.line_of_sight(scn, scn.bs_position, c)]
     candidates = scene_mod.candidate_regions(scn, ue_grid, uncovered, uav_grid, prop)
@@ -240,11 +245,9 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
                                 threshold_db=cfg.detection_threshold_db)
     detections = radar.associate_paths(report.detections, expected_ranges)
     write_rv_map_csv(out_dir / "rv_map.csv", rv, max(expected_ranges))
-    with open(out_dir / "detections.json", "w") as fh:
-        json.dump({"expected_ranges_m": expected_ranges,
-                   "warning": report.warning,
-                   "detections": [dataclasses.asdict(d) for d in detections]},
-                  fh, indent=2, allow_nan=False)
+    _write_json(out_dir / "detections.json",
+                {"expected_ranges_m": expected_ranges, "warning": report.warning,
+                 "detections": [dataclasses.asdict(d) for d in detections]})
     positions_out = {"true_position": uav.tolist()}
     by_path = {d.path_index_hypothesis: d.range_est for d in detections}
     if all(i in by_path for i in range(len(paths))):
@@ -265,8 +268,7 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
     else:
         positions_out["error"] = "not all paths detected"
         log.warning("radar stage: %s", positions_out["error"])
-    with open(out_dir / "positions.json", "w") as fh:
-        json.dump(positions_out, fh, indent=2, allow_nan=False)
+    _write_json(out_dir / "positions.json", positions_out)
 
 
 def run_pipeline(cfg: Config, out_dir: Path) -> int:
@@ -301,8 +303,7 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
         if cfg.mode != "comm-only":
             log.info("closure: CRB margins %.2f dB (range), %.2f dB (velocity)",
                      report.crb_range_margin_db, report.crb_velocity_margin_db)
-        with open(out_dir / "deployment.json", "w") as fh:
-            json.dump(deployment_dict(ctx, result, report), fh, indent=2, allow_nan=False)
+        _write_json(out_dir / "deployment.json", deployment_dict(ctx, result, report))
         write_convergence_csv(out_dir / "convergence.csv", result.trace)
         write_snr_maps(out_dir, ctx, report)
         if cfg.mode != "comm-only":
@@ -311,7 +312,8 @@ def run_pipeline(cfg: Config, out_dir: Path) -> int:
         log.info("done in %.1f s", time.time() - t0)
         return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     except RisDeployError as exc:
-        return _fail(out_dir, log, exc, ctx is None)
+        log.error("%s: %s", type(exc).__name__, exc)
+        return _failed(exc, ctx is None, out_dir)
     finally:
         log.removeHandler(handler)
         handler.close()
@@ -327,17 +329,34 @@ def _stage(log, name: str):
     log.info("stage %s peak_rss: %.1f MB", name, peak_kib / 1024.0)
 
 
-def _bad_input(exc: RisDeployError, in_build: bool) -> bool:
-    "Bad config or scene: a format error, or a value that building the context rejects."
-    return isinstance(exc, SceneFormatError) or (in_build and isinstance(exc, InvalidInputError))
+def _write_json(path: Path, obj):
+    "Write `obj` as strict JSON; a non-finite value fails typed before the file is touched."
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RisDeployError(f"{path.name}: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
-def _fail(out_dir: Path, log, exc: RisDeployError, in_build: bool) -> int:
-    kind = type(exc).__name__
-    log.error("%s: %s", kind, exc)
-    with open(out_dir / "error.json", "w") as fh:
-        json.dump({"error": kind, "message": str(exc)}, fh, indent=2, allow_nan=False)
-    if _bad_input(exc, in_build):
+def _record(exc: RisDeployError) -> dict:
+    field = {"field": exc.field} if isinstance(exc, SceneFormatError) else {}
+    return {"error": type(exc).__name__, "message": str(exc), **field}
+
+
+def _failed(exc: RisDeployError, in_build: bool, out_dir: Path | None = None,
+            modes=None) -> int:
+    """The one way out of a failed command: print its record as one JSON line,
+    leave it in `out_dir` (error.json, or with `modes` a failed row per mode)
+    and return the exit code. Bad input exits 2: a format error, or a value
+    rejected `in_build` (while the input is read and the context built)."""
+    record = _record(exc)
+    print(json.dumps(record))
+    if modes is not None:
+        _write_comparison(out_dir, [{"mode": m, "status": "failed", **record} for m in modes])
+    elif out_dir is not None:
+        _write_json(out_dir / "error.json", record)
+    if isinstance(exc, SceneFormatError) or (in_build and isinstance(exc, InvalidInputError)):
         return EXIT_BAD_INPUT
     if isinstance(exc, (InfeasibleCoverageError, InfeasiblePowerError)):
         return EXIT_INFEASIBLE
@@ -347,14 +366,7 @@ def _fail(out_dir: Path, log, exc: RisDeployError, in_build: bool) -> int:
 def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
     "One comparison row per mode: sizes, coverage %, sensing feasibility."
     if len(modes) < 2:
-        print(json.dumps({"error": "InvalidInputError",
-                          "message": "compare needs at least two modes"}))
-        return EXIT_BAD_INPUT
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def failed(mode, exc):
-        return {"mode": mode, "status": "failed",
-                "error": type(exc).__name__, "message": str(exc)}
+        return _failed(InvalidInputError("compare needs at least two modes"), True)
 
     def one(ctx):
         mode = ctx.cfg.mode
@@ -376,19 +388,21 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
                 "objective": plan.objective,
             }
         except RisDeployError as exc:
-            return failed(mode, exc)
+            return {"mode": mode, "status": "failed", **_record(exc)}
 
+    base = None
     try:
         base = build_context(cfg)
-    except RisDeployError as exc:
-        rows = [failed(m, exc) for m in modes]
-        code = EXIT_BAD_INPUT if _bad_input(exc, True) else EXIT_ERROR
-    else:
         rows = [one(dataclasses.replace(base, cfg=dataclasses.replace(cfg, mode=m)))
                 for m in modes]
-        code = EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
-    with open(out_dir / "comparison.json", "w") as fh:
-        json.dump(rows, fh, indent=2, allow_nan=False)
+        _write_comparison(out_dir, rows)
+    except RisDeployError as exc:
+        return _failed(exc, base is None, out_dir, modes)
+    return EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
+
+
+def _write_comparison(out_dir: Path, rows: list):
+    _write_json(out_dir / "comparison.json", rows)
     cols = ["mode", "status", "sizes_m", "total_area_m2", "coverage_pct",
             "sensing", "objective"]
     with open(out_dir / "comparison.csv", "w", newline="") as fh:
@@ -396,27 +410,16 @@ def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
         writer.writerow(cols)
         for row in rows:
             writer.writerow([row.get(c, "") for c in cols])
-    return code
 
 
 def validate_scene(path) -> int:
     try:
         scn = scene_mod.load_scene(path)
-    except SceneFormatError as exc:
-        print(json.dumps({"error": "SceneFormatError", "field": exc.field,
-                          "message": str(exc)}))
-        return EXIT_BAD_INPUT
+    except RisDeployError as exc:
+        return _failed(exc, True)
     print(json.dumps({"status": "ok", "buildings": len(scn.buildings),
                       "ue_areas": len(scn.ue_areas)}))
     return EXIT_OK
-
-
-def _non_negative_int(text: str) -> int:
-    "argparse type of --seed; a rejected value exits 2 with a usage message."
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
 
 
 def main(argv=None) -> int:
@@ -428,29 +431,31 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--mode", choices=MODES)
-    p_run.add_argument("--seed", type=_non_negative_int)
+    p_run.add_argument("--seed", type=int)
     p_cmp = sub.add_parser("compare", help="run several modes, emit a table")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--modes", nargs="+", required=True, choices=MODES)
-    p_cmp.add_argument("--seed", type=_non_negative_int)
+    p_cmp.add_argument("--seed", type=int)
     p_val = sub.add_parser("validate-scene", help="check a scene JSON file")
     p_val.add_argument("scene")
     args = parser.parse_args(argv)
+    if args.command == "compare" and len(args.modes) < 2:  # a comparison has two rows or more
+        parser.error("compare needs at least two modes")
     if args.command == "validate-scene":
         return validate_scene(args.scene)
+    modes = args.modes if args.command == "compare" else None
     try:
         cfg = load_config(args.config)
-    except (OSError, SceneFormatError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_BAD_INPUT
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.command == "run":
-        if args.mode:
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        if modes is None and args.mode:
             cfg = dataclasses.replace(cfg, mode=args.mode)
+    except RisDeployError as exc:
+        return _failed(exc, True, Path(args.out), modes)
+    if modes is None:
         return run_pipeline(cfg, Path(args.out))
-    return compare_modes(cfg, args.modes, Path(args.out))
+    return compare_modes(cfg, modes, Path(args.out))
 
 
 if __name__ == "__main__":

@@ -195,13 +195,13 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
         table = explicit_ue_snr(ctx, plan, panel)
         gamma = plan.gamma_ref[n]
         served = gamma > 0.0
-        with np.errstate(divide="ignore"):
-            snr_db.append(lin2db(np.min(table, axis=1)))
-        snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
         scale = (plan.sizes[n].cell_count / ctx.m_ref) ** 2
         pred = (plan.beta_per_uav[:, n] * plan.omega_per_uav[:, n + 1]
                 * scale * gamma[served, None])
-        gaps[n] = float(np.mean(np.abs(lin2db(table[served]) - lin2db(pred))))
+        with np.errstate(divide="ignore"):
+            snr_db.append(lin2db(np.min(table, axis=1)))
+            gaps[n] = float(np.mean(np.abs(lin2db(table[served]) - lin2db(pred))))
+        snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
         if not comm_only:
             worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
             for u in range(m_u):

@@ -138,10 +138,11 @@ class Rect:
     ymin: float
     xmax: float
     ymax: float
+    key: str = field(default="rect", compare=False, repr=False)  # the scene key it came from
 
     def __post_init__(self):
         if self.xmax <= self.xmin or self.ymax <= self.ymin:
-            raise SceneFormatError("rect", "max must exceed min")
+            raise SceneFormatError(self.key, "max must exceed min")
 
     @property
     def width(self) -> float:
@@ -451,6 +452,6 @@ def scene_from_dict(raw: dict) -> Scene:
         buildings=tuple(Building(b["footprint"], float(b["height"])) for b in raw["buildings"]),
         bs_position=raw["bs"],
         bounds=Bounds(raw["bounds"]["lo"], raw["bounds"]["hi"]),
-        ue_areas=tuple(Rect(*a) for a in raw.get("ue_areas", ())),
-        uav_area=Rect(*raw["uav_area"]) if "uav_area" in raw else None,
+        ue_areas=tuple(Rect(*a, "ue_areas") for a in raw["ue_areas"]),
+        uav_area=Rect(*raw["uav_area"], "uav_area") if "uav_area" in raw else None,
     )

@@ -1,10 +1,14 @@
+import ast
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -16,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risdeploy import cli, optimizer
-from risdeploy.errors import SceneFormatError, UnreachableTargetsError
+from risdeploy.errors import RisDeployError, SceneFormatError, UnreachableTargetsError
 
 from conftest import demo_config_path, load_strict
+from test_scene import _footprints
 
 
 def _schema(name):
@@ -240,13 +245,14 @@ def test_radar_stage_holds_at_most_two_and_a_half_frames(demo_cfg, tmp_path, mon
 
 def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, monkeypatch):
     # a residual is finite by construction; were it not, the stage would fail
-    # instead of writing NaN into positions.json
+    # typed instead of writing NaN into positions.json, or part of it
     solve = cli.radar.ls_position
     monkeypatch.setattr(cli.radar, "ls_position",
                         lambda *a, **kw: (solve(*a, **kw)[0], float("nan")))
-    with pytest.raises(ValueError, match="JSON compliant"):
+    with pytest.raises(RisDeployError, match="^positions.json: .*JSON compliant"):
         cli.radar_stage(ctx_full, nm_result.step1, tmp_path, logging.getLogger("test"))
     load_strict(tmp_path / "detections.json")
+    assert not (tmp_path / "positions.json").exists()
 
 
 @pytest.mark.parametrize("name, value", [("SEED", '"x"'), ("SEED", "true"), ("SEED", "-1"),
@@ -265,17 +271,30 @@ def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, mon
                                          ("UE_HEIGHT", "NaN"), ("CARRIER_HZ", "Infinity"),
                                          ("UAV_VELOCITY", "[NaN,0,0]"),
                                          ("NOISE_PSD_DBM_HZ", "-1e400"),
-                                         ("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0")])
+                                         ("UE_CELL_SIZE", "-1"), ("SYMBOLS", "0"),
+                                         ("REFLECTION_LOSS_DB", "-1")])
 def test_bad_config_value_is_bad_input(name, value, monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("RISDEPLOY_" + name, value)
     # comm-only: the mode in which a wrong EFFICIENCY or UE_HEIGHT used to fail untyped
     monkeypatch.setenv("RISDEPLOY_MODE", '"comm-only"')
     for command in (["run"], ["compare", "--modes", *cli.MODES]):
-        code = cli.main([*command, "--config", demo_config_path(), "--out", str(tmp_path)])
+        out = tmp_path / command[0]
+        code = cli.main([*command, "--config", demo_config_path(), "--out", str(out)])
         assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "SceneFormatError"
+        assert err["error"] == "SceneFormatError" and err["field"] == name.lower()
         assert err["message"].startswith(name.lower() + ":")
+        _assert_left(out, command, err)
+
+
+def _assert_left(out, command, record):
+    "The record printed on stdout is error.json (run), or each mode's failed row (compare)."
+    if command[0] == "run":
+        assert load_strict(out / "error.json") == record
+    else:
+        rows = load_strict(out / "comparison.json")
+        _validate(rows, "comparison")
+        assert rows == [{"mode": m, "status": "failed", **record} for m in command[2:]]
 
 
 # what Python's JSON parser can return for a scalar, NaN and the infinities included
@@ -343,15 +362,24 @@ def test_value_the_context_rejects_is_bad_input(name, value, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("command", [["run"], ["compare", "--modes", *cli.MODES]])
 def test_negative_seed_flag_is_bad_input(command, capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*command, "--config", demo_config_path(), "--out", str(tmp_path),
-                  "--seed", "-1"])
-    assert exc.value.code == cli.EXIT_BAD_INPUT
-    assert "--seed" in capsys.readouterr().err
+    # the flag is checked against the config schema's seed minimum, like RISDEPLOY_SEED
+    code = cli.main([*command, "--config", demo_config_path(), "--out", str(tmp_path),
+                     "--seed", "-1"])
+    assert code == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().out)
+    assert (err["error"], err["field"]) == ("SceneFormatError", "seed")
+    _assert_left(tmp_path, command, err)
 
 
 def test_compare_needs_two_modes(demo_cfg, tmp_path, capsys):
     assert cli.compare_modes(demo_cfg, ["full-isac"], tmp_path) == cli.EXIT_BAD_INPUT
+    # on the command line it is a usage error, before a bad config could leave
+    # a one-row comparison
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--config", str(tmp_path / "missing.json"),
+                  "--out", str(tmp_path / "cmp"), "--modes", "full-isac"])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_main_validate_scene(capsys, demo_cfg, tmp_path):
@@ -383,7 +411,8 @@ def _config_for_scene(tmp_path, scene) -> str:
 
 
 _NULL_HEIGHT = {"buildings": [{"footprint": [[0, 0], [10, 0], [10, 10]], "height": None}],
-                "bs": [50, 50, 10], "bounds": {"lo": [0, 0, 0], "hi": [100, 100, 50]}}
+                "bs": [50, 50, 10], "bounds": {"lo": [0, 0, 0], "hi": [100, 100, 50]},
+                "ue_areas": [[20, 20, 40, 40]]}
 
 
 @pytest.mark.parametrize("scene, field", [("nope.json", "scene"),
@@ -408,12 +437,17 @@ def test_missing_scene_file_is_bad_input_to_compare(tmp_path):
 
 
 def test_main_bad_config_path(capsys, tmp_path):
-    code = cli.main(["run", "--config", str(tmp_path / "missing.json"),
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_BAD_INPUT
+    for command in (["run"], ["compare", "--modes", *cli.MODES]):
+        out = tmp_path / command[0]
+        code = cli.main([*command, "--config", str(tmp_path / "missing.json"),
+                         "--out", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("SceneFormatError", "config")
+        _assert_left(out, command, err)
 
 
-def test_pipeline_infeasible_coverage(tmp_path):
+def test_pipeline_infeasible_coverage(capsys, tmp_path):
     # a UE area fully behind a closed courtyard no RIS face can reach
     scene = {
         "buildings": [{"footprint": [[40, 40], [60, 40], [60, 60], [40, 60]],
@@ -425,11 +459,14 @@ def test_pipeline_infeasible_coverage(tmp_path):
     }
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     # everything out of budget: no candidate regions
-    cfg = cli.Config(scene=str(tmp_path / "scene.json"), pl_max_db=62.0)
-    code = cli.run_pipeline(cfg, tmp_path / "out")
-    assert code == cli.EXIT_INFEASIBLE
-    err = load_strict(tmp_path / "out" / "error.json")
-    assert err["error"] == "InfeasibleCoverageError"
+    (tmp_path / "cfg.json").write_text(json.dumps({"scene": "scene.json", "pl_max_db": 62.0}))
+    for command in (["run"], ["compare", "--modes", *cli.MODES]):  # both exit 3
+        out = tmp_path / command[0]
+        code = cli.main([*command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert code == cli.EXIT_INFEASIBLE
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "InfeasibleCoverageError"
+        _assert_left(out, command, err)
 
 
 def test_passive_run_deployment_is_strict_json(demo_cfg, tmp_path):
@@ -459,3 +496,136 @@ def test_zero_bits_fails_typed_naming_bits(demo_cfg):
     with pytest.raises(SceneFormatError) as exc:
         dataclasses.replace(demo_cfg, bits=0, mode="comm-only")
     assert exc.value.field == "bits"
+
+
+def _demo_scene() -> dict:
+    with open(resources.files("risdeploy").joinpath("data/demo_scene.json")) as fh:
+        return json.load(fh)
+
+
+def test_scene_without_ue_areas_is_bad_input(tmp_path, capsys):
+    scene = {k: v for k, v in _demo_scene().items() if k != "ue_areas"}
+    config = _config_for_scene(tmp_path, scene)
+    assert cli.main(["validate-scene", str(tmp_path / "scene.json")]) == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().out)
+    assert (err["error"], err["field"]) == ("SceneFormatError", "ue_areas")
+    code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_BAD_INPUT
+    assert load_strict(tmp_path / "out" / "error.json") == err
+
+
+@pytest.mark.parametrize("key, value, kind", [("uav_area", [45, 95, 70, 115], "UAV"),
+                                              ("ue_areas", [[45, 95, 70, 115]], "UE")])
+def test_area_without_a_cell_outside_the_buildings_is_bad_input(key, value, kind,
+                                                                 tmp_path, capsys):
+    # the area is building 2's footprint, so every cell centre lies inside it
+    config = _config_for_scene(tmp_path, {**_demo_scene(), key: value})
+    for mode in cli.MODES:
+        code = cli.main(["run", "--config", config, "--out", str(tmp_path / mode),
+                         "--mode", mode])
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "InvalidInputError" and f"no {kind} cell" in err["message"]
+        assert load_strict(tmp_path / mode / "error.json") == err
+
+
+# Two boxes for which sizing serves all of RIS 0's UE cells by a reflection,
+# while the closure's straight legs see them beyond the field of view, so the
+# SNR margin is -inf (the closure/sizing mismatch of ROADMAP item 4).
+_TWO_BOXES = {"buildings": [{"footprint": [[60.3, 46.1], [85.8, 46.1], [85.8, 64.8],
+                                           [60.3, 64.8]], "height": 39.3},
+                            {"footprint": [[18.4, 49.8], [35.5, 49.8], [35.5, 63.7],
+                                           [18.4, 63.7]], "height": 25.7}],
+              "bs": [56.4, 35.5, 7.1], "bounds": {"lo": [0, 0, 0], "hi": [140, 140, 80]},
+              "ue_areas": [[18.8, 64.2, 46.2, 75.6]], "uav_area": [69.4, 10.3, 89.4, 30.3]}
+
+
+def test_non_finite_artifact_fails_typed_and_is_not_written(tmp_path, capsys):
+    (tmp_path / "scene.json").write_text(json.dumps(_TWO_BOXES))
+    (tmp_path / "cfg.json").write_text(json.dumps({"scene": "scene.json", "symbols": 256}))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                     "--mode", "passive-orientation", "--seed", "1"])
+    assert code == cli.EXIT_ERROR
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "RisDeployError"
+    assert re.match(r"deployment\.json: .*JSON compliant", err["message"])
+    assert load_strict(out / "error.json") == err
+    assert not (out / "deployment.json").exists()
+
+
+def test_no_module_calls_json_dump():
+    # every artifact goes through cli._write_json, which serialises before it opens the file
+    package = Path(cli.__file__).parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "dump"
+             and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    assert calls == []
+
+
+def _metres(draw, lo, hi):
+    "A coordinate in [lo, hi] at 0.1 m resolution."
+    return draw(st.integers(round(lo * 10), round(hi * 10))) / 10
+
+
+def _span(draw, least, most):
+    "An interval of [0, 140] m with a length in [least, most]."
+    length = _metres(draw, least, most)
+    start = _metres(draw, 0.0, 140.0 - length)
+    return start, round(start + length, 1)
+
+
+@st.composite
+def _box_scenes(draw):
+    """A small random scene in a 140 x 140 x 80 m box: 1-6 box or L-shaped
+    buildings, a BS, 1-3 UE areas of at least 8 x 8 m and, nine times in
+    ten, a UAV area."""
+    buildings = []
+    for _ in range(draw(st.integers(1, 6))):  # up to 40 m across
+        corner = [_metres(draw, 0, 100), _metres(draw, 0, 100)]
+        buildings.append({"footprint": (4 * draw(_footprints()) + corner).tolist(),
+                          "height": _metres(draw, 5, 60)})
+    ue_areas = []
+    for _ in range(draw(st.integers(1, 3))):
+        (x0, x1), (y0, y1) = _span(draw, 8, 40), _span(draw, 8, 40)
+        ue_areas.append([x0, y0, x1, y1])
+    scene = {"buildings": buildings, "ue_areas": ue_areas,
+             "bs": [_metres(draw, 1, 139), _metres(draw, 1, 139), _metres(draw, 2, 40)],
+             "bounds": {"lo": [0, 0, 0], "hi": [140, 140, 80]}}
+    if draw(st.integers(0, 9)):
+        (x0, x1), (y0, y1) = _span(draw, 10, 40), _span(draw, 10, 40)
+        scene["uav_area"] = [x0, y0, x1, y1]
+    return scene
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scene=_box_scenes(), command=st.sampled_from([*cli.MODES, "compare"]))
+def test_random_scene_ends_in_a_documented_exit(scene, command):
+    # whatever the scene, the command ends in a documented exit code with
+    # strict JSON artifacts, and a failure leaves the record it prints
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "scene.json").write_text(json.dumps(scene))
+        (tmp / "cfg.json").write_text(json.dumps(
+            {"scene": "scene.json", "symbols": 256, "max_iterations": 30}))
+        argv = (["compare", "--modes", *cli.MODES] if command == "compare"
+                else ["run", "--mode", command])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*argv, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")])
+        assert code in range(5)
+        artifacts = {path.name: load_strict(path) for path in (tmp / "out").glob("*.json")}
+        printed = stdout.getvalue()
+        if command == "compare":
+            rows = artifacts["comparison.json"]
+            _validate(rows, "comparison")
+            if printed:  # the command failed before its rows
+                _assert_left(tmp / "out", argv, json.loads(printed))
+            else:  # a failed mode row gives 1
+                assert (code == cli.EXIT_ERROR) == any(r["status"] == "failed" for r in rows)
+        elif code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED):
+            assert printed == "" and "error.json" not in artifacts
+            _validate(artifacts["deployment.json"], "deployment")
+        else:
+            assert artifacts["error.json"] == json.loads(printed)

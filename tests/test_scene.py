@@ -247,15 +247,18 @@ def test_select_ris_regions_orphans():
 
 
 def test_scene_from_dict_errors():
-    with pytest.raises(SceneFormatError):
-        scene_from_dict({"bs": [0, 0, 0], "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
-    with pytest.raises(SceneFormatError):
-        scene_from_dict({"buildings": [{"height": 5}], "bs": [0, 0, 0],
-                         "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
-    with pytest.raises(SceneFormatError):
-        scene_from_dict({"buildings": [], "bs": [0, 0], "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
-    with pytest.raises(SceneFormatError):  # BS outside bounds
-        scene_from_dict({"buildings": [], "bs": [5, 0, 0], "bounds": {"lo": [0, 0, 0], "hi": [1, 1, 1]}})
+    # each case has a UE area, so that it fails for its own reason
+    box = {"lo": [0, 0, 0], "hi": [1, 1, 1]}
+    ue = [[0, 0, 1, 1]]
+    for raw, field in [({"bs": [0, 0, 0], "bounds": box, "ue_areas": ue}, "buildings"),
+                       ({"buildings": [{"height": 5}], "bs": [0, 0, 0], "bounds": box,
+                         "ue_areas": ue}, "buildings.footprint"),
+                       ({"buildings": [], "bs": [0, 0], "bounds": box, "ue_areas": ue}, "bs"),
+                       # BS outside bounds
+                       ({"buildings": [], "bs": [5, 0, 0], "bounds": box, "ue_areas": ue}, "bs")]:
+        with pytest.raises(SceneFormatError) as exc:
+            scene_from_dict(raw)
+        assert exc.value.field == field
 
 
 _SCENE = {"buildings": [{"footprint": [[0, 0], [10, 0], [10, 10], [0, 10]], "height": 5}],
@@ -276,8 +279,12 @@ def _with_height(height):
     ("uav_area", [60, "x", 80, 80], "uav_area"),
     ("buildings", "x", "buildings"),
     (None, [], "<root>"),
+    ("ue_areas", [[70, 75, 45, 90]], "ue_areas"),
+    ("uav_area", [80, 60, 60, 80], "uav_area"),
+    ("ue_areas", [], "ue_areas"),
 ], ids=["height-null", "height-nan", "height-string", "bs-string", "ue-area-3",
-        "uav-area-string", "buildings-string", "root-list"])
+        "uav-area-string", "buildings-string", "root-list", "ue-area-inverted",
+        "uav-area-inverted", "ue-areas-empty"])
 def test_malformed_scene_names_its_field(key, value, field, tmp_path):
     # written as JSON (NaN included) and loaded as a scene file is
     raw = value if key is None else {**_SCENE, key: value}
