@@ -22,7 +22,7 @@ from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError,
 from .propagation import (PropagationConfig, dominant_path_between, dominant_paths_from,
                           fspl_amplitude)
 from .ris_bf import quantization_efficiency
-from .sensing import CrbPair, OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim
+from .sensing import OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, crb_arrays
 from .units import SPEED_OF_LIGHT, db2lin
 
 
@@ -37,10 +37,10 @@ class ConstraintConstants:
         return np.maximum(np.maximum(self.c1, self.c2), self.c3)
 
 
-def constraint_constants(gamma_ref_worst: float, crb_ref: CrbPair, ctx: "OptimizerContext",
-                         beta) -> ConstraintConstants:
-    """Per-RIS normalized constraint constants for a beta split, or for each
-    split of an array of them (then c1-c3 are arrays over it).
+def constraint_constants(gamma_ref_worst: float, range_crb, velocity_crb,
+                         ctx: "OptimizerContext", beta) -> ConstraintConstants:
+    """Per-RIS normalized constraint constants for a beta split, elementwise
+    over the broadcast of the reference CRBs and the splits.
 
     c1 compares the SNR threshold of `ctx.link` to the worst reference SNR
     over the RIS's UE cells; c2/c3 compare the reference range/velocity CRBs
@@ -53,8 +53,8 @@ def constraint_constants(gamma_ref_worst: float, crb_ref: CrbPair, ctx: "Optimiz
         raise InvalidInputError("reference SNR must be positive")
     return ConstraintConstants(
         c1=ctx.link.snr_threshold_linear / (beta * gamma_ref_worst),
-        c2=crb_ref.range_crb / ((1.0 - beta) * ctx.cfg.range_crb_max),
-        c3=crb_ref.velocity_crb / ((1.0 - beta) * ctx.cfg.velocity_crb_max),
+        c2=range_crb / ((1.0 - beta) * ctx.cfg.range_crb_max),
+        c3=velocity_crb / ((1.0 - beta) * ctx.cfg.velocity_crb_max),
     )
 
 
@@ -234,6 +234,12 @@ class OptimizerContext:
     def quant_eff(self) -> float:
         return quantization_efficiency(self.cfg.bits)
 
+    @cached_property
+    def uav_ranges(self) -> np.ndarray:
+        "BS-to-UAV-cell distance per UAV cell, each norm formed on its own."
+        bs = self.scene.bs_position
+        return np.array([float(np.linalg.norm(center - bs)) for center in self.uav_grid.centers])
+
     def region_bounds(self, region) -> OrientationBounds:
         "C4 orientation bounds: near the face normal, limited tilt."
         normal = region.normal()
@@ -242,18 +248,27 @@ class OptimizerContext:
                                  psi0 - PSI_HALFWIDTH, psi0 + PSI_HALFWIDTH)
 
 
-def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation,
-                       region) -> np.ndarray:
-    """Reference per-UE-cell SNR of the M_ref panel at unit beta and omega.
+def ris_paths(ctx: OptimizerContext, n: int, position) -> tuple:
+    """Dominant paths of RIS n at a position to the BS and to each covered UE
+    cell (a list); UnreachableTargetsError when a leg has none."""
+    p = np.asarray(position, dtype=float)
+    try:
+        return (dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position),
+                dominant_paths_from(ctx.scene, ctx.prop, p,
+                                    ctx.ue_grid.centers[ctx.regions[n].covered_cells]))
+    except NoPathError as exc:
+        raise UnreachableTargetsError(f"RIS {n} at {np.round(p, 2)}: {exc}") from exc
+
+
+def reference_comm_snr(ctx: OptimizerContext, path_b, paths_k,
+                       orientation: Orientation) -> np.ndarray:
+    """Reference per-UE-cell SNR of the M_ref panel at unit beta and omega,
+    from the RIS's dominant paths to the BS and the UE cells (ris_paths).
 
     gamma_k = (P_t / sigma^2) q_L G_bs |a_b a_k|^2 eta (M_ref g_b g_k)^2, with
     a_* the dominant-path amplitudes of the two legs and g_* the per-cell
     amplitude gains toward the two legs' departure directions.
     """
-    p = np.asarray(position, dtype=float)
-    path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
-    paths_k = dominant_paths_from(ctx.scene, ctx.prop, p,
-                                  ctx.ue_grid.centers[region.covered_cells])
     axis = orientation.normal
     cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
     g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
@@ -264,29 +279,30 @@ def reference_comm_snr(ctx: OptimizerContext, position, orientation: Orientation
     return base * att_k**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
 
 
+def round_trip_coeff(ctx: OptimizerContext, omega: float, d_bu, cascade=None):
+    """Amplitude of the BS beam's round trip at power share omega through a UAV at
+    distance d_bu from the BS, elementwise over d_bu and `cascade`: direct, or with the
+    complex panel traversal amplitude `cascade` (BS leg, cells, UAV leg) BS->RIS->UAV->BS,
+    whose reverse trip has the same delay and adds coherently, hence the 2."""
+    lam = ctx.wavelength
+    scale = np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2
+    if cascade is None:  # float_power: libm pow, as a scalar ** (see sensing.crb_arrays)
+        return scale * np.float_power(fspl_amplitude(d_bu, lam), 2.0) * ctx.rcs_amp
+    return 2.0 * scale * cascade * ctx.rcs_amp * fspl_amplitude(d_bu, lam)
+
+
 def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
                  cascade=None, velocity=None) -> SensingPath:
-    """Round trip of the BS beam at power share omega through a UAV.
-
-    Without a RIS position this is the direct BS->UAV->BS path. With one it
-    is the BS->RIS->UAV->BS path, whose panel traversal (BS leg, cells, UAV
-    leg) has the complex amplitude `cascade`: the reference model in sizing,
-    the synthesized panel sum in the closure. The reverse trip
-    BS->UAV->RIS->BS has the same delay and adds coherently, hence the 2.
-    Doppler is the range rate of the two legs that end at the UAV; zero
-    without a velocity.
-    """
+    """Round trip (round_trip_coeff) of the BS beam at power share omega
+    through a UAV, direct or through the RIS at `ris`. Doppler is the range
+    rate of the two legs that end at the UAV; zero without a velocity."""
     bs = ctx.scene.bs_position
     uav = np.asarray(uav, dtype=float)
     far = bs if ris is None else np.asarray(ris, dtype=float)  # other end of the UAV's leg
     d_bu = float(np.linalg.norm(uav - bs))
     d_far = float(np.linalg.norm(uav - far))
     lam = ctx.wavelength
-    scale = np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2
-    if ris is None:
-        coeff = scale * fspl_amplitude(d_bu, lam) ** 2 * ctx.rcs_amp
-    else:
-        coeff = 2.0 * scale * cascade * ctx.rcs_amp * fspl_amplitude(d_bu, lam)
+    coeff = round_trip_coeff(ctx, omega, d_bu, cascade)
     length = d_far + d_bu + float(np.linalg.norm(far - bs))
     rate = 0.0 if velocity is None else float(
         np.dot(velocity, (uav - far) / d_far) + np.dot(velocity, (uav - bs) / d_bu))
@@ -294,38 +310,24 @@ def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
                        coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
 
 
-def _reference_cascades(ctx: OptimizerContext, position, axis, uav_centers) -> np.ndarray:
-    """Traversal amplitude of the M_ref reference panel from the BS to each
-    UAV cell. The distance and cosine of each UAV leg are formed one leg at a
-    time, since a batched norm or dot product can round differently; the
-    gains and amplitudes are elementwise over the cells."""
-    bs = ctx.scene.bs_position
-    d_b = float(np.linalg.norm(position - bs))
-    cos_b = float(np.clip(np.dot((bs - position) / d_b, axis), 0.0, None))
-    d_u = np.array([float(np.linalg.norm(center - position)) for center in uav_centers])
-    cos_u = np.clip([np.dot((center - position) / d, axis)
-                     for center, d in zip(uav_centers, d_u)], 0.0, None)
+def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> tuple:
+    """Reference range and velocity CRB arrays over the UAV cells through the
+    M_ref panel at unit beta, omega and size scale. Each UAV leg's distance
+    and cosine are formed on their own: a batched norm or dot product can
+    round differently."""
+    p = np.asarray(position, dtype=float)
+    bs, centers, axis = ctx.scene.bs_position, ctx.uav_grid.centers, orientation.normal
+    d_b = float(np.linalg.norm(p - bs))
+    cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
+    d_u = np.array([float(np.linalg.norm(center - p)) for center in centers])
+    cos_u = np.clip([np.dot((center - p) / d, axis) for center, d in zip(centers, d_u)], 0.0, None)
     lam = ctx.wavelength
     g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
                * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
                * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
-    return fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
-
-
-def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> list:
-    """Reference CRB pair per UAV cell at unit beta, omega and size scale."""
-    p = np.asarray(position, dtype=float)
-    centers = ctx.uav_grid.centers
-    cascades = _reference_cascades(ctx, p, orientation.normal, centers)
-    return [fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p, cascade=cascade),
-                ctx.link.noise_psd_w_hz, ctx.moments)
-            for center, cascade in zip(centers, cascades)]
-
-
-def direct_sensing_crb(ctx: OptimizerContext, uav_center) -> CrbPair:
-    "Reference CRB of the direct BS->UAV->BS path at full power."
-    return fim(ctx.ofdm, sensing_path(ctx, 0, uav_center, 1.0), ctx.link.noise_psd_w_hz,
-               ctx.moments)
+    cascades = fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
+    return crb_arrays(ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges, cascades)),
+                      ctx.link.noise_psd_w_hz, ctx.moments)[:2]
 
 
 def direct_power_share(ctx: OptimizerContext) -> float:
@@ -333,16 +335,14 @@ def direct_power_share(ctx: OptimizerContext) -> float:
     UAV cell; zero in communication-only mode."""
     if ctx.cfg.mode == "comm-only":
         return 0.0
-    worst = 0.0
-    for center in ctx.uav_grid.centers:
-        ref = direct_sensing_crb(ctx, center)
-        worst = max(worst, ref.range_crb / ctx.cfg.range_crb_max,
-                    ref.velocity_crb / ctx.cfg.velocity_crb_max)
+    range_crb, velocity_crb, _ = crb_arrays(
+        ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges)),
+        ctx.link.noise_psd_w_hz, ctx.moments)
+    worst = float(np.max([range_crb / ctx.cfg.range_crb_max,
+                          velocity_crb / ctx.cfg.velocity_crb_max], initial=0.0))
     if worst >= 1.0:
         raise InfeasiblePowerError(
             f"direct sensing alone needs omega0 = {worst:.3f} >= 1")
-    if worst == 0.0:
-        return 0.0
     return float(min(worst * db2lin(OMEGA0_MARGIN_DB), 0.5 * (1.0 + worst)))
 
 
@@ -354,7 +354,6 @@ class Step1Result:
     sizes: list  # N RisSize (max over UAV cells)
     beta_per_uav: np.ndarray  # (M_u, N)
     omega_per_uav: np.ndarray  # (M_u, N+1), column 0 = omega0
-    c_per_uav: np.ndarray  # (M_u, N) chosen c_n
     gamma_ref: list  # N arrays of per-UE-cell reference SNR
 
 
@@ -366,13 +365,15 @@ class RisReference:
     orientation: Orientation
     gamma_ref: np.ndarray  # per-UE-cell reference SNR
     gamma_worst: float  # worst reference SNR over the served cells (gamma_ref > 0)
-    crbs: list | None  # reference CrbPair per UAV cell; None in comm-only mode
+    crbs: tuple | None  # (range, velocity) CRB arrays over the UAV cells; None in comm-only
 
 
-def ris_reference(ctx: OptimizerContext, n: int, position) -> RisReference:
-    """Orientation (the face normal in passive-orientation mode), reference
-    SNR and reference CRBs of RIS n at a fixed position. UnreachableTargetsError
-    when that RIS cannot serve its targets from there."""
+def ris_reference(ctx: OptimizerContext, n: int, position, paths=None) -> RisReference:
+    """Orientation (the face normal in passive-orientation mode), reference SNR and
+    CRBs of RIS n at a fixed position from its dominant paths (formed first when not
+    given). UnreachableTargetsError when that RIS cannot serve its targets from there."""
+    if paths is None:
+        paths = ris_paths(ctx, n, position)
     region = ctx.regions[n]
     mode = ctx.cfg.mode
     comm_only = mode == "comm-only"
@@ -389,10 +390,7 @@ def ris_reference(ctx: OptimizerContext, n: int, position) -> RisReference:
                                     ctx.ue_grid.centers[region.covered_cells],
                                     None if comm_only else ctx.uav_grid.centers,
                                     ctx.region_bounds(region))
-    try:
-        gamma = reference_comm_snr(ctx, p, orient, region)
-    except NoPathError as exc:
-        raise unreachable(f": {exc}") from exc
+    gamma = reference_comm_snr(ctx, *paths, orient)
     if np.max(gamma) <= 0.0:
         raise unreachable(" reaches no UE cell")
     if np.min(gamma) <= 0.0 and mode != "passive-orientation":
@@ -403,15 +401,6 @@ def ris_reference(ctx: OptimizerContext, n: int, position) -> RisReference:
         raise unreachable(f": {exc}") from exc
     return RisReference(position=p, orientation=orient, gamma_ref=gamma,
                         gamma_worst=float(np.min(gamma[gamma > 0.0])), crbs=crbs)
-
-
-def _best_beta(ctx: OptimizerContext, gamma_worst: float, crb: CrbPair):
-    """Beta in the grid minimizing c_n = max(c1, c2, c3) for one RIS/UAV cell,
-    the first one on a tie, and that c_n."""
-    grid = np.asarray(ctx.cfg.beta_grid, dtype=float)
-    c_max = constraint_constants(gamma_worst, crb, ctx, grid).c_max
-    best = int(np.argmin(c_max))
-    return float(grid[best]), float(c_max[best])
 
 
 def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
@@ -425,17 +414,20 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
     comm_only = ctx.cfg.mode == "comm-only"
     cov_areas = np.array([r.coverage_area for r in ctx.regions])
     m_u = 1 if comm_only else len(ctx.uav_grid.centers)
-    betas = np.zeros((m_u, n_ris))
+    betas = np.ones((m_u, n_ris))
     omegas = np.zeros((m_u, n_ris + 1))
     c_table = np.zeros((m_u, n_ris))
+    grid = np.asarray(ctx.cfg.beta_grid, dtype=float)
+    for n, ref in enumerate(refs):
+        if comm_only:
+            c_table[:, n] = ctx.link.snr_threshold_linear / ref.gamma_worst
+            continue
+        c_max = constraint_constants(ref.gamma_worst, *ref.crbs, ctx,
+                                     grid[:, None]).c_max  # (beta grid, M_u)
+        best = np.argmin(c_max, axis=0)  # the first minimum on a tie
+        betas[:, n] = grid[best]
+        c_table[:, n] = c_max[best, np.arange(m_u)]
     for u in range(m_u):
-        for n, ref in enumerate(refs):
-            if comm_only:
-                beta, c_n = 1.0, ctx.link.snr_threshold_linear / ref.gamma_worst
-            else:
-                beta, c_n = _best_beta(ctx, ref.gamma_worst, ref.crbs[u])
-            betas[u, n] = beta
-            c_table[u, n] = c_n
         omegas[u, 0] = omega0
         omegas[u, 1:] = kkt_power_allocation(c_table[u], cov_areas, omega0)
     sizes = []
@@ -451,18 +443,20 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
         objective += size.area / cov_areas[n]
     return Step1Result(objective=float(objective), positions=[r.position for r in refs],
                        orientations=[r.orientation for r in refs], sizes=sizes,
-                       beta_per_uav=betas, omega_per_uav=omegas, c_per_uav=c_table,
+                       beta_per_uav=betas, omega_per_uav=omegas,
                        gamma_ref=[r.gamma_ref for r in refs])
 
 
 def step1_evaluate(positions, context: OptimizerContext, omega0: float | None = None) -> Step1Result:
-    "Algorithm step 1 at fixed RIS positions: a reference per RIS, then the sizing."
+    """Algorithm step 1 at fixed RIS positions: every RIS's paths, which reject a
+    leg without one before any orientation search, a reference per RIS, then the sizing."""
     if len(positions) != len(context.regions):
         raise InvalidInputError("one position per deployable region required")
     if omega0 is None:
         omega0 = direct_power_share(context)
-    return size_plan(context, [ris_reference(context, n, p) for n, p in enumerate(positions)],
-                     omega0)
+    paths = [ris_paths(context, n, p) for n, p in enumerate(positions)]
+    return size_plan(context, [ris_reference(context, n, p, paths[n])
+                               for n, p in enumerate(positions)], omega0)
 
 
 def patch_points(coords, regions) -> list:

@@ -153,26 +153,31 @@ class CrbPair:
     fim: np.ndarray  # 2x2
 
 
-def fim(ofdm: OfdmParams, path: SensingPath, noise_psd_linear: float,
-        moments: WaveformMoments) -> CrbPair:
-    """Analytic 2x2 range/velocity FIM and its CRBs.
-
-    J_dd = 8|a|^2/(sigma c0^2) * Re(I1), J_vd = 16 pi |a|^2/(sigma lam c0)
-    * Re(j I2), J_vv = 32 pi^2 |a|^2/(sigma lam^2) * Re(I3).
-    """
-    a2 = abs(path.coeff) ** 2
-    if a2 == 0.0:
-        raise UnobservablePathError("zero path coefficient")
+def crb_arrays(ofdm: OfdmParams, amp, noise_psd_linear: float, moments: WaveformMoments):
+    """Range and velocity CRB arrays and the FIMs (shape (2, 2, paths)), one
+    per path amplitude |a| in `amp`: J_dd = 8|a|^2/(sigma c0^2) * Re(I1),
+    J_vd = 16 pi |a|^2/(sigma lam c0) * Re(j I2), J_vv = 32 pi^2 |a|^2/(sigma
+    lam^2) * Re(I3). The first path with a zero amplitude or a FIM that is
+    not positive definite raises UnobservablePathError."""
+    # float_power squares through libm pow, as a scalar ** does; an array ** 2
+    # multiplies, which rounds differently for about 1 value in 1,000
+    a2 = np.float_power(np.atleast_1d(amp), 2.0)
     lam = ofdm.wavelength
     c0 = SPEED_OF_LIGHT
     s2 = noise_psd_linear
     jdd = 8.0 * a2 / (s2 * c0**2) * np.real(moments.deriv_energy)
     jvd = 16.0 * np.pi * a2 / (s2 * lam * c0) * np.real(1j * moments.time_cross)
     jvv = 32.0 * np.pi**2 * a2 / (s2 * lam**2) * np.real(moments.time_energy)
-    f = np.array([[jdd, jvd], [jvd, jvv]])
     det = jdd * jvv - jvd * jvd
-    if det <= 0.0 or jdd <= 0.0:
-        raise UnobservablePathError("FIM is not positive definite")
-    inv = np.array([[jvv, -jvd], [-jvd, jdd]]) / det
-    return CrbPair(range_crb=float(inv[0, 0]), velocity_crb=float(inv[1, 1]), fim=f)
+    bad = np.flatnonzero((a2 == 0.0) | (det <= 0.0) | (jdd <= 0.0))
+    if bad.size:
+        raise UnobservablePathError("zero path coefficient" if a2[bad[0]] == 0.0
+                                    else "FIM is not positive definite")
+    return jvv / det, jdd / det, np.array([[jdd, jvd], [jvd, jvv]])
 
+
+def fim(ofdm: OfdmParams, path: SensingPath, noise_psd_linear: float,
+        moments: WaveformMoments) -> CrbPair:
+    "Analytic 2x2 range/velocity FIM of one path and its CRBs (crb_arrays)."
+    (range_crb,), (velocity_crb,), f = crb_arrays(ofdm, abs(path.coeff), noise_psd_linear, moments)
+    return CrbPair(range_crb=float(range_crb), velocity_crb=float(velocity_crb), fim=f[:, :, 0])

@@ -6,7 +6,8 @@ and forms the FIM from central finite differences on the same 1/B Riemann
 grid the analytic code integrates over. Delay perturbations are applied per
 symbol as an exact subcarrier phase ramp, which is the delayed version of the
 same piecewise trigonometric-polynomial signal whose derivative the analytic
-moments use. The orientation-score reference lays the cosines out one row
+moments use. `fim_scalar` is the analytic FIM of one path in scalar
+arithmetic, the rounding the array form in `sensing` must reproduce. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
 blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
@@ -21,8 +22,9 @@ time, each from its own legs, float `np.mod` phases and `exp` of the
 quantized phases. The step-1 reference is the joint loop that forms every
 RIS's reference and sizes the plan in one pass, recomputing the worst served
 SNR for each (UAV cell, RIS) pair. It forms each UE leg's dominant path with
-its own `dominant_path_between` call and each UAV cell's reference cascade and
-CRB one cell at a time. The masked orientation score applies the field-of-view
+its own `dominant_path_between` call, each UAV cell's reference cascade and
+CRB one cell at a time through `fim`, and each (UAV cell, RIS) pair's beta
+split with its own look over the grid. The masked orientation score applies the field-of-view
 mask to every cosine before the minima over targets.
 """
 
@@ -32,9 +34,9 @@ from risdeploy.arrays import Orientation, panel_normal
 from risdeploy.channel import PANEL_FOV_RAD, unit_cell_amplitude_gain
 from risdeploy.errors import (InvalidInputError, NoPathError, UnobservablePathError,
                               UnreachableTargetsError)
-from risdeploy.optimizer import (Step1Result, _best_beta, _square_panel, direct_power_share,
-                                 kkt_power_allocation, orientation_search, ris_size,
-                                 sensing_path)
+from risdeploy.optimizer import (Step1Result, _square_panel, constraint_constants,
+                                 direct_power_share, kkt_power_allocation, orientation_search,
+                                 ris_size, sensing_path)
 from risdeploy.propagation import dominant_path_between, fspl_amplitude
 from risdeploy.sensing import fim
 from risdeploy.units import SPEED_OF_LIGHT, db2lin
@@ -119,6 +121,23 @@ def fd_fim(wave, path, noise_psd, *, wave_seed, h_tau=6e-12, h_dop=100.0):
     jac = np.diag([2.0 / SPEED_OF_LIGHT, 2.0 / p.wavelength])
     return jac @ j_tau_nu @ jac
 
+
+def fim_scalar(ofdm, coeff, noise_psd, moments):
+    """The analytic FIM of one path coefficient in scalar arithmetic, with
+    |coeff|^2 as a scalar `** 2`: (range CRB, velocity CRB, 2x2 FIM)."""
+    a2 = abs(coeff) ** 2
+    if a2 == 0.0:
+        raise UnobservablePathError("zero path coefficient")
+    lam = ofdm.wavelength
+    c0 = SPEED_OF_LIGHT
+    jdd = 8.0 * a2 / (noise_psd * c0**2) * np.real(moments.deriv_energy)
+    jvd = 16.0 * np.pi * a2 / (noise_psd * lam * c0) * np.real(1j * moments.time_cross)
+    jvv = 32.0 * np.pi**2 * a2 / (noise_psd * lam**2) * np.real(moments.time_energy)
+    det = jdd * jvv - jvd * jvd
+    if det <= 0.0 or jdd <= 0.0:
+        raise UnobservablePathError("FIM is not positive definite")
+    inv = np.array([[jvv, -jvd], [-jvd, jdd]]) / det
+    return float(inv[0, 0]), float(inv[1, 1]), np.array([[jdd, jvd], [jvd, jvv]])
 
 def orientation_score_rows(axes, u_bs, u_ue, u_uav):
     """Worst-target cosine product, shape (n_axes,), from (n_axes, 3) axes.
@@ -347,6 +366,15 @@ def reference_sensing_crbs_per_cell(ctx, position, orientation):
     return crbs
 
 
+def best_beta_per_cell(ctx, gamma_worst, range_crb, velocity_crb):
+    """Beta in the grid minimizing c_n = max(c1, c2, c3) for one (UAV cell,
+    RIS) pair with these reference CRBs, the first one on a tie, and that c_n."""
+    grid = np.asarray(ctx.cfg.beta_grid, dtype=float)
+    c_max = constraint_constants(gamma_worst, range_crb, velocity_crb, ctx, grid).c_max
+    best = int(np.argmin(c_max))
+    return float(grid[best]), float(c_max[best])
+
+
 def step1_evaluate_joint(positions, context, omega0=None):
     "Step 1 as one joint loop over the RISs, then the sizing over (UAV cell, RIS) pairs."
     n_ris = len(context.regions)
@@ -403,7 +431,9 @@ def step1_evaluate_joint(positions, context, omega0=None):
             if comm_only:
                 beta, c_n = 1.0, context.link.snr_threshold_linear / gamma_worst
             else:
-                beta, c_n = _best_beta(context, gamma_worst, crb_refs[n][u])
+                crb = crb_refs[n][u]
+                beta, c_n = best_beta_per_cell(context, gamma_worst, crb.range_crb,
+                                               crb.velocity_crb)
             betas[u, n] = beta
             c_table[u, n] = c_n
         omega = kkt_power_allocation(c_table[u], cov_areas, omega0)
@@ -424,4 +454,4 @@ def step1_evaluate_joint(positions, context, omega0=None):
     return Step1Result(objective=float(objective),
                        positions=[np.asarray(p, dtype=float) for p in positions],
                        orientations=orientations, sizes=sizes, beta_per_uav=betas,
-                       omega_per_uav=omegas, c_per_uav=c_table, gamma_ref=gamma_refs)
+                       omega_per_uav=omegas, gamma_ref=gamma_refs)

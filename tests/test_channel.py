@@ -5,7 +5,7 @@ import pytest
 
 from risdeploy.channel import LinkBudget, PANEL_FOV_RAD, unit_cell_amplitude_gain
 from risdeploy.errors import InvalidInputError
-from risdeploy.optimizer import orientation_search, reference_comm_snr
+from risdeploy.optimizer import orientation_search, reference_comm_snr, ris_paths
 from risdeploy.propagation import dominant_path_between
 from risdeploy.units import wavelength
 
@@ -56,21 +56,22 @@ def test_unit_cells_compose_to_panel_gain():
 
 
 def _reference_panel(ctx, n=0):
-    "Region n's reference point and the orientation the planner picks there."
+    """Region n's reference point, its dominant paths and the orientation the
+    planner picks there."""
     region = ctx.regions[n]
     pos = region.reference_point()
     orient = orientation_search(pos, ctx.scene.bs_position,
                                 ctx.ue_grid.centers[region.covered_cells],
                                 ctx.uav_grid.centers, ctx.region_bounds(region))
-    return region, pos, orient
+    return region, pos, ris_paths(ctx, n, pos), orient
 
 
 def test_effective_ris_gain_aperture_model(ctx_full):
     # the reference SNR carries the aperture gain of the M_ref panel:
     # eta cos(in) cos(out) A_ref^2 (4 pi / lambda^2)^2 with A_ref = M_ref A_u
     ctx = ctx_full
-    region, pos, orient = _reference_panel(ctx)
-    gamma = reference_comm_snr(ctx, pos, orient, region)
+    region, pos, paths, orient = _reference_panel(ctx)
+    gamma = reference_comm_snr(ctx, *paths, orient)
     axis = np.array([np.cos(orient.psi_r) * np.cos(orient.theta_r),
                      np.sin(orient.psi_r) * np.cos(orient.theta_r),
                      -np.sin(orient.theta_r)])
@@ -93,7 +94,7 @@ def test_effective_ris_gain_aperture_model(ctx_full):
     # quadratic in area (so quartic in the side length)
     bigger = dataclasses.replace(ctx, cfg=dataclasses.replace(
         ctx.cfg, ref_cells_per_side=2 * ctx.cfg.ref_cells_per_side))
-    np.testing.assert_allclose(reference_comm_snr(bigger, pos, orient, region), 16 * gamma,
+    np.testing.assert_allclose(reference_comm_snr(bigger, *paths, orient), 16 * gamma,
                                rtol=1e-12)
 
 
@@ -101,11 +102,11 @@ def test_effective_gain_nonnegative_and_monotone_in_eta(ctx_full):
     angles = np.linspace(0.0, np.pi, 181)
     assert np.all(unit_cell_amplitude_gain(angles, (LAM / 2) ** 2, LAM) >= 0.0)
     for n in range(len(ctx_full.regions)):
-        region, pos, orient = _reference_panel(ctx_full, n)
+        _, _, paths, orient = _reference_panel(ctx_full, n)
         etas = (0.1, 0.3, 0.6, 1.0)  # the config takes efficiencies in (0, 1]
         curve = [reference_comm_snr(dataclasses.replace(
                      ctx_full, cfg=dataclasses.replace(ctx_full.cfg, efficiency=eta)),
-                     pos, orient, region)
+                     *paths, orient)
                  for eta in etas]
         for eta, snr in zip(etas, curve):  # proportional to eta, so zero in the limit eta -> 0
             np.testing.assert_allclose(snr, eta / etas[0] * curve[0], rtol=1e-12)

@@ -12,11 +12,11 @@ from risdeploy.errors import (InfeasiblePowerError, InvalidInputError, SceneForm
 from risdeploy.optimizer import (constraint_constants,
                                  direct_power_share, initial_simplex,
                                  kkt_power_allocation, orientation_search,
-                                 pathloss_baseline, ris_size, step1_evaluate)
+                                 pathloss_baseline, reference_sensing_crbs, ris_size,
+                                 step1_evaluate)
 from risdeploy.scene import Building, line_of_sight
-from risdeploy.sensing import CrbPair
 
-from _oracles import (orientation_score_masked, orientation_score_rows,
+from _oracles import (best_beta_per_cell, orientation_score_masked, orientation_score_rows,
                       reference_sensing_crbs_per_cell, same_bits, step1_evaluate_joint)
 
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
@@ -26,16 +26,15 @@ def test_constraint_constants_formula():
     ctx = types.SimpleNamespace(cfg=cli.Config(scene="s.json", range_crb_max=4e-4,
                                                velocity_crb_max=1e-2),
                                 link=LinkBudget(43.0, -165.0, 1e9, snr_threshold_db=20.0))
-    crb = CrbPair(range_crb=8e-5, velocity_crb=3e-3, fim=np.eye(2))
-    cc = constraint_constants(5e4, crb, ctx, beta=0.4)
+    cc = constraint_constants(5e4, 8e-5, 3e-3, ctx, beta=0.4)
     assert cc.c1 == pytest.approx(100.0 / (0.4 * 5e4))
     assert cc.c2 == pytest.approx(8e-5 / (0.6 * 4e-4))
     assert cc.c3 == pytest.approx(3e-3 / (0.6 * 1e-2))
     assert cc.c_max == max(cc.c1, cc.c2, cc.c3)
     with pytest.raises(InvalidInputError):
-        constraint_constants(5e4, crb, ctx, beta=1.0)
+        constraint_constants(5e4, 8e-5, 3e-3, ctx, beta=1.0)
     with pytest.raises(InvalidInputError):
-        constraint_constants(0.0, crb, ctx, beta=0.5)
+        constraint_constants(0.0, 8e-5, 3e-3, ctx, beta=0.5)
     with pytest.raises(SceneFormatError):
         cli.Config(scene="s.json", range_crb_max=0.0)
 
@@ -148,10 +147,17 @@ def test_step1_evaluate_structure(ctx_full):
     np.testing.assert_allclose(res.omega_per_uav.sum(axis=1), 1.0, rtol=1e-12)
     assert np.all(np.isin(res.beta_per_uav, ctx_full.cfg.beta_grid))
     assert all(s.area > 0 and s.cells_per_side >= 1 for s in res.sizes)
-    # every row satisfies KKT stationarity for its own c-values
+    # every row satisfies KKT stationarity for its own c-values, formed again
+    # from the reference CRBs at the chosen beta
     areas = np.array([r.coverage_area for r in ctx_full.regions])
+    c = np.zeros((m_u, n))
+    for k, gamma in enumerate(res.gamma_ref):
+        range_crb, velocity_crb = reference_sensing_crbs(ctx_full, positions[k],
+                                                         res.orientations[k])
+        c[:, k] = constraint_constants(float(np.min(gamma[gamma > 0])), range_crb,
+                                       velocity_crb, ctx_full, res.beta_per_uav[:, k]).c_max
     for u in range(m_u):
-        lam = np.sqrt(res.c_per_uav[u]) / areas * res.omega_per_uav[u, 1:] ** (-1.5)
+        lam = np.sqrt(c[u]) / areas * res.omega_per_uav[u, 1:] ** (-1.5)
         np.testing.assert_allclose(lam, lam[0], rtol=1e-9)
     # objective equals the summed size-to-coverage ratio
     assert res.objective == pytest.approx(
@@ -163,17 +169,18 @@ def test_step1_evaluate_structure(ctx_full):
 def test_step1_beta_choice_is_per_cell_optimal(ctx_full):
     positions = [r.reference_point() for r in ctx_full.regions]
     res = step1_evaluate(positions, ctx_full)
-    # the chosen c is the grid minimum: no other beta in the grid gives a
-    # smaller c_max for any (uav, ris) pair
-    from risdeploy.optimizer import _best_beta
-    from risdeploy.optimizer import reference_sensing_crbs
+    # the chosen beta is the grid minimum: no other beta in the grid gives a
+    # smaller c_max for any (uav, ris) pair, and the first one on a tie
     for n, region in enumerate(ctx_full.regions):
         gamma_worst = float(np.min(res.gamma_ref[n][res.gamma_ref[n] > 0]))
-        crbs = reference_sensing_crbs(ctx_full, positions[n], res.orientations[n])
+        range_crb, velocity_crb = reference_sensing_crbs(ctx_full, positions[n],
+                                                         res.orientations[n])
         for u in range(len(ctx_full.uav_grid.centers)):
-            beta, c_n = _best_beta(ctx_full, gamma_worst, crbs[u])
+            beta, c_n = best_beta_per_cell(ctx_full, gamma_worst, range_crb[u],
+                                           velocity_crb[u])
             assert res.beta_per_uav[u, n] == beta
-            assert res.c_per_uav[u, n] == pytest.approx(c_n)
+            assert constraint_constants(gamma_worst, range_crb[u], velocity_crb[u], ctx_full,
+                                        res.beta_per_uav[u, n]).c_max == c_n
 
 
 def _step1_outcome(evaluate, positions, ctx):
@@ -200,7 +207,7 @@ def test_step1_evaluate_is_the_joint_loop(ctx_full, mode):
             raised += 1
             continue
         assert same_bits(got.objective, want.objective)
-        for field in ("beta_per_uav", "omega_per_uav", "c_per_uav"):
+        for field in ("beta_per_uav", "omega_per_uav"):
             assert same_bits(getattr(got, field), getattr(want, field)), field
         for a, b in zip(got.sizes, want.sizes, strict=True):
             assert same_bits([a.area, a.side], [b.area, b.side])
@@ -245,7 +252,7 @@ def test_step1_evaluate_is_the_joint_loop_with_blocked_legs(ctx_full, monkeypatc
             continue
         planned_with_fallback += len(fallback) > before
         assert same_bits(got.objective, want.objective)
-        for field in ("beta_per_uav", "omega_per_uav", "c_per_uav"):
+        for field in ("beta_per_uav", "omega_per_uav"):
             assert same_bits(getattr(got, field), getattr(want, field)), field
         for a, b in zip(got.gamma_ref, want.gamma_ref, strict=True):
             assert same_bits(a, b)
@@ -264,12 +271,11 @@ def test_reference_crbs_are_the_per_cell_loop(ctx_full):
             normal = region.normal()
             theta, dpsi = rng.uniform(-0.5, 0.5, 2)
             orient = Orientation(float(theta), float(np.arctan2(normal[1], normal[0]) + dpsi))
-            got = optimizer.reference_sensing_crbs(ctx_full, p, orient)
+            range_crb, velocity_crb = reference_sensing_crbs(ctx_full, p, orient)
             want = reference_sensing_crbs_per_cell(ctx_full, p, orient)
-            for a, b in zip(got, want, strict=True):
-                assert same_bits([a.range_crb, a.velocity_crb], [b.range_crb, b.velocity_crb])
-                assert same_bits(a.fim, b.fim)
-                compared += 1
+            assert same_bits(range_crb, np.array([b.range_crb for b in want]))
+            assert same_bits(velocity_crb, np.array([b.velocity_crb for b in want]))
+            compared += len(want)
     assert compared == 20 * len(ctx_full.uav_grid.centers)
 
 
@@ -341,6 +347,29 @@ def test_pathloss_baseline_skips_points_without_a_path(ctx_full):
     base = pathloss_baseline(ctx_full, seed=12)
     assert base.step1.objective > 0
     assert len(base.step1.positions) == len(ctx_full.regions)
+
+
+def test_step1_rejects_a_leg_without_a_path_before_any_orientation_search(ctx_full,
+                                                                          monkeypatch):
+    # at seed 12 the cheapest free-space point of RIS 1 has no path to a
+    # covered UE cell: every RIS's paths are formed first, so no orientation
+    # search runs (RIS 0's included), and the message is the joint loop's
+    positions = [r.point_at(*uv) for r, uv in zip(
+        ctx_full.regions, _cheapest_free_space_coords(ctx_full, 64, 12).reshape(-1, 2))]
+    want = _step1_outcome(step1_evaluate_joint, positions, ctx_full)
+    assert want.startswith("RIS 1 at ") and "no propagation path" in want
+    searches = []
+    search = optimizer.orientation_search
+
+    def counted(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "orientation_search", counted)
+    with pytest.raises(UnreachableTargetsError) as raised:
+        step1_evaluate(positions, ctx_full)
+    assert str(raised.value) == want
+    assert searches == []
 
 
 def test_pathloss_baseline_evaluates_step1_once(ctx_full, monkeypatch):

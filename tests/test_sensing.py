@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from risdeploy import sensing
+from risdeploy.arrays import Orientation
 from risdeploy.errors import InvalidInputError, UnobservablePathError
-from risdeploy.optimizer import orientation_search, reference_sensing_crbs
+from risdeploy.optimizer import (orientation_search, reference_sensing_crbs, round_trip_coeff,
+                                 sensing_path)
+from risdeploy.propagation import fspl_amplitude
 from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath, WaveformMoments,
-                               fim, qpsk_symbols)
+                               crb_arrays, fim, qpsk_symbols)
 from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
-from _oracles import (fd_fim, moments_per_symbol, qpsk_symbols_exp, same_bits,
-                      waveform_sample)
+from _oracles import (fd_fim, fim_scalar, moments_per_symbol, qpsk_symbols_exp,
+                      reference_sensing_crbs_per_cell, same_bits, waveform_sample)
 
 SMALL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=64, symbols=16)
 
@@ -134,17 +137,93 @@ def test_reference_crb_scale(ctx_full):
     orient = orientation_search(pos, ctx_full.scene.bs_position,
                                 ctx_full.ue_grid.centers[region.covered_cells],
                                 ctx_full.uav_grid.centers, ctx_full.region_bounds(region))
-    ref = reference_sensing_crbs(ctx_full, pos, orient)
-    assert len(ref) == len(ctx_full.uav_grid.centers)
+    base = reference_sensing_crbs(ctx_full, pos, orient)
     cfg = ctx_full.cfg
     bigger = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
         cfg, ref_cells_per_side=2 * cfg.ref_cells_per_side))
     lossier = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
         cfg, efficiency=cfg.efficiency / 2))
-    for base, big, lossy in zip(ref, reference_sensing_crbs(bigger, pos, orient),
-                                reference_sensing_crbs(lossier, pos, orient)):
-        assert base.range_crb > 0 and base.velocity_crb > 0
-        assert big.range_crb == pytest.approx(base.range_crb / 16, rel=1e-9)
-        assert big.velocity_crb == pytest.approx(base.velocity_crb / 16, rel=1e-9)
-        assert lossy.range_crb == pytest.approx(2 * base.range_crb, rel=1e-9)
-        np.testing.assert_allclose(lossy.fim, base.fim / 2, rtol=1e-9)
+    big = reference_sensing_crbs(bigger, pos, orient)
+    lossy = reference_sensing_crbs(lossier, pos, orient)
+    for k in range(2):  # range, then velocity
+        assert base[k].shape == (len(ctx_full.uav_grid.centers),)
+        assert np.all(base[k] > 0)
+        np.testing.assert_allclose(big[k], base[k] / 16, rtol=1e-9)
+        np.testing.assert_allclose(lossy[k], 2 * base[k], rtol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["full-isac", "passive-orientation"])
+def test_crb_arrays_are_fim_per_cell(ctx_full, mode):
+    # sizing's CRB arrays (through each RIS and direct) are the per-cell fim
+    # of the per-cell sensing paths bit for bit, and fim keeps the bits of
+    # the scalar formula, also for the complex panel sums of the closure
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
+    rng = np.random.default_rng(21)
+    noise, mom = ctx.link.noise_psd_w_hz, ctx.moments
+    paths = [sensing_path(ctx, 0, center, 1.0) for center in ctx.uav_grid.centers]
+    direct = [fim(ctx.ofdm, path, noise, mom) for path in paths]
+    range_crb, velocity_crb, fims = crb_arrays(
+        ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges)), noise, mom)
+    assert same_bits(range_crb, np.array([b.range_crb for b in direct]))
+    assert same_bits(velocity_crb, np.array([b.velocity_crb for b in direct]))
+    assert same_bits(np.moveaxis(fims, -1, 0), np.array([b.fim for b in direct]))
+    for n, region in enumerate(ctx.regions):
+        normal = region.normal()
+        for _ in range(4):
+            p = region.point_at(*region.sample(rng))
+            if mode == "passive-orientation":
+                orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
+            else:
+                orient = orientation_search(p, ctx.scene.bs_position,
+                                            ctx.ue_grid.centers[region.covered_cells],
+                                            ctx.uav_grid.centers, ctx.region_bounds(region))
+            range_crb, velocity_crb = reference_sensing_crbs(ctx, p, orient)
+            want = reference_sensing_crbs_per_cell(ctx, p, orient)
+            assert same_bits(range_crb, np.array([b.range_crb for b in want]))
+            assert same_bits(velocity_crb, np.array([b.velocity_crb for b in want]))
+            paths.append(sensing_path(ctx, 1, ctx.uav_grid.centers[n], 1.0, ris=p,
+                                      cascade=1e-5 * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+    for path in paths:
+        got = fim(ctx.ofdm, path, noise, mom)
+        range_crb, velocity_crb, matrix = fim_scalar(ctx.ofdm, path.coeff, noise, mom)
+        assert same_bits([got.range_crb, got.velocity_crb], [range_crb, velocity_crb])
+        assert same_bits(got.fim, matrix)
+
+
+def test_crb_arrays_keep_the_scalar_rounding(ctx_full):
+    # |a|^2 and the direct trip's squared free-space loss round as a scalar
+    # `** 2` on every value, real (sizing) or complex (closure); an array
+    # square would differ in about 1 of 1,000, so 20,000 values see it
+    mom = OfdmWaveform(SMALL, seed=5).moments()
+    rng = np.random.default_rng(8)
+    d_bu = rng.uniform(5.0, 500.0, 20_000)
+    scale = np.sqrt(ctx_full.link.tx_power_w) * ctx_full.bs_amp_gain**2
+    assert same_bits(round_trip_coeff(ctx_full, 1.0, d_bu),
+                     np.array([scale * fspl_amplitude(float(d), ctx_full.wavelength) ** 2
+                               * ctx_full.rcs_amp for d in d_bu]))
+    amps = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), 20_000))
+    range_crb, velocity_crb, _ = crb_arrays(SMALL, amps, 1e-19, mom)
+    want = np.array([fim_scalar(SMALL, a, 1e-19, mom)[:2] for a in amps])
+    assert same_bits(range_crb, want[:, 0]) and same_bits(velocity_crb, want[:, 1])
+    for coeff in amps[:2000] * np.exp(1j * rng.uniform(0, 2 * np.pi, 2000)):
+        got = fim(SMALL, SensingPath(0, 0.0, 0.0, coeff, 28e9), 1e-19, mom)
+        assert same_bits([got.range_crb, got.velocity_crb],
+                         list(fim_scalar(SMALL, coeff, 1e-19, mom)[:2]))
+
+
+def test_crb_arrays_raise_the_first_failing_cells_error():
+    # a zero coefficient or a FIM that is not positive definite raises fim's
+    # error for that cell, with the message of the first failing cell
+    mom = OfdmWaveform(SMALL, seed=0).moments()
+    skew = WaveformMoments(mom.deriv_energy, 1j * 1e6 * mom.time_cross, mom.time_energy)
+    cases = ((mom, [1e-7, 2e-7, 0.0, 3e-7], 0.0),  # the zero cell is the first to fail
+             (skew, [3e-7, 0.0, 1e-7], 3e-7))  # a cell without a positive-definite FIM
+    messages = set()
+    for moments, amps, first in cases:
+        with pytest.raises(UnobservablePathError) as one:
+            fim(SMALL, SensingPath(0, 0.0, 0.0, complex(first), 28e9), 1e-19, moments)
+        with pytest.raises(UnobservablePathError) as cells:
+            crb_arrays(SMALL, np.array(amps), 1e-19, moments)
+        assert str(cells.value) == str(one.value)
+        messages.add(str(one.value))
+    assert messages == {"zero path coefficient", "FIM is not positive definite"}
