@@ -138,8 +138,8 @@ def build_context(cfg: Config) -> optimizer.OptimizerContext:
     for name, grid in (("UE", ue_grid), ("UAV", uav_grid)):
         if not len(grid):
             raise InvalidInputError(f"no {name} cell centre lies outside the buildings")
-    uncovered = [i for i, c in enumerate(ue_grid.centers)
-                 if not scene_mod.line_of_sight(scn, scn.bs_position, c)]
+    uncovered = np.flatnonzero(
+        ~scene_mod.segments_clear(scn, scn.bs_position, ue_grid.centers)).tolist()
     candidates = scene_mod.candidate_regions(scn, ue_grid, uncovered, uav_grid, prop)
     regions = scene_mod.select_ris_regions(uncovered, candidates)
     waveform = OfdmWaveform(ofdm, seed=cfg.seed)

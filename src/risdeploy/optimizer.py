@@ -59,21 +59,22 @@ def constraint_constants(gamma_ref_worst: float, range_crb, velocity_crb,
 
 
 def kkt_power_allocation(c, cov_areas, omega0: float) -> np.ndarray:
-    """Optimal BS power split across RISs for the sizing objective.
+    """Optimal BS power split across RISs for the sizing objective, per row
+    of `c` (one row per UAV cell, the last axis over the RISs).
 
     omega_n proportional to (sqrt(c_n) / (2 A_n^cov))^(2/3), rescaled to sum
     to 1 - omega0 (the remainder of the power after the direct sensing beam).
     """
     c = np.asarray(c, dtype=float)
     areas = np.asarray(cov_areas, dtype=float)
-    if c.shape != areas.shape or c.ndim != 1 or c.size == 0:
+    if c.shape[-1:] != areas.shape or c.ndim not in (1, 2) or c.size == 0:
         raise InvalidInputError("c and cov_areas must be equal-length 1-D arrays")
     if np.any(c <= 0) or np.any(areas <= 0):
         raise InvalidInputError("constraint constants and areas must be positive")
     if not (0.0 <= omega0 < 1.0):
         raise InfeasiblePowerError(f"omega0 = {omega0} leaves no power for the RIS beams")
     w = (np.sqrt(c) / (2.0 * areas)) ** (2.0 / 3.0)
-    return w / np.sum(w) * (1.0 - omega0)
+    return w / np.sum(w, axis=-1, keepdims=True) * (1.0 - omega0)
 
 
 # Search and headroom constants no config sets.
@@ -111,7 +112,8 @@ def _square_panel(area: float, spacing: float) -> RisSize:
 
 
 def _axis_grid(bounds: OrientationBounds, step: float):
-    "Panel-normal direction vectors over a (theta_r, psi_r) grid (cached)."
+    """Panel-normal direction vectors over a (theta_r, psi_r) grid, (3, n_axes),
+    with each node's theta_r and psi_r (cached)."""
     return _axis_grid_cached(round(bounds.theta_low, 12), round(bounds.theta_high, 12),
                              round(bounds.psi_low, 12), round(bounds.psi_high, 12),
                              round(step, 15))
@@ -122,7 +124,7 @@ def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     thetas = np.arange(theta_low, theta_high + step / 2, step)
     psis = np.arange(psi_low, psi_high + step / 2, step)
     axes = np.ascontiguousarray(panel_normal(thetas[:, None], psis).reshape(-1, 3).T)  # (3, n_axes)
-    return thetas, psis, axes, np.repeat(thetas, len(psis)), np.tile(psis, len(thetas))
+    return axes, np.repeat(thetas, len(psis)), np.tile(psis, len(thetas))
 
 
 _COS_FOV = float(np.cos(PANEL_FOV_RAD))
@@ -173,7 +175,7 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     u_bs = unit_rows(bs_pos)[0]
     u_ue = unit_rows(ue_centers)
     u_uav = unit_rows(uav_centers) if uav_centers is not None and len(uav_centers) else None
-    _, _, axes, tg, pg = _axis_grid(bounds, ORIENTATION_STEP)
+    axes, tg, pg = _axis_grid(bounds, ORIENTATION_STEP)
     score = _orientation_score(axes, u_bs, u_ue, u_uav)
     best = int(np.argmax(score))
     if score[best] <= 0.0:
@@ -182,7 +184,7 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     fine = OrientationBounds(
         max(bounds.theta_low, tg[best] - window), min(bounds.theta_high, tg[best] + window),
         max(bounds.psi_low, pg[best] - window), min(bounds.psi_high, pg[best] + window))
-    _, _, axes_f, tg_f, pg_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
+    axes_f, tg_f, pg_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
     score_f = _orientation_score(axes_f, u_bs, u_ue, u_uav)
     best_f = int(np.argmax(score_f))
     return Orientation(float(tg_f[best_f]), float(pg_f[best_f]))
@@ -242,7 +244,7 @@ class OptimizerContext:
 
     def region_bounds(self, region) -> OrientationBounds:
         "C4 orientation bounds: near the face normal, limited tilt."
-        normal = region.normal()
+        normal = region.face.normal
         psi0 = float(np.arctan2(normal[1], normal[0]))
         return OrientationBounds(-THETA_LIMIT, THETA_LIMIT,
                                  psi0 - PSI_HALFWIDTH, psi0 + PSI_HALFWIDTH)
@@ -383,7 +385,7 @@ def ris_reference(ctx: OptimizerContext, n: int, position, paths=None) -> RisRef
         return UnreachableTargetsError(f"RIS {n} at {np.round(p, 2)}{why}")
 
     if mode == "passive-orientation":
-        normal = region.normal()
+        normal = region.face.normal
         orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
     else:
         orient = orientation_search(p, ctx.scene.bs_position,
@@ -427,9 +429,8 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
         best = np.argmin(c_max, axis=0)  # the first minimum on a tie
         betas[:, n] = grid[best]
         c_table[:, n] = c_max[best, np.arange(m_u)]
-    for u in range(m_u):
-        omegas[u, 0] = omega0
-        omegas[u, 1:] = kkt_power_allocation(c_table[u], cov_areas, omega0)
+    omegas[:, 0] = omega0
+    omegas[:, 1:] = kkt_power_allocation(c_table, cov_areas, omega0)
     sizes = []
     objective = 0.0
     margin = db2lin(ctx.cfg.size_margin_db)

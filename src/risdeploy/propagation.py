@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NoPathError
-from .scene import Building, Scene, line_of_sight, segments_clear
+from .scene import Face, Scene, line_of_sight, segments_clear
 from .units import wavelength
 
 
@@ -30,8 +30,8 @@ class PathRecord:
 @dataclass(frozen=True)
 class PropagationConfig:
     carrier_freq: float
-    reflection_loss_db: float = 10.0
-    pl_max_db: float = 160.0
+    reflection_loss_db: float
+    pl_max_db: float
 
     def __post_init__(self):
         if self.carrier_freq <= 0:
@@ -108,15 +108,14 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
     return rec
 
 
-def _face_checker(building: Building, face: int):
-    origin, u_hat, length = building.face_frame(face)
-
+def _face_checker(face: Face):
+    "Test of whether a point lies inside the face's rectangle, 1e-9 in from its edges."
     def on_face(point):
-        rel = point - origin
-        u = float(np.dot(rel, u_hat))
-        return 1e-9 < u < length - 1e-9 and 1e-9 < point[2] < building.height - 1e-9
+        rel = point - face.origin
+        u = float(np.dot(rel, face.u_hat))
+        return 1e-9 < u < face.length - 1e-9 and 1e-9 < point[2] < face.height - 1e-9
 
-    return origin, on_face
+    return on_face
 
 
 def _coincident(a, b):
@@ -146,11 +145,9 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
     if los:
         paths.append(_los_path(a, b, lam))
     for building in scene.buildings:
-        for face in range(building.num_faces):
-            origin, on_face = _face_checker(building, face)
-            normal = building.face_normal(face)
-            rec = _reflection_path(scene, a, b, origin, normal, on_face, lam, loss_amp,
-                                   cfg.pl_max_db)
+        for face in building.faces:
+            rec = _reflection_path(scene, a, b, face.origin, face.normal, _face_checker(face),
+                                   lam, loss_amp, cfg.pl_max_db)
             if rec is not None:
                 paths.append(rec)
     rec = _reflection_path(scene, a, b, np.zeros(3), np.array([0.0, 0.0, 1.0]),
@@ -162,65 +159,48 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
     return paths
 
 
-def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
-    """Dominant path of a link: the first of enumerate_paths, with a LoS
-    fast path. NoPathError when the link has no path.
+def _dominant_legs(scene: Scene, cfg: PropagationConfig, a, ends):
+    """Dominant path of each leg from a to a row of `ends`, in order; None for
+    a leg without one.
 
-    A LoS path, when present, always dominates: every reflection is both
-    longer and attenuated by the bounce loss.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if _coincident(a, b):
-        raise InvalidInputError("degenerate link: a == b")
-    if line_of_sight(scene, a, b):
-        return _los_path(a, b, cfg.wavelength)
-    return _blocked_dominant_path(scene, cfg, a, b)
-
-
-def _blocked_dominant_path(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
-    "The strongest reflection of a leg known to be blocked; NoPathError when none."
-    paths = enumerate_paths(scene, cfg, a, b, los=False)
-    if not paths:
-        raise NoPathError("no propagation path on this link")
-    return paths[0]
-
-
-def _clear_legs(scene: Scene, a, ends) -> np.ndarray:
-    """Line of sight from a to each row of `ends` in one batched test; False
-    where the ends coincide, which the per-leg functions reject."""
-    near = _coincident(a, ends)
-    clear = np.zeros(len(ends), dtype=bool)
-    clear[~near] = segments_clear(scene, a, ends[~near])
-    return clear
-
-
-def dominant_paths_from(scene: Scene, cfg: PropagationConfig, a, ends) -> list:
-    """dominant_path_between(scene, cfg, a, b) for each row b of `ends`, in order.
-
-    One batched line-of-sight test covers every leg. A clear leg is its LoS
-    path; the others go through enumerate_paths one at a time, so the first
-    leg without a path raises dominant_path_between's error.
+    One batched line-of-sight test covers every leg. A clear leg yields its
+    LoS path whatever its loss: every reflection is both longer and
+    attenuated by the bounce loss, so none is stronger or within a budget the
+    LoS path exceeds. Every other leg yields the first of enumerate_paths; a
+    leg whose ends coincide counts as blocked, so enumerate_paths rejects it.
     """
     a = np.asarray(a, dtype=float)
     ends = np.asarray(ends, dtype=float)
+    near = _coincident(a, ends)
+    clear = np.zeros(len(ends), dtype=bool)
+    clear[~near] = segments_clear(scene, a, ends[~near])
     lam = cfg.wavelength
-    return [_los_path(a, b, lam) if seen else _blocked_dominant_path(scene, cfg, a, b)
-            for b, seen in zip(ends, _clear_legs(scene, a, ends))]
+    for b, seen in zip(ends, clear):
+        if seen:
+            yield _los_path(a, b, lam)
+        else:
+            paths = enumerate_paths(scene, cfg, a, b, los=False)
+            yield paths[0] if paths else None
+
+
+def dominant_paths_from(scene: Scene, cfg: PropagationConfig, a, ends) -> list:
+    """Dominant path of each leg from a to a row of `ends`, in order.
+    NoPathError at the first leg without a path, before any later leg is formed."""
+    paths = []
+    for path in _dominant_legs(scene, cfg, a, ends):
+        if path is None:
+            raise NoPathError("no propagation path on this link")
+        paths.append(path)
+    return paths
+
+
+def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
+    "Dominant path of the link from a to b; NoPathError when it has none."
+    return dominant_paths_from(scene, cfg, a, np.asarray(b, dtype=float)[None, :])[0]
 
 
 def reachable_from(scene: Scene, cfg: PropagationConfig, a, ends) -> np.ndarray:
     """Whether enumerate_paths(scene, cfg, a, b) is non-empty for each row b
-    of `ends`: a path within pl_max_db.
-
-    One batched line-of-sight test covers every leg. A clear leg is reachable
-    exactly when its LoS path is within pl_max_db, because every reflection
-    is longer and also pays the bounce loss; only the other legs go through
-    enumerate_paths.
-    """
-    a = np.asarray(a, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    lam = cfg.wavelength
-    return np.array([path_loss_db(_los_path(a, b, lam)) <= cfg.pl_max_db if seen
-                     else bool(enumerate_paths(scene, cfg, a, b, los=False))
-                     for b, seen in zip(ends, _clear_legs(scene, a, ends))], dtype=bool)
+    of `ends`: a dominant path within pl_max_db."""
+    return np.array([path is not None and path_loss_db(path) <= cfg.pl_max_db
+                     for path in _dominant_legs(scene, cfg, a, ends)], dtype=bool)

@@ -49,9 +49,20 @@ def point_in_polygon(point, polygon) -> bool:
 
 
 @dataclass(frozen=True)
+class Face:
+    "One vertical face of a prism: its base edge's frame, outward normal and height."
+    origin: np.ndarray  # (3,) first base vertex, on the ground
+    u_hat: np.ndarray  # (3,) unit vector along the base edge
+    length: float  # base edge length, meters
+    normal: np.ndarray  # (3,) outward unit normal, in the xy-plane
+    height: float  # meters
+
+
+@dataclass(frozen=True)
 class Building:
     footprint: np.ndarray  # (V, 2) vertices, meters
     height: float
+    faces: tuple = field(init=False, repr=False, compare=False)  # V Face, face f on edge f
 
     def __post_init__(self):
         fp = np.asarray(self.footprint, dtype=float)
@@ -61,10 +72,17 @@ class Building:
         if self.height <= 0:
             raise SceneFormatError("buildings.height", "must be > 0")
         self._check_simple(fp)
-        object.__setattr__(self, "_normals", tuple(
-            self._compute_normal(f) for f in range(len(fp))))
-        object.__setattr__(self, "_frames", tuple(
-            self._compute_frame(f) for f in range(len(fp))))
+        object.__setattr__(self, "faces", tuple(
+            self._face(fp[f], fp[(f + 1) % len(fp)]) for f in range(len(fp))))
+
+    def _face(self, p1, p2) -> Face:
+        edge = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
+        length = float(np.linalg.norm(edge))
+        n = np.array([edge[1], -edge[0]]) / np.linalg.norm(p2 - p1)
+        if point_in_polygon((p1 + p2) / 2.0 + 1e-6 * n, self.footprint):
+            n = -n
+        return Face(origin=np.array([p1[0], p1[1], 0.0]), u_hat=edge / length, length=length,
+                    normal=np.array([n[0], n[1], 0.0]), height=self.height)
 
     @staticmethod
     def _check_simple(fp):
@@ -81,38 +99,6 @@ class Building:
     @classmethod
     def box(cls, xmin, xmax, ymin, ymax, height) -> "Building":
         return cls(np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]), height)
-
-    @property
-    def num_faces(self) -> int:
-        return len(self.footprint)
-
-    def face_vertices(self, face: int):
-        "Base edge (p1, p2) of a vertical face."
-        fp = self.footprint
-        return fp[face], fp[(face + 1) % len(fp)]
-
-    def face_normal(self, face: int) -> np.ndarray:
-        "Outward unit normal of a vertical face, in the xy-plane."
-        return self._normals[face]
-
-    def face_frame(self, face: int):
-        "Origin, along-edge unit vector and length of a vertical face's base edge."
-        return self._frames[face]
-
-    def _compute_frame(self, face: int):
-        p1, p2 = self.face_vertices(face)
-        edge = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
-        length = np.linalg.norm(edge)
-        return np.array([p1[0], p1[1], 0.0]), edge / length, length
-
-    def _compute_normal(self, face: int) -> np.ndarray:
-        p1, p2 = self.face_vertices(face)
-        edge = p2 - p1
-        n = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
-        mid = (p1 + p2) / 2.0
-        if point_in_polygon(mid + 1e-6 * n, self.footprint):
-            n = -n
-        return np.array([n[0], n[1], 0.0])
 
 
 @dataclass(frozen=True)
@@ -335,18 +321,12 @@ class DeployableRegion:
     patch: FacePatch
     covered_cells: list
     coverage_area: float
-    _scene: Scene = field(repr=False, default=None)
-
-    def patch_frame(self):
-        "Origin, along-edge unit vector and outward normal of the patch's face."
-        building = self._scene.buildings[self.patch.building_index]
-        origin, u_hat, _ = building.face_frame(self.patch.face_index)
-        return origin, u_hat, building.face_normal(self.patch.face_index)
+    face: Face | None = field(repr=False, default=None)  # the face the patch lies on
 
     def point_at(self, u: float, v: float, standoff: float = 1e-3) -> np.ndarray:
         "3D mounting point at patch coordinates (u, v), nudged off the wall."
-        origin, u_hat, normal = self.patch_frame()
-        return origin + u * u_hat + np.array([0.0, 0.0, v]) + standoff * normal
+        face = self.face
+        return face.origin + u * face.u_hat + np.array([0.0, 0.0, v]) + standoff * face.normal
 
     def clamp(self, u: float, v: float):
         p = self.patch
@@ -359,9 +339,6 @@ class DeployableRegion:
     def reference_point(self) -> np.ndarray:
         patch = self.patch
         return self.point_at((patch.u_min + patch.u_max) / 2, (patch.v_min + patch.v_max) / 2)
-
-    def normal(self) -> np.ndarray:
-        return self.patch_frame()[2]
 
 
 def select_ris_regions(
@@ -394,15 +371,18 @@ def select_ris_regions(
     return chosen
 
 
+PATCH_MARGIN = 0.5  # m; a mounting patch's inset from its face's sides and roof
+PATCH_FLOOR = 2.0  # m; a mounting patch's lowest height above ground
+
+
 def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
-                      uav_grid: GridSet, prop_cfg, margin: float = 0.5,
-                      min_height: float = 2.0) -> list:
+                      uav_grid: GridSet, prop_cfg) -> list:
     """Enumerate candidate deployable regions, one per valid building face.
 
     A face qualifies when its reference point passes the link-access rules;
     the candidate covers every uncovered UE cell reachable under pl_max.
-    The mounting patch is the face inset by `margin` on the sides and
-    starting at `min_height` above ground.
+    The mounting patch is the face inset by PATCH_MARGIN on the sides and
+    the roof, starting at PATCH_FLOOR above ground.
     """
     from . import propagation
 
@@ -410,14 +390,13 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
     cells = ue_grid.centers[uncovered]
     out = []
     for b_idx, building in enumerate(scene.buildings):
-        for f_idx in range(building.num_faces):
-            length = float(building.face_frame(f_idx)[2])
-            if length < 2 * margin + 0.5 or building.height <= min_height + 0.5:
+        for f_idx, face in enumerate(building.faces):
+            if face.length < 2 * PATCH_MARGIN + 0.5 or building.height <= PATCH_FLOOR + 0.5:
                 continue
-            patch = FacePatch(b_idx, f_idx, margin, length - margin,
-                              min_height, building.height - margin)
+            patch = FacePatch(b_idx, f_idx, PATCH_MARGIN, face.length - PATCH_MARGIN,
+                              PATCH_FLOOR, building.height - PATCH_MARGIN)
             region = DeployableRegion(patch=patch, covered_cells=[], coverage_area=0.0,
-                                      _scene=scene)
+                                      face=face)
             point = region.reference_point()
             if not line_of_sight(scene, point, scene.bs_position):
                 continue

@@ -392,7 +392,7 @@ def step1_evaluate_joint(positions, context, omega0=None):
         bounds = context.region_bounds(region)
         uav_centers = None if comm_only else context.uav_grid.centers
         if mode == "passive-orientation":
-            normal = region.normal()
+            normal = region.face.normal
             orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
         else:
             orient = orientation_search(positions[n], context.scene.bs_position,

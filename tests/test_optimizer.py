@@ -268,7 +268,7 @@ def test_reference_crbs_are_the_per_cell_loop(ctx_full):
     for _ in range(10):
         for region in ctx_full.regions:
             p = region.point_at(*region.sample(rng))
-            normal = region.normal()
+            normal = region.face.normal
             theta, dpsi = rng.uniform(-0.5, 0.5, 2)
             orient = Orientation(float(theta), float(np.arctan2(normal[1], normal[0]) + dpsi))
             range_crb, velocity_crb = reference_sensing_crbs(ctx_full, p, orient)
@@ -310,8 +310,8 @@ def test_pathloss_baseline_runs(ctx_full):
     assert base.step1.objective > 0
     assert base.converged and base.iterations == 0
     for region, position in zip(ctx_full.regions, base.step1.positions):
-        origin, u_hat, _ = region.patch_frame()  # the position in patch coordinates
-        u, v = float((position - origin) @ u_hat), float(position[2])
+        face = region.face  # the position in patch coordinates
+        u, v = float((position - face.origin) @ face.u_hat), float(position[2])
         patch = region.patch
         assert patch.u_min - 1e-9 <= u <= patch.u_max + 1e-9
         assert patch.v_min - 1e-9 <= v <= patch.v_max + 1e-9
@@ -429,7 +429,7 @@ def test_orientation_score_matches_row_major_reference(ctx_full, with_uav):
     u_bs = unit_rows(ctx_full.scene.bs_position)[0]
     u_ue = unit_rows(ctx_full.ue_grid.centers[region.covered_cells])
     u_uav = unit_rows(ctx_full.uav_grid.centers) if with_uav else None
-    _, _, axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
+    axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
                                             optimizer.ORIENTATION_STEP)
     score = optimizer._orientation_score(axes, u_bs, u_ue, u_uav)
     ref = orientation_score_rows(np.ascontiguousarray(axes.T), u_bs, u_ue, u_uav)
@@ -450,7 +450,7 @@ def test_three_row_mask_keeps_the_masked_score(ctx_full, with_uav):
     rng = np.random.default_rng(11)
     positive = 0
     for region in ctx_full.regions:
-        _, _, axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
+        axes, _, _ = optimizer._axis_grid(ctx_full.region_bounds(region),
                                                 optimizer.ORIENTATION_STEP)
         for _ in range(15):
             p = region.point_at(*region.sample(rng))
@@ -474,6 +474,6 @@ def test_passive_orientation_uses_face_normal(ctx_full):
     positions = [r.reference_point() for r in passive.regions]
     res = step1_evaluate(positions, passive)
     for region, orient in zip(passive.regions, res.orientations):
-        normal = region.normal()
+        normal = region.face.normal
         assert orient.theta_r == 0.0
         assert orient.psi_r == pytest.approx(float(np.arctan2(normal[1], normal[0])))

@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_scene import _scene_and_fan
 
 from risdeploy import propagation
 from risdeploy.errors import InvalidInputError, NoPathError
 from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
                                    dominant_path_between, dominant_paths_from, enumerate_paths,
-                                   fspl_amplitude)
+                                   fspl_amplitude, reachable_from)
 from risdeploy.scene import Bounds, Building, Scene, line_of_sight
 from risdeploy.units import lin2db, wavelength
 
-CFG = PropagationConfig(carrier_freq=28e9)
+CFG = PropagationConfig(carrier_freq=28e9, reflection_loss_db=10.0, pl_max_db=160.0)
 LAM = wavelength(28e9)
 
 
@@ -90,7 +95,7 @@ def test_pl_max_cutoff():
     a = np.array([0.0, 0.0, 10.0])
     b = np.array([100.0, 0.0, 10.0])
     # LoS at 100 m is ~101.4 dB; set the cap below that
-    tight = PropagationConfig(carrier_freq=28e9, pl_max_db=95.0)
+    tight = PropagationConfig(carrier_freq=28e9, reflection_loss_db=10.0, pl_max_db=95.0)
     assert enumerate_paths(scn, tight, a, b) == []
     blocked = open_scene([Building.box(45.0, 55.0, -5.0, 5.0, 30.0)])
     with pytest.raises(NoPathError):
@@ -174,3 +179,80 @@ def test_enumerate_paths_takes_a_known_los_answer(monkeypatch):
     del tests[:]
     assert _fields(dominant_paths_from(scn, CFG, a, ends)) == want
     assert len(tests) == reflection_tests[0] > 0
+
+
+@st.composite
+def _fan_and_budget(draw):
+    """A fan of legs from one point (test_scene) and a path-loss budget. Half
+    the scenes gain a tall pillar in the middle, which blocks many legs, and a
+    long wall beside the fan for them to reflect off. On legs of up to ~20 m
+    at 28 GHz, 70 dB leaves long clear legs over budget and cuts every
+    reflection; 160 dB keeps every path."""
+    scn, a, ends = draw(_scene_and_fan())
+    assume(not np.any(_coincident(a, ends)))
+    if draw(st.booleans()):
+        scn = dataclasses.replace(scn, buildings=scn.buildings + (
+            Building.box(4.0, 6.0, 4.0, 6.0, 30.0), Building.box(-20.0, 30.0, 13.0, 14.0, 30.0)))
+    pl_max_db = draw(st.sampled_from([70.0, 160.0]))
+    return scn, PropagationConfig(28e9, reflection_loss_db=10.0, pl_max_db=pl_max_db), a, ends
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fan_and_budget())
+def test_leg_queries_are_one_pass_over_enumerate_paths(case):
+    # a clear leg's dominant path is its LoS path, within budget or not; any
+    # other leg's is the first of enumerate_paths, or none
+    scn, cfg, a, ends = case
+    want = []
+    for b in ends:
+        if line_of_sight(scn, a, b):
+            los = enumerate_paths(scn, dataclasses.replace(cfg, pl_max_db=np.inf), a, b)[0]
+            assert los.kind == "los"
+            want.append(los)
+        else:
+            paths = enumerate_paths(scn, cfg, a, b)
+            want.append(paths[0] if paths else None)
+    assert reachable_from(scn, cfg, a, ends).tolist() == [
+        bool(enumerate_paths(scn, cfg, a, b)) for b in ends]
+    for b, path in zip(ends, want):
+        if path is None:
+            with pytest.raises(NoPathError):
+                dominant_path_between(scn, cfg, a, b)
+        else:
+            assert _fields([dominant_path_between(scn, cfg, a, b)]) == _fields([path])
+    first_none = next((k for k, path in enumerate(want) if path is None), None)
+    formed = []
+
+    def counted(scene, cfg, a, b, **kwargs):
+        formed.append(b)
+        return enumerate_paths(scene, cfg, a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "enumerate_paths", counted)
+        if first_none is None:
+            assert _fields(dominant_paths_from(scn, cfg, a, ends)) == _fields(want)
+        else:  # the legs after the first without a path are never formed
+            with pytest.raises(NoPathError):
+                dominant_paths_from(scn, cfg, a, ends)
+    blocked = [b for b in ends[:len(ends) if first_none is None else first_none + 1]
+               if not line_of_sight(scn, a, b)]
+    assert np.array_equal(np.reshape(formed, (-1, 3)), np.reshape(blocked, (-1, 3)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scene_and_fan(), st.integers(0, 6), st.sampled_from([0.0, 1e-9]))
+def test_leg_queries_reject_coincident_ends(case, k, offset):
+    scn, a, ends = case
+    assume(not np.any(_coincident(a, ends)))
+    b = a + offset
+    k = min(k, len(ends))
+    fan = np.insert(ends, k, b, axis=0)
+    with pytest.raises(InvalidInputError):
+        dominant_path_between(scn, CFG, a, b)
+    with pytest.raises(InvalidInputError):
+        reachable_from(scn, CFG, a, fan)
+    # the legs before it come first: one without a path raises on its own
+    earlier_ok = all(line_of_sight(scn, a, e) or enumerate_paths(scn, CFG, a, e)
+                     for e in ends[:k])
+    with pytest.raises(InvalidInputError if earlier_ok else NoPathError):
+        dominant_paths_from(scn, CFG, a, fan)

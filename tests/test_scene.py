@@ -44,10 +44,11 @@ def test_building_validation():
 
 def test_face_normals_point_outward():
     b = Building.box(0.0, 10.0, 0.0, 10.0, 5.0)
-    for f in range(b.num_faces):
-        p1, p2 = b.face_vertices(f)
+    assert len(b.faces) == len(b.footprint)
+    for f, face in enumerate(b.faces):
+        p1, p2 = b.footprint[f], b.footprint[(f + 1) % len(b.footprint)]
         mid = (p1 + p2) / 2.0
-        n = b.face_normal(f)
+        n = face.normal
         assert n[2] == 0.0
         assert np.linalg.norm(n) == pytest.approx(1.0)
         assert not point_in_polygon(mid + 0.01 * n[:2], b.footprint)
@@ -309,7 +310,7 @@ def test_region_patch_geometry(ctx_full):
     assert p[2] == pytest.approx(patch.v_min)
     u, v = region.clamp(patch.u_max + 5.0, patch.v_min - 5.0)
     assert (u, v) == (patch.u_max, patch.v_min)
-    n = region.normal()
+    n = region.face.normal
     assert np.linalg.norm(n) == pytest.approx(1.0)
     rng = np.random.default_rng(0)
     for _ in range(10):

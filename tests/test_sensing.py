@@ -168,7 +168,7 @@ def test_crb_arrays_are_fim_per_cell(ctx_full, mode):
     assert same_bits(velocity_crb, np.array([b.velocity_crb for b in direct]))
     assert same_bits(np.moveaxis(fims, -1, 0), np.array([b.fim for b in direct]))
     for n, region in enumerate(ctx.regions):
-        normal = region.normal()
+        normal = region.face.normal
         for _ in range(4):
             p = region.point_at(*region.sample(rng))
             if mode == "passive-orientation":
