@@ -90,6 +90,8 @@ class OfdmWaveform:
         nc = params.subcarriers
         self.freqs = (np.arange(nc) - nc // 2) * params.bandwidth_hz / nc
         self._scale = 1.0 / np.sqrt(nc)
+        # j 2 pi f_p in IFFT order: the spectrum of s_dot is this times that of s
+        self._dot_weight = np.roll(1j * 2.0 * np.pi * self.freqs, -(nc // 2))
 
     def symbols(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
         "The complex symbols S[rows, cols] of the frame."
@@ -98,32 +100,53 @@ class OfdmWaveform:
     def _symbol_samples(self, m0: int, m1: int):
         "Samples of s and s_dot over symbols m0..m1-1 on the 1/B grid, one row per symbol."
         nc = self.params.subcarriers
-        # one contiguous row per symbol: the IFFTs along rows run faster than on a transpose
-        sym = _QPSK.take(np.ascontiguousarray(self.index[:, m0:m1].T))
-        spec = np.roll(sym, -(nc // 2), axis=1)
-        spec_dot = np.roll(1j * 2.0 * np.pi * self.freqs * sym, -(nc // 2), axis=1)
-        s = np.fft.ifft(spec, axis=1) * nc * self._scale
-        s_dot = np.fft.ifft(spec_dot, axis=1) * nc * self._scale
+        # rolled into IFFT order, then one contiguous row per symbol: the IFFTs
+        # along rows run faster than on a transpose
+        index = np.ascontiguousarray(np.roll(self.index[:, m0:m1], -(nc // 2), axis=0).T)
+        spec = _QPSK.take(index)
+        s = np.fft.ifft(spec, axis=1)
+        np.multiply(self._dot_weight, spec, out=spec)
+        s_dot = np.fft.ifft(spec, axis=1, out=spec)
+        for x in (s, s_dot):
+            x *= nc
+            x *= self._scale
         return s, s_dot
 
     def moments(self) -> WaveformMoments:
-        "Riemann-sum frame moments of s(t) at 1/B spacing."
+        """Riemann-sum frame moments of s(t) at 1/B spacing.
+
+        Each block of symbols is reduced to one sum per symbol (a row of the
+        block), and those sums are added in symbol order as Python floats.
+        """
         nc, nm = self.params.subcarriers, self.params.symbols
         dt = 1.0 / self.params.bandwidth_hz
         i1 = 0.0
         i2 = 0.0 + 0.0j
         i3 = 0.0
+        # a block's arrays are freed as the next block's replace them: freed
+        # first, their pages go back to the system and fault in again each block
         for m0 in range(0, nm, MOMENT_BLOCK):
             m1 = min(m0 + MOMENT_BLOCK, nm)
             s, s_dot = self._symbol_samples(m0, m1)
-            t = (np.arange(m0, m1)[:, None] * nc + np.arange(nc)) * dt
-            # one 1-D sum per symbol, accumulated in symbol order (a sum over
-            # axis 1 of the block adds in another order)
-            for e1, e2, e3 in zip(np.abs(s_dot) ** 2, t * s_dot * np.conj(s),
-                                  t**2 * np.abs(s) ** 2):
-                i1 += float(np.sum(e1)) * dt
-                i2 += complex(np.sum(e2)) * dt
-                i3 += float(np.sum(e3)) * dt
+            # sample index m nc + k, exact in float64
+            t = np.arange(m0 * nc, m1 * nc, dtype=float).reshape(m1 - m0, nc)
+            t *= dt
+            # the row sums match the per-symbol 1-D sums of tests/_oracles.py
+            # bit for bit, which test_moments_match_per_symbol_reference holds
+            power = np.abs(s_dot)
+            power **= 2
+            r1 = power.sum(axis=1).tolist()
+            cross = np.multiply(t, s_dot, out=s_dot)
+            cross *= np.conjugate(s, out=s)
+            r2 = cross.sum(axis=1).tolist()
+            np.abs(s, out=power)
+            power **= 2
+            t **= 2
+            r3 = np.multiply(t, power, out=power).sum(axis=1).tolist()
+            for e1, e2, e3 in zip(r1, r2, r3):
+                i1 += e1 * dt
+                i2 += e2 * dt
+                i3 += e3 * dt
         return WaveformMoments(deriv_energy=i1, time_cross=i2, time_energy=i3)
 
 

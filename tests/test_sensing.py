@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,18 +78,48 @@ def test_moments_match_direct_riemann_sum():
     np.testing.assert_allclose(mom.time_energy, np.sum(t**2 * np.abs(s) ** 2) * dt, rtol=1e-9)
 
 
-# ids read nc-m-delay, the delay in samples: moments() sums the undelayed frame
+@functools.cache
+def _oracle_moments(nc, m, seed):
+    "moments_per_symbol of the (nc, m) frame drawn from `seed`, formed once per frame."
+    return moments_per_symbol(OfdmWaveform(OfdmParams(28e9, 1e9, nc, m), seed=seed),
+                              wave_seed=seed)
+
+
+# ids read nc-m-delay, the delay in samples (moments() sums the undelayed
+# frame), then the frame's seed where it is not 3. Besides the two small frames
+# these are the frames the pipeline and the tests use: the demo frame (2560 x
+# 2048) at three seeds, the 512- and 256-symbol frames of RISDEPLOY_SYMBOLS
+# and A3's 64 x 16 frame, and 1001 symbols for a short last block.
 @pytest.mark.parametrize("block", [sensing.MOMENT_BLOCK, 8])
-@pytest.mark.parametrize("nc, m", [(100, 37), (64, 150)], ids=["100-37-0", "64-150-0"])
-def test_moments_match_per_symbol_reference(block, nc, m, monkeypatch):
-    # 37 and 150 symbols end inside a block of 64 and of 8
+@pytest.mark.parametrize("nc, m, seed", [
+    (100, 37, 3), (64, 150, 3), (2560, 2048, 0), (2560, 2048, 1), (2560, 2048, 108),
+    (2560, 512, 0), (2560, 256, 0), (2560, 1001, 0), (64, 16, 7),
+], ids=["100-37-0", "64-150-0", "2560-2048-0-seed0", "2560-2048-0-seed1",
+        "2560-2048-0-seed108", "2560-512-0-seed0", "2560-256-0-seed0", "2560-1001-0-seed0",
+        "64-16-0-seed7"])
+def test_moments_match_per_symbol_reference(block, nc, m, seed, monkeypatch):
+    # 37, 150 and 1001 symbols end inside a block of 64 and of 8
     monkeypatch.setattr(sensing, "MOMENT_BLOCK", block)
-    params = OfdmParams(28e9, 1e9, nc, m)
-    wave = OfdmWaveform(params, seed=3)
-    mom = wave.moments()
-    i1, i2, i3 = moments_per_symbol(wave, wave_seed=3)
+    mom = OfdmWaveform(OfdmParams(28e9, 1e9, nc, m), seed=seed).moments()
+    i1, i2, i3 = _oracle_moments(nc, m, seed)
     assert same_bits(np.array([mom.deriv_energy, mom.time_energy]), np.array([i1, i3]))
     assert same_bits(np.array(mom.time_cross), np.array(i2))
+
+
+def test_moments_work_in_block_sized_memory():
+    # the traced peak of one moments() pass on the demo frame, in complex128
+    # blocks of MOMENT_BLOCK symbols; the frame's symbol indices are drawn
+    # before tracing starts
+    params = OfdmParams(28e9, 1e9, 2560, 2048)
+    wave = OfdmWaveform(params, seed=0)
+    block_bytes = 16 * sensing.MOMENT_BLOCK * params.subcarriers
+    tracemalloc.start()
+    try:
+        wave.moments()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block_bytes, peak / block_bytes
 
 
 def test_sensing_path_coordinates():
