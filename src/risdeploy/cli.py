@@ -170,7 +170,7 @@ def deployment_dict(ctx, result, report) -> dict:
                          for o in plan.orientations],
         "sizes": [{"area_m2": s.area, "side_m": s.side,
                    "cells_per_side": s.cells_per_side} for s in plan.sizes],
-        "coverage": [{"ris_index": n, "building": r.patch.building_index,
+        "coverage": [{"ris_index": n, "building": r.building,
                       "covered_cells": list(map(int, r.covered_cells)),
                       "coverage_area_m2": r.coverage_area} for n, r in enumerate(ctx.regions)],
         "omega_per_uav": plan.omega_per_uav.tolist(),
@@ -272,51 +272,71 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
 
 
 def run_pipeline(cfg: Config, out_dir: Path) -> int:
+    ctx = None
+    with _run_log(out_dir) as log:
+        try:
+            t0 = time.time()
+            ctx = _logged_context(cfg, log)
+            result, report = _logged_plan(ctx, log)
+            _write_json(out_dir / "deployment.json", deployment_dict(ctx, result, report))
+            write_convergence_csv(out_dir / "convergence.csv", result.trace)
+            write_snr_maps(out_dir, ctx, report)
+            if cfg.mode != "comm-only":
+                with _stage(log, "radar"):
+                    radar_stage(ctx, result.step1, out_dir, log)
+            log.info("done in %.1f s", time.time() - t0)
+            return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+        except RisDeployError as exc:
+            log.error("%s: %s", type(exc).__name__, exc)
+            return _failed(exc, ctx is None, out_dir)
+
+
+@contextlib.contextmanager
+def _run_log(out_dir: Path):
+    "The risdeploy logger writing to out_dir/run.log for the block."
     out_dir.mkdir(parents=True, exist_ok=True)
     log = logging.getLogger("risdeploy")
     handler = logging.FileHandler(out_dir / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     log.addHandler(handler)
     log.setLevel(logging.INFO)
-    ctx = None
     try:
-        t0 = time.time()
-        with _stage(log, "context"):
-            ctx = build_context(cfg)
-        log.info("scene: %d buildings, %d UE cells (%d uncovered universe), "
-                 "%d UAV cells, %d RIS regions", len(ctx.scene.buildings),
-                 len(ctx.ue_grid), len(set().union(*(r.covered_cells for r in ctx.regions))),
-                 len(ctx.uav_grid), len(ctx.regions))
-        with _stage(log, "optimize"):
-            result = optimize(ctx)
-        log.info("optimizer: %d placements evaluated, %d unreachable",
-                 result.evaluations, result.unreachable)
-        log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
-                 cfg.mode, result.step1.objective, result.converged, result.iterations)
-        with _stage(log, "closure"):
-            report = evaluation.closure_report(ctx, result.step1)
-        for n, record in enumerate(report.synthesis):
-            log.info("closure RIS %d: %d panel cells, %d cells x %d UAV columns "
-                     "synthesised in %.3f s", n, *record)
-        log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
-                 report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
-        if cfg.mode != "comm-only":
-            log.info("closure: CRB margins %.2f dB (range), %.2f dB (velocity)",
-                     report.crb_range_margin_db, report.crb_velocity_margin_db)
-        _write_json(out_dir / "deployment.json", deployment_dict(ctx, result, report))
-        write_convergence_csv(out_dir / "convergence.csv", result.trace)
-        write_snr_maps(out_dir, ctx, report)
-        if cfg.mode != "comm-only":
-            with _stage(log, "radar"):
-                radar_stage(ctx, result.step1, out_dir, log)
-        log.info("done in %.1f s", time.time() - t0)
-        return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-    except RisDeployError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
-        return _failed(exc, ctx is None, out_dir)
+        yield log
     finally:
         log.removeHandler(handler)
         handler.close()
+
+
+def _logged_context(cfg: Config, log) -> optimizer.OptimizerContext:
+    "build_context as a logged stage, then the scene's counts."
+    with _stage(log, "context"):
+        ctx = build_context(cfg)
+    log.info("scene: %d buildings, %d UE cells (%d uncovered universe), "
+             "%d UAV cells, %d RIS regions", len(ctx.scene.buildings),
+             len(ctx.ue_grid), len(set().union(*(r.covered_cells for r in ctx.regions))),
+             len(ctx.uav_grid), len(ctx.regions))
+    return ctx
+
+
+def _logged_plan(ctx: optimizer.OptimizerContext, log):
+    "One mode's plan and its closure as logged stages, each followed by its summary."
+    with _stage(log, "optimize"):
+        result = optimize(ctx)
+    log.info("optimizer: %d placements evaluated, %d unreachable",
+             result.evaluations, result.unreachable)
+    log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
+             ctx.cfg.mode, result.step1.objective, result.converged, result.iterations)
+    with _stage(log, "closure"):
+        report = evaluation.closure_report(ctx, result.step1)
+    for n, record in enumerate(report.synthesis):
+        log.info("closure RIS %d: %d panel cells, %d cells x %d UAV columns "
+                 "synthesised in %.3f s", n, *record)
+    log.info("closure: SNR margin %.2f dB, scaling-vs-synthesis gap per RIS %s dB",
+             report.snr_margin_db, np.round(report.gain_gap_db, 2).tolist())
+    if ctx.cfg.mode != "comm-only":
+        log.info("closure: CRB margins %.2f dB (range), %.2f dB (velocity)",
+                 report.crb_range_margin_db, report.crb_velocity_margin_db)
+    return result, report
 
 
 @contextlib.contextmanager
@@ -365,39 +385,43 @@ def _failed(exc: RisDeployError, in_build: bool, out_dir: Path | None = None,
 
 def compare_modes(cfg: Config, modes: list, out_dir: Path) -> int:
     "One comparison row per mode: sizes, coverage %, sensing feasibility."
-    if len(modes) < 2:
-        return _failed(InvalidInputError("compare needs at least two modes"), True)
+    if len(modes) < 2:  # a comparison has two rows or more
+        return _failed(InvalidInputError("compare needs at least two modes"), True, out_dir, modes)
 
-    def one(ctx):
+    def one(ctx, log):
         mode = ctx.cfg.mode
+        log.info("mode %s", mode)
         try:
-            plan = optimize(ctx).step1
-            report = evaluation.closure_report(ctx, plan)
-            total = sum(len(r.covered_cells) for r in ctx.regions)
-            served = sum(int(np.sum(s >= lin2db(ctx.link.snr_threshold_linear) - 3.0))
-                         for s in report.snr_db)
-            sensing_ok = (mode != "comm-only"
-                          and report.crb_range_margin_db >= -3.0
-                          and report.crb_velocity_margin_db >= -3.0)
-            return {
-                "mode": mode, "status": "ok",
-                "sizes_m": [round(s.side, 4) for s in plan.sizes],
-                "total_area_m2": round(sum(s.area for s in plan.sizes), 6),
-                "coverage_pct": round(100.0 * served / total, 2),
-                "sensing": "satisfied" if sensing_ok else "not available",
-                "objective": plan.objective,
-            }
+            result, report = _logged_plan(ctx, log)
         except RisDeployError as exc:
+            log.error("%s: %s", type(exc).__name__, exc)
             return {"mode": mode, "status": "failed", **_record(exc)}
+        plan = result.step1
+        total = sum(len(r.covered_cells) for r in ctx.regions)
+        served = sum(int(np.sum(s >= lin2db(ctx.link.snr_threshold_linear) - 3.0))
+                     for s in report.snr_db)
+        sensing_ok = (mode != "comm-only"
+                      and report.crb_range_margin_db >= -3.0
+                      and report.crb_velocity_margin_db >= -3.0)
+        return {
+            "mode": mode, "status": "ok",
+            "sizes_m": [round(s.side, 4) for s in plan.sizes],
+            "total_area_m2": round(sum(s.area for s in plan.sizes), 6),
+            "coverage_pct": round(100.0 * served / total, 2),
+            "sensing": "satisfied" if sensing_ok else "not available",
+            "objective": plan.objective,
+        }
 
     base = None
-    try:
-        base = build_context(cfg)
-        rows = [one(dataclasses.replace(base, cfg=dataclasses.replace(cfg, mode=m)))
-                for m in modes]
-        _write_comparison(out_dir, rows)
-    except RisDeployError as exc:
-        return _failed(exc, base is None, out_dir, modes)
+    with _run_log(out_dir) as log:
+        try:
+            base = _logged_context(cfg, log)
+            rows = [one(dataclasses.replace(base, cfg=dataclasses.replace(cfg, mode=m)), log)
+                    for m in modes]
+            _write_comparison(out_dir, rows)
+        except RisDeployError as exc:
+            log.error("%s: %s", type(exc).__name__, exc)
+            return _failed(exc, base is None, out_dir, modes)
     return EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_ERROR
 
 
@@ -440,8 +464,6 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate-scene", help="check a scene JSON file")
     p_val.add_argument("scene")
     args = parser.parse_args(argv)
-    if args.command == "compare" and len(args.modes) < 2:  # a comparison has two rows or more
-        parser.error("compare needs at least two modes")
     if args.command == "validate-scene":
         return validate_scene(args.scene)
     modes = args.modes if args.command == "compare" else None

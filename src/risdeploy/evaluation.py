@@ -18,7 +18,7 @@ from .errors import InvalidInputError
 from .optimizer import OptimizerContext, Step1Result, sensing_path
 from .propagation import fspl_amplitude
 from .ris_bf import codeword_index, codeword_phasors, ris_cell_positions
-from .sensing import CrbPair, SensingPath, fim
+from .sensing import fim
 from .units import lin2db
 
 
@@ -51,28 +51,29 @@ def build_panel(ctx: OptimizerContext, plan: Step1Result, n: int) -> Panel:
     cells = ris_cell_positions(plan.sizes[n].cells_per_side, ctx.cell_spacing,
                                plan.positions[n], o)
     axis = o.normal
-    d_b, cos_b = _leg(cells, ctx.scene.bs_position, axis)
+    d_b, amp_b = _toward(ctx, cells, ctx.scene.bs_position, axis)
     return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
-                 amp_b=np.sqrt(ctx.cfg.efficiency) * _leg_amplitude(ctx, d_b, cos_b))
+                 amp_b=np.sqrt(ctx.cfg.efficiency) * amp_b)
 
 
-def _leg(cells: np.ndarray, point, axis: np.ndarray):
-    "Per-cell distance and boresight cosine toward a point."
+def _toward(ctx, cells: np.ndarray, point, axis: np.ndarray):
+    "Per-cell distance toward a point, and the cell gain times free-space amplitude of that leg."
     diff = np.asarray(point, dtype=float) - cells
     dist = np.linalg.norm(diff, axis=1)
-    return dist, np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
+    cos = np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
+    return dist, (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
+                  * fspl_amplitude(dist, ctx.wavelength))
 
 
-def _beam(ctx, d_b, dist) -> np.ndarray:
-    "Per-cell phasor that focuses the panel from the BS onto a point at distances dist."
-    kappa = 2.0 * np.pi / ctx.wavelength
-    return np.exp(1j * kappa * (d_b + dist))
+def _leg(ctx, panel: Panel, point):
+    """Traversal weights and focusing phasor of the BS -> panel -> point leg.
 
-
-def _sense_beam(ctx, d_b, d_uav, beta: float) -> np.ndarray:
-    """The sense beam of the dual-beam split, weighted by sqrt(1 - beta); the
-    panel's beam adds it to the comm beam weighted by sqrt(beta)."""
-    return np.sqrt(1.0 - beta) * _beam(ctx, d_b, d_uav)
+    One exp forms the phasor exp(j kappa (d_b + d)) that focuses the panel on
+    the point; the weights are the two legs' amplitudes times its conjugate,
+    the traversal phase that the panel sum weights with the cell phases."""
+    dist, amp = _toward(ctx, panel.cells, point, panel.axis)
+    phasor = np.exp(1j * (2.0 * np.pi / ctx.wavelength) * (panel.d_b + dist))
+    return panel.amp_b * amp * np.conj(phasor), phasor
 
 
 def _panel_sum(weights, beam, phasors, bits: int) -> complex:
@@ -82,90 +83,73 @@ def _panel_sum(weights, beam, phasors, bits: int) -> complex:
     return np.sum(np.multiply(weights, terms, out=terms))
 
 
-def _leg_amplitude(ctx, dist, cos):
-    "Per-cell gain times free-space amplitude of one leg."
-    return (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
-            * fspl_amplitude(dist, ctx.wavelength))
-
-
-def _traversal(ctx, panel: Panel, dist, cos) -> np.ndarray:
-    """Per-cell complex weight of the BS -> panel -> point traversal; the
-    panel sum weights it with the cell phases."""
-    kappa = 2.0 * np.pi / ctx.wavelength
-    return (panel.amp_b * _leg_amplitude(ctx, dist, cos)
-            * np.exp(-1j * kappa * (panel.d_b + dist)))
-
-
 def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> np.ndarray:
     """Synthesized SNR table of one RIS: a row per covered UE cell, a column
-    per UAV cell, whose dual-beam split applies while it is sensed (one
-    column in comm-only mode).
+    per UAV cell, the dual beam sqrt(beta) comm + sqrt(1 - beta) sense of the
+    split in force while it is sensed (in comm-only mode one column, the comm
+    beam alone).
 
     The work is hoisted out of the (cell, UAV) pairs: each UAV cell's
-    weighted sense beam is built once, each UE cell's leg, traversal weights
-    and comm beam once per cell, and a pair only adds the two beams and takes
-    their _panel_sum.
+    weighted sense beam is built once, each UE cell's leg once per cell and
+    sqrt(beta) comm once per distinct beta, and a pair only adds the two
+    beams and takes their _panel_sum.
     Memory holds one sense beam per UAV cell and a fixed number of other
     panel vectors, whatever the number of cells."""
     n = panel.index
     bits = ctx.cfg.bits
     phasors = codeword_phasors(bits)
-    uavs = [None] if ctx.cfg.mode == "comm-only" else ctx.uav_grid.centers
-    power = [ctx.link.tx_power_w * plan.omega_per_uav[u, n + 1] * ctx.bs_amp_gain**2
-             for u in range(len(uavs))]
-    single = []  # columns with the comm beam alone
-    groups = {}  # split beta -> the columns that add both beams at it
-    sense = {}  # column -> its weighted sense beam
-    for u, uav in enumerate(uavs):
+    comm_only = ctx.cfg.mode == "comm-only"
+    groups = {}  # split beta -> (column, weighted sense beam) pairs at it
+    for u, uav in enumerate([] if comm_only else ctx.uav_grid.centers):
         beta = float(plan.beta_per_uav[u, n])
-        if uav is None or beta >= 1.0:
-            single.append(u)
-            continue
-        groups.setdefault(beta, []).append(u)
-        sense[u] = _sense_beam(ctx, panel.d_b, _leg(panel.cells, uav, panel.axis)[0], beta)
+        groups.setdefault(beta, []).append((u, np.sqrt(1.0 - beta) * _leg(ctx, panel, uav)[1]))
+    power = ctx.link.tx_power_w * plan.omega_per_uav[:, n + 1] * ctx.bs_amp_gain**2
     cells = ctx.regions[n].covered_cells
-    table = np.zeros((len(cells), len(uavs)))
+    table = np.zeros((len(cells), len(power)))
     weighted, beam = np.empty((2, len(panel.cells)), dtype=complex)
     for i, cell in enumerate(cells):
-        d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
-        weights = _traversal(ctx, panel, d_k, cos_k)
-        comm = _beam(ctx, panel.d_b, d_k)
-        h = dict.fromkeys(single, _panel_sum(weights, comm, phasors, bits)) if single else {}
+        weights, comm = _leg(ctx, panel, ctx.ue_grid.centers[cell])
+        h = {0: _panel_sum(weights, comm, phasors, bits)} if comm_only else {}
         for beta, columns in groups.items():
             np.multiply(np.sqrt(beta), comm, out=weighted)
-            for u in columns:
-                h[u] = _panel_sum(weights, np.add(weighted, sense[u], out=beam), phasors, bits)
+            for u, sense in columns:
+                h[u] = _panel_sum(weights, np.add(weighted, sense, out=beam), phasors, bits)
         for u, h_u in h.items():
             table[i, u] = power[u] * abs(h_u) ** 2 / ctx.link.noise_power_w
-        del d_k, cos_k, weights, comm  # freed before the next cell's are built
+        del weights, comm  # freed before the next cell's are built
     return table
 
 
-def _ris_sensing_path(ctx, plan: Step1Result, panel: Panel, uav, uav_index: int, ue_cell: int,
-                      velocity) -> SensingPath:
-    """Round trip through the sized panel toward a UAV while cell uav_index
-    is sensed, with the comm beam on ue_cell."""
+def _sensing_paths(ctx, plan: Step1Result, panel: Panel, ue_cell: int, columns,
+                   velocity=None):
+    """Round trips through the sized panel with its comm beam on ue_cell, one
+    per (UAV cell index, UAV position) column under that cell's split: one
+    leg per column gives its traversal weights and its sense beam."""
     n = panel.index
-    beta = float(plan.beta_per_uav[uav_index, n])
-    d_k, _ = _leg(panel.cells, ctx.ue_grid.centers[ue_cell], panel.axis)
-    d_u, cos_u = _leg(panel.cells, uav, panel.axis)
-    beam = np.sqrt(beta) * _beam(ctx, panel.d_b, d_k) + _sense_beam(ctx, panel.d_b, d_u, beta)
     bits = ctx.cfg.bits
-    h = complex(_panel_sum(_traversal(ctx, panel, d_u, cos_u), beam,
-                           codeword_phasors(bits), bits))
-    return sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[uav_index, n + 1]),
-                        ris=plan.positions[n], cascade=h, velocity=velocity)
+    phasors = codeword_phasors(bits)
+    comm = _leg(ctx, panel, ctx.ue_grid.centers[ue_cell])[1]
+    for u, uav in columns:
+        beta = float(plan.beta_per_uav[u, n])
+        weights, sense = _leg(ctx, panel, uav)
+        beam = np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense
+        h = complex(_panel_sum(weights, beam, phasors, bits))
+        yield sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[u, n + 1]),
+                           ris=plan.positions[n], cascade=h, velocity=velocity)
 
 
 def explicit_sensing_crb(ctx: OptimizerContext, plan: Step1Result, panel: Panel,
-                         uav_index: int, ue_cell: int) -> CrbPair:
-    """Synthesized CRB for UAV cell uav_index through the sized panel, with
-    the comm beam pointed at ue_cell."""
+                         ue_cell: int) -> np.ndarray:
+    """Synthesized range and velocity CRBs, rows (2, M_u) over the UAV cells,
+    through the sized panel with the comm beam pointed at ue_cell."""
     if ctx.cfg.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
-    path = _ris_sensing_path(ctx, plan, panel, ctx.uav_grid.centers[uav_index],
-                             uav_index, ue_cell, None)
-    return fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
+    crb = np.empty((2, len(ctx.uav_grid.centers)))
+    for u, path in enumerate(_sensing_paths(ctx, plan, panel, ue_cell,
+                                            enumerate(ctx.uav_grid.centers))):
+        pair = fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
+        crb[:, u] = pair.range_crb, pair.velocity_crb
+    return crb
 
 
 def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
@@ -204,10 +188,7 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
         snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
         if not comm_only:
             worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
-            for u in range(m_u):
-                pair = explicit_sensing_crb(ctx, plan, panel, u, worst_cell)
-                crb_r[n, u] = pair.range_crb
-                crb_v[n, u] = pair.velocity_crb
+            crb_r[n], crb_v[n] = explicit_sensing_crb(ctx, plan, panel, worst_cell)
         synthesis.append((len(panel.cells), *table.shape, time.perf_counter() - t0))
     if comm_only:
         rng_margin = vel_margin = np.nan
@@ -231,6 +212,6 @@ def demo_sensing_paths(ctx: OptimizerContext, plan: Step1Result, uav_position,
     paths = [sensing_path(ctx, 0, uav, max(omega0, 1e-12), velocity=vel)]
     uav_index = int(np.argmin(np.linalg.norm(ctx.uav_grid.centers - uav, axis=1)))
     for n, region in enumerate(ctx.regions):
-        paths.append(_ris_sensing_path(ctx, plan, build_panel(ctx, plan, n), uav,
-                                       uav_index, region.covered_cells[0], vel))
+        paths.extend(_sensing_paths(ctx, plan, build_panel(ctx, plan, n),
+                                    region.covered_cells[0], [(uav_index, uav)], vel))
     return paths

@@ -298,30 +298,35 @@ def build_grids(scene: Scene, cell_size, height: float, area: Rect | None = None
     return GridSet(np.array(centers).reshape(-1, 3), cell)
 
 
-@dataclass(frozen=True)
-class FacePatch:
-    """Rectangular mounting patch on a vertical building face.
-
-    Patch coordinates: u runs along the base edge in [u_min, u_max] meters,
-    v is height above ground in [v_min, v_max] meters.
-    """
-
-    building_index: int
-    face_index: int
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
+PATCH_MARGIN = 0.5  # m; a mounting patch's inset from its face's sides and roof
+PATCH_FLOOR = 2.0  # m; a mounting patch's lowest height above ground
 
 
 @dataclass
 class DeployableRegion:
-    """Feasible mounting surface for one RIS plus the UE cells it serves."""
+    """Feasible mounting surface for one RIS plus the UE cells it serves.
 
-    patch: FacePatch
+    The mounting patch is the face inset by PATCH_MARGIN on the sides and the
+    roof, from PATCH_FLOOR above ground. Patch coordinates: u runs along the
+    base edge in [u_min, u_max] meters, v is height above ground in
+    [v_min, v_max] meters.
+    """
+
     covered_cells: list
     coverage_area: float
+    building: int | None = None  # index of the building the face belongs to
     face: Face | None = field(repr=False, default=None)  # the face the patch lies on
+
+    u_min = PATCH_MARGIN
+    v_min = PATCH_FLOOR
+
+    @property
+    def u_max(self) -> float:
+        return self.face.length - PATCH_MARGIN
+
+    @property
+    def v_max(self) -> float:
+        return self.face.height - PATCH_MARGIN
 
     def point_at(self, u: float, v: float, standoff: float = 1e-3) -> np.ndarray:
         "3D mounting point at patch coordinates (u, v), nudged off the wall."
@@ -329,16 +334,15 @@ class DeployableRegion:
         return face.origin + u * face.u_hat + np.array([0.0, 0.0, v]) + standoff * face.normal
 
     def clamp(self, u: float, v: float):
-        p = self.patch
-        return float(np.clip(u, p.u_min, p.u_max)), float(np.clip(v, p.v_min, p.v_max))
+        return (float(np.clip(u, self.u_min, self.u_max)),
+                float(np.clip(v, self.v_min, self.v_max)))
 
     def sample(self, rng: np.random.Generator):
-        p = self.patch
-        return float(rng.uniform(p.u_min, p.u_max)), float(rng.uniform(p.v_min, p.v_max))
+        return (float(rng.uniform(self.u_min, self.u_max)),
+                float(rng.uniform(self.v_min, self.v_max)))
 
     def reference_point(self) -> np.ndarray:
-        patch = self.patch
-        return self.point_at((patch.u_min + patch.u_max) / 2, (patch.v_min + patch.v_max) / 2)
+        return self.point_at((self.u_min + self.u_max) / 2, (self.v_min + self.v_max) / 2)
 
 
 def select_ris_regions(
@@ -371,18 +375,12 @@ def select_ris_regions(
     return chosen
 
 
-PATCH_MARGIN = 0.5  # m; a mounting patch's inset from its face's sides and roof
-PATCH_FLOOR = 2.0  # m; a mounting patch's lowest height above ground
-
-
 def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                       uav_grid: GridSet, prop_cfg) -> list:
     """Enumerate candidate deployable regions, one per valid building face.
 
     A face qualifies when its reference point passes the link-access rules;
     the candidate covers every uncovered UE cell reachable under pl_max.
-    The mounting patch is the face inset by PATCH_MARGIN on the sides and
-    the roof, starting at PATCH_FLOOR above ground.
     """
     from . import propagation
 
@@ -390,12 +388,10 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
     cells = ue_grid.centers[uncovered]
     out = []
     for b_idx, building in enumerate(scene.buildings):
-        for f_idx, face in enumerate(building.faces):
+        for face in building.faces:
             if face.length < 2 * PATCH_MARGIN + 0.5 or building.height <= PATCH_FLOOR + 0.5:
                 continue
-            patch = FacePatch(b_idx, f_idx, PATCH_MARGIN, face.length - PATCH_MARGIN,
-                              PATCH_FLOOR, building.height - PATCH_MARGIN)
-            region = DeployableRegion(patch=patch, covered_cells=[], coverage_area=0.0,
+            region = DeployableRegion(covered_cells=[], coverage_area=0.0, building=b_idx,
                                       face=face)
             point = region.reference_point()
             if not line_of_sight(scene, point, scene.bs_position):

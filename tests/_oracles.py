@@ -17,9 +17,10 @@ precision of their input: on complex64 frames and float32 maps they round
 where the radar rounds, and on complex128 frames they give the float64
 pipeline the single-precision radar is held to. `waveform_sample` evaluates
 the waveform directly at arbitrary times, one sum over subcarriers. The
-closure reference synthesizes the SNR table one (UE cell, UAV cell) pair at a
-time, each from its own legs, float `np.mod` phases and `exp` of the
-quantized phases. The step-1 reference is the joint loop that forms every
+closure references synthesize the SNR table one (UE cell, UAV cell) pair at a
+time and the CRBs one UAV cell at a time, each from its own legs (traversal
+weights through `exp(-j kappa (d_b + d))`), float `np.mod` phases and `exp`
+of the quantized phases. The step-1 reference is the joint loop that forms every
 RIS's reference and sizes the plan in one pass, recomputing the worst served
 SNR for each (UAV cell, RIS) pair. It forms each UE leg's dominant path with
 its own `dominant_path_between` call, each UAV cell's reference cascade and
@@ -307,19 +308,28 @@ def dual_beam_phases_mod(ctx, d_b, d_ue, d_uav, beta):
     return quantize_phases_mod(ideal, ctx.cfg.bits)
 
 
+def panel_leg(ctx, panel, point):
+    """Distance of each panel cell toward a point and the traversal weights of
+    the BS -> panel -> point leg: amplitudes times exp(-j kappa (d_b + d))."""
+    diff = np.asarray(point, dtype=float) - panel.cells
+    dist = np.linalg.norm(diff, axis=1)
+    cos = np.clip(np.einsum("ij,j->i", diff, panel.axis) / dist, -1.0, 1.0)
+    amp = (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
+           * fspl_amplitude(dist, ctx.wavelength))
+    kappa = 2.0 * np.pi / ctx.wavelength
+    return dist, panel.amp_b * amp * np.exp(-1j * kappa * (panel.d_b + dist))
+
+
 def explicit_ue_snr_pairs(ctx, result, panel):
     "SNR table (covered cells, UAV columns) of one panel, one pair at a time."
-    from risdeploy.evaluation import _leg, _traversal
-
     n = panel.index
     uavs = [None] if ctx.cfg.mode == "comm-only" else ctx.uav_grid.centers
     cells = ctx.regions[n].covered_cells
     table = np.zeros((len(cells), len(uavs)))
     for i, cell in enumerate(cells):
-        d_k, cos_k = _leg(panel.cells, ctx.ue_grid.centers[cell], panel.axis)
-        weights = _traversal(ctx, panel, d_k, cos_k)
+        d_k, weights = panel_leg(ctx, panel, ctx.ue_grid.centers[cell])
         for u, uav in enumerate(uavs):
-            d_u = None if uav is None else _leg(panel.cells, uav, panel.axis)[0]
+            d_u = None if uav is None else panel_leg(ctx, panel, uav)[0]
             phases = dual_beam_phases_mod(ctx, panel.d_b, d_k, d_u,
                                           float(result.beta_per_uav[u, n]))
             h = np.sum(weights * np.exp(1j * phases))
@@ -327,6 +337,23 @@ def explicit_ue_snr_pairs(ctx, result, panel):
                     * ctx.bs_amp_gain**2 * abs(h) ** 2)
             table[i, u] = p_rx / ctx.link.noise_power_w
     return table
+
+
+def explicit_sensing_crb_columns(ctx, result, panel, ue_cell):
+    """Closure CRBs (range row, velocity row) over the UAV cells, one column at
+    a time: each column forms its own UE and UAV legs and three exps."""
+    n = panel.index
+    crb = np.empty((2, len(ctx.uav_grid.centers)))
+    for u, uav in enumerate(ctx.uav_grid.centers):
+        d_k, _ = panel_leg(ctx, panel, ctx.ue_grid.centers[ue_cell])
+        d_u, weights = panel_leg(ctx, panel, uav)
+        phases = dual_beam_phases_mod(ctx, panel.d_b, d_k, d_u, float(result.beta_per_uav[u, n]))
+        h = complex(np.sum(weights * np.exp(1j * phases)))
+        path = sensing_path(ctx, n + 1, uav, float(result.omega_per_uav[u, n + 1]),
+                            ris=result.positions[n], cascade=h)
+        pair = fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
+        crb[:, u] = pair.range_crb, pair.velocity_crb
+    return crb
 
 
 def reference_comm_snr_per_leg(ctx, position, orientation, region):

@@ -90,14 +90,20 @@ def run_dir(pipeline_run):
 
 @pytest.fixture(scope="session")
 def compare_run(demo_cfg, tmp_path_factory):
-    "Comparison table across all four modes (one optimization per mode), and call counts."
+    "Artifacts of a comparison across all four modes (one optimization per mode), and call counts."
     out = tmp_path_factory.mktemp("compare")
     code, calls = _counted(cli.compare_modes, demo_cfg, list(cli.MODES), out)
     assert code == cli.EXIT_OK
-    return load_strict(out / "comparison.json"), calls
+    return out, calls
 
 
 @pytest.fixture(scope="session")
-def compare_rows(compare_run):
-    "Comparison table across all four modes."
+def compare_dir(compare_run):
+    "Artifacts of the comparison across all four modes."
     return compare_run[0]
+
+
+@pytest.fixture(scope="session")
+def compare_rows(compare_dir):
+    "Comparison table across all four modes."
+    return load_strict(compare_dir / "comparison.json")

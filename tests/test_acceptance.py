@@ -291,8 +291,7 @@ def test_a8_radar_pipeline():
 
 
 def _mock_region(cells):
-    return DeployableRegion(patch=None, covered_cells=sorted(cells),
-                            coverage_area=float(len(cells)))
+    return DeployableRegion(covered_cells=sorted(cells), coverage_area=float(len(cells)))
 
 
 def _brute_force_cover(universe, candidate_sets):

@@ -189,6 +189,18 @@ def test_run_log_has_stage_timings(run_dir):
         for n, (size, cov) in enumerate(zip(dep["sizes"], dep["coverage"]))]
 
 
+def test_compare_log_has_stage_timings(compare_dir):
+    # one context stage, then per mode a mode line and its optimize and closure stages
+    log = (compare_dir / "run.log").read_text()
+    stage = (r"INFO stage (?P<stage>\w+): \d+\.\d{3} s\n"
+             r"\S+ \S+ INFO stage (?P=stage) peak_rss: \d+\.\d MB$")
+    stages = re.findall(rf"INFO mode ([\w-]+)$|{stage}", log, re.MULTILINE)
+    expected = [("", "context")]
+    for mode in cli.MODES:
+        expected += [(mode, ""), ("", "optimize"), ("", "closure")]
+    assert stages == expected
+
+
 def test_optimizer_counts_are_the_step1_calls(ctx_full, monkeypatch):
     # the counts run.log reports are the step-1 evaluations the search made
     # (resampled initial vertices included) and the ones that raised
@@ -373,13 +385,16 @@ def test_negative_seed_flag_is_bad_input(command, capsys, tmp_path):
 
 def test_compare_needs_two_modes(demo_cfg, tmp_path, capsys):
     assert cli.compare_modes(demo_cfg, ["full-isac"], tmp_path) == cli.EXIT_BAD_INPUT
-    # on the command line it is a usage error, before a bad config could leave
-    # a one-row comparison
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["compare", "--config", str(tmp_path / "missing.json"),
-                  "--out", str(tmp_path / "cmp"), "--modes", "full-isac"])
-    assert exc.value.code == cli.EXIT_BAD_INPUT
-    assert not (tmp_path / "cmp").exists()
+    capsys.readouterr()
+    # on the command line too: one JSON record and a failed row, like any compare input error
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", demo_config_path(), "--out", str(out),
+                     "--modes", "full-isac"])
+    assert code == cli.EXIT_BAD_INPUT
+    record = json.loads(capsys.readouterr().out)
+    assert record == {"error": "InvalidInputError", "message": "compare needs at least two modes"}
+    assert load_strict(out / "comparison.json") == [
+        {"mode": "full-isac", "status": "failed", **record}]
 
 
 def test_main_validate_scene(capsys, demo_cfg, tmp_path):

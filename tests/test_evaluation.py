@@ -10,7 +10,8 @@ from risdeploy.evaluation import (build_panel, closure_report, demo_sensing_path
                                   explicit_sensing_crb, explicit_ue_snr)
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
-from _oracles import explicit_ue_snr_pairs, same_bits
+from _oracles import (explicit_sensing_crb_columns, explicit_ue_snr_pairs, panel_leg,
+                      same_bits)
 
 
 def _bigger(result):
@@ -82,22 +83,99 @@ def test_snr_table_memory_is_bounded_in_panel_cells(ctx_full, nm_result):
     assert peaks[1] <= peaks[0] + vector / 2, (peaks[1] - peaks[0]) / vector
 
 
+def test_leg_weights_are_the_conjugate_of_its_one_phasor(ctx_full, nm_result):
+    # bit for bit amplitudes times exp(-j kappa (d_b + d)) on every leg of the
+    # demo panels, and the phasor exp(j kappa (d_b + d)) that focuses on it
+    kappa = 2.0 * np.pi / ctx_full.wavelength
+    for n, region in enumerate(ctx_full.regions):
+        panel = build_panel(ctx_full, nm_result.step1, n)
+        for point in [*ctx_full.ue_grid.centers[region.covered_cells], *ctx_full.uav_grid.centers]:
+            weights, phasor = evaluation._leg(ctx_full, panel, point)
+            dist, expected = panel_leg(ctx_full, panel, point)
+            assert same_bits(weights, expected), (n, point)
+            assert same_bits(phasor, np.exp(1j * kappa * (panel.d_b + dist))), (n, point)
+
+
+def test_each_panel_leg_takes_one_exp(ctx_full, nm_result, monkeypatch):
+    panel = build_panel(ctx_full, nm_result.step1, 0)
+    calls = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.size(x) == len(panel.cells))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    n_cells = len(ctx_full.regions[0].covered_cells)
+    n_uav = len(ctx_full.uav_grid.centers)
+    explicit_ue_snr(ctx_full, nm_result.step1, panel)
+    assert sum(calls) == n_cells + n_uav  # one per UE leg and one per UAV leg
+    calls.clear()
+    explicit_sensing_crb(ctx_full, nm_result.step1, panel, ctx_full.regions[0].covered_cells[0])
+    assert sum(calls) == 1 + n_uav  # the comm leg once, then one per UAV column
+
+
 def test_explicit_crb_requires_sensing_mode(ctx_full, nm_result):
     comm = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="comm-only"))
     panel = build_panel(comm, nm_result.step1, 0)
     with pytest.raises(InvalidInputError):
-        explicit_sensing_crb(comm, nm_result.step1, panel, 0, ctx_full.regions[0].covered_cells[0])
+        explicit_sensing_crb(comm, nm_result.step1, panel, ctx_full.regions[0].covered_cells[0])
 
 
 def test_explicit_crb_improves_with_size(ctx_full, nm_result):
     cell = ctx_full.regions[0].covered_cells[0]
     crb = explicit_sensing_crb(ctx_full, nm_result.step1,
-                               build_panel(ctx_full, nm_result.step1, 0), 0, cell)
-    assert crb.range_crb > 0 and crb.velocity_crb > 0
+                               build_panel(ctx_full, nm_result.step1, 0), cell)
+    assert crb.shape == (2, len(ctx_full.uav_grid.centers))
+    assert np.all(crb > 0)
     bigger = _bigger(nm_result.step1)
-    crb_big = explicit_sensing_crb(ctx_full, bigger, build_panel(ctx_full, bigger, 0), 0, cell)
-    assert crb_big.range_crb < crb.range_crb
-    assert crb_big.velocity_crb < crb.velocity_crb
+    crb_big = explicit_sensing_crb(ctx_full, bigger, build_panel(ctx_full, bigger, 0), cell)
+    assert np.all(crb_big < crb)
+
+
+def _assert_crbs_match_columns(ctx, result):
+    for n, region in enumerate(ctx.regions):
+        panel = build_panel(ctx, result, n)
+        for cell in (region.covered_cells[0], region.covered_cells[-1]):
+            assert same_bits(explicit_sensing_crb(ctx, result, panel, cell),
+                             explicit_sensing_crb_columns(ctx, result, panel, cell)), (n, cell)
+
+
+@pytest.mark.parametrize("mode", ["full-isac", "passive-orientation", "pathloss-baseline"])
+def test_crbs_are_the_per_column_synthesis(ctx_full, nm_result, mode):
+    # bit for bit the CRBs of columns that each form their own legs and beams
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
+    result = nm_result.step1 if mode == "full-isac" else cli.optimize(ctx).step1
+    _assert_crbs_match_columns(ctx, result)
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_crbs_are_the_per_column_synthesis_at_other_bits(ctx_full, nm_result, bits):
+    ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, bits=bits))
+    _assert_crbs_match_columns(ctx, nm_result.step1)
+
+
+def test_crb_memory_is_bounded_in_panel_vectors(ctx_full, nm_result):
+    # a fixed number of panel vectors, whatever the number of UAV cells
+    plan = nm_result.step1
+    panel = build_panel(ctx_full, plan, 0)
+    vector = 16 * len(panel.cells)  # bytes of one complex panel vector
+    centers = ctx_full.uav_grid.centers
+    doubled = dataclasses.replace(ctx_full, uav_grid=dataclasses.replace(
+        ctx_full.uav_grid, centers=np.vstack([centers, centers])))
+    twice = dataclasses.replace(plan, beta_per_uav=np.vstack([plan.beta_per_uav] * 2),
+                                omega_per_uav=np.vstack([plan.omega_per_uav] * 2))
+    cell = ctx_full.regions[0].covered_cells[0]
+    peaks = []
+    for ctx, result in ((ctx_full, plan), (doubled, twice)):
+        tracemalloc.start()
+        try:
+            explicit_sensing_crb(ctx, result, panel, cell)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 10 * vector, peaks[0] / vector
+    assert peaks[1] <= peaks[0] + vector / 2, (peaks[1] - peaks[0]) / vector
 
 
 def test_closure_report_shapes_and_margins(ctx_full, nm_result):

@@ -312,9 +312,8 @@ def test_pathloss_baseline_runs(ctx_full):
     for region, position in zip(ctx_full.regions, base.step1.positions):
         face = region.face  # the position in patch coordinates
         u, v = float((position - face.origin) @ face.u_hat), float(position[2])
-        patch = region.patch
-        assert patch.u_min - 1e-9 <= u <= patch.u_max + 1e-9
-        assert patch.v_min - 1e-9 <= v <= patch.v_max + 1e-9
+        assert region.u_min - 1e-9 <= u <= region.u_max + 1e-9
+        assert region.v_min - 1e-9 <= v <= region.v_max + 1e-9
 
 
 def _cheapest_free_space_coords(ctx, samples, seed):

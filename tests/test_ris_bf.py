@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from risdeploy.arrays import Orientation, rotation_matrix
 from risdeploy.errors import InvalidInputError
-from risdeploy.evaluation import _beam, _panel_sum, _sense_beam
+from risdeploy.evaluation import Panel, _leg, _panel_sum
 from risdeploy.ris_bf import (codeword_index, codeword_phasors, quantization_efficiency,
                               ris_cell_positions)
 from risdeploy.units import wavelength
@@ -106,33 +106,39 @@ UE = np.array([40.0, -20.0, -3.0])
 UAV = np.array([30.0, 0.0, 25.0])
 
 
-def _focus_distances():
+def _focus(bits):
+    """A panel with unit BS-leg amplitudes, and the traversal weights and
+    focusing phasor of its comm (UE) and sense (UAV) legs."""
+    ctx = types.SimpleNamespace(wavelength=LAM, cell_area=SPC**2,
+                                cfg=types.SimpleNamespace(bits=bits))
     cells = ris_cell_positions(16, SPC, np.zeros(3), Orientation(0.0, 0.0))
-    return cells, *(np.linalg.norm(cells - p, axis=1) for p in (BS, UE, UAV))
+    panel = Panel(index=0, cells=cells, axis=np.array([1.0, 0.0, 0.0]),
+                  d_b=np.linalg.norm(cells - BS, axis=1), amp_b=np.ones(len(cells)))
+    return panel, _leg(ctx, panel, UE), _leg(ctx, panel, UAV)
 
 
 def test_dual_beam_single_beam_limit():
-    ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=2))
-    cells, d_b, d_ue, d_uav = _focus_distances()
+    panel, (_, comm), (_, sense) = _focus(2)
+    d_ue = np.linalg.norm(panel.cells - UE, axis=1)
     rng = np.random.default_rng(2)
-    weights = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
-    comm = np.exp(1j * quantize_phases_mod(2 * np.pi / LAM * (d_b + d_ue), 2))
-    beam = _beam(ctx, d_b, d_ue) + _sense_beam(ctx, d_b, d_uav, 1.0)
+    weights = rng.standard_normal(len(panel.cells)) + 1j * rng.standard_normal(len(panel.cells))
+    # the dual beam at beta = 1 is the comm beam, quantized through np.mod
+    beam = np.sqrt(1.0) * comm + np.sqrt(0.0) * sense
+    assert same_bits(beam, comm)
+    quantized = np.exp(1j * quantize_phases_mod(2 * np.pi / LAM * (panel.d_b + d_ue), 2))
     h = _panel_sum(weights, beam, codeword_phasors(2), 2)
-    np.testing.assert_allclose(h, np.sum(weights * comm), rtol=1e-12)
+    np.testing.assert_allclose(h, np.sum(weights * quantized), rtol=1e-12)
 
 
 def test_dual_beam_splits_coherent_power():
-    ctx = types.SimpleNamespace(wavelength=LAM, cfg=types.SimpleNamespace(bits=8))
-    cells, d_b, d_ue, d_uav = _focus_distances()
-    m = len(cells)
-    kappa = 2 * np.pi / LAM
+    panel, (_, comm), (_, sense) = _focus(8)
+    m = len(panel.cells)
 
     def gains(beta):
-        beam = np.sqrt(beta) * _beam(ctx, d_b, d_ue) + _sense_beam(ctx, d_b, d_uav, beta)
-        return tuple(abs(_panel_sum(np.exp(-1j * kappa * (d_b + d)), beam,
-                                    codeword_phasors(8), 8)) ** 2
-                     for d in (d_ue, d_uav))
+        beam = np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense
+        # equal-amplitude weights: the conjugates of the two focusing phasors
+        return tuple(abs(_panel_sum(np.conj(phasor), beam, codeword_phasors(8), 8)) ** 2
+                     for phasor in (comm, sense))
 
     # equal weights give a near-symmetric split with substantial gain on both beams
     g_ue, g_uav = gains(0.5)

@@ -227,8 +227,7 @@ def test_build_grids_excludes_buildings_and_validates():
 
 
 def _mock_region(cells):
-    return DeployableRegion(patch=None, covered_cells=list(cells),
-                            coverage_area=float(len(cells)))
+    return DeployableRegion(covered_cells=list(cells), coverage_area=float(len(cells)))
 
 
 def test_select_ris_regions_greedy():
@@ -303,17 +302,16 @@ def test_scene_keeps_unknown_keys_and_builds_from_the_schema():
 
 def test_region_patch_geometry(ctx_full):
     region = ctx_full.regions[0]
-    patch = region.patch
-    p = region.point_at(patch.u_min, patch.v_min)
-    q = region.point_at(patch.u_min + 1.0, patch.v_min)
+    p = region.point_at(region.u_min, region.v_min)
+    q = region.point_at(region.u_min + 1.0, region.v_min)
     assert np.linalg.norm(q - p) == pytest.approx(1.0, abs=1e-9)
-    assert p[2] == pytest.approx(patch.v_min)
-    u, v = region.clamp(patch.u_max + 5.0, patch.v_min - 5.0)
-    assert (u, v) == (patch.u_max, patch.v_min)
+    assert p[2] == pytest.approx(region.v_min)
+    u, v = region.clamp(region.u_max + 5.0, region.v_min - 5.0)
+    assert (u, v) == (region.u_max, region.v_min)
     n = region.face.normal
     assert np.linalg.norm(n) == pytest.approx(1.0)
     rng = np.random.default_rng(0)
     for _ in range(10):
         u, v = region.sample(rng)
-        assert patch.u_min <= u <= patch.u_max
-        assert patch.v_min <= v <= patch.v_max
+        assert region.u_min <= u <= region.u_max
+        assert region.v_min <= v <= region.v_max
