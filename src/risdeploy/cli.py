@@ -24,7 +24,7 @@ import numpy as np
 from . import evaluation, optimizer, radar, schema, scene as scene_mod
 from .channel import LinkBudget
 from .errors import (InfeasibleCoverageError, InfeasiblePowerError, InvalidInputError,
-                     RisDeployError, SceneFormatError)
+                     RisDeployError, SceneFormatError, SizeCapError)
 from .propagation import PropagationConfig
 from .sensing import OfdmParams, OfdmWaveform
 from .units import lin2db
@@ -367,18 +367,20 @@ def _record(exc: RisDeployError) -> dict:
 def _failed(exc: RisDeployError, in_build: bool, out_dir: Path | None = None,
             modes=None) -> int:
     """The one way out of a failed command: print its record as one JSON line,
-    leave it in `out_dir` (error.json, or with `modes` a failed row per mode)
-    and return the exit code. Bad input exits 2: a format error, or a value
-    rejected `in_build` (while the input is read and the context built)."""
+    leave it in `out_dir` (error.json, or with two `modes` or more a failed row
+    per mode; one mode is not a comparison and leaves nothing) and return the
+    exit code. Bad input exits 2: a format error, or a value rejected
+    `in_build` (while the input is read and the context built)."""
     record = _record(exc)
     print(json.dumps(record))
     if modes is not None:
-        _write_comparison(out_dir, [{"mode": m, "status": "failed", **record} for m in modes])
+        if len(modes) > 1:
+            _write_comparison(out_dir, [{"mode": m, "status": "failed", **record} for m in modes])
     elif out_dir is not None:
         _write_json(out_dir / "error.json", record)
     if isinstance(exc, SceneFormatError) or (in_build and isinstance(exc, InvalidInputError)):
         return EXIT_BAD_INPUT
-    if isinstance(exc, (InfeasibleCoverageError, InfeasiblePowerError)):
+    if isinstance(exc, (InfeasibleCoverageError, InfeasiblePowerError, SizeCapError)):
         return EXIT_INFEASIBLE
     return EXIT_ERROR
 

@@ -37,6 +37,10 @@ class UnreachableTargetsError(RisDeployError):
     """No orientation inside the bounds reaches any target."""
 
 
+class SizeCapError(UnreachableTargetsError):
+    """A RIS needs a larger panel than `size_cap` allows at this placement."""
+
+
 class InfeasiblePowerError(RisDeployError):
     """Power allocation request cannot be satisfied."""
 

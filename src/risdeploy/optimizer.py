@@ -17,7 +17,7 @@ import numpy as np
 
 from .arrays import Orientation, OrientationBounds, panel_normal
 from .channel import PANEL_FOV_RAD, LinkBudget, unit_cell_amplitude_gain
-from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError,
+from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError, SizeCapError,
                      UnobservablePathError, UnreachableTargetsError)
 from .propagation import (PropagationConfig, dominant_path_between, dominant_paths_from,
                           fspl_amplitude)
@@ -112,11 +112,16 @@ def _square_panel(area: float, spacing: float) -> RisSize:
 
 
 def _axis_grid(bounds: OrientationBounds, step: float):
-    """Panel-normal direction vectors over a (theta_r, psi_r) grid, (3, n_axes),
-    with each node's theta_r and psi_r (cached)."""
-    return _axis_grid_cached(round(bounds.theta_low, 12), round(bounds.theta_high, 12),
-                             round(bounds.psi_low, 12), round(bounds.psi_high, 12),
-                             round(step, 15))
+    """Panel-normal direction vectors over a (theta_r, psi_r) grid, (3, n_axes)
+    in theta-major node order, with the grid's thetas and psis (cached): node
+    k lies at (thetas[k // len(psis)], psis[k % len(psis)])."""
+    return _axis_grid_cached(*_grid_key(bounds, step))
+
+
+def _grid_key(bounds: OrientationBounds, step: float) -> tuple:
+    "Cache key of the grid over `bounds` at `step`."
+    return (round(bounds.theta_low, 12), round(bounds.theta_high, 12),
+            round(bounds.psi_low, 12), round(bounds.psi_high, 12), round(step, 15))
 
 
 @lru_cache(maxsize=64)
@@ -124,10 +129,99 @@ def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     thetas = np.arange(theta_low, theta_high + step / 2, step)
     psis = np.arange(psi_low, psi_high + step / 2, step)
     axes = np.ascontiguousarray(panel_normal(thetas[:, None], psis).reshape(-1, 3).T)  # (3, n_axes)
-    return axes, np.repeat(thetas, len(psis)), np.tile(psis, len(thetas))
+    return axes, thetas, psis
 
 
 _COS_FOV = float(np.cos(PANEL_FOV_RAD))
+BLOCK = 8  # coarse-grid nodes per block side in the bounded coarse pass
+# Rounding room of the block bounds: an angle from arccos near 0 or pi is
+# off by up to ~1e-8 rad, and a score by a few ulps.
+_ANGLE_SLACK = 1e-6  # rad
+_SCORE_SLACK = 1e-9  # relative
+# The BLAS GEMM under `targets @ axes` forms the columns of each full group
+# of _GEMM_GROUP with one arithmetic and a last partial group with another,
+# which can round differently. A gather of whole groups from before the
+# grid's own partial group gives those nodes the full grid's bits, and the
+# grid's last _GEMM_GROUP + r columns, scored together, give its partial
+# group's bits (held by the tests against the full grid).
+_GEMM_GROUP = 8
+
+
+@lru_cache(maxsize=64)
+def _coarse_blocks(*key):
+    """The centre axis (3, n_blocks) and angular radius of each BLOCK x BLOCK
+    block of the `_axis_grid_cached(*key)` grid, in row-major block order:
+    the radius is the largest angle from the centre to one of the block's
+    nodes, plus _ANGLE_SLACK."""
+    axes, thetas, psis = _axis_grid_cached(*key)
+    n_psi = len(psis)
+    grid = axes.reshape(3, len(thetas), n_psi)
+    centres, radius = [], []
+    for i in range(0, grid.shape[1], BLOCK):
+        for j in range(0, n_psi, BLOCK):
+            nodes = grid[:, i:i + BLOCK, j:j + BLOCK].reshape(3, -1)
+            total = np.sum(nodes, axis=1)
+            centre = total / np.linalg.norm(total)
+            centres.append(centre)
+            radius.append(np.max(np.arccos(np.clip(centre @ nodes, -1.0, 1.0))))
+    return np.array(centres).T, np.array(radius) + _ANGLE_SLACK
+
+
+def _gemm_gather(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Columns of an n-node grid, in order but for repeats, whose `targets @
+    axes[:, columns]` gives each of the sorted `nodes` the bits of the full
+    `targets @ axes`: the nodes before the grid's partial GEMM group, padded
+    with repeats of the last to whole groups, then, if any node lies in the
+    partial group, the grid's last _GEMM_GROUP + r columns."""
+    whole = n - n % _GEMM_GROUP
+    head = nodes[nodes < whole]
+    columns = np.pad(head, (0, -len(head) % _GEMM_GROUP), mode="edge")
+    if len(head) < len(nodes):
+        columns = np.concatenate([columns, np.arange(max(whole - _GEMM_GROUP, 0), n)])
+    return columns
+
+
+def _block_bounds(centres, radius, u_bs, u_ue, u_uav) -> np.ndarray:
+    """Upper bound of `_orientation_score` over each block's nodes, 0 where
+    no node can see the BS, every UE cell and every UAV cell.
+
+    A node lies within `radius` of its block's centre c, so its angle to a
+    target u is at least angle(c, u) - radius and its cosine at most
+    cos(max(0, angle(c, u) - radius)). The worst target of a row is the one
+    farthest from c, so each row group (BS, UE cells, UAV cells) takes one
+    arccos of its least cosine to c."""
+    groups = [u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav])
+    least = np.array([np.min(g @ centres, axis=0) for g in groups])
+    bound = np.cos(np.maximum(0.0, np.arccos(np.clip(least, -1.0, 1.0)) - radius))
+    return np.prod(bound, axis=0) * np.all(bound > _COS_FOV, axis=0)
+
+
+def _bounded_coarse_argmax(key, u_bs, u_ue, u_uav):
+    """Index of the first maximum of `_orientation_score` over the coarse grid
+    `_axis_grid_cached(*key)`, bit for bit the full grid's; None when every
+    score is 0.
+
+    Branch and bound over BLOCK x BLOCK blocks (Hartley & Kahl 2009, IJCV 82):
+    score the block with the best bound, then, in one gather in node order,
+    every block whose bound reaches that score."""
+    axes, thetas, psis = _axis_grid_cached(*key)
+    n_theta, n_psi = len(thetas), len(psis)
+    centres, radius = _coarse_blocks(*key)
+    bound = _block_bounds(centres, radius, u_bs, u_ue, u_uav)
+    top = int(np.argmax(bound))
+    if bound[top] <= 0.0:
+        return None
+    col_blocks = -(-n_psi // BLOCK)
+    row, col = divmod(top, col_blocks)
+    lead = axes.reshape(3, n_theta, n_psi)[:, BLOCK * row:BLOCK * (row + 1),
+                                           BLOCK * col:BLOCK * (col + 1)]
+    floor = np.max(_orientation_score(lead.reshape(3, -1), u_bs, u_ue, u_uav))
+    keep = (bound >= floor * (1.0 - _SCORE_SLACK)) & (bound > 0.0)
+    nodes = keep.reshape(-1, col_blocks).repeat(BLOCK, 0).repeat(BLOCK, 1)
+    gather = _gemm_gather(np.flatnonzero(nodes[:n_theta, :n_psi]), axes.shape[1])
+    score = _orientation_score(axes[:, gather], u_bs, u_ue, u_uav)
+    best = int(np.argmax(score))
+    return None if score[best] <= 0.0 else int(gather[best])
 
 
 def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
@@ -161,7 +255,9 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
 
     Grid search at ORIENTATION_STEP resolution over the bounds, then a 20x
     finer pass in a +-1.5 step window around the coarse optimum. Back-side
-    directions contribute zero.
+    directions contribute zero. The coarse pass scores only the blocks of
+    nodes that an angular bound cannot rule out, and finds the full grid's
+    first maximum bit for bit.
     """
     p = np.asarray(ris_pos, dtype=float)
 
@@ -175,19 +271,20 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     u_bs = unit_rows(bs_pos)[0]
     u_ue = unit_rows(ue_centers)
     u_uav = unit_rows(uav_centers) if uav_centers is not None and len(uav_centers) else None
-    axes, tg, pg = _axis_grid(bounds, ORIENTATION_STEP)
-    score = _orientation_score(axes, u_bs, u_ue, u_uav)
-    best = int(np.argmax(score))
-    if score[best] <= 0.0:
+    key = _grid_key(bounds, ORIENTATION_STEP)
+    best = _bounded_coarse_argmax(key, u_bs, u_ue, u_uav)
+    if best is None:
         raise UnreachableTargetsError("no orientation sees the BS and any target")
+    _, thetas, psis = _axis_grid_cached(*key)
+    row, col = divmod(best, len(psis))
+    theta, psi = thetas[row], psis[col]
     window = 1.5 * ORIENTATION_STEP
     fine = OrientationBounds(
-        max(bounds.theta_low, tg[best] - window), min(bounds.theta_high, tg[best] + window),
-        max(bounds.psi_low, pg[best] - window), min(bounds.psi_high, pg[best] + window))
-    axes_f, tg_f, pg_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
-    score_f = _orientation_score(axes_f, u_bs, u_ue, u_uav)
-    best_f = int(np.argmax(score_f))
-    return Orientation(float(tg_f[best_f]), float(pg_f[best_f]))
+        max(bounds.theta_low, theta - window), min(bounds.theta_high, theta + window),
+        max(bounds.psi_low, psi - window), min(bounds.psi_high, psi + window))
+    axes_f, thetas_f, psis_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
+    row, col = divmod(int(np.argmax(_orientation_score(axes_f, u_bs, u_ue, u_uav))), len(psis_f))
+    return Orientation(float(thetas_f[row]), float(psis_f[col]))
 
 
 @dataclass(frozen=True)
@@ -411,7 +508,7 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
     panel sizes take the worst (largest) UAV cell. The per-cell beta
     minimization is exact for the decoupled objective because E is monotone
     in the sum of the per-RIS KKT weights, each of which depends only on that
-    RIS's own c_n."""
+    RIS's own c_n. SizeCapError when a panel's side exceeds `size_cap`."""
     n_ris = len(refs)
     comm_only = ctx.cfg.mode == "comm-only"
     cov_areas = np.array([r.coverage_area for r in ctx.regions])
@@ -439,7 +536,9 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
         size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
                         ctx.cell_area, ctx.m_ref, ctx.cell_spacing)
         if size.side > ctx.cfg.size_cap:
-            size = _square_panel(ctx.cfg.size_cap**2, ctx.cell_spacing)
+            raise SizeCapError(f"RIS {n} at {np.round(refs[n].position, 2)} needs a "
+                               f"{size.side:.4g} m panel side, over size_cap "
+                               f"{ctx.cfg.size_cap:g} m")
         sizes.append(size)
         objective += size.area / cov_areas[n]
     return Step1Result(objective=float(objective), positions=[r.position for r in refs],
@@ -477,6 +576,7 @@ class SimplexState:
     iteration: int = 0
     evaluations: int = 0  # step-1 evaluations so far, resampled vertices included
     unreachable: int = 0  # of them, the ones that raised UnreachableTargetsError
+    over_cap: int = 0  # of those, the ones whose panel exceeded size_cap (SizeCapError)
 
     def order(self):
         idx = np.argsort(self.objectives, kind="stable")
@@ -489,8 +589,9 @@ class SimplexState:
         self.evaluations += 1
         try:
             res = step1_evaluate(patch_points(coords, context.regions), context, self.omega0)
-        except UnreachableTargetsError:
+        except UnreachableTargetsError as exc:
             self.unreachable += 1
+            self.over_cap += isinstance(exc, SizeCapError)
             return np.inf, None
         return res.objective, res
 
@@ -524,7 +625,9 @@ def _project(coords: np.ndarray, regions) -> np.ndarray:
 
 def initial_simplex(context: OptimizerContext, seed: int = 0,
                     n_vertices: int | None = None) -> SimplexState:
-    "Random vertices inside the regions; M_s = 2N by default."
+    """Random vertices inside the regions; M_s = 2N by default. A vertex takes
+    up to 50 samples; when none is evaluable, SizeCapError if one of them
+    failed only on `size_cap`, else UnreachableTargetsError."""
     n_ris = len(context.regions)
     if n_vertices is None:
         n_vertices = 2 * n_ris + 1
@@ -533,6 +636,7 @@ def initial_simplex(context: OptimizerContext, seed: int = 0,
                          objectives=np.zeros(n_vertices), results=[],
                          omega0=direct_power_share(context))
     for v in range(n_vertices):
+        capped = state.over_cap
         for _ in range(50):  # resample until the vertex is evaluable
             for n, region in enumerate(context.regions):
                 state.coords[v, 2 * n], state.coords[v, 2 * n + 1] = region.sample(rng)
@@ -540,6 +644,9 @@ def initial_simplex(context: OptimizerContext, seed: int = 0,
             if res is not None:
                 break
         else:
+            if state.over_cap > capped:
+                raise SizeCapError("could not sample an initial simplex vertex whose panels "
+                                   f"fit size_cap {context.cfg.size_cap:g} m")
             raise UnreachableTargetsError(
                 "could not sample an evaluable initial simplex vertex")
         state.results.append(res)

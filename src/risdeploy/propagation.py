@@ -118,6 +118,11 @@ def _face_checker(face: Face):
     return on_face
 
 
+# Rounding room of the reflection-loss floor in enumerate_paths: a reflection's
+# computed loss can fall below the floor by a few ulps, never by this much.
+FLOOR_SLACK_DB = 1e-9
+
+
 def _coincident(a, b):
     """np.allclose(a, b) at its default tolerances, without its generic
     overhead; one answer per row when b holds several points."""
@@ -132,6 +137,10 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
     ``pl_max_db`` total path loss and is sorted by attenuation descending
     (ties: shorter first). A caller that has already tested the direct leg
     passes its answer as `los`, which then replaces the line-of-sight test.
+
+    Every reflection is at least as long as the direct leg and pays the bounce
+    loss on top, so when the direct leg's free-space loss plus the bounce loss
+    exceeds the budget (by more than FLOOR_SLACK_DB), no reflection is formed.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,6 +153,9 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
         los = line_of_sight(scene, a, b)
     if los:
         paths.append(_los_path(a, b, lam))
+    floor_db = -20.0 * np.log10(fspl_amplitude(float(np.linalg.norm(b - a)), lam) * loss_amp)
+    if floor_db > cfg.pl_max_db + FLOOR_SLACK_DB:
+        return [p for p in paths if path_loss_db(p) <= cfg.pl_max_db]
     for building in scene.buildings:
         for face in building.faces:
             rec = _reflection_path(scene, a, b, face.origin, face.normal, _face_checker(face),

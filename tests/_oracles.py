@@ -25,20 +25,26 @@ RIS's reference and sizes the plan in one pass, recomputing the worst served
 SNR for each (UAV cell, RIS) pair. It forms each UE leg's dominant path with
 its own `dominant_path_between` call, each UAV cell's reference cascade and
 CRB one cell at a time through `fim`, and each (UAV cell, RIS) pair's beta
-split with its own look over the grid. The masked orientation score applies the field-of-view
-mask to every cosine before the minima over targets.
+split with its own look over the grid, and searches orientations over the
+whole coarse grid. The masked orientation score applies the field-of-view
+mask to every cosine before the minima over targets. The full-grid
+orientation search scores every coarse node, and the every-face path
+enumeration runs the image method on every face whatever the budget.
 """
 
 import numpy as np
 
-from risdeploy.arrays import Orientation, panel_normal
+from risdeploy.arrays import Orientation, OrientationBounds, panel_normal
 from risdeploy.channel import PANEL_FOV_RAD, unit_cell_amplitude_gain
-from risdeploy.errors import (InvalidInputError, NoPathError, UnobservablePathError,
-                              UnreachableTargetsError)
-from risdeploy.optimizer import (Step1Result, _square_panel, constraint_constants,
-                                 direct_power_share, kkt_power_allocation, orientation_search,
-                                 ris_size, sensing_path)
-from risdeploy.propagation import dominant_path_between, fspl_amplitude
+from risdeploy.errors import (InvalidInputError, NoPathError, SizeCapError,
+                              UnobservablePathError, UnreachableTargetsError)
+from risdeploy.optimizer import (ORIENTATION_STEP, Step1Result, _axis_grid,
+                                 _orientation_score, constraint_constants,
+                                 direct_power_share, kkt_power_allocation, ris_size,
+                                 sensing_path)
+from risdeploy.propagation import (_coincident, _face_checker, _los_path, _reflection_path,
+                                   dominant_path_between, fspl_amplitude, path_loss_db)
+from risdeploy.scene import line_of_sight
 from risdeploy.sensing import fim
 from risdeploy.units import SPEED_OF_LIGHT, db2lin
 
@@ -167,6 +173,67 @@ def orientation_score_masked(axes, u_bs, u_ue, u_uav):
     if u_uav is not None:
         score *= np.min(cos[n_ue + 1:], axis=0)
     return score
+
+
+def orientation_search_full(ris_pos, bs_pos, ue_centers, uav_centers, bounds):
+    """The orientation search scoring every node of the coarse grid, then the
+    20x finer pass in a +-1.5 step window around the coarse optimum."""
+    p = np.asarray(ris_pos, dtype=float)
+
+    def unit_rows(points):
+        d = np.asarray(points, dtype=float).reshape(-1, 3) - p
+        n = np.linalg.norm(d, axis=1, keepdims=True)
+        if np.any(n < 1e-9):
+            raise InvalidInputError("target coincides with the RIS position")
+        return d / n
+
+    u_bs = unit_rows(bs_pos)[0]
+    u_ue = unit_rows(ue_centers)
+    u_uav = unit_rows(uav_centers) if uav_centers is not None and len(uav_centers) else None
+    axes, thetas, psis = _axis_grid(bounds, ORIENTATION_STEP)
+    tg, pg = np.repeat(thetas, len(psis)), np.tile(psis, len(thetas))  # each node's angles
+    score = _orientation_score(axes, u_bs, u_ue, u_uav)
+    best = int(np.argmax(score))
+    if score[best] <= 0.0:
+        raise UnreachableTargetsError("no orientation sees the BS and any target")
+    window = 1.5 * ORIENTATION_STEP
+    fine = OrientationBounds(
+        max(bounds.theta_low, tg[best] - window), min(bounds.theta_high, tg[best] + window),
+        max(bounds.psi_low, pg[best] - window), min(bounds.psi_high, pg[best] + window))
+    axes_f, thetas_f, psis_f = _axis_grid(fine, ORIENTATION_STEP / 20.0)
+    tg_f, pg_f = np.repeat(thetas_f, len(psis_f)), np.tile(psis_f, len(thetas_f))
+    score_f = _orientation_score(axes_f, u_bs, u_ue, u_uav)
+    best_f = int(np.argmax(score_f))
+    return Orientation(float(tg_f[best_f]), float(pg_f[best_f]))
+
+
+def enumerate_paths_every_face(scene, cfg, a, b, *, los=None):
+    """All modeled paths between two points, strongest first, with the image
+    method run on every building face and the ground whatever the budget."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if _coincident(a, b):
+        raise InvalidInputError("degenerate link: a == b")
+    lam = cfg.wavelength
+    loss_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
+    paths = []
+    if los is None:
+        los = line_of_sight(scene, a, b)
+    if los:
+        paths.append(_los_path(a, b, lam))
+    for building in scene.buildings:
+        for face in building.faces:
+            rec = _reflection_path(scene, a, b, face.origin, face.normal, _face_checker(face),
+                                   lam, loss_amp, cfg.pl_max_db)
+            if rec is not None:
+                paths.append(rec)
+    rec = _reflection_path(scene, a, b, np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                           lambda p: True, lam, loss_amp, cfg.pl_max_db)
+    if rec is not None:
+        paths.append(rec)
+    paths = [p for p in paths if path_loss_db(p) <= cfg.pl_max_db]
+    paths.sort(key=lambda p: (-p.attenuation, p.length))
+    return paths
 
 
 def same_bits(a, b) -> bool:
@@ -422,9 +489,9 @@ def step1_evaluate_joint(positions, context, omega0=None):
             normal = region.face.normal
             orient = Orientation(0.0, float(np.arctan2(normal[1], normal[0])))
         else:
-            orient = orientation_search(positions[n], context.scene.bs_position,
-                                        context.ue_grid.centers[region.covered_cells],
-                                        uav_centers, bounds)
+            orient = orientation_search_full(positions[n], context.scene.bs_position,
+                                             context.ue_grid.centers[region.covered_cells],
+                                             uav_centers, bounds)
         orientations.append(orient)
         try:
             gamma = reference_comm_snr_per_leg(context, positions[n], orient, region)
@@ -475,7 +542,8 @@ def step1_evaluate_joint(positions, context, omega0=None):
         size = ris_size(c_table[u_star, n] * margin, omegas[u_star, n + 1],
                         context.cell_area, context.m_ref, context.cell_spacing)
         if size.side > size_cap:
-            size = _square_panel(size_cap**2, context.cell_spacing)
+            raise SizeCapError(f"RIS {n} at {np.round(positions[n], 2)} needs a "
+                               f"{size.side:.4g} m panel side, over size_cap {size_cap:g} m")
         sizes.append(size)
         objective += size.area / cov_areas[n]
     return Step1Result(objective=float(objective),

@@ -5,13 +5,18 @@ per session and shared by the optimizer, evaluation and acceptance tests.
 """
 
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from risdeploy import cli, sensing
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import city  # noqa: E402
 
 VERDICTS = []
 
@@ -30,6 +35,11 @@ def pytest_terminal_summary(terminalreporter):
 
 def demo_config_path() -> str:
     return str(resources.files("risdeploy").joinpath("data/demo_config.json"))
+
+
+def bench_city_config(out_dir: Path) -> Path:
+    "Write the bench's city (city seed 1, planner seed 0) into out_dir; its config path."
+    return city.write(out_dir, 1, Path(demo_config_path()))
 
 
 def load_strict(path):

@@ -386,15 +386,61 @@ def test_negative_seed_flag_is_bad_input(command, capsys, tmp_path):
 def test_compare_needs_two_modes(demo_cfg, tmp_path, capsys):
     assert cli.compare_modes(demo_cfg, ["full-isac"], tmp_path) == cli.EXIT_BAD_INPUT
     capsys.readouterr()
-    # on the command line too: one JSON record and a failed row, like any compare input error
+    # on the command line too: one JSON record and no file, as one mode is not a comparison
     out = tmp_path / "cmp"
     code = cli.main(["compare", "--config", demo_config_path(), "--out", str(out),
                      "--modes", "full-isac"])
     assert code == cli.EXIT_BAD_INPUT
     record = json.loads(capsys.readouterr().out)
     assert record == {"error": "InvalidInputError", "message": "compare needs at least two modes"}
-    assert load_strict(out / "comparison.json") == [
-        {"mode": "full-isac", "status": "failed", **record}]
+    assert not list(tmp_path.rglob("*.json"))
+
+
+@pytest.mark.parametrize("modes", [["full-isac"], ["full-isac", "comm-only"]],
+                         ids=["one-mode", "two-modes"])
+@pytest.mark.parametrize("env", [{}, {"RISDEPLOY_BITS": "0"}, {"RISDEPLOY_SIZE_CAP": "0.3"}],
+                         ids=["demo", "bad-config", "size-cap"])
+def test_every_comparison_json_compare_leaves_matches_its_schema(modes, env, tmp_path,
+                                                                 monkeypatch, capsys):
+    # a compare of two modes or more leaves a comparison.json its schema
+    # accepts, failed rows included; one mode leaves none and prints its record
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", demo_config_path(), "--out", str(out),
+                     "--modes", *modes])
+    printed = capsys.readouterr().out
+    if len(modes) < 2:
+        assert code == cli.EXIT_BAD_INPUT and not (out / "comparison.json").exists()
+        assert json.loads(printed)["error"] in ("InvalidInputError", "SceneFormatError")
+        return
+    rows = load_strict(out / "comparison.json")
+    _validate(rows, "comparison")
+    assert [r["mode"] for r in rows] == modes
+    assert (code == cli.EXIT_OK) == all(r["status"] == "ok" for r in rows)
+    if "RISDEPLOY_SIZE_CAP" in env:  # each mode fails on the cap after the context is built
+        assert code == cli.EXIT_ERROR
+        assert {(r["status"], r["error"]) for r in rows} == {("failed", "SizeCapError")}
+
+
+@pytest.mark.parametrize("cap", [0.3, 0.5, 0.75])
+def test_size_cap_is_a_constraint(cap, tmp_path, monkeypatch):
+    # a plan whose panels cannot fit size_cap is infeasible (exit 3, naming the
+    # cap); a plan that exits 0 fits the cap and passes its closure
+    monkeypatch.setenv("RISDEPLOY_SIZE_CAP", str(cap))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", demo_config_path(), "--out", str(out), "--seed", "1"])
+    if cap < 0.75:
+        assert code == cli.EXIT_INFEASIBLE
+    if code == cli.EXIT_INFEASIBLE:
+        err = load_strict(out / "error.json")
+        assert err["error"] == "SizeCapError" and f"size_cap {cap:g} m" in err["message"]
+        return
+    assert code == cli.EXIT_OK
+    dep = load_strict(out / "deployment.json")
+    assert max(s["side_m"] for s in dep["sizes"]) <= cap
+    assert min(dep["snr_margin_db"], dep["crb_range_margin_db"],
+               dep["crb_velocity_margin_db"]) >= 0.0
 
 
 def test_main_validate_scene(capsys, demo_cfg, tmp_path):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from risdeploy import cli, optimizer, propagation
-from risdeploy.arrays import Orientation, OrientationBounds
+from risdeploy.arrays import Orientation, OrientationBounds, panel_normal
 from risdeploy.channel import LinkBudget
 from risdeploy.errors import (InfeasiblePowerError, InvalidInputError, SceneFormatError,
-                              UnreachableTargetsError)
+                              SizeCapError, UnreachableTargetsError)
 from risdeploy.optimizer import (constraint_constants,
                                  direct_power_share, initial_simplex,
                                  kkt_power_allocation, orientation_search,
@@ -17,7 +17,9 @@ from risdeploy.optimizer import (constraint_constants,
 from risdeploy.scene import Building, line_of_sight
 
 from _oracles import (best_beta_per_cell, orientation_score_masked, orientation_score_rows,
-                      reference_sensing_crbs_per_cell, same_bits, step1_evaluate_joint)
+                      orientation_search_full, reference_sensing_crbs_per_cell, same_bits,
+                      step1_evaluate_joint)
+from conftest import bench_city_config
 
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
@@ -476,3 +478,144 @@ def test_passive_orientation_uses_face_normal(ctx_full):
         normal = region.face.normal
         assert orient.theta_r == 0.0
         assert orient.psi_r == pytest.approx(float(np.arctan2(normal[1], normal[0])))
+
+
+@pytest.fixture(scope="module")
+def ctx_city(tmp_path_factory):
+    "The bench city's context, in full-isac."
+    return cli.build_context(cli.load_config(bench_city_config(tmp_path_factory.mktemp("city"))))
+
+
+def _search_outcome(search, *args):
+    "A search's orientation as its bits, or its error message."
+    try:
+        found = search(*args)
+    except UnreachableTargetsError as exc:
+        return str(exc)
+    return np.array([found.theta_r, found.psi_r]).tobytes()
+
+
+@pytest.mark.parametrize("scene", ["demo", "city"])
+@pytest.mark.parametrize("with_uav", [True, False], ids=["full-isac", "comm-only"])
+def test_bounded_coarse_search_is_the_full_grid(ctx_full, ctx_city, scene, with_uav,
+                                                monkeypatch):
+    # on seeded placements the bounded coarse pass finds the full grid's first
+    # maximum, so the search gives the full-grid orientation bit for bit, and it
+    # scores a small share of the coarse nodes; with the BS mirrored through
+    # the RIS onto a UE cell's far side both raise with one message
+    ctx = ctx_full if scene == "demo" else ctx_city
+    scored = []
+    score = optimizer._orientation_score
+
+    def counted(axes, *args):
+        scored.append(axes.shape[1])
+        return score(axes, *args)
+
+    rng = np.random.default_rng(26)
+    coarse = []
+    for k in range(40):
+        region = ctx.regions[k % len(ctx.regions)]
+        p = region.point_at(*region.sample(rng))
+        targets = [ctx.scene.bs_position, ctx.ue_grid.centers[region.covered_cells],
+                   ctx.uav_grid.centers if with_uav else None]
+        bounds = ctx.region_bounds(region)
+        want = _search_outcome(orientation_search_full, p, *targets, bounds)
+        with monkeypatch.context() as mp:
+            mp.setattr(optimizer, "_orientation_score", counted)
+            assert _search_outcome(orientation_search, p, *targets, bounds) == want
+        coarse.append(sum(scored[:-1]))  # the last call is the fine pass
+        del scored[:]
+        behind = [2.0 * p - targets[1][0]] + targets[1:]  # the BS opposite a UE cell
+        message = _search_outcome(orientation_search_full, p, *behind, bounds)
+        assert message == "no orientation sees the BS and any target"
+        assert _search_outcome(orientation_search, p, *behind, bounds) == message
+    n_coarse = optimizer._axis_grid(bounds, optimizer.ORIENTATION_STEP)[0].shape[1]
+    assert np.median(coarse) < n_coarse / 8
+
+
+def test_gemm_gather_gives_each_node_the_full_grids_bits(ctx_full):
+    # the cosines of a gather hold the full grid's bits for every node in it,
+    # the nodes of the grid's partial GEMM group included
+    region = ctx_full.regions[0]
+    axes = optimizer._axis_grid(ctx_full.region_bounds(region), optimizer.ORIENTATION_STEP)[0]
+    n = axes.shape[1]
+    assert n % optimizer._GEMM_GROUP
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        targets = rng.normal(size=(int(rng.integers(2, 60)), 3))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        full = targets @ axes
+        nodes = np.sort(rng.choice(n, size=int(rng.integers(1, 2000)), replace=False))
+        nodes[-1] = n - 1 - int(rng.integers(0, 3))  # a node of the partial group
+        nodes = np.unique(nodes)
+        columns = optimizer._gemm_gather(nodes, n)
+        assert set(columns.tolist()) >= set(nodes.tolist())
+        assert same_bits(targets @ axes[:, columns], full[:, columns])
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def test_bounded_coarse_search_keeps_the_first_of_a_tie():
+    # a grid whose psi nodes are exact multiples of 1/128 rad, symmetric about
+    # 0, and BS and UE mirrored in y: the nodes at +-psi score the same bits,
+    # and the best pair (psi nodes 7 and 8) lies in two blocks; the first in
+    # node order wins, as on the full grid
+    key = (-1.0, 1.0, -7.5 / 64, 7.5 / 64, 1.0 / 64)
+    axes, _, psis = optimizer._axis_grid_cached(*key)
+    assert np.array_equal(psis[:8], -psis[15:7:-1])
+    u_bs, u_ue = _unit([100.0, 30.0, 5.0]), _unit([[100.0, -30.0, 5.0]])
+    score = optimizer._orientation_score(axes, u_bs, u_ue, None)
+    ties = np.flatnonzero(score == np.max(score))
+    assert len(ties) == 2 and [t % len(psis) // optimizer.BLOCK for t in ties] == [0, 1]
+    assert optimizer._bounded_coarse_argmax(key, u_bs, u_ue, None) == ties[0]
+
+
+def test_bounded_coarse_search_scores_the_grids_last_nodes_as_the_full_grid():
+    # targets past the grid's last corner put the maximum on its last node, in
+    # the grid's partial GEMM group, which the gather scores as the full grid does
+    bounds = OrientationBounds(-np.pi / 3, np.pi / 3, -1.4, 1.4)
+    key = optimizer._grid_key(bounds, optimizer.ORIENTATION_STEP)
+    axes, thetas, psis = optimizer._axis_grid_cached(*key)
+    n = axes.shape[1]
+    assert n % optimizer._GEMM_GROUP
+    beyond = panel_normal(thetas[-1] + 0.2, psis[-1] + 0.2)
+    u_bs = _unit(beyond + [0.0, 0.0, 0.05])
+    u_ue = np.array([_unit(beyond - [0.0, 0.0, 0.05])])
+    score = optimizer._orientation_score(axes, u_bs, u_ue, None)
+    assert int(np.argmax(score)) == n - 1
+    assert optimizer._bounded_coarse_argmax(key, u_bs, u_ue, None) == n - 1
+    args = (np.zeros(3), u_bs, u_ue, None, bounds)
+    assert _search_outcome(orientation_search, *args) == _search_outcome(
+        orientation_search_full, *args)
+
+
+def _capped(ctx, cap):
+    return dataclasses.replace(ctx, cfg=dataclasses.replace(ctx.cfg, size_cap=cap))
+
+
+def test_size_cap_rejects_a_larger_panel_as_the_joint_loop_does(ctx_full):
+    # a placement whose plan needs a panel side over size_cap raises
+    # SizeCapError, naming the cap, with the joint loop's message; the others
+    # keep the uncapped plan
+    ctx = _capped(ctx_full, 0.92)
+    rng = np.random.default_rng(2024)
+    capped = kept = 0
+    for _ in range(20):
+        positions = [r.point_at(*r.sample(rng)) for r in ctx.regions]
+        want = _step1_outcome(step1_evaluate_joint, positions, ctx)
+        got = _step1_outcome(step1_evaluate, positions, ctx)
+        if isinstance(want, str):
+            assert got == want
+            capped += "size_cap 0.92 m" in got
+            continue
+        kept += 1
+        assert max(s.side for s in got.sizes) <= 0.92
+        assert same_bits(got.objective, step1_evaluate(positions, ctx_full).objective)
+    assert capped > 0 and kept > 0
+    with pytest.raises(SizeCapError, match="size_cap 0.3 m"):
+        initial_simplex(_capped(ctx_full, 0.3), seed=0)
+    with pytest.raises(SizeCapError, match="size_cap 0.3 m"):
+        pathloss_baseline(_capped(ctx_full, 0.3), seed=0)

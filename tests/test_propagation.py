@@ -6,13 +6,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_scene import _scene_and_fan
 
-from risdeploy import propagation
+from risdeploy import cli, propagation
 from risdeploy.errors import InvalidInputError, NoPathError
 from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
                                    dominant_path_between, dominant_paths_from, enumerate_paths,
                                    fspl_amplitude, reachable_from)
 from risdeploy.scene import Bounds, Building, Scene, line_of_sight
 from risdeploy.units import lin2db, wavelength
+
+from _oracles import enumerate_paths_every_face
+from conftest import bench_city_config
 
 CFG = PropagationConfig(carrier_freq=28e9, reflection_loss_db=10.0, pl_max_db=160.0)
 LAM = wavelength(28e9)
@@ -256,3 +259,61 @@ def test_leg_queries_reject_coincident_ends(case, k, offset):
                      for e in ends[:k])
     with pytest.raises(InvalidInputError if earlier_ok else NoPathError):
         dominant_paths_from(scn, CFG, a, fan)
+
+
+def _floor_db(cfg, a, b) -> float:
+    "Loss of the direct leg from a to b plus the bounce loss: no reflection loses less."
+    return float(-20.0 * np.log10(fspl_amplitude(float(np.linalg.norm(b - a)), cfg.wavelength)
+                                  * 10.0 ** (-cfg.reflection_loss_db / 20.0)))
+
+
+@st.composite
+def _legs_near_the_floor(draw):
+    """Legs from one point, each with a budget offset from its floor: within
+    1e-6 dB of it, or below the leg's LoS loss. The legs are a fan
+    (_fan_and_budget) or one leg just above the ground, whose ground bounce
+    is longer than the leg by so little that its loss lies within 1e-6 dB of
+    the floor."""
+    if draw(st.booleans()):
+        scn, cfg, a, ends = draw(_fan_and_budget())
+    else:
+        height = st.floats(1e-4, 3e-3)
+        scn, cfg, a = open_scene(), CFG, np.array([0.0, 0.0, draw(height)])
+        ends = np.array([[draw(st.floats(5.0, 50.0)), draw(st.floats(-5.0, 5.0)), draw(height)]])
+    offset = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-15.0, -10.01))  # -10 dB: LoS loss
+    return scn, cfg, a, ends, draw(st.lists(offset, min_size=len(ends), max_size=len(ends)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_legs_near_the_floor())
+def test_reflection_loss_floor_keeps_every_path(case):
+    # at budgets around the floor, and below an LoS leg's loss, the floor drops
+    # nothing the every-face loop keeps, and keeps nothing over the budget
+    scn, cfg, a, ends, offsets = case
+    for b, offset in zip(ends, offsets):
+        leg = dataclasses.replace(cfg, pl_max_db=_floor_db(cfg, a, b) + offset)
+        for los in (None, line_of_sight(scn, a, b)):
+            assert (_fields(enumerate_paths(scn, leg, a, b, los=los))
+                    == _fields(enumerate_paths_every_face(scn, leg, a, b, los=los)))
+
+
+def test_reflection_loss_floor_answers_the_bench_city(tmp_path, monkeypatch):
+    # building the bench city's context and planning it: the floor answers
+    # at least 461 of the enumerate_paths calls (464 at this writing), which
+    # then form no reflection
+    faces = []
+    walk, enumerate_all = propagation._reflection_path, propagation.enumerate_paths
+
+    def reflection(*args):
+        faces[-1] += 1
+        return walk(*args)
+
+    def counted(*args, **kwargs):
+        faces.append(0)
+        return enumerate_all(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_reflection_path", reflection)
+    monkeypatch.setattr(propagation, "enumerate_paths", counted)
+    cli.optimize(cli.build_context(cli.load_config(bench_city_config(tmp_path))))
+    answered = faces.count(0)
+    assert answered >= 461, (answered, len(faces))
