@@ -322,8 +322,8 @@ def _logged_plan(ctx: optimizer.OptimizerContext, log):
     "One mode's plan and its closure as logged stages, each followed by its summary."
     with _stage(log, "optimize"):
         result = optimize(ctx)
-    log.info("optimizer: %d placements evaluated, %d unreachable",
-             result.evaluations, result.unreachable)
+    log.info("optimizer: %d placements evaluated, %d unreachable (%d over size_cap)",
+             result.evaluations, result.unreachable, result.over_cap)
     log.info("optimizer (%s): objective %.6g, converged=%s after %d iterations",
              ctx.cfg.mode, result.step1.objective, result.converged, result.iterations)
     with _stage(log, "closure"):

@@ -19,8 +19,8 @@ from .arrays import Orientation, OrientationBounds, panel_normal
 from .channel import PANEL_FOV_RAD, LinkBudget, unit_cell_amplitude_gain
 from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError, SizeCapError,
                      UnobservablePathError, UnreachableTargetsError)
-from .propagation import (PropagationConfig, dominant_path_between, dominant_paths_from,
-                          fspl_amplitude)
+from .propagation import (PropagationConfig, dominant_legs, dominant_path_between,
+                          fspl_amplitude, leg_geometry)
 from .ris_bf import quantization_efficiency
 from .sensing import OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, crb_arrays
 from .units import SPEED_OF_LIGHT, db2lin
@@ -335,9 +335,8 @@ class OptimizerContext:
 
     @cached_property
     def uav_ranges(self) -> np.ndarray:
-        "BS-to-UAV-cell distance per UAV cell, each norm formed on its own."
-        bs = self.scene.bs_position
-        return np.array([float(np.linalg.norm(center - bs)) for center in self.uav_grid.centers])
+        "BS-to-UAV-cell distance per UAV cell."
+        return leg_geometry(self.scene.bs_position, self.uav_grid.centers)[0]
 
     def region_bounds(self, region) -> OrientationBounds:
         "C4 orientation bounds: near the face normal, limited tilt."
@@ -348,34 +347,35 @@ class OptimizerContext:
 
 
 def ris_paths(ctx: OptimizerContext, n: int, position) -> tuple:
-    """Dominant paths of RIS n at a position to the BS and to each covered UE
-    cell (a list); UnreachableTargetsError when a leg has none."""
+    """Attenuation (1 + K,) and departure direction (1 + K, 3) of the dominant
+    path of RIS n at a position to the BS (row 0) and to each of its K covered
+    UE cells; UnreachableTargetsError when a leg has none."""
     p = np.asarray(position, dtype=float)
     try:
-        return (dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position),
-                dominant_paths_from(ctx.scene, ctx.prop, p,
-                                    ctx.ue_grid.centers[ctx.regions[n].covered_cells]))
+        path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
+        att, dirs = dominant_legs(ctx.scene, ctx.prop, p,
+                                  ctx.ue_grid.centers[ctx.regions[n].covered_cells])
     except NoPathError as exc:
         raise UnreachableTargetsError(f"RIS {n} at {np.round(p, 2)}: {exc}") from exc
+    return np.concatenate([[path_b.attenuation], att]), np.vstack([path_b.depart_dir, dirs])
 
 
-def reference_comm_snr(ctx: OptimizerContext, path_b, paths_k,
+def reference_comm_snr(ctx: OptimizerContext, att, dirs,
                        orientation: Orientation) -> np.ndarray:
     """Reference per-UE-cell SNR of the M_ref panel at unit beta and omega,
-    from the RIS's dominant paths to the BS and the UE cells (ris_paths).
+    from the attenuations and departure directions of the RIS's dominant
+    paths, BS leg first (ris_paths).
 
     gamma_k = (P_t / sigma^2) q_L G_bs |a_b a_k|^2 eta (M_ref g_b g_k)^2, with
     a_* the dominant-path amplitudes of the two legs and g_* the per-cell
     amplitude gains toward the two legs' departure directions.
     """
-    axis = orientation.normal
-    cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
+    cos = dirs @ orientation.normal
     g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
                                  ctx.wavelength)
-    att_k = np.array([path.attenuation for path in paths_k])
     base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
-            * ctx.bs_amp_gain**2 * path_b.attenuation**2)
-    return base * att_k**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
+            * ctx.bs_amp_gain**2 * att[0]**2)
+    return base * att[1:]**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
 
 
 def round_trip_coeff(ctx: OptimizerContext, omega: float, d_bu, cascade=None):
@@ -411,20 +411,16 @@ def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
 
 def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> tuple:
     """Reference range and velocity CRB arrays over the UAV cells through the
-    M_ref panel at unit beta, omega and size scale. Each UAV leg's distance
-    and cosine are formed on their own: a batched norm or dot product can
-    round differently."""
+    M_ref panel at unit beta, omega and size scale, from the RIS's BS leg
+    (row 0) and UAV legs formed together by leg_geometry."""
     p = np.asarray(position, dtype=float)
-    bs, centers, axis = ctx.scene.bs_position, ctx.uav_grid.centers, orientation.normal
-    d_b = float(np.linalg.norm(p - bs))
-    cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
-    d_u = np.array([float(np.linalg.norm(center - p)) for center in centers])
-    cos_u = np.clip([np.dot((center - p) / d, axis) for center, d in zip(centers, d_u)], 0.0, None)
+    d, unit = leg_geometry(p, np.vstack([ctx.scene.bs_position, ctx.uav_grid.centers]))
+    cos = np.clip(np.vecdot(unit, orientation.normal), 0.0, None)
     lam = ctx.wavelength
     g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
-               * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
-               * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
-    cascades = fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
+               * unit_cell_amplitude_gain(np.arccos(cos[0]), ctx.cell_area, lam)
+               * unit_cell_amplitude_gain(np.arccos(cos[1:]), ctx.cell_area, lam))
+    cascades = fspl_amplitude(d[0], lam) * g_cells * fspl_amplitude(d[1:], lam)
     return crb_arrays(ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges, cascades)),
                       ctx.link.noise_psd_w_hz, ctx.moments)[:2]
 
@@ -613,6 +609,7 @@ class OptimizationResult:
     iterations: int
     evaluations: int  # step-1 evaluations; for the path-loss baseline, its per-RIS checks
     unreachable: int  # of them, the ones that raised UnreachableTargetsError
+    over_cap: int  # of those, the ones whose panel exceeded size_cap (SizeCapError)
 
 
 def _project(coords: np.ndarray, regions) -> np.ndarray:
@@ -706,7 +703,7 @@ def nelder_mead_run(initial: SimplexState, context: OptimizerContext) -> Optimiz
         state.order()
     return OptimizationResult(step1=state.results[0], trace=trace, converged=converged,
                               iterations=state.iteration, evaluations=state.evaluations,
-                              unreachable=state.unreachable)
+                              unreachable=state.unreachable, over_cap=state.over_cap)
 
 
 def _per_ris_spreads(state: SimplexState, regions) -> np.ndarray:
@@ -762,4 +759,4 @@ def pathloss_baseline(context: OptimizerContext, samples: int = 64,
                 f"RIS {n}: no evaluable point among {samples} samples")
     return OptimizationResult(step1=size_plan(context, refs, omega0), trace=[],
                               converged=True, iterations=0, evaluations=checks,
-                              unreachable=unreachable)
+                              unreachable=unreachable, over_cap=0)

@@ -54,8 +54,14 @@ def path_loss_db(path: PathRecord) -> float:
     return float(-20.0 * np.log10(path.attenuation))
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
+def leg_geometry(a, ends) -> tuple:
+    """Length (K,) and unit direction (K, 3) of each leg from a to a row of
+    `ends`. Each length is the bits of np.linalg.norm of its own leg, and each
+    direction those of the leg divided by its length: np.vecdot forms every
+    leg's sum of squares with the dot product np.linalg.norm uses."""
+    d = np.asarray(ends, dtype=float) - np.asarray(a, dtype=float)
+    length = np.sqrt(np.vecdot(d, d))
+    return length, d / length[:, None]
 
 
 def _los_clear(scene: Scene, a, b, pullback: float = 1e-6) -> bool:
@@ -68,9 +74,10 @@ def _los_clear(scene: Scene, a, b, pullback: float = 1e-6) -> bool:
 
 def _los_path(a, b, lam) -> PathRecord:
     "The direct path between two points that see each other."
-    d = float(np.linalg.norm(b - a))
+    length, unit = leg_geometry(a, b[None, :])
+    d = float(length[0])
     return PathRecord(kind="los", attenuation=fspl_amplitude(d, lam), length=d,
-                      depart_dir=_unit(b - a))
+                      depart_dir=unit[0])
 
 
 def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp,
@@ -100,7 +107,7 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
         return None
     length = float(np.linalg.norm(image_a - b))
     rec = PathRecord(kind="reflection", attenuation=fspl_amplitude(length, lam) * loss_amp,
-                     length=length, depart_dir=_unit(spec - a))
+                     length=length, depart_dir=leg_geometry(a, spec[None, :])[1][0])
     if path_loss_db(rec) > pl_max_db:
         return None
     if not (_los_clear(scene, a, spec) and _los_clear(scene, spec, b)):
@@ -171,48 +178,66 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
     return paths
 
 
-def _dominant_legs(scene: Scene, cfg: PropagationConfig, a, ends):
-    """Dominant path of each leg from a to a row of `ends`, in order; None for
-    a leg without one.
-
-    One batched line-of-sight test covers every leg. A clear leg yields its
-    LoS path whatever its loss: every reflection is both longer and
-    attenuated by the bounce loss, so none is stronger or within a budget the
-    LoS path exceeds. Every other leg yields the first of enumerate_paths; a
-    leg whose ends coincide counts as blocked, so enumerate_paths rejects it.
-    """
-    a = np.asarray(a, dtype=float)
-    ends = np.asarray(ends, dtype=float)
+def _legs_clear(scene: Scene, a, ends) -> np.ndarray:
+    """One batched line-of-sight test of the legs from a to the rows of
+    `ends`; a leg whose ends coincide counts as blocked, so enumerate_paths
+    rejects it."""
     near = _coincident(a, ends)
     clear = np.zeros(len(ends), dtype=bool)
     clear[~near] = segments_clear(scene, a, ends[~near])
-    lam = cfg.wavelength
-    for b, seen in zip(ends, clear):
-        if seen:
-            yield _los_path(a, b, lam)
-        else:
-            paths = enumerate_paths(scene, cfg, a, b, los=False)
-            yield paths[0] if paths else None
+    return clear
 
 
-def dominant_paths_from(scene: Scene, cfg: PropagationConfig, a, ends) -> list:
-    """Dominant path of each leg from a to a row of `ends`, in order.
-    NoPathError at the first leg without a path, before any later leg is formed."""
-    paths = []
-    for path in _dominant_legs(scene, cfg, a, ends):
-        if path is None:
-            raise NoPathError("no propagation path on this link")
-        paths.append(path)
-    return paths
+def _blocked_leg(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
+    "Dominant path of a leg without line of sight; NoPathError when it has none."
+    paths = enumerate_paths(scene, cfg, a, b, los=False)
+    if not paths:
+        raise NoPathError("no propagation path on this link")
+    return paths[0]
+
+
+def dominant_legs(scene: Scene, cfg: PropagationConfig, a, ends) -> tuple:
+    """Attenuation (K,) and departure direction (K, 3) of the dominant path of
+    each leg from a to a row of `ends`.
+
+    A clear leg's dominant path is its LoS path whatever its loss: every
+    reflection is both longer and attenuated by the bounce loss, so none is
+    stronger or within a budget the LoS path exceeds. The clear legs are
+    formed together from leg_geometry; each other leg takes the first of
+    enumerate_paths, in order, and NoPathError is raised at the first leg
+    without a path, before any later blocked leg is formed.
+    """
+    a = np.asarray(a, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    clear = _legs_clear(scene, a, ends)
+    att = np.empty(len(ends))
+    dirs = np.empty((len(ends), 3))
+    length, dirs[clear] = leg_geometry(a, ends[clear])
+    att[clear] = fspl_amplitude(length, cfg.wavelength)
+    for k in np.flatnonzero(~clear):
+        path = _blocked_leg(scene, cfg, a, ends[k])
+        att[k], dirs[k] = path.attenuation, path.depart_dir
+    return att, dirs
 
 
 def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
-    "Dominant path of the link from a to b; NoPathError when it has none."
-    return dominant_paths_from(scene, cfg, a, np.asarray(b, dtype=float)[None, :])[0]
+    """Dominant path of the link from a to b, by the rule of dominant_legs;
+    NoPathError when it has none."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not _coincident(a, b) and line_of_sight(scene, a, b):
+        return _los_path(a, b, cfg.wavelength)
+    return _blocked_leg(scene, cfg, a, b)
 
 
 def reachable_from(scene: Scene, cfg: PropagationConfig, a, ends) -> np.ndarray:
     """Whether enumerate_paths(scene, cfg, a, b) is non-empty for each row b
     of `ends`: a dominant path within pl_max_db."""
-    return np.array([path is not None and path_loss_db(path) <= cfg.pl_max_db
-                     for path in _dominant_legs(scene, cfg, a, ends)], dtype=bool)
+    a = np.asarray(a, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    clear = _legs_clear(scene, a, ends)
+    reach = np.empty(len(ends), dtype=bool)
+    length, _ = leg_geometry(a, ends[clear])
+    reach[clear] = -20.0 * np.log10(fspl_amplitude(length, cfg.wavelength)) <= cfg.pl_max_db
+    reach[~clear] = [bool(enumerate_paths(scene, cfg, a, b, los=False)) for b in ends[~clear]]
+    return reach

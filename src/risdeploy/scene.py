@@ -379,13 +379,15 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                       uav_grid: GridSet, prop_cfg) -> list:
     """Enumerate candidate deployable regions, one per valid building face.
 
-    A face qualifies when its reference point passes the link-access rules;
-    the candidate covers every uncovered UE cell reachable under pl_max.
+    A face qualifies when its reference point sees the BS and every UAV cell
+    (one batched test) and reaches an uncovered UE cell; the candidate covers
+    every uncovered UE cell reachable under pl_max.
     """
     from . import propagation
 
     uncovered = list(uncovered)
     cells = ue_grid.centers[uncovered]
+    bs_and_uavs = np.vstack([scene.bs_position, uav_grid.centers])
     out = []
     for b_idx, building in enumerate(scene.buildings):
         for face in building.faces:
@@ -394,9 +396,7 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
             region = DeployableRegion(covered_cells=[], coverage_area=0.0, building=b_idx,
                                       face=face)
             point = region.reference_point()
-            if not line_of_sight(scene, point, scene.bs_position):
-                continue
-            if not np.all(segments_clear(scene, point, uav_grid.centers)):
+            if not np.all(segments_clear(scene, point, bs_and_uavs)):
                 continue
             covered = [cell for cell, ok in zip(
                 uncovered, propagation.reachable_from(scene, prop_cfg, point, cells)) if ok]

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risdeploy import cli, optimizer
-from risdeploy.errors import RisDeployError, SceneFormatError, UnreachableTargetsError
+from risdeploy.errors import (RisDeployError, SceneFormatError, SizeCapError,
+                              UnreachableTargetsError)
 
 from conftest import demo_config_path, load_strict
 from test_scene import _footprints
@@ -174,9 +175,10 @@ def test_run_log_has_stage_timings(run_dir):
     assert mb == sorted(mb) and mb[0] > 0.0
     # after the optimize stage, the optimizer's evaluation and failure counts
     counts = re.search(r"INFO stage optimize peak_rss: \d+\.\d MB\n\S+ \S+ INFO optimizer: "
-                       r"(\d+) placements evaluated, (\d+) unreachable$", log, re.MULTILINE)
+                       r"(\d+) placements evaluated, (\d+) unreachable "
+                       r"\((\d+) over size_cap\)$", log, re.MULTILINE)
     assert counts, "optimizer counts"
-    assert 0 <= int(counts[2]) < int(counts[1])
+    assert 0 <= int(counts[3]) <= int(counts[2]) < int(counts[1])
     # after the closure stage, one line per RIS with the size of its synthesis
     with open(run_dir / "deployment.json") as fh:
         dep = json.load(fh)
@@ -441,6 +443,30 @@ def test_size_cap_is_a_constraint(cap, tmp_path, monkeypatch):
     assert max(s["side_m"] for s in dep["sizes"]) <= cap
     assert min(dep["snr_margin_db"], dep["crb_range_margin_db"],
                dep["crb_velocity_margin_db"]) >= 0.0
+
+
+def test_run_log_names_the_placements_over_size_cap(tmp_path, monkeypatch):
+    # demo, seed 1, size_cap 0.9: some placements fail only on the cap; run.log
+    # counts them among the unreachable ones and says how many they are
+    over = []
+    step1_evaluate = optimizer.step1_evaluate
+
+    def counting(*args, **kwargs):
+        try:
+            return step1_evaluate(*args, **kwargs)
+        except SizeCapError:
+            over.append(1)
+            raise
+
+    monkeypatch.setattr(optimizer, "step1_evaluate", counting)
+    monkeypatch.setenv("RISDEPLOY_SIZE_CAP", "0.9")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", demo_config_path(), "--out", str(out),
+                     "--seed", "1"]) == cli.EXIT_OK
+    counts = re.search(r"INFO optimizer: (\d+) placements evaluated, (\d+) unreachable "
+                       r"\((\d+) over size_cap\)$", (out / "run.log").read_text(), re.MULTILINE)
+    assert counts, "optimizer counts"
+    assert int(counts[3]) == len(over) > 0 and int(counts[3]) < int(counts[2])
 
 
 def test_main_validate_scene(capsys, demo_cfg, tmp_path):

@@ -8,13 +8,13 @@ from test_scene import _scene_and_fan
 
 from risdeploy import cli, propagation
 from risdeploy.errors import InvalidInputError, NoPathError
-from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident,
-                                   dominant_path_between, dominant_paths_from, enumerate_paths,
-                                   fspl_amplitude, reachable_from)
+from risdeploy.propagation import (PathRecord, PropagationConfig, _coincident, dominant_legs,
+                                   dominant_path_between, enumerate_paths, fspl_amplitude,
+                                   leg_geometry, reachable_from)
 from risdeploy.scene import Bounds, Building, Scene, line_of_sight
 from risdeploy.units import lin2db, wavelength
 
-from _oracles import enumerate_paths_every_face
+from _oracles import enumerate_paths_every_face, same_bits
 from conftest import bench_city_config
 
 CFG = PropagationConfig(carrier_freq=28e9, reflection_loss_db=10.0, pl_max_db=160.0)
@@ -125,6 +125,26 @@ def test_dominant_path_is_strongest():
     assert best.attenuation == max(p.attenuation for p in enumerate_paths(scn, CFG, a, b))
 
 
+def test_leg_geometry_keeps_the_per_vector_rounding():
+    # each leg's length, unit direction and cosine to an axis have the bits of
+    # np.linalg.norm, d / norm and np.dot on that leg alone: 100,000 seeded
+    # legs at scales from 1e-100 m to 1e100 m, a tenth of them along an axis
+    rng = np.random.default_rng(17)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    for scale in (1e-100, 1e-6, 1.0, 1e3, 1e100):
+        a = rng.uniform(-1.0, 1.0, 3) * scale
+        ends = a + rng.normal(size=(20_000, 3)) * scale
+        for k in range(0, len(ends), 10):
+            ends[k, np.arange(3) != k % 3] = a[np.arange(3) != k % 3]
+        length, unit = leg_geometry(a, ends)
+        norms = [np.linalg.norm(b - a) for b in ends]
+        units = [(b - a) / norm for b, norm in zip(ends, norms)]
+        assert same_bits(length, np.array(norms))
+        assert same_bits(unit, np.array(units))
+        assert same_bits(np.vecdot(unit, axis), np.array([np.dot(u, axis) for u in units]))
+
+
 def test_path_record_immutable():
     p = PathRecord("los", 1e-6, 10.0, np.ones(3) / np.sqrt(3))
     with pytest.raises(AttributeError):
@@ -152,6 +172,13 @@ def _fields(paths):
     return [(p.kind, p.attenuation, p.length, tuple(p.depart_dir)) for p in paths]
 
 
+def _same_legs(legs, paths) -> bool:
+    "dominant_legs' arrays hold each path's attenuation and depart_dir, bit for bit, in order."
+    att, dirs = legs
+    return (same_bits(att, np.array([p.attenuation for p in paths], dtype=float))
+            and same_bits(dirs, np.reshape([p.depart_dir for p in paths], (-1, 3))))
+
+
 def test_enumerate_paths_takes_a_known_los_answer(monkeypatch):
     # the known answer replaces the direct leg's test and nothing else: the
     # reflections still test their own legs
@@ -177,10 +204,11 @@ def test_enumerate_paths_takes_a_known_los_answer(monkeypatch):
         assert len(tests) == tested - 1
         reflection_tests.append(tested - 1)
     # the batched legs: the batch tests each direct leg, and the blocked leg
-    # pays only for its reflections
-    want = _fields([dominant_path_between(scn, CFG, a, b) for b in ends])
+    # pays only for its reflections; each row has the bits of the leg's own
+    # dominant_path_between
+    want = [dominant_path_between(scn, CFG, a, b) for b in ends]
     del tests[:]
-    assert _fields(dominant_paths_from(scn, CFG, a, ends)) == want
+    assert _same_legs(dominant_legs(scn, CFG, a, ends), want)
     assert len(tests) == reflection_tests[0] > 0
 
 
@@ -233,10 +261,10 @@ def test_leg_queries_are_one_pass_over_enumerate_paths(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "enumerate_paths", counted)
         if first_none is None:
-            assert _fields(dominant_paths_from(scn, cfg, a, ends)) == _fields(want)
+            assert _same_legs(dominant_legs(scn, cfg, a, ends), want)
         else:  # the legs after the first without a path are never formed
             with pytest.raises(NoPathError):
-                dominant_paths_from(scn, cfg, a, ends)
+                dominant_legs(scn, cfg, a, ends)
     blocked = [b for b in ends[:len(ends) if first_none is None else first_none + 1]
                if not line_of_sight(scn, a, b)]
     assert np.array_equal(np.reshape(formed, (-1, 3)), np.reshape(blocked, (-1, 3)))
@@ -258,7 +286,7 @@ def test_leg_queries_reject_coincident_ends(case, k, offset):
     earlier_ok = all(line_of_sight(scn, a, e) or enumerate_paths(scn, CFG, a, e)
                      for e in ends[:k])
     with pytest.raises(InvalidInputError if earlier_ok else NoPathError):
-        dominant_paths_from(scn, CFG, a, fan)
+        dominant_legs(scn, CFG, a, fan)
 
 
 def _floor_db(cfg, a, b) -> float:
