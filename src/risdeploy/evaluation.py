@@ -5,7 +5,8 @@ re-evaluates the returned deployment with the full machinery — per-cell RIS
 geometry, dual-beam phase profiles focused with exact per-cell distances,
 L-bit quantization — and reports the SNR/CRB margins and the gap between the
 scaling model and the synthesized gains. Each cell uses the sizing model's
-per-cell gain, field of view included.
+per-cell gain, field of view included, and the BS and UE legs that sized the
+plan (optimizer.ris_paths: apparent far ends and bounces); UAV legs are straight.
 """
 
 import time
@@ -15,7 +16,7 @@ import numpy as np
 
 from .channel import unit_cell_amplitude_gain
 from .errors import InvalidInputError
-from .optimizer import OptimizerContext, Step1Result, sensing_path
+from .optimizer import OptimizerContext, Step1Result, ris_paths, sensing_path
 from .propagation import fspl_amplitude
 from .ris_bf import codeword_index, codeword_phasors, ris_cell_positions
 from .sensing import fim
@@ -41,37 +42,42 @@ class Panel:
     index: int  # RIS n
     cells: np.ndarray  # (M, 3) unit-cell positions
     axis: np.ndarray  # panel normal
-    d_b: np.ndarray  # (M,) cell distances to the BS
-    amp_b: np.ndarray  # (M,) BS leg: sqrt(eta), cell gain and free-space amplitude
+    d_b: np.ndarray  # (M,) cell distances to the BS leg's apparent end
+    amp_b: np.ndarray  # (M,) BS leg: sqrt(eta), cell gain, free-space amplitude and bounce
+    ue_ends: np.ndarray  # (K, 3) apparent far ends of the UE legs, covered-cell row order
+    ue_bounce: np.ndarray  # (K,) bounce amplitudes of the UE legs
 
 
 def build_panel(ctx: OptimizerContext, plan: Step1Result, n: int) -> Panel:
-    "Cells, normal and BS leg of the sized RIS n."
+    "Cells, normal, BS leg and UE legs of the sized RIS n, from the legs that sized it."
     o = plan.orientations[n]
     cells = ris_cell_positions(plan.sizes[n].cells_per_side, ctx.cell_spacing,
                                plan.positions[n], o)
     axis = o.normal
-    d_b, amp_b = _toward(ctx, cells, ctx.scene.bs_position, axis)
+    _, _, apparent, bounce = ris_paths(ctx, n, plan.positions[n])
+    d_b, amp_b = _toward(ctx, cells, apparent[0], bounce[0], axis)
     return Panel(index=n, cells=cells, axis=axis, d_b=d_b,
-                 amp_b=np.sqrt(ctx.cfg.efficiency) * amp_b)
+                 amp_b=np.sqrt(ctx.cfg.efficiency) * amp_b,
+                 ue_ends=apparent[1:], ue_bounce=bounce[1:])
 
 
-def _toward(ctx, cells: np.ndarray, point, axis: np.ndarray):
-    "Per-cell distance toward a point, and the cell gain times free-space amplitude of that leg."
+def _toward(ctx, cells: np.ndarray, point, bounce: float, axis: np.ndarray):
+    "Per-cell distance to a leg's apparent end, and cell gain times fspl and bounce of that leg."
     diff = np.asarray(point, dtype=float) - cells
     dist = np.linalg.norm(diff, axis=1)
     cos = np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
     return dist, (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
-                  * fspl_amplitude(dist, ctx.wavelength))
+                  * (fspl_amplitude(dist, ctx.wavelength) * bounce))
 
 
-def _leg(ctx, panel: Panel, point):
-    """Traversal weights and focusing phasor of the BS -> panel -> point leg.
+def _leg(ctx, panel: Panel, point, bounce: float):
+    """Traversal weights and focusing phasor of the BS -> panel -> point leg,
+    the point a leg's apparent end and `bounce` its bounce amplitude.
 
     One exp forms the phasor exp(j kappa (d_b + d)) that focuses the panel on
     the point; the weights are the two legs' amplitudes times its conjugate,
     the traversal phase that the panel sum weights with the cell phases."""
-    dist, amp = _toward(ctx, panel.cells, point, panel.axis)
+    dist, amp = _toward(ctx, panel.cells, point, bounce, panel.axis)
     phasor = np.exp(1j * (2.0 * np.pi / ctx.wavelength) * (panel.d_b + dist))
     return panel.amp_b * amp * np.conj(phasor), phasor
 
@@ -102,13 +108,12 @@ def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> n
     groups = {}  # split beta -> (column, weighted sense beam) pairs at it
     for u, uav in enumerate([] if comm_only else ctx.uav_grid.centers):
         beta = float(plan.beta_per_uav[u, n])
-        groups.setdefault(beta, []).append((u, np.sqrt(1.0 - beta) * _leg(ctx, panel, uav)[1]))
+        groups.setdefault(beta, []).append((u, np.sqrt(1.0 - beta) * _leg(ctx, panel, uav, 1.0)[1]))
     power = ctx.link.tx_power_w * plan.omega_per_uav[:, n + 1] * ctx.bs_amp_gain**2
-    cells = ctx.regions[n].covered_cells
-    table = np.zeros((len(cells), len(power)))
+    table = np.zeros((len(panel.ue_ends), len(power)))
     weighted, beam = np.empty((2, len(panel.cells)), dtype=complex)
-    for i, cell in enumerate(cells):
-        weights, comm = _leg(ctx, panel, ctx.ue_grid.centers[cell])
+    for i, (end, bounce) in enumerate(zip(panel.ue_ends, panel.ue_bounce)):
+        weights, comm = _leg(ctx, panel, end, bounce)
         h = {0: _panel_sum(weights, comm, phasors, bits)} if comm_only else {}
         for beta, columns in groups.items():
             np.multiply(np.sqrt(beta), comm, out=weighted)
@@ -120,18 +125,18 @@ def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> n
     return table
 
 
-def _sensing_paths(ctx, plan: Step1Result, panel: Panel, ue_cell: int, columns,
+def _sensing_paths(ctx, plan: Step1Result, panel: Panel, row: int, columns,
                    velocity=None):
-    """Round trips through the sized panel with its comm beam on ue_cell, one
-    per (UAV cell index, UAV position) column under that cell's split: one
+    """Round trips through the sized panel with its comm beam on UE leg `row`,
+    one per (UAV cell index, UAV position) column under that cell's split: one
     leg per column gives its traversal weights and its sense beam."""
     n = panel.index
     bits = ctx.cfg.bits
     phasors = codeword_phasors(bits)
-    comm = _leg(ctx, panel, ctx.ue_grid.centers[ue_cell])[1]
+    comm = _leg(ctx, panel, panel.ue_ends[row], panel.ue_bounce[row])[1]
     for u, uav in columns:
         beta = float(plan.beta_per_uav[u, n])
-        weights, sense = _leg(ctx, panel, uav)
+        weights, sense = _leg(ctx, panel, uav, 1.0)
         beam = np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense
         h = complex(_panel_sum(weights, beam, phasors, bits))
         yield sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[u, n + 1]),
@@ -139,13 +144,13 @@ def _sensing_paths(ctx, plan: Step1Result, panel: Panel, ue_cell: int, columns,
 
 
 def explicit_sensing_crb(ctx: OptimizerContext, plan: Step1Result, panel: Panel,
-                         ue_cell: int) -> np.ndarray:
+                         row: int) -> np.ndarray:
     """Synthesized range and velocity CRBs, rows (2, M_u) over the UAV cells,
-    through the sized panel with the comm beam pointed at ue_cell."""
+    through the sized panel with the comm beam on UE leg `row` (covered-cell order)."""
     if ctx.cfg.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
     crb = np.empty((2, len(ctx.uav_grid.centers)))
-    for u, path in enumerate(_sensing_paths(ctx, plan, panel, ue_cell,
+    for u, path in enumerate(_sensing_paths(ctx, plan, panel, row,
                                             enumerate(ctx.uav_grid.centers))):
         pair = fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
         crb[:, u] = pair.range_crb, pair.velocity_crb
@@ -173,7 +178,7 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
     thr_db = lin2db(ctx.link.snr_threshold_linear)
     snr_margin = np.inf
     synthesis = []
-    for n, region in enumerate(ctx.regions):
+    for n in range(n_ris):
         t0 = time.perf_counter()
         panel = build_panel(ctx, plan, n)
         table = explicit_ue_snr(ctx, plan, panel)
@@ -187,8 +192,8 @@ def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
             gaps[n] = float(np.mean(np.abs(lin2db(table[served]) - lin2db(pred))))
         snr_margin = min(snr_margin, float(np.min(snr_db[n][served]) - thr_db))
         if not comm_only:
-            worst_cell = region.covered_cells[int(np.argmin(np.where(served, gamma, np.inf)))]
-            crb_r[n], crb_v[n] = explicit_sensing_crb(ctx, plan, panel, worst_cell)
+            worst_row = int(np.argmin(np.where(served, gamma, np.inf)))
+            crb_r[n], crb_v[n] = explicit_sensing_crb(ctx, plan, panel, worst_row)
         synthesis.append((len(panel.cells), *table.shape, time.perf_counter() - t0))
     if comm_only:
         rng_margin = vel_margin = np.nan
@@ -205,13 +210,13 @@ def demo_sensing_paths(ctx: OptimizerContext, plan: Step1Result, uav_position,
                        uav_velocity) -> list:
     """Delay/Doppler/coefficient per modeled path for one UAV state: the
     direct round trip, then one through each sized RIS with its comm beam on
-    the RIS's first covered cell and the split of the nearest UAV cell."""
+    the RIS's first covered cell (row 0) and the split of the nearest UAV cell."""
     uav = np.asarray(uav_position, dtype=float)
     vel = np.asarray(uav_velocity, dtype=float)
     omega0 = float(plan.omega_per_uav[0, 0])
     paths = [sensing_path(ctx, 0, uav, max(omega0, 1e-12), velocity=vel)]
     uav_index = int(np.argmin(np.linalg.norm(ctx.uav_grid.centers - uav, axis=1)))
-    for n, region in enumerate(ctx.regions):
-        paths.extend(_sensing_paths(ctx, plan, build_panel(ctx, plan, n),
-                                    region.covered_cells[0], [(uav_index, uav)], vel))
+    for n in range(len(ctx.regions)):
+        paths.extend(_sensing_paths(ctx, plan, build_panel(ctx, plan, n), 0,
+                                    [(uav_index, uav)], vel))
     return paths

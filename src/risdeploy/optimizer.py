@@ -262,11 +262,11 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     p = np.asarray(ris_pos, dtype=float)
 
     def unit_rows(points):
-        d = np.asarray(points, dtype=float).reshape(-1, 3) - p
-        n = np.linalg.norm(d, axis=1, keepdims=True)
-        if np.any(n < 1e-9):
+        ends = np.asarray(points, dtype=float).reshape(-1, 3)
+        d = ends - p
+        if np.any(np.vecdot(d, d) < 1e-18):  # before leg_geometry divides by a zero length
             raise InvalidInputError("target coincides with the RIS position")
-        return d / n
+        return leg_geometry(p, ends)[1]
 
     u_bs = unit_rows(bs_pos)[0]
     u_ue = unit_rows(ue_centers)
@@ -347,17 +347,22 @@ class OptimizerContext:
 
 
 def ris_paths(ctx: OptimizerContext, n: int, position) -> tuple:
-    """Attenuation (1 + K,) and departure direction (1 + K, 3) of the dominant
-    path of RIS n at a position to the BS (row 0) and to each of its K covered
-    UE cells; UnreachableTargetsError when a leg has none."""
+    """Attenuation (1 + K,), departure direction (1 + K, 3), apparent far end
+    (1 + K, 3) and bounce amplitude (1 + K,) of the dominant path of RIS n at
+    a position to the BS (row 0) and to each of its K covered UE cells, every
+    leg the straight leg to its apparent end (leg_geometry) times its bounce;
+    UnreachableTargetsError when a leg has none."""
     p = np.asarray(position, dtype=float)
     try:
         path_b = dominant_path_between(ctx.scene, ctx.prop, p, ctx.scene.bs_position)
-        att, dirs = dominant_legs(ctx.scene, ctx.prop, p,
-                                  ctx.ue_grid.centers[ctx.regions[n].covered_cells])
+        ends, bounces = dominant_legs(ctx.scene, ctx.prop, p,
+                                      ctx.ue_grid.centers[ctx.regions[n].covered_cells])
     except NoPathError as exc:
         raise UnreachableTargetsError(f"RIS {n} at {np.round(p, 2)}: {exc}") from exc
-    return np.concatenate([[path_b.attenuation], att]), np.vstack([path_b.depart_dir, dirs])
+    apparent = np.vstack([path_b.apparent, ends])
+    bounce = np.concatenate([[path_b.bounce_amp], bounces])
+    length, dirs = leg_geometry(p, apparent)
+    return fspl_amplitude(length, ctx.wavelength) * bounce, dirs, apparent, bounce
 
 
 def reference_comm_snr(ctx: OptimizerContext, att, dirs,
@@ -398,29 +403,30 @@ def sensing_path(ctx: OptimizerContext, index: int, uav, omega: float, ris=None,
     bs = ctx.scene.bs_position
     uav = np.asarray(uav, dtype=float)
     far = bs if ris is None else np.asarray(ris, dtype=float)  # other end of the UAV's leg
-    d_bu = float(np.linalg.norm(uav - bs))
-    d_far = float(np.linalg.norm(uav - far))
+    (d_far, d_bu), toward = leg_geometry(uav, np.vstack([far, bs]))  # the UAV's two legs
+    hop = 0.0 if ris is None else leg_geometry(bs, far[None, :])[0][0]  # BS to RIS
     lam = ctx.wavelength
-    coeff = round_trip_coeff(ctx, omega, d_bu, cascade)
-    length = d_far + d_bu + float(np.linalg.norm(far - bs))
-    rate = 0.0 if velocity is None else float(
-        np.dot(velocity, (uav - far) / d_far) + np.dot(velocity, (uav - bs) / d_bu))
+    coeff = round_trip_coeff(ctx, omega, float(d_bu), cascade)
+    length = float(d_far + d_bu + hop)
+    rate = 0.0 if velocity is None else float(  # -toward: the legs' directions into the UAV
+        np.dot(velocity, -toward[0]) + np.dot(velocity, -toward[1]))
     return SensingPath(index=index, delay=length / SPEED_OF_LIGHT, doppler=-rate / lam,
                        coeff=coeff, carrier_hz=ctx.ofdm.carrier_hz)
 
 
-def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation) -> tuple:
+def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orientation,
+                           att_b: float, dir_b) -> tuple:
     """Reference range and velocity CRB arrays over the UAV cells through the
-    M_ref panel at unit beta, omega and size scale, from the RIS's BS leg
-    (row 0) and UAV legs formed together by leg_geometry."""
+    M_ref panel at unit beta, omega and size scale, from the comm reference's
+    BS leg (ris_paths' row 0) and straight UAV legs (leg_geometry)."""
     p = np.asarray(position, dtype=float)
-    d, unit = leg_geometry(p, np.vstack([ctx.scene.bs_position, ctx.uav_grid.centers]))
-    cos = np.clip(np.vecdot(unit, orientation.normal), 0.0, None)
+    d, unit = leg_geometry(p, ctx.uav_grid.centers)
+    cos = np.clip(np.vecdot(np.vstack([dir_b, unit]), orientation.normal), 0.0, None)
     lam = ctx.wavelength
     g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
                * unit_cell_amplitude_gain(np.arccos(cos[0]), ctx.cell_area, lam)
                * unit_cell_amplitude_gain(np.arccos(cos[1:]), ctx.cell_area, lam))
-    cascades = fspl_amplitude(d[0], lam) * g_cells * fspl_amplitude(d[1:], lam)
+    cascades = att_b * g_cells * fspl_amplitude(d, lam)
     return crb_arrays(ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges, cascades)),
                       ctx.link.noise_psd_w_hz, ctx.moments)[:2]
 
@@ -485,13 +491,14 @@ def ris_reference(ctx: OptimizerContext, n: int, position, paths=None) -> RisRef
                                     ctx.ue_grid.centers[region.covered_cells],
                                     None if comm_only else ctx.uav_grid.centers,
                                     ctx.region_bounds(region))
-    gamma = reference_comm_snr(ctx, *paths, orient)
+    att, dirs = paths[:2]
+    gamma = reference_comm_snr(ctx, att, dirs, orient)
     if np.max(gamma) <= 0.0:
         raise unreachable(" reaches no UE cell")
     if np.min(gamma) <= 0.0 and mode != "passive-orientation":
         raise unreachable(" has a zero-SNR UE cell")
     try:
-        crbs = None if comm_only else reference_sensing_crbs(ctx, p, orient)
+        crbs = None if comm_only else reference_sensing_crbs(ctx, p, orient, att[0], dirs[0])
     except UnobservablePathError as exc:
         raise unreachable(f": {exc}") from exc
     return RisReference(position=p, orientation=orient, gamma_ref=gamma,

@@ -5,9 +5,12 @@ method against every vertical building face plus the ground plane z = 0,
 each bounce costing a fixed configurable loss. Diffraction and dielectric
 materials are out of scope.
 
-Conventions: attenuation is a linear amplitude factor (free-space amplitude
-``lambda / (4 pi d)`` over the total unfolded length times the bounce loss).
-``depart_dir`` points from the first endpoint along the outgoing ray.
+Conventions: a path is a straight leg from its first endpoint to an apparent
+far end (the far end for LoS, its image in the reflecting plane for a
+reflection) times a bounce amplitude (1, or the reflection-loss amplitude).
+Attenuation is the free-space amplitude ``lambda / (4 pi d)`` over that leg's
+length (the unfolded length) times the bounce amplitude; ``depart_dir`` is the
+leg's direction, which passes through the specular point.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,8 @@ class PathRecord:
     attenuation: float  # linear amplitude
     length: float  # meters
     depart_dir: np.ndarray  # unit 3-vector at endpoint a
+    apparent: np.ndarray  # apparent far end: b, or its image in the reflecting plane
+    bounce_amp: float  # 1, or the reflection-loss amplitude
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,17 @@ def _los_clear(scene: Scene, a, b, pullback: float = 1e-6) -> bool:
     return line_of_sight(scene, a + pullback * d, b - pullback * d)
 
 
+def _leg_path(kind: str, a, apparent, bounce_amp: float, lam) -> PathRecord:
+    "The path that is a straight leg from a to its apparent far end, times the bounce amplitude."
+    length, unit = leg_geometry(a, apparent[None, :])
+    d = float(length[0])
+    return PathRecord(kind=kind, attenuation=fspl_amplitude(d, lam) * bounce_amp, length=d,
+                      depart_dir=unit[0], apparent=apparent, bounce_amp=bounce_amp)
+
+
 def _los_path(a, b, lam) -> PathRecord:
     "The direct path between two points that see each other."
-    length, unit = leg_geometry(a, b[None, :])
-    d = float(length[0])
-    return PathRecord(kind="los", attenuation=fspl_amplitude(d, lam), length=d,
-                      depart_dir=unit[0])
+    return _leg_path("los", a, b, 1.0, lam)
 
 
 def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam, loss_amp,
@@ -85,29 +95,28 @@ def _reflection_path(scene: Scene, a, b, plane_point, plane_normal, on_face, lam
     """Image-method reflection against one plane; None when invalid or over
     the path-loss budget.
 
-    `on_face` checks that the specular point lies inside the reflecting
-    rectangle/half-plane. The budget is tested before the two visibility
-    tests, which a path over it does not need.
+    The path is the leg from a to b's image in the plane, which crosses the
+    plane at the specular point. `on_face` checks that the specular point lies
+    inside the reflecting rectangle/half-plane. The budget is tested before
+    the two visibility tests, which a path over it does not need.
     """
     n = plane_normal
     ha = float(np.dot(a - plane_point, n))
     hb = float(np.dot(b - plane_point, n))
     if ha <= 1e-9 or hb <= 1e-9:  # both endpoints must face the reflecting side
         return None
-    image_a = a - 2.0 * ha * n
-    seg = b - image_a
+    image_b = b - 2.0 * hb * n
+    seg = image_b - a
     denom = float(np.dot(seg, n))
     if abs(denom) < 1e-15:
         return None
-    t = float(np.dot(plane_point - image_a, n)) / denom
+    t = float(np.dot(plane_point - a, n)) / denom
     if not (1e-9 < t < 1.0 - 1e-9):
         return None
-    spec = image_a + t * seg
+    spec = a + t * seg
     if not on_face(spec):
         return None
-    length = float(np.linalg.norm(image_a - b))
-    rec = PathRecord(kind="reflection", attenuation=fspl_amplitude(length, lam) * loss_amp,
-                     length=length, depart_dir=leg_geometry(a, spec[None, :])[1][0])
+    rec = _leg_path("reflection", a, image_b, loss_amp, lam)
     if path_loss_db(rec) > pl_max_db:
         return None
     if not (_los_clear(scene, a, spec) and _los_clear(scene, spec, b)):
@@ -197,27 +206,24 @@ def _blocked_leg(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:
 
 
 def dominant_legs(scene: Scene, cfg: PropagationConfig, a, ends) -> tuple:
-    """Attenuation (K,) and departure direction (K, 3) of the dominant path of
-    each leg from a to a row of `ends`.
+    """Apparent far end (K, 3) and bounce amplitude (K,) of the dominant path
+    of each leg from a to a row of `ends`: the leg's attenuation and departure
+    direction are those of the straight leg to its apparent end
+    (leg_geometry) times its bounce amplitude.
 
-    A clear leg's dominant path is its LoS path whatever its loss: every
-    reflection is both longer and attenuated by the bounce loss, so none is
-    stronger or within a budget the LoS path exceeds. The clear legs are
-    formed together from leg_geometry; each other leg takes the first of
-    enumerate_paths, in order, and NoPathError is raised at the first leg
-    without a path, before any later blocked leg is formed.
+    A clear leg's dominant path is its LoS path whatever its loss, (end, 1):
+    every reflection is both longer and attenuated by the bounce loss, so none
+    is stronger or within a budget the LoS path exceeds. Each other leg takes
+    the first of enumerate_paths, in order, and NoPathError is raised at the
+    first leg without a path, before any later blocked leg is formed.
     """
     a = np.asarray(a, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    clear = _legs_clear(scene, a, ends)
-    att = np.empty(len(ends))
-    dirs = np.empty((len(ends), 3))
-    length, dirs[clear] = leg_geometry(a, ends[clear])
-    att[clear] = fspl_amplitude(length, cfg.wavelength)
-    for k in np.flatnonzero(~clear):
+    apparent, bounce = ends.copy(), np.ones(len(ends))
+    for k in np.flatnonzero(~_legs_clear(scene, a, ends)):
         path = _blocked_leg(scene, cfg, a, ends[k])
-        att[k], dirs[k] = path.attenuation, path.depart_dir
-    return att, dirs
+        apparent[k], bounce[k] = path.apparent, path.bounce_amp
+    return apparent, bounce
 
 
 def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRecord:

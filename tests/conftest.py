@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from risdeploy import cli, sensing
+from risdeploy.propagation import fspl_amplitude, leg_geometry
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import city  # noqa: E402
@@ -40,6 +41,14 @@ def demo_config_path() -> str:
 def bench_city_config(out_dir: Path) -> Path:
     "Write the bench's city (city seed 1, planner seed 0) into out_dir; its config path."
     return city.write(out_dir, 1, Path(demo_config_path()))
+
+
+def bs_leg(ctx, position) -> tuple:
+    """Attenuation and departure direction of the straight BS leg of a RIS at
+    a position: the leg of reference_sensing_crbs_per_cell, and ris_paths'
+    row 0 wherever the RIS sees the BS."""
+    length, unit = leg_geometry(position, ctx.scene.bs_position[None, :])
+    return fspl_amplitude(length[0], ctx.wavelength), unit[0]
 
 
 def load_strict(path):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risdeploy import cli, optimizer
+from risdeploy import cli, evaluation, optimizer
 from risdeploy.errors import (RisDeployError, SceneFormatError, SizeCapError,
                               UnreachableTargetsError)
 
@@ -616,23 +616,45 @@ def test_area_without_a_cell_outside_the_buildings_is_bad_input(key, value, kind
         assert load_strict(tmp_path / mode / "error.json") == err
 
 
-# Two boxes for which sizing serves all of RIS 0's UE cells by a reflection,
-# while the closure's straight legs see them beyond the field of view, so the
-# SNR margin is -inf (the closure/sizing mismatch of ROADMAP item 4).
-_TWO_BOXES = {"buildings": [{"footprint": [[60.3, 46.1], [85.8, 46.1], [85.8, 64.8],
-                                           [60.3, 64.8]], "height": 39.3},
-                            {"footprint": [[18.4, 49.8], [35.5, 49.8], [35.5, 63.7],
-                                           [18.4, 63.7]], "height": 25.7}],
-              "bs": [56.4, 35.5, 7.1], "bounds": {"lo": [0, 0, 0], "hi": [140, 140, 80]},
-              "ue_areas": [[18.8, 64.2, 46.2, 75.6]], "uav_area": [69.4, 10.3, 89.4, 30.3]}
+# Two boxes for which sizing serves RIS 0's UE cells by a reflection off the
+# taller box, whose straight legs the panel sees beyond its field of view
+# (ROADMAP item 4's scene). The closure synthesises the reflected legs that
+# sized the plan, so every mode closes on it.
+_TWO_BOXES = json.loads((Path(__file__).parent / "data" / "two_boxes_scene.json").read_text())
 
 
-def test_non_finite_artifact_fails_typed_and_is_not_written(tmp_path, capsys):
+def _two_boxes_config(tmp_path) -> str:
     (tmp_path / "scene.json").write_text(json.dumps(_TWO_BOXES))
     (tmp_path / "cfg.json").write_text(json.dumps({"scene": "scene.json", "symbols": 256}))
+    return str(tmp_path / "cfg.json")
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_two_box_plan_closes_on_the_legs_that_sized_it(mode, tmp_path):
+    # every closure margin holds and the synthesis agrees with the scaling
+    # model, though RIS 0 serves cells through a reflection
+    config = _two_boxes_config(tmp_path)
     out = tmp_path / "out"
-    code = cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out),
-                     "--mode", "passive-orientation", "--seed", "1"])
+    assert cli.main(["run", "--config", config, "--out", str(out), "--mode", mode,
+                     "--seed", "1"]) == 0
+    plan = load_strict(out / "deployment.json")
+    margins = [plan["snr_margin_db"]]
+    if mode != "comm-only":
+        margins += [plan["crb_range_margin_db"], plan["crb_velocity_margin_db"]]
+    assert min(margins) >= 0.0, margins
+    assert max(plan["gain_gap_db"]) <= 0.3, plan["gain_gap_db"]
+    ctx = cli.build_context(cli.load_config(config))
+    bounce = optimizer.ris_paths(ctx, 0, plan["positions"][0])[3]
+    assert np.any(bounce[1:] < 1.0)  # a UE leg is a reflection
+
+
+def test_non_finite_artifact_fails_typed_and_is_not_written(tmp_path, capsys, monkeypatch):
+    # a panel sum of zero gives a zero synthesized SNR and an SNR margin of
+    # -inf; in comm-only mode no CRB check meets the zero cascade first
+    monkeypatch.setattr(evaluation, "_panel_sum", lambda *args: 0j)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", _two_boxes_config(tmp_path), "--out", str(out),
+                     "--mode", "comm-only", "--seed", "1"])
     assert code == cli.EXIT_ERROR
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "RisDeployError"

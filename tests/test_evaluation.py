@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from risdeploy import cli, evaluation
 from risdeploy.errors import InvalidInputError
 from risdeploy.evaluation import (build_panel, closure_report, demo_sensing_paths,
                                   explicit_sensing_crb, explicit_ue_snr)
+from risdeploy.optimizer import ris_paths
+from risdeploy.propagation import dominant_path_between
+from risdeploy.scene import Building
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
 from _oracles import (explicit_sensing_crb_columns, explicit_ue_snr_pairs, panel_leg,
@@ -71,8 +76,10 @@ def test_snr_table_memory_is_bounded_in_panel_cells(ctx_full, nm_result):
     cells = 2 * list(region.covered_cells)
     doubled = dataclasses.replace(ctx_full, regions=[
         dataclasses.replace(region, covered_cells=cells), *ctx_full.regions[1:]])
+    doubled_panel = build_panel(doubled, nm_result.step1, 0)  # twice the UE legs
+    assert len(doubled_panel.ue_ends) == 2 * len(panel.ue_ends)
     peaks = []
-    for ctx in (ctx_full, doubled):
+    for ctx, panel in ((ctx_full, panel), (doubled, doubled_panel)):
         tracemalloc.start()
         try:
             explicit_ue_snr(ctx, nm_result.step1, panel)
@@ -85,12 +92,15 @@ def test_snr_table_memory_is_bounded_in_panel_cells(ctx_full, nm_result):
 
 def test_leg_weights_are_the_conjugate_of_its_one_phasor(ctx_full, nm_result):
     # bit for bit amplitudes times exp(-j kappa (d_b + d)) on every leg of the
-    # demo panels, and the phasor exp(j kappa (d_b + d)) that focuses on it
+    # demo panels, and the phasor exp(j kappa (d_b + d)) that focuses on it;
+    # every demo UE leg is LoS, so the panel keeps each cell's centre and 1
     kappa = 2.0 * np.pi / ctx_full.wavelength
     for n, region in enumerate(ctx_full.regions):
         panel = build_panel(ctx_full, nm_result.step1, n)
+        assert same_bits(panel.ue_ends, ctx_full.ue_grid.centers[region.covered_cells])
+        assert np.all(panel.ue_bounce == 1.0)
         for point in [*ctx_full.ue_grid.centers[region.covered_cells], *ctx_full.uav_grid.centers]:
-            weights, phasor = evaluation._leg(ctx_full, panel, point)
+            weights, phasor = evaluation._leg(ctx_full, panel, point, 1.0)
             dist, expected = panel_leg(ctx_full, panel, point)
             assert same_bits(weights, expected), (n, point)
             assert same_bits(phasor, np.exp(1j * kappa * (panel.d_b + dist))), (n, point)
@@ -111,7 +121,7 @@ def test_each_panel_leg_takes_one_exp(ctx_full, nm_result, monkeypatch):
     explicit_ue_snr(ctx_full, nm_result.step1, panel)
     assert sum(calls) == n_cells + n_uav  # one per UE leg and one per UAV leg
     calls.clear()
-    explicit_sensing_crb(ctx_full, nm_result.step1, panel, ctx_full.regions[0].covered_cells[0])
+    explicit_sensing_crb(ctx_full, nm_result.step1, panel, 0)
     assert sum(calls) == 1 + n_uav  # the comm leg once, then one per UAV column
 
 
@@ -119,25 +129,25 @@ def test_explicit_crb_requires_sensing_mode(ctx_full, nm_result):
     comm = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="comm-only"))
     panel = build_panel(comm, nm_result.step1, 0)
     with pytest.raises(InvalidInputError):
-        explicit_sensing_crb(comm, nm_result.step1, panel, ctx_full.regions[0].covered_cells[0])
+        explicit_sensing_crb(comm, nm_result.step1, panel, 0)
 
 
 def test_explicit_crb_improves_with_size(ctx_full, nm_result):
-    cell = ctx_full.regions[0].covered_cells[0]
     crb = explicit_sensing_crb(ctx_full, nm_result.step1,
-                               build_panel(ctx_full, nm_result.step1, 0), cell)
+                               build_panel(ctx_full, nm_result.step1, 0), 0)
     assert crb.shape == (2, len(ctx_full.uav_grid.centers))
     assert np.all(crb > 0)
     bigger = _bigger(nm_result.step1)
-    crb_big = explicit_sensing_crb(ctx_full, bigger, build_panel(ctx_full, bigger, 0), cell)
+    crb_big = explicit_sensing_crb(ctx_full, bigger, build_panel(ctx_full, bigger, 0), 0)
     assert np.all(crb_big < crb)
 
 
 def _assert_crbs_match_columns(ctx, result):
     for n, region in enumerate(ctx.regions):
         panel = build_panel(ctx, result, n)
-        for cell in (region.covered_cells[0], region.covered_cells[-1]):
-            assert same_bits(explicit_sensing_crb(ctx, result, panel, cell),
+        for row in (0, len(region.covered_cells) - 1):
+            cell = region.covered_cells[row]
+            assert same_bits(explicit_sensing_crb(ctx, result, panel, row),
                              explicit_sensing_crb_columns(ctx, result, panel, cell)), (n, cell)
 
 
@@ -165,12 +175,11 @@ def test_crb_memory_is_bounded_in_panel_vectors(ctx_full, nm_result):
         ctx_full.uav_grid, centers=np.vstack([centers, centers])))
     twice = dataclasses.replace(plan, beta_per_uav=np.vstack([plan.beta_per_uav] * 2),
                                 omega_per_uav=np.vstack([plan.omega_per_uav] * 2))
-    cell = ctx_full.regions[0].covered_cells[0]
     peaks = []
     for ctx, result in ((ctx_full, plan), (doubled, twice)):
         tracemalloc.start()
         try:
-            explicit_sensing_crb(ctx, result, panel, cell)
+            explicit_sensing_crb(ctx, result, panel, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -196,6 +205,54 @@ def test_closure_report_shapes_and_margins(ctx_full, nm_result):
     worst = min(float(np.min(s)) for s in report.snr_db)
     assert report.snr_margin_db == pytest.approx(
         worst - lin2db(ctx_full.link.snr_threshold_linear))
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_closure_report_closes_behind_a_wall(ctx_full, mode):
+    # the demo plus a 10 m wall in front of RIS 0's face, with pl_max_db 110 so
+    # that blocked legs take a reflection: each mode's plan closes on the legs
+    # that sized it, every margin >= 0 dB and every gain gap <= 0.3 dB
+    wall = Building.box(45.0, 70.0, 91.0, 92.0, 10.0)
+    ctx = dataclasses.replace(
+        ctx_full, scene=dataclasses.replace(ctx_full.scene,
+                                            buildings=ctx_full.scene.buildings + (wall,)),
+        prop=dataclasses.replace(ctx_full.prop, pl_max_db=110.0),
+        cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
+    plan = cli.optimize(ctx).step1
+    report = closure_report(ctx, plan)
+    margins = [report.snr_margin_db]
+    if mode != "comm-only":
+        margins += [report.crb_range_margin_db, report.crb_velocity_margin_db]
+    assert min(margins) >= 0.0, margins
+    assert np.all(report.gain_gap_db <= 0.3), report.gain_gap_db
+    if mode == "pathloss-baseline":  # its plan serves a cell of RIS 0 by a reflection
+        assert np.any(ris_paths(ctx, 0, plan.positions[0])[3] < 1.0)
+
+
+def test_reflected_legs_are_straight_legs_to_their_images(tmp_path):
+    # on the two-box scene RIS 0 serves its UE cells by a reflection: the SNR
+    # table is the pairwise synthesis toward each leg's image point times the
+    # bounce power, and the CRB check's comm beam is focused on that image
+    scene = Path(__file__).parent / "data" / "two_boxes_scene.json"
+    (tmp_path / "cfg.json").write_text(json.dumps({"scene": str(scene), "symbols": 256,
+                                                   "mode": "passive-orientation"}))
+    ctx = cli.build_context(cli.load_config(str(tmp_path / "cfg.json")))
+    plan = cli.optimize(ctx).step1
+    panel = build_panel(ctx, plan, 0)
+    cells = ctx.regions[0].covered_cells
+    paths = [dominant_path_between(ctx.scene, ctx.prop, plan.positions[0], ctx.ue_grid.centers[c])
+             for c in cells]
+    assert all(path.kind == "reflection" for path in paths)
+    centers = ctx.ue_grid.centers.copy()
+    centers[cells] = [path.apparent for path in paths]
+    images = dataclasses.replace(ctx, ue_grid=dataclasses.replace(ctx.ue_grid, centers=centers))
+    bounce = np.array([path.bounce_amp for path in paths])
+    np.testing.assert_allclose(explicit_ue_snr(ctx, plan, panel),
+                               explicit_ue_snr_pairs(images, plan, panel) * bounce[:, None] ** 2,
+                               rtol=1e-12)
+    for row, cell in enumerate(cells):
+        assert same_bits(explicit_sensing_crb(ctx, plan, panel, row),
+                         explicit_sensing_crb_columns(images, plan, panel, cell)), row
 
 
 def test_closure_report_comm_only(demo_cfg):

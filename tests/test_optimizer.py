@@ -19,7 +19,7 @@ from risdeploy.scene import Building, line_of_sight
 from _oracles import (best_beta_per_cell, orientation_score_masked, orientation_score_rows,
                       orientation_search_full, reference_sensing_crbs_per_cell, same_bits,
                       step1_evaluate_joint)
-from conftest import bench_city_config
+from conftest import bench_city_config, bs_leg
 
 WIDE = OrientationBounds(-np.pi / 3, np.pi / 3, -np.pi, np.pi)
 
@@ -155,7 +155,8 @@ def test_step1_evaluate_structure(ctx_full):
     c = np.zeros((m_u, n))
     for k, gamma in enumerate(res.gamma_ref):
         range_crb, velocity_crb = reference_sensing_crbs(ctx_full, positions[k],
-                                                         res.orientations[k])
+                                                         res.orientations[k],
+                                                         *bs_leg(ctx_full, positions[k]))
         c[:, k] = constraint_constants(float(np.min(gamma[gamma > 0])), range_crb,
                                        velocity_crb, ctx_full, res.beta_per_uav[:, k]).c_max
     for u in range(m_u):
@@ -176,7 +177,8 @@ def test_step1_beta_choice_is_per_cell_optimal(ctx_full):
     for n, region in enumerate(ctx_full.regions):
         gamma_worst = float(np.min(res.gamma_ref[n][res.gamma_ref[n] > 0]))
         range_crb, velocity_crb = reference_sensing_crbs(ctx_full, positions[n],
-                                                         res.orientations[n])
+                                                         res.orientations[n],
+                                                         *bs_leg(ctx_full, positions[n]))
         for u in range(len(ctx_full.uav_grid.centers)):
             beta, c_n = best_beta_per_cell(ctx_full, gamma_worst, range_crb[u],
                                            velocity_crb[u])
@@ -273,7 +275,8 @@ def test_reference_crbs_are_the_per_cell_loop(ctx_full):
             normal = region.face.normal
             theta, dpsi = rng.uniform(-0.5, 0.5, 2)
             orient = Orientation(float(theta), float(np.arctan2(normal[1], normal[0]) + dpsi))
-            range_crb, velocity_crb = reference_sensing_crbs(ctx_full, p, orient)
+            range_crb, velocity_crb = reference_sensing_crbs(ctx_full, p, orient,
+                                                             *bs_leg(ctx_full, p))
             want = reference_sensing_crbs_per_cell(ctx_full, p, orient)
             assert same_bits(range_crb, np.array([b.range_crb for b in want]))
             assert same_bits(velocity_crb, np.array([b.velocity_crb for b in want]))

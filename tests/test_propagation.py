@@ -82,6 +82,16 @@ def test_wall_reflection_image_method():
     d = wall[0].depart_dir
     assert d[1] > 0
     np.testing.assert_allclose(a + (10.0 / d[1]) * d, [0.0, 10.0, 5.0], atol=1e-9)
+    # the path is the straight leg to c's image (30, 20, 5) times the bounce
+    # amplitude, and the LoS path the leg to c itself times 1
+    loss = 10 ** (-CFG.reflection_loss_db / 20.0)
+    assert wall[0].apparent.tolist() == [30.0, 20.0, 5.0] and wall[0].bounce_amp == loss
+    length, unit = leg_geometry(a, wall[0].apparent[None, :])
+    assert wall[0].length == length[0]
+    assert wall[0].attenuation == fspl_amplitude(length[0], LAM) * loss
+    assert same_bits(wall[0].depart_dir, unit[0])
+    los = paths[0]
+    assert los.kind == "los" and same_bits(los.apparent, c) and los.bounce_amp == 1.0
 
 
 def test_paths_sorted_and_truncated():
@@ -146,7 +156,7 @@ def test_leg_geometry_keeps_the_per_vector_rounding():
 
 
 def test_path_record_immutable():
-    p = PathRecord("los", 1e-6, 10.0, np.ones(3) / np.sqrt(3))
+    p = PathRecord("los", 1e-6, 10.0, np.ones(3) / np.sqrt(3), np.ones(3), 1.0)
     with pytest.raises(AttributeError):
         p.length = 5.0
 
@@ -172,10 +182,16 @@ def _fields(paths):
     return [(p.kind, p.attenuation, p.length, tuple(p.depart_dir)) for p in paths]
 
 
-def _same_legs(legs, paths) -> bool:
-    "dominant_legs' arrays hold each path's attenuation and depart_dir, bit for bit, in order."
-    att, dirs = legs
-    return (same_bits(att, np.array([p.attenuation for p in paths], dtype=float))
+def _same_legs(a, legs, paths) -> bool:
+    """dominant_legs' arrays hold each path's apparent end and bounce amplitude,
+    and the straight legs to them each path's attenuation and depart_dir, bit
+    for bit, in order."""
+    apparent, bounce = legs
+    length, dirs = leg_geometry(a, apparent)
+    return (same_bits(apparent, np.reshape([p.apparent for p in paths], (-1, 3)))
+            and same_bits(bounce, np.array([p.bounce_amp for p in paths], dtype=float))
+            and same_bits(fspl_amplitude(length, LAM) * bounce,
+                          np.array([p.attenuation for p in paths], dtype=float))
             and same_bits(dirs, np.reshape([p.depart_dir for p in paths], (-1, 3))))
 
 
@@ -208,7 +224,7 @@ def test_enumerate_paths_takes_a_known_los_answer(monkeypatch):
     # dominant_path_between
     want = [dominant_path_between(scn, CFG, a, b) for b in ends]
     del tests[:]
-    assert _same_legs(dominant_legs(scn, CFG, a, ends), want)
+    assert _same_legs(a, dominant_legs(scn, CFG, a, ends), want)
     assert len(tests) == reflection_tests[0] > 0
 
 
@@ -261,7 +277,7 @@ def test_leg_queries_are_one_pass_over_enumerate_paths(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "enumerate_paths", counted)
         if first_none is None:
-            assert _same_legs(dominant_legs(scn, cfg, a, ends), want)
+            assert _same_legs(a, dominant_legs(scn, cfg, a, ends), want)
         else:  # the legs after the first without a path are never formed
             with pytest.raises(NoPathError):
                 dominant_legs(scn, cfg, a, ends)

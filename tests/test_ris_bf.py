@@ -113,8 +113,9 @@ def _focus(bits):
                                 cfg=types.SimpleNamespace(bits=bits))
     cells = ris_cell_positions(16, SPC, np.zeros(3), Orientation(0.0, 0.0))
     panel = Panel(index=0, cells=cells, axis=np.array([1.0, 0.0, 0.0]),
-                  d_b=np.linalg.norm(cells - BS, axis=1), amp_b=np.ones(len(cells)))
-    return panel, _leg(ctx, panel, UE), _leg(ctx, panel, UAV)
+                  d_b=np.linalg.norm(cells - BS, axis=1), amp_b=np.ones(len(cells)),
+                  ue_ends=UE[None, :], ue_bounce=np.ones(1))
+    return panel, _leg(ctx, panel, UE, 1.0), _leg(ctx, panel, UAV, 1.0)
 
 
 def test_dual_beam_single_beam_limit():

@@ -17,6 +17,7 @@ from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
 from _oracles import (fd_fim, fim_scalar, moments_per_symbol, qpsk_symbols_exp,
                       reference_sensing_crbs_per_cell, same_bits, waveform_sample)
+from conftest import bs_leg
 
 SMALL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=64, symbols=16)
 
@@ -169,14 +170,15 @@ def test_reference_crb_scale(ctx_full):
     orient = orientation_search(pos, ctx_full.scene.bs_position,
                                 ctx_full.ue_grid.centers[region.covered_cells],
                                 ctx_full.uav_grid.centers, ctx_full.region_bounds(region))
-    base = reference_sensing_crbs(ctx_full, pos, orient)
+    leg = bs_leg(ctx_full, pos)
+    base = reference_sensing_crbs(ctx_full, pos, orient, *leg)
     cfg = ctx_full.cfg
     bigger = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
         cfg, ref_cells_per_side=2 * cfg.ref_cells_per_side))
     lossier = dataclasses.replace(ctx_full, cfg=dataclasses.replace(
         cfg, efficiency=cfg.efficiency / 2))
-    big = reference_sensing_crbs(bigger, pos, orient)
-    lossy = reference_sensing_crbs(lossier, pos, orient)
+    big = reference_sensing_crbs(bigger, pos, orient, *leg)
+    lossy = reference_sensing_crbs(lossier, pos, orient, *leg)
     for k in range(2):  # range, then velocity
         assert base[k].shape == (len(ctx_full.uav_grid.centers),)
         assert np.all(base[k] > 0)
@@ -209,7 +211,7 @@ def test_crb_arrays_are_fim_per_cell(ctx_full, mode):
                 orient = orientation_search(p, ctx.scene.bs_position,
                                             ctx.ue_grid.centers[region.covered_cells],
                                             ctx.uav_grid.centers, ctx.region_bounds(region))
-            range_crb, velocity_crb = reference_sensing_crbs(ctx, p, orient)
+            range_crb, velocity_crb = reference_sensing_crbs(ctx, p, orient, *bs_leg(ctx, p))
             want = reference_sensing_crbs_per_cell(ctx, p, orient)
             assert same_bits(range_crb, np.array([b.range_crb for b in want]))
             assert same_bits(velocity_crb, np.array([b.velocity_crb for b in want]))
