@@ -8,7 +8,9 @@ from per-path ranges by Gauss-Newton least squares at a known flight height.
 The frame passes run in single precision: the echo frame is complex64 and
 the map holds float32 linear power. Sums that set a value (the echo of each
 row block, the noise, the CFAR's running means) are formed in float64 and
-rounded once; dB is formed in float64 only for the values written out.
+rounded once; dB is formed in float64 only for the values written out. The
+CFAR judges the map's local maxima strongest first and forms thresholds only
+on the row blocks they lie in, each bit for bit the whole-map pass's.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,11 @@ from .sensing import _QPSK, OfdmWaveform
 from .units import db2lin, lin2db
 
 # Block sizes of the frame passes; each block temporary holds a few MB, not a frame.
-ROW_BLOCK = 32  # rows per block: echo synthesis, noise, Doppler FFT, CFAR threshold
-COLUMN_BLOCK = 32  # columns per block: equalisation, range IFFT, CFAR range means
+ROW_BLOCK = 32  # rows per block: echo synthesis, noise, Doppler FFT, CFAR passes
+COLUMN_BLOCK = 32  # columns per block: equalisation, range IFFT
+# the strongest local maxima the CFAR judges one row block at a time before it
+# judges every block
+CANDIDATES = 1024
 
 # conj(S) for the QPSK symbol index k: equalises a received symbol by its phasor
 _EQUALISER = np.conj(_QPSK).astype(np.complex64)
@@ -44,8 +49,20 @@ class PathDetection:
 
 
 @dataclass(frozen=True)
+class CfarWork:
+    "How much of the map one CFAR call judged."
+    judged: int  # local maxima judged, strongest first (all of them after a shortfall)
+    local_maxima: int
+    blocks_judged: int  # row blocks whose thresholds were formed
+    blocks: int
+    prefix_rows: int  # rows the range pass formed, from row 0
+    rows: int
+
+
+@dataclass(frozen=True)
 class DetectionReport:
     detections: list
+    cfar: CfarWork
     warning: str | None = None
 
 
@@ -124,6 +141,25 @@ def power_db(power) -> np.ndarray:
     return lin2db(np.maximum(np.asarray(power, dtype=float), 1e-300))
 
 
+def _running_sums(lines: np.ndarray, size: int, start: int, stop: int, carry) -> np.ndarray:
+    """Sums start..stop-1 of `_running_mean` along axis 0, before it divides.
+
+    Each sum continues the one before it: `carry` (the sum at start - 1, None
+    at start 0, where the first window is summed in order) plus the sample
+    entering minus the one leaving. So the sums of a line formed a piece at a
+    time are bit for bit the sums formed at once.
+    """
+    ahead = size // 2
+    k = np.arange(start + size - 1 if start else 0, stop + size - 1)  # extended-line steps
+    ext = np.take(lines, k - ahead, axis=0, mode="wrap").astype(float, copy=False)
+    leaving = max(0, size - int(k[0]))  # the first step that drops a sample
+    ext[leaving:] -= np.take(lines, k[leaving:] - size - ahead, axis=0, mode="wrap")
+    if start:
+        ext[0] += carry
+    np.cumsum(ext, axis=0, out=ext)
+    return ext[k.size - (stop - start):]
+
+
 def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
     """Mean of `size` consecutive samples along the last axis, centered, with
     wrap-around ends.
@@ -132,14 +168,53 @@ def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
     first window is summed in order, then each step adds `new - old`, and every
     running sum is divided by `size`.
     """
-    length = lines.shape[-1]
-    ahead = size // 2
-    ext = np.take(lines, np.arange(-ahead, length + size - 1 - ahead), axis=-1, mode="wrap")
-    ext[..., size:] = ext[..., size:] - ext[..., :length - 1]
-    np.cumsum(ext, axis=-1, out=ext)
-    sums = ext[..., size - 1:]
+    sums = _running_sums(np.swapaxes(lines, 0, -1), size, 0, lines.shape[-1], None)
     sums /= size
-    return sums
+    return np.swapaxes(sums, 0, -1)
+
+
+class _RangeMeans:
+    """The CFAR's range pass: the running means over ranges of every column,
+    taken in float64 and rounded to float32, formed row block by row block
+    from row 0 as far as a judged block needs, and kept until its velocity pass
+    takes them."""
+
+    def __init__(self, power: np.ndarray, sizes: tuple):
+        self.power, self.sizes = power, sizes
+        self.carry = [None] * len(sizes)  # each window's last running sum
+        self.rows = 0  # rows formed so far
+        self.kept = {}  # row block -> one float32 mean block per window
+
+    def take(self, block: int) -> list:
+        "Row block `block`'s range means, one per window size, extending the prefix to it."
+        while block not in self.kept:
+            r0 = self.rows
+            r1 = min(r0 + ROW_BLOCK, self.power.shape[0])
+            means = []
+            for n, size in enumerate(self.sizes):
+                sums = _running_sums(self.power, size, r0, r1, self.carry[n])
+                self.carry[n] = sums[-1].copy()
+                sums /= size
+                means.append(sums.astype(np.float32))
+            self.kept[r0 // ROW_BLOCK] = means
+            self.rows = r1
+        return self.kept.pop(block)
+
+
+def _local_maxima(power: np.ndarray) -> np.ndarray:
+    "Flat indices, in row-major order, of the cells that are 3x3 wrap-around local maxima."
+    n_rows, n_cols = power.shape
+    cells = []
+    for r0 in range(0, n_rows, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n_rows)
+        # the block's power with one wrapped row above and below it
+        block = np.take(power, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap")
+        across = np.maximum(block, np.roll(block, 1, axis=1))
+        np.maximum(across, np.roll(block, -1, axis=1), out=across)
+        local_max = np.maximum(across[:-2], across[1:-1])
+        np.maximum(local_max, across[2:], out=local_max)
+        cells.append(np.flatnonzero(block[1:-1] >= local_max) + r0 * n_cols)
+    return np.concatenate(cells)
 
 
 def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0,
@@ -148,16 +223,21 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
 
     A cell is declared when its power exceeds the training-ring mean by
     threshold_db and it is a local maximum in its 3x3 neighborhood (both with
-    wrap-around edges). Returns the `expected` strongest detections; a
-    shortfall is flagged as a warning, not an error. Estimates stay on the bin
-    grid (no super-resolution).
+    wrap-around edges). Returns the `expected` strongest detections, ties in
+    row-major order; a shortfall is flagged as a warning, not an error.
+    Estimates stay on the bin grid (no super-resolution).
 
-    The ring mean is the difference of two box means, each a running mean over
+    Only a local maximum can be declared, so the local maxima of the whole map
+    are judged strongest first, from the `CANDIDATES` strongest, until
+    `expected` are declared. A judged cell's row block gets its thresholds:
+    the ring mean is the difference of two box means, each a running mean over
     ranges and then over velocities (the arithmetic of
-    `scipy.ndimage.uniform_filter` on the float32 map). The range pass runs on
-    column blocks and stores float32, the velocity pass and the threshold run
-    on row blocks; each running mean is taken in float64. Linear power is
-    compared throughout, and dB is formed only for the detections.
+    `scipy.ndimage.uniform_filter` on the float32 map). The range pass stores
+    float32 and is formed from row 0 only as far as the judged blocks reach;
+    the velocity pass and the threshold run on the judged row blocks; each
+    running mean is taken in float64. When those candidates hold fewer than
+    `expected` detections, every row block is judged. Linear power is compared
+    throughout, and dB is formed only for the detections.
     """
     if expected < 1:
         raise InvalidInputError("expected must be >= 1")
@@ -165,46 +245,67 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     inner = 2 * guard + 1
     power = rv.power
     n_rows, n_cols = power.shape
-    outer_mean = np.empty((n_rows, n_cols), dtype=np.float32)
-    inner_mean = np.empty((n_rows, n_cols), dtype=np.float32)
-    for c0 in range(0, n_cols, COLUMN_BLOCK):
-        cols = slice(c0, c0 + COLUMN_BLOCK)
-        lines = power[:, cols].T.astype(float)
-        outer_mean[:, cols] = _running_mean(lines, outer).T
-        inner_mean[:, cols] = _running_mean(lines, inner).T
     scale = db2lin(threshold_db)
-    peaks = []
-    for r0 in range(0, n_rows, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n_rows)
-        noise = _running_mean(outer_mean[r0:r1].astype(float), outer)
+    cells = _local_maxima(power)
+    values = power.take(cells)
+    block_cells = ROW_BLOCK * n_cols
+    n_blocks = -(-n_rows // ROW_BLOCK)
+    # row block b's local maxima are cells[bounds[b]:bounds[b + 1]]
+    bounds = np.searchsorted(cells, np.arange(n_blocks + 1) * block_cells)
+    hit = np.zeros(cells.size, dtype=bool)
+    judged = np.zeros(n_blocks, dtype=bool)
+    range_means = _RangeMeans(power, (outer, inner))
+
+    def judge(b):
+        "Threshold row block b and decide its local maxima."
+        outer_mean, inner_mean = range_means.take(b)
+        noise = _running_mean(outer_mean.astype(float), outer)
         noise *= outer**2
-        inner_sum = _running_mean(inner_mean[r0:r1].astype(float), inner)
+        inner_sum = _running_mean(inner_mean.astype(float), inner)
         inner_sum *= inner**2
         noise -= inner_sum
         noise /= outer**2 - inner**2
         np.maximum(noise, 0.0, out=noise)
         noise *= scale
-        # the block's power with one wrapped row above and below it
-        block = np.take(power, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap")
-        hits = block[1:-1] > noise
-        across = np.maximum(block, np.roll(block, 1, axis=1))
-        np.maximum(across, np.roll(block, -1, axis=1), out=across)
-        local_max = np.maximum(across[:-2], across[1:-1])
-        np.maximum(local_max, across[2:], out=local_max)
-        hits &= block[1:-1] >= local_max
-        peaks.append(np.argwhere(hits) + [r0, 0])
-    i, j = np.concatenate(peaks).T
+        mine = slice(bounds[b], bounds[b + 1])
+        i, j = np.divmod(cells[mine] - b * block_cells, n_cols)
+        hit[mine] = values[mine] > noise[i, j]
+        judged[b] = True
+
+    # the strongest candidates in descending power, ties in row-major order
+    top = np.arange(cells.size)
+    if cells.size > CANDIDATES:  # every cell as strong as the CANDIDATES-th
+        top = np.flatnonzero(values >= np.partition(values, -CANDIDATES)[-CANDIDATES])
+    order = top[np.argsort(-values[top], kind="stable")]
+    block_of = cells[order] // block_cells
+    stop = 0  # the candidates before it in `order` are decided
+    while True:
+        waiting = np.flatnonzero(~judged[block_of[stop:]])
+        stop = stop + int(waiting[0]) if waiting.size else order.size
+        found = np.flatnonzero(hit[order[:stop]])  # the declared cells' places in `order`
+        if found.size >= expected or stop == order.size:
+            break
+        judge(block_of[stop])
+    declared = order[found[:expected]]
+    judged_cells = int(found[expected - 1]) + 1 if found.size >= expected else cells.size
+    if found.size < expected and order.size < cells.size:
+        for b in np.flatnonzero(~judged):  # the candidates ran out: judge every block
+            judge(b)
+        declared = np.flatnonzero(hit)
+        declared = declared[np.argsort(-values[declared], kind="stable")][:expected]
+    i, j = np.divmod(cells[declared], n_cols)
     detections = [
         PathDetection(range_est=r, velocity_est=v, power_db=p)
         for r, v, p in zip(rv.range_axis[i].tolist(), rv.velocity_axis[j].tolist(),
-                           power_db(power[i, j]).tolist())
+                           power_db(values[declared]).tolist())
     ]
-    detections.sort(key=lambda d: -d.power_db)
-    detections = detections[:expected]
     warning = None
     if len(detections) < expected:
         warning = f"partial detection: {len(detections)} of {expected} paths found"
-    return DetectionReport(detections=detections, warning=warning)
+    work = CfarWork(judged=judged_cells, local_maxima=cells.size,
+                    blocks_judged=int(judged.sum()), blocks=n_blocks,
+                    prefix_rows=range_means.rows, rows=n_rows)
+    return DetectionReport(detections=detections, warning=warning, cfar=work)
 
 
 def associate_paths(detections: list, expected_ranges) -> list:

@@ -3,7 +3,8 @@ to its SHA-256.
 
 The set is the demo `run` at the demo config's seed (the `pipeline_run`
 fixture) and in all four modes at seed 1, pathloss-baseline at seeds 12 and
-108, the four-mode `compare` (the `compare_run` fixture) and the bench city
+108, full-isac at seed 108 (a partial detection, so the CFAR judges every row
+block), the four-mode `compare` (the `compare_run` fixture) and the bench city
 (`bench/city.py`, city seed 1, planner seed 0). `golden.json` also keeps the
 parsed `deployment.json` and `comparison.json` of each run. So a failure
 names the artifacts that moved and says whether their numbers are still
@@ -35,7 +36,8 @@ def extra_runs(base: Path) -> dict:
     cfg = cli.load_config(demo_config_path())
     runs = {}
     for mode, seed in [(m, 1) for m in cli.MODES] + [("pathloss-baseline", 12),
-                                                     ("pathloss-baseline", 108)]:
+                                                     ("pathloss-baseline", 108),
+                                                     ("full-isac", 108)]:
         name = f"run {mode} seed {seed}"
         out = base / name.replace(" ", "-")
         runs[name] = (cli.run_pipeline(dataclasses.replace(cfg, mode=mode, seed=seed), out), out)

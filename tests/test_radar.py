@@ -143,6 +143,20 @@ def test_blocked_frame_passes_match_whole_frame_reference(rows, cols, monkeypatc
         assert same_bits(rv.power, range_velocity_power(y, qpsk_grid(wave, 4)))
 
 
+def _strongest_first(power, peaks):
+    "The reference peaks by descending power, ties in row-major order."
+    return peaks[np.argsort(-power[tuple(peaks.T)], kind="stable")]
+
+
+def _declared(report):
+    return [(d.range_est, d.velocity_est, d.power_db) for d in report.detections]
+
+
+def _cells(rv, cells):
+    map_db = power_db(rv.power)
+    return [(rv.range_axis[i], rv.velocity_axis[j], map_db[i, j]) for i, j in cells]
+
+
 # a frame smaller than the 21-cell outer window of the default CFAR
 TINY = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=7, symbols=9)
 
@@ -159,15 +173,64 @@ def test_cfar_matches_whole_map_reference(params, paths, rows, cols, guard, trai
     monkeypatch.setattr(radar, "COLUMN_BLOCK", cols)
     wave = OfdmWaveform(params, seed=4)
     rv = range_velocity_map(synthesize_returns(wave, paths, noise_psd=1e-19, seed=9), wave)
-    map_db = power_db(rv.power)
     for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
-        peaks = cfar_peaks(rv.power, threshold_db, guard, training)
-        report = detect_paths(rv, expected=len(peaks) + 1, threshold_db=threshold_db,
-                              guard=guard, training=training)
-        got = sorted((d.range_est, d.velocity_est, d.power_db) for d in report.detections)
-        assert got == sorted((rv.range_axis[i], rv.velocity_axis[j], map_db[i, j])
-                             for i, j in peaks)
+        peaks = _strongest_first(rv.power, cfar_peaks(rv.power, threshold_db, guard, training))
+        # every early stop and the shortfall, from the default candidate slice
+        # and from a slice of five that runs out, so every block is judged
+        for candidates in (radar.CANDIDATES, 5):
+            monkeypatch.setattr(radar, "CANDIDATES", candidates)
+            for expected in range(1, len(peaks) + 2):
+                report = detect_paths(rv, expected=expected, threshold_db=threshold_db,
+                                      guard=guard, training=training)
+                assert _declared(report) == _cells(rv, peaks[:expected])
+                assert (report.warning is None) == (expected <= len(peaks))
+                work = report.cfar
+                assert 1 <= work.blocks_judged <= work.blocks == -(-params.subcarriers // rows)
+                assert work.prefix_rows <= work.rows == params.subcarriers
     assert len(peaks) > len(paths)
+
+
+def test_cfar_judges_only_the_blocks_its_detections_need(monkeypatch):
+    # a seeded noise floor with nine peaks: six of equal power in rows 0-63
+    # (row 0 among them), a weaker hit at row 100, beyond the 64 rows those
+    # six need, a weaker one on the last row (its window wraps to row 0) and
+    # one too weak to declare
+    monkeypatch.setattr(radar, "ROW_BLOCK", 32)
+    power = np.random.default_rng(5).exponential(size=(150, 48)).astype(np.float32)
+    cells = [(0, 7), (5, 40), (20, 25), (33, 11), (40, 30), (63, 2), (100, 3), (149, 20),
+             (70, 44)]
+    for (i, j), level in zip(cells, (1e4,) * 6 + (1e3, 3e2, 5.0)):
+        power[i, j] = level
+    rv = radar.RangeVelocityMap(power=power, range_axis=np.arange(150) * 0.5,
+                                velocity_axis=np.arange(-24, 24) * 0.25, resolution=(0.5, 0.25))
+    peaks = _strongest_first(power, cfar_peaks(power, 12.0))
+    assert peaks.tolist() == [list(c) for c in cells[:8]]  # ties in row-major order
+    work = []
+    for candidates in (radar.CANDIDATES, 2):
+        monkeypatch.setattr(radar, "CANDIDATES", candidates)
+        for expected in range(1, 10):
+            report = detect_paths(rv, expected=expected)
+            assert _declared(report) == _cells(rv, peaks[:expected])
+            work.append(report.cfar)
+    assert [(w.judged, w.blocks_judged, w.prefix_rows) for w in work[:9]] == [
+        (1, 1, 32), (2, 1, 32), (3, 1, 32), (4, 2, 64), (5, 2, 64), (6, 2, 64), (7, 3, 128),
+        (8, 4, 150), (work[0].local_maxima, 5, 150)]
+    # a slice of two holds every cell as strong as the second, so the six
+    # tied peaks; it runs out at the seventh detection, and every block is judged
+    assert [(w.blocks_judged, w.prefix_rows) for w in work[9:]] == (
+        [(1, 32)] * 3 + [(2, 64)] * 3 + [(5, 150)] * 3)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 32])
+def test_range_means_in_any_block_order_are_the_whole_map_pass(rows, monkeypatch):
+    monkeypatch.setattr(radar, "ROW_BLOCK", rows)
+    power = np.random.default_rng(rows).exponential(size=(40, 6)).astype(np.float32)
+    whole = [ndimage.uniform_filter1d(power, size, axis=0, mode="wrap") for size in (21, 5)]
+    means = radar._RangeMeans(power, (21, 5))
+    for block in np.random.default_rng(0).permutation(-(-40 // rows)):
+        for mean, want in zip(means.take(block), whole):
+            assert same_bits(mean, want[block * rows:(block + 1) * rows])
+    assert means.rows == 40 and not means.kept
 
 
 def _noisy_frames():
@@ -212,8 +275,17 @@ def test_single_precision_finds_the_float64_detections(params, paths, seed):
 @pytest.mark.parametrize("length", [1, 2, 4, 20, 21, 22, 100])
 def test_running_mean_matches_uniform_filter1d(size, length):
     lines = 10.0 ** np.random.default_rng(length).normal(scale=3.0, size=(3, length))
-    assert same_bits(radar._running_mean(lines, size),
-                     ndimage.uniform_filter1d(lines, size, mode="wrap"))
+    whole = ndimage.uniform_filter1d(lines, size, mode="wrap")
+    assert same_bits(radar._running_mean(lines, size), whole)
+    # the sums formed to any R are the first R of the whole line's, and so are
+    # the sums continued one at a time from the last one formed
+    sums = [radar._running_sums(lines.T, size, 0, 1, None)]
+    for stop in range(1, length + 1):
+        head = radar._running_sums(lines.T, size, 0, stop, None)
+        assert same_bits(head.T / size, whole[:, :stop])
+        if stop > 1:
+            sums.append(radar._running_sums(lines.T, size, stop - 1, stop, sums[-1][-1]))
+        assert same_bits(np.concatenate(sums).T / size, whole[:, :stop])
 
 
 FULL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=2560, symbols=2048)
@@ -234,7 +306,8 @@ def _frames_allocated(fn):
 def test_radar_passes_stay_within_their_memory_bounds():
     # the waveform keeps symbol indices; the echo is one complex64 frame, the
     # delay profile takes its buffer and the map is float32 (half a frame);
-    # the CFAR holds two float32 box-mean frames besides its block temporaries
+    # the CFAR holds the map's local maxima and the float32 range means of the
+    # row blocks it formed but has not judged yet, besides its block temporaries
     wave, frames = _frames_allocated(lambda: OfdmWaveform(FULL, seed=1))
     assert frames <= 0.5, frames
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
@@ -245,9 +318,16 @@ def test_radar_passes_stay_within_their_memory_bounds():
     rv, frames = _frames_allocated(lambda: range_velocity_map(y, wave))
     assert frames <= 1.0, frames
     del y
+    # an early stop: the two paths are the two strongest local maxima, and the
+    # range pass is formed for the rows their blocks reach
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=2))
+    assert frames <= 0.5, frames
+    assert len(report.detections) == 2 and report.cfar.judged == 2
+    assert report.cfar.prefix_rows < FULL.subcarriers
+    # a shortfall: the frame holds nine hits, so ten judge every block
+    report, frames = _frames_allocated(lambda: detect_paths(rv, expected=10))
     assert frames <= 1.3, frames
-    assert len(report.detections) == 2
+    assert report.warning is not None and report.cfar.blocks_judged == report.cfar.blocks
 
 
 def test_rv_map_csv_matches_csv_writer(tmp_path):
