@@ -1,40 +1,59 @@
 """Golden artifacts: each artifact but `run.log` of a fixed set of runs, held
 to its SHA-256.
 
-The set is the demo `run` at the demo config's seed (the `pipeline_run`
-fixture) and in all four modes at seed 1, pathloss-baseline at seeds 12 and
-108, full-isac at seed 108 (a partial detection, so the CFAR judges every row
-block), the four-mode `compare` (the `compare_run` fixture) and the bench city
-(`bench/city.py`, city seed 1, planner seed 0). `golden.json` also keeps the
-parsed `deployment.json` and `comparison.json` of each run. So a failure
-names the artifacts that moved and says whether their numbers are still
-within 1e-12 relative, which a reordering of float operations gives, or
-beyond it, which means the plan moved.
+The set is the demo `run` at the demo config's seed and in all four modes at
+seed 1, pathloss-baseline at seeds 12 and 108, full-isac at seed 108 (a
+partial detection, so the CFAR judges every row block), the four-mode
+`compare` at the demo config's seed and the bench city (`bench/city.py`, city
+seed 1, planner seed 0). `golden.json` also keeps the parsed
+`deployment.json` and `comparison.json` of each run. So a failure names the
+artifacts that moved and says whether their numbers are still within 1e-12
+relative, which a reordering of float operations gives, or beyond it, which
+means the plan moved.
+
+The runs are made in one child process on NumPy's and OpenBLAS's AVX2 kernels
+(`TIER`, which the child sets before it imports NumPy). The kernels
+the libraries pick for a CPU move the last bits of float results, so the
+hashes hold on every x86-64 CPU with AVX2, whatever newer kernels it has.
 
 A change that moves an artifact on purpose regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py`` and says which artifacts moved
-and why.
+``PYTHONPATH=src python tests/test_golden.py``, which records through the
+same child, and says which artifacts moved and why.
 """
 
-import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
-
-from risdeploy import cli
-
-from conftest import bench_city_config, demo_config_path
 
 GOLDEN = Path(__file__).with_name("golden.json")
 NUMBERS = ("deployment.json", "comparison.json")  # kept parsed as well as hashed
 REL = 1e-12
+# NumPy without its AVX-512 dispatch targets, OpenBLAS on its Haswell (AVX2) kernels
+TIER = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "OPENBLAS_CORETYPE": "Haswell"}
 
 
-def extra_runs(base: Path) -> dict:
-    "The runs the session fixtures do not make: name -> (exit code, artifact directory)."
+def golden_runs(base: Path) -> dict:
+    "Make every golden run under base: name -> (exit code, artifact directory)."
+    import dataclasses
+
+    from risdeploy import cli
+
+    from conftest import bench_city_config, demo_config_path
+
     cfg = cli.load_config(demo_config_path())
     runs = {}
+    out = base / "run"
+    runs[f"run full-isac seed {cfg.seed}"] = (
+        cli.run_pipeline(dataclasses.replace(cfg, mode="full-isac"), out), out)
+    out = base / "compare"
+    runs[f"compare seed {cfg.seed}"] = (cli.compare_modes(cfg, list(cli.MODES), out), out)
     for mode, seed in [(m, 1) for m in cli.MODES] + [("pathloss-baseline", 12),
                                                      ("pathloss-baseline", 108),
                                                      ("full-isac", 108)]:
@@ -53,6 +72,17 @@ def record(code: int, out: Path) -> dict:
     return {"exit": code,
             "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
             "numbers": {p.name: json.loads(p.read_text()) for p in files if p.name in NUMBERS}}
+
+
+def tier_records(base: Path) -> dict:
+    "The records of every golden run, made by this file's child on the AVX2 tier."
+    src = Path(importlib.util.find_spec("risdeploy").submodule_search_locations[0]).parent
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run([sys.executable, __file__, "--child", str(base)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, f"golden child failed:\n{child.stderr}"
+    return json.loads((base / "records.json").read_text())
 
 
 def _first_difference(a, b, where=""):
@@ -100,29 +130,21 @@ def compare(got: dict, want: dict) -> list:
     return lines
 
 
-def fixture_runs(run_dir: Path, compare_dir: Path) -> dict:
-    "The two exit-0 runs the session fixtures make, named like extra_runs' runs."
-    seed = cli.load_config(demo_config_path()).seed
-    return {f"run full-isac seed {seed}": (cli.EXIT_OK, run_dir),
-            f"compare seed {seed}": (cli.EXIT_OK, compare_dir)}
-
-
-def test_artifacts_match_golden(pipeline_run, compare_run, tmp_path_factory):
-    runs = {**fixture_runs(pipeline_run[0], compare_run[0]),
-            **extra_runs(tmp_path_factory.mktemp("golden"))}
-    got = {name: record(*run) for name, run in runs.items()}
-    moved = compare(got, json.loads(GOLDEN.read_text()))
+def test_artifacts_match_golden(tmp_path):
+    moved = compare(tier_records(tmp_path), json.loads(GOLDEN.read_text()))
     assert not moved, "artifacts differ from tests/golden.json:\n" + "\n".join(moved)
 
 
-if __name__ == "__main__":  # regenerate golden.json
-    import tempfile
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:  # make the runs on the AVX2 tier
+        import warnings
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        cfg = cli.load_config(demo_config_path())
-        assert cli.run_pipeline(dataclasses.replace(cfg, mode="full-isac"), base / "run") == 0
-        assert cli.compare_modes(cfg, list(cli.MODES), base / "compare") == 0
-        runs = {**fixture_runs(base / "run", base / "compare"), **extra_runs(base)}
-        GOLDEN.write_text(json.dumps({name: record(*run) for name, run in runs.items()},
-                                     indent=1, sort_keys=True) + "\n")
+        os.environ.update(TIER)  # before golden_runs first imports NumPy
+        warnings.simplefilter("error", RuntimeWarning)  # as pyproject's filterwarnings
+        base = Path(sys.argv[2])
+        records = {name: record(*run) for name, run in golden_runs(base).items()}
+        (base / "records.json").write_text(json.dumps(records))
+    else:  # regenerate golden.json
+        with tempfile.TemporaryDirectory() as tmp:
+            GOLDEN.write_text(json.dumps(tier_records(Path(tmp)), indent=1, sort_keys=True)
+                              + "\n")
