@@ -345,12 +345,15 @@ def _logged_plan(ctx: optimizer.OptimizerContext, log):
 
 @contextlib.contextmanager
 def _stage(log, name: str):
-    "Log the wall time of one pipeline stage and the process's peak RSS after it to run.log."
+    """Log the wall time of one pipeline stage to run.log, then the process's
+    peak RSS after it and the minor page faults the stage took."""
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     yield
     log.info("stage %s: %.3f s", name, time.perf_counter() - t0)
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    log.info("stage %s peak_rss: %.1f MB", name, peak_kib / 1024.0)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    log.info("stage %s peak_rss: %.1f MB, minor faults: %d", name,
+             usage.ru_maxrss / 1024.0, usage.ru_minflt - faults0)  # ru_maxrss is KiB on Linux
 
 
 def _write_json(path: Path, obj):

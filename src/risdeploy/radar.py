@@ -9,8 +9,12 @@ The frame passes run in single precision: the echo frame is complex64 and
 the map holds float32 linear power. Sums that set a value (the echo of each
 row block, the noise, the CFAR's running means) are formed in float64 and
 rounded once; dB is formed in float64 only for the values written out. The
-CFAR judges the map's local maxima strongest first and forms thresholds only
-on the row blocks they lie in, each bit for bit the whole-map pass's.
+echo synthesis and the Doppler pass allocate their block buffers once per
+call and write every block into them, and the range IFFT runs in place in its
+equalised block: glibc may map a block temporary of 128 KB or more afresh,
+and fault its pages in again, each time one is allocated. The CFAR judges the
+map's local maxima strongest first and forms thresholds only on the row
+blocks they lie in, each bit for bit the whole-map pass's.
 """
 
 from dataclasses import dataclass
@@ -88,22 +92,31 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
     phases = [(path.coeff, np.exp(-1j * 2.0 * np.pi * waveform.freqs * path.delay),
                np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)) for path in paths]
     y = np.empty((nc, nm), dtype=np.complex64)
+    buffers = np.empty((3, min(ROW_BLOCK, nc), nm), dtype=complex)
     for r0 in range(0, nc, ROW_BLOCK):
         rows = slice(r0, r0 + ROW_BLOCK)
-        block = np.zeros(y[rows].shape, dtype=complex)
+        block, term, symbols = buffers[:, :y[rows].shape[0]]
+        block.fill(0.0)
         for coeff, delay_phase, doppler_phase in phases:
-            block += coeff * np.outer(delay_phase[rows], doppler_phase)
-        block *= waveform.symbols(rows=rows)
+            np.outer(delay_phase[rows], doppler_phase, out=term)
+            # coeff first, as in coeff * outer: the SIMD complex product does not
+            # round the same with its operands swapped
+            np.multiply(coeff, term, out=term)
+            block += term
+        block *= waveform.symbols(rows=rows, out=symbols)
         y[rows] = block
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
+        draw = np.empty(buffers.shape[1:])  # float64 noise of one row block
         # every real part first, then every imaginary part: the same generator
         # stream as one whole-frame draw for each
         for part in (y.real, y.imag):
             for r0 in range(0, nc, ROW_BLOCK):
                 block = part[r0:r0 + ROW_BLOCK]
-                block += sigma * rng.standard_normal(block.shape)
+                noise = rng.standard_normal(out=draw[:block.shape[0]])
+                noise *= sigma
+                block += noise
     return y
 
 
@@ -123,12 +136,19 @@ def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVel
     for c0 in range(0, nm, COLUMN_BLOCK):
         cols = slice(c0, c0 + COLUMN_BLOCK)
         equalised = received[:, cols] * _EQUALISER.take(waveform.index[:, cols])
-        profile[:, cols] = np.fft.ifft(equalised, axis=0)
+        profile[:, cols] = np.fft.ifft(equalised, axis=0, out=equalised)
     power = np.empty((nc, nm), dtype=np.float32)
+    # the Doppler pass's block buffers, one set per pass
+    spectrum = np.empty((min(ROW_BLOCK, nc), nm), dtype=np.complex64)
+    magnitude = np.empty(spectrum.shape, dtype=np.float32)
+    shift = nm // 2  # fftshift: bin k of the FFT is column (k + shift) % nm of the map
     for r0 in range(0, nc, ROW_BLOCK):
         rows = slice(r0, r0 + ROW_BLOCK)
-        rv = np.fft.fftshift(np.fft.fft(profile[rows], axis=1), axes=1)
-        power[rows] = np.abs(rv) ** 2
+        n = power[rows].shape[0]
+        rv = np.fft.fft(profile[rows], axis=1, out=spectrum[:n])
+        rv_abs = np.abs(rv, out=magnitude[:n])
+        np.square(rv_abs[:, nm - shift:], out=power[rows, :shift])
+        np.square(rv_abs[:, :nm - shift], out=power[rows, shift:])
     range_axis = np.arange(nc) * ofdm.range_resolution
     velocity_axis = (np.arange(nm) - nm // 2) * ofdm.velocity_resolution
     return RangeVelocityMap(power=power, range_axis=range_axis,

@@ -1,8 +1,10 @@
 """Sensing model: OFDM waveform moments, Fisher information and CRBs.
 
-The probing waveform is a seeded random-QPSK OFDM frame. All integrals are
-Riemann sums on the 1/B sample grid over one frame, so analytic FIM entries
-and finite-difference oracles share the same discretization.
+The probing waveform is a seeded random-QPSK OFDM frame. The FIM's three
+frame integrals are sums on the 1/B sample grid over one frame, taken in
+closed form: their expectations over the unit-modulus symbols (exact for the
+derivative energy, by Parseval's theorem), so sizing does not depend on the
+symbol draw. Finite-difference oracles sum the same grid for a drawn frame.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ import numpy as np
 from .errors import InvalidInputError, UnobservablePathError
 from .units import SPEED_OF_LIGHT, wavelength
 
-MOMENT_BLOCK = 64  # symbols per batched IFFT in OfdmWaveform.moments
 DRAW_BLOCK = 64  # subcarrier rows per integer draw in qpsk_symbols
 
 # exp(j(pi/4 + k pi/2)) for the QPSK symbol index k = 0..3
@@ -89,65 +90,32 @@ class OfdmWaveform:
         self.index = qpsk_symbols(params.subcarriers, params.symbols, seed)
         nc = params.subcarriers
         self.freqs = (np.arange(nc) - nc // 2) * params.bandwidth_hz / nc
-        self._scale = 1.0 / np.sqrt(nc)
-        # j 2 pi f_p in IFFT order: the spectrum of s_dot is this times that of s
-        self._dot_weight = np.roll(1j * 2.0 * np.pi * self.freqs, -(nc // 2))
 
-    def symbols(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        "The complex symbols S[rows, cols] of the frame."
-        return _QPSK.take(self.index[rows, cols])
-
-    def _symbol_samples(self, m0: int, m1: int):
-        "Samples of s and s_dot over symbols m0..m1-1 on the 1/B grid, one row per symbol."
-        nc = self.params.subcarriers
-        # rolled into IFFT order, then one contiguous row per symbol: the IFFTs
-        # along rows run faster than on a transpose
-        index = np.ascontiguousarray(np.roll(self.index[:, m0:m1], -(nc // 2), axis=0).T)
-        spec = _QPSK.take(index)
-        s = np.fft.ifft(spec, axis=1)
-        np.multiply(self._dot_weight, spec, out=spec)
-        s_dot = np.fft.ifft(spec, axis=1, out=spec)
-        for x in (s, s_dot):
-            x *= nc
-            x *= self._scale
-        return s, s_dot
+    def symbols(self, rows=slice(None), cols=slice(None), out=None) -> np.ndarray:
+        "The complex symbols S[rows, cols] of the frame, written into `out` when it is given."
+        # indices are 0..3, so "clip" never clips; unlike "raise" it writes
+        # straight into `out`, with no temporary
+        return _QPSK.take(self.index[rows, cols], out=out, mode="clip")
 
     def moments(self) -> WaveformMoments:
-        """Riemann-sum frame moments of s(t) at 1/B spacing.
+        """Frame moments of s(t) on the 1/B grid, in closed form.
 
-        Each block of symbols is reduced to one sum per symbol (a row of the
-        block), and those sums are added in symbol order as Python floats.
+        With N = Nc M samples at dt = 1/B, n dt the time of sample n and w_p =
+        2 pi f_p, independent unit-modulus symbols give E[|s|^2] = 1 and
+        E[s_dot conj(s)] = j mean(w) at every sample. So I1 = sum |s_dot|^2 dt
+        = N mean(w^2) dt, exactly for any draw (Parseval's theorem per
+        symbol), and the expectations of the others are I2 = sum t s_dot
+        conj(s) dt = j mean(w) dt^2 N(N-1)/2 and I3 = sum t^2 |s|^2 dt = dt^3
+        (N-1)N(2N-1)/6 (M. Braun, OFDM Radar Algorithms in Mobile Communication
+        Networks, KIT 2014). The sums over n are Python ints, exact.
         """
-        nc, nm = self.params.subcarriers, self.params.symbols
+        n = self.params.subcarriers * self.params.symbols
         dt = 1.0 / self.params.bandwidth_hz
-        i1 = 0.0
-        i2 = 0.0 + 0.0j
-        i3 = 0.0
-        # a block's arrays are freed as the next block's replace them: freed
-        # first, their pages go back to the system and fault in again each block
-        for m0 in range(0, nm, MOMENT_BLOCK):
-            m1 = min(m0 + MOMENT_BLOCK, nm)
-            s, s_dot = self._symbol_samples(m0, m1)
-            # sample index m nc + k, exact in float64
-            t = np.arange(m0 * nc, m1 * nc, dtype=float).reshape(m1 - m0, nc)
-            t *= dt
-            # the row sums match the per-symbol 1-D sums of tests/_oracles.py
-            # bit for bit, which test_moments_match_per_symbol_reference holds
-            power = np.abs(s_dot)
-            power **= 2
-            r1 = power.sum(axis=1).tolist()
-            cross = np.multiply(t, s_dot, out=s_dot)
-            cross *= np.conjugate(s, out=s)
-            r2 = cross.sum(axis=1).tolist()
-            np.abs(s, out=power)
-            power **= 2
-            t **= 2
-            r3 = np.multiply(t, power, out=power).sum(axis=1).tolist()
-            for e1, e2, e3 in zip(r1, r2, r3):
-                i1 += e1 * dt
-                i2 += e2 * dt
-                i3 += e3 * dt
-        return WaveformMoments(deriv_energy=i1, time_cross=i2, time_energy=i3)
+        w = 2.0 * np.pi * self.freqs
+        i2 = float(np.mean(w)) * dt**2 * (n * (n - 1) // 2)
+        return WaveformMoments(deriv_energy=n * float(np.mean(w * w)) * dt,
+                               time_cross=complex(0.0, i2),
+                               time_energy=dt**3 * ((n - 1) * n * (2 * n - 1) // 6))
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 The Fisher-information oracle below never calls the analytic moment formulas:
 it builds the received-signal samples for perturbed (delay, Doppler) values
-and forms the FIM from central finite differences on the same 1/B Riemann
-grid the analytic code integrates over. Delay perturbations are applied per
-symbol as an exact subcarrier phase ramp, which is the delayed version of the
-same piecewise trigonometric-polynomial signal whose derivative the analytic
-moments use. `fim_scalar` is the analytic FIM of one path in scalar
+and forms the FIM from central finite differences on the same 1/B grid
+whose sums the analytic moments take in closed form. Delay perturbations are
+applied per symbol as an exact subcarrier phase ramp, which is the delayed
+version of the same piecewise trigonometric-polynomial signal whose
+derivative the analytic moments use. `fim_scalar` is the analytic FIM of one path in scalar
 arithmetic, the rounding the array form in `sensing` must reproduce. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
 references keep the whole-frame, one-symbol-at-a-time arithmetic that the
-blocked code in `sensing` and `radar` must reproduce bit for bit. They draw
+blocked code in `sensing` and `radar` must reproduce bit for bit, and
+`moments_per_symbol` sums one drawn frame, which the closed-form moments are
+held to at measured bounds. They draw
 the complex QPSK grid again from the seed the waveform was built with (their
 `wave_seed`), not from its index grid. The radar references take the
 precision of their input: on complex64 frames and float32 maps they round
@@ -54,6 +56,11 @@ def qpsk_grid(wave, seed):
     return qpsk_symbols_exp(wave.params.subcarriers, wave.params.symbols, seed)
 
 
+def _scale(wave) -> float:
+    "The 1/sqrt(Nc) amplitude of the unit-average-power signal."
+    return 1.0 / np.sqrt(wave.params.subcarriers)
+
+
 def waveform_sample(wave, t, tau=0.0):
     """Direct evaluation of (s(t - tau), s_dot(t - tau)) of `wave` at arbitrary times.
 
@@ -69,8 +76,8 @@ def waveform_sample(wave, t, tau=0.0):
     local = tp - m_safe * tsym
     phases = np.exp(1j * 2.0 * np.pi * np.outer(wave.freqs, local))  # (Nc, Nt)
     sym = wave.symbols(cols=m_safe)
-    s = wave._scale * np.sum(sym * phases, axis=0)
-    s_dot = wave._scale * np.sum(sym * (1j * 2.0 * np.pi * wave.freqs)[:, None] * phases, axis=0)
+    s = _scale(wave) * np.sum(sym * phases, axis=0)
+    s_dot = _scale(wave) * np.sum(sym * (1j * 2.0 * np.pi * wave.freqs)[:, None] * phases, axis=0)
     s[~valid] = 0.0
     s_dot[~valid] = 0.0
     return s, s_dot
@@ -80,7 +87,7 @@ def _delayed_symbol(grid, wave, m, offset):
     "Samples of symbol m's trig polynomial delayed by `offset` seconds."
     nc = wave.params.subcarriers
     spec = grid[:, m] * np.exp(-1j * 2.0 * np.pi * wave.freqs * offset)
-    return np.fft.ifft(np.roll(spec, -(nc // 2))) * nc * wave._scale
+    return np.fft.ifft(np.roll(spec, -(nc // 2))) * nc * _scale(wave)
 
 
 def fd_fim(wave, path, noise_psd, *, wave_seed, h_tau=6e-12, h_dop=100.0):
@@ -267,8 +274,8 @@ def moments_per_symbol(wave, tau=0.0, *, wave_seed):
         spec = np.roll(grid[:, m], -(nc // 2))
         spec_dot = np.roll(1j * 2.0 * np.pi * wave.freqs * grid[:, m], -(nc // 2))
         n_keep = min(nc, limit - base)
-        s = (np.fft.ifft(spec) * nc * wave._scale)[:n_keep]
-        s_dot = (np.fft.ifft(spec_dot) * nc * wave._scale)[:n_keep]
+        s = (np.fft.ifft(spec) * nc * _scale(wave))[:n_keep]
+        s_dot = (np.fft.ifft(spec_dot) * nc * _scale(wave))[:n_keep]
         t = (base + shift + np.arange(n_keep)) * dt
         i1 += float(np.sum(np.abs(s_dot) ** 2)) * dt
         i2 += complex(np.sum(t * s_dot * np.conj(s))) * dt

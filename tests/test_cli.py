@@ -166,15 +166,18 @@ def test_run_log_has_stage_timings(run_dir):
     log = (run_dir / "run.log").read_text()
     for stage in ("context", "optimize", "closure", "radar"):
         assert re.search(rf"INFO stage {stage}: \d+\.\d{{3}} s$", log, re.MULTILINE), stage
-    mb = []  # each timing line is followed by the peak RSS so far
+    mb = []  # each timing line is followed by the peak RSS so far and the stage's minor faults
     for stage in ("context", "optimize", "closure", "radar"):
         found = re.search(rf"INFO stage {stage}: \d+\.\d{{3}} s\n"
-                          rf"\S+ \S+ INFO stage {stage} peak_rss: (\d+\.\d) MB$", log, re.MULTILINE)
+                          rf"\S+ \S+ INFO stage {stage} peak_rss: (\d+\.\d) MB, "
+                          rf"minor faults: (\d+)$", log, re.MULTILINE)
         assert found, stage
         mb.append(float(found[1]))
+        assert int(found[2]) > 0, stage
     assert mb == sorted(mb) and mb[0] > 0.0
     # after the optimize stage, the optimizer's evaluation and failure counts
-    counts = re.search(r"INFO stage optimize peak_rss: \d+\.\d MB\n\S+ \S+ INFO optimizer: "
+    counts = re.search(r"INFO stage optimize peak_rss: \d+\.\d MB, minor faults: \d+\n"
+                       r"\S+ \S+ INFO optimizer: "
                        r"(\d+) placements evaluated, (\d+) unreachable "
                        r"\((\d+) over size_cap\)$", log, re.MULTILINE)
     assert counts, "optimizer counts"
@@ -212,7 +215,7 @@ def test_compare_log_has_stage_timings(compare_dir):
     # one context stage, then per mode a mode line and its optimize and closure stages
     log = (compare_dir / "run.log").read_text()
     stage = (r"INFO stage (?P<stage>\w+): \d+\.\d{3} s\n"
-             r"\S+ \S+ INFO stage (?P=stage) peak_rss: \d+\.\d MB$")
+             r"\S+ \S+ INFO stage (?P=stage) peak_rss: \d+\.\d MB, minor faults: \d+$")
     stages = re.findall(rf"INFO mode ([\w-]+)$|{stage}", log, re.MULTILINE)
     expected = [("", "context")]
     for mode in cli.MODES:

@@ -41,6 +41,7 @@ TIER = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
 
 def golden_runs(base: Path) -> dict:
     "Make every golden run under base: name -> (exit code, artifact directory)."
+    # imported here, not at the top: the child sets TIER before NumPy loads
     import dataclasses
 
     from risdeploy import cli

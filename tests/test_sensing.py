@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,11 +52,6 @@ def test_qpsk_symbols_match_exp_formula():
 def test_waveform_sample_matches_symbol_samples():
     wave = OfdmWaveform(SMALL, seed=1)
     dt = 1.0 / SMALL.bandwidth_hz
-    t = np.arange(SMALL.subcarriers) * dt  # symbol 0 grid
-    s_direct, sdot_direct = waveform_sample(wave, t)
-    s_fft, sdot_fft = (a[0] for a in wave._symbol_samples(0, 1))
-    np.testing.assert_allclose(s_direct, s_fft, atol=1e-10)
-    np.testing.assert_allclose(sdot_direct, sdot_fft, atol=1e-2 * np.max(np.abs(sdot_fft)) * 1e-8)
     # unit average power over the frame
     t_all = np.arange(SMALL.subcarriers * SMALL.symbols) * dt
     s_all, _ = waveform_sample(wave, t_all)
@@ -68,15 +62,23 @@ def test_waveform_sample_matches_symbol_samples():
 
 
 def test_moments_match_direct_riemann_sum():
-    wave = OfdmWaveform(SMALL, seed=2)
+    # the closed form is the expectation of the Riemann sums over the symbol
+    # draw: exact for any one frame in I1 (Parseval), and in I2 and I3 the
+    # mean of 200 frames' sums, which scatter about it by up to ~2e-2 and ~2e-3
+    # each, comes within 4.1e-3 (Re(j I2)) and 2.1e-5 (I3), held at about 2x
     dt = 1.0 / SMALL.bandwidth_hz
-    mom = wave.moments()
-    total = SMALL.subcarriers * SMALL.symbols
-    t = np.arange(total) * dt
-    s, s_dot = waveform_sample(wave, t)
-    np.testing.assert_allclose(mom.deriv_energy, np.sum(np.abs(s_dot) ** 2) * dt, rtol=1e-9)
-    np.testing.assert_allclose(mom.time_cross, np.sum(t * s_dot * np.conj(s)) * dt, rtol=1e-9)
-    np.testing.assert_allclose(mom.time_energy, np.sum(t**2 * np.abs(s) ** 2) * dt, rtol=1e-9)
+    mom = OfdmWaveform(SMALL, seed=2).moments()
+    t = np.arange(SMALL.subcarriers * SMALL.symbols) * dt
+    sums = []
+    for seed in range(2, 202):
+        s, s_dot = waveform_sample(OfdmWaveform(SMALL, seed=seed), t)
+        sums.append([np.sum(np.abs(s_dot) ** 2) * dt, np.sum(t * s_dot * np.conj(s)) * dt,
+                     np.sum(t**2 * np.abs(s) ** 2) * dt])
+    i1, i2, i3 = np.mean(sums, axis=0)
+    np.testing.assert_allclose(mom.deriv_energy, sums[0][0].real, rtol=1e-9)
+    assert mom.time_cross.real == 0.0
+    np.testing.assert_allclose(mom.time_cross.imag, i2.imag, rtol=1e-2)
+    np.testing.assert_allclose(mom.time_energy, i3.real, rtol=5e-5)
 
 
 @functools.cache
@@ -87,40 +89,52 @@ def _oracle_moments(nc, m, seed):
 
 
 # ids read nc-m-delay, the delay in samples (moments() sums the undelayed
-# frame), then the frame's seed where it is not 3. Besides the two small frames
-# these are the frames the pipeline and the tests use: the demo frame (2560 x
-# 2048) at three seeds, the 512- and 256-symbol frames of RISDEPLOY_SYMBOLS
-# and A3's 64 x 16 frame, and 1001 symbols for a short last block.
-@pytest.mark.parametrize("block", [sensing.MOMENT_BLOCK, 8])
-@pytest.mark.parametrize("nc, m, seed", [
-    (100, 37, 3), (64, 150, 3), (2560, 2048, 0), (2560, 2048, 1), (2560, 2048, 108),
-    (2560, 512, 0), (2560, 256, 0), (2560, 1001, 0), (64, 16, 7),
-], ids=["100-37-0", "64-150-0", "2560-2048-0-seed0", "2560-2048-0-seed1",
-        "2560-2048-0-seed108", "2560-512-0-seed0", "2560-256-0-seed0", "2560-1001-0-seed0",
-        "64-16-0-seed7"])
+# frame), then the frame's seed where it is not 3, then the row block of the
+# symbol draw. Besides the two small frames these are the frames the pipeline
+# and the tests use: the demo frame (2560 x 2048) at three seeds, the 512- and
+# 256-symbol frames of RISDEPLOY_SYMBOLS and A3's 64 x 16 frame, and 1001
+# symbols. Each frame's bounds on |closed form / oracle - 1| for I1, Re(j I2)
+# and I3 are about twice the errors measured for it (in the comments): the
+# closed form is the expectation over the draw, so a drawn frame's sums
+# scatter about it, less the more samples the frame has; I1 is exact up to
+# the oracle's rounding.
+MOMENT_BOUNDS = {
+    (100, 37, 3): (1e-15, 3e-2, 2e-4),  # 1.1e-16, 1.1e-2, 6.6e-5
+    (64, 150, 3): (2e-15, 5e-3, 4e-5),  # 8.9e-16, 2.1e-3, 1.7e-5
+    (2560, 2048, 0): (7e-14, 2e-4, 2e-7),  # 3.3e-14, 8.7e-5, 5.2e-8
+    (2560, 2048, 1): (7e-14, 1e-4, 8e-7),  # 3.3e-14, 4.9e-5, 3.7e-7
+    (2560, 2048, 108): (7e-14, 4e-4, 6e-8),  # 3.3e-14, 1.8e-4, 3.0e-8
+    (2560, 512, 0): (2e-14, 2e-3, 6e-7),  # 8.2e-15, 6.6e-4, 2.8e-7
+    (2560, 256, 0): (1e-14, 2e-2, 8e-6),  # 4.7e-15, 7.6e-3, 3.7e-6
+    (2560, 1001, 0): (4e-14, 3e-3, 3e-7),  # 1.8e-14, 1.3e-3, 1.4e-7
+    (64, 16, 7): (1e-15, 9e-2, 4e-3),  # 0, 4.3e-2, 1.6e-3
+}
+
+
+@pytest.mark.parametrize("block", [sensing.DRAW_BLOCK, 8])
+@pytest.mark.parametrize("nc, m, seed", list(MOMENT_BOUNDS),
+                         ids=["100-37-0", "64-150-0", "2560-2048-0-seed0", "2560-2048-0-seed1",
+                              "2560-2048-0-seed108", "2560-512-0-seed0", "2560-256-0-seed0",
+                              "2560-1001-0-seed0", "64-16-0-seed7"])
 def test_moments_match_per_symbol_reference(block, nc, m, seed, monkeypatch):
-    # 37, 150 and 1001 symbols end inside a block of 64 and of 8
-    monkeypatch.setattr(sensing, "MOMENT_BLOCK", block)
-    mom = OfdmWaveform(OfdmParams(28e9, 1e9, nc, m), seed=seed).moments()
+    # the oracle sums the frame it draws whole from `seed`; the waveform's
+    # frame, drawn in row blocks of 64 or 8, is that frame (its 100 rows end
+    # inside a block of either size), and the closed form is within the
+    # frame's bounds
+    monkeypatch.setattr(sensing, "DRAW_BLOCK", block)
+    wave = OfdmWaveform(OfdmParams(28e9, 1e9, nc, m), seed=seed)
+    assert np.array_equal(wave.index, np.random.default_rng(seed).integers(0, 4, (nc, m)))
+    mom = wave.moments()
     i1, i2, i3 = _oracle_moments(nc, m, seed)
-    assert same_bits(np.array([mom.deriv_energy, mom.time_energy]), np.array([i1, i3]))
-    assert same_bits(np.array(mom.time_cross), np.array(i2))
+    errors = (abs(mom.deriv_energy / i1 - 1), abs((1j * mom.time_cross).real / (1j * i2).real - 1),
+              abs(mom.time_energy / i3 - 1))
+    assert all(e <= bound for e, bound in zip(errors, MOMENT_BOUNDS[nc, m, seed])), errors
 
 
-def test_moments_work_in_block_sized_memory():
-    # the traced peak of one moments() pass on the demo frame, in complex128
-    # blocks of MOMENT_BLOCK symbols; the frame's symbol indices are drawn
-    # before tracing starts
+def test_moments_do_not_depend_on_the_symbol_draw():
+    # sizing's CRBs read the closed form, so two draws of the demo frame size alike
     params = OfdmParams(28e9, 1e9, 2560, 2048)
-    wave = OfdmWaveform(params, seed=0)
-    block_bytes = 16 * sensing.MOMENT_BLOCK * params.subcarriers
-    tracemalloc.start()
-    try:
-        wave.moments()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * block_bytes, peak / block_bytes
+    assert OfdmWaveform(params, seed=0).moments() == OfdmWaveform(params, seed=1).moments()
 
 
 def test_sensing_path_coordinates():
@@ -249,7 +263,7 @@ def test_crb_arrays_raise_the_first_failing_cells_error():
     # a zero coefficient or a FIM that is not positive definite raises fim's
     # error for that cell, with the message of the first failing cell
     mom = OfdmWaveform(SMALL, seed=0).moments()
-    skew = WaveformMoments(mom.deriv_energy, 1j * 1e6 * mom.time_cross, mom.time_energy)
+    skew = WaveformMoments(mom.deriv_energy, 1e6 * mom.time_cross, mom.time_energy)
     cases = ((mom, [1e-7, 2e-7, 0.0, 3e-7], 0.0),  # the zero cell is the first to fail
              (skew, [3e-7, 0.0, 1e-7], 3e-7))  # a cell without a positive-definite FIM
     messages = set()
