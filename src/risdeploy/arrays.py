@@ -1,7 +1,7 @@
 """Panel orientation: rotations, orientation bounds and the panel normal.
 
 Panels (RIS) lie in their local yz-plane with the normal along +x, so the
-boresight angle of a direction is ``arccos`` of its local x component.
+cosine of a direction's boresight angle is its local x component.
 """
 
 from dataclasses import dataclass

@@ -51,21 +51,22 @@ class LinkBudget:
         return float(db2lin(self.snr_threshold_db))
 
 
-# Panel field of view: directions further off boresight contribute nothing.
-# Near grazing the effective aperture collapses and practical unit-cell
-# patterns have rolled off, so the panel cannot serve such directions.
-PANEL_FOV_RAD = np.deg2rad(80.0)
+# Panel field of view: directions further than 80 degrees off boresight
+# contribute nothing. Near grazing the effective aperture collapses and
+# practical unit-cell patterns have rolled off, so the panel cannot serve such
+# directions. A direction is in view when its cosine to the normal exceeds this.
+PANEL_FOV_COS = float(np.cos(np.deg2rad(80.0)))
 
 
-def unit_cell_amplitude_gain(boresight_angle, cell_area: float, lam: float):
-    """Amplitude gain of one RIS cell toward a direction off its normal.
+def cell_amplitude_gain(cos, cell_area: float, lam: float):
+    """Amplitude gain of one RIS cell toward a direction at cosine `cos` to
+    its normal.
 
-    From the effective aperture ``A_u cos(angle)``: power gain
-    4 pi A_u cos / lambda^2. Two traversals of the panel multiply two of
-    these, so M coherent cells at efficiency eta give the aperture gain
-    eta * cos(in) * cos(out) * (M A_u)^2 * (4 pi / lambda^2)^2. Zero at or
-    beyond the panel field of view. Elementwise over array angles.
+    From the effective aperture ``A_u cos``: power gain 4 pi A_u cos /
+    lambda^2. Two traversals of the panel multiply two of these, so M
+    coherent cells at efficiency eta give the aperture gain eta * cos(in) *
+    cos(out) * (M A_u)^2 * (4 pi / lambda^2)^2. Zero at or beyond the panel
+    field of view (cos <= PANEL_FOV_COS). Elementwise over array cosines.
     """
-    angle = np.asarray(boresight_angle, dtype=float)
-    c = np.where(angle < PANEL_FOV_RAD, np.cos(angle), 0.0)
-    return np.sqrt(4.0 * np.pi * cell_area * c / lam**2)
+    c = np.asarray(cos, dtype=float)
+    return np.sqrt(4.0 * np.pi * cell_area * np.where(c > PANEL_FOV_COS, c, 0.0) / lam**2)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import unit_cell_amplitude_gain
+from .channel import cell_amplitude_gain
 from .errors import InvalidInputError
-from .optimizer import OptimizerContext, Step1Result, ris_paths, sensing_path
+from .optimizer import OptimizerContext, Step1Result, ris_paths, round_trip_coeff, sensing_path
 from .propagation import fspl_amplitude
 from .ris_bf import codeword_index, codeword_phasors, ris_cell_positions
 from .sensing import fim
@@ -65,8 +65,8 @@ def _toward(ctx, cells: np.ndarray, point, bounce: float, axis: np.ndarray):
     "Per-cell distance to a leg's apparent end, and cell gain times fspl and bounce of that leg."
     diff = np.asarray(point, dtype=float) - cells
     dist = np.linalg.norm(diff, axis=1)
-    cos = np.clip(np.einsum("ij,j->i", diff, axis) / dist, -1.0, 1.0)
-    return dist, (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
+    cos = np.einsum("ij,j->i", diff, axis) / dist
+    return dist, (cell_amplitude_gain(cos, ctx.cell_area, ctx.wavelength)
                   * (fspl_amplitude(dist, ctx.wavelength) * bounce))
 
 
@@ -125,11 +125,10 @@ def explicit_ue_snr(ctx: OptimizerContext, plan: Step1Result, panel: Panel) -> n
     return table
 
 
-def _sensing_paths(ctx, plan: Step1Result, panel: Panel, row: int, columns,
-                   velocity=None):
-    """Round trips through the sized panel with its comm beam on UE leg `row`,
-    one per (UAV cell index, UAV position) column under that cell's split: one
-    leg per column gives its traversal weights and its sense beam."""
+def _panel_cascades(ctx, plan: Step1Result, panel: Panel, row: int, columns):
+    """Traversal amplitudes of the sized panel with its comm beam on UE leg
+    `row`, one per (UAV cell index, UAV position) column under that cell's
+    split: one leg per column gives its traversal weights and its sense beam."""
     n = panel.index
     bits = ctx.cfg.bits
     phasors = codeword_phasors(bits)
@@ -138,9 +137,7 @@ def _sensing_paths(ctx, plan: Step1Result, panel: Panel, row: int, columns,
         beta = float(plan.beta_per_uav[u, n])
         weights, sense = _leg(ctx, panel, uav, 1.0)
         beam = np.sqrt(beta) * comm + np.sqrt(1.0 - beta) * sense
-        h = complex(_panel_sum(weights, beam, phasors, bits))
-        yield sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[u, n + 1]),
-                           ris=plan.positions[n], cascade=h, velocity=velocity)
+        yield complex(_panel_sum(weights, beam, phasors, bits))
 
 
 def explicit_sensing_crb(ctx: OptimizerContext, plan: Step1Result, panel: Panel,
@@ -149,12 +146,10 @@ def explicit_sensing_crb(ctx: OptimizerContext, plan: Step1Result, panel: Panel,
     through the sized panel with the comm beam on UE leg `row` (covered-cell order)."""
     if ctx.cfg.mode == "comm-only":
         raise InvalidInputError("sensing closure undefined in comm-only mode")
-    crb = np.empty((2, len(ctx.uav_grid.centers)))
-    for u, path in enumerate(_sensing_paths(ctx, plan, panel, row,
-                                            enumerate(ctx.uav_grid.centers))):
-        pair = fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
-        crb[:, u] = pair.range_crb, pair.velocity_crb
-    return crb
+    h = np.fromiter(_panel_cascades(ctx, plan, panel, row, enumerate(ctx.uav_grid.centers)),
+                    complex)
+    coeff = round_trip_coeff(ctx, plan.omega_per_uav[:, panel.index + 1], ctx.uav_ranges, h)
+    return np.array(fim(ctx.ofdm, np.abs(coeff), ctx.link.noise_psd_w_hz, ctx.moments)[:2])
 
 
 def closure_report(ctx: OptimizerContext, plan: Step1Result) -> ClosureReport:
@@ -217,6 +212,7 @@ def demo_sensing_paths(ctx: OptimizerContext, plan: Step1Result, uav_position,
     paths = [sensing_path(ctx, 0, uav, max(omega0, 1e-12), velocity=vel)]
     uav_index = int(np.argmin(np.linalg.norm(ctx.uav_grid.centers - uav, axis=1)))
     for n in range(len(ctx.regions)):
-        paths.extend(_sensing_paths(ctx, plan, build_panel(ctx, plan, n), 0,
-                                    [(uav_index, uav)], vel))
+        h, = _panel_cascades(ctx, plan, build_panel(ctx, plan, n), 0, [(uav_index, uav)])
+        paths.append(sensing_path(ctx, n + 1, uav, float(plan.omega_per_uav[uav_index, n + 1]),
+                                  ris=plan.positions[n], cascade=h, velocity=vel))
     return paths

@@ -16,13 +16,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arrays import Orientation, OrientationBounds, panel_normal
-from .channel import PANEL_FOV_RAD, LinkBudget, unit_cell_amplitude_gain
+from .channel import PANEL_FOV_COS, LinkBudget, cell_amplitude_gain
 from .errors import (InfeasiblePowerError, InvalidInputError, NoPathError, SizeCapError,
                      UnobservablePathError, UnreachableTargetsError)
 from .propagation import (PropagationConfig, dominant_legs, dominant_path_between,
                           fspl_amplitude, leg_geometry)
 from .ris_bf import quantization_efficiency
-from .sensing import OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, crb_arrays
+from .sensing import OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim
 from .units import SPEED_OF_LIGHT, db2lin
 
 
@@ -132,7 +132,6 @@ def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
     return axes, thetas, psis
 
 
-_COS_FOV = float(np.cos(PANEL_FOV_RAD))
 BLOCK = 8  # coarse-grid nodes per block side in the bounded coarse pass
 # Rounding room of the block bounds: an angle from arccos near 0 or pi is
 # off by up to ~1e-8 rad, and a score by a few ulps.
@@ -193,7 +192,7 @@ def _block_bounds(centres, radius, u_bs, u_ue, u_uav) -> np.ndarray:
     groups = [u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav])
     least = np.array([np.min(g @ centres, axis=0) for g in groups])
     bound = np.cos(np.maximum(0.0, np.arccos(np.clip(least, -1.0, 1.0)) - radius))
-    return np.prod(bound, axis=0) * np.all(bound > _COS_FOV, axis=0)
+    return np.prod(bound, axis=0) * np.all(bound > PANEL_FOV_COS, axis=0)
 
 
 def _bounded_coarse_argmax(key, u_bs, u_ue, u_uav):
@@ -239,11 +238,11 @@ def _orientation_score(axes: np.ndarray, u_bs, u_ue, u_uav) -> np.ndarray:
                         else [u_bs[None, :], u_ue, u_uav])
     cos = targets @ axes  # (1 + n_ue [+ n_uav], n_axes)
     worst = np.min(cos[1:n_ue + 1], axis=0)
-    seen = (cos[0] > _COS_FOV) & (worst > _COS_FOV)
+    seen = (cos[0] > PANEL_FOV_COS) & (worst > PANEL_FOV_COS)
     score = cos[0] * worst
     if targets.shape[0] > n_ue + 1:
         worst = np.min(cos[n_ue + 1:], axis=0)
-        seen &= worst > _COS_FOV
+        seen &= worst > PANEL_FOV_COS
         score *= worst
     score *= seen
     return score
@@ -365,22 +364,23 @@ def ris_paths(ctx: OptimizerContext, n: int, position) -> tuple:
     return fspl_amplitude(length, ctx.wavelength) * bounce, dirs, apparent, bounce
 
 
+def reference_cascade(ctx: OptimizerContext, att, dirs, orientation: Orientation) -> np.ndarray:
+    """Amplitude M_ref sqrt(eta q_L) (g_b a_b) (g_k a_k) of the M_ref panel's
+    cascade from the BS leg (row 0) through each other leg k, from the legs'
+    attenuations a_* and departure directions, with g_* the per-cell
+    amplitude gains toward those directions."""
+    g = att * cell_amplitude_gain(np.vecdot(dirs, orientation.normal), ctx.cell_area,
+                                  ctx.wavelength)
+    return ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff) * g[0] * g[1:]
+
+
 def reference_comm_snr(ctx: OptimizerContext, att, dirs,
                        orientation: Orientation) -> np.ndarray:
     """Reference per-UE-cell SNR of the M_ref panel at unit beta and omega,
-    from the attenuations and departure directions of the RIS's dominant
-    paths, BS leg first (ris_paths).
-
-    gamma_k = (P_t / sigma^2) q_L G_bs |a_b a_k|^2 eta (M_ref g_b g_k)^2, with
-    a_* the dominant-path amplitudes of the two legs and g_* the per-cell
-    amplitude gains toward the two legs' departure directions.
-    """
-    cos = dirs @ orientation.normal
-    g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
-                                 ctx.wavelength)
-    base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
-            * ctx.bs_amp_gain**2 * att[0]**2)
-    return base * att[1:]**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
+    (P_t / sigma^2) G_bs |cascade|^2, from the attenuations and departure
+    directions of the RIS's dominant paths, BS leg first (ris_paths)."""
+    return (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.bs_amp_gain**2
+            * reference_cascade(ctx, att, dirs, orientation) ** 2)
 
 
 def round_trip_coeff(ctx: OptimizerContext, omega: float, d_bu, cascade=None):
@@ -390,7 +390,7 @@ def round_trip_coeff(ctx: OptimizerContext, omega: float, d_bu, cascade=None):
     whose reverse trip has the same delay and adds coherently, hence the 2."""
     lam = ctx.wavelength
     scale = np.sqrt(ctx.link.tx_power_w * omega) * ctx.bs_amp_gain**2
-    if cascade is None:  # float_power: libm pow, as a scalar ** (see sensing.crb_arrays)
+    if cascade is None:  # float_power: libm pow, as a scalar ** (see sensing.fim)
         return scale * np.float_power(fspl_amplitude(d_bu, lam), 2.0) * ctx.rcs_amp
     return 2.0 * scale * cascade * ctx.rcs_amp * fspl_amplitude(d_bu, lam)
 
@@ -419,16 +419,11 @@ def reference_sensing_crbs(ctx: OptimizerContext, position, orientation: Orienta
     """Reference range and velocity CRB arrays over the UAV cells through the
     M_ref panel at unit beta, omega and size scale, from the comm reference's
     BS leg (ris_paths' row 0) and straight UAV legs (leg_geometry)."""
-    p = np.asarray(position, dtype=float)
-    d, unit = leg_geometry(p, ctx.uav_grid.centers)
-    cos = np.clip(np.vecdot(np.vstack([dir_b, unit]), orientation.normal), 0.0, None)
-    lam = ctx.wavelength
-    g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
-               * unit_cell_amplitude_gain(np.arccos(cos[0]), ctx.cell_area, lam)
-               * unit_cell_amplitude_gain(np.arccos(cos[1:]), ctx.cell_area, lam))
-    cascades = att_b * g_cells * fspl_amplitude(d, lam)
-    return crb_arrays(ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges, cascades)),
-                      ctx.link.noise_psd_w_hz, ctx.moments)[:2]
+    d, unit = leg_geometry(position, ctx.uav_grid.centers)
+    cascades = reference_cascade(ctx, np.concatenate([[att_b], fspl_amplitude(d, ctx.wavelength)]),
+                                 np.vstack([dir_b, unit]), orientation)
+    return fim(ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges, cascades)),
+               ctx.link.noise_psd_w_hz, ctx.moments)[:2]
 
 
 def direct_power_share(ctx: OptimizerContext) -> float:
@@ -436,7 +431,7 @@ def direct_power_share(ctx: OptimizerContext) -> float:
     UAV cell; zero in communication-only mode."""
     if ctx.cfg.mode == "comm-only":
         return 0.0
-    range_crb, velocity_crb, _ = crb_arrays(
+    range_crb, velocity_crb, _ = fim(
         ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges)),
         ctx.link.noise_psd_w_hz, ctx.moments)
     worst = float(np.max([range_crb / ctx.cfg.range_crb_max,

@@ -137,14 +137,7 @@ class SensingPath:
         return wavelength(self.carrier_hz) * self.doppler / 2.0
 
 
-@dataclass(frozen=True)
-class CrbPair:
-    range_crb: float  # m^2
-    velocity_crb: float  # (m/s)^2
-    fim: np.ndarray  # 2x2
-
-
-def crb_arrays(ofdm: OfdmParams, amp, noise_psd_linear: float, moments: WaveformMoments):
+def fim(ofdm: OfdmParams, amp, noise_psd_linear: float, moments: WaveformMoments):
     """Range and velocity CRB arrays and the FIMs (shape (2, 2, paths)), one
     per path amplitude |a| in `amp`: J_dd = 8|a|^2/(sigma c0^2) * Re(I1),
     J_vd = 16 pi |a|^2/(sigma lam c0) * Re(j I2), J_vv = 32 pi^2 |a|^2/(sigma
@@ -165,10 +158,3 @@ def crb_arrays(ofdm: OfdmParams, amp, noise_psd_linear: float, moments: Waveform
         raise UnobservablePathError("zero path coefficient" if a2[bad[0]] == 0.0
                                     else "FIM is not positive definite")
     return jvv / det, jdd / det, np.array([[jdd, jvd], [jvd, jvv]])
-
-
-def fim(ofdm: OfdmParams, path: SensingPath, noise_psd_linear: float,
-        moments: WaveformMoments) -> CrbPair:
-    "Analytic 2x2 range/velocity FIM of one path and its CRBs (crb_arrays)."
-    (range_crb,), (velocity_crb,), f = crb_arrays(ofdm, abs(path.coeff), noise_psd_linear, moments)
-    return CrbPair(range_crb=float(range_crb), velocity_crb=float(velocity_crb), fim=f[:, :, 0])

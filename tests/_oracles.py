@@ -37,7 +37,7 @@ enumeration runs the image method on every face whatever the budget.
 import numpy as np
 
 from risdeploy.arrays import Orientation, OrientationBounds, panel_normal
-from risdeploy.channel import PANEL_FOV_RAD, unit_cell_amplitude_gain
+from risdeploy.channel import PANEL_FOV_COS, cell_amplitude_gain
 from risdeploy.errors import (InvalidInputError, NoPathError, SizeCapError,
                               UnobservablePathError, UnreachableTargetsError)
 from risdeploy.optimizer import (ORIENTATION_STEP, Step1Result, _axis_grid,
@@ -161,7 +161,7 @@ def orientation_score_rows(axes, u_bs, u_ue, u_uav):
     """
     targets = [u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav])
     cos = axes @ np.vstack(targets).T
-    cos *= cos > np.cos(PANEL_FOV_RAD)
+    cos *= cos > PANEL_FOV_COS
     n_ue = len(u_ue)
     score = cos[:, 0] * np.min(cos[:, 1:n_ue + 1], axis=1)
     if u_uav is not None:
@@ -175,7 +175,7 @@ def orientation_score_masked(axes, u_bs, u_ue, u_uav):
     n_ue = len(u_ue)
     targets = np.vstack([u_bs[None, :], u_ue] + ([] if u_uav is None else [u_uav]))
     cos = targets @ axes
-    cos *= cos > np.cos(PANEL_FOV_RAD)
+    cos *= cos > PANEL_FOV_COS
     score = cos[0] * np.min(cos[1:n_ue + 1], axis=0)
     if u_uav is not None:
         score *= np.min(cos[n_ue + 1:], axis=0)
@@ -387,8 +387,8 @@ def panel_leg(ctx, panel, point):
     the BS -> panel -> point leg: amplitudes times exp(-j kappa (d_b + d))."""
     diff = np.asarray(point, dtype=float) - panel.cells
     dist = np.linalg.norm(diff, axis=1)
-    cos = np.clip(np.einsum("ij,j->i", diff, panel.axis) / dist, -1.0, 1.0)
-    amp = (unit_cell_amplitude_gain(np.arccos(cos), ctx.cell_area, ctx.wavelength)
+    cos = np.einsum("ij,j->i", diff, panel.axis) / dist
+    amp = (cell_amplitude_gain(cos, ctx.cell_area, ctx.wavelength)
            * fspl_amplitude(dist, ctx.wavelength))
     kappa = 2.0 * np.pi / ctx.wavelength
     return dist, panel.amp_b * amp * np.exp(-1j * kappa * (panel.d_b + dist))
@@ -425,8 +425,8 @@ def explicit_sensing_crb_columns(ctx, result, panel, ue_cell):
         h = complex(np.sum(weights * np.exp(1j * phases)))
         path = sensing_path(ctx, n + 1, uav, float(result.omega_per_uav[u, n + 1]),
                             ris=result.positions[n], cascade=h)
-        pair = fim(ctx.ofdm, path, ctx.link.noise_psd_w_hz, ctx.moments)
-        crb[:, u] = pair.range_crb, pair.velocity_crb
+        (crb[0, u],), (crb[1, u],), _ = fim(ctx.ofdm, np.abs([path.coeff]),
+                                            ctx.link.noise_psd_w_hz, ctx.moments)
     return crb
 
 
@@ -437,33 +437,33 @@ def reference_comm_snr_per_leg(ctx, position, orientation, region):
     paths_k = [dominant_path_between(ctx.scene, ctx.prop, p, ctx.ue_grid.centers[cell])
                for cell in region.covered_cells]
     axis = panel_normal(orientation.theta_r, orientation.psi_r)
-    cos = np.array([path_b.depart_dir] + [path.depart_dir for path in paths_k]) @ axis
-    g = unit_cell_amplitude_gain(np.arccos(np.clip(cos, -1, 1)), ctx.cell_area,
-                                 ctx.wavelength)
+    cos = np.array([np.dot(path.depart_dir, axis) for path in [path_b] + paths_k])
+    g = cell_amplitude_gain(cos, ctx.cell_area, ctx.wavelength)
     att_k = np.array([path.attenuation for path in paths_k])
-    base = (ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
-            * ctx.bs_amp_gain**2 * path_b.attenuation**2)
-    return base * att_k**2 * ctx.cfg.efficiency * (ctx.m_ref * g[0] * g[1:]) ** 2
+    cascade = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
+               * (path_b.attenuation * g[0]) * (att_k * g[1:]))
+    return ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.bs_amp_gain**2 * cascade**2
 
 
 def reference_sensing_crbs_per_cell(ctx, position, orientation):
-    "Reference CRB pair per UAV cell, each cell's cascade formed on its own."
+    """Reference CRBs (range row, velocity row) over the UAV cells, each cell's
+    cascade and CRBs formed on their own."""
     p = np.asarray(position, dtype=float)
     axis = panel_normal(orientation.theta_r, orientation.psi_r)
     bs = ctx.scene.bs_position
     lam = ctx.wavelength
-    crbs = []
-    for center in ctx.uav_grid.centers:
+    crbs = np.empty((2, len(ctx.uav_grid.centers)))
+    for u, center in enumerate(ctx.uav_grid.centers):
         d_b = float(np.linalg.norm(p - bs))
         d_u = float(np.linalg.norm(center - p))
-        cos_b = float(np.clip(np.dot((bs - p) / d_b, axis), 0.0, None))
-        cos_u = float(np.clip(np.dot((center - p) / d_u, axis), 0.0, None))
-        g_cells = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
-                   * unit_cell_amplitude_gain(np.arccos(cos_b), ctx.cell_area, lam)
-                   * unit_cell_amplitude_gain(np.arccos(cos_u), ctx.cell_area, lam))
-        cascade = fspl_amplitude(d_b, lam) * g_cells * fspl_amplitude(d_u, lam)
-        crbs.append(fim(ctx.ofdm, sensing_path(ctx, 1, center, 1.0, ris=p, cascade=cascade),
-                        ctx.link.noise_psd_w_hz, ctx.moments))
+        cos_b = float(np.dot((bs - p) / d_b, axis))
+        cos_u = float(np.dot((center - p) / d_u, axis))
+        cascade = (ctx.m_ref * np.sqrt(ctx.cfg.efficiency * ctx.quant_eff)
+                   * (fspl_amplitude(d_b, lam) * cell_amplitude_gain(cos_b, ctx.cell_area, lam))
+                   * (fspl_amplitude(d_u, lam) * cell_amplitude_gain(cos_u, ctx.cell_area, lam)))
+        path = sensing_path(ctx, 1, center, 1.0, ris=p, cascade=cascade)
+        (crbs[0, u],), (crbs[1, u],), _ = fim(ctx.ofdm, np.abs([path.coeff]),
+                                              ctx.link.noise_psd_w_hz, ctx.moments)
     return crbs
 
 
@@ -532,9 +532,7 @@ def step1_evaluate_joint(positions, context, omega0=None):
             if comm_only:
                 beta, c_n = 1.0, context.link.snr_threshold_linear / gamma_worst
             else:
-                crb = crb_refs[n][u]
-                beta, c_n = best_beta_per_cell(context, gamma_worst, crb.range_crb,
-                                               crb.velocity_crb)
+                beta, c_n = best_beta_per_cell(context, gamma_worst, *crb_refs[n][:, u])
             betas[u, n] = beta
             c_table[u, n] = c_n
         omega = kkt_power_allocation(c_table[u], cov_areas, omega0)

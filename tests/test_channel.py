@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risdeploy.channel import LinkBudget, PANEL_FOV_RAD, unit_cell_amplitude_gain
+from risdeploy import optimizer
+from risdeploy.channel import PANEL_FOV_COS, LinkBudget, cell_amplitude_gain
 from risdeploy.errors import InvalidInputError
 from risdeploy.optimizer import orientation_search, reference_comm_snr, ris_paths
 from risdeploy.propagation import dominant_path_between
@@ -24,21 +25,43 @@ def test_link_budget_properties():
 
 def test_gain_zero_outside_field_of_view():
     eps = 1e-6
-    assert unit_cell_amplitude_gain(PANEL_FOV_RAD + eps, 1e-5, LAM) == 0.0
-    assert unit_cell_amplitude_gain(PANEL_FOV_RAD - 1e-3, 1e-5, LAM) > 0.0
-    assert unit_cell_amplitude_gain(np.pi / 2, 1e-5, LAM) == 0.0
+    assert cell_amplitude_gain(PANEL_FOV_COS - eps, 1e-5, LAM) == 0.0
+    assert cell_amplitude_gain(np.cos(np.deg2rad(80.0) - 1e-3), 1e-5, LAM) > 0.0
+    assert cell_amplitude_gain(0.0, 1e-5, LAM) == 0.0
     # elementwise over arrays, each entry as the scalar call gives it
-    angles = np.array([[0.0, 0.4, PANEL_FOV_RAD - 1e-3], [PANEL_FOV_RAD, 2.0, np.pi]])
-    gains = unit_cell_amplitude_gain(angles, 1e-5, LAM)
-    assert gains.shape == angles.shape
+    cosines = np.array([[1.0, np.cos(0.4), np.cos(np.deg2rad(80.0) - 1e-3)],
+                        [PANEL_FOV_COS, np.cos(2.0), -1.0]])
+    gains = cell_amplitude_gain(cosines, 1e-5, LAM)
+    assert gains.shape == cosines.shape
     np.testing.assert_array_equal(
-        gains, [[unit_cell_amplitude_gain(a, 1e-5, LAM) for a in row] for row in angles])
+        gains, [[cell_amplitude_gain(c, 1e-5, LAM) for c in row] for row in cosines])
     assert np.all(gains[1] == 0.0) and np.all(gains[0] > 0.0)
+
+
+def test_gain_field_of_view_is_the_orientation_scores():
+    # one field-of-view rule: on cosines straddling its edge by a few ulps and
+    # by more, the gain is positive exactly where the orientation score counts
+    # the target in view. Axis j is (c_j, s_j, 0) and the target (1, 0, 0),
+    # so the score's cosine is c_j exactly
+    edge = [PANEL_FOV_COS]
+    for step in (2.0, -2.0):
+        c = PANEL_FOV_COS
+        for _ in range(6):
+            c = np.nextafter(c, step)
+            edge.append(c)
+    cosines = np.concatenate([edge, PANEL_FOV_COS + np.array([-1e-6, -1e-12, 1e-12, 1e-6]),
+                              np.cos(np.deg2rad(80.0) + np.arange(-3, 4) * 1e-16)])
+    axes = np.stack([cosines, np.sqrt(1.0 - cosines**2), np.zeros_like(cosines)])
+    target = np.array([1.0, 0.0, 0.0])
+    in_view = optimizer._orientation_score(axes, target, target[None, :], None) > 0.0
+    gain = cell_amplitude_gain(cosines, (LAM / 2) ** 2, LAM)
+    np.testing.assert_array_equal(gain > 0.0, in_view)
+    assert 0 < np.count_nonzero(in_view) < len(cosines)
 
 
 def test_unit_cell_gain_squares_to_power_gain():
     cell = (LAM / 2) ** 2
-    g = unit_cell_amplitude_gain(0.4, cell, LAM)
+    g = cell_amplitude_gain(np.cos(0.4), cell, LAM)
     assert g**2 == pytest.approx(4 * np.pi * cell * np.cos(0.4) / LAM**2)
 
 
@@ -49,7 +72,7 @@ def test_unit_cells_compose_to_panel_gain():
     m = 100
     cell = (LAM / 2) ** 2
     inc, ref = 0.3, 0.5
-    amp = unit_cell_amplitude_gain(inc, cell, LAM) * unit_cell_amplitude_gain(ref, cell, LAM)
+    amp = cell_amplitude_gain(np.cos(inc), cell, LAM) * cell_amplitude_gain(np.cos(ref), cell, LAM)
     coherent_power = (m * amp) ** 2
     panel = np.cos(inc) * np.cos(ref) * (m * cell) ** 2 * (4 * np.pi / LAM**2) ** 2
     assert coherent_power == pytest.approx(panel, rel=1e-12)
@@ -83,7 +106,7 @@ def test_effective_ris_gain_aperture_model(ctx_full):
     for cell in region.covered_cells:
         path_k = dominant_path_between(ctx.scene, ctx.prop, pos, ctx.ue_grid.centers[cell])
         cos_k = float(np.dot(path_k.depart_dir, axis))
-        in_view = min(cos_b, cos_k) > np.cos(PANEL_FOV_RAD)
+        in_view = min(cos_b, cos_k) > PANEL_FOV_COS
         gain = (ctx.cfg.efficiency * cos_b * cos_k * ref_area**2 * (4 * np.pi / lam**2) ** 2
                 if in_view else 0.0)
         expected.append(ctx.link.tx_power_w / ctx.link.noise_power_w * ctx.quant_eff
@@ -99,8 +122,8 @@ def test_effective_ris_gain_aperture_model(ctx_full):
 
 
 def test_effective_gain_nonnegative_and_monotone_in_eta(ctx_full):
-    angles = np.linspace(0.0, np.pi, 181)
-    assert np.all(unit_cell_amplitude_gain(angles, (LAM / 2) ** 2, LAM) >= 0.0)
+    cosines = np.cos(np.linspace(0.0, np.pi, 181))
+    assert np.all(cell_amplitude_gain(cosines, (LAM / 2) ** 2, LAM) >= 0.0)
     for n in range(len(ctx_full.regions)):
         _, _, paths, orient = _reference_panel(ctx_full, n)
         etas = (0.1, 0.3, 0.6, 1.0)  # the config takes efficiencies in (0, 1]

@@ -10,8 +10,8 @@ from risdeploy.errors import InvalidInputError, UnobservablePathError
 from risdeploy.optimizer import (orientation_search, reference_sensing_crbs, round_trip_coeff,
                                  sensing_path)
 from risdeploy.propagation import fspl_amplitude
-from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath, WaveformMoments,
-                               crb_arrays, fim, qpsk_symbols)
+from risdeploy.sensing import (OfdmParams, OfdmWaveform, SensingPath, WaveformMoments, fim,
+                               qpsk_symbols)
 from risdeploy.units import SPEED_OF_LIGHT, wavelength
 
 from _oracles import (fd_fim, fim_scalar, moments_per_symbol, qpsk_symbols_exp,
@@ -150,30 +150,26 @@ def test_fim_matches_finite_difference_oracle():
     path = SensingPath(0, delay=12 * dt, doppler=8.0e3,
                        coeff=2e-7 * np.exp(1j * 0.7), carrier_hz=28e9)
     delayed = WaveformMoments(*moments_per_symbol(wave, path.delay, wave_seed=5))
-    analytic = fim(SMALL, path, noise_psd, delayed)
+    (range_crb,), (velocity_crb,), analytic = fim(SMALL, abs(path.coeff), noise_psd, delayed)
     numeric = fd_fim(wave, path, noise_psd, wave_seed=5)
-    np.testing.assert_allclose(analytic.fim, numeric, rtol=1e-3)
+    np.testing.assert_allclose(analytic[:, :, 0], numeric, rtol=1e-3)
     inv = np.linalg.inv(numeric)
-    assert analytic.range_crb == pytest.approx(inv[0, 0], rel=1e-3)
-    assert analytic.velocity_crb == pytest.approx(inv[1, 1], rel=1e-3)
+    assert range_crb == pytest.approx(inv[0, 0], rel=1e-3)
+    assert velocity_crb == pytest.approx(inv[1, 1], rel=1e-3)
 
 
 def test_fim_crb_scales_inverse_square_with_coeff():
     wave = OfdmWaveform(SMALL, seed=5)
     mom = wave.moments()
-    base = SensingPath(0, 0.0, 1.0e3, 1e-7 + 0j, 28e9)
-    strong = SensingPath(0, 0.0, 1.0e3, 3e-7 + 0j, 28e9)
-    crb1 = fim(SMALL, base, 1e-19, mom)
-    crb9 = fim(SMALL, strong, 1e-19, mom)
-    assert crb1.range_crb / crb9.range_crb == pytest.approx(9.0, rel=1e-12)
-    assert crb1.velocity_crb / crb9.velocity_crb == pytest.approx(9.0, rel=1e-12)
+    range_crb, velocity_crb, _ = fim(SMALL, [1e-7, 3e-7], 1e-19, mom)
+    assert range_crb[0] / range_crb[1] == pytest.approx(9.0, rel=1e-12)
+    assert velocity_crb[0] / velocity_crb[1] == pytest.approx(9.0, rel=1e-12)
 
 
 def test_fim_zero_coeff_unobservable():
     wave = OfdmWaveform(SMALL, seed=0)
-    path = SensingPath(0, 0.0, 0.0, 0.0j, 28e9)
     with pytest.raises(UnobservablePathError):
-        fim(SMALL, path, 1e-19, wave.moments())
+        fim(SMALL, 0.0, 1e-19, wave.moments())
 
 
 def test_reference_crb_scale(ctx_full):
@@ -202,19 +198,19 @@ def test_reference_crb_scale(ctx_full):
 
 @pytest.mark.parametrize("mode", ["full-isac", "passive-orientation"])
 def test_crb_arrays_are_fim_per_cell(ctx_full, mode):
-    # sizing's CRB arrays (through each RIS and direct) are the per-cell fim
-    # of the per-cell sensing paths bit for bit, and fim keeps the bits of
-    # the scalar formula, also for the complex panel sums of the closure
+    # sizing's CRB arrays (through each RIS and direct) are the fim of each
+    # cell's sensing path alone bit for bit, and fim keeps the bits of the
+    # scalar formula, also for the complex panel sums of the closure
     ctx = dataclasses.replace(ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode=mode))
     rng = np.random.default_rng(21)
     noise, mom = ctx.link.noise_psd_w_hz, ctx.moments
     paths = [sensing_path(ctx, 0, center, 1.0) for center in ctx.uav_grid.centers]
-    direct = [fim(ctx.ofdm, path, noise, mom) for path in paths]
-    range_crb, velocity_crb, fims = crb_arrays(
+    direct = [fim(ctx.ofdm, np.abs([path.coeff]), noise, mom) for path in paths]
+    range_crb, velocity_crb, fims = fim(
         ctx.ofdm, np.abs(round_trip_coeff(ctx, 1.0, ctx.uav_ranges)), noise, mom)
-    assert same_bits(range_crb, np.array([b.range_crb for b in direct]))
-    assert same_bits(velocity_crb, np.array([b.velocity_crb for b in direct]))
-    assert same_bits(np.moveaxis(fims, -1, 0), np.array([b.fim for b in direct]))
+    assert same_bits(range_crb, np.concatenate([b[0] for b in direct]))
+    assert same_bits(velocity_crb, np.concatenate([b[1] for b in direct]))
+    assert same_bits(fims, np.concatenate([b[2] for b in direct], axis=-1))
     for n, region in enumerate(ctx.regions):
         normal = region.face.normal
         for _ in range(4):
@@ -227,21 +223,22 @@ def test_crb_arrays_are_fim_per_cell(ctx_full, mode):
                                             ctx.uav_grid.centers, ctx.region_bounds(region))
             range_crb, velocity_crb = reference_sensing_crbs(ctx, p, orient, *bs_leg(ctx, p))
             want = reference_sensing_crbs_per_cell(ctx, p, orient)
-            assert same_bits(range_crb, np.array([b.range_crb for b in want]))
-            assert same_bits(velocity_crb, np.array([b.velocity_crb for b in want]))
+            assert same_bits(range_crb, want[0])
+            assert same_bits(velocity_crb, want[1])
             paths.append(sensing_path(ctx, 1, ctx.uav_grid.centers[n], 1.0, ris=p,
                                       cascade=1e-5 * np.exp(1j * rng.uniform(0, 2 * np.pi))))
     for path in paths:
-        got = fim(ctx.ofdm, path, noise, mom)
+        (got_range,), (got_velocity,), got = fim(ctx.ofdm, abs(path.coeff), noise, mom)
         range_crb, velocity_crb, matrix = fim_scalar(ctx.ofdm, path.coeff, noise, mom)
-        assert same_bits([got.range_crb, got.velocity_crb], [range_crb, velocity_crb])
-        assert same_bits(got.fim, matrix)
+        assert same_bits([got_range, got_velocity], [range_crb, velocity_crb])
+        assert same_bits(got[:, :, 0], matrix)
 
 
 def test_crb_arrays_keep_the_scalar_rounding(ctx_full):
     # |a|^2 and the direct trip's squared free-space loss round as a scalar
     # `** 2` on every value, real (sizing) or complex (closure); an array
-    # square would differ in about 1 of 1,000, so 20,000 values see it
+    # square would differ in about 1 of 1,000, so 20,000 values see it. So
+    # fim over an array is fim of each element alone, bit for bit
     mom = OfdmWaveform(SMALL, seed=5).moments()
     rng = np.random.default_rng(8)
     d_bu = rng.uniform(5.0, 500.0, 20_000)
@@ -250,18 +247,21 @@ def test_crb_arrays_keep_the_scalar_rounding(ctx_full):
                      np.array([scale * fspl_amplitude(float(d), ctx_full.wavelength) ** 2
                                * ctx_full.rcs_amp for d in d_bu]))
     amps = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), 20_000))
-    range_crb, velocity_crb, _ = crb_arrays(SMALL, amps, 1e-19, mom)
+    range_crb, velocity_crb, fims = fim(SMALL, amps, 1e-19, mom)
+    alone = [fim(SMALL, a, 1e-19, mom) for a in amps]
+    assert same_bits(range_crb, np.concatenate([b[0] for b in alone]))
+    assert same_bits(velocity_crb, np.concatenate([b[1] for b in alone]))
+    assert same_bits(fims, np.concatenate([b[2] for b in alone], axis=-1))
     want = np.array([fim_scalar(SMALL, a, 1e-19, mom)[:2] for a in amps])
     assert same_bits(range_crb, want[:, 0]) and same_bits(velocity_crb, want[:, 1])
     for coeff in amps[:2000] * np.exp(1j * rng.uniform(0, 2 * np.pi, 2000)):
-        got = fim(SMALL, SensingPath(0, 0.0, 0.0, coeff, 28e9), 1e-19, mom)
-        assert same_bits([got.range_crb, got.velocity_crb],
-                         list(fim_scalar(SMALL, coeff, 1e-19, mom)[:2]))
+        got = fim(SMALL, abs(coeff), 1e-19, mom)
+        assert same_bits(np.concatenate(got[:2]), list(fim_scalar(SMALL, coeff, 1e-19, mom)[:2]))
 
 
 def test_crb_arrays_raise_the_first_failing_cells_error():
     # a zero coefficient or a FIM that is not positive definite raises fim's
-    # error for that cell, with the message of the first failing cell
+    # error for that cell alone, with the message of the first failing cell
     mom = OfdmWaveform(SMALL, seed=0).moments()
     skew = WaveformMoments(mom.deriv_energy, 1e6 * mom.time_cross, mom.time_energy)
     cases = ((mom, [1e-7, 2e-7, 0.0, 3e-7], 0.0),  # the zero cell is the first to fail
@@ -269,9 +269,9 @@ def test_crb_arrays_raise_the_first_failing_cells_error():
     messages = set()
     for moments, amps, first in cases:
         with pytest.raises(UnobservablePathError) as one:
-            fim(SMALL, SensingPath(0, 0.0, 0.0, complex(first), 28e9), 1e-19, moments)
+            fim(SMALL, first, 1e-19, moments)
         with pytest.raises(UnobservablePathError) as cells:
-            crb_arrays(SMALL, np.array(amps), 1e-19, moments)
+            fim(SMALL, np.array(amps), 1e-19, moments)
         assert str(cells.value) == str(one.value)
         messages.add(str(one.value))
     assert messages == {"zero path coefficient", "FIM is not positive definite"}
