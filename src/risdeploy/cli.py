@@ -215,18 +215,16 @@ def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
     mid = len(rv.velocity_axis) // 2
     lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
     velocities = [f",{v!r}," for v in rv.velocity_axis[lo:hi].tolist()]
-    crop_db = radar.power_db(rv.power[:keep_r, lo:hi]).tolist()
-    lines = []
-    for r, powers in zip(rv.range_axis[:keep_r].tolist(), crop_db):
-        # the rows csv.writer would write: repr of each float, \r\n terminated
-        head = repr(r)
-        lines.extend(f"{head}{v}{p!r}\r\n" for v, p in zip(velocities, powers))
+    crop_db = radar.power_db(rv.power[:keep_r, lo:hi])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["# range_resolution_m", rv.resolution[0]])
         writer.writerow(["# velocity_resolution_mps", rv.resolution[1]])
         writer.writerow(["range_m", "velocity_mps", "power_db"])
-        fh.write("".join(lines))
+        for r, powers in zip(rv.range_axis[:keep_r].tolist(), crop_db):
+            # the rows csv.writer would write: repr of each float, \r\n terminated
+            head = repr(r)
+            fh.write("".join(f"{head}{v}{p!r}\r\n" for v, p in zip(velocities, powers.tolist())))
 
 
 def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
@@ -238,15 +236,16 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
     noise = ctx.link.noise_psd_w_hz if cfg.radar_noise else 0.0
     received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
                                         seed=cfg.seed + 1)
+    # the map is packed into the frame's buffer, which it keeps alive
     rv = radar.range_velocity_map(received, ctx.waveform)
-    del received  # one frame less alive while the CFAR works
     expected_ranges = [p.range for p in paths]
     report = radar.detect_paths(rv, expected=len(paths),
                                 threshold_db=cfg.detection_threshold_db)
     work = report.cfar
     log.info("radar CFAR: judged %d of %d local maxima, %d of %d row blocks, "
-             "range prefix %d of %d rows", work.judged, work.local_maxima,
-             work.blocks_judged, work.blocks, work.prefix_rows, work.rows)
+             "range prefix %d of %d rows, %d blocks formed twice", work.judged,
+             work.local_maxima, work.blocks_judged, work.blocks, work.prefix_rows, work.rows,
+             work.blocks_reformed)
     detections = radar.associate_paths(report.detections, expected_ranges)
     write_rv_map_csv(out_dir / "rv_map.csv", rv, max(expected_ranges))
     _write_json(out_dir / "detections.json",

@@ -12,9 +12,12 @@ rounded once; dB is formed in float64 only for the values written out. The
 echo synthesis and the Doppler pass allocate their block buffers once per
 call and write every block into them, and the range IFFT runs in place in its
 equalised block: glibc may map a block temporary of 128 KB or more afresh,
-and fault its pages in again, each time one is allocated. The CFAR judges the
-map's local maxima strongest first and forms thresholds only on the row
-blocks they lie in, each bit for bit the whole-map pass's.
+and fault its pages in again, each time one is allocated. The map is packed
+into the front of the echo frame's own buffer, so the radar stage holds one
+frame. The CFAR judges the map's local maxima strongest first and forms
+thresholds only on the row blocks they lie in, each bit for bit the
+whole-map pass's; of the row blocks it passes on the way it keeps only the
+running sums they start from.
 """
 
 from dataclasses import dataclass
@@ -59,6 +62,7 @@ class CfarWork:
     local_maxima: int
     blocks_judged: int  # row blocks whose thresholds were formed
     blocks: int
+    blocks_reformed: int  # row blocks whose range sums were run more than once
     prefix_rows: int  # rows the range pass formed, from row 0
     rows: int
 
@@ -124,11 +128,13 @@ def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVel
     """Equalize by the known symbols, IFFT over subcarriers, FFT over symbols.
 
     Runs in single precision (NumPy's FFT keeps complex64 input in complex64)
-    and maps float32 linear power |rv|^2. The delay profile is formed in the
-    buffer of `received`, which is overwritten when it is a complex64 array.
+    and maps float32 linear power |rv|^2. The delay profile and then the map
+    are formed in the buffer of `received`, which is overwritten when it is a
+    C-contiguous complex64 array (any other input is copied first): the
+    returned `power` views the front half of that buffer and keeps it alive.
     """
     ofdm = waveform.params
-    received = np.asarray(received, dtype=np.complex64)
+    received = np.ascontiguousarray(received, dtype=np.complex64)
     nc, nm = ofdm.subcarriers, ofdm.symbols
     if received.shape != (nc, nm):
         raise InvalidInputError(f"frames must have shape ({nc}, {nm})")
@@ -137,7 +143,10 @@ def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVel
         cols = slice(c0, c0 + COLUMN_BLOCK)
         equalised = received[:, cols] * _EQUALISER.take(waveform.index[:, cols])
         profile[:, cols] = np.fft.ifft(equalised, axis=0, out=equalised)
-    power = np.empty((nc, nm), dtype=np.float32)
+    # the map takes the first nc * nm floats of the frame: row block r's power
+    # overlaps only frame rows below r's end, which the Doppler pass has
+    # already read into `spectrum`
+    power = received.reshape(-1).view(np.float32)[:nc * nm].reshape(nc, nm)
     # the Doppler pass's block buffers, one set per pass
     spectrum = np.empty((min(ROW_BLOCK, nc), nm), dtype=np.complex64)
     magnitude = np.empty(spectrum.shape, dtype=np.float32)
@@ -170,14 +179,26 @@ def _running_sums(lines: np.ndarray, size: int, start: int, stop: int, carry) ->
     time are bit for bit the sums formed at once.
     """
     ahead = size // 2
-    k = np.arange(start + size - 1 if start else 0, stop + size - 1)  # extended-line steps
-    ext = np.take(lines, k - ahead, axis=0, mode="wrap").astype(float, copy=False)
-    leaving = max(0, size - int(k[0]))  # the first step that drops a sample
-    ext[leaving:] -= np.take(lines, k[leaving:] - size - ahead, axis=0, mode="wrap")
+    k0, k1 = (start + size - 1 if start else 0), stop + size - 1  # extended-line steps
+    ext = _wrapped(lines, k0 - ahead, k1 - ahead)
+    ext = ext.astype(float, copy=ext.base is not None)  # never a view of `lines`
+    leaving = max(0, size - k0)  # the first step that drops a sample
+    ext[leaving:] -= _wrapped(lines, k0 + leaving - size - ahead, k1 - size - ahead)
     if start:
         ext[0] += carry
-    np.cumsum(ext, axis=0, out=ext)
-    return ext[k.size - (stop - start):]
+    if ext.shape[0] <= ext[0].size:  # few steps of long rows: one add per step
+        for i in range(1, ext.shape[0]):
+            np.add(ext[i - 1], ext[i], out=ext[i])
+    else:  # NumPy's cumsum runs the steps of each line in the same order
+        np.cumsum(ext, axis=0, out=ext)
+    return ext[k1 - k0 - (stop - start):]
+
+
+def _wrapped(lines: np.ndarray, start: int, stop: int) -> np.ndarray:
+    "Entries start..stop-1 of `lines` along axis 0, wrapping around its ends: a view where none wraps."
+    if 0 <= start and stop <= lines.shape[0]:
+        return lines[start:stop]
+    return np.take(lines, np.arange(start, stop), axis=0, mode="wrap")
 
 
 def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
@@ -195,36 +216,50 @@ def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
 
 class _RangeMeans:
     """The CFAR's range pass: the running means over ranges of every column,
-    taken in float64 and rounded to float32, formed row block by row block
-    from row 0 as far as a judged block needs, and kept until its velocity pass
-    takes them."""
+    taken in float64 and rounded to float32, one row block at a time. The sums
+    run from row 0 as far as a judged block needs. A block they pass on the
+    way keeps only its starting carries (each window's running sum before its
+    first row), from which it is formed again, bit for bit, once it is judged."""
 
     def __init__(self, power: np.ndarray, sizes: tuple):
         self.power, self.sizes = power, sizes
-        self.carry = [None] * len(sizes)  # each window's last running sum
-        self.rows = 0  # rows formed so far
-        self.kept = {}  # row block -> one float32 mean block per window
+        self.starts = [[None] * len(sizes)]  # block b's starting carries, for each b reached
+        self.runs = np.zeros(-(-power.shape[0] // ROW_BLOCK), dtype=int)  # sums runs per block
+
+    @property
+    def rows(self) -> int:
+        "Rows the sums have reached, from row 0."
+        return min((len(self.starts) - 1) * ROW_BLOCK, self.power.shape[0])
+
+    def _sums(self, block: int) -> list:
+        "Row block `block`'s running sums, one per window size, from its starting carries."
+        r0 = block * ROW_BLOCK
+        r1 = min(r0 + ROW_BLOCK, self.power.shape[0])
+        sums = [_running_sums(self.power, size, r0, r1, carry)
+                for size, carry in zip(self.sizes, self.starts[block])]
+        if block == len(self.starts) - 1:  # the next block starts from these
+            self.starts.append([window[-1].copy() for window in sums])
+        self.runs[block] += 1
+        return sums
 
     def take(self, block: int) -> list:
-        "Row block `block`'s range means, one per window size, extending the prefix to it."
-        while block not in self.kept:
-            r0 = self.rows
-            r1 = min(r0 + ROW_BLOCK, self.power.shape[0])
-            means = []
-            for n, size in enumerate(self.sizes):
-                sums = _running_sums(self.power, size, r0, r1, self.carry[n])
-                self.carry[n] = sums[-1].copy()
-                sums /= size
-                means.append(sums.astype(np.float32))
-            self.kept[r0 // ROW_BLOCK] = means
-            self.rows = r1
-        return self.kept.pop(block)
+        "Row block `block`'s range means, one per window size, extending the sums to it."
+        while len(self.starts) <= block:
+            self._sums(len(self.starts) - 1)
+        means = []
+        for sums, size in zip(self._sums(block), self.sizes):
+            sums /= size
+            means.append(sums.astype(np.float32))
+        return means
 
 
-def _local_maxima(power: np.ndarray) -> np.ndarray:
-    "Flat indices, in row-major order, of the cells that are 3x3 wrap-around local maxima."
+def _local_maxima(power: np.ndarray) -> tuple:
+    """Flat indices, in row-major order, of the cells that are 3x3 wrap-around
+    local maxima (int32 where the map's indices fit it), and their power."""
     n_rows, n_cols = power.shape
-    cells = []
+    # each block's indices from its first cell, in the narrowest type that holds them
+    offsets = np.min_scalar_type(min(ROW_BLOCK, n_rows) * n_cols - 1)
+    blocks = []
     for r0 in range(0, n_rows, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n_rows)
         # the block's power with one wrapped row above and below it
@@ -233,8 +268,28 @@ def _local_maxima(power: np.ndarray) -> np.ndarray:
         np.maximum(across, np.roll(block, -1, axis=1), out=across)
         local_max = np.maximum(across[:-2], across[1:-1])
         np.maximum(local_max, across[2:], out=local_max)
-        cells.append(np.flatnonzero(block[1:-1] >= local_max) + r0 * n_cols)
-    return np.concatenate(cells)
+        blocks.append(np.flatnonzero(block[1:-1] >= local_max).astype(offsets))
+    size = sum(b.size for b in blocks)
+    cells = np.empty(size, dtype=np.int32 if power.size <= np.iinfo(np.int32).max else np.intp)
+    values = np.empty(size, dtype=power.dtype)
+    end = 0
+    for r0, block in zip(range(0, n_rows, ROW_BLOCK), blocks):
+        mine = slice(end, end + block.size)
+        values[mine] = power[r0:r0 + ROW_BLOCK].reshape(-1)[block]
+        cells[mine] = block
+        cells[mine] += r0 * n_cols
+        end += block.size
+    return cells, values
+
+
+def _kth_largest(values: np.ndarray, k: int):
+    """The k-th largest of `values` (k <= values.size), partitioned a slice at a
+    time: it is the k-th largest of the union of each slice's k largest."""
+    size = 64 * k
+    tops = [part if part.size <= k else np.partition(part, -k)[-k:].copy()
+            for part in (values[i:i + size] for i in range(0, values.size, size))]
+    union = np.concatenate(tops)
+    return np.partition(union, -k)[-k]
 
 
 def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0,
@@ -252,8 +307,9 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     `expected` are declared. A judged cell's row block gets its thresholds:
     the ring mean is the difference of two box means, each a running mean over
     ranges and then over velocities (the arithmetic of
-    `scipy.ndimage.uniform_filter` on the float32 map). The range pass stores
-    float32 and is formed from row 0 only as far as the judged blocks reach;
+    `scipy.ndimage.uniform_filter` on the float32 map). The range pass runs
+    from row 0 only as far as the judged blocks reach, keeps only the running
+    sums each block starts from, and rounds a judged block's means to float32;
     the velocity pass and the threshold run on the judged row blocks; each
     running mean is taken in float64. When those candidates hold fewer than
     `expected` detections, every row block is judged. Linear power is compared
@@ -266,12 +322,13 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     power = rv.power
     n_rows, n_cols = power.shape
     scale = db2lin(threshold_db)
-    cells = _local_maxima(power)
-    values = power.take(cells)
+    cells, values = _local_maxima(power)
     block_cells = ROW_BLOCK * n_cols
     n_blocks = -(-n_rows // ROW_BLOCK)
     # row block b's local maxima are cells[bounds[b]:bounds[b + 1]]
-    bounds = np.searchsorted(cells, np.arange(n_blocks + 1) * block_cells)
+    # (in the cells' own type: searchsorted would convert a whole int32 array to int64)
+    bounds = np.searchsorted(cells, np.minimum(np.arange(n_blocks + 1) * block_cells,
+                                               power.size).astype(cells.dtype))
     hit = np.zeros(cells.size, dtype=bool)
     judged = np.zeros(n_blocks, dtype=bool)
     range_means = _RangeMeans(power, (outer, inner))
@@ -293,9 +350,10 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
         judged[b] = True
 
     # the strongest candidates in descending power, ties in row-major order
-    top = np.arange(cells.size)
     if cells.size > CANDIDATES:  # every cell as strong as the CANDIDATES-th
-        top = np.flatnonzero(values >= np.partition(values, -CANDIDATES)[-CANDIDATES])
+        top = np.flatnonzero(values >= _kth_largest(values, CANDIDATES))
+    else:
+        top = np.arange(cells.size)
     order = top[np.argsort(-values[top], kind="stable")]
     block_of = cells[order] // block_cells
     stop = 0  # the candidates before it in `order` are decided
@@ -305,7 +363,12 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
         found = np.flatnonzero(hit[order[:stop]])  # the declared cells' places in `order`
         if found.size >= expected or stop == order.size:
             break
-        judge(block_of[stop])
+        # each candidate adds at most one detection, so the next expected -
+        # found are decided before the loop can stop: their blocks are judged
+        # in ascending order, and the range pass forms each of them once
+        certain = block_of[stop:stop + expected - found.size]
+        for b in np.unique(certain[~judged[certain]]):
+            judge(b)
     declared = order[found[:expected]]
     judged_cells = int(found[expected - 1]) + 1 if found.size >= expected else cells.size
     if found.size < expected and order.size < cells.size:
@@ -324,6 +387,7 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
         warning = f"partial detection: {len(detections)} of {expected} paths found"
     work = CfarWork(judged=judged_cells, local_maxima=cells.size,
                     blocks_judged=int(judged.sum()), blocks=n_blocks,
+                    blocks_reformed=int(np.count_nonzero(range_means.runs > 1)),
                     prefix_rows=range_means.rows, rows=n_rows)
     return DetectionReport(detections=detections, warning=warning, cfar=work)
 

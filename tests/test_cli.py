@@ -200,15 +200,17 @@ def test_run_log_reports_the_cfar_work(run_dir, demo_cfg):
     # forms the range pass only for the rows their blocks reach
     log = (run_dir / "run.log").read_text()
     found = re.search(r"INFO radar CFAR: judged (\d+) of (\d+) local maxima, (\d+) of (\d+) "
-                      r"row blocks, range prefix (\d+) of (\d+) rows$", log, re.MULTILINE)
+                      r"row blocks, range prefix (\d+) of (\d+) rows, (\d+) blocks formed twice$",
+                      log, re.MULTILINE)
     assert found and found.start() < log.index("INFO stage radar:")
-    judged, maxima, blocks_judged, blocks, prefix, rows = map(int, found.groups())
+    judged, maxima, blocks_judged, blocks, prefix, rows, reformed = map(int, found.groups())
     detections = load_strict(run_dir / "detections.json")
     assert detections["warning"] is None
     assert judged == len(detections["detections"]) == len(detections["expected_ranges_m"])
     assert rows == demo_cfg.subcarriers and blocks == -(-rows // radar.ROW_BLOCK)
     assert judged < maxima and 1 <= blocks_judged <= judged
     assert prefix % radar.ROW_BLOCK == 0 and 0 < prefix < rows
+    assert reformed == 0  # an early stop forms each block's range means once
 
 
 def test_compare_log_has_stage_timings(compare_dir):

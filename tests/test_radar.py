@@ -227,10 +227,18 @@ def test_range_means_in_any_block_order_are_the_whole_map_pass(rows, monkeypatch
     power = np.random.default_rng(rows).exponential(size=(40, 6)).astype(np.float32)
     whole = [ndimage.uniform_filter1d(power, size, axis=0, mode="wrap") for size in (21, 5)]
     means = radar._RangeMeans(power, (21, 5))
-    for block in np.random.default_rng(0).permutation(-(-40 // rows)):
+    blocks = -(-40 // rows)
+    for block in np.random.default_rng(0).permutation(blocks):
         for mean, want in zip(means.take(block), whole):
             assert same_bits(mean, want[block * rows:(block + 1) * rows])
-    assert means.rows == 40 and not means.kept
+    # all it keeps is one float64 running sum per window at each block's
+    # start, and each block's sums ran once as the prefix passed it and at
+    # most once more when it was taken
+    assert means.rows == 40 and len(means.starts) == blocks + 1
+    assert all(carry is None for carry in means.starts[0])
+    assert all(carry.shape == (6,) and carry.dtype == float
+               for carries in means.starts[1:] for carry in carries)
+    assert 1 <= means.runs.min() and means.runs.max() <= 2
 
 
 def _noisy_frames():
@@ -304,10 +312,11 @@ def _frames_allocated(fn):
 
 
 def test_radar_passes_stay_within_their_memory_bounds():
-    # the waveform keeps symbol indices; the echo is one complex64 frame, the
-    # delay profile takes its buffer and the map is float32 (half a frame);
-    # the CFAR holds the map's local maxima and the float32 range means of the
-    # row blocks it formed but has not judged yet, besides its block temporaries
+    # the waveform keeps symbol indices; the echo is one complex64 frame, and
+    # the delay profile and then the float32 map take its buffer; the CFAR
+    # holds the map's local maxima and one running sum per window at the
+    # start of each row block its range pass reached, besides its block
+    # temporaries
     wave, frames = _frames_allocated(lambda: OfdmWaveform(FULL, seed=1))
     assert frames <= 0.5, frames
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
@@ -316,7 +325,8 @@ def test_radar_passes_stay_within_their_memory_bounds():
         lambda: synthesize_returns(wave, paths, noise_psd=1e-20, seed=2))
     assert frames <= 1.2, frames
     rv, frames = _frames_allocated(lambda: range_velocity_map(y, wave))
-    assert frames <= 1.0, frames
+    assert frames <= 0.1, frames
+    assert np.shares_memory(rv.power, y)
     del y
     # an early stop: the two paths are the two strongest local maxima, and the
     # range pass is formed for the rows their blocks reach
@@ -328,6 +338,34 @@ def test_radar_passes_stay_within_their_memory_bounds():
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=10))
     assert frames <= 1.3, frames
     assert report.warning is not None and report.cfar.blocks_judged == report.cfar.blocks
+
+
+def test_far_path_detection_keeps_carries_not_blocks():
+    # one path at a 2.5 us delay: its block is the last but one, so the range
+    # pass runs through 79 of the 80 row blocks and keeps only their carries
+    wave = OfdmWaveform(FULL, seed=1)
+    far = [SensingPath(0, 2.5e-6, 1e3, 1e-6 + 0j, FULL.carrier_hz)]
+    rv = range_velocity_map(synthesize_returns(wave, far, noise_psd=1e-20, seed=2), wave)
+    report, frames = _frames_allocated(lambda: detect_paths(rv, expected=1))
+    assert frames <= 0.45, frames
+    assert report.cfar.prefix_rows == 2528 and report.cfar.blocks_judged == 1
+    assert report.cfar.blocks_reformed == 0
+
+
+def test_radar_stage_holds_one_frame():
+    # echo, map and CFAR in a row, as the pipeline's radar stage runs them: the
+    # map adds no second buffer to the frame, and the CFAR little beside it
+    wave = OfdmWaveform(FULL, seed=1)
+    paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
+             SensingPath(1, 5e-7, -8e2, 5e-7j, FULL.carrier_hz)]
+
+    def stage():
+        y = synthesize_returns(wave, paths, noise_psd=1e-20, seed=2)
+        return detect_paths(range_velocity_map(y, wave), expected=2)
+
+    report, frames = _frames_allocated(stage)
+    assert frames <= 1.45, frames
+    assert len(report.detections) == 2
 
 
 def test_rv_map_csv_matches_csv_writer(tmp_path):
