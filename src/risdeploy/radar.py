@@ -179,11 +179,10 @@ def _running_sums(lines: np.ndarray, size: int, start: int, stop: int, carry) ->
     time are bit for bit the sums formed at once.
     """
     ahead = size // 2
-    k0, k1 = (start + size - 1 if start else 0), stop + size - 1  # extended-line steps
-    ext = _wrapped(lines, k0 - ahead, k1 - ahead)
-    ext = ext.astype(float, copy=ext.base is not None)  # never a view of `lines`
-    leaving = max(0, size - k0)  # the first step that drops a sample
-    ext[leaving:] -= _wrapped(lines, k0 + leaving - size - ahead, k1 - size - ahead)
+    k = np.arange(start + size - 1 if start else 0, stop + size - 1)  # extended-line steps
+    ext = np.take(lines, k - ahead, axis=0, mode="wrap").astype(float, copy=False)
+    leaving = max(0, size - int(k[0]))  # the first step that drops a sample
+    ext[leaving:] -= np.take(lines, k[leaving:] - size - ahead, axis=0, mode="wrap")
     if start:
         ext[0] += carry
     if ext.shape[0] <= ext[0].size:  # few steps of long rows: one add per step
@@ -191,14 +190,7 @@ def _running_sums(lines: np.ndarray, size: int, start: int, stop: int, carry) ->
             np.add(ext[i - 1], ext[i], out=ext[i])
     else:  # NumPy's cumsum runs the steps of each line in the same order
         np.cumsum(ext, axis=0, out=ext)
-    return ext[k1 - k0 - (stop - start):]
-
-
-def _wrapped(lines: np.ndarray, start: int, stop: int) -> np.ndarray:
-    "Entries start..stop-1 of `lines` along axis 0, wrapping around its ends: a view where none wraps."
-    if 0 <= start and stop <= lines.shape[0]:
-        return lines[start:stop]
-    return np.take(lines, np.arange(start, stop), axis=0, mode="wrap")
+    return ext[k.size - (stop - start):]
 
 
 def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
