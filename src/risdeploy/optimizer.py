@@ -113,21 +113,12 @@ def _square_panel(area: float, spacing: float) -> RisSize:
 
 def _axis_grid(bounds: OrientationBounds, step: float):
     """Panel-normal direction vectors over a (theta_r, psi_r) grid, (3, n_axes)
-    in theta-major node order, with the grid's thetas and psis (cached): node
-    k lies at (thetas[k // len(psis)], psis[k % len(psis)])."""
-    return _axis_grid_cached(*_grid_key(bounds, step))
-
-
-def _grid_key(bounds: OrientationBounds, step: float) -> tuple:
-    "Cache key of the grid over `bounds` at `step`."
-    return (round(bounds.theta_low, 12), round(bounds.theta_high, 12),
-            round(bounds.psi_low, 12), round(bounds.psi_high, 12), round(step, 15))
-
-
-@lru_cache(maxsize=64)
-def _axis_grid_cached(theta_low, theta_high, psi_low, psi_high, step):
-    thetas = np.arange(theta_low, theta_high + step / 2, step)
-    psis = np.arange(psi_low, psi_high + step / 2, step)
+    in theta-major node order, with the grid's thetas and psis: node k lies at
+    (thetas[k // len(psis)], psis[k % len(psis)]). The nodes are laid from the
+    bounds rounded to 12 decimals and the step rounded to 15."""
+    step = round(step, 15)
+    thetas = np.arange(round(bounds.theta_low, 12), round(bounds.theta_high, 12) + step / 2, step)
+    psis = np.arange(round(bounds.psi_low, 12), round(bounds.psi_high, 12) + step / 2, step)
     axes = np.ascontiguousarray(panel_normal(thetas[:, None], psis).reshape(-1, 3).T)  # (3, n_axes)
     return axes, thetas, psis
 
@@ -147,23 +138,23 @@ _GEMM_GROUP = 8
 
 
 @lru_cache(maxsize=64)
-def _coarse_blocks(*key):
-    """The centre axis (3, n_blocks) and angular radius of each BLOCK x BLOCK
-    block of the `_axis_grid_cached(*key)` grid, in row-major block order:
-    the radius is the largest angle from the centre to one of the block's
-    nodes, plus _ANGLE_SLACK."""
-    axes, thetas, psis = _axis_grid_cached(*key)
-    n_psi = len(psis)
-    grid = axes.reshape(3, len(thetas), n_psi)
+def _coarse_grid(bounds: OrientationBounds, step: float) -> tuple:
+    """The `_axis_grid(bounds, step)` grid's axes, thetas and psis, with the
+    centre axis (3, n_blocks) and angular radius of each BLOCK x BLOCK block
+    in row-major block order: the radius is the largest angle from the centre
+    to one of the block's nodes, plus _ANGLE_SLACK. Cached, as every search
+    from one face direction reads the same coarse grid."""
+    axes, thetas, psis = _axis_grid(bounds, step)
+    grid = axes.reshape(3, len(thetas), len(psis))
     centres, radius = [], []
-    for i in range(0, grid.shape[1], BLOCK):
-        for j in range(0, n_psi, BLOCK):
+    for i in range(0, len(thetas), BLOCK):
+        for j in range(0, len(psis), BLOCK):
             nodes = grid[:, i:i + BLOCK, j:j + BLOCK].reshape(3, -1)
             total = np.sum(nodes, axis=1)
             centre = total / np.linalg.norm(total)
             centres.append(centre)
             radius.append(np.max(np.arccos(np.clip(centre @ nodes, -1.0, 1.0))))
-    return np.array(centres).T, np.array(radius) + _ANGLE_SLACK
+    return axes, thetas, psis, np.array(centres).T, np.array(radius) + _ANGLE_SLACK
 
 
 def _gemm_gather(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -195,17 +186,16 @@ def _block_bounds(centres, radius, u_bs, u_ue, u_uav) -> np.ndarray:
     return np.prod(bound, axis=0) * np.all(bound > PANEL_FOV_COS, axis=0)
 
 
-def _bounded_coarse_argmax(key, u_bs, u_ue, u_uav):
-    """Index of the first maximum of `_orientation_score` over the coarse grid
-    `_axis_grid_cached(*key)`, bit for bit the full grid's; None when every
-    score is 0.
+def _bounded_coarse_argmax(coarse: tuple, u_bs, u_ue, u_uav):
+    """Index of the first maximum of `_orientation_score` over the grid of a
+    `_coarse_grid` record, bit for bit the full grid's; None when every score
+    is 0.
 
     Branch and bound over BLOCK x BLOCK blocks (Hartley & Kahl 2009, IJCV 82):
     score the block with the best bound, then, in one gather in node order,
     every block whose bound reaches that score."""
-    axes, thetas, psis = _axis_grid_cached(*key)
+    axes, thetas, psis, centres, radius = coarse
     n_theta, n_psi = len(thetas), len(psis)
-    centres, radius = _coarse_blocks(*key)
     bound = _block_bounds(centres, radius, u_bs, u_ue, u_uav)
     top = int(np.argmax(bound))
     if bound[top] <= 0.0:
@@ -270,11 +260,11 @@ def orientation_search(ris_pos, bs_pos, ue_centers, uav_centers,
     u_bs = unit_rows(bs_pos)[0]
     u_ue = unit_rows(ue_centers)
     u_uav = unit_rows(uav_centers) if uav_centers is not None and len(uav_centers) else None
-    key = _grid_key(bounds, ORIENTATION_STEP)
-    best = _bounded_coarse_argmax(key, u_bs, u_ue, u_uav)
+    coarse = _coarse_grid(bounds, ORIENTATION_STEP)
+    best = _bounded_coarse_argmax(coarse, u_bs, u_ue, u_uav)
     if best is None:
         raise UnreachableTargetsError("no orientation sees the BS and any target")
-    _, thetas, psis = _axis_grid_cached(*key)
+    thetas, psis = coarse[1:3]
     row, col = divmod(best, len(psis))
     theta, psi = thetas[row], psis[col]
     window = 1.5 * ORIENTATION_STEP

@@ -173,7 +173,10 @@ def test_run_log_has_stage_timings(run_dir):
                           rf"minor faults: (\d+)$", log, re.MULTILINE)
         assert found, stage
         mb.append(float(found[1]))
-        assert int(found[2]) > 0, stage
+        # every count is a non-negative integer (`\d+`); only the radar stage,
+        # which maps a fresh frame, must fault: the others may run on heap
+        # pages that earlier work in the process left
+        assert stage != "radar" or int(found[2]) > 0, stage
     assert mb == sorted(mb) and mb[0] > 0.0
     # after the optimize stage, the optimizer's evaluation and failure counts
     counts = re.search(r"INFO stage optimize peak_rss: \d+\.\d MB, minor faults: \d+\n"

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 import types
 
 import numpy as np
@@ -566,22 +568,22 @@ def test_bounded_coarse_search_keeps_the_first_of_a_tie():
     # 0, and BS and UE mirrored in y: the nodes at +-psi score the same bits,
     # and the best pair (psi nodes 7 and 8) lies in two blocks; the first in
     # node order wins, as on the full grid
-    key = (-1.0, 1.0, -7.5 / 64, 7.5 / 64, 1.0 / 64)
-    axes, _, psis = optimizer._axis_grid_cached(*key)
+    coarse = optimizer._coarse_grid(OrientationBounds(-1.0, 1.0, -7.5 / 64, 7.5 / 64), 1.0 / 64)
+    axes, _, psis = coarse[:3]
     assert np.array_equal(psis[:8], -psis[15:7:-1])
     u_bs, u_ue = _unit([100.0, 30.0, 5.0]), _unit([[100.0, -30.0, 5.0]])
     score = optimizer._orientation_score(axes, u_bs, u_ue, None)
     ties = np.flatnonzero(score == np.max(score))
     assert len(ties) == 2 and [t % len(psis) // optimizer.BLOCK for t in ties] == [0, 1]
-    assert optimizer._bounded_coarse_argmax(key, u_bs, u_ue, None) == ties[0]
+    assert optimizer._bounded_coarse_argmax(coarse, u_bs, u_ue, None) == ties[0]
 
 
 def test_bounded_coarse_search_scores_the_grids_last_nodes_as_the_full_grid():
     # targets past the grid's last corner put the maximum on its last node, in
     # the grid's partial GEMM group, which the gather scores as the full grid does
     bounds = OrientationBounds(-np.pi / 3, np.pi / 3, -1.4, 1.4)
-    key = optimizer._grid_key(bounds, optimizer.ORIENTATION_STEP)
-    axes, thetas, psis = optimizer._axis_grid_cached(*key)
+    coarse = optimizer._coarse_grid(bounds, optimizer.ORIENTATION_STEP)
+    axes, thetas, psis = coarse[:3]
     n = axes.shape[1]
     assert n % optimizer._GEMM_GROUP
     beyond = panel_normal(thetas[-1] + 0.2, psis[-1] + 0.2)
@@ -589,10 +591,35 @@ def test_bounded_coarse_search_scores_the_grids_last_nodes_as_the_full_grid():
     u_ue = np.array([_unit(beyond - [0.0, 0.0, 0.05])])
     score = optimizer._orientation_score(axes, u_bs, u_ue, None)
     assert int(np.argmax(score)) == n - 1
-    assert optimizer._bounded_coarse_argmax(key, u_bs, u_ue, None) == n - 1
+    assert optimizer._bounded_coarse_argmax(coarse, u_bs, u_ue, None) == n - 1
     args = (np.zeros(3), u_bs, u_ue, None, bounds)
     assert _search_outcome(orientation_search, *args) == _search_outcome(
         orientation_search_full, *args)
+
+
+def test_searches_hold_no_fine_grid(ctx_full):
+    # each face direction keeps its coarse grid, and each search forms its
+    # fine window and lets it go: after a warm-up search, 100 searches at
+    # sampled points of the region hold less memory than one fine grid
+    region = ctx_full.regions[0]
+    bounds = ctx_full.region_bounds(region)
+    targets = [ctx_full.scene.bs_position, ctx_full.ue_grid.centers[region.covered_cells],
+               ctx_full.uav_grid.centers]
+    step = optimizer.ORIENTATION_STEP
+    fine = sum(a.nbytes for a in optimizer._axis_grid(
+        OrientationBounds(0.0, 3.0 * step, 0.0, 3.0 * step), step / 20.0))
+    _search_outcome(orientation_search, region.reference_point(), *targets, bounds)
+    rng = np.random.default_rng(35)
+    points = [region.point_at(*region.sample(rng)) for _ in range(100)]
+    tracemalloc.start()
+    try:
+        for p in points:
+            _search_outcome(orientation_search, p, *targets, bounds)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < fine
 
 
 def _capped(ctx, cap):
