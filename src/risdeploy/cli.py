@@ -242,10 +242,8 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
     report = radar.detect_paths(rv, expected=len(paths),
                                 threshold_db=cfg.detection_threshold_db)
     work = report.cfar
-    log.info("radar CFAR: judged %d of %d local maxima, %d of %d row blocks, "
-             "range prefix %d of %d rows, %d blocks formed twice", work.judged,
-             work.local_maxima, work.blocks_judged, work.blocks, work.prefix_rows, work.rows,
-             work.blocks_reformed)
+    log.info("radar CFAR: judged %d of %d local maxima, %d of %d row blocks", work.judged,
+             work.local_maxima, work.blocks_judged, work.blocks)
     detections = radar.associate_paths(report.detections, expected_ranges)
     write_rv_map_csv(out_dir / "rv_map.csv", rv, max(expected_ranges))
     _write_json(out_dir / "detections.json",

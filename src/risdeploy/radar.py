@@ -7,7 +7,7 @@ from per-path ranges by Gauss-Newton least squares at a known flight height.
 
 The frame passes run in single precision: the echo frame is complex64 and
 the map holds float32 linear power. Sums that set a value (the echo of each
-row block, the noise, the CFAR's running means) are formed in float64 and
+row block, the noise, the CFAR's ring sums) are formed in float64 and
 rounded once; dB is formed in float64 only for the values written out. The
 echo synthesis and the Doppler pass allocate their block buffers once per
 call and write every block into them, and the range IFFT runs in place in its
@@ -15,9 +15,9 @@ equalised block: glibc may map a block temporary of 128 KB or more afresh,
 and fault its pages in again, each time one is allocated. The map is packed
 into the front of the echo frame's own buffer, so the radar stage holds one
 frame. The CFAR judges the map's local maxima strongest first and forms
-thresholds only on the row blocks they lie in, each bit for bit the
-whole-map pass's; of the row blocks it passes on the way it keeps only the
-running sums they start from.
+thresholds only on the row blocks they lie in, each from the block's own
+wrapped rows through one float64 summed-area table; the set it declares is
+the whole-map filter's.
 """
 
 from dataclasses import dataclass
@@ -62,9 +62,6 @@ class CfarWork:
     local_maxima: int
     blocks_judged: int  # row blocks whose thresholds were formed
     blocks: int
-    blocks_reformed: int  # row blocks whose range sums were run more than once
-    prefix_rows: int  # rows the range pass formed, from row 0
-    rows: int
 
 
 @dataclass(frozen=True)
@@ -170,79 +167,29 @@ def power_db(power) -> np.ndarray:
     return lin2db(np.maximum(np.asarray(power, dtype=float), 1e-300))
 
 
-def _running_sums(lines: np.ndarray, size: int, start: int, stop: int, carry) -> np.ndarray:
-    """Sums start..stop-1 of `_running_mean` along axis 0, before it divides.
+def _ring_means(power: np.ndarray, r0: int, r1: int, outer: int, inner: int) -> np.ndarray:
+    """Training-ring mean of each cell in rows r0..r1-1 of `power`: its outer x
+    outer box less its inner x inner box (odd sizes, centred on the cell), with
+    wrap-around edges. The rows with outer // 2 wrapped rows and columns on
+    every side form one float64 summed-area table, and each box sum is read
+    from four of its corners."""
+    half = outer // 2
+    n_rows, n_cols = r1 - r0, power.shape[1]
+    slab = np.take(power, np.arange(r0 - half, r1 + half), axis=0, mode="wrap")
+    slab = np.take(slab, np.arange(-half, n_cols + half), axis=1, mode="wrap")
+    table = np.zeros((slab.shape[0] + 1, slab.shape[1] + 1))  # table[a, b]: sum of slab[:a, :b]
+    np.cumsum(slab, axis=0, dtype=float, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
 
-    Each sum continues the one before it: `carry` (the sum at start - 1, None
-    at start 0, where the first window is summed in order) plus the sample
-    entering minus the one leaving. So the sums of a line formed a piece at a
-    time are bit for bit the sums formed at once.
-    """
-    ahead = size // 2
-    k = np.arange(start + size - 1 if start else 0, stop + size - 1)  # extended-line steps
-    ext = np.take(lines, k - ahead, axis=0, mode="wrap").astype(float, copy=False)
-    leaving = max(0, size - int(k[0]))  # the first step that drops a sample
-    ext[leaving:] -= np.take(lines, k[leaving:] - size - ahead, axis=0, mode="wrap")
-    if start:
-        ext[0] += carry
-    if ext.shape[0] <= ext[0].size:  # few steps of long rows: one add per step
-        for i in range(1, ext.shape[0]):
-            np.add(ext[i - 1], ext[i], out=ext[i])
-    else:  # NumPy's cumsum runs the steps of each line in the same order
-        np.cumsum(ext, axis=0, out=ext)
-    return ext[k.size - (stop - start):]
+    def box(size):
+        lo, hi = half - size // 2, half + size // 2 + 1  # the box's slab offsets
+        return (table[hi:hi + n_rows, hi:hi + n_cols] - table[lo:lo + n_rows, hi:hi + n_cols]
+                - table[hi:hi + n_rows, lo:lo + n_cols] + table[lo:lo + n_rows, lo:lo + n_cols])
 
-
-def _running_mean(lines: np.ndarray, size: int) -> np.ndarray:
-    """Mean of `size` consecutive samples along the last axis, centered, with
-    wrap-around ends.
-
-    Bit for bit `scipy.ndimage.uniform_filter1d(lines, size, mode="wrap")`: the
-    first window is summed in order, then each step adds `new - old`, and every
-    running sum is divided by `size`.
-    """
-    sums = _running_sums(np.swapaxes(lines, 0, -1), size, 0, lines.shape[-1], None)
-    sums /= size
-    return np.swapaxes(sums, 0, -1)
-
-
-class _RangeMeans:
-    """The CFAR's range pass: the running means over ranges of every column,
-    taken in float64 and rounded to float32, one row block at a time. The sums
-    run from row 0 as far as a judged block needs. A block they pass on the
-    way keeps only its starting carries (each window's running sum before its
-    first row), from which it is formed again, bit for bit, once it is judged."""
-
-    def __init__(self, power: np.ndarray, sizes: tuple):
-        self.power, self.sizes = power, sizes
-        self.starts = [[None] * len(sizes)]  # block b's starting carries, for each b reached
-        self.runs = np.zeros(-(-power.shape[0] // ROW_BLOCK), dtype=int)  # sums runs per block
-
-    @property
-    def rows(self) -> int:
-        "Rows the sums have reached, from row 0."
-        return min((len(self.starts) - 1) * ROW_BLOCK, self.power.shape[0])
-
-    def _sums(self, block: int) -> list:
-        "Row block `block`'s running sums, one per window size, from its starting carries."
-        r0 = block * ROW_BLOCK
-        r1 = min(r0 + ROW_BLOCK, self.power.shape[0])
-        sums = [_running_sums(self.power, size, r0, r1, carry)
-                for size, carry in zip(self.sizes, self.starts[block])]
-        if block == len(self.starts) - 1:  # the next block starts from these
-            self.starts.append([window[-1].copy() for window in sums])
-        self.runs[block] += 1
-        return sums
-
-    def take(self, block: int) -> list:
-        "Row block `block`'s range means, one per window size, extending the sums to it."
-        while len(self.starts) <= block:
-            self._sums(len(self.starts) - 1)
-        means = []
-        for sums, size in zip(self._sums(block), self.sizes):
-            sums /= size
-            means.append(sums.astype(np.float32))
-        return means
+    ring = box(outer)
+    ring -= box(inner)
+    ring /= outer**2 - inner**2
+    return ring
 
 
 def _local_maxima(power: np.ndarray) -> tuple:
@@ -296,15 +243,11 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
 
     Only a local maximum can be declared, so the local maxima of the whole map
     are judged strongest first, from the `CANDIDATES` strongest, until
-    `expected` are declared. A judged cell's row block gets its thresholds:
-    the ring mean is the difference of two box means, each a running mean over
-    ranges and then over velocities (the arithmetic of
-    `scipy.ndimage.uniform_filter` on the float32 map). The range pass runs
-    from row 0 only as far as the judged blocks reach, keeps only the running
-    sums each block starts from, and rounds a judged block's means to float32;
-    the velocity pass and the threshold run on the judged row blocks; each
-    running mean is taken in float64. When those candidates hold fewer than
-    `expected` detections, every row block is judged. Linear power is compared
+    `expected` are declared. A judged cell's row block gets its thresholds
+    from its own wrapped rows through one float64 summed-area table
+    (`_ring_means`), with nothing shared between blocks; the declared set is
+    the whole-map filter's. When those candidates hold fewer than `expected`
+    detections, every row block is judged. Linear power is compared
     throughout, and dB is formed only for the detections.
     """
     if expected < 1:
@@ -323,21 +266,15 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
                                                power.size).astype(cells.dtype))
     hit = np.zeros(cells.size, dtype=bool)
     judged = np.zeros(n_blocks, dtype=bool)
-    range_means = _RangeMeans(power, (outer, inner))
 
     def judge(b):
         "Threshold row block b and decide its local maxima."
-        outer_mean, inner_mean = range_means.take(b)
-        noise = _running_mean(outer_mean.astype(float), outer)
-        noise *= outer**2
-        inner_sum = _running_mean(inner_mean.astype(float), inner)
-        inner_sum *= inner**2
-        noise -= inner_sum
-        noise /= outer**2 - inner**2
+        r0 = b * ROW_BLOCK
+        noise = _ring_means(power, r0, min(r0 + ROW_BLOCK, n_rows), outer, inner)
         np.maximum(noise, 0.0, out=noise)
         noise *= scale
         mine = slice(bounds[b], bounds[b + 1])
-        i, j = np.divmod(cells[mine] - b * block_cells, n_cols)
+        i, j = np.divmod(cells[mine] - r0 * n_cols, n_cols)
         hit[mine] = values[mine] > noise[i, j]
         judged[b] = True
 
@@ -347,27 +284,22 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     else:
         top = np.arange(cells.size)
     order = top[np.argsort(-values[top], kind="stable")]
-    block_of = cells[order] // block_cells
-    stop = 0  # the candidates before it in `order` are decided
-    while True:
-        waiting = np.flatnonzero(~judged[block_of[stop:]])
-        stop = stop + int(waiting[0]) if waiting.size else order.size
-        found = np.flatnonzero(hit[order[:stop]])  # the declared cells' places in `order`
-        if found.size >= expected or stop == order.size:
-            break
-        # each candidate adds at most one detection, so the next expected -
-        # found are decided before the loop can stop: their blocks are judged
-        # in ascending order, and the range pass forms each of them once
-        certain = block_of[stop:stop + expected - found.size]
-        for b in np.unique(certain[~judged[certain]]):
+    declared, judged_cells = [], cells.size
+    for place, (k, b) in enumerate(zip(order.tolist(), (cells[order] // block_cells).tolist())):
+        if not judged[b]:
             judge(b)
-    declared = order[found[:expected]]
-    judged_cells = int(found[expected - 1]) + 1 if found.size >= expected else cells.size
-    if found.size < expected and order.size < cells.size:
-        for b in np.flatnonzero(~judged):  # the candidates ran out: judge every block
-            judge(b)
-        declared = np.flatnonzero(hit)
-        declared = declared[np.argsort(-values[declared], kind="stable")][:expected]
+        if hit[k]:
+            declared.append(k)
+            if len(declared) == expected:
+                judged_cells = place + 1
+                break
+    else:
+        if order.size < cells.size:  # the candidates ran out: judge every block
+            for b in np.flatnonzero(~judged):
+                judge(b)
+            declared = np.flatnonzero(hit)
+            declared = declared[np.argsort(-values[declared], kind="stable")][:expected]
+    declared = np.asarray(declared, dtype=np.intp)
     i, j = np.divmod(cells[declared], n_cols)
     detections = [
         PathDetection(range_est=r, velocity_est=v, power_db=p)
@@ -378,9 +310,7 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     if len(detections) < expected:
         warning = f"partial detection: {len(detections)} of {expected} paths found"
     work = CfarWork(judged=judged_cells, local_maxima=cells.size,
-                    blocks_judged=int(judged.sum()), blocks=n_blocks,
-                    blocks_reformed=int(np.count_nonzero(range_means.runs > 1)),
-                    prefix_rows=range_means.rows, rows=n_rows)
+                    blocks_judged=int(judged.sum()), blocks=n_blocks)
     return DetectionReport(detections=detections, warning=warning, cfar=work)
 
 

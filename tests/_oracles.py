@@ -334,6 +334,20 @@ def cfar_peaks(power, threshold_db, guard=2, training=8):
     return np.argwhere(hits & local_max)
 
 
+def cfar_ring_means(power, outer, inner):
+    """Each cell's training-ring mean, gathered a cell at a time: the sum of its
+    wrapped outer x outer box less that of its inner x inner box, in float64."""
+    def box(i, j, size):
+        reach = np.arange(-(size // 2), size // 2 + 1)
+        rows = np.take(power, i + reach, axis=0, mode="wrap")
+        return np.take(rows, j + reach, axis=1, mode="wrap").sum(dtype=float)
+
+    means = np.empty(power.shape)
+    for i, j in np.ndindex(power.shape):
+        means[i, j] = (box(i, j, outer) - box(i, j, inner)) / (outer**2 - inner**2)
+    return means
+
+
 def rv_map_csv_text(rv, max_range, vel_window=32):
     "Text of the cropped range-velocity map CSV, one csv.writer row per cell."
     import csv

@@ -200,20 +200,17 @@ def test_run_log_has_stage_timings(run_dir):
 def test_run_log_reports_the_cfar_work(run_dir, demo_cfg):
     # within the radar stage, how much of the map the CFAR judged: on the demo
     # the paths are the strongest local maxima, so it judges one per path and
-    # forms the range pass only for the rows their blocks reach
+    # only the row blocks they lie in
     log = (run_dir / "run.log").read_text()
     found = re.search(r"INFO radar CFAR: judged (\d+) of (\d+) local maxima, (\d+) of (\d+) "
-                      r"row blocks, range prefix (\d+) of (\d+) rows, (\d+) blocks formed twice$",
-                      log, re.MULTILINE)
+                      r"row blocks$", log, re.MULTILINE)
     assert found and found.start() < log.index("INFO stage radar:")
-    judged, maxima, blocks_judged, blocks, prefix, rows, reformed = map(int, found.groups())
+    judged, maxima, blocks_judged, blocks = map(int, found.groups())
     detections = load_strict(run_dir / "detections.json")
     assert detections["warning"] is None
     assert judged == len(detections["detections"]) == len(detections["expected_ranges_m"])
-    assert rows == demo_cfg.subcarriers and blocks == -(-rows // radar.ROW_BLOCK)
+    assert blocks == -(-demo_cfg.subcarriers // radar.ROW_BLOCK)
     assert judged < maxima and 1 <= blocks_judged <= judged
-    assert prefix % radar.ROW_BLOCK == 0 and 0 < prefix < rows
-    assert reformed == 0  # an early stop forms each block's range means once
 
 
 def test_compare_log_has_stage_timings(compare_dir):
@@ -260,7 +257,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_radar_stage_holds_at_most_two_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
     # tracing starts before build_context, so the context's probing frame counts;
-    # the echo frame, the float32 map and the CFAR's local maxima and range means
+    # the echo frame, the float32 map and the CFAR's local maxima and block temporaries
     frame_bytes = 8 * demo_cfg.subcarriers * demo_cfg.symbols  # one complex64 frame
     peaks = []
     radar_stage = cli.radar_stage

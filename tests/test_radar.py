@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import ndimage
-
 from risdeploy import radar
 from risdeploy.errors import (EstimationFailureError, InvalidInputError,
                               UnsupportedDelayError)
@@ -12,8 +10,8 @@ from risdeploy.radar import (associate_paths, detect_paths, ls_position, power_d
 from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
-from _oracles import (cfar_peaks, qpsk_grid, range_velocity_power, rv_map_csv_text,
-                      same_bits, synthesize_returns_full)
+from _oracles import (cfar_peaks, cfar_ring_means, qpsk_grid, range_velocity_power,
+                      rv_map_csv_text, same_bits, synthesize_returns_full)
 
 PARAMS = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=256, symbols=64)
 
@@ -186,7 +184,6 @@ def test_cfar_matches_whole_map_reference(params, paths, rows, cols, guard, trai
                 assert (report.warning is None) == (expected <= len(peaks))
                 work = report.cfar
                 assert 1 <= work.blocks_judged <= work.blocks == -(-params.subcarriers // rows)
-                assert work.prefix_rows <= work.rows == params.subcarriers
     assert len(peaks) > len(paths)
 
 
@@ -212,33 +209,28 @@ def test_cfar_judges_only_the_blocks_its_detections_need(monkeypatch):
             report = detect_paths(rv, expected=expected)
             assert _declared(report) == _cells(rv, peaks[:expected])
             work.append(report.cfar)
-    assert [(w.judged, w.blocks_judged, w.prefix_rows) for w in work[:9]] == [
-        (1, 1, 32), (2, 1, 32), (3, 1, 32), (4, 2, 64), (5, 2, 64), (6, 2, 64), (7, 3, 128),
-        (8, 4, 150), (work[0].local_maxima, 5, 150)]
+    assert [(w.judged, w.blocks_judged) for w in work[:9]] == [
+        (1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 3), (8, 4),
+        (work[0].local_maxima, 5)]
     # a slice of two holds every cell as strong as the second, so the six
     # tied peaks; it runs out at the seventh detection, and every block is judged
-    assert [(w.blocks_judged, w.prefix_rows) for w in work[9:]] == (
-        [(1, 32)] * 3 + [(2, 64)] * 3 + [(5, 150)] * 3)
+    assert [w.blocks_judged for w in work[9:]] == [1] * 3 + [2] * 3 + [5] * 3
 
 
 @pytest.mark.parametrize("rows", [1, 3, 32])
-def test_range_means_in_any_block_order_are_the_whole_map_pass(rows, monkeypatch):
-    monkeypatch.setattr(radar, "ROW_BLOCK", rows)
-    power = np.random.default_rng(rows).exponential(size=(40, 6)).astype(np.float32)
-    whole = [ndimage.uniform_filter1d(power, size, axis=0, mode="wrap") for size in (21, 5)]
-    means = radar._RangeMeans(power, (21, 5))
-    blocks = -(-40 // rows)
-    for block in np.random.default_rng(0).permutation(blocks):
-        for mean, want in zip(means.take(block), whole):
-            assert same_bits(mean, want[block * rows:(block + 1) * rows])
-    # all it keeps is one float64 running sum per window at each block's
-    # start, and each block's sums ran once as the prefix passed it and at
-    # most once more when it was taken
-    assert means.rows == 40 and len(means.starts) == blocks + 1
-    assert all(carry is None for carry in means.starts[0])
-    assert all(carry.shape == (6,) and carry.dtype == float
-               for carries in means.starts[1:] for carry in carries)
-    assert 1 <= means.runs.min() and means.runs.max() <= 2
+def test_ring_means_match_a_brute_force_ring(rows):
+    # every row block of the map, the first and the last among them, against
+    # each cell's ring gathered on its own: random maps, and a 7x9 map smaller
+    # than the 21-cell outer window, whose boxes wrap more than once
+    rng = np.random.default_rng(rows)
+    for shape, outer, inner in [((40, 6), 21, 5), ((100, 37), 21, 5), ((7, 9), 21, 5),
+                                ((7, 9), 3, 1)]:
+        power = rng.exponential(size=shape).astype(np.float32)
+        whole = cfar_ring_means(power, outer, inner)
+        for r0 in range(0, shape[0], rows):
+            r1 = min(r0 + rows, shape[0])
+            np.testing.assert_allclose(radar._ring_means(power, r0, r1, outer, inner),
+                                       whole[r0:r1], rtol=1e-12, atol=0.0)
 
 
 def _noisy_frames():
@@ -279,23 +271,6 @@ def test_single_precision_finds_the_float64_detections(params, paths, seed):
     assert len(peaks) > len(paths)
 
 
-@pytest.mark.parametrize("size", [3, 5, 21])
-@pytest.mark.parametrize("length", [1, 2, 4, 20, 21, 22, 100])
-def test_running_mean_matches_uniform_filter1d(size, length):
-    lines = 10.0 ** np.random.default_rng(length).normal(scale=3.0, size=(3, length))
-    whole = ndimage.uniform_filter1d(lines, size, mode="wrap")
-    assert same_bits(radar._running_mean(lines, size), whole)
-    # the sums formed to any R are the first R of the whole line's, and so are
-    # the sums continued one at a time from the last one formed
-    sums = [radar._running_sums(lines.T, size, 0, 1, None)]
-    for stop in range(1, length + 1):
-        head = radar._running_sums(lines.T, size, 0, stop, None)
-        assert same_bits(head.T / size, whole[:, :stop])
-        if stop > 1:
-            sums.append(radar._running_sums(lines.T, size, stop - 1, stop, sums[-1][-1]))
-        assert same_bits(np.concatenate(sums).T / size, whole[:, :stop])
-
-
 FULL = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=2560, symbols=2048)
 FLOAT_FRAME = 8 * FULL.subcarriers * FULL.symbols  # bytes of one float64 (or complex64) frame
 
@@ -314,9 +289,7 @@ def _frames_allocated(fn):
 def test_radar_passes_stay_within_their_memory_bounds():
     # the waveform keeps symbol indices; the echo is one complex64 frame, and
     # the delay profile and then the float32 map take its buffer; the CFAR
-    # holds the map's local maxima and one running sum per window at the
-    # start of each row block its range pass reached, besides its block
-    # temporaries
+    # holds the map's local maxima besides its block temporaries
     wave, frames = _frames_allocated(lambda: OfdmWaveform(FULL, seed=1))
     assert frames <= 0.5, frames
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
@@ -328,28 +301,27 @@ def test_radar_passes_stay_within_their_memory_bounds():
     assert frames <= 0.1, frames
     assert np.shares_memory(rv.power, y)
     del y
-    # an early stop: the two paths are the two strongest local maxima, and the
-    # range pass is formed for the rows their blocks reach
+    # an early stop: the two paths are the two strongest local maxima, and
+    # only their blocks are judged
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=2))
     assert frames <= 0.5, frames
     assert len(report.detections) == 2 and report.cfar.judged == 2
-    assert report.cfar.prefix_rows < FULL.subcarriers
+    assert report.cfar.blocks_judged <= 2
     # a shortfall: the frame holds nine hits, so ten judge every block
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=10))
     assert frames <= 1.3, frames
     assert report.warning is not None and report.cfar.blocks_judged == report.cfar.blocks
 
 
-def test_far_path_detection_keeps_carries_not_blocks():
-    # one path at a 2.5 us delay: its block is the last but one, so the range
-    # pass runs through 79 of the 80 row blocks and keeps only their carries
+def test_far_path_detection_judges_one_block():
+    # one path at a 2.5 us delay: its block is the last but one, and its
+    # thresholds come from that block's own rows, none from the blocks before it
     wave = OfdmWaveform(FULL, seed=1)
     far = [SensingPath(0, 2.5e-6, 1e3, 1e-6 + 0j, FULL.carrier_hz)]
     rv = range_velocity_map(synthesize_returns(wave, far, noise_psd=1e-20, seed=2), wave)
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=1))
-    assert frames <= 0.45, frames
-    assert report.cfar.prefix_rows == 2528 and report.cfar.blocks_judged == 1
-    assert report.cfar.blocks_reformed == 0
+    assert frames <= 0.25, frames
+    assert report.cfar.blocks_judged == 1
 
 
 def test_radar_stage_holds_one_frame():
