@@ -496,10 +496,14 @@ def size_plan(ctx: OptimizerContext, refs: list, omega0: float) -> Step1Result:
     panel sizes take the worst (largest) UAV cell. The per-cell beta
     minimization is exact for the decoupled objective because E is monotone
     in the sum of the per-RIS KKT weights, each of which depends only on that
-    RIS's own c_n. SizeCapError when a panel's side exceeds `size_cap`."""
+    RIS's own c_n. The power split and the objective take each RIS's coverage
+    area over the UE cells it serves (gamma_ref > 0), which leaves out the cells
+    a flush panel in passive-orientation mode does not reach. SizeCapError when
+    a panel's side exceeds `size_cap`."""
     n_ris = len(refs)
     comm_only = ctx.cfg.mode == "comm-only"
-    cov_areas = np.array([r.coverage_area for r in ctx.regions])
+    cov_areas = np.array([np.count_nonzero(r.gamma_ref > 0) * ctx.ue_grid.cell_area
+                          for r in refs])
     m_u = 1 if comm_only else len(ctx.uav_grid.centers)
     betas = np.ones((m_u, n_ris))
     omegas = np.zeros((m_u, n_ris + 1))

@@ -499,7 +499,6 @@ def step1_evaluate_joint(positions, context, omega0=None):
         omega0 = direct_power_share(context)
     mode = context.cfg.mode
     comm_only = mode == "comm-only"
-    cov_areas = np.array([r.coverage_area for r in context.regions])
     orientations = []
     gamma_refs = []
     crb_refs = []
@@ -535,6 +534,9 @@ def step1_evaluate_joint(positions, context, omega0=None):
             except UnobservablePathError as exc:
                 raise UnreachableTargetsError(
                     f"RIS {n} at {np.round(positions[n], 2)}: {exc}") from exc
+    # the area of the cells each RIS serves
+    cov_areas = np.array([np.count_nonzero(g > 0.0) * context.ue_grid.cell_area
+                          for g in gamma_refs])
     m_u = 1 if comm_only else len(context.uav_grid.centers)
     betas = np.zeros((m_u, n_ris))
     omegas = np.zeros((m_u, n_ris + 1))

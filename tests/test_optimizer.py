@@ -151,24 +151,28 @@ def test_step1_evaluate_structure(ctx_full):
     np.testing.assert_allclose(res.omega_per_uav.sum(axis=1), 1.0, rtol=1e-12)
     assert np.all(np.isin(res.beta_per_uav, ctx_full.cfg.beta_grid))
     assert all(s.area > 0 and s.cells_per_side >= 1 for s in res.sizes)
-    # every row satisfies KKT stationarity for its own c-values, formed again
-    # from the reference CRBs at the chosen beta
-    areas = np.array([r.coverage_area for r in ctx_full.regions])
-    c = np.zeros((m_u, n))
-    for k, gamma in enumerate(res.gamma_ref):
-        range_crb, velocity_crb = reference_sensing_crbs(ctx_full, positions[k],
-                                                         res.orientations[k],
-                                                         *bs_leg(ctx_full, positions[k]))
-        c[:, k] = constraint_constants(float(np.min(gamma[gamma > 0])), range_crb,
-                                       velocity_crb, ctx_full, res.beta_per_uav[:, k]).c_max
-    for u in range(m_u):
-        lam = np.sqrt(c[u]) / areas * res.omega_per_uav[u, 1:] ** (-1.5)
-        np.testing.assert_allclose(lam, lam[0], rtol=1e-9)
-    # objective equals the summed size-to-coverage ratio
-    assert res.objective == pytest.approx(
-        sum(s.area / a for s, a in zip(res.sizes, areas)))
+    _assert_kkt_sized(ctx_full, positions, res,
+                      np.array([r.coverage_area for r in ctx_full.regions]))
     with pytest.raises(InvalidInputError):
         step1_evaluate(positions[:1], ctx_full)
+
+
+def _assert_kkt_sized(ctx, positions, res, areas):
+    """Every row of `res` satisfies KKT stationarity over the coverage `areas`
+    for its own c-values, formed again from the reference CRBs at the chosen
+    beta, and the objective is the summed size-to-coverage ratio."""
+    c = np.zeros(res.beta_per_uav.shape)
+    for k, gamma in enumerate(res.gamma_ref):
+        range_crb, velocity_crb = reference_sensing_crbs(ctx, positions[k],
+                                                         res.orientations[k],
+                                                         *bs_leg(ctx, positions[k]))
+        c[:, k] = constraint_constants(float(np.min(gamma[gamma > 0])), range_crb,
+                                       velocity_crb, ctx, res.beta_per_uav[:, k]).c_max
+    for u in range(c.shape[0]):
+        lam = np.sqrt(c[u]) / areas * res.omega_per_uav[u, 1:] ** (-1.5)
+        np.testing.assert_allclose(lam, lam[0], rtol=1e-9)
+    assert res.objective == pytest.approx(
+        sum(s.area / a for s, a in zip(res.sizes, areas)))
 
 
 def test_step1_beta_choice_is_per_cell_optimal(ctx_full):
@@ -483,6 +487,19 @@ def test_passive_orientation_uses_face_normal(ctx_full):
         normal = region.face.normal
         assert orient.theta_r == 0.0
         assert orient.psi_r == pytest.approx(float(np.arctan2(normal[1], normal[0])))
+
+
+def test_passive_orientation_sizes_for_the_cells_it_serves(ctx_full):
+    # at the reference points a flush panel leaves some covered cells unserved
+    # (gamma_ref == 0): the power split and the objective take the area of
+    # the served cells, not the region's whole coverage area
+    passive = dataclasses.replace(
+        ctx_full, cfg=dataclasses.replace(ctx_full.cfg, mode="passive-orientation"))
+    positions = [r.reference_point() for r in passive.regions]
+    res = step1_evaluate(positions, passive)
+    served = np.array([np.count_nonzero(g > 0) for g in res.gamma_ref]) * passive.ue_grid.cell_area
+    assert np.any(served < [r.coverage_area for r in passive.regions])
+    _assert_kkt_sized(passive, positions, res, served)
 
 
 @pytest.fixture(scope="module")
