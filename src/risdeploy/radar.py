@@ -7,17 +7,17 @@ from per-path ranges by Gauss-Newton least squares at a known flight height.
 
 The frame passes run in single precision: the echo frame is complex64 and
 the map holds float32 linear power. Sums that set a value (the echo of each
-row block, the noise, the CFAR's ring sums) are formed in float64 and
-rounded once; dB is formed in float64 only for the values written out. The
-echo synthesis and the Doppler pass allocate their block buffers once per
-call and write every block into them, and the range IFFT runs in place in its
-equalised block: glibc may map a block temporary of 128 KB or more afresh,
-and fault its pages in again, each time one is allocated. The map is packed
-into the front of the echo frame's own buffer, so the radar stage holds one
-frame. The CFAR judges the map's local maxima strongest first and forms
-thresholds only on the row blocks they lie in, each from the block's own
-wrapped rows through one float64 summed-area table; the set it declares is
-the whole-map filter's.
+row block, the noise) are formed in float64 and rounded once, and the CFAR's
+ring sums are formed and compared in float64; dB is formed in float64 only
+for the values written out. The echo synthesis and the Doppler pass allocate
+their block buffers once per call and write every block into them, and the
+range IFFT runs in place in its equalised block: glibc may map a block
+temporary of 128 KB or more afresh, and fault its pages in again, each time
+one is allocated. The map is packed into the front of the echo frame's own
+buffer, so the radar stage holds one frame. The CFAR judges the map's local
+maxima strongest first and forms thresholds only on the row blocks they lie
+in, each from the block's own wrapped rows through one float64 summed-area
+table; the set it declares is the whole-map filter's.
 """
 
 from dataclasses import dataclass

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
 from risdeploy import radar
 from risdeploy.errors import (EstimationFailureError, InvalidInputError,
                               UnsupportedDelayError)
@@ -220,11 +221,11 @@ def test_cfar_judges_only_the_blocks_its_detections_need(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 3, 32])
 def test_ring_means_match_a_brute_force_ring(rows):
     # every row block of the map, the first and the last among them, against
-    # each cell's ring gathered on its own: random maps, and a 7x9 map smaller
-    # than the 21-cell outer window, whose boxes wrap more than once
+    # each cell's ring gathered on its own: random maps, and maps smaller than
+    # the 21-cell outer window (7x9, and 2x1), whose boxes wrap more than once
     rng = np.random.default_rng(rows)
     for shape, outer, inner in [((40, 6), 21, 5), ((100, 37), 21, 5), ((7, 9), 21, 5),
-                                ((7, 9), 3, 1)]:
+                                ((7, 9), 3, 1), ((2, 1), 21, 5)]:
         power = rng.exponential(size=shape).astype(np.float32)
         whole = cfar_ring_means(power, outer, inner)
         for r0 in range(0, shape[0], rows):
