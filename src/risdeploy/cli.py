@@ -172,7 +172,10 @@ def deployment_dict(ctx, result, report) -> dict:
                    "cells_per_side": s.cells_per_side} for s in plan.sizes],
         "coverage": [{"ris_index": n, "building": r.building,
                       "covered_cells": list(map(int, r.covered_cells)),
-                      "coverage_area_m2": r.coverage_area} for n, r in enumerate(ctx.regions)],
+                      "coverage_area_m2": r.coverage_area,
+                      # the area sizing divides by: the cells the reference SNR serves
+                      "served_area_m2": np.count_nonzero(gamma > 0.0) * ctx.ue_grid.cell_area}
+                     for n, (r, gamma) in enumerate(zip(ctx.regions, plan.gamma_ref))],
         "omega_per_uav": plan.omega_per_uav.tolist(),
         "snr_margin_db": report.snr_margin_db,
         "gain_gap_db": [float(g) for g in report.gain_gap_db],
@@ -234,10 +237,8 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
     vel = np.asarray(cfg.uav_velocity, dtype=float)
     paths = evaluation.demo_sensing_paths(ctx, plan, uav, vel)
     noise = ctx.link.noise_psd_w_hz if cfg.radar_noise else 0.0
-    received = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise,
-                                        seed=cfg.seed + 1)
-    # the map is packed into the frame's buffer, which it keeps alive
-    rv = radar.range_velocity_map(received, ctx.waveform)
+    echo = radar.synthesize_returns(ctx.waveform, paths, noise_psd=noise, seed=cfg.seed + 1)
+    rv = radar.range_velocity_map(echo, ctx.waveform)
     expected_ranges = [p.range for p in paths]
     report = radar.detect_paths(rv, expected=len(paths),
                                 threshold_db=cfg.detection_threshold_db)

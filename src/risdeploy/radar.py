@@ -1,23 +1,31 @@
 """Mono-static OFDM radar pipeline.
 
-Synthesizes echo frames over the subcarrier/symbol grid, forms the
-range-velocity map by symbol-wise equalization and 2-D FFT processing,
+Synthesizes the echo of the sensing paths, forms the range-velocity map,
 detects peaks with a cell-averaging CFAR, and recovers the target position
 from per-path ranges by Gauss-Newton least squares at a known flight height.
 
-The frame passes run in single precision: the echo frame is complex64 and
-the map holds float32 linear power. Sums that set a value (the echo of each
-row block, the noise) are formed in float64 and rounded once, and the CFAR's
-ring sums are formed and compared in float64; dB is formed in float64 only
-for the values written out. The echo synthesis and the Doppler pass allocate
-their block buffers once per call and write every block into them, and the
-range IFFT runs in place in its equalised block: glibc may map a block
-temporary of 128 KB or more afresh, and fault its pages in again, each time
-one is allocated. The map is packed into the front of the echo frame's own
-buffer, so the radar stage holds one frame. The CFAR judges the map's local
-maxima strongest first and forms thresholds only on the row blocks they lie
-in, each from the block's own wrapped rows through one float64 summed-area
-table; the set it declares is the whole-map filter's.
+The echo is formed in the map domain, with no frame over the subcarrier and
+symbol grid. The received frame is Y = sum_n a_n outer(D_n, E_n) * S + W,
+with delay phasor D_n over the subcarriers, Doppler phasor E_n over the
+symbols, the QPSK symbols S and white noise W. Equalising by conj(S), with
+|S| = 1, leaves each path one rank-1 term a_n outer(D_n, E_n), and the 2-D
+transform of a rank-1 term is the outer product of two 1-D transforms: the
+subcarrier IFFT of D_n and the fftshifted symbol FFT of E_n. conj(S) W is
+again white circular Gaussian, and so is its transform, which the IFFT (1/Nc)
+and the unnormalised FFT scale to a standard deviation of sigma sqrt(M/Nc)
+per part (M. Braun, OFDM Radar Algorithms in Mobile Communication Networks,
+KIT 2014; C. Sturm and W. Wiesbeck, Proc. IEEE 99(7), 2011). So the map is
+|U V + W'|^2 with W' drawn in the map domain, the frame pipeline's
+distribution. `synthesize_returns` returns U, V, the std and the seed, and
+`range_velocity_map` writes the map one row block at a time.
+
+The map holds float32 linear power. Each row block is summed in complex128
+from the path terms and the float32 noise draw, and its |.|^2 is formed in
+float64 and rounded once; the CFAR's ring sums are formed and compared in
+float64; dB is formed in float64 only for the values written out. The CFAR
+judges the map's local maxima strongest first and forms thresholds only on
+the row blocks they lie in, each from the block's own wrapped rows through
+one float64 summed-area table; the set it declares is the whole-map filter's.
 """
 
 from dataclasses import dataclass
@@ -25,18 +33,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailureError, InvalidInputError, UnsupportedDelayError
-from .sensing import _QPSK, OfdmWaveform
+from .sensing import OfdmWaveform
 from .units import db2lin, lin2db
 
-# Block sizes of the frame passes; each block temporary holds a few MB, not a frame.
-ROW_BLOCK = 32  # rows per block: echo synthesis, noise, Doppler FFT, CFAR passes
-COLUMN_BLOCK = 32  # columns per block: equalisation, range IFFT
+ROW_BLOCK = 32  # rows per block of the map and of the CFAR passes
 # the strongest local maxima the CFAR judges one row block at a time before it
 # judges every block
 CANDIDATES = 1024
 
-# conj(S) for the QPSK symbol index k: equalises a received symbol by its phasor
-_EQUALISER = np.conj(_QPSK).astype(np.complex64)
+
+@dataclass(frozen=True)
+class Echo:
+    "The equalised echo in the map domain: the map is |u @ v + noise|^2."
+    u: np.ndarray  # (Nc, P) complex128: subcarrier IFFT of each path's delay phasor
+    v: np.ndarray  # (P, M) complex128: coeff * fftshift(symbol FFT of its Doppler phasor)
+    noise_std: float  # standard deviation of each part of a map cell's noise
+    seed: int  # of the map-domain noise draw
 
 
 @dataclass(frozen=True)
@@ -72,13 +84,13 @@ class DetectionReport:
 
 
 def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0.0,
-                       seed: int = 1) -> np.ndarray:
-    """Received frequency-domain frame Y of shape (Nc, M), complex64.
+                       seed: int = 1) -> Echo:
+    """The echo of `paths` after equalisation, in the map domain (no frame).
 
-    Y[p, m] = sum_n a_n exp(-j 2 pi f_p tau_n) exp(j 2 pi fD_n m T_sym) S[p, m]
-    plus (optionally) white noise of power noise_psd * B per resource element.
-    Each row block is summed in complex128 and rounded once; each noise sample
-    is drawn in float64 and rounded as it is added.
+    The frame it stands for is Y[p, m] = sum_n a_n exp(-j 2 pi f_p tau_n)
+    exp(j 2 pi fD_n m T_sym) S[p, m] plus (optionally) white noise of power
+    noise_psd * B per resource element, std sigma per part; in the map that
+    noise has std sigma sqrt(M / Nc) per part.
     """
     params = waveform.params
     if not paths:
@@ -88,73 +100,48 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
         if path.delay < 0 or path.delay >= tsym:
             raise UnsupportedDelayError(
                 f"path delay {path.delay:.3e} s outside [0, T_sym={tsym:.3e})")
-    nc, nm = params.subcarriers, params.symbols
-    m_idx = np.arange(nm)
-    phases = [(path.coeff, np.exp(-1j * 2.0 * np.pi * waveform.freqs * path.delay),
-               np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)) for path in paths]
-    y = np.empty((nc, nm), dtype=np.complex64)
-    buffers = np.empty((3, min(ROW_BLOCK, nc), nm), dtype=complex)
-    for r0 in range(0, nc, ROW_BLOCK):
-        rows = slice(r0, r0 + ROW_BLOCK)
-        block, term, symbols = buffers[:, :y[rows].shape[0]]
-        block.fill(0.0)
-        for coeff, delay_phase, doppler_phase in phases:
-            np.outer(delay_phase[rows], doppler_phase, out=term)
-            # coeff first, as in coeff * outer: the SIMD complex product does not
-            # round the same with its operands swapped
-            np.multiply(coeff, term, out=term)
-            block += term
-        block *= waveform.symbols(rows=rows, out=symbols)
-        y[rows] = block
-    if noise_psd > 0.0:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
-        draw = np.empty(buffers.shape[1:])  # float64 noise of one row block
-        # every real part first, then every imaginary part: the same generator
-        # stream as one whole-frame draw for each
-        for part in (y.real, y.imag):
-            for r0 in range(0, nc, ROW_BLOCK):
-                block = part[r0:r0 + ROW_BLOCK]
-                noise = rng.standard_normal(out=draw[:block.shape[0]])
-                noise *= sigma
-                block += noise
-    return y
+    delays = np.array([path.delay for path in paths])
+    dopplers = np.array([path.doppler for path in paths])
+    coeffs = np.array([path.coeff for path in paths], dtype=complex)
+    u = np.fft.ifft(np.exp(-1j * 2.0 * np.pi * np.outer(waveform.freqs, delays)), axis=0)
+    doppler = np.exp(1j * 2.0 * np.pi * np.outer(dopplers, np.arange(params.symbols) * tsym))
+    v = coeffs[:, None] * np.fft.fftshift(np.fft.fft(doppler, axis=1), axes=1)
+    sigma = np.sqrt(noise_psd * params.bandwidth_hz / 2.0)
+    return Echo(u=u, v=v, noise_std=float(sigma * np.sqrt(params.symbols / params.subcarriers)),
+                seed=seed)
 
 
-def range_velocity_map(received: np.ndarray, waveform: OfdmWaveform) -> RangeVelocityMap:
-    """Equalize by the known symbols, IFFT over subcarriers, FFT over symbols.
+def range_velocity_map(echo: Echo, waveform: OfdmWaveform) -> RangeVelocityMap:
+    """The map |u @ v + noise|^2 as float32 linear power, one row block at a time.
 
-    Runs in single precision (NumPy's FFT keeps complex64 input in complex64)
-    and maps float32 linear power |rv|^2. The delay profile and then the map
-    are formed in the buffer of `received`, which is overwritten when it is a
-    C-contiguous complex64 array (any other input is copied first): the
-    returned `power` views the front half of that buffer and keeps it alive.
+    The noise is drawn in float32 as interleaved (re, im) pairs from one
+    generator seeded with `echo.seed`, row block after row block, so the
+    stream is one whole-map draw's whatever the block size. Every block is
+    written into one set of buffers: glibc may map a block temporary of 128 KB
+    or more afresh, and fault its pages in again, each time one is allocated.
     """
     ofdm = waveform.params
-    received = np.ascontiguousarray(received, dtype=np.complex64)
     nc, nm = ofdm.subcarriers, ofdm.symbols
-    if received.shape != (nc, nm):
-        raise InvalidInputError(f"frames must have shape ({nc}, {nm})")
-    profile = received  # delay peaks at bin tau * B
-    for c0 in range(0, nm, COLUMN_BLOCK):
-        cols = slice(c0, c0 + COLUMN_BLOCK)
-        equalised = received[:, cols] * _EQUALISER.take(waveform.index[:, cols])
-        profile[:, cols] = np.fft.ifft(equalised, axis=0, out=equalised)
-    # the map takes the first nc * nm floats of the frame: row block r's power
-    # overlaps only frame rows below r's end, which the Doppler pass has
-    # already read into `spectrum`
-    power = received.reshape(-1).view(np.float32)[:nc * nm].reshape(nc, nm)
-    # the Doppler pass's block buffers, one set per pass
-    spectrum = np.empty((min(ROW_BLOCK, nc), nm), dtype=np.complex64)
-    magnitude = np.empty(spectrum.shape, dtype=np.float32)
-    shift = nm // 2  # fftshift: bin k of the FFT is column (k + shift) % nm of the map
+    if echo.u.shape[0] != nc or echo.v.shape[1] != nm:
+        raise InvalidInputError(f"the echo must span the ({nc}, {nm}) map")
+    power = np.empty((nc, nm), dtype=np.float32)
+    cells = np.empty((min(ROW_BLOCK, nc), nm), dtype=complex)
+    term = np.empty_like(cells)
+    noise = np.empty((cells.shape[0], 2 * nm), dtype=np.float32)
+    rng = np.random.default_rng(echo.seed)
     for r0 in range(0, nc, ROW_BLOCK):
-        rows = slice(r0, r0 + ROW_BLOCK)
-        n = power[rows].shape[0]
-        rv = np.fft.fft(profile[rows], axis=1, out=spectrum[:n])
-        rv_abs = np.abs(rv, out=magnitude[:n])
-        np.square(rv_abs[:, nm - shift:], out=power[rows, :shift])
-        np.square(rv_abs[:, :nm - shift], out=power[rows, shift:])
+        u = echo.u[r0:r0 + ROW_BLOCK]
+        n = u.shape[0]
+        block = np.multiply(u[:, :1], echo.v[0], out=cells[:n])
+        for k in range(1, u.shape[1]):
+            block += np.multiply(u[:, k:k + 1], echo.v[k], out=term[:n])
+        if echo.noise_std > 0.0:
+            draw = rng.standard_normal(dtype=np.float32, out=noise[:n])
+            draw *= echo.noise_std
+            block += draw.view(np.complex64)
+        parts = block.view(float)  # (re, im) pairs
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[r0:r0 + n])
     range_axis = np.arange(nc) * ofdm.range_resolution
     velocity_axis = (np.arange(nm) - nm // 2) * ofdm.velocity_resolution
     return RangeVelocityMap(power=power, range_axis=range_axis,

@@ -9,15 +9,15 @@ version of the same piecewise trigonometric-polynomial signal whose
 derivative the analytic moments use. `fim_scalar` is the analytic FIM of one path in scalar
 arithmetic, the rounding the array form in `sensing` must reproduce. The orientation-score reference lays the cosines out one row
 per axis, the transpose of the optimizer's layout. The waveform and radar
-references keep the whole-frame, one-symbol-at-a-time arithmetic that the
-blocked code in `sensing` and `radar` must reproduce bit for bit, and
+references keep the whole-frame, one-symbol-at-a-time arithmetic:
 `moments_per_symbol` sums one drawn frame, which the closed-form moments are
-held to at measured bounds. They draw
+held to at measured bounds, and the radar references synthesize the whole
+echo frame with its QPSK symbols, equalise it and take its two FFTs, the
+pipeline the map-domain radar is held to at measured bounds. They draw
 the complex QPSK grid again from the seed the waveform was built with (their
 `wave_seed`), not from its index grid. The radar references take the
-precision of their input: on complex64 frames and float32 maps they round
-where the radar rounds, and on complex128 frames they give the float64
-pipeline the single-precision radar is held to. `waveform_sample` evaluates
+precision of their input: complex128 frames give the float64 pipeline.
+`map_noise` is the radar's map-domain noise as one whole-map draw. `waveform_sample` evaluates
 the waveform directly at arbitrary times, one sum over subcarriers. The
 closure references synthesize the SNR table one (UE cell, UAV cell) pair at a
 time and the CRBs one UAV cell at a time, each from its own legs (traversal
@@ -304,13 +304,26 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed,
     return y
 
 
+def range_velocity_field(received, transmitted):
+    """Range-velocity field rv from whole-frame equalisation and FFTs, in the
+    precision of `received`."""
+    equaliser = np.conj(transmitted).astype(received.dtype)
+    profile = np.fft.ifft(received * equaliser, axis=0)
+    return np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
+
+
 def range_velocity_power(received, transmitted):
     """Range-velocity map |rv|^2 from whole-frame equalisation and FFTs, in the
     precision of `received` (complex64 gives a float32 map)."""
-    equaliser = np.conj(transmitted).astype(received.dtype)
-    profile = np.fft.ifft(received * equaliser, axis=0)
-    rv = np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
-    return np.abs(rv) ** 2
+    return np.abs(range_velocity_field(received, transmitted)) ** 2
+
+
+def map_noise(params, seed):
+    """The map-domain noise of unit std per part, (Nc, M) complex128, from one
+    whole-map float32 draw of interleaved (re, im) pairs."""
+    draw = np.random.default_rng(seed).standard_normal(
+        (params.subcarriers, 2 * params.symbols), dtype=np.float32)
+    return draw.astype(float).view(complex)
 
 
 def cfar_peaks(power, threshold_db, guard=2, training=8):

@@ -143,6 +143,24 @@ def test_run_pipeline_deterministic_deployment(run_dir, demo_cfg, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_deployment_objective_recomputes_from_its_served_areas(demo_cfg, mode, tmp_path):
+    # sizing divides each panel's area by the area of the cells it serves;
+    # at seed 1 a flush panel in passive-orientation mode leaves 5 of RIS 0's
+    # 25 covered cells unserved
+    code = cli.run_pipeline(dataclasses.replace(demo_cfg, mode=mode, seed=1), tmp_path)
+    assert code == cli.EXIT_OK
+    dep = load_strict(tmp_path / "deployment.json")
+    _validate(dep, "deployment")
+    assert dep["objective"] == sum(size["area_m2"] / cov["served_area_m2"]
+                                   for size, cov in zip(dep["sizes"], dep["coverage"]))
+    cell_area = demo_cfg.ue_cell_size**2
+    served = [cov["served_area_m2"] / cell_area for cov in dep["coverage"]]
+    covered = [len(cov["covered_cells"]) for cov in dep["coverage"]]
+    assert all(0 < s <= c for s, c in zip(served, covered))
+    assert (served != covered) == (mode == "passive-orientation")
+
+
 def test_compare_modes_artifacts(compare_rows):
     assert [r["mode"] for r in compare_rows] == list(cli.MODES)
     assert all(r["status"] == "ok" for r in compare_rows)
@@ -257,7 +275,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_radar_stage_holds_at_most_two_and_a_half_frames(demo_cfg, tmp_path, monkeypatch):
     # tracing starts before build_context, so the context's probing frame counts;
-    # the echo frame, the float32 map and the CFAR's local maxima and block temporaries
+    # the float32 map (half a complex64 frame), its row-block buffers and the
+    # CFAR's local maxima and block temporaries
     frame_bytes = 8 * demo_cfg.subcarriers * demo_cfg.symbols  # one complex64 frame
     peaks = []
     radar_stage = cli.radar_stage
@@ -276,7 +295,7 @@ def test_radar_stage_holds_at_most_two_and_a_half_frames(demo_cfg, tmp_path, mon
         tracemalloc.stop()
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
     assert len(peaks) == 1
-    assert peaks[0] <= 2.5 * frame_bytes, peaks[0] / frame_bytes
+    assert peaks[0] <= 0.9 * frame_bytes, peaks[0] / frame_bytes  # 0.835 measured
 
 
 def test_radar_json_refuses_non_finite_values(ctx_full, nm_result, tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 to its SHA-256.
 
 The set is the demo `run` at the demo config's seed and in all four modes at
-seed 1, pathloss-baseline at seeds 12 and 108, full-isac at seed 108 (a
+seed 1, pathloss-baseline at seeds 12 and 108, full-isac at seed 128 (a
 partial detection, so the CFAR judges every row block), the four-mode
 `compare` at the demo config's seed and the bench city (`bench/city.py`, city
 seed 1, planner seed 0). `golden.json` also keeps the parsed
@@ -57,7 +57,7 @@ def golden_runs(base: Path) -> dict:
     runs[f"compare seed {cfg.seed}"] = (cli.compare_modes(cfg, list(cli.MODES), out), out)
     for mode, seed in [(m, 1) for m in cli.MODES] + [("pathloss-baseline", 12),
                                                      ("pathloss-baseline", 108),
-                                                     ("full-isac", 108)]:
+                                                     ("full-isac", 128)]:
         name = f"run {mode} seed {seed}"
         out = base / name.replace(" ", "-")
         runs[name] = (cli.run_pipeline(dataclasses.replace(cfg, mode=mode, seed=seed), out), out)
