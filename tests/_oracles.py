@@ -15,8 +15,7 @@ held to at measured bounds, and the radar references synthesize the whole
 echo frame with its QPSK symbols, equalise it and take its two FFTs, the
 pipeline the map-domain radar is held to at measured bounds. They draw
 the complex QPSK grid again from the seed the waveform was built with (their
-`wave_seed`), not from its index grid. The radar references take the
-precision of their input: complex128 frames give the float64 pipeline.
+`wave_seed`), not from its index grid. The radar references run in float64.
 `map_noise` is the radar's map-domain noise as one whole-map draw. `waveform_sample` evaluates
 the waveform directly at arbitrary times, one sum over subcarriers. The
 closure references synthesize the SNR table one (UE cell, UAV cell) pair at a
@@ -283,10 +282,9 @@ def moments_per_symbol(wave, tau=0.0, *, wave_seed):
     return i1, i2, i3
 
 
-def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed,
-                            dtype=np.complex64):
+def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed):
     """Received frame (Nc, M) built from whole-frame outer products in complex128,
-    rounded to `dtype`, plus one whole-frame noise draw for each part."""
+    plus one whole-frame noise draw for each part."""
     p = wave.params
     tsym = p.symbol_duration
     m_idx = np.arange(p.symbols)
@@ -295,7 +293,7 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed,
         delay_phase = np.exp(-1j * 2.0 * np.pi * wave.freqs * path.delay)
         doppler_phase = np.exp(1j * 2.0 * np.pi * path.doppler * m_idx * tsym)
         y += path.coeff * np.outer(delay_phase, doppler_phase)
-    y = (y * qpsk_grid(wave, wave_seed)).astype(dtype)
+    y *= qpsk_grid(wave, wave_seed)
     if noise_psd > 0.0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(noise_psd * p.bandwidth_hz / 2.0)
@@ -305,16 +303,13 @@ def synthesize_returns_full(wave, paths, noise_psd=0.0, seed=1, *, wave_seed,
 
 
 def range_velocity_field(received, transmitted):
-    """Range-velocity field rv from whole-frame equalisation and FFTs, in the
-    precision of `received`."""
-    equaliser = np.conj(transmitted).astype(received.dtype)
-    profile = np.fft.ifft(received * equaliser, axis=0)
+    "Range-velocity field rv from whole-frame equalisation and FFTs."
+    profile = np.fft.ifft(received * np.conj(transmitted), axis=0)
     return np.fft.fftshift(np.fft.fft(profile, axis=1), axes=1)
 
 
 def range_velocity_power(received, transmitted):
-    """Range-velocity map |rv|^2 from whole-frame equalisation and FFTs, in the
-    precision of `received` (complex64 gives a float32 map)."""
+    "Range-velocity map |rv|^2 from whole-frame equalisation and FFTs."
     return np.abs(range_velocity_field(received, transmitted)) ** 2
 
 

@@ -175,7 +175,7 @@ def test_compare_builds_one_context_and_one_frame(compare_run):
 
 
 def test_run_draws_one_frame(pipeline_run):
-    # the radar stage reuses the context's frame
+    # the context draws the one frame; the radar stage draws none
     _, calls = pipeline_run
     assert calls == {"build_context": 1, "qpsk_symbols": 1}
 
@@ -192,7 +192,7 @@ def test_run_log_has_stage_timings(run_dir):
         assert found, stage
         mb.append(float(found[1]))
         # every count is a non-negative integer (`\d+`); only the radar stage,
-        # which maps a fresh frame, must fault: the others may run on heap
+        # which maps a fresh map, must fault: the others may run on heap
         # pages that earlier work in the process left
         assert stage != "radar" or int(found[2]) > 0, stage
     assert mb == sorted(mb) and mb[0] > 0.0

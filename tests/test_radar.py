@@ -159,7 +159,7 @@ def test_noise_free_map_matches_the_frame_oracle(params, paths):
     wave = OfdmWaveform(params, seed=4)
     rv = range_velocity_map(synthesize_returns(wave, paths), wave)
     reference = range_velocity_power(
-        synthesize_returns_full(wave, paths, wave_seed=4, dtype=complex), qpsk_grid(wave, 4))
+        synthesize_returns_full(wave, paths, wave_seed=4), qpsk_grid(wave, 4))
     error = np.max(np.abs(rv.power - reference)) / np.max(reference)
     assert error <= MAP_ERROR, error
 
@@ -177,7 +177,7 @@ def test_noise_only_map_matches_the_frame_oracle_distribution():
                            wave).power.ravel() for seed in range(8)]).astype(float)
     frames = np.concatenate([
         range_velocity_power(synthesize_returns_full(wave, silent, noise_psd=noise_psd,
-                                                     seed=seed, wave_seed=4, dtype=complex),
+                                                     seed=seed, wave_seed=4),
                              qpsk_grid(wave, 4)).ravel() for seed in range(8)])
     # 131,072 cells: the mean's standard error is 0.3 %, the variance's 0.8 %
     for power in (ours, frames):
@@ -301,7 +301,7 @@ def test_single_precision_finds_the_float64_detections(params, paths, seed):
     echo = synthesize_returns(wave, paths, noise_psd=1e-19, seed=seed + 10)
     rv = range_velocity_map(echo, wave)
     field = range_velocity_field(
-        synthesize_returns_full(wave, paths, wave_seed=seed, dtype=complex), qpsk_grid(wave, seed))
+        synthesize_returns_full(wave, paths, wave_seed=seed), qpsk_grid(wave, seed))
     reference = np.abs(field + echo.noise_std * map_noise(params, seed + 10)) ** 2
     assert reference.dtype == np.float64
     map_db = power_db(rv.power)
