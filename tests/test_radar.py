@@ -344,7 +344,9 @@ def test_radar_passes_stay_within_their_memory_bounds():
     echo, frames = _frames_allocated(
         lambda: synthesize_returns(wave, paths, noise_psd=1e-20, seed=2))
     assert frames <= 0.02, frames  # 0.008 measured
-    rv, frames = _frames_allocated(lambda: range_velocity_map(echo, wave))
+    # the echo and the map together: the map is their one map-sized buffer
+    rv, frames = _frames_allocated(lambda: range_velocity_map(
+        synthesize_returns(wave, paths, noise_psd=1e-20, seed=2), wave))
     assert frames <= 0.6, frames  # 0.569 measured
     # an early stop: the two paths are the two strongest local maxima, and
     # only their blocks are judged
