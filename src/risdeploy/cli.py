@@ -210,15 +210,12 @@ def write_snr_maps(out_dir: Path, ctx, report):
                 writer.writerow([cell, repr(float(x)), repr(float(y)), repr(float(snr))])
 
 
-def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float,
-                     vel_window: int = 32):
-    """Crop the map to the ranges of interest and a velocity window, then dump
-    the crop's power in float64 dB."""
+def write_rv_map_csv(path, rv: radar.RangeVelocityMap, max_range: float):
+    """Crop the map's velocity band to the ranges of interest, then dump the
+    crop's power in float64 dB."""
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
-    mid = len(rv.velocity_axis) // 2
-    lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
-    velocities = [f",{v!r}," for v in rv.velocity_axis[lo:hi].tolist()]
-    crop_db = radar.power_db(rv.power[:keep_r, lo:hi])
+    velocities = [f",{v!r}," for v in rv.velocity_axis[rv.band_columns].tolist()]
+    crop_db = radar.power_db(rv.band[:keep_r])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["# range_resolution_m", rv.resolution[0]])
@@ -243,8 +240,9 @@ def radar_stage(ctx, plan: optimizer.Step1Result, out_dir: Path, log):
     report = radar.detect_paths(rv, expected=len(paths),
                                 threshold_db=cfg.detection_threshold_db)
     work = report.cfar
-    log.info("radar CFAR: judged %d of %d local maxima, %d of %d row blocks", work.judged,
-             work.local_maxima, work.blocks_judged, work.blocks)
+    log.info("radar CFAR: judged %d of %d local maxima, %d of %d row blocks, "
+             "%d row blocks re-formed", work.judged, work.local_maxima, work.blocks_judged,
+             work.blocks, work.reformed)
     detections = radar.associate_paths(report.detections, expected_ranges)
     write_rv_map_csv(out_dir / "rv_map.csv", rv, max(expected_ranges))
     _write_json(out_dir / "detections.json",

@@ -16,18 +16,29 @@ and the unnormalised FFT scale to a standard deviation of sigma sqrt(M/Nc)
 per part (M. Braun, OFDM Radar Algorithms in Mobile Communication Networks,
 KIT 2014; C. Sturm and W. Wiesbeck, Proc. IEEE 99(7), 2011). So the map is
 |U V + W'|^2 with W' drawn in the map domain, the frame pipeline's
-distribution. `synthesize_returns` returns U, V, the std and the seed, and
-`range_velocity_map` writes the map one row block at a time.
+distribution. `synthesize_returns` returns U, V, the std and the seed.
 
-The map holds float32 linear power. Each row block is summed in complex128
+No whole map is held. `range_velocity_map` forms the map one row block at a
+time, in one pass, and keeps three things of each block: the noise
+generator's state at its start, its count of 3x3 wrapped local maxima with
+its strongest maxima, and its rows of the velocity band that rv_map.csv
+writes. Block 0 is held back until the map's last row, the row above it, is
+formed. A block formed again from its saved state draws the same noise, so
+its rows are the first formation's bit for bit; `RangeVelocityMap.rows`
+reads the map's wrapped rows that way, and it is the CFAR's one access to it.
+
+The map is float32 linear power. Each row block is summed in complex128
 from the path terms and the float32 noise draw, and its |.|^2 is formed in
 float64 and rounded once; the CFAR's ring sums are formed and compared in
 float64; dB is formed in float64 only for the values written out. The CFAR
-judges the map's local maxima strongest first and forms thresholds only on
-the row blocks they lie in, each from the block's own wrapped rows through
-one float64 summed-area table; the set it declares is the whole-map filter's.
+judges the map's strongest local maxima first and forms thresholds only on
+the row blocks they lie in, each formed again with its wrapped neighbours
+and thresholded through one float64 summed-area table; the set it declares
+is the whole-map filter's. When those candidates hold too few detections,
+it forms every block once more and judges all its local maxima.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +47,11 @@ from .errors import EstimationFailureError, InvalidInputError, UnsupportedDelayE
 from .sensing import OfdmWaveform
 from .units import db2lin, lin2db
 
-ROW_BLOCK = 32  # rows per block of the map and of the CFAR passes
+ROW_BLOCK = 32  # rows per block of the map: formed, scanned and formed again whole
 # the strongest local maxima the CFAR judges one row block at a time before it
 # judges every block
 CANDIDATES = 1024
+BAND = 32  # velocity columns each side of zero whose power the map keeps for rv_map.csv
 
 
 @dataclass(frozen=True)
@@ -53,10 +65,36 @@ class Echo:
 
 @dataclass(frozen=True)
 class RangeVelocityMap:
-    power: np.ndarray  # (Nc, M) float32 |rv|^2, linear
+    """What one pass over the map keeps of it; no whole-map array is held.
+
+    `block(b)` forms row block b again, with the bits of its first formation,
+    and `rows` reads the map's wrapped rows through it."""
+    block: Callable  # b -> (rows, M) float32 |rv|^2 of row block b, linear, a new array
+    block_rows: int  # rows per block
+    maxima: np.ndarray  # (blocks,) each row block's count of 3x3 wrapped local maxima
+    cells: np.ndarray  # flat indices, row-major, of the CANDIDATES strongest maxima (ties kept)
+    values: np.ndarray  # their float32 power
+    band: np.ndarray  # (Nc, columns) float32 power of the velocity columns `band_columns`
+    band_columns: slice  # the central velocity columns, BAND each side of zero
     range_axis: np.ndarray  # (Nc,) meters
     velocity_axis: np.ndarray  # (M,) m/s
     resolution: tuple  # (range m, velocity m/s)
+
+    def rows(self, r0: int, r1: int, formed: dict | None = None) -> np.ndarray:
+        """Rows r0..r1-1 of the map, wrapped (r0 may be negative and r1 past the
+        last row), as a new array. A row block they lie in is formed again
+        unless `formed` (block -> its rows) holds it, and is added to it."""
+        formed = {} if formed is None else formed
+        out = np.empty((r1 - r0, self.velocity_axis.size), dtype=np.float32)
+        at = r0
+        while at < r1:
+            b, first = divmod(at % self.range_axis.size, self.block_rows)
+            if b not in formed:
+                formed[b] = self.block(b)
+            take = min(formed[b].shape[0] - first, r1 - at)
+            out[at - r0:at - r0 + take] = formed[b][first:first + take]
+            at += take
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,6 +112,7 @@ class CfarWork:
     local_maxima: int
     blocks_judged: int  # row blocks whose thresholds were formed
     blocks: int
+    reformed: int  # row blocks formed again to judge them
 
 
 @dataclass(frozen=True)
@@ -111,26 +150,17 @@ def synthesize_returns(waveform: OfdmWaveform, paths: list, noise_psd: float = 0
                 seed=seed)
 
 
-def range_velocity_map(echo: Echo, waveform: OfdmWaveform) -> RangeVelocityMap:
-    """The map |u @ v + noise|^2 as float32 linear power, one row block at a time.
-
-    The noise is drawn in float32 as interleaved (re, im) pairs from one
-    generator seeded with `echo.seed`, row block after row block, so the
-    stream is one whole-map draw's whatever the block size. Every block is
-    written into one set of buffers: glibc may map a block temporary of 128 KB
-    or more afresh, and fault its pages in again, each time one is allocated.
-    """
-    ofdm = waveform.params
-    nc, nm = ofdm.subcarriers, ofdm.symbols
-    if echo.u.shape[0] != nc or echo.v.shape[1] != nm:
-        raise InvalidInputError(f"the echo must span the ({nc}, {nm}) map")
-    power = np.empty((nc, nm), dtype=np.float32)
-    cells = np.empty((min(ROW_BLOCK, nc), nm), dtype=complex)
+def _block_former(echo: Echo, rows: int) -> Callable:
+    """form(r0, rng): the float32 power of the `rows`-row block from row r0,
+    its noise drawn from rng, as a new array. Each block is summed in one set
+    of buffers: glibc may map a temporary of 128 KB or more afresh, and fault
+    its pages in again, each time one is allocated."""
+    cells = np.empty((rows, echo.v.shape[1]), dtype=complex)
     term = np.empty_like(cells)
-    noise = np.empty((cells.shape[0], 2 * nm), dtype=np.float32)
-    rng = np.random.default_rng(echo.seed)
-    for r0 in range(0, nc, ROW_BLOCK):
-        u = echo.u[r0:r0 + ROW_BLOCK]
+    noise = np.empty((rows, 2 * echo.v.shape[1]), dtype=np.float32)
+
+    def form(r0, rng):
+        u = echo.u[r0:r0 + rows]
         n = u.shape[0]
         block = np.multiply(u[:, :1], echo.v[0], out=cells[:n])
         for k in range(1, u.shape[1]):
@@ -141,12 +171,105 @@ def range_velocity_map(echo: Echo, waveform: OfdmWaveform) -> RangeVelocityMap:
             block += draw.view(np.complex64)
         parts = block.view(float)  # (re, im) pairs
         np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=power[r0:r0 + n])
-    range_axis = np.arange(nc) * ofdm.range_resolution
-    velocity_axis = (np.arange(nm) - nm // 2) * ofdm.velocity_resolution
-    return RangeVelocityMap(power=power, range_axis=range_axis,
-                            velocity_axis=velocity_axis,
+        return np.add(parts[:, 0::2], parts[:, 1::2], out=np.empty((n, cells.shape[1]),
+                                                                   dtype=np.float32))
+
+    return form
+
+
+def range_velocity_map(echo: Echo, waveform: OfdmWaveform) -> RangeVelocityMap:
+    """The map |u @ v + noise|^2 as float32 linear power, formed one row block
+    at a time in one pass that keeps only what `RangeVelocityMap` holds.
+
+    The noise is drawn in float32 as interleaved (re, im) pairs from one
+    generator seeded with `echo.seed`, row block after row block, so the
+    stream is one whole-map draw's whatever the block size. The generator's
+    state at each block's start is kept: a block formed again from it draws
+    the same noise, so its rows are the first formation's bit for bit.
+    """
+    ofdm = waveform.params
+    nc, nm = ofdm.subcarriers, ofdm.symbols
+    if echo.u.shape[0] != nc or echo.v.shape[1] != nm:
+        raise InvalidInputError(f"the echo must span the ({nc}, {nm}) map")
+    rows = min(ROW_BLOCK, nc)
+    form = _block_former(echo, rows)
+    rng = np.random.default_rng(echo.seed)
+    states = []  # the generator's state at each block's start
+
+    def first_pass():
+        for r0 in range(0, nc, rows):
+            states.append(rng.bit_generator.state)
+            yield form(r0, rng)
+
+    def block(b):
+        replay = np.random.default_rng(echo.seed)
+        replay.bit_generator.state = states[b]
+        return form(b * rows, replay)
+
+    return RangeVelocityMap(block=block, block_rows=rows, **_scan(first_pass(), nc, nm, rows),
+                            range_axis=np.arange(nc) * ofdm.range_resolution,
+                            velocity_axis=(np.arange(nm) - nm // 2) * ofdm.velocity_resolution,
                             resolution=(ofdm.range_resolution, ofdm.velocity_resolution))
+
+
+def _scan(blocks, n_rows: int, n_cols: int, rows: int) -> dict:
+    """What the map keeps of its row blocks, which `blocks` yields in order:
+    each block's count of 3x3 wrapped local maxima, the CANDIDATES strongest
+    of all of them (ties kept, from each block's own CANDIDATES strongest),
+    and the band columns. A block's maxima are found once the next block's
+    first row is formed; block 0 is held back until the map's last row, the
+    row above it, is formed."""
+    columns = slice(max(0, n_cols // 2 - BAND), min(n_cols, n_cols // 2 + BAND + 1))
+    band = np.empty((n_rows, columns.stop - columns.start), dtype=np.float32)
+    index = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.intp
+    n_blocks = -(-n_rows // rows)
+    counts = np.zeros(n_blocks, dtype=np.intp)
+    strongest = [None] * n_blocks
+
+    def scan(b, above, block, below):
+        cells = _block_maxima(np.concatenate((above[None], block, below[None])))
+        counts[b] = cells.size
+        cells, values = _strongest(cells, block.reshape(-1)[cells])
+        strongest[b] = ((cells + b * rows * n_cols).astype(index), values)
+
+    for b, block in enumerate(blocks):
+        band[b * rows:b * rows + block.shape[0]] = block[:, columns]
+        if b == 0:
+            first = block
+        else:
+            if b == 1:
+                below_first = block[0].copy()
+            else:
+                scan(b - 1, above, previous, block[0])
+            above = previous[-1].copy()
+        previous = block
+    if n_blocks > 1:  # the wrap: the map's first row is below its last block
+        scan(n_blocks - 1, above, previous, first[0])
+        scan(0, previous[-1], first, below_first)
+    else:
+        scan(0, first[-1], first, first[0])
+    cells, values = _strongest(*map(np.concatenate, zip(*strongest)))
+    return {"maxima": counts, "cells": cells, "values": values, "band": band,
+            "band_columns": columns}
+
+
+def _block_maxima(slab: np.ndarray) -> np.ndarray:
+    """Flat indices, in row-major order, of the cells of slab's rows but its
+    first and last (the wrapped rows above and below) that are 3x3 local
+    maxima, with wrap-around columns."""
+    across = np.maximum(slab, np.roll(slab, 1, axis=1))
+    np.maximum(across, np.roll(slab, -1, axis=1), out=across)
+    local_max = np.maximum(across[:-2], across[1:-1])
+    np.maximum(local_max, across[2:], out=local_max)
+    return np.flatnonzero(slab[1:-1] >= local_max)
+
+
+def _strongest(cells: np.ndarray, values: np.ndarray) -> tuple:
+    "The cells at least as strong as the CANDIDATES-th strongest (ties kept), in their order."
+    if values.size <= CANDIDATES:
+        return cells, values
+    keep = values >= np.partition(values, -CANDIDATES)[-CANDIDATES]
+    return cells[keep], values[keep]
 
 
 def power_db(power) -> np.ndarray:
@@ -154,15 +277,15 @@ def power_db(power) -> np.ndarray:
     return lin2db(np.maximum(np.asarray(power, dtype=float), 1e-300))
 
 
-def _ring_means(power: np.ndarray, r0: int, r1: int, outer: int, inner: int) -> np.ndarray:
-    """Training-ring mean of each cell in rows r0..r1-1 of `power`: its outer x
-    outer box less its inner x inner box (odd sizes, centred on the cell), with
-    wrap-around edges. The rows with outer // 2 wrapped rows and columns on
-    every side form one float64 summed-area table, and each box sum is read
-    from four of its corners."""
+def _ring_means(slab: np.ndarray, outer: int, inner: int) -> np.ndarray:
+    """Training-ring mean of each cell of slab's rows but its outer // 2 first
+    and last, the wrapped rows above and below: its outer x outer box less its
+    inner x inner box (odd sizes, centred on the cell), with wrap-around
+    columns. The slab with outer // 2 wrapped columns on each side forms one
+    float64 summed-area table, and each box sum is read from four of its
+    corners."""
     half = outer // 2
-    n_rows, n_cols = r1 - r0, power.shape[1]
-    slab = np.take(power, np.arange(r0 - half, r1 + half), axis=0, mode="wrap")
+    n_rows, n_cols = slab.shape[0] - 2 * half, slab.shape[1]
     slab = np.take(slab, np.arange(-half, n_cols + half), axis=1, mode="wrap")
     table = np.zeros((slab.shape[0] + 1, slab.shape[1] + 1))  # table[a, b]: sum of slab[:a, :b]
     np.cumsum(slab, axis=0, dtype=float, out=table[1:, 1:])
@@ -179,45 +302,6 @@ def _ring_means(power: np.ndarray, r0: int, r1: int, outer: int, inner: int) -> 
     return ring
 
 
-def _local_maxima(power: np.ndarray) -> tuple:
-    """Flat indices, in row-major order, of the cells that are 3x3 wrap-around
-    local maxima (int32 where the map's indices fit it), and their power."""
-    n_rows, n_cols = power.shape
-    # each block's indices from its first cell, in the narrowest type that holds them
-    offsets = np.min_scalar_type(min(ROW_BLOCK, n_rows) * n_cols - 1)
-    blocks = []
-    for r0 in range(0, n_rows, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n_rows)
-        # the block's power with one wrapped row above and below it
-        block = np.take(power, np.arange(r0 - 1, r1 + 1), axis=0, mode="wrap")
-        across = np.maximum(block, np.roll(block, 1, axis=1))
-        np.maximum(across, np.roll(block, -1, axis=1), out=across)
-        local_max = np.maximum(across[:-2], across[1:-1])
-        np.maximum(local_max, across[2:], out=local_max)
-        blocks.append(np.flatnonzero(block[1:-1] >= local_max).astype(offsets))
-    size = sum(b.size for b in blocks)
-    cells = np.empty(size, dtype=np.int32 if power.size <= np.iinfo(np.int32).max else np.intp)
-    values = np.empty(size, dtype=power.dtype)
-    end = 0
-    for r0, block in zip(range(0, n_rows, ROW_BLOCK), blocks):
-        mine = slice(end, end + block.size)
-        values[mine] = power[r0:r0 + ROW_BLOCK].reshape(-1)[block]
-        cells[mine] = block
-        cells[mine] += r0 * n_cols
-        end += block.size
-    return cells, values
-
-
-def _kth_largest(values: np.ndarray, k: int):
-    """The k-th largest of `values` (k <= values.size), partitioned a slice at a
-    time: it is the k-th largest of the union of each slice's k largest."""
-    size = 64 * k
-    tops = [part if part.size <= k else np.partition(part, -k)[-k:].copy()
-            for part in (values[i:i + size] for i in range(0, values.size, size))]
-    union = np.concatenate(tops)
-    return np.partition(union, -k)[-k]
-
-
 def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0,
                  guard: int = 2, training: int = 8) -> DetectionReport:
     """Cell-averaging CFAR with a square training ring and peak grouping.
@@ -228,76 +312,80 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     row-major order; a shortfall is flagged as a warning, not an error.
     Estimates stay on the bin grid (no super-resolution).
 
-    Only a local maximum can be declared, so the local maxima of the whole map
-    are judged strongest first, from the `CANDIDATES` strongest, until
-    `expected` are declared. A judged cell's row block gets its thresholds
-    from its own wrapped rows through one float64 summed-area table
-    (`_ring_means`), with nothing shared between blocks; the declared set is
-    the whole-map filter's. When those candidates hold fewer than `expected`
-    detections, every row block is judged. Linear power is compared
-    throughout, and dB is formed only for the detections.
+    Only a local maximum can be declared, so the map's `CANDIDATES` strongest
+    local maxima are judged strongest first until `expected` are declared. A
+    judged cell's row block gets its thresholds from its own wrapped rows
+    through one float64 summed-area table (`_ring_means`), with nothing
+    shared between blocks; the declared set is the whole-map filter's. The
+    map is read only through `rv.rows`, and each row block formed again is
+    kept until the call returns, so none is formed twice in it. A judged
+    block's local maxima are found again from its rows and all of them are
+    decided, so when the candidates hold fewer than `expected` detections,
+    only the blocks not yet judged are. Linear power is compared throughout,
+    and dB is formed only for the detections.
     """
     if expected < 1:
         raise InvalidInputError("expected must be >= 1")
     outer = 2 * (guard + training) + 1
     inner = 2 * guard + 1
-    power = rv.power
-    n_rows, n_cols = power.shape
+    half = outer // 2
+    n_rows, n_cols = rv.range_axis.size, rv.velocity_axis.size
     scale = db2lin(threshold_db)
-    cells, values = _local_maxima(power)
-    block_cells = ROW_BLOCK * n_cols
-    n_blocks = -(-n_rows // ROW_BLOCK)
-    # row block b's local maxima are cells[bounds[b]:bounds[b + 1]]
-    # (in the cells' own type: searchsorted would convert a whole int32 array to int64)
-    bounds = np.searchsorted(cells, np.minimum(np.arange(n_blocks + 1) * block_cells,
-                                               power.size).astype(cells.dtype))
+    cells, values = rv.cells, rv.values
+    block_cells = rv.block_rows * n_cols
+    n_blocks, local_maxima = rv.maxima.size, int(rv.maxima.sum())
+    bounds = np.searchsorted(cells, np.arange(n_blocks + 1) * block_cells)  # block b's candidates
     hit = np.zeros(cells.size, dtype=bool)
-    judged = np.zeros(n_blocks, dtype=bool)
+    found = [None] * n_blocks  # each judged block's hits, from all its local maxima
+    formed = {}  # the row blocks formed again, kept until the call returns
+    reach = max(half, 1)  # rows read above and below a block
 
     def judge(b):
-        "Threshold row block b and decide its local maxima."
-        r0 = b * ROW_BLOCK
-        noise = _ring_means(power, r0, min(r0 + ROW_BLOCK, n_rows), outer, inner)
+        "Threshold row block b and decide its local maxima, its candidates among them."
+        r0 = b * rv.block_rows
+        slab = rv.rows(r0 - reach, min(r0 + rv.block_rows, n_rows) + reach, formed)
+        noise = _ring_means(slab[reach - half:slab.shape[0] - reach + half], outer, inner)
         np.maximum(noise, 0.0, out=noise)
         noise *= scale
+        local = _block_maxima(slab[reach - 1:slab.shape[0] - reach + 1])
+        power = slab[reach:slab.shape[0] - reach].reshape(-1)[local]
+        hits = power > noise.reshape(-1)[local]
+        found[b] = (local[hits] + b * block_cells, power[hits])
         mine = slice(bounds[b], bounds[b + 1])
-        i, j = np.divmod(cells[mine] - r0 * n_cols, n_cols)
-        hit[mine] = values[mine] > noise[i, j]
-        judged[b] = True
+        hit[mine] = np.isin(cells[mine], found[b][0])
 
-    # the strongest candidates in descending power, ties in row-major order
-    if cells.size > CANDIDATES:  # every cell as strong as the CANDIDATES-th
-        top = np.flatnonzero(values >= _kth_largest(values, CANDIDATES))
-    else:
-        top = np.arange(cells.size)
-    order = top[np.argsort(-values[top], kind="stable")]
-    declared, judged_cells = [], cells.size
+    # the candidates in descending power, ties in row-major order
+    order = np.argsort(-values, kind="stable")
+    declared, judged_cells = [], local_maxima
     for place, (k, b) in enumerate(zip(order.tolist(), (cells[order] // block_cells).tolist())):
-        if not judged[b]:
+        if found[b] is None:
             judge(b)
         if hit[k]:
             declared.append(k)
             if len(declared) == expected:
                 judged_cells = place + 1
                 break
-    else:
-        if order.size < cells.size:  # the candidates ran out: judge every block
-            for b in np.flatnonzero(~judged):
+    declared_cells, declared_values = cells[declared], values[declared]
+    if len(declared) < expected and cells.size < local_maxima:
+        # the candidates ran out: judge every block
+        for b in range(n_blocks):
+            if found[b] is None:
                 judge(b)
-            declared = np.flatnonzero(hit)
-            declared = declared[np.argsort(-values[declared], kind="stable")][:expected]
-    declared = np.asarray(declared, dtype=np.intp)
-    i, j = np.divmod(cells[declared], n_cols)
+        found_cells, found_values = map(np.concatenate, zip(*found))
+        best = np.argsort(-found_values, kind="stable")[:expected]
+        declared_cells, declared_values = found_cells[best], found_values[best]
+    i, j = np.divmod(declared_cells, n_cols)
     detections = [
         PathDetection(range_est=r, velocity_est=v, power_db=p)
         for r, v, p in zip(rv.range_axis[i].tolist(), rv.velocity_axis[j].tolist(),
-                           power_db(values[declared]).tolist())
+                           power_db(declared_values).tolist())
     ]
     warning = None
     if len(detections) < expected:
         warning = f"partial detection: {len(detections)} of {expected} paths found"
-    work = CfarWork(judged=judged_cells, local_maxima=cells.size,
-                    blocks_judged=int(judged.sum()), blocks=n_blocks)
+    work = CfarWork(judged=judged_cells, local_maxima=local_maxima,
+                    blocks_judged=sum(f is not None for f in found), blocks=n_blocks,
+                    reformed=len(formed))
     return DetectionReport(detections=detections, warning=warning, cfar=work)
 
 

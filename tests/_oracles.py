@@ -356,8 +356,10 @@ def cfar_ring_means(power, outer, inner):
     return means
 
 
-def rv_map_csv_text(rv, max_range, vel_window=32):
-    "Text of the cropped range-velocity map CSV, one csv.writer row per cell."
+def rv_map_csv_text(power, rv, max_range):
+    """Text of the range-velocity map CSV, one csv.writer row per cell: the
+    whole map `power` cropped to the ranges of interest and 32 velocity
+    columns each side of zero, with `rv`'s axes."""
     import csv
     import io
 
@@ -365,18 +367,32 @@ def rv_map_csv_text(rv, max_range, vel_window=32):
 
     keep_r = min(len(rv.range_axis), int(np.searchsorted(rv.range_axis, max_range)) + 32)
     mid = len(rv.velocity_axis) // 2
-    lo, hi = max(0, mid - vel_window), min(len(rv.velocity_axis), mid + vel_window + 1)
+    lo, hi = max(0, mid - 32), min(len(rv.velocity_axis), mid + 33)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["# range_resolution_m", rv.resolution[0]])
     writer.writerow(["# velocity_resolution_mps", rv.resolution[1]])
     writer.writerow(["range_m", "velocity_mps", "power_db"])
-    map_db = power_db(rv.power)
+    map_db = power_db(power)
     for i in range(keep_r):
         for j in range(lo, hi):
             writer.writerow([repr(float(rv.range_axis[i])), repr(float(rv.velocity_axis[j])),
                              repr(float(map_db[i, j]))])
     return buf.getvalue()
+
+
+def array_map(power, range_axis, velocity_axis, resolution):
+    """A range-velocity map of the float32 array `power`: the pass of
+    `radar.range_velocity_map` over its row blocks, each sliced from the
+    array again when the CFAR reads it."""
+    from risdeploy import radar
+
+    rows = radar.ROW_BLOCK
+    scan = radar._scan((power[r0:r0 + rows] for r0 in range(0, power.shape[0], rows)),
+                       *power.shape, rows)
+    return radar.RangeVelocityMap(
+        block=lambda b: power[b * rows:(b + 1) * rows].copy(), block_rows=rows, **scan,
+        range_axis=range_axis, velocity_axis=velocity_axis, resolution=resolution)
 
 
 def quantize_phases_mod(ideal, bits):

@@ -243,7 +243,8 @@ def test_a8_radar_pipeline():
     # noiseless single on-grid target lands on the exact bin
     y = synthesize_returns(wave, [mk(25, 6, 1e-6 + 0j)])
     rv = range_velocity_map(y, wave)
-    i, j = np.unravel_index(np.argmax(rv.power), rv.power.shape)
+    power = rv.rows(0, params.subcarriers)  # the whole map, through its row accessor
+    i, j = np.unravel_index(np.argmax(power), power.shape)
     exact = (i == 25) and (rv.velocity_axis[j] == pytest.approx(6 * vr))
 
     # direct + 2 RIS paths, noisy, all three recovered within one bin

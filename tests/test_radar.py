@@ -11,8 +11,9 @@ from risdeploy.radar import (associate_paths, detect_paths, ls_position, power_d
 from risdeploy.sensing import OfdmParams, OfdmWaveform, SensingPath
 from risdeploy.units import SPEED_OF_LIGHT, lin2db
 
-from _oracles import (cfar_peaks, cfar_ring_means, map_noise, qpsk_grid, range_velocity_field,
-                      range_velocity_power, rv_map_csv_text, same_bits, synthesize_returns_full)
+from _oracles import (array_map, cfar_peaks, cfar_ring_means, map_noise, qpsk_grid,
+                      range_velocity_field, range_velocity_power, rv_map_csv_text, same_bits,
+                      synthesize_returns_full)
 
 PARAMS = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=256, symbols=64)
 
@@ -21,6 +22,11 @@ def _path(range_m, velocity, coeff=1e-6 + 0j, index=0):
     delay = 2.0 * range_m / SPEED_OF_LIGHT
     doppler = 2.0 * velocity / PARAMS.wavelength
     return SensingPath(index, delay, doppler, coeff, PARAMS.carrier_hz)
+
+
+def _power(rv):
+    "The whole map, through its row accessor."
+    return rv.rows(0, rv.range_axis.size)
 
 
 def _on_grid(range_bin, velocity_bin):
@@ -45,11 +51,11 @@ def test_single_path_peaks_at_true_bin():
     r, v = _on_grid(20, 5)
     y = synthesize_returns(wave, [_path(r, v)])
     rv = range_velocity_map(y, wave)
-    i, j = np.unravel_index(np.argmax(rv.power), rv.power.shape)
+    power = _power(rv).astype(float)
+    i, j = np.unravel_index(np.argmax(power), power.shape)
     assert rv.range_axis[i] == pytest.approx(r)
     assert rv.velocity_axis[j] == pytest.approx(v)
     # an on-grid path is perfectly concentrated: the peak holds all the power
-    power = rv.power.astype(float)
     assert power[i, j] / power.sum() > 0.999999
 
 
@@ -60,7 +66,7 @@ def test_peak_power_matches_coherent_processing_gain():
     r, v = _on_grid(12, -7)
     y = synthesize_returns(wave, [_path(r, v, coeff)])
     rv = range_velocity_map(y, wave)
-    peak_db = lin2db(float(rv.power.max()))
+    peak_db = lin2db(float(_power(rv).max()))
     expected_db = 20 * np.log10(abs(coeff) * 256 / 256 * 64)  # ifft carries 1/Nc
     assert peak_db == pytest.approx(expected_db, abs=1e-6)
 
@@ -115,7 +121,8 @@ def test_associate_paths():
 
 # a frame that is no multiple of the default or the small block sizes
 ODD = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=100, symbols=37)
-# row blocks of the map, then of the CFAR: the module's own, and two small ones
+# row blocks of the map the oracle reads whole, then of the map the CFAR reads
+# block by block: the module's own, and two small ones
 BLOCKS = pytest.mark.parametrize("map_rows, cfar_rows", [(radar.ROW_BLOCK, radar.ROW_BLOCK),
                                                          (16, 8)], ids=["default-blocks", "16-8"])
 
@@ -139,10 +146,40 @@ def test_map_does_not_depend_on_the_row_block(monkeypatch):
     # block: one row, a size that divides neither frame, and the whole frame
     for params, paths in ((ODD, _odd_paths()), (PARAMS, [_path(*_on_grid(20, 5))])):
         wave = OfdmWaveform(params, seed=4)
-        maps = [_rv_map(wave, paths, rows, monkeypatch).power
+        maps = [_power(_rv_map(wave, paths, rows, monkeypatch))
                 for rows in (radar.ROW_BLOCK, 1, 7, params.subcarriers)]
         assert maps[0].dtype == np.float32
         assert all(same_bits(m, maps[0]) for m in maps[1:])
+
+
+@pytest.mark.parametrize("rows", [32, 7, 1])
+def test_block_formed_again_is_its_first_formation(rows, monkeypatch):
+    # the pass keeps the noise generator's state at each block's start, and a
+    # block formed again from it draws the same noise: the first block, one in
+    # the middle and the last, whose row below wraps to row 0, in any order
+    first = []
+    former = radar._block_former
+
+    def recording(echo, block_rows):
+        form = former(echo, block_rows)
+
+        def record(r0, rng):
+            block = form(r0, rng)
+            first.append(block.copy())
+            return block
+        return record
+
+    monkeypatch.setattr(radar, "_block_former", recording)
+    rv = _rv_map(OfdmWaveform(ODD, seed=4), _odd_paths(), rows, monkeypatch)
+    n_blocks = -(-ODD.subcarriers // rows)
+    assert len(first) == n_blocks and first[0].dtype == np.float32
+    for b in (n_blocks - 1, 0, n_blocks // 2, n_blocks - 1):
+        assert same_bits(rv.block(b), first[b]), b
+    assert len(first) == n_blocks + 4
+    # wrapped rows read across blocks, above row 0 and below the last row
+    power = np.concatenate(first[:n_blocks])
+    assert same_bits(rv.rows(-3, ODD.subcarriers + 3), np.take(
+        power, np.arange(-3, ODD.subcarriers + 3), axis=0, mode="wrap"))
 
 
 # the largest error of the noise-free map, as a share of its peak, against the
@@ -160,7 +197,7 @@ def test_noise_free_map_matches_the_frame_oracle(params, paths):
     rv = range_velocity_map(synthesize_returns(wave, paths), wave)
     reference = range_velocity_power(
         synthesize_returns_full(wave, paths, wave_seed=4), qpsk_grid(wave, 4))
-    error = np.max(np.abs(rv.power - reference)) / np.max(reference)
+    error = np.max(np.abs(_power(rv) - reference)) / np.max(reference)
     assert error <= MAP_ERROR, error
 
 
@@ -173,8 +210,9 @@ def test_noise_only_map_matches_the_frame_oracle_distribution():
     noise_psd = 1e-19
     mean = noise_psd * PARAMS.bandwidth_hz * PARAMS.symbols / PARAMS.subcarriers
     ours = np.concatenate([
-        range_velocity_map(synthesize_returns(wave, silent, noise_psd=noise_psd, seed=seed),
-                           wave).power.ravel() for seed in range(8)]).astype(float)
+        _power(range_velocity_map(synthesize_returns(wave, silent, noise_psd=noise_psd,
+                                                     seed=seed), wave)).ravel()
+        for seed in range(8)]).astype(float)
     frames = np.concatenate([
         range_velocity_power(synthesize_returns_full(wave, silent, noise_psd=noise_psd,
                                                      seed=seed, wave_seed=4),
@@ -197,8 +235,8 @@ def _declared(report):
     return [(d.range_est, d.velocity_est, d.power_db) for d in report.detections]
 
 
-def _cells(rv, cells):
-    map_db = power_db(rv.power)
+def _cells(rv, power, cells):
+    map_db = power_db(power)
     return [(rv.range_axis[i], rv.velocity_axis[j], map_db[i, j]) for i, j in cells]
 
 
@@ -214,21 +252,25 @@ TINY = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=7, symbols=9)
     ids=["100x37", "7x9"])
 def test_cfar_matches_whole_map_reference(params, paths, map_rows, cfar_rows, guard, training,
                                           monkeypatch):
-    rv = _rv_map(OfdmWaveform(params, seed=4), paths, map_rows, monkeypatch)
-    monkeypatch.setattr(radar, "ROW_BLOCK", cfar_rows)
-    for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
-        peaks = _strongest_first(rv.power, cfar_peaks(rv.power, threshold_db, guard, training))
-        # every early stop and the shortfall, from the default candidate slice
-        # and from a slice of five that runs out, so every block is judged
-        for candidates in (radar.CANDIDATES, 5):
-            monkeypatch.setattr(radar, "CANDIDATES", candidates)
+    # the scipy oracle reads the whole map, formed through the row accessor
+    wave = OfdmWaveform(params, seed=4)
+    power = _power(_rv_map(wave, paths, map_rows, monkeypatch))
+    # every early stop and the shortfall, from the default candidate slice
+    # and from a slice of five that runs out, so every block is judged
+    for candidates in (radar.CANDIDATES, 5):
+        monkeypatch.setattr(radar, "CANDIDATES", candidates)
+        rv = _rv_map(wave, paths, cfar_rows, monkeypatch)
+        for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
+            peaks = _strongest_first(power, cfar_peaks(power, threshold_db, guard, training))
             for expected in range(1, len(peaks) + 2):
                 report = detect_paths(rv, expected=expected, threshold_db=threshold_db,
                                       guard=guard, training=training)
-                assert _declared(report) == _cells(rv, peaks[:expected])
+                assert _declared(report) == _cells(rv, power, peaks[:expected])
                 assert (report.warning is None) == (expected <= len(peaks))
                 work = report.cfar
                 assert 1 <= work.blocks_judged <= work.blocks == -(-params.subcarriers // cfar_rows)
+                # each block a judged block reads is formed again once
+                assert work.blocks_judged <= work.reformed <= work.blocks
     assert len(peaks) > len(paths)
 
 
@@ -243,23 +285,27 @@ def test_cfar_judges_only_the_blocks_its_detections_need(monkeypatch):
              (70, 44)]
     for (i, j), level in zip(cells, (1e4,) * 6 + (1e3, 3e2, 5.0)):
         power[i, j] = level
-    rv = radar.RangeVelocityMap(power=power, range_axis=np.arange(150) * 0.5,
-                                velocity_axis=np.arange(-24, 24) * 0.25, resolution=(0.5, 0.25))
     peaks = _strongest_first(power, cfar_peaks(power, 12.0))
     assert peaks.tolist() == [list(c) for c in cells[:8]]  # ties in row-major order
     work = []
     for candidates in (radar.CANDIDATES, 2):
         monkeypatch.setattr(radar, "CANDIDATES", candidates)
+        rv = array_map(power, np.arange(150) * 0.5, np.arange(-24, 24) * 0.25, (0.5, 0.25))
         for expected in range(1, 10):
             report = detect_paths(rv, expected=expected)
-            assert _declared(report) == _cells(rv, peaks[:expected])
+            assert _declared(report) == _cells(rv, power, peaks[:expected])
             work.append(report.cfar)
-    assert [(w.judged, w.blocks_judged) for w in work[:9]] == [
-        (1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 3), (8, 4),
-        (work[0].local_maxima, 5)]
-    # a slice of two holds every cell as strong as the second, so the six
-    # tied peaks; it runs out at the seventh detection, and every block is judged
-    assert [w.blocks_judged for w in work[9:]] == [1] * 3 + [2] * 3 + [5] * 3
+    # judging a block forms it again with its wrapped neighbours (block 0
+    # reads block 4), and a block formed once in a call is not formed again
+    assert [(w.judged, w.blocks_judged, w.reformed) for w in work[:9]] == [
+        (1, 1, 3), (2, 1, 3), (3, 1, 3), (4, 2, 4), (5, 2, 4), (6, 2, 4), (7, 3, 5), (8, 4, 5),
+        (work[0].local_maxima, 5, 5)]
+    # a slice of two holds every cell as strong as the second: each of the
+    # first two blocks keeps its three tied peaks, and the map all six. It
+    # runs out at the seventh detection, and every block is judged
+    assert [tuple(divmod(c, 48)) for c in rv.cells.tolist()] == cells[:6]
+    assert [(w.blocks_judged, w.reformed) for w in work[9:]] == (
+        [(1, 3)] * 3 + [(2, 4)] * 3 + [(5, 5)] * 3)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 32])
@@ -274,7 +320,9 @@ def test_ring_means_match_a_brute_force_ring(rows):
         whole = cfar_ring_means(power, outer, inner)
         for r0 in range(0, shape[0], rows):
             r1 = min(r0 + rows, shape[0])
-            np.testing.assert_allclose(radar._ring_means(power, r0, r1, outer, inner),
+            slab = np.take(power, np.arange(r0 - outer // 2, r1 + outer // 2), axis=0,
+                           mode="wrap")
+            np.testing.assert_allclose(radar._ring_means(slab, outer, inner),
                                        whole[r0:r1], rtol=1e-12, atol=0.0)
 
 
@@ -304,7 +352,7 @@ def test_single_precision_finds_the_float64_detections(params, paths, seed):
         synthesize_returns_full(wave, paths, wave_seed=seed), qpsk_grid(wave, seed))
     reference = np.abs(field + echo.noise_std * map_noise(params, seed + 10)) ** 2
     assert reference.dtype == np.float64
-    map_db = power_db(rv.power)
+    map_db = power_db(_power(rv))
     for threshold_db in (12.0, 6.0):  # 6 dB also declares noise peaks
         peaks = cfar_peaks(reference, threshold_db)
         report = detect_paths(rv, expected=len(peaks) + 1, threshold_db=threshold_db)
@@ -334,9 +382,9 @@ def _frames_allocated(fn):
 
 def test_radar_passes_stay_within_their_memory_bounds():
     # the waveform keeps symbol indices; the echo is two thin factors, and the
-    # float32 map, half a complex64 frame, is the one map-sized buffer beside
-    # its row-block buffers; the CFAR holds the map's local maxima besides its
-    # block temporaries
+    # map pass holds no map: its row-block buffers, the blocks it scans, its
+    # velocity band and candidates; the CFAR holds the blocks it forms again
+    # and its block temporaries
     wave, frames = _frames_allocated(lambda: OfdmWaveform(FULL, seed=1))
     assert frames <= 0.5, frames
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
@@ -344,20 +392,23 @@ def test_radar_passes_stay_within_their_memory_bounds():
     echo, frames = _frames_allocated(
         lambda: synthesize_returns(wave, paths, noise_psd=1e-20, seed=2))
     assert frames <= 0.02, frames  # 0.008 measured
-    # the echo and the map together: the map is their one map-sized buffer
+    # the echo and the map together, well under the float32 map's half frame
     rv, frames = _frames_allocated(lambda: range_velocity_map(
         synthesize_returns(wave, paths, noise_psd=1e-20, seed=2), wave))
-    assert frames <= 0.6, frames  # 0.569 measured
+    assert frames <= 0.2, frames  # 0.143 measured
     # an early stop: the two paths are the two strongest local maxima, and
-    # only their blocks are judged
+    # only their blocks are judged, each formed again with its two neighbours
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=2))
-    assert frames <= 0.25, frames  # 0.186 measured
+    assert frames <= 0.15, frames  # 0.108 measured
     assert len(report.detections) == 2 and report.cfar.judged == 2
-    assert report.cfar.blocks_judged <= 2
-    # a shortfall: the map holds twelve hits, so thirteen judge every block
+    assert report.cfar.blocks_judged <= 2 and report.cfar.reformed <= 6
+    # a shortfall: the map holds twelve hits, so thirteen judge every block;
+    # each block formed again is kept until the call returns, so the call
+    # holds every block of the map, as much memory as the whole map
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=13))
-    assert frames <= 0.25, frames  # 0.186 measured
+    assert frames <= 0.6, frames  # 0.572 measured
     assert report.warning is not None and report.cfar.blocks_judged == report.cfar.blocks
+    assert report.cfar.reformed == report.cfar.blocks
     assert len(report.detections) == 12
 
 
@@ -368,13 +419,13 @@ def test_far_path_detection_judges_one_block():
     far = [SensingPath(0, 2.5e-6, 1e3, 1e-6 + 0j, FULL.carrier_hz)]
     rv = range_velocity_map(synthesize_returns(wave, far, noise_psd=1e-20, seed=2), wave)
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=1))
-    assert frames <= 0.25, frames
-    assert report.cfar.blocks_judged == 1
+    assert frames <= 0.15, frames  # 0.090 measured
+    assert report.cfar.blocks_judged == 1 and report.cfar.reformed == 3
 
 
 def test_radar_stage_holds_one_frame():
     # echo, map and CFAR in a row, as the pipeline's radar stage runs them:
-    # the float32 map is the one map-sized buffer, and the CFAR adds little
+    # no map is held, so the stage stays well under the float32 map's half frame
     wave = OfdmWaveform(FULL, seed=1)
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
              SensingPath(1, 5e-7, -8e2, 5e-7j, FULL.carrier_hz)]
@@ -384,23 +435,31 @@ def test_radar_stage_holds_one_frame():
         return detect_paths(range_velocity_map(y, wave), expected=2)
 
     report, frames = _frames_allocated(stage)
-    assert frames <= 0.75, frames  # 0.691 measured
+    assert frames <= 0.25, frames  # 0.192 measured
     assert len(report.detections) == 2
 
 
 def test_rv_map_csv_matches_csv_writer(tmp_path):
+    # the CSV of the velocity band the map kept, against the whole map formed
+    # again: all 37 columns of the odd map, and the central 65 of 128
     from risdeploy.cli import write_rv_map_csv
 
-    wave = OfdmWaveform(ODD, seed=4)
-    y = synthesize_returns(wave, _odd_paths(), noise_psd=1e-19, seed=9)
-    rv = range_velocity_map(y, wave)
-    rv.power[0, 18] = 0.0  # an empty cell prints as -3000 dB, with no warning
-    for max_range, window in ((5.0, 32), (1e3, 4)):
-        write_rv_map_csv(tmp_path / "rv.csv", rv, max_range, window)
-        with open(tmp_path / "rv.csv", newline="") as fh:
-            text = fh.read()
-        assert text == rv_map_csv_text(rv, max_range, window)
-    assert ",-3000.0\r\n" in text
+    wide = OfdmParams(carrier_hz=28e9, bandwidth_hz=1e9, subcarriers=40, symbols=128)
+    for params, paths in ((ODD, _odd_paths()),
+                          (wide, [SensingPath(0, 2e-8, 1e4, 1e-6 + 0j, wide.carrier_hz)])):
+        wave = OfdmWaveform(params, seed=4)
+        rv = range_velocity_map(synthesize_returns(wave, paths, noise_psd=1e-19, seed=9), wave)
+        power = _power(rv)
+        # an empty cell prints as -3000 dB, with no warning
+        mid = params.symbols // 2
+        rv.band[0, mid - rv.band_columns.start] = power[0, mid] = 0.0
+        for max_range in (5.0, 1e3):
+            write_rv_map_csv(tmp_path / "rv.csv", rv, max_range)
+            with open(tmp_path / "rv.csv", newline="") as fh:
+                text = fh.read()
+            assert text == rv_map_csv_text(power, rv, max_range)
+        assert ",-3000.0\r\n" in text
+    assert rv.band.shape == (40, 65)
 
 
 def _geometry():
