@@ -35,7 +35,9 @@ judges the map's strongest local maxima first and forms thresholds only on
 the row blocks they lie in, each formed again with its wrapped neighbours
 and thresholded through one float64 summed-area table; the set it declares
 is the whole-map filter's. When those candidates hold too few detections,
-it forms every block once more and judges all its local maxima.
+or their blocks would hold more than `HELD` rows, it judges every block not
+yet judged in row order and all its local maxima, holding a few blocks at a
+time.
 """
 
 from collections.abc import Callable
@@ -51,6 +53,9 @@ ROW_BLOCK = 32  # rows per block of the map: formed, scanned and formed again wh
 # the strongest local maxima the CFAR judges one row block at a time before it
 # judges every block
 CANDIDATES = 1024
+# rows of formed blocks the CFAR holds for its candidates; past them it judges
+# every block in row order, which holds a few blocks at a time
+HELD = 16 * ROW_BLOCK
 BAND = 32  # velocity columns each side of zero whose power the map keeps for rv_map.csv
 
 
@@ -108,7 +113,7 @@ class PathDetection:
 @dataclass(frozen=True)
 class CfarWork:
     "How much of the map one CFAR call judged."
-    judged: int  # local maxima judged, strongest first (all of them after a shortfall)
+    judged: int  # local maxima judged, strongest first (all of them after a row-order sweep)
     local_maxima: int
     blocks_judged: int  # row blocks whose thresholds were formed
     blocks: int
@@ -221,7 +226,6 @@ def _scan(blocks, n_rows: int, n_cols: int, rows: int) -> dict:
     row above it, is formed."""
     columns = slice(max(0, n_cols // 2 - BAND), min(n_cols, n_cols // 2 + BAND + 1))
     band = np.empty((n_rows, columns.stop - columns.start), dtype=np.float32)
-    index = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.intp
     n_blocks = -(-n_rows // rows)
     counts = np.zeros(n_blocks, dtype=np.intp)
     strongest = [None] * n_blocks
@@ -230,7 +234,7 @@ def _scan(blocks, n_rows: int, n_cols: int, rows: int) -> dict:
         cells = _block_maxima(np.concatenate((above[None], block, below[None])))
         counts[b] = cells.size
         cells, values = _strongest(cells, block.reshape(-1)[cells])
-        strongest[b] = ((cells + b * rows * n_cols).astype(index), values)
+        strongest[b] = (cells + b * rows * n_cols, values)
 
     for b, block in enumerate(blocks):
         band[b * rows:b * rows + block.shape[0]] = block[:, columns]
@@ -317,12 +321,16 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     judged cell's row block gets its thresholds from its own wrapped rows
     through one float64 summed-area table (`_ring_means`), with nothing
     shared between blocks; the declared set is the whole-map filter's. The
-    map is read only through `rv.rows`, and each row block formed again is
-    kept until the call returns, so none is formed twice in it. A judged
-    block's local maxima are found again from its rows and all of them are
-    decided, so when the candidates hold fewer than `expected` detections,
-    only the blocks not yet judged are. Linear power is compared throughout,
-    and dB is formed only for the detections.
+    map is read only through `rv.rows`, and no row block is formed twice in
+    one call. The blocks formed again for the candidates are kept, up to
+    `HELD` rows. A judged block's local maxima are found again from its rows
+    and all of them are decided. So past `HELD` rows, or when the candidates
+    hold fewer than `expected` detections, the blocks not yet judged are
+    judged in row order: that sweep drops each block no later block reads,
+    keeps the first blocks for the last block's wrap, and so holds a few
+    blocks, not the map. The candidates' order then picks the same cells.
+    Linear power is compared throughout, and dB is formed only for the
+    detections.
     """
     if expected < 1:
         raise InvalidInputError("expected must be >= 1")
@@ -337,7 +345,9 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     bounds = np.searchsorted(cells, np.arange(n_blocks + 1) * block_cells)  # block b's candidates
     hit = np.zeros(cells.size, dtype=bool)
     found = [None] * n_blocks  # each judged block's hits, from all its local maxima
-    formed = {}  # the row blocks formed again, kept until the call returns
+    formed = {}  # the row blocks formed again that a later judgement may read
+    dropped = 0  # blocks formed again and since dropped from `formed`
+    swept = False  # every block judged in row order: all local maxima decided
     reach = max(half, 1)  # rows read above and below a block
 
     def judge(b):
@@ -354,12 +364,28 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
         mine = slice(bounds[b], bounds[b + 1])
         hit[mine] = np.isin(cells[mine], found[b][0])
 
+    def sweep():
+        "Judge every block not yet judged, in row order, holding a few blocks at a time."
+        nonlocal dropped, swept
+        swept = True
+        wrap = (reach - 1) // rv.block_rows  # the last block reads blocks 0..wrap
+        for b in range(n_blocks):
+            if found[b] is None:
+                judge(b)
+            low = ((b + 1) * rv.block_rows - reach) // rv.block_rows  # the next block reads none below
+            for old in [k for k in formed if wrap < k < low]:
+                del formed[old]
+                dropped += 1
+
     # the candidates in descending power, ties in row-major order
     order = np.argsort(-values, kind="stable")
-    declared, judged_cells = [], local_maxima
+    declared, judged_cells = [], cells.size
     for place, (k, b) in enumerate(zip(order.tolist(), (cells[order] // block_cells).tolist())):
         if found[b] is None:
-            judge(b)
+            if len(formed) * rv.block_rows < HELD:
+                judge(b)
+            else:
+                sweep()
         if hit[k]:
             declared.append(k)
             if len(declared) == expected:
@@ -368,9 +394,7 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     declared_cells, declared_values = cells[declared], values[declared]
     if len(declared) < expected and cells.size < local_maxima:
         # the candidates ran out: judge every block
-        for b in range(n_blocks):
-            if found[b] is None:
-                judge(b)
+        sweep()
         found_cells, found_values = map(np.concatenate, zip(*found))
         best = np.argsort(-found_values, kind="stable")[:expected]
         declared_cells, declared_values = found_cells[best], found_values[best]
@@ -383,9 +407,9 @@ def detect_paths(rv: RangeVelocityMap, expected: int, threshold_db: float = 12.0
     warning = None
     if len(detections) < expected:
         warning = f"partial detection: {len(detections)} of {expected} paths found"
-    work = CfarWork(judged=judged_cells, local_maxima=local_maxima,
+    work = CfarWork(judged=local_maxima if swept else judged_cells, local_maxima=local_maxima,
                     blocks_judged=sum(f is not None for f in found), blocks=n_blocks,
-                    reformed=len(formed))
+                    reformed=len(formed) + dropped)
     return DetectionReport(detections=detections, warning=warning, cfar=work)
 
 

@@ -255,10 +255,13 @@ def test_cfar_matches_whole_map_reference(params, paths, map_rows, cfar_rows, gu
     # the scipy oracle reads the whole map, formed through the row accessor
     wave = OfdmWaveform(params, seed=4)
     power = _power(_rv_map(wave, paths, map_rows, monkeypatch))
-    # every early stop and the shortfall, from the default candidate slice
-    # and from a slice of five that runs out, so every block is judged
-    for candidates in (radar.CANDIDATES, 5):
+    # every early stop and the shortfall, from the default candidate slice,
+    # from a slice of five that runs out, so every block is judged, and with
+    # no rows held for the candidates, so every block is judged in row order
+    for candidates, held in ((radar.CANDIDATES, radar.HELD), (5, radar.HELD),
+                             (radar.CANDIDATES, 0)):
         monkeypatch.setattr(radar, "CANDIDATES", candidates)
+        monkeypatch.setattr(radar, "HELD", held)
         rv = _rv_map(wave, paths, cfar_rows, monkeypatch)
         for threshold_db in (12.0, 3.0):  # 3 dB also declares noise peaks
             peaks = _strongest_first(power, cfar_peaks(power, threshold_db, guard, training))
@@ -271,6 +274,7 @@ def test_cfar_matches_whole_map_reference(params, paths, map_rows, cfar_rows, gu
                 assert 1 <= work.blocks_judged <= work.blocks == -(-params.subcarriers // cfar_rows)
                 # each block a judged block reads is formed again once
                 assert work.blocks_judged <= work.reformed <= work.blocks
+                assert held or work.blocks_judged == work.blocks
     assert len(peaks) > len(paths)
 
 
@@ -403,10 +407,10 @@ def test_radar_passes_stay_within_their_memory_bounds():
     assert len(report.detections) == 2 and report.cfar.judged == 2
     assert report.cfar.blocks_judged <= 2 and report.cfar.reformed <= 6
     # a shortfall: the map holds twelve hits, so thirteen judge every block;
-    # each block formed again is kept until the call returns, so the call
-    # holds every block of the map, as much memory as the whole map
+    # the candidates' blocks are held up to radar.HELD rows, and the row-order
+    # sweep that judges the rest holds a few blocks at a time
     report, frames = _frames_allocated(lambda: detect_paths(rv, expected=13))
-    assert frames <= 0.6, frames  # 0.572 measured
+    assert frames <= 0.25, frames  # 0.215 measured
     assert report.warning is not None and report.cfar.blocks_judged == report.cfar.blocks
     assert report.cfar.reformed == report.cfar.blocks
     assert len(report.detections) == 12
@@ -425,18 +429,22 @@ def test_far_path_detection_judges_one_block():
 
 def test_radar_stage_holds_one_frame():
     # echo, map and CFAR in a row, as the pipeline's radar stage runs them:
-    # no map is held, so the stage stays well under the float32 map's half frame
+    # no map is held, so the stage stays well under the float32 map's half
+    # frame, at an early stop and at the shortfall that judges every block
     wave = OfdmWaveform(FULL, seed=1)
     paths = [SensingPath(0, 3e-7, 1e3, 1e-6 + 0j, FULL.carrier_hz),
              SensingPath(1, 5e-7, -8e2, 5e-7j, FULL.carrier_hz)]
 
-    def stage():
+    def stage(expected):
         y = synthesize_returns(wave, paths, noise_psd=1e-20, seed=2)
-        return detect_paths(range_velocity_map(y, wave), expected=2)
+        return detect_paths(range_velocity_map(y, wave), expected=expected)
 
-    report, frames = _frames_allocated(stage)
+    report, frames = _frames_allocated(lambda: stage(2))
     assert frames <= 0.25, frames  # 0.192 measured
     assert len(report.detections) == 2
+    report, frames = _frames_allocated(lambda: stage(13))
+    assert frames <= 0.35, frames  # 0.299 measured
+    assert len(report.detections) == 12 and report.cfar.reformed == report.cfar.blocks
 
 
 def test_rv_map_csv_matches_csv_writer(tmp_path):
