@@ -142,7 +142,7 @@ FLOOR_SLACK_DB = 1e-9
 def _coincident(a, b):
     """np.allclose(a, b) at its default tolerances, without its generic
     overhead; one answer per row when b holds several points."""
-    return np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b), axis=-1)
+    return (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all(axis=-1)
 
 
 def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> list:
@@ -187,13 +187,14 @@ def enumerate_paths(scene: Scene, cfg: PropagationConfig, a, b, *, los=None) -> 
     return paths
 
 
-def _legs_clear(scene: Scene, a, ends) -> np.ndarray:
-    """One batched line-of-sight test of the legs from a to the rows of
-    `ends`; a leg whose ends coincide counts as blocked, so enumerate_paths
-    rejects it."""
-    near = _coincident(a, ends)
+def _legs_clear(scene: Scene, starts, ends) -> np.ndarray:
+    """One batched line-of-sight test of the legs from `starts` (one point, or
+    one per leg) to the rows of `ends`; a leg whose ends coincide counts as
+    blocked, so enumerate_paths rejects it."""
+    near = _coincident(starts, ends)
     clear = np.zeros(len(ends), dtype=bool)
-    clear[~near] = segments_clear(scene, a, ends[~near])
+    clear[~near] = segments_clear(scene, starts if starts.ndim == 1 else starts[~near],
+                                  ends[~near])
     return clear
 
 
@@ -236,14 +237,16 @@ def dominant_path_between(scene: Scene, cfg: PropagationConfig, a, b) -> PathRec
     return _blocked_leg(scene, cfg, a, b)
 
 
-def reachable_from(scene: Scene, cfg: PropagationConfig, a, ends) -> np.ndarray:
-    """Whether enumerate_paths(scene, cfg, a, b) is non-empty for each row b
-    of `ends`: a dominant path within pl_max_db."""
-    a = np.asarray(a, dtype=float)
+def reachable_from(scene: Scene, cfg: PropagationConfig, starts, ends) -> np.ndarray:
+    """Whether enumerate_paths(scene, cfg, a, b) is non-empty for each leg
+    from a row a of `starts` (or from one start point a) to the row b of
+    `ends`: a dominant path within pl_max_db."""
     ends = np.asarray(ends, dtype=float)
-    clear = _legs_clear(scene, a, ends)
+    starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
+    clear = _legs_clear(scene, starts, ends)
     reach = np.empty(len(ends), dtype=bool)
-    length, _ = leg_geometry(a, ends[clear])
+    length, _ = leg_geometry(starts[clear], ends[clear])
     reach[clear] = -20.0 * np.log10(fspl_amplitude(length, cfg.wavelength)) <= cfg.pl_max_db
-    reach[~clear] = [bool(enumerate_paths(scene, cfg, a, b, los=False)) for b in ends[~clear]]
+    reach[~clear] = [bool(enumerate_paths(scene, cfg, a, b, los=False))
+                     for a, b in zip(starts[~clear], ends[~clear])]
     return reach

@@ -27,24 +27,33 @@ def _segments_intersect_2d(p1, p2, q1, q2) -> bool:
     return bool((d1 * d2 < 0) and (d3 * d4 < 0))
 
 
-def point_in_polygon(point, polygon) -> bool:
-    "Ray-casting point-in-polygon test; points on the boundary count as inside."
-    x, y = float(point[0]), float(point[1])
+def point_in_polygon(points, polygon) -> np.ndarray:
+    """Ray-casting point-in-polygon test of each row of `points` (N, 2), shape
+    (N,); points on the boundary count as inside.
+
+    A point on an edge (on its line to within 1e-12, inside its box widened
+    by 1e-12) is inside, whatever the other edges give. Any other point is
+    inside when an odd number of edges span its y and cross its horizontal to
+    its right. The arrays are (points, edges), edge f running from vertex
+    f - 1 to vertex f.
+    """
+    pts = np.asarray(points, dtype=float)
+    x, y = pts[:, :1], pts[:, 1:2]
     poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-    inside = False
-    x1, y1 = poly[-1]
-    for i in range(n):
-        x2, y2 = poly[i]
-        # boundary check
-        if abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 1e-12:
-            if min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12 and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12:
-                return True
-        if (y1 > y) != (y2 > y):
-            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xc:
-                inside = not inside
-        x1, y1 = x2, y2
+    prev = np.concatenate((poly[-1:], poly[:-1]))
+    x1, y1, x2, y2 = prev[:, 0], prev[:, 1], poly[:, 0], poly[:, 1]
+    ex, ey = x2 - x1, y2 - y1
+    rx, ry = x - x1, y - y1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a level edge spans no y
+        flips = ((y1 > y) != (y2 > y)) & (x < x1 + ry * ex / ey)
+    inside = np.logical_xor.reduce(flips, axis=1)
+    on_line = np.abs(ex * ry - ey * rx) < 1e-12
+    if on_line.any():
+        k, f = on_line.nonzero()
+        xk, yk = x[k, 0], y[k, 0]
+        on_edge = ((np.minimum(x1, x2)[f] - 1e-12 <= xk) & (xk <= np.maximum(x1, x2)[f] + 1e-12)
+                   & (np.minimum(y1, y2)[f] - 1e-12 <= yk) & (yk <= np.maximum(y1, y2)[f] + 1e-12))
+        inside[k[on_edge]] = True
     return inside
 
 
@@ -63,6 +72,7 @@ class Building:
     footprint: np.ndarray  # (V, 2) vertices, meters
     height: float
     faces: tuple = field(init=False, repr=False, compare=False)  # V Face, face f on edge f
+    edges: np.ndarray = field(init=False, repr=False, compare=False)  # (V, 2), f to f + 1
 
     def __post_init__(self):
         fp = np.asarray(self.footprint, dtype=float)
@@ -72,17 +82,22 @@ class Building:
         if self.height <= 0:
             raise SceneFormatError("buildings.height", "must be > 0")
         self._check_simple(fp)
-        object.__setattr__(self, "faces", tuple(
-            self._face(fp[f], fp[(f + 1) % len(fp)]) for f in range(len(fp))))
+        object.__setattr__(self, "edges", np.roll(fp, -1, axis=0) - fp)
+        object.__setattr__(self, "faces", self._faces(fp))
 
-    def _face(self, p1, p2) -> Face:
-        edge = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
-        length = float(np.linalg.norm(edge))
-        n = np.array([edge[1], -edge[0]]) / np.linalg.norm(p2 - p1)
-        if point_in_polygon((p1 + p2) / 2.0 + 1e-6 * n, self.footprint):
-            n = -n
-        return Face(origin=np.array([p1[0], p1[1], 0.0]), u_hat=edge / length, length=length,
-                    normal=np.array([n[0], n[1], 0.0]), height=self.height)
+    def _faces(self, fp) -> tuple:
+        """The V faces, face f on edge f; each normal is turned outward, away
+        from the footprint, by one point test of every edge's midpoint nudged
+        1e-6 m along it."""
+        p1, e = fp, self.edges
+        p2 = p1 + e
+        edge = np.column_stack([e, np.zeros(len(fp))])
+        length = np.sqrt(np.vecdot(edge, edge))
+        n = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(np.vecdot(e, e))[:, None]
+        n[point_in_polygon((p1 + p2) / 2.0 + 1e-6 * n, fp)] *= -1.0
+        return tuple(Face(origin=np.array([p1[f, 0], p1[f, 1], 0.0]), u_hat=edge[f] / length[f],
+                          length=float(length[f]), normal=np.array([n[f, 0], n[f, 1], 0.0]),
+                          height=self.height) for f in range(len(fp)))
 
     @staticmethod
     def _check_simple(fp):
@@ -189,27 +204,35 @@ def line_of_sight(scene: Scene, a, b) -> bool:
     return bool(segments_clear(scene, a, b[None, :])[0])
 
 
-def segments_clear(scene: Scene, a, ends) -> np.ndarray:
-    """Line of sight of the K open segments from a to the rows of `ends`, shape (K,).
+def segments_clear(scene: Scene, starts, ends) -> np.ndarray:
+    """Line of sight of the K open segments from `starts` to the rows of
+    `ends`, shape (K,). `starts` is one start point (3,) for every segment,
+    or one per segment (K, 3).
 
-    One slab test culls the (segment, prism) pairs for all K segments; only
-    the pairs whose bounding box a segment enters go through the exact prism
-    test.
+    One slab test culls the (segment, prism) pairs for all K segments. The
+    exact test then runs once per entered prism, over the segments that enter
+    its box and no earlier prism has blocked.
     """
-    a = np.asarray(a, dtype=float)
+    starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    if np.any(np.linalg.norm(ends - a, axis=1) < 1e-9):
+    d = ends - starts
+    if (np.sqrt(np.vecdot(d, d)) < 1e-9).any():
         raise InvalidInputError("degenerate segment: a == b")
+    entered = _boxes_entered(scene._box_lo, scene._box_hi, starts, d)
     clear = np.ones(len(ends), dtype=bool)
-    for k, i in zip(*np.nonzero(_boxes_entered(scene._box_lo, scene._box_hi, a, ends))):
-        if clear[k] and _segment_hits_prism(a, ends[k], scene.buildings[i]):
-            clear[k] = False
+    if not entered.any():
+        return clear
+    for i in entered.any(axis=0).nonzero()[0]:
+        k = (entered[:, i] & clear).nonzero()[0]
+        if k.size:
+            a = starts if starts.ndim == 1 else starts[k]
+            clear[k] = ~_segments_hit_prism(a, ends[k], scene.buildings[i])
     return clear
 
 
-def _boxes_entered(lo, hi, a, ends) -> np.ndarray:
-    """Which boxes (rows of lo, hi) each closed segment from a to a row of
-    `ends` meets, shape (K, boxes).
+def _boxes_entered(lo, hi, starts, d) -> np.ndarray:
+    """Which boxes (rows of lo, hi) each closed segment from `starts` (one
+    point, or one per segment) along a row of `d` meets, shape (K, boxes).
 
     Slab test (Williams et al. 2005, "An efficient and robust ray-box
     intersection algorithm"): per axis, the parameter interval inside the
@@ -220,54 +243,60 @@ def _boxes_entered(lo, hi, a, ends) -> np.ndarray:
     segment lying exactly in a slab's bounding plane. A subnormal component
     of d overflows the same way, to an interval of the same meaning.
     """
-    d = (ends - a)[:, None, :]
+    a = starts[..., None, :]
+    d = d[:, None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (lo - a) / d
         t2 = (hi - a) / d
-    t_in = np.max(np.fmin(t1, t2), axis=2)
-    t_out = np.min(np.fmax(t1, t2), axis=2)
+    t_in = np.fmin(t1, t2).max(axis=2)
+    t_out = np.fmax(t1, t2).min(axis=2)
     return (t_in <= t_out) & (t_in <= 1.0) & (t_out >= 0.0)
 
 
-def _segment_hits_prism(a, b, building: Building, eps: float = 1e-9) -> bool:
-    """Does the open segment pass through the solid prism?
+def _segments_hit_prism(starts, ends, building: Building, eps: float = 1e-9) -> np.ndarray:
+    """Does each open segment from `starts` (one point, or one per segment)
+    to a row of `ends` (P, 3) pass through the solid prism? Shape (P,).
 
-    Works for non-convex footprints: collect the parameter values where the
-    2D projection crosses the footprint boundary, then test each sub-interval
-    whose midpoint lies inside the footprint for overlap with the z-slab.
+    Works for non-convex footprints: the parameters t where a segment's 2D
+    projection crosses the footprint's edges (P, edges) cut [0, 1] into
+    intervals, and the segment hits the prism when an interval longer than
+    2 eps overlaps the z-slab with its midpoint inside the footprint. A
+    segment that does not move in the plane has the one interval [0, 1]. A
+    crossing that does not count stands at t = 1, where its interval is
+    empty.
     """
-    a2, b2 = a[:2], b[:2]
-    d2 = b2 - a2
-    fp = building.footprint
-    ts = [0.0, 1.0]
-    n = len(fp)
-    planar = np.linalg.norm(d2) < 1e-12
-    if not planar:
-        for i in range(n):
-            q1, q2 = fp[i], fp[(i + 1) % n]
-            e = q2 - q1
-            denom = d2[0] * e[1] - d2[1] * e[0]
-            if abs(denom) < 1e-15:
-                continue
-            rel = q1 - a2
-            t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-            s = (rel[0] * d2[1] - rel[1] * d2[0]) / denom
-            if -1e-12 <= s <= 1 + 1e-12 and eps < t < 1 - eps:
-                ts.append(float(t))
-    ts = sorted(set(ts))
-    za, zb = a[2], b[2]
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if t1 - t0 < 2 * eps:
-            continue
-        tm = (t0 + t1) / 2.0
-        mid2 = a2 + tm * d2
-        if not point_in_polygon(mid2, fp):
-            continue
-        z0 = za + (zb - za) * (t0 + eps)
-        z1 = za + (zb - za) * (t1 - eps)
-        if min(z0, z1) < building.height - eps and max(z0, z1) > eps:
-            return True
-    return False
+    a2 = starts[..., :2]
+    d2 = ends[:, :2] - a2
+    dx, dy = d2[:, :1], d2[:, 1:]
+    fp, e = building.footprint, building.edges
+    rx, ry = fp[:, 0] - a2[..., :1], fp[:, 1] - a2[..., 1:]  # vertex i less the start
+    ex, ey = e[:, 0], e[:, 1]
+    denom = dx * ey - dy * ex
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = (rx * ey - ry * ex) / denom
+        s = (rx * dy - ry * dx) / denom
+    counts = ((np.abs(denom) >= 1e-15) & (-1e-12 <= s) & (s <= 1 + 1e-12)
+              & (eps < t) & (t < 1 - eps))
+    planar = np.sqrt(np.vecdot(d2, d2)) < 1e-12
+    if planar.any():
+        counts[planar] = False
+    cuts = np.ones((len(d2), len(fp) + 2))
+    cuts[:, 0] = 0.0
+    cuts[:, 1:-1] = np.where(counts, t, 1.0)
+    cuts.sort(axis=1)
+    t0, t1 = cuts[:, :-1], cuts[:, 1:]
+    za, dz = starts[..., 2:], ends[:, 2:] - starts[..., 2:]
+    z0 = za + dz * (t0 + eps)
+    z1 = za + dz * (t1 - eps)
+    tested = ((t1 - t0 >= 2 * eps) & (np.minimum(z0, z1) < building.height - eps)
+              & (np.maximum(z0, z1) > eps))
+    rows, cols = tested.nonzero()
+    hit = np.zeros(len(d2), dtype=bool)
+    if rows.size:
+        tm = (t0[rows, cols] + t1[rows, cols]) / 2.0
+        mid = (a2 if a2.ndim == 1 else a2[rows]) + tm[:, None] * d2[rows]
+        hit[rows[point_in_polygon(mid, fp)]] = True
+    return hit
 
 
 def build_grids(scene: Scene, cell_size, height: float, area: Rect | None = None) -> GridSet:
@@ -287,15 +316,18 @@ def build_grids(scene: Scene, cell_size, height: float, area: Rect | None = None
     ny = int(np.floor(area.depth / cell[1] + 1e-9))
     if nx < 1 or ny < 1:
         raise InvalidInputError("cell_size larger than the requested area")
-    centers = []
-    for ix in range(nx):
-        for iy in range(ny):
-            cx = area.xmin + (ix + 0.5) * cell[0]
-            cy = area.ymin + (iy + 0.5) * cell[1]
-            if any(point_in_polygon((cx, cy), blg.footprint) for blg in scene.buildings):
-                continue
-            centers.append((cx, cy, height))
-    return GridSet(np.array(centers).reshape(-1, 3), cell)
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")  # x-major, as rows
+    xy = np.column_stack([area.xmin + (ix.ravel() + 0.5) * cell[0],
+                          area.ymin + (iy.ravel() + 0.5) * cell[1]])
+    # a footprint holds no point outside its prism's box, so only the
+    # buildings whose box overlaps the tiled area test the centres
+    lo, hi = scene._box_lo[:, :2], scene._box_hi[:, :2]
+    near = ((lo <= xy.max(axis=0)) & (hi >= xy.min(axis=0))).all(axis=1)
+    keep = np.ones(len(xy), dtype=bool)
+    for i in near.nonzero()[0]:
+        keep[keep] = ~point_in_polygon(xy[keep], scene.buildings[i].footprint)
+    centers = np.column_stack([xy[keep], np.full(np.count_nonzero(keep), height, dtype=float)])
+    return GridSet(centers, cell)
 
 
 PATCH_MARGIN = 0.5  # m; a mounting patch's inset from its face's sides and roof
@@ -380,28 +412,31 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
     """Enumerate candidate deployable regions, one per valid building face.
 
     A face qualifies when its reference point sees the BS and every UAV cell
-    (one batched test) and reaches an uncovered UE cell; the candidate covers
-    every uncovered UE cell reachable under pl_max.
+    and reaches an uncovered UE cell; the candidate covers every uncovered UE
+    cell reachable under pl_max. Two batched queries answer every face: one
+    line-of-sight test of each face's legs to the BS and the UAV cells, then
+    one reachability test of each qualifying face's legs to the uncovered
+    cells.
     """
     from . import propagation
 
     uncovered = list(uncovered)
     cells = ue_grid.centers[uncovered]
     bs_and_uavs = np.vstack([scene.bs_position, uav_grid.centers])
+    regions = [DeployableRegion(covered_cells=[], coverage_area=0.0, building=b_idx, face=face)
+               for b_idx, building in enumerate(scene.buildings) for face in building.faces
+               if face.length >= 2 * PATCH_MARGIN + 0.5 and building.height > PATCH_FLOOR + 0.5]
+    points = np.array([region.reference_point() for region in regions]).reshape(-1, 3)
+    sees = segments_clear(scene, np.repeat(points, len(bs_and_uavs), axis=0),
+                          np.tile(bs_and_uavs, (len(points), 1)))
+    sees = sees.reshape(len(points), len(bs_and_uavs)).all(axis=1)
+    regions, points = [r for r, ok in zip(regions, sees) if ok], points[sees]
+    reach = propagation.reachable_from(scene, prop_cfg, np.repeat(points, len(cells), axis=0),
+                                       np.tile(cells, (len(points), 1)))
     out = []
-    for b_idx, building in enumerate(scene.buildings):
-        for face in building.faces:
-            if face.length < 2 * PATCH_MARGIN + 0.5 or building.height <= PATCH_FLOOR + 0.5:
-                continue
-            region = DeployableRegion(covered_cells=[], coverage_area=0.0, building=b_idx,
-                                      face=face)
-            point = region.reference_point()
-            if not np.all(segments_clear(scene, point, bs_and_uavs)):
-                continue
-            covered = [cell for cell, ok in zip(
-                uncovered, propagation.reachable_from(scene, prop_cfg, point, cells)) if ok]
-            if not covered:
-                continue
+    for region, row in zip(regions, reach.reshape(len(points), len(cells))):
+        covered = [cell for cell, ok in zip(uncovered, row) if ok]
+        if covered:
             region.covered_cells = covered
             region.coverage_area = len(covered) * ue_grid.cell_area
             out.append(region)

@@ -30,7 +30,9 @@ split with its own look over the grid, and searches orientations over the
 whole coarse grid. The masked orientation score applies the field-of-view
 mask to every cosine before the minima over targets. The full-grid
 orientation search scores every coarse node, and the every-face path
-enumeration runs the image method on every face whatever the budget.
+enumeration runs the image method on every face whatever the budget. The
+geometry references test one point and one (segment, prism) pair at a time,
+in the scalar loops whose float operations the array tests in `scene` keep.
 """
 
 import numpy as np
@@ -48,6 +50,68 @@ from risdeploy.propagation import (_coincident, _face_checker, _los_path, _refle
 from risdeploy.scene import line_of_sight
 from risdeploy.sensing import fim
 from risdeploy.units import SPEED_OF_LIGHT, db2lin
+
+
+def point_in_polygon_scalar(point, polygon) -> bool:
+    "Ray-casting point-in-polygon test of one point; points on the boundary count as inside."
+    x, y = float(point[0]), float(point[1])
+    poly = np.asarray(polygon, dtype=float)
+    inside = False
+    x1, y1 = poly[-1]
+    for i in range(len(poly)):
+        x2, y2 = poly[i]
+        if abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 1e-12:
+            if (min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12
+                    and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12):
+                return True
+        if (y1 > y) != (y2 > y):
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xc:
+                inside = not inside
+        x1, y1 = x2, y2
+    return inside
+
+
+def segment_hits_prism_scalar(a, b, building, eps: float = 1e-9) -> bool:
+    """Does the open segment from a to b pass through the solid prism?
+
+    Collect the parameter values where the 2D projection crosses the
+    footprint boundary, then test each sub-interval whose midpoint lies
+    inside the footprint for overlap with the z-slab.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a2, b2 = a[:2], b[:2]
+    d2 = b2 - a2
+    fp = building.footprint
+    ts = [0.0, 1.0]
+    n = len(fp)
+    planar = np.linalg.norm(d2) < 1e-12
+    if not planar:
+        for i in range(n):
+            q1, q2 = fp[i], fp[(i + 1) % n]
+            e = q2 - q1
+            denom = d2[0] * e[1] - d2[1] * e[0]
+            if abs(denom) < 1e-15:
+                continue
+            rel = q1 - a2
+            t = (rel[0] * e[1] - rel[1] * e[0]) / denom
+            s = (rel[0] * d2[1] - rel[1] * d2[0]) / denom
+            if -1e-12 <= s <= 1 + 1e-12 and eps < t < 1 - eps:
+                ts.append(float(t))
+    ts = sorted(set(ts))
+    za, zb = a[2], b[2]
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        if t1 - t0 < 2 * eps:
+            continue
+        tm = (t0 + t1) / 2.0
+        mid2 = a2 + tm * d2
+        if not point_in_polygon_scalar(mid2, fp):
+            continue
+        z0 = za + (zb - za) * (t0 + eps)
+        z1 = za + (zb - za) * (t1 - eps)
+        if min(z0, z1) < building.height - eps and max(z0, z1) > eps:
+            return True
+    return False
 
 
 def qpsk_grid(wave, seed):

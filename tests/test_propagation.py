@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_scene import _scene_and_fan
+from test_scene import _scene_and_fan, _scene_and_fans
 
 from risdeploy import cli, propagation
 from risdeploy.errors import InvalidInputError, NoPathError
@@ -284,6 +284,20 @@ def test_leg_queries_are_one_pass_over_enumerate_paths(case):
     blocked = [b for b in ends[:len(ends) if first_none is None else first_none + 1]
                if not line_of_sight(scn, a, b)]
     assert np.array_equal(np.reshape(formed, (-1, 3)), np.reshape(blocked, (-1, 3)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scene_and_fans(), st.sampled_from([70.0, 160.0]))
+def test_reachable_from_takes_a_start_per_leg(case, pl_max_db):
+    # legs from many starts in one call answer as each leg on its own; the
+    # legs from the first start answer the same from that point alone
+    scn, starts, ends = case
+    assume(not np.any(_coincident(starts, ends)))
+    cfg = dataclasses.replace(CFG, pl_max_db=pl_max_db)
+    reach = reachable_from(scn, cfg, starts, ends)
+    assert reach.tolist() == [bool(enumerate_paths(scn, cfg, a, b)) for a, b in zip(starts, ends)]
+    same = np.all(starts == starts[0], axis=1)
+    assert reachable_from(scn, cfg, starts[0], ends[same]).tolist() == reach[same].tolist()
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,18 +1,24 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from risdeploy import cli, optimizer, propagation
 from risdeploy import scene as scene_mod
 from risdeploy.errors import (InfeasibleCoverageError, InvalidInputError,
-                              SceneFormatError)
+                              SceneFormatError, UnreachableTargetsError)
 from risdeploy.scene import (Bounds, Building, DeployableRegion, Rect, Scene,
-                             _segment_hits_prism, build_grids, line_of_sight,
+                             _segments_hit_prism, build_grids, line_of_sight,
                              point_in_polygon, scene_from_dict, segments_clear,
                              select_ris_regions)
+
+import city
+from _oracles import point_in_polygon_scalar, same_bits, segment_hits_prism_scalar
+from conftest import bench_city_config, demo_config_path
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 
@@ -23,13 +29,13 @@ def simple_scene(buildings=()):
 
 
 def test_point_in_polygon():
-    assert point_in_polygon((5.0, 5.0), SQUARE)
-    assert not point_in_polygon((10.5, 5.0), SQUARE)
-    assert point_in_polygon((10.0, 5.0), SQUARE)  # boundary counts as inside
-    assert point_in_polygon((0.0, 0.0), SQUARE)  # vertex
+    # inside, outside, on an edge (boundary counts as inside), on a vertex
+    points = np.array([[5.0, 5.0], [10.5, 5.0], [10.0, 5.0], [0.0, 0.0]])
+    assert point_in_polygon(points, SQUARE).tolist() == [True, False, True, True]
     concave = np.array([[0, 0], [10, 0], [10, 10], [5, 5], [0, 10]], dtype=float)
-    assert point_in_polygon((1.0, 1.0), concave)
-    assert not point_in_polygon((5.0, 8.0), concave)  # inside the notch
+    # the second point lies inside the notch
+    assert point_in_polygon([[1.0, 1.0], [5.0, 8.0]], concave).tolist() == [True, False]
+    assert point_in_polygon(np.empty((0, 2)), SQUARE).shape == (0,)
 
 
 def test_building_validation():
@@ -51,8 +57,8 @@ def test_face_normals_point_outward():
         n = face.normal
         assert n[2] == 0.0
         assert np.linalg.norm(n) == pytest.approx(1.0)
-        assert not point_in_polygon(mid + 0.01 * n[:2], b.footprint)
-        assert point_in_polygon(mid - 0.01 * n[:2], b.footprint)
+        assert point_in_polygon([mid + 0.01 * n[:2], mid - 0.01 * n[:2]],
+                                b.footprint).tolist() == [False, True]
 
 
 def test_line_of_sight_blocked_and_clear():
@@ -127,7 +133,7 @@ def _scene_and_segment(draw):
 def test_culled_line_of_sight_matches_every_prism(case):
     scn, a, b = case
     assume(np.linalg.norm(b - a) >= 1e-9)
-    expected = not any(_segment_hits_prism(a, b, blg) for blg in scn.buildings)
+    expected = not any(segment_hits_prism_scalar(a, b, blg) for blg in scn.buildings)
     assert line_of_sight(scn, a, b) == expected
 
 
@@ -160,46 +166,262 @@ def _scene_and_fan(draw):
 @given(_scene_and_fan())
 def test_batched_segments_match_line_of_sight(case):
     # one slab test for segments that share a start point decides each one
-    # as the one-segment test and the exact test against every prism do
+    # as the one-segment test and the scalar test against every prism do
     scn, a, ends = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         clear = segments_clear(scn, a, ends)
     assert clear.tolist() == [line_of_sight(scn, a, b) for b in ends]
-    assert clear.tolist() == [not any(_segment_hits_prism(a, b, blg) for blg in scn.buildings)
-                              for b in ends]
+    assert clear.tolist() == [not any(segment_hits_prism_scalar(a, b, blg)
+                                      for blg in scn.buildings) for b in ends]
+
+
+def test_a_cut_shorter_than_two_eps_does_not_block():
+    # the segment clips the corner (0, 0) inside the footprint for a
+    # parameter span of 1e-9: too short an interval to be tested, as in the
+    # scalar test
+    blg = Building(SQUARE, 5.0)
+    a, b = np.array([-5.0, 5.0 + 1e-8, 2.0]), np.array([5.0, -5.0 + 1e-8, 2.0])
+    assert not segment_hits_prism_scalar(a, b, blg)
+    assert not _segments_hit_prism(a, b[None, :], blg)[0]
+    assert line_of_sight(simple_scene([blg]), a, b)
 
 
 def test_subnormal_direction_culls_without_warning():
     # d_y = 5e-324 overflows the slab division (lo - a) / d_y to inf
     scn = simple_scene([Building.box(0, 10, 0, 10, 5)])
     a, b = np.array([-5.0, 0.0, 2.0]), np.array([15.0, 5e-324, 2.0])
-    expected = not _segment_hits_prism(a, b, scn.buildings[0])
+    expected = not segment_hits_prism_scalar(a, b, scn.buildings[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert line_of_sight(scn, a, b) == expected
 
 
-def _tested_prisms(monkeypatch, scn, a, b):
-    "Indices of the buildings line_of_sight hands to the exact prism test."
+def _start(draw, buildings):
+    """A start point: free, or 1e-3 m off a face of one of the buildings, where
+    every candidate point and RIS position lies."""
+    if buildings and draw(st.booleans()):
+        face = draw(st.sampled_from(draw(st.sampled_from(buildings)).faces))
+        u, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        return (face.origin + u * face.length * face.u_hat + np.array([0.0, 0.0, v * face.height])
+                + 1e-3 * face.normal)
+    return np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+
+
+@st.composite
+def _scene_and_fans(draw):
+    """Up to four prisms and 1-8 segments, each from one of 1-4 start points
+    (_start). A near-vertical segment moves less than 1e-12 m in the plane; a
+    subnormal one starts on a coordinate plane and ends a subnormal off it."""
+    buildings = [Building(fp, draw(st.integers(1, 16)) / 2.0)
+                 for fp in draw(st.lists(_footprints(), max_size=4))]
+    pool = [_start(draw, buildings) for _ in range(draw(st.integers(1, 4)))]
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        a = pool[draw(st.integers(0, len(pool) - 1))].copy()
+        b = np.array([draw(_COORD), draw(_COORD), draw(_COORD.map(abs))])
+        kind = draw(st.sampled_from(["free", "vertical", "near-vertical", "horizontal", "axis",
+                                     "subnormal"]))
+        if kind == "vertical":
+            b[:2] = a[:2]
+        elif kind == "near-vertical":  # moves less than 1e-12 in the plane
+            b[:2] = a[:2] + draw(st.sampled_from([-4e-13, 4e-13]))
+        elif kind == "horizontal":
+            b[2] = a[2]
+        elif kind == "axis":
+            keep = draw(st.integers(0, 2))
+            b = np.where(np.arange(3) == keep, b, a)
+        elif kind == "subnormal":
+            plane = draw(st.integers(0, 2))
+            a[plane] = 0.0
+            b = a.copy()
+            b[plane] = draw(st.sampled_from([5e-324, -5e-324, 1e-310]))
+            b[(plane + 1) % 3] = draw(_COORD.map(abs))
+        if np.linalg.norm(b - a) >= 1e-9:
+            starts.append(a)
+            ends.append(b)
+    assume(ends)
+    return simple_scene(buildings), np.array(starts), np.array(ends)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scene_and_fans())
+def test_prism_kernel_matches_the_scalar_oracle(case):
+    # every (segment, prism) pair, entered box or not, boolean for boolean;
+    # the segments from one start point answer the same with that point alone
+    scn, starts, ends = case
+    same = np.all(starts == starts[0], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clear = segments_clear(scn, starts, ends)
+        for blg in scn.buildings:
+            want = [segment_hits_prism_scalar(a, b, blg) for a, b in zip(starts, ends)]
+            assert _segments_hit_prism(starts, ends, blg).tolist() == want
+            assert (_segments_hit_prism(starts[0], ends[same], blg).tolist()
+                    == [hit for hit, one in zip(want, same) if one])
+    assert clear.tolist() == [line_of_sight(scn, a, b) for a, b in zip(starts, ends)]
+
+
+@st.composite
+def _footprint_and_points(draw):
+    """A box or L footprint (_footprints) and 1-12 points: on a vertex, on an
+    edge, within 2e-12 m of an edge, on the half-metre grid or free."""
+    fp = draw(_footprints())
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        i = draw(st.integers(0, len(fp) - 1))
+        q1, q2 = fp[i], fp[(i + 1) % len(fp)]
+        on_edge = q1 + draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                      st.floats(0.0, 1.0))) * (q2 - q1)
+        kind = draw(st.sampled_from(["vertex", "edge", "near", "grid", "free"]))
+        if kind == "vertex":
+            p = q1
+        elif kind == "edge":
+            p = on_edge
+        elif kind == "near":
+            p = on_edge + np.array(draw(st.lists(st.sampled_from(
+                [-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]), min_size=2, max_size=2)))
+        elif kind == "grid":
+            p = np.array([draw(_GRID), draw(_GRID)])
+        else:
+            p = np.array([draw(_COORD), draw(_COORD)])
+        points.append(p)
+    return fp, np.array(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_footprint_and_points())
+def test_batched_point_test_matches_the_scalar_oracle(case):
+    fp, points = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = point_in_polygon(points, fp)
+    assert inside.tolist() == [point_in_polygon_scalar(p, fp) for p in points]
+
+
+def _tested_pairs(monkeypatch, scn, starts, ends):
+    "segments_clear's answer, and the (end, building index) pairs it hands to the prism kernel."
     tested = []
 
-    def counting(a, b, building):
-        tested.append(next(i for i, blg in enumerate(scn.buildings) if blg is building))
-        return _segment_hits_prism(a, b, building)
+    def counting(starts, ends, building):
+        i = next(i for i, blg in enumerate(scn.buildings) if blg is building)
+        tested.extend((tuple(end), i) for end in ends)
+        return _segments_hit_prism(starts, ends, building)
 
-    monkeypatch.setattr(scene_mod, "_segment_hits_prism", counting)
-    return line_of_sight(scn, a, b), tested
+    monkeypatch.setattr(scene_mod, "_segments_hit_prism", counting)
+    return segments_clear(scn, starts, ends).tolist(), tested
 
 
 def test_line_of_sight_tests_only_prisms_whose_box_it_enters(ctx_full, monkeypatch):
     scn = ctx_full.scene
-    for uav in ctx_full.uav_grid.centers:
-        clear, tested = _tested_prisms(monkeypatch, scn, scn.bs_position, uav)
-        assert clear and tested == []
+    uavs = ctx_full.uav_grid.centers
+    clear, tested = _tested_pairs(monkeypatch, scn, scn.bs_position, uavs)
+    assert clear == [True] * len(uavs) and tested == []
     # building 0 spans x 30-80, y 60-70, 16 m high; cross it along y at 8 m
-    clear, tested = _tested_prisms(monkeypatch, scn, [55.0, 55.0, 8.0], [55.0, 75.0, 8.0])
-    assert not clear and tested == [0]
+    crossing = (55.0, 75.0, 8.0)
+    clear, tested = _tested_pairs(monkeypatch, scn, [55.0, 55.0, 8.0], [crossing])
+    assert clear == [False] and tested == [(crossing, 0)]
+    # the same legs from a start per segment, in one call
+    starts = np.vstack([np.tile(scn.bs_position, (len(uavs), 1)), [55.0, 55.0, 8.0]])
+    clear, tested = _tested_pairs(monkeypatch, scn, starts, np.vstack([uavs, crossing]))
+    assert clear == [True] * len(uavs) + [False] and tested == [(crossing, 0)]
+
+
+def _scalar_geometry(mp):
+    "Answer every point and prism test with the scalar oracles, one point or pair at a time."
+    def points_inside(points, polygon):
+        return np.array([point_in_polygon_scalar(p, polygon) for p in np.asarray(points)],
+                        dtype=bool)
+
+    def hits(starts, ends, building):
+        return np.array([segment_hits_prism_scalar(a, b, building)
+                         for a, b in zip(np.broadcast_to(starts, ends.shape), ends)], dtype=bool)
+
+    mp.setattr(scene_mod, "point_in_polygon", points_inside)
+    mp.setattr(scene_mod, "_segments_hit_prism", hits)
+
+
+def _face_bits(face):
+    return (face.origin.tobytes(), face.u_hat.tobytes(), face.normal.tobytes(), face.length,
+            face.height)
+
+
+def _context_answers(cfg):
+    "build_context's grids, uncovered cells and regions (building, face, covered cells, area)."
+    uncovered, candidates = [], scene_mod.candidate_regions
+
+    def spy(scn, ue_grid, cells, *args):
+        uncovered.extend(cells)
+        return candidates(scn, ue_grid, cells, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_mod, "candidate_regions", spy)
+        ctx = cli.build_context(cfg)
+    regions = [(r.building, _face_bits(r.face), list(r.covered_cells), r.coverage_area)
+               for r in ctx.regions]
+    return ctx.ue_grid.centers.tobytes(), ctx.uav_grid.centers.tobytes(), uncovered, regions
+
+
+@pytest.mark.parametrize("city_seed, fillers", [(None, None), (1, 6), (2, 6), (3, 6), (1, 30)],
+                         ids=["demo", "city-1", "city-2", "city-3", "city-36-buildings"])
+def test_context_matches_the_scalar_geometry(city_seed, fillers, tmp_path, monkeypatch):
+    # the array point and prism tests give build_context the grids, uncovered
+    # cells and regions of the scalar oracles, bit for bit
+    path = demo_config_path()
+    if city_seed is not None:
+        monkeypatch.setattr(city, "FILLERS", fillers)
+        path = city.write(tmp_path, city_seed, Path(path))
+    cfg = cli.load_config(path)
+    got = _context_answers(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _scalar_geometry(mp)
+        want = _context_answers(cfg)
+    assert got[3], "no candidate region"
+    assert got == want
+
+
+def test_ris_paths_match_the_scalar_geometry(tmp_path):
+    # seeded placements on every region of the bench city, bit for bit
+    ctx = cli.build_context(cli.load_config(bench_city_config(tmp_path)))
+    rng = np.random.default_rng(5)
+    placements = [(n, region.point_at(*region.sample(rng)))
+                  for n, region in enumerate(ctx.regions) for _ in range(6)]
+
+    def answers():
+        out = []
+        for n, position in placements:
+            try:
+                out.append(optimizer.ris_paths(ctx, n, position))
+            except UnreachableTargetsError:
+                out.append(None)
+        return out
+
+    got = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        _scalar_geometry(mp)
+        want = answers()
+    # low placements lose the BS behind the front building; the rest see every leg
+    assert None in got and any(paths is not None for paths in got)
+    assert [paths is None for paths in got] == [paths is None for paths in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            assert all(same_bits(x, y) for x, y in zip(g, w))
+
+
+def test_bench_city_context_makes_few_line_of_sight_calls(tmp_path, monkeypatch):
+    # the BS's legs to the UE cells, every face's legs to the BS and the UAV
+    # cells, and every qualifying face's legs to the uncovered cells: one
+    # batched call each
+    calls, batched = [], scene_mod.segments_clear
+
+    def counted(scene, starts, ends):
+        calls.append(len(ends))
+        return batched(scene, starts, ends)
+
+    monkeypatch.setattr(scene_mod, "segments_clear", counted)
+    monkeypatch.setattr(propagation, "segments_clear", counted)
+    cli.build_context(cli.load_config(bench_city_config(tmp_path)))
+    assert len(calls) <= 4, calls
 
 
 def test_build_grids_counts_and_centers():
