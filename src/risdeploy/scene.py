@@ -89,8 +89,7 @@ class Building:
         """The V faces, face f on edge f; each normal is turned outward, away
         from the footprint, by one point test of every edge's midpoint nudged
         1e-6 m along it."""
-        p1, e = fp, self.edges
-        p2 = p1 + e
+        p1, p2, e = fp, np.roll(fp, -1, axis=0), self.edges
         edge = np.column_stack([e, np.zeros(len(fp))])
         length = np.sqrt(np.vecdot(edge, edge))
         n = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(np.vecdot(e, e))[:, None]
@@ -427,9 +426,9 @@ def candidate_regions(scene: Scene, ue_grid: GridSet, uncovered: Iterable[int],
                for b_idx, building in enumerate(scene.buildings) for face in building.faces
                if face.length >= 2 * PATCH_MARGIN + 0.5 and building.height > PATCH_FLOOR + 0.5]
     points = np.array([region.reference_point() for region in regions]).reshape(-1, 3)
-    sees = segments_clear(scene, np.repeat(points, len(bs_and_uavs), axis=0),
-                          np.tile(bs_and_uavs, (len(points), 1)))
-    sees = sees.reshape(len(points), len(bs_and_uavs)).all(axis=1)
+    clear = segments_clear(scene, np.repeat(points, len(bs_and_uavs), axis=0),
+                           np.tile(bs_and_uavs, (len(points), 1)))
+    sees = clear.reshape(len(points), len(bs_and_uavs)).all(axis=1)
     regions, points = [r for r, ok in zip(regions, sees) if ok], points[sees]
     reach = propagation.reachable_from(scene, prop_cfg, np.repeat(points, len(cells), axis=0),
                                        np.tile(cells, (len(points), 1)))

@@ -61,6 +61,27 @@ def test_face_normals_point_outward():
                                 b.footprint).tolist() == [False, True]
 
 
+def test_faces_keep_the_per_edge_rounding():
+    # each face's length, direction and normal have the bits of the formulas
+    # on that edge alone: np.linalg.norm of the edge, and the normal flipped
+    # where a point 1e-6 m along it lies inside
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+        fp = rng.uniform(-1e3, 1e3, 2) + rng.uniform(1.0, 50.0) * np.column_stack(
+            [np.cos(angles), np.sin(angles)])
+        blg = Building(fp, 10.0)
+        for f, face in enumerate(blg.faces):
+            p1, p2 = fp[f], fp[(f + 1) % len(fp)]
+            edge = np.array([p2[0] - p1[0], p2[1] - p1[1], 0.0])
+            n = np.array([edge[1], -edge[0]]) / np.linalg.norm(p2 - p1)
+            if point_in_polygon_scalar((p1 + p2) / 2.0 + 1e-6 * n, fp):
+                n = -n
+            assert face.length == float(np.linalg.norm(edge))
+            assert same_bits(face.u_hat, edge / np.linalg.norm(edge))
+            assert same_bits(face.normal, np.array([n[0], n[1], 0.0]))
+
+
 def test_line_of_sight_blocked_and_clear():
     b = Building.box(4.0, 6.0, -1.0, 1.0, 10.0)
     scn = simple_scene([b])
